@@ -46,14 +46,9 @@ import sys
 from typing import List, Optional
 
 from repro.disk.device import SectorDevice
-from repro.disk.geometry import DiskGeometry
-from repro.disk.sim_disk import SimDisk
 from repro.errors import ReproError
-from repro.ffs.filesystem import FastFileSystem
 from repro.ffs.fsck import fsck as run_fsck
-from repro.lfs.filesystem import LogStructuredFS
-from repro.sim.clock import SimClock
-from repro.sim.cpu import CpuModel
+from repro.rig import new_rig
 from repro.tools.inspect import describe_image, identify
 from repro.units import KIB, MIB
 
@@ -87,36 +82,25 @@ def _open_image(path: str, telemetry=None, readahead: int = 0):
 
     device = FaultyDevice.load(path)
     device.injector = FaultInjector(telemetry=telemetry)
-    clock = SimClock()
-    cpu = CpuModel(clock)
-    disk = SimDisk(
-        DiskGeometry(name="image", total_bytes=device.total_bytes),
-        clock,
-        device=device,
-        telemetry=telemetry,
-    )
     kind = identify(device)
-    if kind == "lfs":
-        config = LfsConfig(readahead_blocks=readahead)
-        return LogStructuredFS.mount(disk, cpu, config=config), device
-    if kind == "ffs":
-        config = FfsConfig(readahead_blocks=readahead)
-        return FastFileSystem.mount(disk, cpu, config=config), device
-    raise ReproError(f"{path!r} holds no recognizable file system")
+    if kind not in ("lfs", "ffs"):
+        raise ReproError(f"{path!r} holds no recognizable file system")
+    rig = new_rig(
+        kind,
+        total_bytes=device.total_bytes,
+        lfs_config=LfsConfig(readahead_blocks=readahead),
+        ffs_config=FfsConfig(readahead_blocks=readahead),
+        telemetry=telemetry,
+        device=device,
+        mount=True,
+    )
+    return rig.fs, device
 
 
 def cmd_mkfs(args) -> int:
-    clock = SimClock()
-    cpu = CpuModel(clock)
-    disk = SimDisk(
-        DiskGeometry(name="image", total_bytes=args.size), clock
-    )
-    if args.fs == "lfs":
-        fs = LogStructuredFS.mkfs(disk, cpu)
-    else:
-        fs = FastFileSystem.mkfs(disk, cpu)
-    fs.unmount()
-    disk.device.save(args.image)
+    rig = new_rig(args.fs, total_bytes=args.size)
+    rig.fs.unmount()
+    rig.disk.device.save(args.image)
     print(f"formatted {args.image}: {args.fs} on {args.size} bytes")
     return 0
 
@@ -178,13 +162,8 @@ def cmd_fsck(args) -> int:
     if identify(device) != "ffs":
         print("fsck only applies to FFS images (LFS recovers at mount)")
         return 1
-    clock = SimClock()
-    disk = SimDisk(
-        DiskGeometry(name="image", total_bytes=device.total_bytes),
-        clock,
-        device=device,
-    )
-    report = run_fsck(disk)
+    rig = new_rig(None, total_bytes=device.total_bytes, device=device)
+    report = run_fsck(rig.disk)
     print(
         f"fsck: {report.inodes_scanned} inodes scanned, "
         f"{report.repairs()} repairs, "
@@ -534,16 +513,15 @@ def cmd_trace(args) -> int:
 
 def cmd_bench_diff(args) -> int:
     from repro.tools.bench_report import (
-        diff_reports,
-        diff_service_reports,
+        diff_points,
+        flatten,
         is_service_report,
-        load_any_report,
+        load_report,
         render_diff,
-        render_service_diff,
     )
 
-    old = load_any_report(args.old)
-    new = load_any_report(args.new)
+    old = load_report(args.old)
+    new = load_report(args.new)
     if is_service_report(old) != is_service_report(new):
         print(
             "error: cannot diff a hotpaths report against a service "
@@ -551,15 +529,10 @@ def cmd_bench_diff(args) -> int:
             file=sys.stderr,
         )
         return 1
-    max_regression = args.max_regression / 100.0
-    if is_service_report(old):
-        diff = diff_service_reports(
-            old, new, max_regression=max_regression
-        )
-        print(render_service_diff(diff))
-    else:
-        diff = diff_reports(old, new, max_regression=max_regression)
-        print(render_diff(diff))
+    diff = diff_points(
+        flatten(old), flatten(new), args.max_regression / 100.0
+    )
+    print(render_diff(diff))
     return 1 if diff["regressions"] else 0
 
 

@@ -36,35 +36,13 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.migrate import ShardMigrator
 from repro.cluster.router import ShardRouter
 from repro.obs import Telemetry
+from repro.rig import new_rig
+from repro.service.config import SERVICE_LFS_CONFIG
 from repro.service.scheduler import ClientStream, RequestScheduler
 from repro.service.stats import percentile
 from repro.units import MIB
 
 DEFAULT_SHARD_BYTES = 64 * MIB
-
-
-def _make_shard_fs(
-    total_bytes: int, clock, telemetry: Telemetry
-):
-    """A fresh LFS volume on ``clock`` (mirrors ``make_lfs``, which
-    always builds a private clock — a migration group needs both its
-    volumes on the shared one)."""
-    from repro.disk.geometry import wren_iv
-    from repro.disk.sim_disk import SimDisk
-    from repro.lfs.config import LfsConfig
-    from repro.lfs.filesystem import LogStructuredFS
-    from repro.sim.cpu import CpuModel
-    from repro.units import KIB
-
-    lfs_config = LfsConfig(
-        segment_size=256 * KIB,
-        cache_bytes=2 * MIB,
-        max_inodes=4096,
-    )
-    geometry = wren_iv(total_bytes)
-    cpu = CpuModel(clock)
-    disk = SimDisk(geometry, clock, telemetry=telemetry)
-    return LogStructuredFS.mkfs(disk, cpu, lfs_config, telemetry=telemetry)
 
 
 def build_groups(config: ClusterConfig) -> List[Tuple[int, ...]]:
@@ -118,9 +96,16 @@ def run_group(
         clients = [
             ClientStream(cid, service_config) for cid in client_ids
         ]
-        fs = _make_shard_fs(total_bytes, clock, telemetry)
+        rig = new_rig(
+            "lfs",
+            total_bytes=total_bytes,
+            lfs_config=SERVICE_LFS_CONFIG,
+            telemetry=telemetry,
+            clock=clock,
+            service=service_config,
+        )
         schedulers[shard_id] = RequestScheduler(
-            fs,
+            rig.fs,
             service_config,
             telemetry=telemetry,
             clients=clients,

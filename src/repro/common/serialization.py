@@ -24,12 +24,7 @@ The vectorized hot paths sit next to the scalar primitives:
   chained ``zlib.crc32`` calls over whole-segment memoryviews instead
   of per-block slices (one C call per span, zero copies);
 * :func:`pack_u64_array` / :func:`unpack_u64_array` convert address
-  arrays in a single ``struct`` (or numpy) operation.
-
-The numpy fast path is opt-in via :func:`set_numpy_batch` (wired to
-``LfsConfig.numpy_batch``); it produces byte-identical output — both
-paths emit the same little-endian layout — so the pure-python fallback
-stays the seeded default and images remain byte-identical either way.
+  arrays in a single ``struct`` operation.
 """
 
 from __future__ import annotations
@@ -335,38 +330,8 @@ class BatchPacker:
 
 
 # ----------------------------------------------------------------------
-# u64 array batch paths (with the optional numpy engine)
+# u64 array batch paths
 # ----------------------------------------------------------------------
-
-_numpy = None
-_NUMPY_BATCH = False
-
-
-def set_numpy_batch(enabled: bool) -> bool:
-    """Toggle the numpy fast path for u64 array (un)packing.
-
-    Returns the effective state: enabling is gated on numpy actually
-    importing, so environments without it silently keep the pure-python
-    engine (the output bytes are identical either way).  Wired to
-    ``LfsConfig.numpy_batch``; the seeded default is off.
-    """
-    global _numpy, _NUMPY_BATCH
-    if not enabled:
-        _NUMPY_BATCH = False
-        return False
-    if _numpy is None:
-        try:
-            import numpy
-        except ImportError:
-            _NUMPY_BATCH = False
-            return False
-        _numpy = numpy
-    _NUMPY_BATCH = True
-    return True
-
-
-def numpy_batch_enabled() -> bool:
-    return _NUMPY_BATCH
 
 
 def iter_u64(data: Buffer) -> Iterator[int]:
@@ -379,11 +344,6 @@ def iter_u64(data: Buffer) -> Iterator[int]:
 
 def pack_u64_array(values: Sequence[int]) -> bytes:
     """Pack ``values`` as a little-endian u64 array (one call)."""
-    if _NUMPY_BATCH and len(values) >= 16:
-        array = _numpy.asarray(values, dtype="<u8")
-        if array.ndim != 1 or len(array) != len(values):
-            raise ValueError("u64 array must be a flat sequence of ints")
-        return array.tobytes()
     return struct.pack(f"<{len(values)}Q", *values)
 
 
@@ -392,6 +352,4 @@ def unpack_u64_array(data: Buffer) -> Tuple[int, ...]:
     if len(data) % 8:
         raise CorruptionError(f"u64 array length {len(data)} not a multiple of 8")
     count = len(data) // 8
-    if _NUMPY_BATCH and count >= 16:
-        return tuple(int(v) for v in _numpy.frombuffer(data, dtype="<u8"))
     return struct.unpack(f"<{count}Q", data)

@@ -116,6 +116,12 @@ class ConfigError(InvalidArgumentError):
             f"constraint(s) violated):\n{lines}"
         )
 
+    def __reduce__(self):
+        # Default exception pickling replays ``args`` (the rendered
+        # message) into ``__init__``; rebuild from the violations so the
+        # error survives the trip home from a ``--jobs N`` worker.
+        return (type(self), (self.violations,))
+
 
 class CorruptionError(FileSystemError):
     """On-disk state failed validation (bad magic, checksum, or pointer)."""

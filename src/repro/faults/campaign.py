@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.disk.geometry import wren_iv
-from repro.disk.sim_disk import SimDisk
 from repro.errors import ReproError
 from repro.faults.device import FaultyDevice
 from repro.faults.injector import FaultConfig, FaultInjector
@@ -36,8 +35,7 @@ from repro.lfs.config import LfsConfig
 from repro.lfs.filesystem import LogStructuredFS
 from repro.lfs.verify import verify_lfs
 from repro.obs import Telemetry
-from repro.sim.clock import SimClock
-from repro.sim.cpu import CpuModel
+from repro.rig import new_rig
 from repro.units import KIB, MIB
 
 DEFAULT_DEVICE_BYTES = 24 * MIB
@@ -214,13 +212,17 @@ def _execute_trial(
     telemetry: Optional[Telemetry],
 ) -> None:
     geometry = wren_iv(device_bytes)
-    clock = SimClock()
-    cpu = CpuModel(clock)
     device = FaultyDevice(
         geometry.num_sectors, geometry.sector_size, injector=injector
     )
-    disk = SimDisk(geometry, clock, device=device, telemetry=telemetry)
-    fs = LogStructuredFS.mkfs(disk, cpu, _trial_config(), telemetry=telemetry)
+    rig = new_rig(
+        "lfs",
+        lfs_config=_trial_config(),
+        geometry=geometry,
+        telemetry=telemetry,
+        device=device,
+    )
+    fs, disk, cpu = rig.fs, rig.disk, rig.cpu
     _run_workload(fs, rng)
     fs.crash()
     device.revive()

@@ -41,24 +41,21 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.disk.geometry import wren_iv
-from repro.disk.sim_disk import SimDisk
 from repro.errors import FileNotFoundError_, ReproError
 from repro.faults.device import FaultyDevice
 from repro.faults.injector import FaultConfig, FaultInjector
-from repro.lfs.config import LfsConfig
 from repro.lfs.filesystem import LogStructuredFS
 from repro.lfs.verify import verify_lfs
 from repro.obs import NULL_TELEMETRY, Telemetry
-from repro.service.config import ServiceConfig, validate_rig
+from repro.rig import new_rig
+from repro.service.config import SERVICE_LFS_CONFIG, ServiceConfig
 from repro.service.scheduler import (
     ClientStream,
     RequestScheduler,
     prefill,
     serviceable_bytes,
 )
-from repro.sim.clock import SimClock
-from repro.sim.cpu import CpuModel
-from repro.units import KIB, MIB
+from repro.units import MIB
 
 DEFAULT_CHAOS_DEVICE_BYTES = 32 * MIB
 
@@ -528,14 +525,6 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def _chaos_lfs_config() -> LfsConfig:
-    return LfsConfig(
-        segment_size=256 * KIB,
-        cache_bytes=2 * MIB,
-        max_inodes=4096,
-    )
-
-
 def _chaos_service_config(
     seed: int, trial: int, clients: int, requests: int, instant: str
 ) -> ServiceConfig:
@@ -654,20 +643,22 @@ def _execute_chaos_trial(
     telemetry: Optional[Telemetry],
 ) -> None:
     obs = telemetry or NULL_TELEMETRY
-    lfs_config = _chaos_lfs_config()
     service_config = _chaos_service_config(
         seed, result.trial, clients, requests_per_client, result.instant
     )
-    validate_rig(service_config, lfs_config, device_bytes)
-
     geometry = wren_iv(device_bytes)
-    clock = SimClock()
-    cpu = CpuModel(clock)
     device = FaultyDevice(
         geometry.num_sectors, geometry.sector_size, injector=injector
     )
-    disk = SimDisk(geometry, clock, device=device, telemetry=telemetry)
-    fs = LogStructuredFS.mkfs(disk, cpu, lfs_config, telemetry=telemetry)
+    rig = new_rig(
+        "lfs",
+        lfs_config=SERVICE_LFS_CONFIG,
+        geometry=geometry,
+        telemetry=telemetry,
+        device=device,
+        service=service_config,
+    )
+    fs, disk, cpu = rig.fs, rig.disk, rig.cpu
     prefill(fs, service_config)
 
     ledger = DurabilityLedger()
@@ -693,7 +684,7 @@ def _execute_chaos_trial(
         fs.crash()
         device.revive()
         live = LogStructuredFS.mount(
-            disk, cpu, lfs_config, telemetry=telemetry
+            disk, cpu, SERVICE_LFS_CONFIG, telemetry=telemetry
         )
         violations = ledger.check(live)
         result.checks = ledger.checks

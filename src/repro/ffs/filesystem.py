@@ -32,6 +32,7 @@ from repro.errors import CorruptionError
 from repro.ffs.allocator import Allocator, CylinderGroup
 from repro.ffs.config import FFS_MAGIC, FfsConfig, FfsLayout
 from repro.sim.cpu import CpuModel
+from repro.units import MIB
 from repro.vfs.base import BaseFileSystem, ROOT_INUM
 
 
@@ -463,19 +464,20 @@ class FastFileSystem(BaseFileSystem):
 
 
 def make_ffs(
-    total_bytes: Optional[int] = None,
+    total_bytes: int = 300 * MIB,
     config: Optional[FfsConfig] = None,
     speed_factor: float = 1.0,
     geometry=None,
     trace=None,
 ) -> FastFileSystem:
     """Convenience constructor: simulated WREN IV disk + fresh FFS."""
-    from repro.disk.geometry import wren_iv
-    from repro.sim.clock import SimClock
+    from repro.rig import new_rig
 
-    if geometry is None:
-        geometry = wren_iv(total_bytes) if total_bytes else wren_iv()
-    clock = SimClock()
-    cpu = CpuModel(clock, speed_factor=speed_factor)
-    disk = SimDisk(geometry, clock, trace=trace)
-    return FastFileSystem.mkfs(disk, cpu, config)
+    return new_rig(
+        "ffs",
+        total_bytes,
+        speed_factor,
+        ffs_config=config,
+        trace=trace,
+        geometry=geometry,
+    ).fs

@@ -2,7 +2,6 @@
 
 from repro.harness.experiments import (
     CreationTrace,
-    Rig,
     ablation_cleaner_policy,
     ablation_disk_array,
     ablation_segment_size,
@@ -10,7 +9,6 @@ from repro.harness.experiments import (
     fig3_small_file,
     fig4_large_file,
     fig5_cleaning_rate,
-    new_rig,
     recovery_comparison,
     sec31_cpu_scaling,
     write_cost_comparison,
@@ -21,6 +19,7 @@ from repro.harness.parallel import (
     merge_metric_samples,
     run_tasks,
 )
+from repro.rig import Rig, new_rig
 
 __all__ = [
     "Rig",

@@ -13,15 +13,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.write_cost import analytic_cleaning_rate, analytic_write_cost
-from repro.disk.geometry import DiskGeometry, wren_iv
-from repro.disk.sim_disk import SimDisk
 from repro.disk.trace import TraceRecorder
-from repro.ffs.config import FfsConfig
 from repro.ffs.filesystem import FastFileSystem
 from repro.ffs.fsck import fsck
 from repro.lfs.config import LfsConfig
 from repro.lfs.filesystem import LogStructuredFS
 from repro.obs import Telemetry
+from repro.rig import new_rig
 from repro.sim.clock import SimClock
 from repro.sim.cpu import CpuModel
 from repro.units import KIB, MIB
@@ -29,48 +27,6 @@ from repro.workloads.cleaning import CleaningPoint, run_cleaning_rate_test
 from repro.workloads.largefile import LargeFileResult, run_large_file_test
 from repro.workloads.office import OfficeResult, run_office_workload
 from repro.workloads.smallfile import SmallFileResult, run_small_file_test
-
-
-@dataclass
-class Rig:
-    """One simulated machine with a freshly formatted file system."""
-
-    name: str
-    fs: object
-    clock: SimClock
-    cpu: CpuModel
-    disk: SimDisk
-    trace: Optional[TraceRecorder] = None
-
-
-def new_rig(
-    kind: str,
-    total_bytes: int = 300 * MIB,
-    speed_factor: float = 1.0,
-    lfs_config: Optional[LfsConfig] = None,
-    ffs_config: Optional[FfsConfig] = None,
-    with_trace: bool = False,
-    geometry: Optional[DiskGeometry] = None,
-    telemetry: Optional[Telemetry] = None,
-) -> Rig:
-    """Build a simulated machine and format it with ``kind`` ('lfs'/'ffs').
-
-    One ``telemetry`` object may be shared across sequential rigs (its
-    tracer re-binds to each rig's clock); metrics then accumulate over
-    the whole experiment.
-    """
-    geometry = geometry or wren_iv(total_bytes)
-    clock = SimClock()
-    cpu = CpuModel(clock, speed_factor=speed_factor)
-    trace = TraceRecorder(enabled=False) if with_trace else None
-    disk = SimDisk(geometry, clock, trace=trace, telemetry=telemetry)
-    if kind == "lfs":
-        fs = LogStructuredFS.mkfs(disk, cpu, lfs_config, telemetry=telemetry)
-    elif kind == "ffs":
-        fs = FastFileSystem.mkfs(disk, cpu, ffs_config)
-    else:
-        raise ValueError(f"unknown file system kind: {kind!r}")
-    return Rig(name=kind, fs=fs, clock=clock, cpu=cpu, disk=disk, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +65,10 @@ def fig1_fig2_creation_traces(
     results: Dict[str, CreationTrace] = {}
     for kind in ("ffs", "lfs"):
         rig = new_rig(
-            kind, total_bytes=total_bytes, with_trace=True, telemetry=telemetry
+            kind,
+            total_bytes=total_bytes,
+            trace=TraceRecorder(enabled=False),
+            telemetry=telemetry,
         )
         fs = rig.fs
         fs.mkdir("/dir1")

@@ -95,16 +95,6 @@ class LfsConfig:
     of letting a failing volume absorb damage silently forever.
     """
 
-    numpy_batch: bool = False
-    """Use the numpy engine for u64 array (un)packing when available.
-
-    Both engines emit identical little-endian bytes, so device images
-    are the same either way; the pure-python path stays the default so
-    seeded runs do not depend on numpy being installed.  Silently falls
-    back when numpy is missing (see
-    :func:`repro.common.serialization.set_numpy_batch`).
-    """
-
     def __post_init__(self) -> None:
         if self.block_size % SECTOR_SIZE:
             raise InvalidArgumentError(

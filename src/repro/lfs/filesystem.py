@@ -25,7 +25,6 @@ from repro.common.inode import (
     N_DIRECT,
     NIL,
 )
-from repro.common import serialization
 from repro.common.serialization import Packer, Unpacker, checksum
 from repro.disk.sim_disk import SimDisk
 from repro.errors import (
@@ -44,6 +43,7 @@ from repro.lfs.segment_usage import SegmentState, SegmentUsage
 from repro.lfs.summary import SummaryEntry
 from repro.obs import Telemetry
 from repro.sim.cpu import CpuModel
+from repro.units import MIB
 from repro.vfs.base import BaseFileSystem, ROOT_INUM
 
 
@@ -109,8 +109,6 @@ class LogStructuredFS(BaseFileSystem):
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self._config = config
-        if config.numpy_batch:
-            serialization.set_numpy_batch(True)
         self.layout = LfsLayout.for_device(config, disk.device.total_bytes)
         super().__init__(
             disk,
@@ -884,7 +882,7 @@ class LogStructuredFS(BaseFileSystem):
 
 
 def make_lfs(
-    total_bytes: Optional[int] = None,
+    total_bytes: int = 300 * MIB,
     config: Optional[LfsConfig] = None,
     speed_factor: float = 1.0,
     geometry=None,
@@ -896,12 +894,14 @@ def make_lfs(
     Returns a mounted file system; its simulation handles are reachable
     as ``fs.disk``, ``fs.clock`` and ``fs.cpu``.
     """
-    from repro.disk.geometry import wren_iv
-    from repro.sim.clock import SimClock
+    from repro.rig import new_rig
 
-    if geometry is None:
-        geometry = wren_iv(total_bytes) if total_bytes else wren_iv()
-    clock = SimClock()
-    cpu = CpuModel(clock, speed_factor=speed_factor)
-    disk = SimDisk(geometry, clock, trace=trace, telemetry=telemetry)
-    return LogStructuredFS.mkfs(disk, cpu, config, telemetry=telemetry)
+    return new_rig(
+        "lfs",
+        total_bytes,
+        speed_factor,
+        lfs_config=config,
+        trace=trace,
+        geometry=geometry,
+        telemetry=telemetry,
+    ).fs

@@ -182,10 +182,14 @@ class SegmentManager:
 
     def _advance_segment(self) -> None:
         pos = self.position
+        # Claim the successor before touching the position: _pop_clean
+        # raises NoSpaceError, and flush_log cleans and retries from
+        # whatever position that leaves behind.
+        successor = self._pop_clean()
         self.usage.mark_dirty(pos.active_segment)
         pos.active_segment = pos.next_segment
         pos.active_offset = 0
-        pos.next_segment = self._pop_clean()
+        pos.next_segment = successor
         self.segments_written += 1
 
     def remaining_blocks(self) -> int:

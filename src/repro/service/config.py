@@ -14,7 +14,18 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigError, InvalidArgumentError
-from repro.units import KIB
+from repro.lfs.config import LfsConfig
+from repro.units import KIB, MIB
+
+SERVICE_LFS_CONFIG = LfsConfig(
+    segment_size=256 * KIB,
+    cache_bytes=2 * MIB,
+    max_inodes=4096,
+)
+"""The volume sizing every serviced rig boots with unless told
+otherwise (``serve-sim``, each ``cluster-sim`` shard, every ``chaos``
+trial): quarter-megabyte segments so a few dozen megabytes of device
+still hold enough segments for cleaning and backpressure to be real."""
 
 DEFAULT_MIX: Dict[str, float] = {
     "write": 0.40,

@@ -40,7 +40,8 @@ from repro.obs.context import NULL_TRACE_CONTEXT, RequestTracer
 from repro.obs.registry import DEFAULT_TIME_BUCKETS
 from repro.service.admission import AdmissionController, Decision
 from repro.service.committer import GroupCommitter
-from repro.service.config import ServiceConfig, validate_rig
+from repro.rig import new_rig
+from repro.service.config import SERVICE_LFS_CONFIG, ServiceConfig
 from repro.service.stats import REQUEST_KINDS, ServiceStats
 from repro.units import MIB
 
@@ -669,21 +670,13 @@ def simulate_service(
     cleaner stats or unmount and save the image); its on-disk state has
     been checkpointed so the image verifies.
     """
-    from repro.lfs.config import LfsConfig
-    from repro.units import KIB
-
-    if lfs_config is None:
-        lfs_config = LfsConfig(
-            segment_size=256 * KIB,
-            cache_bytes=2 * MIB,
-            max_inodes=4096,
-        )
-    validate_rig(config, lfs_config, device_bytes=total_bytes)
-    from repro.lfs.filesystem import make_lfs
-
-    fs = make_lfs(
-        total_bytes=total_bytes, config=lfs_config, telemetry=telemetry
-    )
+    fs = new_rig(
+        "lfs",
+        total_bytes=total_bytes,
+        lfs_config=lfs_config or SERVICE_LFS_CONFIG,
+        telemetry=telemetry,
+        service=config,
+    ).fs
     stats, _scheduler = run_service(
         fs, config, telemetry=telemetry, recorder=recorder
     )

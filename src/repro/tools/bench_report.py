@@ -1,4 +1,4 @@
-"""Build, persist and compare wall-clock perf reports.
+"""Build, persist and compare perf reports.
 
 ``benchmarks/perf_harness.py`` times the *simulator itself* (Python
 wall-clock, not simulated seconds) on the paper's workloads and records
@@ -6,23 +6,33 @@ the results as JSON — ``BENCH_hotpaths.json`` at the repository root —
 so the performance trajectory of the hot paths is tracked from PR to PR
 and regressions are visible in review.
 
-The schema is deliberately small and stable:
+The hotpaths schema is deliberately small and stable:
 
-* ``workloads.<name>.after`` — the current implementation's numbers;
-* ``workloads.<name>.before`` — the same workload with the pre-PR
-  (O(num_segments) scans, O(pending) durability, Packer-per-field
-  serialization) implementations patched back in, when the harness was
-  run with the comparison enabled;
-* ``workloads.<name>.speedup`` — before/after wall-clock ratio;
+* ``workloads.<name>.after`` — the current implementation's numbers
+  with telemetry disabled (the "before" of a change is the same report
+  generated at its parent commit);
 * ``workloads.<name>.telemetry_on`` — the same workload with a live
   :class:`repro.obs.Telemetry` recording, and
   ``workloads.<name>.telemetry_overhead`` the on/off wall-clock ratio
   minus one (0.05 = telemetry costs 5%);
+* ``workloads.<name>.tracing_on`` / ``tracing_overhead`` — likewise
+  with full request and per-I/O tracing;
 * ``probes`` — operation-count evidence that the O(1) invariants hold
   (see :mod:`repro.lfs.segment_usage` and :mod:`repro.disk.device`);
 * ``checks`` — pass/fail booleans the harness asserted;
 * ``baseline`` — the committed report the telemetry-disabled leg was
   held to, with either the regression list or a skip note.
+
+Comparison is family-agnostic.  Each report family has a small
+*flattener* that turns a loaded report into ``(comparability key,
+{label: {metric: (value, "lower" | "higher")}})`` — the direction says
+which way is better — and :func:`diff_points` / :func:`render_diff`
+work on that shape alone.  ``BENCH_hotpaths.json`` flattens to one
+``wall_seconds`` (lower) per workload, keyed by scale;
+``BENCH_service.json`` (the service sweep, optionally with a
+``cluster`` section) flattens to ``throughput_per_second`` (higher) and
+``latency_p99_seconds`` (lower) per sweep point, keyed by seed.  A new
+report family costs one flattener.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ import json
 import platform
 import sys
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional, Tuple
 
 SCHEMA_VERSION = 1
 
@@ -72,13 +82,6 @@ def build_report(
     checks: Dict[str, bool],
 ) -> Dict[str, Any]:
     """Assemble the full report dict (see module docstring for schema)."""
-    for name, entry in workloads.items():
-        before = entry.get("before")
-        after = entry.get("after")
-        if before and after and after["wall_seconds"] > 0:
-            entry["speedup"] = round(
-                before["wall_seconds"] / after["wall_seconds"], 3
-            )
     return {
         "schema": SCHEMA_VERSION,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -98,148 +101,23 @@ def write_report(path: str, report: Dict[str, Any]) -> None:
         handle.write("\n")
 
 
-def load_report(path: str) -> Dict[str, Any]:
-    with open(path) as handle:
-        report = json.load(handle)
-    if report.get("schema") != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported bench report schema {report.get('schema')!r} "
-            f"in {path!r}"
-        )
-    return report
-
-
-def find_regressions(
-    old: Dict[str, Any], new: Dict[str, Any], tolerance: float = 0.30
-) -> List[str]:
-    """Workloads whose wall-clock got worse than ``tolerance`` vs ``old``.
-
-    Wall-clock numbers are machine-dependent; this is only meaningful
-    when both reports come from the same machine (CI runners, local
-    before/after runs).  Returns human-readable descriptions, empty if
-    nothing regressed.
-    """
-    regressions: List[str] = []
-    for name, entry in old.get("workloads", {}).items():
-        old_after = entry.get("after")
-        new_after = new.get("workloads", {}).get(name, {}).get("after")
-        if not old_after or not new_after:
-            continue
-        old_wall = old_after["wall_seconds"]
-        new_wall = new_after["wall_seconds"]
-        if old_wall > 0 and new_wall > old_wall * (1.0 + tolerance):
-            regressions.append(
-                f"{name}: {old_wall:.3f}s -> {new_wall:.3f}s "
-                f"({new_wall / old_wall:.2f}x, tolerance {1 + tolerance:.2f}x)"
-            )
-    return regressions
-
-
-def diff_reports(
-    old: Dict[str, Any],
-    new: Dict[str, Any],
-    max_regression: float = 0.03,
-) -> Dict[str, Any]:
-    """Per-workload wall-clock comparison of two bench reports.
-
-    The engine behind ``repro bench-diff A.json B.json``: every
-    workload present in both reports is compared on its ``after`` leg,
-    and any whose wall-clock grew by more than ``max_regression``
-    (a fraction: 0.03 = 3%) lands in ``regressions``.  Workloads only
-    one side has are listed, not judged.  Scale mismatches are flagged
-    as incomparable — CI should treat that as a wiring error, not a
-    pass.
-    """
-    result: Dict[str, Any] = {
-        "max_regression": max_regression,
-        "comparable": old.get("scale") == new.get("scale"),
-        "old_scale": old.get("scale"),
-        "new_scale": new.get("scale"),
-        "workloads": {},
-        "regressions": [],
-        "only_old": [],
-        "only_new": [],
-    }
-    old_workloads = old.get("workloads", {})
-    new_workloads = new.get("workloads", {})
-    result["only_old"] = sorted(set(old_workloads) - set(new_workloads))
-    result["only_new"] = sorted(set(new_workloads) - set(old_workloads))
-    if not result["comparable"]:
-        result["regressions"].append(
-            f"scale mismatch: {old.get('scale')!r} vs {new.get('scale')!r} "
-            f"(reports are not comparable)"
-        )
-        return result
-    for name in sorted(set(old_workloads) & set(new_workloads)):
-        old_after = old_workloads[name].get("after")
-        new_after = new_workloads[name].get("after")
-        if not old_after or not new_after:
-            continue
-        old_wall = old_after["wall_seconds"]
-        new_wall = new_after["wall_seconds"]
-        ratio = (new_wall / old_wall) if old_wall > 0 else float("inf")
-        entry = {
-            "old_wall_seconds": old_wall,
-            "new_wall_seconds": new_wall,
-            "ratio": round(ratio, 4),
-            "regressed": old_wall > 0
-            and new_wall > old_wall * (1.0 + max_regression),
-        }
-        result["workloads"][name] = entry
-        if entry["regressed"]:
-            result["regressions"].append(
-                f"{name}: {old_wall:.3f}s -> {new_wall:.3f}s "
-                f"({ratio:.2f}x, limit {1.0 + max_regression:.2f}x)"
-            )
-    return result
-
-
-def render_diff(diff: Dict[str, Any]) -> str:
-    """Terminal rendering of a :func:`diff_reports` result."""
-    lines = [
-        f"bench diff — max regression "
-        f"{diff['max_regression']:.1%} "
-        f"(scales: {diff['old_scale']} vs {diff['new_scale']})",
-        f"{'workload':<28} {'old s':>9} {'new s':>9} {'ratio':>7}",
-    ]
-    for name, entry in diff["workloads"].items():
-        flag = "  REGRESSED" if entry["regressed"] else ""
-        lines.append(
-            f"{name:<28} {entry['old_wall_seconds']:>9.3f} "
-            f"{entry['new_wall_seconds']:>9.3f} "
-            f"{entry['ratio']:>6.2f}x{flag}"
-        )
-    for name in diff["only_old"]:
-        lines.append(f"{name:<28} (only in old report)")
-    for name in diff["only_new"]:
-        lines.append(f"{name:<28} (only in new report)")
-    if diff["regressions"]:
-        lines.append(f"{len(diff['regressions'])} regression(s):")
-        lines.extend(f"  {item}" for item in diff["regressions"])
-    else:
-        lines.append("no regressions")
-    return "\n".join(lines)
-
-
 def is_service_report(report: Dict[str, Any]) -> bool:
     """True for ``BENCH_service.json``-shaped reports (the service
     scaling sweep, optionally carrying a ``cluster`` section)."""
     return report.get("benchmark") == "service_scaling"
 
 
-def load_any_report(path: str) -> Dict[str, Any]:
+def load_report(path: str) -> Dict[str, Any]:
     """Load either report family ``repro bench-diff`` understands.
 
-    ``BENCH_hotpaths.json`` carries a ``schema`` version and goes
-    through :func:`load_report`; ``BENCH_service.json`` is recognized
-    by its ``benchmark`` tag (its numbers are simulated time — a pure
-    function of the seed — so it needs no schema negotiation).
+    ``BENCH_hotpaths.json`` carries a ``schema`` version;
+    ``BENCH_service.json`` is recognized by its ``benchmark`` tag (its
+    numbers are simulated time — a pure function of the seed — so it
+    needs no schema negotiation).
     """
     with open(path) as handle:
         report = json.load(handle)
-    if is_service_report(report):
-        return report
-    if report.get("schema") != SCHEMA_VERSION:
+    if not is_service_report(report) and report.get("schema") != SCHEMA_VERSION:
         raise ValueError(
             f"unsupported bench report schema {report.get('schema')!r} "
             f"in {path!r}"
@@ -247,105 +125,129 @@ def load_any_report(path: str) -> Dict[str, Any]:
     return report
 
 
-def _service_points(report: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    """Flatten a service report into ``label -> point`` rows: the
-    single-volume curve plus any cluster sweep points."""
-    points: Dict[str, Dict[str, Any]] = {}
-    for row in report.get("points", []):
-        points[f"service c{row['clients']}"] = row
+Points = Dict[str, Dict[str, Tuple[float, str]]]
+Flattened = Tuple[Tuple[str, Any], Points]
+
+
+def _hotpaths_points(report: Dict[str, Any]) -> Flattened:
+    """One telemetry-disabled wall-clock per workload; wall-clock only
+    transfers within one scale."""
+    return ("scale", report.get("scale")), {
+        name: {"wall_seconds": (entry["after"]["wall_seconds"], "lower")}
+        for name, entry in report.get("workloads", {}).items()
+        if entry.get("after")
+    }
+
+
+def _service_points(report: Dict[str, Any]) -> Flattened:
+    """The single-volume curve plus any cluster sweep points; the
+    numbers are simulated, so only equal seeds compare."""
+    rows = {f"service c{row['clients']}": row for row in report.get("points", [])}
     for row in report.get("cluster", {}).get("points", []):
-        points[f"cluster {row['shards']}x{row['clients']}"] = row
-    return points
+        rows[f"cluster {row['shards']}x{row['clients']}"] = row
+    return ("seed", report.get("seed")), {
+        label: {
+            "throughput_per_second": (
+                row.get("throughput_per_second", 0.0),
+                "higher",
+            ),
+            "latency_p99_seconds": (
+                row.get("latency_p99_seconds", 0.0),
+                "lower",
+            ),
+        }
+        for label, row in rows.items()
+    }
 
 
-def diff_service_reports(
-    old: Dict[str, Any],
-    new: Dict[str, Any],
-    max_regression: float = 0.03,
+def flatten(report: Dict[str, Any]) -> Flattened:
+    """A loaded report as ``(comparability key, points)``."""
+    if is_service_report(report):
+        return _service_points(report)
+    return _hotpaths_points(report)
+
+
+def diff_points(
+    old: Flattened, new: Flattened, max_regression: float = 0.03
 ) -> Dict[str, Any]:
-    """Point-by-point comparison of two service scaling reports.
+    """Metric-by-metric comparison of two flattened reports.
 
-    The simulated numbers are deterministic, so the tolerance here
-    guards against *behavioral* drift, not machine noise: a point
-    regresses if its throughput fell by more than ``max_regression``
-    or its p99 latency grew by more than the same fraction.  Seed
-    mismatches make the reports incomparable.
+    The engine behind ``repro bench-diff A.json B.json`` and the perf
+    harness's committed-baseline gate.  Every metric of every point
+    present on both sides is compared in its own direction: it
+    regresses when it moved the wrong way by more than
+    ``max_regression`` (a fraction: 0.03 = 3%).  Points only one side
+    has are listed, not judged.  A comparability-key mismatch (scale
+    for wall-clock reports, seed for simulated ones) makes the reports
+    incomparable — CI should treat that as a wiring error, not a pass.
     """
+    (key_name, old_key), old_points = old
+    (new_key_name, new_key), new_points = new
     result: Dict[str, Any] = {
-        "kind": "service",
         "max_regression": max_regression,
-        "comparable": old.get("seed") == new.get("seed"),
-        "old_seed": old.get("seed"),
-        "new_seed": new.get("seed"),
+        "comparable": (key_name, old_key) == (new_key_name, new_key),
+        "key": key_name,
+        "old_key": old_key,
+        "new_key": new_key,
         "points": {},
         "regressions": [],
-        "only_old": [],
-        "only_new": [],
+        "only_old": sorted(set(old_points) - set(new_points)),
+        "only_new": sorted(set(new_points) - set(old_points)),
     }
-    old_points = _service_points(old)
-    new_points = _service_points(new)
-    result["only_old"] = sorted(set(old_points) - set(new_points))
-    result["only_new"] = sorted(set(new_points) - set(old_points))
     if not result["comparable"]:
         result["regressions"].append(
-            f"seed mismatch: {old.get('seed')!r} vs {new.get('seed')!r} "
+            f"{key_name} mismatch: {old_key!r} vs {new_key!r} "
             f"(reports are not comparable)"
         )
         return result
     for label in sorted(set(old_points) & set(new_points)):
-        old_row, new_row = old_points[label], new_points[label]
-        old_tput = old_row.get("throughput_per_second", 0.0)
-        new_tput = new_row.get("throughput_per_second", 0.0)
-        old_p99 = old_row.get("latency_p99_seconds", 0.0)
-        new_p99 = new_row.get("latency_p99_seconds", 0.0)
-        slower = old_tput > 0 and new_tput < old_tput * (
-            1.0 - max_regression
-        )
-        laggier = old_p99 > 0 and new_p99 > old_p99 * (
-            1.0 + max_regression
-        )
-        entry = {
-            "old_throughput": old_tput,
-            "new_throughput": new_tput,
-            "old_p99_seconds": old_p99,
-            "new_p99_seconds": new_p99,
-            "regressed": slower or laggier,
-        }
-        result["points"][label] = entry
-        if slower:
-            result["regressions"].append(
-                f"{label}: throughput {old_tput:.1f} -> {new_tput:.1f} "
-                f"req/s (limit -{max_regression:.0%})"
+        metrics = result["points"][label] = {}
+        for metric, (old_value, direction) in old_points[label].items():
+            if metric not in new_points[label]:
+                continue
+            new_value = new_points[label][metric][0]
+            if direction == "lower":
+                worse = new_value > old_value * (1.0 + max_regression)
+            else:
+                worse = new_value < old_value * (1.0 - max_regression)
+            ratio = (
+                round(new_value / old_value, 4)
+                if old_value > 0
+                else float("inf")
             )
-        if laggier:
-            result["regressions"].append(
-                f"{label}: p99 {old_p99 * 1000:.3f}ms -> "
-                f"{new_p99 * 1000:.3f}ms (limit +{max_regression:.0%})"
-            )
+            metrics[metric] = {
+                "old": old_value,
+                "new": new_value,
+                "ratio": ratio,
+                "regressed": old_value > 0 and worse,
+            }
+            if metrics[metric]["regressed"]:
+                sign = "+" if direction == "lower" else "-"
+                result["regressions"].append(
+                    f"{label}: {metric} {old_value:.6g} -> {new_value:.6g} "
+                    f"({ratio:.2f}x, limit {sign}{max_regression:.0%})"
+                )
     return result
 
 
-def render_service_diff(diff: Dict[str, Any]) -> str:
-    """Terminal rendering of a :func:`diff_service_reports` result."""
+def render_diff(diff: Dict[str, Any]) -> str:
+    """Terminal rendering of a :func:`diff_points` result."""
     lines = [
-        f"service bench diff — max regression "
-        f"{diff['max_regression']:.1%} "
-        f"(seeds: {diff['old_seed']} vs {diff['new_seed']})",
-        f"{'point':<24} {'old req/s':>10} {'new req/s':>10} "
-        f"{'old p99 ms':>11} {'new p99 ms':>11}",
+        f"bench diff — max regression {diff['max_regression']:.1%} "
+        f"({diff['key']}: {diff['old_key']} vs {diff['new_key']})",
+        f"{'point':<28} {'metric':<22} {'old':>11} {'new':>11} {'ratio':>7}",
     ]
-    for label, entry in diff["points"].items():
-        flag = "  REGRESSED" if entry["regressed"] else ""
-        lines.append(
-            f"{label:<24} {entry['old_throughput']:>10.1f} "
-            f"{entry['new_throughput']:>10.1f} "
-            f"{entry['old_p99_seconds'] * 1000:>11.3f} "
-            f"{entry['new_p99_seconds'] * 1000:>11.3f}{flag}"
-        )
+    for label, metrics in diff["points"].items():
+        for metric, entry in metrics.items():
+            flag = "  REGRESSED" if entry["regressed"] else ""
+            lines.append(
+                f"{label:<28} {metric:<22} {entry['old']:>11.6g} "
+                f"{entry['new']:>11.6g} {entry['ratio']:>6.2f}x{flag}"
+            )
     for label in diff["only_old"]:
-        lines.append(f"{label:<24} (only in old report)")
+        lines.append(f"{label:<28} (only in old report)")
     for label in diff["only_new"]:
-        lines.append(f"{label:<24} (only in new report)")
+        lines.append(f"{label:<28} (only in new report)")
     if diff["regressions"]:
         lines.append(f"{len(diff['regressions'])} regression(s):")
         lines.extend(f"  {item}" for item in diff["regressions"])
@@ -359,21 +261,14 @@ def summarize(report: Dict[str, Any]) -> str:
     lines = [
         f"perf harness — scale={report['scale']}  "
         f"python={report['python']}  {report['generated_at']}",
-        f"{'workload':<28} {'after s':>9} {'ops/s':>10} "
-        f"{'before s':>9} {'speedup':>8}",
+        f"{'workload':<28} {'after s':>9} {'ops/s':>10}",
     ]
     for name, entry in report["workloads"].items():
         after = entry.get("after") or {}
-        before = entry.get("before") or {}
         lines.append(
             f"{name:<28} "
             f"{after.get('wall_seconds', float('nan')):>9.3f} "
-            f"{(after.get('ops_per_second') or 0):>10.1f} "
-            + (
-                f"{before['wall_seconds']:>9.3f} {entry.get('speedup', 0):>7.2f}x"
-                if before
-                else f"{'-':>9} {'-':>8}"
-            )
+            f"{(after.get('ops_per_second') or 0):>10.1f}"
         )
         telemetry_on = entry.get("telemetry_on")
         if telemetry_on:

@@ -5,7 +5,9 @@ emit metric/span names missing from the registered vocabulary
 (OBS002), broad ``except`` clauses in the crash-recovery modules
 (FAULT001) and in the crash-under-load chaos/scheduler modules
 (FAULT002), wall-clock calls in the simulated-time service and cluster layers
-(SVC001), and buffer copies on the zero-copy data path (ALLOC001).
+(SVC001), buffer copies on the zero-copy data path (ALLOC001), and
+simulated machines assembled by hand instead of through
+:func:`repro.rig.new_rig` (RIG001).
 
 The container this project builds in has no third-party linter, so this
 module is the fallback for ``make lint`` — when ``ruff`` is installed
@@ -443,6 +445,40 @@ def _check_hot_path_allocs(
             )
 
 
+_RIG_BUILDER_HOMES = ("src/repro/rig.py", "src/repro/disk/")
+"""Where a ``SimDisk`` may be constructed inside ``src/repro/``.
+
+A rig is clock + CPU model + device + ``SimDisk`` + file system, and
+:func:`repro.rig.new_rig` is the one place that stack is assembled —
+and the one place a serviced rig is cross-validated before it boots.
+A second hand-built stack is how ``cluster-sim`` once booted volumes
+``serve-sim`` rejected, so RIG001 flags any other construction site in
+the package (tests and benchmarks build bare disks freely)."""
+
+
+def _check_rig_builder(
+    path: str, tree: ast.Module, noqa: Set[int]
+) -> Iterator[Tuple[str, int, str]]:
+    normalized = path.replace(os.sep, "/")
+    if "src/repro/" not in normalized or any(
+        home in normalized for home in _RIG_BUILDER_HOMES
+    ):
+        return
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "SimDisk"
+            and node.lineno not in noqa
+        ):
+            yield (
+                path,
+                node.lineno,
+                "RIG001 `SimDisk` constructed outside repro.rig; assemble "
+                "simulated machines with repro.rig.new_rig",
+            )
+
+
 def lint_file(path: str) -> List[Tuple[str, int, str]]:
     with open(path, encoding="utf-8") as handle:
         source = handle.read()
@@ -461,6 +497,7 @@ def lint_file(path: str) -> List[Tuple[str, int, str]]:
     findings.extend(
         _check_hot_path_allocs(path, tree, noqa, _alloc_ok_lines(source))
     )
+    findings.extend(_check_rig_builder(path, tree, noqa))
     return findings
 
 

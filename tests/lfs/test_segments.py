@@ -1,5 +1,7 @@
 """Unit tests for segment allocation and the segment writer."""
 
+import random
+
 import pytest
 
 from repro.common.inode import BlockKind
@@ -7,9 +9,11 @@ from repro.disk.geometry import wren_iv
 from repro.disk.sim_disk import SimDisk
 from repro.errors import CleanerError, NoSpaceError
 from repro.lfs.config import LfsConfig, LfsLayout
+from repro.lfs.filesystem import make_lfs
 from repro.lfs.segments import PlannedBlock, SegmentManager
 from repro.lfs.segment_usage import SegmentState, SegmentUsage
 from repro.lfs.summary import SegmentSummary, SummaryEntry
+from repro.lfs.verify import verify_lfs
 from repro.sim.clock import SimClock
 from repro.units import KIB, MIB
 
@@ -170,6 +174,46 @@ class TestSpaceManagement:
         with pytest.raises(NoSpaceError):
             # Way more blocks than the device can hold.
             manager.write_plan(planned(layout.num_segments * 16, []))
+
+    def test_no_space_leaves_the_log_position_intact(self, rig):
+        manager, usage, layout, disk = rig
+        with pytest.raises(NoSpaceError):
+            manager.write_plan(planned(layout.num_segments * 16, []))
+        # The failed advance must not have moved into the successor
+        # without claiming a new one: a position whose active and next
+        # segment coincide re-enters that segment at offset 0 on the
+        # retry and overwrites what it just wrote.
+        pos = manager.position
+        assert pos.active_segment != pos.next_segment
+        assert usage.info(pos.active_segment).state is SegmentState.ACTIVE
+        assert usage.info(pos.next_segment).state is SegmentState.ACTIVE
+
+    def test_rewrite_after_clean_and_retry_on_a_tight_volume(self):
+        # Figure 4's write phases on a 24-segment volume holding one
+        # 8 MiB file: the random rewrites run the log out of clean
+        # segments mid-flush, flush_log cleans and retries, and the
+        # second sequential write then used to die with "segment 8
+        # accounts 1048896 live bytes, capacity is 1048576".
+        fs = make_lfs(total_bytes=25 * MIB)
+        request = 8 * KIB
+        n_requests = 8 * MIB // request
+        payload = b"x" * request
+        handle = fs.create("/big")
+        for index in range(n_requests):
+            handle.pwrite(index * request, payload)
+        fs.sync()
+        fs.flush_caches()
+        rng = random.Random(0)
+        for _ in range(n_requests):
+            handle.pwrite(rng.randrange(n_requests) * request, payload)
+        fs.sync()
+        fs.flush_caches()
+        for index in range(n_requests):
+            handle.pwrite(index * request, payload)
+        fs.sync()
+        handle.close()
+        fs.unmount()
+        assert verify_lfs(fs.disk.device).consistent
 
     def test_cleaner_mode_can_dip_into_reserve(self, rig):
         manager, usage, layout, disk = rig

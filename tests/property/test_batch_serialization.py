@@ -9,10 +9,9 @@ must reject truncated or oversized input with typed errors.
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common import serialization
 from repro.common.serialization import (
     BatchPacker,
     Packer,
@@ -142,28 +141,6 @@ class TestU64ArrayCodec:
             unpack_u64_array(data)
         with pytest.raises(CorruptionError):
             list(iter_u64(data))
-
-
-class TestNumpyBatchGate:
-    """The numpy engine is opt-in and byte-identical to pure python."""
-
-    def teardown_method(self):
-        serialization.set_numpy_batch(False)
-
-    @given(st.lists(u64, max_size=96))
-    @settings(max_examples=50)
-    def test_identical_bytes_both_engines(self, values):
-        pytest.importorskip("numpy")
-        serialization.set_numpy_batch(False)
-        scalar = pack_u64_array(values)
-        assert serialization.set_numpy_batch(True)
-        assert pack_u64_array(values) == scalar
-        assert list(unpack_u64_array(scalar)) == values
-        serialization.set_numpy_batch(False)
-
-    def test_disable_always_succeeds(self):
-        assert serialization.set_numpy_batch(False) is False
-        assert serialization.numpy_batch_enabled() is False
 
 
 class TestChainedChecksums:

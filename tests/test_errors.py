@@ -49,6 +49,16 @@ class TestHierarchy:
         assert not issubclass(errors.FileExistsError_, FileExistsError)
 
 
+class TestConfigError:
+    def test_survives_pickling_across_worker_processes(self):
+        import pickle
+
+        error = errors.ConfigError(["cache too small", "no segments"])
+        clone = pickle.loads(pickle.dumps(error))
+        assert clone.violations == error.violations
+        assert str(clone) == str(error)
+
+
 class TestCatchability:
     def test_fs_operations_raise_catchable_family(self, anyfs):
         with pytest.raises(errors.ReproError):

@@ -5,9 +5,12 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.tools.bench_report import (
     build_report,
-    diff_reports,
+    diff_points,
+    flatten,
     render_diff,
     workload_entry,
     write_report,
@@ -16,101 +19,208 @@ from repro.tools.bench_report import (
 from .test_cli import run_cli
 
 
-def make_report(scale: str, walls: dict) -> dict:
+def hotpaths_report(key: str, walls: dict) -> dict:
+    """A ``BENCH_hotpaths.json``-shaped report: ``key`` is the scale,
+    each point one workload's telemetry-disabled wall seconds."""
     workloads = {
         name: {"after": workload_entry(wall, 100, 0.0)}
         for name, wall in walls.items()
     }
     return build_report(
-        scale=scale, workloads=workloads, probes={}, checks={}
+        scale=key, workloads=workloads, probes={}, checks={}
     )
 
 
-class TestDiffReports:
-    def test_identical_reports_have_no_regressions(self):
-        report = make_report("small", {"cleaning": 1.0, "seq_read": 0.5})
-        diff = diff_reports(report, report, max_regression=0.03)
-        assert diff["comparable"]
-        assert diff["regressions"] == []
-        assert diff["workloads"]["cleaning"]["ratio"] == 1.0
-        assert not diff["workloads"]["cleaning"]["regressed"]
+def service_report(key: int, points: dict) -> dict:
+    """A ``BENCH_service.json``-shaped report: ``key`` is the seed,
+    each point ``clients -> (throughput, p99)``; points from 100
+    clients up go in the ``cluster`` section as two-shard rows."""
+    rows = [
+        {
+            "clients": clients,
+            "throughput_per_second": tput,
+            "latency_p99_seconds": p99,
+        }
+        for clients, (tput, p99) in points.items()
+    ]
+    return {
+        "benchmark": "service_scaling",
+        "seed": key,
+        "points": [row for row in rows if row["clients"] < 100],
+        "cluster": {
+            "points": [
+                dict(row, shards=2) for row in rows if row["clients"] >= 100
+            ]
+        },
+    }
 
-    def test_slowdown_beyond_the_limit_regresses(self):
-        old = make_report("small", {"cleaning": 1.0})
-        new = make_report("small", {"cleaning": 1.1})
-        diff = diff_reports(old, new, max_regression=0.03)
-        assert diff["workloads"]["cleaning"]["regressed"]
-        assert len(diff["regressions"]) == 1
-        assert "cleaning" in diff["regressions"][0]
 
-    def test_slowdown_within_the_limit_passes(self):
-        old = make_report("small", {"cleaning": 1.0})
-        new = make_report("small", {"cleaning": 1.02})
-        diff = diff_reports(old, new, max_regression=0.03)
-        assert diff["regressions"] == []
+# Per family: report builder, two comparability keys, a baseline point
+# set, its first label, and every way that point can get worse by 10%.
+FAMILIES = {
+    "hotpaths": dict(
+        make=hotpaths_report,
+        keys=("small", "smoke"),
+        key_name="scale",
+        base={"cleaning": 1.0, "seq_read": 0.5},
+        label="cleaning",
+        worse={"wall_seconds": {"cleaning": 1.1, "seq_read": 0.5}},
+        slightly_worse={"cleaning": 1.02, "seq_read": 0.5},
+        better={"cleaning": 0.5, "seq_read": 0.5},
+        one_sided=(
+            {"cleaning": 1.0, "gone": 1.0},
+            {"cleaning": 1.0, "fresh": 1.0},
+            ["gone"],
+            ["fresh"],
+        ),
+    ),
+    "service": dict(
+        make=service_report,
+        keys=(0, 7),
+        key_name="seed",
+        base={4: (80.0, 0.10), 128: (600.0, 0.30)},
+        label="service c4",
+        worse={
+            "throughput_per_second": {4: (72.0, 0.10), 128: (600.0, 0.30)},
+            "latency_p99_seconds": {4: (80.0, 0.11), 128: (600.0, 0.30)},
+        },
+        slightly_worse={4: (79.0, 0.101), 128: (600.0, 0.30)},
+        better={4: (160.0, 0.05), 128: (600.0, 0.30)},
+        one_sided=(
+            {4: (80.0, 0.1), 8: (90.0, 0.2)},
+            {4: (80.0, 0.1), 128: (600.0, 0.3)},
+            ["service c8"],
+            ["cluster 2x128"],
+        ),
+    ),
+}
 
-    def test_speedups_never_regress(self):
-        old = make_report("small", {"cleaning": 1.0})
-        new = make_report("small", {"cleaning": 0.5})
-        diff = diff_reports(old, new, max_regression=0.0)
-        assert diff["regressions"] == []
-        assert diff["workloads"]["cleaning"]["ratio"] == 0.5
 
-    def test_scale_mismatch_is_incomparable_and_fails(self):
-        old = make_report("small", {"cleaning": 1.0})
-        new = make_report("smoke", {"cleaning": 1.0})
-        diff = diff_reports(old, new)
-        assert not diff["comparable"]
-        assert diff["workloads"] == {}
-        assert len(diff["regressions"]) == 1
-        assert "scale mismatch" in diff["regressions"][0]
+@pytest.fixture(params=sorted(FAMILIES))
+def family(request):
+    return FAMILIES[request.param]
 
-    def test_one_sided_workloads_are_listed_not_judged(self):
-        old = make_report("small", {"cleaning": 1.0, "gone": 1.0})
-        new = make_report("small", {"cleaning": 1.0, "fresh": 1.0})
-        diff = diff_reports(old, new)
-        assert diff["only_old"] == ["gone"]
-        assert diff["only_new"] == ["fresh"]
-        assert diff["regressions"] == []
 
-    def test_render_flags_regressions(self):
-        old = make_report("small", {"cleaning": 1.0})
-        new = make_report("small", {"cleaning": 2.0})
-        rendered = render_diff(diff_reports(old, new, max_regression=0.03))
+def diff(family, old_points, new_points, keys=None, **kwargs):
+    old_key, new_key = keys or (family["keys"][0],) * 2
+    return diff_points(
+        flatten(family["make"](old_key, old_points)),
+        flatten(family["make"](new_key, new_points)),
+        **kwargs,
+    )
+
+
+class TestDiffPoints:
+    def test_identical_reports_have_no_regressions(self, family):
+        result = diff(
+            family, family["base"], family["base"], max_regression=0.03
+        )
+        assert result["comparable"]
+        assert result["regressions"] == []
+        for metrics in result["points"].values():
+            for entry in metrics.values():
+                assert entry["ratio"] == 1.0 and not entry["regressed"]
+
+    def test_each_metric_regresses_in_its_own_direction(self, family):
+        for metric, points in family["worse"].items():
+            result = diff(
+                family, family["base"], points, max_regression=0.03
+            )
+            flagged = {
+                (label, name)
+                for label, metrics in result["points"].items()
+                for name, entry in metrics.items()
+                if entry["regressed"]
+            }
+            assert flagged == {(family["label"], metric)}
+            assert len(result["regressions"]) == 1
+            assert family["label"] in result["regressions"][0]
+            assert metric in result["regressions"][0]
+
+    def test_drift_within_the_limit_passes(self, family):
+        result = diff(
+            family,
+            family["base"],
+            family["slightly_worse"],
+            max_regression=0.03,
+        )
+        assert result["regressions"] == []
+
+    def test_improvements_never_regress(self, family):
+        result = diff(
+            family, family["base"], family["better"], max_regression=0.0
+        )
+        assert result["regressions"] == []
+
+    def test_key_mismatch_is_incomparable_and_fails(self, family):
+        result = diff(
+            family, family["base"], family["base"], keys=family["keys"]
+        )
+        assert not result["comparable"]
+        assert result["points"] == {}
+        assert len(result["regressions"]) == 1
+        assert f"{family['key_name']} mismatch" in result["regressions"][0]
+
+    def test_one_sided_points_are_listed_not_judged(self, family):
+        old, new, only_old, only_new = family["one_sided"]
+        result = diff(family, old, new)
+        assert result["only_old"] == only_old
+        assert result["only_new"] == only_new
+        assert result["regressions"] == []
+
+    def test_render_flags_regressions(self, family):
+        points = next(iter(family["worse"].values()))
+        rendered = render_diff(diff(family, family["base"], points))
         assert "REGRESSED" in rendered
         assert "1 regression(s):" in rendered
-        ok = render_diff(diff_reports(old, old))
+        ok = render_diff(diff(family, family["base"], family["base"]))
         assert "no regressions" in ok
+
+    def test_families_do_not_compare(self):
+        hot = flatten(hotpaths_report("small", {"cleaning": 1.0}))
+        svc = flatten(service_report(0, {4: (80.0, 0.1)}))
+        assert not diff_points(hot, svc)["comparable"]
 
 
 class TestBenchDiffCommand:
-    def _write(self, tmp_path, name, walls, scale="small"):
+    def _write(self, tmp_path, name, family, points, key=None):
         path = str(tmp_path / name)
-        write_report(path, make_report(scale, walls))
+        key = family["keys"][0] if key is None else key
+        write_report(path, family["make"](key, points))
         return path
 
-    def test_exit_zero_when_within_limit(self, tmp_path):
-        a = self._write(tmp_path, "a.json", {"cleaning": 1.0})
-        b = self._write(tmp_path, "b.json", {"cleaning": 1.01})
+    def test_exit_zero_when_within_limit(self, tmp_path, family):
+        a = self._write(tmp_path, "a.json", family, family["base"])
+        b = self._write(tmp_path, "b.json", family, family["slightly_worse"])
         code, out = run_cli(["bench-diff", a, b, "--max-regression", "3"])
         assert code == 0
         assert "no regressions" in out
 
-    def test_exit_nonzero_on_regression(self, tmp_path):
-        a = self._write(tmp_path, "a.json", {"cleaning": 1.0})
-        b = self._write(tmp_path, "b.json", {"cleaning": 1.5})
-        code, out = run_cli(["bench-diff", a, b, "--max-regression", "3"])
-        assert code == 1
-        assert "REGRESSED" in out
+    def test_exit_nonzero_on_regression(self, tmp_path, family):
+        a = self._write(tmp_path, "a.json", family, family["base"])
+        for index, points in enumerate(family["worse"].values()):
+            b = self._write(tmp_path, f"b{index}.json", family, points)
+            code, out = run_cli(
+                ["bench-diff", a, b, "--max-regression", "3"]
+            )
+            assert code == 1
+            assert "REGRESSED" in out
 
-    def test_scale_mismatch_fails(self, tmp_path):
-        a = self._write(tmp_path, "a.json", {"cleaning": 1.0})
+    def test_key_mismatch_fails(self, tmp_path, family):
+        a = self._write(tmp_path, "a.json", family, family["base"])
         b = self._write(
-            tmp_path, "b.json", {"cleaning": 1.0}, scale="smoke"
+            tmp_path, "b.json", family, family["base"], family["keys"][1]
         )
         code, out = run_cli(["bench-diff", a, b])
         assert code == 1
-        assert "scale mismatch" in out
+        assert f"{family['key_name']} mismatch" in out
+
+    def test_cross_family_diff_is_refused(self, tmp_path):
+        hot, svc = FAMILIES["hotpaths"], FAMILIES["service"]
+        a = self._write(tmp_path, "a.json", hot, hot["base"])
+        b = self._write(tmp_path, "b.json", svc, svc["base"])
+        code, _out = run_cli(["bench-diff", a, b])
+        assert code == 1
 
 
 class TestTraceCommand:

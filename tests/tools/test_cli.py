@@ -200,6 +200,36 @@ class TestErrors:
         assert code == 0
 
 
+class TestUnserviceableRigIsRejected:
+    """An 11-segment volume cannot hold the cleaner's watermarks; every
+    command that boots a serviced rig must refuse it the same way."""
+
+    def _stderr_of(self, argv, capsys):
+        code = main(argv)
+        return code, capsys.readouterr().err
+
+    def test_cluster_sim_fails_like_serve_sim(self, capsys):
+        serve_code, serve_err = self._stderr_of(
+            ["serve-sim", "--size", "3M"], capsys
+        )
+        cluster_code, cluster_err = self._stderr_of(
+            [
+                "cluster-sim",
+                "--shards", "2",
+                "--clients", "4",
+                "--requests-per-client", "5",
+                "--size", "3M",
+            ],
+            capsys,
+        )
+        assert serve_code == cluster_code == 1
+        assert "invalid rig configuration (2 constraint(s) violated)" in (
+            serve_err
+        )
+        assert "11-segment device" in serve_err
+        assert cluster_err == serve_err
+
+
 class TestServeSim:
     def test_serve_sim_reports_and_saves_image(self, image, tmp_path):
         code, out = run_cli(

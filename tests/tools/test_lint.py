@@ -313,3 +313,21 @@ class TestObsRegisteredNames:
         )
         path = write_module(tmp_path, "repro/lfs/ext.py", source)
         assert not any("OBS002" in m for _, _, m in lint_file(path))
+
+
+class TestRigBuilder:
+    SOURCE = (
+        "from repro.disk.sim_disk import SimDisk\n"
+        "def boot(geometry, clock):\n"
+        "    return SimDisk(geometry, clock)\n"
+    )
+
+    def test_flags_hand_built_disk_in_the_package(self, tmp_path):
+        path = write_module(tmp_path, "src/repro/cluster/ext.py", self.SOURCE)
+        findings = [m for _, _, m in lint_file(path) if "RIG001" in m]
+        assert findings and "new_rig" in findings[0]
+
+    def test_builder_and_disk_package_may_construct_it(self, tmp_path):
+        for relpath in ("src/repro/rig.py", "src/repro/disk/ext.py"):
+            path = write_module(tmp_path, relpath, self.SOURCE)
+            assert not any("RIG001" in m for _, _, m in lint_file(path))
