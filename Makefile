@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint bench-smoke bench bench-diff trace crashtest chaos service-bench cluster-bench ci
+.PHONY: test lint bench-smoke bench bench-diff e2e-smoke trace crashtest chaos service-bench cluster-bench ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -40,6 +40,13 @@ bench-diff:
 		--output /tmp/BENCH_smoke_b.json
 	$(PYTHON) -m repro bench-diff /tmp/BENCH_smoke.json \
 		/tmp/BENCH_smoke_b.json --max-regression 200
+
+# The end-to-end benchmark (BENCHMARK.json) at smoke scale — every
+# workload once, with its output checks — and the benchmark's own
+# self-tests.  Gates that it still runs and still checks, not a speed.
+e2e-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --smoke
+	$(PYTHON) -m pytest benchmarks/e2e -q
 
 # Regenerate the committed trace-attribution report: a seeded
 # 16-client serve-sim with full request tracing, decomposed into
@@ -97,4 +104,4 @@ cluster-bench:
 	$(PYTHON) -m repro bench-diff BENCH_service.json \
 		/tmp/BENCH_service_new.json
 
-ci: lint test bench-smoke bench-diff service-bench cluster-bench crashtest chaos
+ci: lint test bench-smoke bench-diff e2e-smoke service-bench cluster-bench crashtest chaos

@@ -11,14 +11,24 @@ Eviction only ever removes *clean data* blocks: dirty blocks must first
 be written back by the owning file system, and metadata blocks (pointer
 blocks, inode-map blocks) stay resident, matching the paper's assumption
 that "blocks mapping active files will stay memory resident" (§4.2.1).
+
+LRU order is *stamp* order: inserts and hits take the next value of a
+counter that only grows.  Victims come off a min-heap of ``(stamp,
+block)`` with at most one entry per clean data/inode block, pushed by a
+clean ``insert`` and by ``mark_clean`` only, so an entry's stamp is a
+lower bound on its block's; one found out of date on pop is pushed back
+(block hit since) or dropped (dirty or gone).  Nothing walks the cache.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterator, List, Optional, Tuple, Union
+from heapq import heapify, heappop, heappush
+from itertools import count
+from operator import attrgetter
+from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from repro.common.inode import BlockKey, BlockKind
 from repro.errors import InvalidArgumentError
@@ -30,6 +40,12 @@ Payload = Union[bytearray, List[int]]
 # bytes object per block; slicing a memoryview is copy-free.
 _ZERO_PAD = memoryview(bytes(64 * 1024))
 
+# Pointer, inode-map and usage blocks stay resident (§4.2.1); data and
+# packed-inode blocks are fair game once clean.
+_EVICTABLE_KINDS = (BlockKind.DATA, BlockKind.INODE)
+
+_BY_STAMP = attrgetter("stamp")
+
 
 @dataclass
 class CacheBlock:
@@ -39,6 +55,10 @@ class CacheBlock:
     payload: Payload
     dirty: bool = False
     dirty_since: float = 0.0
+    stamp: int = 0
+    """Recency: the larger, the more recently inserted or hit."""
+    queued: bool = False
+    """Whether the eviction heap holds an entry for this block."""
 
     def as_bytes(self, block_size: int) -> bytes:
         """Serialized block contents, zero-padded to ``block_size``."""
@@ -78,7 +98,6 @@ class CacheStats:
     misses: int = 0
     insertions: int = 0
     evictions: int = 0
-    writebacks_requested: int = 0
 
     @property
     def lookups(self) -> int:
@@ -105,8 +124,15 @@ class BlockCache:
             )
         self.capacity_bytes = capacity_bytes
         self.block_size = block_size
-        self._blocks: "OrderedDict[BlockKey, CacheBlock]" = OrderedDict()
+        self._blocks: Dict[BlockKey, CacheBlock] = {}
         self._by_inum: dict = {}
+        self._next_stamp = count(1).__next__
+        self._heap: List[Tuple[int, CacheBlock]] = []
+        # Operation-count probe: an examined entry is evicted, dropped
+        # or (block hit since) pushed back once, so heap_entries_examined
+        # <= clean inserts + mark_cleans + hits: O(1) amortized.
+        self.heap_entries_examined = 0
+        self._dirty: Dict[BlockKey, CacheBlock] = {}
         self._dirty_bytes = 0
         self._dirty_fifo: Deque[Tuple[BlockKey, float]] = deque()
         self.stats = CacheStats()
@@ -132,7 +158,7 @@ class BlockCache:
         self.stats.hits += 1
         if self._obs_enabled:
             self._m_hits.inc()
-        self._blocks.move_to_end(key)
+        block.stamp = self._next_stamp()
         return block
 
     def peek(self, key: BlockKey) -> Optional[CacheBlock]:
@@ -146,10 +172,12 @@ class BlockCache:
         self, key: BlockKey, payload: Payload, dirty: bool, now: float
     ) -> CacheBlock:
         """Insert (or replace) a block; evicts clean data blocks if full."""
-        old = self._blocks.pop(key, None)
-        if old is not None and old.dirty:
+        if self._dirty.pop(key, None) is not None:
             self._dirty_bytes -= self.block_size
-        block = CacheBlock(key=key, payload=payload, dirty=dirty)
+        block = CacheBlock(
+            key=key, payload=payload, dirty=dirty, stamp=self._next_stamp()
+        )
+        # A replaced block's heap entry is dropped when it surfaces.
         self._blocks[key] = block
         self._by_inum.setdefault(key.inum, set()).add(key)
         self.stats.insertions += 1
@@ -157,8 +185,10 @@ class BlockCache:
             self._m_insertions.inc()
         if dirty:
             self._note_dirty(block, now)
-        elif self._obs_enabled:
-            self._m_dirty_bytes.set(self._dirty_bytes)
+        else:
+            self._enqueue(block)
+            if self._obs_enabled:
+                self._m_dirty_bytes.set(self._dirty_bytes)
         self._evict_to_capacity()
         return block
 
@@ -172,6 +202,7 @@ class BlockCache:
     def _note_dirty(self, block: CacheBlock, now: float) -> None:
         block.dirty = True
         block.dirty_since = now
+        self._dirty[block.key] = block
         self._dirty_bytes += self.block_size
         self._dirty_fifo.append((block.key, now))
         if self._obs_enabled:
@@ -181,16 +212,20 @@ class BlockCache:
         block = self._blocks.get(key)
         if block is not None and block.dirty:
             block.dirty = False
+            del self._dirty[key]
             self._dirty_bytes -= self.block_size
             if self._obs_enabled:
                 self._m_dirty_bytes.set(self._dirty_bytes)
+            # The block keeps its stamp: it becomes a victim at its old
+            # LRU position, not at the tail.
+            self._enqueue(block)
 
     def discard(self, key: BlockKey) -> None:
         """Remove a block outright (e.g. file deleted before write-back)."""
-        block = self._blocks.pop(key, None)
-        if block is not None:
+        if self._blocks.pop(key, None) is not None:
+            # Its heap entry, if any, is dropped when it surfaces.
             self._forget_key(key)
-            if block.dirty:
+            if self._dirty.pop(key, None) is not None:
                 self._dirty_bytes -= self.block_size
                 if self._obs_enabled:
                     self._m_dirty_bytes.set(self._dirty_bytes)
@@ -221,9 +256,9 @@ class BlockCache:
     def used_bytes(self) -> int:
         return len(self._blocks) * self.block_size
 
-    def dirty_blocks(self) -> Iterator[CacheBlock]:
+    def dirty_blocks(self) -> List[CacheBlock]:
         """All dirty blocks, in LRU (roughly: modification) order."""
-        return (block for block in self._blocks.values() if block.dirty)
+        return sorted(self._dirty.values(), key=_BY_STAMP)
 
     def oldest_dirty_time(self) -> Optional[float]:
         """When the longest-dirty block became dirty (None if all clean)."""
@@ -239,36 +274,42 @@ class BlockCache:
     # Eviction
     # ------------------------------------------------------------------
 
-    def _evictable(self, block: CacheBlock) -> bool:
-        # Pointer, inode-map and usage blocks stay resident (§4.2.1);
-        # data and packed-inode blocks are fair game once clean.
-        return not block.dirty and block.key.kind in (
-            BlockKind.DATA,
-            BlockKind.INODE,
-        )
+    def _enqueue(self, block: CacheBlock) -> None:
+        """Make a clean block a candidate for eviction."""
+        if block.queued or block.key.kind not in _EVICTABLE_KINDS:
+            return
+        heap = self._heap
+        if len(heap) > 2 * len(self._blocks) + 64:
+            # Entries of discarded and replaced blocks leave only by
+            # being popped, which a cache that never fills never does.
+            blocks = self._blocks
+            heap[:] = [e for e in heap if blocks.get(e[1].key) is e[1]]
+            heapify(heap)
+        block.queued = True
+        heappush(heap, (block.stamp, block))
 
     def _evict_to_capacity(self) -> None:
         # A full cache exceeds capacity by one block per insert, so this
-        # runs on nearly every insert of a streaming read.  Walk the LRU
-        # order only as far as needed instead of materializing the full
-        # evictable list each time — same victims, same order, but the
-        # common case touches one or two entries, not the whole cache.
+        # runs on nearly every insert.  Victims are the clean data/inode
+        # blocks in stamp order, the just-inserted one included.  Stamps
+        # are unique, so entries never tie and blocks are never compared.
+        heap = self._heap
+        blocks = self._blocks
         over = self.used_bytes - self.capacity_bytes
-        if over <= 0:
-            return
-        victims: List[BlockKey] = []
-        for key, block in self._blocks.items():
-            if self._evictable(block):
-                victims.append(key)
+        while over > 0 and heap:
+            stamp, block = heappop(heap)
+            self.heap_entries_examined += 1
+            if block.dirty or blocks.get(block.key) is not block:
+                block.queued = False
+            elif block.stamp != stamp:
+                heappush(heap, (block.stamp, block))
+            else:
+                del blocks[block.key]
+                self._forget_key(block.key)
                 over -= self.block_size
-                if over <= 0:
-                    break
-        for key in victims:
-            del self._blocks[key]
-            self._forget_key(key)
-            self.stats.evictions += 1
-            if self._obs_enabled:
-                self._m_evictions.inc()
+                self.stats.evictions += 1
+                if self._obs_enabled:
+                    self._m_evictions.inc()
 
     def over_capacity(self) -> bool:
         """True when even after eviction the cache exceeds capacity.
@@ -291,6 +332,7 @@ class BlockCache:
             and (metadata_too or block.key.kind is BlockKind.DATA)
         ]
         for key in victims:
+            # Heap entries are dropped when they surface, as in discard.
             del self._blocks[key]
             self._forget_key(key)
         return len(victims)

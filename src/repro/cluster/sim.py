@@ -141,8 +141,9 @@ def run_group(
         fs.checkpoint()
         fs.disk.drain()
         fs.unmount()
-        image = fs.disk.device.snapshot()
-        report = verify_lfs(fs.disk.device)
+        device = fs.disk.device
+        image = device.read(0, device.num_sectors)  # a view, not a copy
+        report = verify_lfs(device)
         shards.append(
             {
                 "shard": shard_id,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Tuple, Union
+from typing import Callable, Iterator, List, NamedTuple, Tuple, Union
 
 from repro.errors import CorruptionError, InvalidArgumentError
 
@@ -63,14 +63,18 @@ class BlockKind(enum.IntEnum):
     SEGUSAGE = 5  # a segment-usage-array block (LFS only)
 
 
-@dataclass(frozen=True)
-class BlockKey:
+class BlockKey(NamedTuple):
     """Cache/log identity of a block: owner, kind and index.
 
     For ``DATA`` the index is the logical block number; for ``INDIRECT``
     it is the ordinal of the single-indirect block (0 = the inode's own
     indirect pointer, 1+j = the j-th leaf under the double-indirect
     root); for the remaining kinds it is the structure's block index.
+
+    A tuple, so keys hash and compare in C: every layer builds and
+    looks one up per block touched.  ``hash(key)`` must stay
+    ``hash((inum, kind, index))`` — sets of keys are iterated, and their
+    order (hence seeded output) follows the hash.
     """
 
     inum: int

@@ -28,6 +28,7 @@ implementation.
 
 from __future__ import annotations
 
+import mmap
 import os
 import random
 from collections import deque
@@ -75,7 +76,16 @@ class SectorDevice:
                 else bytearray(initial_data)
             )
         else:
-            self._data = bytearray(num_sectors * sector_size)
+            # Anonymous pages are zero until first written, so a fresh
+            # volume costs memory only for the sectors actually touched
+            # (bytearray(n) would fault in all of them).  Private, not
+            # the default shared: a forked worker must not write into
+            # its parent's image.
+            self._data = mmap.mmap(
+                -1,
+                num_sectors * sector_size,
+                flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS,
+            )
         self._pending: Deque[_PendingWrite] = deque()
         self._pending_monotone = True
         self._crashed = False

@@ -201,3 +201,24 @@ class TestIterAndKeys:
         h = _MapHarness()
         expected = N_DIRECT + PPB + PPB * PPB - 1
         assert h.map.max_lbn == expected
+
+
+class TestBlockKeyHash:
+    """Sets and dicts of keys are iterated (``discard_file``, the flush
+    plan), so the hash *value* decides seeded outputs."""
+
+    KEYS = [
+        BlockKey(inum, kind, index)
+        for inum in (0, 1, 7, 4096)
+        for kind in BlockKind
+        for index in (0, 1, 12, 1035)
+    ]
+
+    def test_hash_is_the_field_tuple_hash(self):
+        for key in self.KEYS:
+            assert hash(key) == hash((key.inum, key.kind, key.index))
+            assert hash(key) == hash((key.inum, int(key.kind), key.index))
+
+    def test_set_iteration_order_is_that_of_plain_tuples(self):
+        as_tuples = [(k.inum, int(k.kind), k.index) for k in self.KEYS]
+        assert [tuple(k) for k in set(self.KEYS)] == list(set(as_tuples))

@@ -1,5 +1,9 @@
 """Unit tests for the crash-aware sector device."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.disk.device import SectorDevice
@@ -121,3 +125,44 @@ class TestConstruction:
 
     def test_total_bytes(self):
         assert SectorDevice(num_sectors=16, sector_size=512).total_bytes == 8192
+
+
+class TestLazilyZeroedImage:
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_cannot_write_the_parents_image(self, device):
+        device.write(0, b"p" * 512)
+        pid = os.fork()
+        if pid == 0:  # what a --jobs worker does to a volume it inherited
+            status = 1
+            try:
+                device.write(0, b"c" * 512)
+                device.write(9, b"c" * 512)
+                status = 0
+            finally:  # never let the child fall back into pytest
+                os._exit(status)
+        assert os.waitpid(pid, 0)[1] == 0
+        assert device.read(0, 1) == b"p" * 512
+        assert device.read(9, 1) == b"\x00" * 512
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+    def test_untouched_sectors_cost_no_memory(self):
+        probe = (
+            "import resource\n"
+            "from repro.disk.device import SectorDevice\n"
+            "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak()\n"
+            "device = SectorDevice(num_sectors=(512 << 20) // 512)\n"
+            "device.write(1000, b'x' * 512)\n"
+            "assert device.read(1000, 1) == b'x' * 512\n"
+            "assert not any(device.read(device.num_sectors - 8, 8))\n"
+            "print(peak() - before)\n"
+        )
+        # A fresh interpreter: this one's high-water mark is already set.
+        grown_kib = int(
+            subprocess.run(
+                [sys.executable, "-c", probe],
+                check=True, capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            ).stdout
+        )
+        assert grown_kib < 32 * 1024

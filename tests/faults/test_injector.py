@@ -121,7 +121,7 @@ class TestCrashDamage:
         )
         first = self._crash_with(config, seed=42)
         second = self._crash_with(config, seed=42)
-        assert first._data == second._data
+        assert first.snapshot() == second.snapshot()
         assert first.injector.bad_sectors == second.injector.bad_sectors
 
 
