@@ -18,6 +18,10 @@ says so; anything else that trips these is a regression.
 from __future__ import annotations
 
 import hashlib
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +150,53 @@ HOTPATH_FINGERPRINTS = {
     },
 }
 
+# The end-to-end benchmark's simulated metrics and final image hashes,
+# `benchmarks/e2e/workloads.py W 0 untraced --smoke`, generated at
+# commit 7ced895.  A simulator-speed PR must leave these alone: "every
+# simulated byte unchanged" is asserted here, not diffed by hand.
+E2E_SMOKE = {
+    "smallfile": {
+        "sim": {
+            "sim_ops_per_s": 127.90393345427898,
+            "sim_lat_p50_ms": 3.627599999999842,
+            "sim_lat_p99_ms": 30.508735384615626,
+            "write_amp": 1.9166986314865004,
+            "read_amp": 1.8716250914403452,
+        },
+        "images": [
+            "6964510747c4d1d4e0037fee62e8fcfc48a3c347d29c4f9ba3c6387758f0ac70"
+        ],
+    },
+    "largefile": {
+        "sim": {
+            "sim_ops_per_s": 66.98295193077742,
+            "sim_lat_p50_ms": 12.147975384607435,
+            "sim_lat_p99_ms": 33.96633538460492,
+            "write_amp": 0.921435546875,
+            "read_amp": 0.9364844616133389,
+        },
+        "images": [
+            "1fe30e3edc9ea8aa7cfa6b55055ba6e2966ed3705fef90404d6d9c4bb36f4f2e"
+        ],
+    },
+    "crash_recover": {
+        "sim": {
+            "sim_ops_per_s": 36.01443150949922,
+            "sim_lat_p50_ms": 6.593279999999924,
+            "sim_lat_p99_ms": 102.40357384615439,
+            "write_amp": 1.704179454207744,
+            "read_amp": 4.318741764585182,
+        },
+        "images": [
+            "1634e4d6f57c218f9badef2b49fee1a34d5226ce3c6ff9d2395e7664b1df0f2b"
+        ],
+    },
+}
+
+E2E_WORKLOADS = (
+    Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "workloads.py"
+)
+
 
 def test_service_run_image_and_stats():
     config = ServiceConfig(
@@ -189,3 +240,17 @@ def test_hotpath_workload_fingerprint(name):
     workload = perf_harness.WORKLOADS[name]
     fingerprint = workload(perf_harness.SCALES["smoke"])[3]
     assert fingerprint == HOTPATH_FINGERPRINTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(E2E_SMOKE))
+def test_e2e_smoke_sim_and_images(name):
+    # A subprocess, as run.py starts it: one pass per fresh process.
+    done = subprocess.run(
+        [sys.executable, str(E2E_WORKLOADS), name, "0", "untraced", "--smoke"],
+        stdout=subprocess.PIPE,
+        text=True,
+        check=True,
+    )
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["failed"] == 0
+    assert {key: result[key] for key in ("sim", "images")} == E2E_SMOKE[name]
