@@ -28,6 +28,7 @@ per-shard consistency proof.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -85,6 +86,10 @@ def run_group(
     from repro.lfs.verify import verify_lfs
     from repro.sim.clock import SimClock
 
+    # A finished group's rigs (device image, cache, span tree) are one
+    # big reference cycle; free them before building the next group's,
+    # so peak memory is one group's and not a matter of collector timing.
+    gc.collect()
     clock = SimClock()
     telemetry = Telemetry(clock=clock)
     ready: deque = deque()

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.cache.writeback import WritebackReason
-from repro.common.directory import DirectoryBlock
 from repro.common.inode import (
     BlockKey,
     BlockKind,
@@ -139,7 +138,7 @@ class FastFileSystem(BaseFileSystem):
             ctime=fs.clock.now(),
         )
         fs._install_inode(root)
-        fs._write_dir_block(root, 0, DirectoryBlock(config.block_size, []))
+        fs._new_dir(root)
         fs._writeback(WritebackReason.SYNC)
         fs.disk.drain()
         return fs

@@ -265,10 +265,10 @@ class _Fsck:
             dir_inode = self.inodes[dir_inum]
             for lbn, block in self._read_dir_entries(dir_inode):
                 changed = False
-                for name, child in list(block.entries):
+                for name, child in block.entries:
                     child_inode = self.inodes.get(child)
                     if child_inode is None:
-                        block.entries.remove((name, child))
+                        block.remove(name)
                         self.report.dangling_entries_removed += 1
                         changed = True
                         continue
@@ -370,7 +370,7 @@ class _Fsck:
             addr = self._alloc_block(dir_inode.inum)
             if addr is None:
                 return False
-            block = DirectoryBlock(bs, [])
+            block = DirectoryBlock(bs)
             while pending and block.has_room_for(pending[0][0]):
                 name, inum = pending.pop(0)
                 block.add(name, inum)

@@ -16,6 +16,7 @@ Everything after ``seg_start`` belongs to the segmented log.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.cache.writeback import WritebackConfig
 from repro.disk.retry import RetryPolicy
@@ -129,7 +130,9 @@ class LfsConfig:
                 f"quarantine_budget must be >= 0: {self.quarantine_budget}"
             )
 
-    @property
+    # Geometry is read on every block-to-segment conversion; derive it
+    # once per (frozen) instance.
+    @cached_property
     def blocks_per_segment(self) -> int:
         return self.segment_size // self.block_size
 
@@ -163,13 +166,13 @@ class LfsLayout:
     def checkpoint_addrs(self) -> tuple:
         return (1, 1 + CHECKPOINT_REGION_BLOCKS)
 
-    @property
+    @cached_property
     def seg_start_block(self) -> int:
         first_free = 1 + 2 * CHECKPOINT_REGION_BLOCKS
         bps = self.config.blocks_per_segment
         return ((first_free + bps - 1) // bps) * bps
 
-    @property
+    @cached_property
     def num_segments(self) -> int:
         return (self.total_blocks - self.seg_start_block) // (
             self.config.blocks_per_segment

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set
 
 from repro.cache.writeback import WritebackReason
-from repro.common.directory import DirectoryBlock
 from repro.common.inode import (
     BlockKey,
     BlockKind,
@@ -195,7 +194,7 @@ class LogStructuredFS(BaseFileSystem):
             ctime=fs.clock.now(),
         )
         fs._install_inode(root)
-        fs._write_dir_block(root, 0, DirectoryBlock(config.block_size, []))
+        fs._new_dir(root)
         fs.flush_log(checkpoint=True)
         return fs
 

@@ -14,9 +14,9 @@ entry also carries:
 The map is partitioned into blocks that are themselves written to the
 log; the checkpoint region records their addresses.  Per §4.2.1 the
 blocks mapping active files are expected to stay memory resident, so
-this implementation keeps the whole map in memory (for the paper-scale
-32 K inodes that is under a megabyte) and tracks per-block dirtiness for
-the segment writer.
+this implementation keeps every block it has touched in memory (for the
+paper-scale 32 K inodes the whole map is under a megabyte) and tracks
+per-block dirtiness for the segment writer.
 """
 
 from __future__ import annotations
@@ -87,18 +87,18 @@ class InodeMap:
         self.num_blocks = (
             max_inodes + self.entries_per_block - 1
         ) // self.entries_per_block
-        self._entries: List[ImapEntry] = [ImapEntry() for _ in range(max_inodes)]
+        # Demand loading (§4.2.1: imap blocks are "cached like regular
+        # files"): a block's entries exist only once one of them is
+        # touched — read from the log if the block has an address, all
+        # free if it was never written.  Mounting builds nothing.
+        self._blocks: List[Optional[List[ImapEntry]]] = [None] * self.num_blocks
         self._dirty_blocks: Set[int] = set()
         self.block_addrs: List[int] = [NIL] * self.num_blocks
         """Current log address of each imap block (NIL: never written)."""
         self._alloc_hint = ROOT_INUM
-        # Demand loading (§4.2.1: imap blocks are "cached like regular
-        # files"): after attach(), a block is only read from the log
-        # when an entry in it is first touched.  A freshly built map is
-        # fully "loaded" (everything free).
-        self._loaded: List[bool] = [True] * self.num_blocks
         self._fetch: Optional[Callable[[int], bytes]] = None
         self.demand_loads = 0
+        """Blocks fetched from the log (fresh all-free blocks not counted)."""
 
     # ------------------------------------------------------------------
     # Entry access
@@ -113,46 +113,64 @@ class InodeMap:
         self._check_inum(inum)
         return inum // self.entries_per_block
 
-    def _load_entries(self, index: int, data: bytes) -> None:
-        """Replace the entries of block ``index`` from packed bytes."""
-        first = index * self.entries_per_block
-        last = min(first + self.entries_per_block, self.max_inodes)
-        count = last - first
+    def _block_len(self, index: int) -> int:
+        """Entries in block ``index`` (the last block may be short)."""
+        return min(
+            self.entries_per_block,
+            self.max_inodes - index * self.entries_per_block,
+        )
+
+    def _unpack_entries(self, index: int, data: bytes) -> List[ImapEntry]:
+        """The entries of block ``index`` from its packed bytes."""
+        count = self._block_len(index)
         if len(data) < count * IMAP_ENTRY_SIZE:
             raise CorruptionError(
                 f"imap block {index} holds {len(data)} bytes, "
                 f"need {count * IMAP_ENTRY_SIZE}"
             )
         view = memoryview(data)[: count * IMAP_ENTRY_SIZE]
-        entries = self._entries
-        for inum, (addr, slot, allocated, version, atime) in zip(
-            range(first, last), _ENTRY_PACK.iter_unpack(view)
-        ):
-            entries[inum] = ImapEntry(
+        return [
+            ImapEntry(
                 inode_addr=addr,
                 slot=slot,
                 version=version,
                 atime=atime,
                 allocated=allocated != 0,
             )
+            for addr, slot, allocated, version, atime in _ENTRY_PACK.iter_unpack(
+                view
+            )
+        ]
 
-    def _ensure_loaded(self, index: int) -> None:
-        if self._loaded[index]:
-            return
-        addr = self.block_addrs[index]
-        if addr != NIL:
-            if self._fetch is None:
+    def _ensure_loaded(self, index: int) -> List[ImapEntry]:
+        """Entries of block ``index``, materialised on first touch."""
+        block = self._blocks[index]
+        if block is None:
+            addr = self.block_addrs[index]
+            if addr == NIL:
+                block = [ImapEntry() for _ in range(self._block_len(index))]
+            elif self._fetch is None:
                 raise CorruptionError(
                     f"imap block {index} not loaded and no fetch callback"
                 )
-            self._load_entries(index, self._fetch(addr))
-            self.demand_loads += 1
-        self._loaded[index] = True
+            else:
+                block = self._unpack_entries(index, self._fetch(addr))
+                self.demand_loads += 1
+            self._blocks[index] = block
+        return block
 
     def get(self, inum: int) -> ImapEntry:
         self._check_inum(inum)
-        self._ensure_loaded(inum // self.entries_per_block)
-        return self._entries[inum]
+        per_block = self.entries_per_block
+        block = self._blocks[inum // per_block]
+        if block is None:
+            block = self._ensure_loaded(inum // per_block)
+        return block[inum % per_block]
+
+    def _all_entries(self) -> Iterator[ImapEntry]:
+        """Every entry in inode-number order (loads the whole map)."""
+        for index in range(self.num_blocks):
+            yield from self._ensure_loaded(index)
 
     def _touch(self, inum: int) -> None:
         self._dirty_blocks.add(self.block_of(inum))
@@ -234,15 +252,13 @@ class InodeMap:
         return previous
 
     def allocated_count(self) -> int:
-        for index in range(self.num_blocks):
-            self._ensure_loaded(index)
-        return sum(1 for entry in self._entries if entry.allocated)
+        return sum(1 for entry in self._all_entries() if entry.allocated)
 
     def allocated_inums(self) -> List[int]:
-        for index in range(self.num_blocks):
-            self._ensure_loaded(index)
         return [
-            inum for inum, entry in enumerate(self._entries) if entry.allocated
+            inum
+            for inum, entry in enumerate(self._all_entries())
+            if entry.allocated
         ]
 
     # ------------------------------------------------------------------
@@ -277,13 +293,9 @@ class InodeMap:
         """
         if not 0 <= index < self.num_blocks:
             raise CorruptionError(f"imap block index {index} out of range")
-        self._ensure_loaded(index)
-        first = index * self.entries_per_block
-        last = min(first + self.entries_per_block, self.max_inodes)
+        entries = self._ensure_loaded(index)
         pack_into = _ENTRY_PACK.pack_into
-        entries = self._entries
-        for position, inum in enumerate(range(first, last)):
-            entry = entries[inum]
+        for position, entry in enumerate(entries):
             pack_into(
                 out,
                 position * IMAP_ENTRY_SIZE,
@@ -293,16 +305,15 @@ class InodeMap:
                 entry.version,
                 entry.atime,
             )
-        used = (last - first) * IMAP_ENTRY_SIZE
+        used = len(entries) * IMAP_ENTRY_SIZE
         if used < len(out):
             out[used:] = bytes(len(out) - used)  # alloc-ok: tail pad
 
     def load_block(self, index: int, data: bytes) -> None:
         if not 0 <= index < self.num_blocks:
             raise CorruptionError(f"imap block index {index} out of range")
-        self._load_entries(index, data)
+        self._blocks[index] = self._unpack_entries(index, data)
         self._dirty_blocks.discard(index)
-        self._loaded[index] = True
 
     def attach(
         self, addrs: List[int], fetch: Callable[[int], bytes]
@@ -319,8 +330,7 @@ class InodeMap:
             )
         self.block_addrs = list(addrs)
         self._fetch = fetch
-        self._loaded = [False] * self.num_blocks
-        self._entries = [ImapEntry() for _ in range(self.max_inodes)]
+        self._blocks = [None] * self.num_blocks
         self._dirty_blocks.clear()
         self._alloc_hint = ROOT_INUM
 

@@ -23,7 +23,11 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.cache.block_cache import BlockCache, CacheBlock
 from repro.cache.readahead import ReadaheadPolicy
 from repro.cache.writeback import WritebackConfig, WritebackMonitor, WritebackReason
-from repro.common.directory import DirectoryBlock, entry_size, validate_name
+from repro.common.directory import (
+    ENTRY_HEADER_SIZE,
+    DirectoryBlock,
+    validate_name,
+)
 from repro.common.inode import (
     BlockKey,
     BlockKind,
@@ -55,6 +59,20 @@ ROOT_INUM = 1
 
 MAX_READ_CLUSTER = 64 * KIB
 """Largest single disk read issued when filling the cache."""
+
+
+class _Directory:
+    """A cached directory: its blocks, and a name index over all of them.
+
+    ``names`` maps a name to (child inum, index of the block holding
+    the entry); a block's free space is read off the block itself.
+    """
+
+    __slots__ = ("blocks", "names")
+
+    def __init__(self) -> None:
+        self.blocks: List[DirectoryBlock] = []
+        self.names: Dict[str, Tuple[int, int]] = {}
 
 
 class BaseFileSystem(StorageManager):
@@ -101,13 +119,9 @@ class BaseFileSystem(StorageManager):
         self._stats = FsStats()
         self._inodes: Dict[int, Inode] = {}
         self._dirty_inodes: Set[int] = set()
-        # Directory caches: name -> (child inum, block index holding the
-        # entry), per-directory free bytes per block, and decoded
-        # directory blocks (kept coherent by the _dir_* methods, which
-        # are the only writers of directory data).
-        self._dcache: Dict[int, Dict[str, Tuple[int, int]]] = {}
-        self._dir_space: Dict[int, List[int]] = {}
-        self._dir_blocks: Dict[Tuple[int, int], DirectoryBlock] = {}
+        # Directory cache by inum, kept coherent by the _dir_* methods,
+        # which are the only writers of directory data.
+        self._dirs: Dict[int, _Directory] = {}
         self._unmounted = False
         self._in_writeback = False
         self.block_map = BlockMap(
@@ -489,87 +503,88 @@ class BaseFileSystem(StorageManager):
     # Directories
     # ------------------------------------------------------------------
 
-    def _dir_block(self, inode: Inode, index: int) -> DirectoryBlock:
-        cached = self._dir_blocks.get((inode.inum, index))
-        if cached is not None:
-            return cached
-        raw = self._read_range(
-            inode, index * self.block_size, self.block_size
-        )
-        block = DirectoryBlock.decode(raw, self.block_size)
-        self._dir_blocks[(inode.inum, index)] = block
-        return block
-
     def _write_dir_block(
         self, inode: Inode, index: int, block: DirectoryBlock
     ) -> None:
+        # The whole block goes through the file cache, as any data
+        # write does, so cache stamps, dirty accounting and what the
+        # segment writer or FFS later sends to disk do not depend on how
+        # the block was edited.
         self._write_range(inode, index * self.block_size, block.encode())
-        self._dir_blocks[(inode.inum, index)] = block
 
-    def _dir_map(self, inode: Inode) -> Dict[str, Tuple[int, int]]:
-        cached = self._dcache.get(inode.inum)
-        if cached is not None:
-            return cached
-        name_map: Dict[str, Tuple[int, int]] = {}
-        space: List[int] = []
-        for index in range(inode.nblocks(self.block_size)):
-            block = self._dir_block(inode, index)
-            for name, child in block.entries:
-                name_map[name] = (child, index)
-            space.append(block.free_bytes())
-        self._dcache[inode.inum] = name_map
-        self._dir_space[inode.inum] = space
-        return name_map
+    def _new_dir(self, inode: Inode) -> None:
+        """Give a new directory its first, empty, data block.
+
+        Like the classic UNIX "." / ".." block: the inode that the
+        create path persists already points at valid directory data,
+        so a crash can never leave a directory whose entries are
+        unreachable through a stale zero-length inode.
+        """
+        directory = self._dirs[inode.inum] = _Directory()
+        directory.blocks.append(DirectoryBlock(self.block_size))
+        self._write_dir_block(inode, 0, directory.blocks[0])
+
+    def _dir(self, inode: Inode) -> _Directory:
+        directory = self._dirs.get(inode.inum)
+        if directory is None:
+            directory = _Directory()
+            bs = self.block_size
+            for index in range(inode.nblocks(bs)):
+                block = DirectoryBlock.decode(
+                    self._read_range(inode, index * bs, bs), bs
+                )
+                for name, child in block.as_dict().items():
+                    directory.names[name] = (child, index)
+                directory.blocks.append(block)
+            self._dirs[inode.inum] = directory
+        return directory
 
     def _dir_lookup(self, inode: Inode, name: str) -> Optional[int]:
-        entry = self._dir_map(inode).get(name)
+        entry = self._dir(inode).names.get(name)
         return None if entry is None else entry[0]
 
-    def _dir_entries(self, inode: Inode) -> Dict[str, int]:
-        return {name: child for name, (child, _idx) in self._dir_map(inode).items()}
+    def _dir_add(
+        self, inode: Inode, name: str, encoded: bytes, child: int
+    ) -> int:
+        """Insert an entry; returns the index of the block modified.
 
-    def _dir_add(self, inode: Inode, name: str, child: int) -> int:
-        """Insert an entry; returns the index of the block modified."""
-        validate_name(name)
-        name_map = self._dir_map(inode)
-        if name in name_map:
+        ``encoded`` is ``validate_name(name)``: callers check the name
+        before they allocate or remove anything.
+        """
+        directory = self._dir(inode)
+        if name in directory.names:
             raise FileExistsError_(f"directory entry {name!r} already exists")
-        space = self._dir_space[inode.inum]
-        need = entry_size(name)
+        blocks = directory.blocks
+        # First fit, reading each block's fill directly.
+        max_used = self.block_size - ENTRY_HEADER_SIZE - len(encoded)
         index = next(
-            (i for i, free in enumerate(space) if free >= need), len(space)
+            (i for i, block in enumerate(blocks) if block.used <= max_used),
+            len(blocks),
         )
-        if index == len(space):
-            block = DirectoryBlock(self.block_size, [])
-            space.append(self.block_size)
-        else:
-            block = self._dir_block(inode, index)
-        block.add(name, child)
+        block = (
+            blocks[index]
+            if index < len(blocks)
+            else DirectoryBlock(self.block_size)
+        )
+        block.add(name, child, encoded)
         self._write_dir_block(inode, index, block)
-        space[index] -= entry_size(name)
-        name_map[name] = (child, index)
+        if index == len(blocks):
+            blocks.append(block)
+        directory.names[name] = (child, index)
         return index
 
     def _dir_remove(self, inode: Inode, name: str) -> Tuple[int, int]:
         """Remove an entry; returns (child inum, block index modified)."""
-        name_map = self._dir_map(inode)
-        entry = name_map.get(name)
+        directory = self._dir(inode)
+        entry = directory.names.get(name)
         if entry is None:
             raise FileNotFoundError_(f"no directory entry {name!r}")
         child, index = entry
-        block = self._dir_block(inode, index)
+        block = directory.blocks[index]
         block.remove(name)
         self._write_dir_block(inode, index, block)
-        self._dir_space[inode.inum][index] += entry_size(name)
-        del name_map[name]
+        del directory.names[name]
         return child, index
-
-    def _drop_dir_caches(self, inum: int) -> None:
-        self._dcache.pop(inum, None)
-        space = self._dir_space.pop(inum, None)
-        if space is not None:
-            for index in range(len(space)):
-                self._dir_blocks.pop((inum, index), None)
 
     # ------------------------------------------------------------------
     # Path resolution
@@ -620,6 +635,7 @@ class BaseFileSystem(StorageManager):
         self._check_writable()
         self.cpu.syscall()
         parent, name = self._resolve_parent(path)
+        encoded = validate_name(name)
         if self._dir_lookup(parent, name) is not None:
             raise FileExistsError_(path)
         self.cpu.create()
@@ -632,7 +648,7 @@ class BaseFileSystem(StorageManager):
             ctime=self.clock.now(),
         )
         self._install_inode(inode)
-        block_index = self._dir_add(parent, name, inum)
+        block_index = self._dir_add(parent, name, encoded, inum)
         parent.mtime = self.clock.now()
         self._mark_inode_dirty(parent)
         self._after_create(parent, inode, block_index)
@@ -678,6 +694,7 @@ class BaseFileSystem(StorageManager):
         self._check_writable()
         self.cpu.syscall()
         parent, name = self._resolve_parent(path)
+        encoded = validate_name(name)
         if self._dir_lookup(parent, name) is not None:
             raise FileExistsError_(path)
         self.cpu.create()
@@ -690,13 +707,8 @@ class BaseFileSystem(StorageManager):
             ctime=self.clock.now(),
         )
         self._install_inode(inode)
-        # A directory is born with its first (empty) data block, like
-        # the classic UNIX "." / ".." block: the inode that the create
-        # path persists already points at valid directory data, so a
-        # crash can never leave a directory whose entries are
-        # unreachable through a stale zero-length inode.
-        self._write_dir_block(inode, 0, DirectoryBlock(self.block_size, []))
-        block_index = self._dir_add(parent, name, inum)
+        self._new_dir(inode)
+        block_index = self._dir_add(parent, name, encoded, inum)
         parent.nlink += 1
         parent.mtime = self.clock.now()
         self._mark_inode_dirty(parent)
@@ -715,7 +727,7 @@ class BaseFileSystem(StorageManager):
         inode = self._get_inode(child)
         if not inode.is_dir:
             raise NotADirectoryError_(path)
-        if self._dir_entries(inode):
+        if self._dir(inode).names:
             raise DirectoryNotEmptyError(path)
         self.cpu.remove()
         _child, block_index = self._dir_remove(parent, name)
@@ -727,7 +739,7 @@ class BaseFileSystem(StorageManager):
         inode.nlink = 0
         self._on_inode_freed(inode)
         self._after_remove(parent, inode, block_index)
-        self._drop_dir_caches(inode.inum)
+        self._dirs.pop(inode.inum, None)
         self._drop_inode(inode.inum)
         self._stats.removes += 1
         self._maybe_writeback()
@@ -742,7 +754,10 @@ class BaseFileSystem(StorageManager):
             raise FileNotFoundError_(old_path)
         moving = self._get_inode(child)
         new_parent, new_name = self._resolve_parent(new_path)
+        encoded = validate_name(new_name)
         existing = self._dir_lookup(new_parent, new_name)
+        if existing == child:
+            return  # both paths name the same entry: POSIX says do nothing
         if existing is not None:
             target = self._get_inode(existing)
             if target.is_dir:
@@ -754,7 +769,7 @@ class BaseFileSystem(StorageManager):
             new_parent, new_name = self._resolve_parent(new_path)
         self.cpu.create()
         self._dir_remove(old_parent, old_name)
-        self._dir_add(new_parent, new_name, moving.inum)
+        self._dir_add(new_parent, new_name, encoded, moving.inum)
         if moving.is_dir and old_parent.inum != new_parent.inum:
             old_parent.nlink -= 1
             new_parent.nlink += 1
@@ -771,7 +786,7 @@ class BaseFileSystem(StorageManager):
         inode = self._namei(path)
         if not inode.is_dir:
             raise NotADirectoryError_(path)
-        return sorted(self._dir_entries(inode))
+        return sorted(self._dir(inode).names)
 
     def stat(self, path: str) -> StatResult:
         self._check_mounted()
@@ -888,9 +903,7 @@ class BaseFileSystem(StorageManager):
             for inum, inode in self._inodes.items()
             if inum in self._dirty_inodes or inum == ROOT_INUM
         }
-        self._dcache.clear()
-        self._dir_space.clear()
-        self._dir_blocks.clear()
+        self._dirs.clear()
 
     def unmount(self) -> None:
         if self._unmounted:

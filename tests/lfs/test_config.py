@@ -1,5 +1,8 @@
 """Tests for LFS configuration and layout arithmetic."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import InvalidArgumentError
@@ -86,3 +89,18 @@ class TestLayout:
     def test_data_capacity(self):
         layout = LfsLayout.for_device(LfsConfig(), 64 * MIB)
         assert layout.data_capacity_bytes == layout.num_segments * MIB
+
+    def test_derived_geometry_belongs_to_the_instance(self):
+        # Computed once per frozen instance, so a changed copy must
+        # derive its own and a pickled one (--jobs workers) must agree.
+        config = LfsConfig()
+        layout = LfsLayout.for_device(config, 64 * MIB)
+        assert (config.blocks_per_segment, layout.num_segments) == (256, 63)
+        halved = dataclasses.replace(config, segment_size=512 * KIB)
+        assert halved.blocks_per_segment == 128
+        smaller = dataclasses.replace(layout, config=halved)
+        assert (smaller.seg_start_block, smaller.num_segments) == (128, 127)
+        assert halved == LfsConfig(segment_size=512 * KIB)
+        copied = pickle.loads(pickle.dumps(smaller))
+        assert copied == smaller
+        assert copied.segment_of_block(128 + 128 * 5 + 7) == 5

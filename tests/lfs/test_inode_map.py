@@ -155,6 +155,36 @@ class TestBlocks:
         assert other.get(inum).inode_addr == 42
         assert other.block_addrs[index] == 1000
 
+    def test_blocks_materialise_on_first_touch(self, imap):
+        # Building or attaching a map builds no entries; touching one
+        # inode builds its block alone, and only a block that has a log
+        # address is fetched (and counted).
+        assert imap._blocks == [None] * imap.num_blocks
+        inum = imap.entries_per_block * 2 + 5
+        imap.force_allocate(inum, 1.0)
+        assert [block is not None for block in imap._blocks] == [
+            index == 2 for index in range(imap.num_blocks)
+        ]
+        assert imap.demand_loads == 0
+
+        fetched = []
+        packed = imap.pack_block(2)
+        addrs = [NIL] * imap.num_blocks
+        addrs[2] = 1000
+        other = InodeMap(max_inodes=1024, block_size=BS)
+        other.attach(addrs, lambda addr: fetched.append(addr) or packed)
+        assert other._blocks == [None] * other.num_blocks
+        assert not other.get(3).allocated  # block 0: never written, all free
+        assert (fetched, other.demand_loads) == ([], 0)
+        assert other.get(inum).allocated
+        assert other.get(inum + 1).atime == 0.0
+        assert (fetched, other.demand_loads) == ([1000], 1)
+        assert other.allocated_inums() == [inum]
+        assert len(other._blocks[-1]) == 1024 - (
+            other.num_blocks - 1
+        ) * other.entries_per_block
+        assert other.demand_loads == 1
+
     def test_load_all_wrong_count(self, imap):
         other = InodeMap(max_inodes=1024, block_size=BS)
         with pytest.raises(CorruptionError):

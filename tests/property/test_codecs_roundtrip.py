@@ -169,6 +169,6 @@ class TestDirectoryCodec:
         for name, child in entries.items():
             if block.has_room_for(name):
                 block.add(name, child)
-        assert block.used_bytes() == sum(
+        assert block.used == sum(
             entry_size(name) for name, _ in block.entries
         )

@@ -1,0 +1,63 @@
+"""The cached directory (edited in place) against what the disk holds."""
+
+import random
+
+from repro.common.directory import entry_size
+from repro.ffs.filesystem import FastFileSystem
+from repro.lfs.filesystem import LogStructuredFS
+from tests.conftest import small_ffs_config, small_lfs_config
+
+
+def remount(fs):
+    fs.unmount()
+    if isinstance(fs, LogStructuredFS):
+        return LogStructuredFS.mount(fs.disk, fs.cpu, small_lfs_config())
+    return FastFileSystem.mount(fs.disk, fs.cpu, small_ffs_config())
+
+
+def blocks_of(fs, path):
+    """Per block: the entries in packed order, and the free bytes."""
+    directory = fs._dir(fs._get_inode(fs.stat(path).inum))
+    return [(block.entries, block.free_bytes()) for block in directory.blocks]
+
+
+def test_directory_survives_flush_and_remount(anyfs):
+    rng = random.Random(20)
+    anyfs.mkdir("/big")
+    live = []
+    for round_number in range(150):
+        for _ in range(10):
+            name = f"file-{len(live)}-{round_number}-{rng.randrange(10**6)}"
+            anyfs.create(f"/big/{name}").close()
+            live.append(name)
+        for _ in range(3):
+            anyfs.unlink(f"/big/{live.pop(rng.randrange(len(live)))}")
+
+    edited = blocks_of(anyfs, "/big")
+    assert len(edited) >= 3
+    assert [name for entries, _ in edited for name, _ in entries] != sorted(
+        live
+    ), "the schedule should leave the names out of order"
+    for entries, free in edited:
+        used = sum(entry_size(name) for name, _ in entries)
+        assert used + free == anyfs.block_size
+    assert sorted(name for entries, _ in edited for name, _ in entries) == sorted(
+        live
+    )
+
+    # Decoded afresh from the file cache's blocks, then from the disk.
+    anyfs.flush_caches()
+    assert not anyfs._dirs
+    assert blocks_of(anyfs, "/big") == edited
+    again = remount(anyfs)
+    assert blocks_of(again, "/big") == edited
+    assert again.listdir("/big") == sorted(live)
+
+    # And the remounted directory keeps filling the same gaps.
+    again.create("/big/late").close()
+    first_fit = next(
+        index
+        for index, (_, free) in enumerate(edited)
+        if free >= entry_size("late")
+    )
+    assert blocks_of(again, "/big")[first_fit][0][-1][0] == "late"

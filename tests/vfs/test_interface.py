@@ -6,6 +6,7 @@ The paper keeps file system semantics identical between LFS and FFS
 
 import pytest
 
+from repro.common.directory import MAX_NAME_LEN
 from repro.common.inode import FileType
 from repro.errors import (
     DirectoryNotEmptyError,
@@ -16,6 +17,19 @@ from repro.errors import (
     NotADirectoryError_,
     StaleHandleError,
 )
+from repro.ffs.fsck import fsck
+from repro.lfs.filesystem import LogStructuredFS
+from repro.lfs.verify import verify_lfs
+
+
+def assert_image_clean(fs):
+    """Unmount and run the file system's own offline checker."""
+    fs.unmount()
+    if isinstance(fs, LogStructuredFS):
+        assert verify_lfs(fs.disk.device).errors == []
+    else:
+        report = fsck(fs.disk)
+        assert report.clean and report.repairs() == 0
 
 
 class TestCreateOpenUnlink:
@@ -175,6 +189,42 @@ class TestRename:
         anyfs.mkdir("/d")
         with pytest.raises(FileExistsError_):
             anyfs.rename("/f", "/d")
+
+    def test_onto_itself_is_a_noop(self, anyfs):
+        anyfs.mkdir("/d")
+        anyfs.write_file("/d/f", b"keep me")
+        anyfs.rename("/d/f", "/d/f")
+        anyfs.rename("/d", "/d")
+        assert anyfs.listdir("/") == ["d"]
+        assert anyfs.listdir("/d") == ["f"]
+        assert anyfs.read_file("/d/f") == b"keep me"
+        assert_image_clean(anyfs)
+
+
+class TestNameRefusedBeforeAnyMutation:
+    """A name the directory format cannot hold is refused up front:
+    nothing allocated, nothing removed, the image still checks clean."""
+
+    TOO_LONG = "/" + "x" * (MAX_NAME_LEN + 1)
+
+    def test_rename_keeps_the_source(self, anyfs):
+        anyfs.write_file("/a", b"still here")
+        with pytest.raises(InvalidArgumentError):
+            anyfs.rename("/a", self.TOO_LONG)
+        assert anyfs.listdir("/") == ["a"]
+        assert anyfs.read_file("/a") == b"still here"
+        assert_image_clean(anyfs)
+
+    @pytest.mark.parametrize("op", ["create", "mkdir"])
+    def test_create_and_mkdir_leak_no_inode(self, anyfs, op):
+        anyfs.write_file("/a", b"1")
+        files_before = anyfs.statvfs().used_files
+        with pytest.raises(InvalidArgumentError):
+            getattr(anyfs, op)(self.TOO_LONG)
+        assert anyfs.listdir("/") == ["a"]
+        assert anyfs.statvfs().used_files == files_before
+        assert anyfs.stat("/").nlink == 2
+        assert_image_clean(anyfs)
 
 
 class TestReadWriteSemantics:
