@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint bench-smoke bench bench-diff e2e-smoke trace crashtest chaos service-bench cluster-bench ci
+.PHONY: test lint e2e-smoke trace crashtest chaos service-bench cluster-bench ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -15,37 +15,11 @@ lint:
 		$(PYTHON) -m repro.tools.lint src tests benchmarks; \
 	fi
 
-# Smoke scale: asserts the O(1) probes and that telemetry-on and
-# tracing-on legs reproduce the telemetry-off simulated results.  The
-# 3% gate against the committed BENCH_hotpaths.json needs that file's
-# scale, so only `make bench` exercises it (the smoke run records a
-# scale-mismatch skip note).
-bench-smoke:
-	$(PYTHON) benchmarks/perf_harness.py --smoke --strict \
-		--output /tmp/BENCH_smoke.json
-
-# Full scale: the same checks, plus no workload more than 3% slower
-# than the committed BENCH_hotpaths.json baseline.
-bench:
-	$(PYTHON) benchmarks/perf_harness.py --scale small --strict
-
-# Compare two smoke-scale harness runs with the `repro bench-diff`
-# gate (expects bench-smoke's /tmp/BENCH_smoke.json to exist).  The
-# tolerance is deliberately loose — smoke legs run for milliseconds on
-# shared CI machines, so this step gates schema drift, workload
-# comparability and order-of-magnitude slowdowns; the single-digit 3%
-# gate lives in `make bench` against the committed baseline.
-bench-diff:
-	$(PYTHON) benchmarks/perf_harness.py --smoke \
-		--output /tmp/BENCH_smoke_b.json
-	$(PYTHON) -m repro bench-diff /tmp/BENCH_smoke.json \
-		/tmp/BENCH_smoke_b.json --max-regression 200
-
 # The end-to-end benchmark (BENCHMARK.json) at smoke scale — every
 # workload once, with its output checks — and the benchmark's own
 # self-tests.  Gates that it still runs and still checks, not a speed.
 e2e-smoke:
-	$(PYTHON) benchmarks/e2e/run.py --smoke
+	$(PYTHON) benchmarks/e2e/run.py --smoke --output /tmp/e2e_smoke.json
 	$(PYTHON) -m pytest benchmarks/e2e -q
 
 # Regenerate the committed trace-attribution report: a seeded
@@ -87,9 +61,8 @@ service-bench:
 # seed, so any divergence is a determinism bug, and `repro bench-diff`
 # gates the throughput/p99 numbers point by point on top.  The final
 # step regenerates the cluster section onto a copy of the committed
-# BENCH_service.json and diffs it, exercising the service-report
-# bench-diff dispatch end to end.  Every run exits nonzero if any
-# shard image fails verification.
+# BENCH_service.json and diffs it against the committed file.  Every
+# run exits nonzero if any shard image fails verification.
 cluster-bench:
 	$(PYTHON) -m repro.cluster.bench --smoke \
 		--output /tmp/BENCH_cluster_a.json
@@ -104,4 +77,4 @@ cluster-bench:
 	$(PYTHON) -m repro bench-diff BENCH_service.json \
 		/tmp/BENCH_service_new.json
 
-ci: lint test bench-smoke bench-diff e2e-smoke service-bench cluster-bench crashtest chaos
+ci: lint test e2e-smoke service-bench cluster-bench crashtest chaos

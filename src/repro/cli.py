@@ -24,15 +24,13 @@ Commands::
     chaos --trials N --seed S --clients C     crash-under-load campaign with
                                               durability-contract checking
     serve-sim --clients N --seed S            multi-client service sim
-                                              (--record REQ.JSONL captures
-                                              the request stream)
     cluster-sim --shards S --clients N        sharded scale-out run with
                                               optional live migration
                                               (--migrate SRC:DST@T)
     trace --clients N --seed S                traced service run + latency
                                               attribution (BENCH_trace.json)
-    bench-diff A.json B.json                  compare two perf reports
-                                              (hotpaths or service/cluster)
+    bench-diff A.json B.json                  compare two service/cluster
+                                              sweep reports
 
 ``fig --telemetry out.jsonl`` records the experiment's metrics and
 spans (see :mod:`repro.obs`) and writes them as JSONL for offline
@@ -75,6 +73,11 @@ def _open_image(path: str, telemetry=None, readahead: int = 0):
     behavior is identical to a plain ``SectorDevice``, but the
     ``disk.fault.*`` counter series registers, so telemetry reports
     (``repro stats``) always show the fault channel — normally at zero.
+
+    Every invocation starts a fresh clock at zero, while an LFS mount
+    trusts the checkpoint region with the later *timestamp*: the clock
+    is moved up to the mounted checkpoint's time, so the checkpoint this
+    invocation writes is the newest on the image.
     """
     from repro.faults import FaultInjector, FaultyDevice
     from repro.ffs.config import FfsConfig
@@ -94,6 +97,8 @@ def _open_image(path: str, telemetry=None, readahead: int = 0):
         device=device,
         mount=True,
     )
+    if kind == "lfs":
+        rig.clock.advance_to(rig.fs.checkpoints.last_checkpoint_time)
     return rig.fs, device
 
 
@@ -395,10 +400,8 @@ def cmd_chaos(args) -> int:
 def cmd_serve_sim(args) -> int:
     from repro.obs import Telemetry, export_jsonl
     from repro.service import ServiceConfig, simulate_service
-    from repro.service.recording import RequestRecorder
 
     telemetry = Telemetry() if args.telemetry else None
-    recorder = RequestRecorder() if args.record else None
     config = ServiceConfig(
         num_clients=args.clients,
         seed=args.seed,
@@ -407,8 +410,7 @@ def cmd_serve_sim(args) -> int:
         fill_fraction=args.fill,
     )
     stats, fs = simulate_service(
-        config, total_bytes=args.size, telemetry=telemetry,
-        recorder=recorder,
+        config, total_bytes=args.size, telemetry=telemetry
     )
     fs.unmount()
     print(stats.render(f"serve-sim clients={args.clients} seed={args.seed}"))
@@ -422,9 +424,6 @@ def cmd_serve_sim(args) -> int:
     if args.image:
         fs.disk.device.save(args.image)
         print(f"image -> {args.image}")
-    if recorder is not None:
-        count = recorder.write(args.record)
-        print(f"requests: {count} records -> {args.record}")
     if telemetry is not None:
         lines = export_jsonl(telemetry, args.telemetry)
         print(f"telemetry: {lines} records -> {args.telemetry}")
@@ -514,23 +513,15 @@ def cmd_trace(args) -> int:
 def cmd_bench_diff(args) -> int:
     from repro.tools.bench_report import (
         diff_points,
-        flatten,
-        is_service_report,
         load_report,
         render_diff,
+        service_points,
     )
 
-    old = load_report(args.old)
-    new = load_report(args.new)
-    if is_service_report(old) != is_service_report(new):
-        print(
-            "error: cannot diff a hotpaths report against a service "
-            "report",
-            file=sys.stderr,
-        )
-        return 1
     diff = diff_points(
-        flatten(old), flatten(new), args.max_regression / 100.0
+        service_points(load_report(args.old)),
+        service_points(load_report(args.new)),
+        args.max_regression / 100.0,
     )
     print(render_diff(diff))
     return 1 if diff["regressions"] else 0
@@ -707,12 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="save the post-run device image here",
     )
     p.add_argument(
-        "--record",
-        metavar="OUT.JSONL",
-        help="capture the client request stream (id, op, path, size, "
-        "issue time) as JSONL here",
-    )
-    p.add_argument(
         "--telemetry",
         metavar="OUT.JSONL",
         help="record service metrics/spans; write them as JSONL here",
@@ -806,21 +791,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench-diff",
-        help="compare two perf reports (hotpaths: workload by "
-        "workload; service/cluster: point by point)",
+        help="compare two service/cluster sweep reports point by point",
     )
-    p.add_argument(
-        "old", help="baseline BENCH_hotpaths.json / BENCH_service.json"
-    )
-    p.add_argument(
-        "new", help="candidate BENCH_hotpaths.json / BENCH_service.json"
-    )
+    p.add_argument("old", help="baseline BENCH_service.json")
+    p.add_argument("new", help="candidate BENCH_service.json")
     p.add_argument(
         "--max-regression",
         type=float,
         default=3.0,
         metavar="PCT",
-        help="fail (exit 1) if any workload is more than PCT%% slower "
+        help="fail (exit 1) if any metric is more than PCT%% worse "
         "(default 3)",
     )
     p.set_defaults(func=cmd_bench_diff)

@@ -91,7 +91,7 @@ class SectorDevice:
         self._crashed = False
         self.total_sectors_written = 0
         self.total_sectors_read = 0
-        # Operation-count probes for the perf harness: each undo record
+        # Operation counts (asserted by tests): each undo record
         # is created once and pays one scan step when it is drained, so
         # durability_scan_steps <= undo_records_created proves the
         # mark_durable work is O(1) amortized per write (the old

@@ -1,7 +1,7 @@
 """Deterministic fan-out of independent seeded rigs across processes.
 
 Every heavyweight rig in this repository — a ``repro crashtest`` trial,
-a :mod:`repro.service.bench` sweep point, a perf-harness leg — is an
+a :mod:`repro.service.bench` sweep point, a cluster shard group — is an
 *independent, seeded* simulation: it builds its own clock, device and
 file system, and its result is a pure function of its arguments.  That
 makes them embarrassingly parallel, and :func:`run_tasks` is the one

@@ -23,7 +23,7 @@ three derived indexes, maintained by every mutation:
 * a running ``total_live_bytes`` counter.
 
 ``heap_pushes`` / ``heap_pops`` / ``min_clean_calls`` count the index
-maintenance work so the perf harness can assert the amortized-O(1)
+maintenance work so tests can assert the amortized-O(1)
 invariant (every heap entry is pushed once and popped at most once).
 """
 

@@ -133,7 +133,6 @@ class RequestScheduler:
         clients: Optional[List[ClientStream]] = None,
         ledger=None,
         ready: Optional[Deque[Callable[[], None]]] = None,
-        recorder=None,
     ) -> None:
         """``clients`` resumes existing streams (rng, issued/completed
         counts and working sets intact) against ``fs`` — the chaos
@@ -143,8 +142,7 @@ class RequestScheduler:
         every mutation and every client-visible fsync ack.  ``ready``
         lets several schedulers on one clock share a single event queue
         (a cluster migration group drives a source and a target shard in
-        one loop); ``recorder`` is an optional request-stream recorder
-        (see :class:`repro.service.recording.RequestRecorder`)."""
+        one loop)."""
         self.fs = fs
         self.clock = fs.clock
         self.config = config
@@ -152,7 +150,6 @@ class RequestScheduler:
         self.telemetry = telemetry or NULL_TELEMETRY
         self.tracing = RequestTracer(self.telemetry, fs)
         self.ledger = ledger
-        self.recorder = recorder
         self.admission = AdmissionController(
             fs, config, self.stats, telemetry=self.telemetry
         )
@@ -335,8 +332,6 @@ class RequestScheduler:
         client = self._client(request)
         client.inflight -= 1
         request.ctx.finish(self.clock.now() - request.arrival)
-        if self.recorder is not None:
-            self.recorder.note(request, None, 0)
         if client.issued < self.config.requests_per_client:
             self._post_at(
                 self.clock.now() + client.think(),
@@ -351,13 +346,9 @@ class RequestScheduler:
     def _execute(self, request: Request) -> None:
         client = self._client(request)
         request.ctx.activate()
-        path: Optional[str] = None
-        nbytes = 0
         try:
             if request.kind == "fsync":
                 handle = self.fs.open(client.last_written)
-                if self.recorder is not None:
-                    self.recorder.note(request, handle.path, 0)
                 request.ctx.deactivate()
                 request.ctx.begin_wait("service.commit_wait", "commit_wait")
                 self.committer.request_commit(
@@ -368,14 +359,12 @@ class RequestScheduler:
                 )
                 return  # completes when the commit window closes
             if request.kind == "write":
-                path, nbytes = self._do_write(client)
+                self._do_write(client)
             elif request.kind == "read":
-                path = client.pick_file()
-                with self.fs.open(path) as handle:
-                    nbytes = len(handle.read())
+                with self.fs.open(client.pick_file()) as handle:
+                    handle.read()
             elif request.kind == "open":
-                path = client.pick_file()
-                self.fs.open(path).close()
+                self.fs.open(client.pick_file()).close()
             elif request.kind == "delete":
                 path = client.pick_file()
                 try:
@@ -407,11 +396,9 @@ class RequestScheduler:
             # is detection, not a scheduler failure.  The request is
             # dropped and the damage shows up in the fault counters.
             self.stats.dropped += 1
-        if self.recorder is not None:
-            self.recorder.note(request, path, nbytes)
         self._complete(request)
 
-    def _do_write(self, client: ClientStream) -> Tuple[str, int]:
+    def _do_write(self, client: ClientStream) -> None:
         # Ledger notes are taken in ``finally`` blocks on purpose: the
         # whole mutation enters the cache before any write-back runs, so
         # every exception that can escape these calls (NoSpaceError from
@@ -446,7 +433,6 @@ class RequestScheduler:
                     if self.ledger is not None:
                         self.ledger.note_write(path, offset, data)
         client.last_written = path
-        return path, len(data)
 
     def _finish_fsync(self, request: Request, handle) -> None:
         request.ctx.activate()
@@ -646,13 +632,10 @@ def run_service(
     fs: LogStructuredFS,
     config: ServiceConfig,
     telemetry: Optional[Telemetry] = None,
-    recorder=None,
 ) -> Tuple[ServiceStats, RequestScheduler]:
     """Pre-fill (if configured) and run the full service simulation."""
     prefill(fs, config)
-    scheduler = RequestScheduler(
-        fs, config, telemetry=telemetry, recorder=recorder
-    )
+    scheduler = RequestScheduler(fs, config, telemetry=telemetry)
     stats = scheduler.run()
     return stats, scheduler
 
@@ -662,7 +645,6 @@ def simulate_service(
     total_bytes: int = 64 * MIB,
     lfs_config=None,
     telemetry: Optional[Telemetry] = None,
-    recorder=None,
 ) -> Tuple[ServiceStats, LogStructuredFS]:
     """Build a fresh rig, serve ``config``, checkpoint, and return it.
 
@@ -677,9 +659,7 @@ def simulate_service(
         telemetry=telemetry,
         service=config,
     ).fs
-    stats, _scheduler = run_service(
-        fs, config, telemetry=telemetry, recorder=recorder
-    )
+    stats, _scheduler = run_service(fs, config, telemetry=telemetry)
     fs.checkpoint()
     fs.disk.drain()
     return stats, fs

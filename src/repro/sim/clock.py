@@ -21,8 +21,7 @@ The bucket layout is also what makes dispatch *batched*: the service
 scheduler routinely lands hundreds of events on one instant, and the
 old ``(expiry, seq)`` heap paid an O(log n) sift per event.  Here a
 whole same-timestamp batch costs a single heap pop plus O(1) deque
-pops — ``timer_batches`` / ``timers_fired`` count exactly that for the
-perf harness.
+pops — ``timer_batches`` / ``timers_fired`` count exactly that.
 """
 
 from __future__ import annotations

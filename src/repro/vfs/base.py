@@ -567,7 +567,11 @@ class BaseFileSystem(StorageManager):
             else DirectoryBlock(self.block_size)
         )
         block.add(name, child, encoded)
-        self._write_dir_block(inode, index, block)
+        try:
+            self._write_dir_block(inode, index, block)
+        except Exception:
+            block.remove(name)  # the cached block must agree with ``names``
+            raise
         if index == len(blocks):
             blocks.append(block)
         directory.names[name] = (child, index)
@@ -582,7 +586,11 @@ class BaseFileSystem(StorageManager):
         child, index = entry
         block = directory.blocks[index]
         block.remove(name)
-        self._write_dir_block(inode, index, block)
+        try:
+            self._write_dir_block(inode, index, block)
+        except Exception:
+            block.add(name, child)  # as in _dir_add
+            raise
         del directory.names[name]
         return child, index
 

@@ -4,11 +4,11 @@ Every simulated number in this repository is a pure function of its
 seed, and the determinism tests already prove ``--jobs 1`` equals
 ``--jobs N``.  None of them pins an *absolute* value, so a refactor
 that changed every run the same way would pass them all.  These
-literals were generated at commit ``b32272f`` — the last commit whose
-perf harness still ran each hot-path workload against monkey-patched
-legacy implementations and asserted bit-identical results — and they
-are what lets rig construction, report plumbing and the harness itself
-be restructured with proof that behaviour did not move.
+literals were generated at commit ``b32272f`` — the last commit that
+still ran each hot-path workload against monkey-patched legacy
+implementations and asserted bit-identical results — and they are what
+lets rig construction and report plumbing be restructured with proof
+that behaviour did not move.
 
 A legitimate behaviour change (a new cleaning policy default, a log
 format change) regenerates the affected literal in the same PR and
@@ -25,12 +25,14 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks import perf_harness
 from repro.cluster import ClusterConfig, MigrationSpec, run_cluster
 from repro.faults import run_campaign
 from repro.faults.chaos import run_chaos_campaign
+from repro.obs import Telemetry
 from repro.service import ServiceConfig, simulate_service
 from repro.units import MIB
+
+from . import hotpath_workloads
 
 SERVICE_IMAGE_SHA = (
     "35bbf0e1958b0e5b5a252f78a68f79c9f6074d720720619546795924c925eead"
@@ -84,9 +86,8 @@ fault injection totals:
   media errors 4, transient errors 0, remaps 1
 survival: OK"""
 
-# The perf harness's per-workload fingerprints at --smoke scale (the
-# simulated results each timed leg must reproduce whatever the
-# telemetry mode).
+# What each workload in hotpath_workloads.py must return, whatever the
+# telemetry mode.
 HOTPATH_FINGERPRINTS = {
     "small_file": {
         "create_seconds": 0.6082591230769241,
@@ -232,14 +233,16 @@ def test_crashtest_campaign():
 
 
 def test_hotpath_goldens_cover_every_workload():
-    assert set(HOTPATH_FINGERPRINTS) == set(perf_harness.WORKLOADS)
+    assert set(HOTPATH_FINGERPRINTS) == set(hotpath_workloads.WORKLOADS)
 
 
 @pytest.mark.parametrize("name", sorted(HOTPATH_FINGERPRINTS))
 def test_hotpath_workload_fingerprint(name):
-    workload = perf_harness.WORKLOADS[name]
-    fingerprint = workload(perf_harness.SCALES["smoke"])[3]
-    assert fingerprint == HOTPATH_FINGERPRINTS[name]
+    workload = hotpath_workloads.WORKLOADS[name]
+    # Telemetry off, on, and with a span per disk request: observing a
+    # run must not change it.
+    for telemetry in (None, Telemetry(), Telemetry(trace_io=True)):
+        assert workload(telemetry) == HOTPATH_FINGERPRINTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(E2E_SMOKE))

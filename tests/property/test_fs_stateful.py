@@ -16,12 +16,9 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.disk.geometry import wren_iv
-from repro.disk.sim_disk import SimDisk
 from repro.ffs.filesystem import FastFileSystem
 from repro.lfs.filesystem import LogStructuredFS
-from repro.sim.clock import SimClock
-from repro.sim.cpu import CpuModel
+from repro.rig import new_rig
 from repro.units import KIB, MIB
 from tests.conftest import small_ffs_config, small_lfs_config
 
@@ -32,15 +29,17 @@ _payloads = st.binary(min_size=0, max_size=40 * KIB)
 class _FsMachine(RuleBasedStateMachine):
     """Shared machine body; subclasses pick the file system."""
 
-    make_fs = None  # set by subclasses
-    remake_fs = None
+    kind = None  # "lfs" / "ffs", set by subclasses
 
     @initialize()
     def setup(self):
-        self.clock = SimClock()
-        self.cpu = CpuModel(self.clock)
-        self.disk = SimDisk(wren_iv(48 * MIB), self.clock)
-        self.fs = type(self).make_fs(self)
+        rig = new_rig(
+            self.kind,
+            total_bytes=48 * MIB,
+            lfs_config=small_lfs_config(),
+            ffs_config=small_ffs_config(),
+        )
+        self.fs, self.cpu, self.disk = rig.fs, rig.cpu, rig.disk
         self.model = {}
         self.synced_model = {}
 
@@ -92,7 +91,7 @@ class _FsMachine(RuleBasedStateMachine):
 
     @rule()
     def advance_time(self):
-        self.clock.advance(31.0)  # runs the age-based write-back past due
+        self.fs.clock.advance(31.0)  # runs the age-based write-back past due
 
     # -- invariants -------------------------------------------------
 
@@ -107,8 +106,7 @@ class _FsMachine(RuleBasedStateMachine):
 
 
 class LfsMachine(_FsMachine):
-    def make_fs(self):
-        return LogStructuredFS.mkfs(self.disk, self.cpu, small_lfs_config())
+    kind = "lfs"
 
     @rule()
     def checkpoint(self):
@@ -138,8 +136,7 @@ class LfsMachine(_FsMachine):
 
 
 class FfsMachine(_FsMachine):
-    def make_fs(self):
-        return FastFileSystem.mkfs(self.disk, self.cpu, small_ffs_config())
+    kind = "ffs"
 
     @rule()
     def remount(self):

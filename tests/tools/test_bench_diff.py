@@ -7,28 +7,9 @@ import json
 
 import pytest
 
-from repro.tools.bench_report import (
-    build_report,
-    diff_points,
-    flatten,
-    render_diff,
-    workload_entry,
-    write_report,
-)
+from repro.tools.bench_report import diff_points, render_diff, service_points
 
 from .test_cli import run_cli
-
-
-def hotpaths_report(key: str, walls: dict) -> dict:
-    """A ``BENCH_hotpaths.json``-shaped report: ``key`` is the scale,
-    each point one workload's telemetry-disabled wall seconds."""
-    workloads = {
-        name: {"after": workload_entry(wall, 100, 0.0)}
-        for name, wall in walls.items()
-    }
-    return build_report(
-        scale=key, workloads=workloads, probes={}, checks={}
-    )
 
 
 def service_report(key: int, points: dict) -> dict:
@@ -55,29 +36,12 @@ def service_report(key: int, points: dict) -> dict:
     }
 
 
-# Per family: report builder, two comparability keys, a baseline point
-# set, its first label, and every way that point can get worse by 10%.
+# The one report family left (the fixture keeps its parameter so test
+# ids stay ``[service]``): two seeds, a baseline point set, its first
+# label, and every way that point can get worse by 10%.
 FAMILIES = {
-    "hotpaths": dict(
-        make=hotpaths_report,
-        keys=("small", "smoke"),
-        key_name="scale",
-        base={"cleaning": 1.0, "seq_read": 0.5},
-        label="cleaning",
-        worse={"wall_seconds": {"cleaning": 1.1, "seq_read": 0.5}},
-        slightly_worse={"cleaning": 1.02, "seq_read": 0.5},
-        better={"cleaning": 0.5, "seq_read": 0.5},
-        one_sided=(
-            {"cleaning": 1.0, "gone": 1.0},
-            {"cleaning": 1.0, "fresh": 1.0},
-            ["gone"],
-            ["fresh"],
-        ),
-    ),
     "service": dict(
-        make=service_report,
         keys=(0, 7),
-        key_name="seed",
         base={4: (80.0, 0.10), 128: (600.0, 0.30)},
         label="service c4",
         worse={
@@ -104,8 +68,8 @@ def family(request):
 def diff(family, old_points, new_points, keys=None, **kwargs):
     old_key, new_key = keys or (family["keys"][0],) * 2
     return diff_points(
-        flatten(family["make"](old_key, old_points)),
-        flatten(family["make"](new_key, new_points)),
+        service_points(service_report(old_key, old_points)),
+        service_points(service_report(new_key, new_points)),
         **kwargs,
     )
 
@@ -159,7 +123,7 @@ class TestDiffPoints:
         assert not result["comparable"]
         assert result["points"] == {}
         assert len(result["regressions"]) == 1
-        assert f"{family['key_name']} mismatch" in result["regressions"][0]
+        assert "seed mismatch" in result["regressions"][0]
 
     def test_one_sided_points_are_listed_not_judged(self, family):
         old, new, only_old, only_new = family["one_sided"]
@@ -176,18 +140,13 @@ class TestDiffPoints:
         ok = render_diff(diff(family, family["base"], family["base"]))
         assert "no regressions" in ok
 
-    def test_families_do_not_compare(self):
-        hot = flatten(hotpaths_report("small", {"cleaning": 1.0}))
-        svc = flatten(service_report(0, {4: (80.0, 0.1)}))
-        assert not diff_points(hot, svc)["comparable"]
-
 
 class TestBenchDiffCommand:
     def _write(self, tmp_path, name, family, points, key=None):
-        path = str(tmp_path / name)
+        path = tmp_path / name
         key = family["keys"][0] if key is None else key
-        write_report(path, family["make"](key, points))
-        return path
+        path.write_text(json.dumps(service_report(key, points)))
+        return str(path)
 
     def test_exit_zero_when_within_limit(self, tmp_path, family):
         a = self._write(tmp_path, "a.json", family, family["base"])
@@ -213,14 +172,17 @@ class TestBenchDiffCommand:
         )
         code, out = run_cli(["bench-diff", a, b])
         assert code == 1
-        assert f"{family['key_name']} mismatch" in out
+        assert "seed mismatch" in out
 
-    def test_cross_family_diff_is_refused(self, tmp_path):
-        hot, svc = FAMILIES["hotpaths"], FAMILIES["service"]
-        a = self._write(tmp_path, "a.json", hot, hot["base"])
-        b = self._write(tmp_path, "b.json", svc, svc["base"])
-        code, _out = run_cli(["bench-diff", a, b])
+    def test_cross_family_diff_is_refused(self, tmp_path, capsys):
+        svc = FAMILIES["service"]
+        a = self._write(tmp_path, "a.json", svc, svc["base"])
+        b = tmp_path / "b.json"  # any JSON that is not a service sweep
+        b.write_text(json.dumps({"schema": 1, "scale": "smoke", "workloads": {}}))
+        code, _out = run_cli(["bench-diff", a, str(b)])
         assert code == 1
+        err = capsys.readouterr().err
+        assert "b.json" in err and "not a service_scaling report" in err
 
 
 class TestTraceCommand:

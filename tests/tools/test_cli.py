@@ -199,6 +199,25 @@ class TestErrors:
         code, out = run_cli(["cat", image, "/persist"])
         assert code == 0
 
+    # Each invocation starts its clock at zero, and an LFS mount picks
+    # the checkpoint with the later timestamp: a short second update
+    # used to lose to the longer first one.
+    @pytest.mark.parametrize(
+        "update, listed",
+        [(["mkdir", "/d"], ["a", "d"]), (["rm", "/a"], [])],
+        ids=["mkdir", "rm"],
+    )
+    def test_second_update_is_not_lost(self, image, update, listed):
+        run_cli(["mkfs", image, "--size", "16M"])
+        run_cli(["write", image, "/a"], stdin=b"hi\n")
+        command, path = update
+        assert run_cli([command, image, path])[0] == 0
+        code, out = run_cli(["ls", image, "/"])
+        assert code == 0
+        assert [line.split()[-1] for line in out.splitlines()] == listed
+        code, out = run_cli(["verify", image])
+        assert code == 0 and "clean" in out
+
 
 class TestUnserviceableRigIsRejected:
     """An 11-segment volume cannot hold the cleaner's watermarks; every

@@ -2,7 +2,10 @@
 
 import random
 
+import pytest
+
 from repro.common.directory import entry_size
+from repro.errors import NoSpaceError
 from repro.ffs.filesystem import FastFileSystem
 from repro.lfs.filesystem import LogStructuredFS
 from tests.conftest import small_ffs_config, small_lfs_config
@@ -61,3 +64,42 @@ def test_directory_survives_flush_and_remount(anyfs):
         if free >= entry_size("late")
     )
     assert blocks_of(again, "/big")[first_fit][0][-1][0] == "late"
+
+
+def fail_next_dir_write(fs, monkeypatch):
+    """The next directory block write raises, as an out-of-space FFS or
+    an eviction flush on a full LFS would; later ones go through."""
+    real = fs._write_dir_block
+
+    def failing(*args):
+        monkeypatch.setattr(fs, "_write_dir_block", real)
+        raise NoSpaceError("injected")
+
+    monkeypatch.setattr(fs, "_write_dir_block", failing)
+
+
+def test_failed_add_leaves_the_cached_block_unchanged(anyfs, monkeypatch):
+    anyfs.create("/kept").close()
+    before = blocks_of(anyfs, "/")
+    fail_next_dir_write(anyfs, monkeypatch)
+    with pytest.raises(NoSpaceError):
+        anyfs.create("/new")
+    assert blocks_of(anyfs, "/") == before
+    assert not anyfs.exists("/new")
+    anyfs.create("/new").close()  # used to raise "already in block"
+    assert anyfs.listdir("/") == ["kept", "new"]
+    anyfs.flush_caches()
+    assert anyfs.listdir("/") == ["kept", "new"]
+
+
+def test_failed_remove_leaves_the_cached_block_unchanged(anyfs, monkeypatch):
+    anyfs.create("/kept").close()
+    anyfs.create("/doomed").close()
+    fail_next_dir_write(anyfs, monkeypatch)
+    with pytest.raises(NoSpaceError):
+        anyfs.unlink("/doomed")
+    assert anyfs.exists("/doomed")
+    assert dict(blocks_of(anyfs, "/")[0][0]).keys() == {"kept", "doomed"}
+    anyfs.unlink("/doomed")  # used to raise "no entry named ... in block"
+    anyfs.flush_caches()
+    assert anyfs.listdir("/") == ["kept"]
