@@ -124,17 +124,12 @@ class BlockCache:
             )
         self.capacity_bytes = capacity_bytes
         self.block_size = block_size
-        self._blocks: Dict[BlockKey, CacheBlock] = {}
-        self._by_inum: dict = {}
+        self.clear()
         self._next_stamp = count(1).__next__
-        self._heap: List[Tuple[int, CacheBlock]] = []
         # Operation-count probe: an examined entry is evicted, dropped
         # or (block hit since) pushed back once, so heap_entries_examined
         # <= clean inserts + mark_cleans + hits: O(1) amortized.
         self.heap_entries_examined = 0
-        self._dirty: Dict[BlockKey, CacheBlock] = {}
-        self._dirty_bytes = 0
-        self._dirty_fifo: Deque[Tuple[BlockKey, float]] = deque()
         self.stats = CacheStats()
         obs = telemetry or NULL_TELEMETRY
         self._obs_enabled = obs.enabled
@@ -336,6 +331,15 @@ class BlockCache:
             del self._blocks[key]
             self._forget_key(key)
         return len(victims)
+
+    def clear(self) -> None:
+        """Forget every block, dirty ones too (a crash loses memory)."""
+        self._blocks: Dict[BlockKey, CacheBlock] = {}
+        self._by_inum: dict = {}
+        self._heap: List[Tuple[int, CacheBlock]] = []
+        self._dirty: Dict[BlockKey, CacheBlock] = {}
+        self._dirty_bytes = 0
+        self._dirty_fifo: Deque[Tuple[BlockKey, float]] = deque()
 
     def __len__(self) -> int:
         return len(self._blocks)

@@ -56,7 +56,7 @@ class SectorDevice:
         num_sectors: int,
         sector_size: int = SECTOR_SIZE,
         *,
-        initial_data: Optional[bytearray] = None,
+        initial_data: "bytearray | mmap.mmap | None" = None,
     ) -> None:
         if num_sectors <= 0:
             raise ValueError(f"device needs at least one sector: {num_sectors}")
@@ -70,11 +70,7 @@ class SectorDevice:
                     f"initial image is {len(initial_data)} bytes, device "
                     f"needs {num_sectors * sector_size}"
                 )
-            self._data = (
-                initial_data
-                if isinstance(initial_data, bytearray)
-                else bytearray(initial_data)
-            )
+            self._data = initial_data  # a writable buffer: load()'s mapping
         else:
             # Anonymous pages are zero until first written, so a fresh
             # volume costs memory only for the sectors actually touched
@@ -267,16 +263,24 @@ class SectorDevice:
         return bytes(self._data)  # alloc-ok: snapshot API, copy is the point
 
     def save(self, path: str) -> None:
-        """Persist the device image to a host file."""
-        with open(path, "wb") as handle:
-            handle.write(self._data)
+        """Persist the device image to a host file, atomically: written
+        beside ``path`` and renamed over it, because ``path`` may be the file
+        :meth:`load` mapped and truncating a mapped file is a SIGBUS."""
+        scratch = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(scratch, "wb") as handle:
+                handle.write(self._data)
+            os.replace(scratch, path)
+        finally:
+            if os.path.exists(scratch):  # the save failed part-way
+                os.unlink(scratch)
 
     @classmethod
     def load(cls, path: str, sector_size: int = SECTOR_SIZE) -> "SectorDevice":
         """Recreate a device from a host file written by :meth:`save`.
 
-        The image is read straight into the device's backing buffer, so a
-        large disk image is allocated exactly once.
+        The file is mapped copy-on-write: only the sectors touched are
+        paged in, and writes stay private until the next :meth:`save`.
         """
         size = os.path.getsize(path)
         if not size or size % sector_size:
@@ -284,15 +288,9 @@ class SectorDevice:
                 f"image {path!r} is {size} bytes: not a whole number "
                 f"of {sector_size}-byte sectors"
             )
-        data = bytearray(size)
         with open(path, "rb") as handle:
-            read = handle.readinto(data)
-        if read != size:
-            raise OutOfRangeError(
-                f"image {path!r} truncated while reading: got {read} of "
-                f"{size} bytes"
-            )
-        return cls(size // sector_size, sector_size, initial_data=data)
+            data = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_COPY)
+        return cls(len(data) // sector_size, sector_size, initial_data=data)
 
     def __repr__(self) -> str:
         return (

@@ -426,15 +426,6 @@ class FastFileSystem(BaseFileSystem):
         self._sync_write_inode(inode, label=f"fsync inode {inode.inum}")
 
     # ------------------------------------------------------------------
-    # Crash simulation
-    # ------------------------------------------------------------------
-
-    def crash(self) -> None:
-        """Simulate an OS crash: in-flight disk writes are lost."""
-        self.disk.crash()
-        self._unmounted = True
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 

@@ -769,11 +769,6 @@ class LogStructuredFS(BaseFileSystem):
             self.disk.drain()
         self._unmounted = True
 
-    def crash(self) -> None:
-        """Simulate an OS crash: in-flight disk writes are lost."""
-        self.disk.crash()
-        self._unmounted = True
-
     # ------------------------------------------------------------------
     # Degraded read-only mode
     # ------------------------------------------------------------------

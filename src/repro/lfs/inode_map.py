@@ -77,6 +77,24 @@ class ImapEntry:
         )
 
 
+class _ImapBlock:
+    """One block of the map; it costs what is touched in it.
+
+    Exactly one of ``packed`` (bytes not decoded yet) and ``entries`` is
+    set.  ``image`` is the block as ``pack_block_into`` last produced it
+    and ``modified`` the positions changed since: only the packer writes
+    the image, so shipping it equals a full repack of the entries.
+    """
+
+    __slots__ = ("packed", "entries", "image", "modified")
+
+    def __init__(self, packed: Optional[bytes] = None) -> None:
+        self.packed = packed
+        self.entries: Optional[List[ImapEntry]] = None
+        self.image: Optional[bytearray] = None
+        self.modified: Set[int] = set()
+
+
 class InodeMap:
     """In-memory inode map with per-block dirty tracking."""
 
@@ -91,7 +109,7 @@ class InodeMap:
         # files"): a block's entries exist only once one of them is
         # touched — read from the log if the block has an address, all
         # free if it was never written.  Mounting builds nothing.
-        self._blocks: List[Optional[List[ImapEntry]]] = [None] * self.num_blocks
+        self._blocks: List[Optional[_ImapBlock]] = [None] * self.num_blocks
         self._dirty_blocks: Set[int] = set()
         self.block_addrs: List[int] = [NIL] * self.num_blocks
         """Current log address of each imap block (NIL: never written)."""
@@ -99,6 +117,9 @@ class InodeMap:
         self._fetch: Optional[Callable[[int], bytes]] = None
         self.demand_loads = 0
         """Blocks fetched from the log (fresh all-free blocks not counted)."""
+        self.entries_decoded = 0
+        self.entries_packed = 0
+        """Operation counts (asserted by tests): entries, not map geometry."""
 
     # ------------------------------------------------------------------
     # Entry access
@@ -120,27 +141,14 @@ class InodeMap:
             self.max_inodes - index * self.entries_per_block,
         )
 
-    def _unpack_entries(self, index: int, data: bytes) -> List[ImapEntry]:
-        """The entries of block ``index`` from its packed bytes."""
-        count = self._block_len(index)
-        if len(data) < count * IMAP_ENTRY_SIZE:
+    def _checked(self, index: int, data: bytes) -> bytes:
+        """A private copy of the packed entries of block ``index``."""
+        used = self._block_len(index) * IMAP_ENTRY_SIZE
+        if len(data) < used:
             raise CorruptionError(
-                f"imap block {index} holds {len(data)} bytes, "
-                f"need {count * IMAP_ENTRY_SIZE}"
+                f"imap block {index} holds {len(data)} bytes, need {used}"
             )
-        view = memoryview(data)[: count * IMAP_ENTRY_SIZE]
-        return [
-            ImapEntry(
-                inode_addr=addr,
-                slot=slot,
-                version=version,
-                atime=atime,
-                allocated=allocated != 0,
-            )
-            for addr, slot, allocated, version, atime in _ENTRY_PACK.iter_unpack(
-                view
-            )
-        ]
+        return bytes(data[:used])
 
     def _ensure_loaded(self, index: int) -> List[ImapEntry]:
         """Entries of block ``index``, materialised on first touch."""
@@ -148,24 +156,34 @@ class InodeMap:
         if block is None:
             addr = self.block_addrs[index]
             if addr == NIL:
-                block = [ImapEntry() for _ in range(self._block_len(index))]
+                block = _ImapBlock()
+                block.entries = [ImapEntry() for _ in range(self._block_len(index))]
             elif self._fetch is None:
                 raise CorruptionError(
                     f"imap block {index} not loaded and no fetch callback"
                 )
             else:
-                block = self._unpack_entries(index, self._fetch(addr))
+                block = _ImapBlock(self._checked(index, self._fetch(addr)))
                 self.demand_loads += 1
             self._blocks[index] = block
-        return block
+        if block.entries is None:
+            block.entries = [
+                ImapEntry(addr, slot, version, atime, allocated != 0)
+                for addr, slot, allocated, version, atime in (
+                    _ENTRY_PACK.iter_unpack(block.packed)
+                )
+            ]
+            block.packed = None
+            self.entries_decoded += len(block.entries)
+        return block.entries
 
     def get(self, inum: int) -> ImapEntry:
         self._check_inum(inum)
         per_block = self.entries_per_block
         block = self._blocks[inum // per_block]
-        if block is None:
-            block = self._ensure_loaded(inum // per_block)
-        return block[inum % per_block]
+        if block is None or block.entries is None:
+            return self._ensure_loaded(inum // per_block)[inum % per_block]
+        return block.entries[inum % per_block]
 
     def _all_entries(self) -> Iterator[ImapEntry]:
         """Every entry in inode-number order (loads the whole map)."""
@@ -173,7 +191,10 @@ class InodeMap:
             yield from self._ensure_loaded(index)
 
     def _touch(self, inum: int) -> None:
-        self._dirty_blocks.add(self.block_of(inum))
+        """Every mutator ends here, after ``get`` loaded the block."""
+        index, position = divmod(inum, self.entries_per_block)
+        self._dirty_blocks.add(index)
+        self._blocks[index].modified.add(position)
 
     def set_location(self, inum: int, inode_addr: int, slot: int) -> int:
         """Record a freshly written inode; returns the previous address."""
@@ -287,17 +308,23 @@ class InodeMap:
     def pack_block_into(self, index: int, out) -> None:
         """Serialize block ``index`` into ``out`` (block_size bytes).
 
-        The zero-copy path the segment writer uses: entries land via
-        ``pack_into`` and the tail is explicitly zeroed (``out`` is a
-        reused pooled buffer, so stale bytes must be overwritten).
+        Only positions modified since the previous pack are packed again;
+        the image lands in ``out`` with one slice copy and the tail is
+        zeroed (``out`` is a reused pooled buffer holding stale bytes).
         """
         if not 0 <= index < self.num_blocks:
             raise CorruptionError(f"imap block index {index} out of range")
         entries = self._ensure_loaded(index)
+        block = self._blocks[index]
+        if block.image is None:  # first pack: every position
+            block.image = bytearray(len(entries) * IMAP_ENTRY_SIZE)
+            block.modified.update(range(len(entries)))
+        image = block.image
         pack_into = _ENTRY_PACK.pack_into
-        for position, entry in enumerate(entries):
+        for position in block.modified:
+            entry = entries[position]
             pack_into(
-                out,
+                image,
                 position * IMAP_ENTRY_SIZE,
                 entry.inode_addr,
                 entry.slot,
@@ -305,14 +332,19 @@ class InodeMap:
                 entry.version,
                 entry.atime,
             )
-        used = len(entries) * IMAP_ENTRY_SIZE
+        self.entries_packed += len(block.modified)
+        block.modified.clear()
+        used = len(image)
+        out[:used] = image
         if used < len(out):
             out[used:] = bytes(len(out) - used)  # alloc-ok: tail pad
 
     def load_block(self, index: int, data: bytes) -> None:
+        """Adopt logged bytes for block ``index``, undecoded — and copied:
+        roll-forward's payload aliases device storage the log may reuse."""
         if not 0 <= index < self.num_blocks:
             raise CorruptionError(f"imap block index {index} out of range")
-        self._blocks[index] = self._unpack_entries(index, data)
+        self._blocks[index] = _ImapBlock(self._checked(index, data))
         self._dirty_blocks.discard(index)
 
     def attach(
@@ -341,6 +373,3 @@ class InodeMap:
         self.attach(addrs, read_block)
         for index in range(self.num_blocks):
             self._ensure_loaded(index)
-
-    def find_alloc_hint(self) -> Optional[int]:
-        return self._alloc_hint

@@ -7,7 +7,8 @@ emit metric/span names missing from the registered vocabulary
 (FAULT002), wall-clock calls in the simulated-time service and cluster layers
 (SVC001), buffer copies on the zero-copy data path (ALLOC001), and
 simulated machines assembled by hand instead of through
-:func:`repro.rig.new_rig` (RIG001).
+:func:`repro.rig.new_rig` (RIG001), and the offline verifier reaching
+for the structures it is the oracle for (VER001).
 
 The container this project builds in has no third-party linter, so this
 module is the fallback for ``make lint`` — when ``ruff`` is installed
@@ -479,6 +480,34 @@ def _check_rig_builder(
             )
 
 
+_VERIFIER_SUBJECTS = frozenset(
+    ("InodeMap", "LogStructuredFS", "SegmentManager", "SegmentCleaner", "roll_forward")
+)
+"""What ``repro/lfs/verify.py`` is the oracle for, and so may not be built
+on: ``verify_lfs`` is trusted because it walks the image itself.  Record
+codecs and constants are fair imports."""
+
+
+def _check_verifier_independence(
+    path: str, tree: ast.Module, noqa: Set[int]
+) -> Iterator[Tuple[str, int, str]]:
+    if not path.replace(os.sep, "/").endswith("repro/lfs/verify.py"):
+        return
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [node.attr] if isinstance(node, ast.Attribute) else []
+        for name in names:
+            if name in _VERIFIER_SUBJECTS and node.lineno not in noqa:
+                yield (
+                    path,
+                    node.lineno,
+                    f"VER001 `{name}` used by the verifier; it is the "
+                    "oracle for that code and must walk the image itself",
+                )
+
+
 def lint_file(path: str) -> List[Tuple[str, int, str]]:
     with open(path, encoding="utf-8") as handle:
         source = handle.read()
@@ -498,6 +527,7 @@ def lint_file(path: str) -> List[Tuple[str, int, str]]:
         _check_hot_path_allocs(path, tree, noqa, _alloc_ok_lines(source))
     )
     findings.extend(_check_rig_builder(path, tree, noqa))
+    findings.extend(_check_verifier_independence(path, tree, noqa))
     return findings
 
 

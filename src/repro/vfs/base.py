@@ -217,6 +217,7 @@ class BaseFileSystem(StorageManager):
     def _drop_inode(self, inum: int) -> None:
         self._inodes.pop(inum, None)
         self._dirty_inodes.discard(inum)
+        self._dirs.pop(inum, None)
 
     def dirty_inode_numbers(self) -> List[int]:
         """Dirty inodes in ascending order (stable flush order)."""
@@ -499,6 +500,13 @@ class BaseFileSystem(StorageManager):
         self.cache.discard_file(inode.inum)
         self.readahead.forget(inode.inum)
 
+    def _release_inode(self, inode: Inode) -> None:
+        """Free a file's blocks and its inode number."""
+        self._free_file_storage(inode)
+        inode.ftype = FileType.FREE
+        inode.nlink = 0
+        self._on_inode_freed(inode)
+
     # ------------------------------------------------------------------
     # Directories
     # ------------------------------------------------------------------
@@ -576,6 +584,18 @@ class BaseFileSystem(StorageManager):
             blocks.append(block)
         directory.names[name] = (child, index)
         return index
+
+    def _link_new(self, parent: Inode, name: str, encoded: bytes, inode: Inode) -> int:
+        """Enter a just-allocated inode in ``parent``; if a directory
+        write fails the inode is freed again, not left unreachable."""
+        try:
+            if inode.is_dir:
+                self._new_dir(inode)
+            return self._dir_add(parent, name, encoded, inode.inum)
+        except Exception:
+            self._release_inode(inode)
+            self._drop_inode(inode.inum)
+            raise
 
     def _dir_remove(self, inode: Inode, name: str) -> Tuple[int, int]:
         """Remove an entry; returns (child inum, block index modified)."""
@@ -656,7 +676,7 @@ class BaseFileSystem(StorageManager):
             ctime=self.clock.now(),
         )
         self._install_inode(inode)
-        block_index = self._dir_add(parent, name, encoded, inum)
+        block_index = self._link_new(parent, name, encoded, inode)
         parent.mtime = self.clock.now()
         self._mark_inode_dirty(parent)
         self._after_create(parent, inode, block_index)
@@ -688,10 +708,7 @@ class BaseFileSystem(StorageManager):
         _child, block_index = self._dir_remove(parent, name)
         parent.mtime = self.clock.now()
         self._mark_inode_dirty(parent)
-        self._free_file_storage(inode)
-        inode.ftype = FileType.FREE
-        inode.nlink = 0
-        self._on_inode_freed(inode)
+        self._release_inode(inode)
         self._after_remove(parent, inode, block_index)
         self._drop_inode(inode.inum)
         self._stats.removes += 1
@@ -715,8 +732,7 @@ class BaseFileSystem(StorageManager):
             ctime=self.clock.now(),
         )
         self._install_inode(inode)
-        self._new_dir(inode)
-        block_index = self._dir_add(parent, name, encoded, inum)
+        block_index = self._link_new(parent, name, encoded, inode)
         parent.nlink += 1
         parent.mtime = self.clock.now()
         self._mark_inode_dirty(parent)
@@ -742,12 +758,8 @@ class BaseFileSystem(StorageManager):
         parent.nlink -= 1
         parent.mtime = self.clock.now()
         self._mark_inode_dirty(parent)
-        self._free_file_storage(inode)
-        inode.ftype = FileType.FREE
-        inode.nlink = 0
-        self._on_inode_freed(inode)
+        self._release_inode(inode)
         self._after_remove(parent, inode, block_index)
-        self._dirs.pop(inode.inum, None)
         self._drop_inode(inode.inum)
         self._stats.removes += 1
         self._maybe_writeback()
@@ -918,6 +930,14 @@ class BaseFileSystem(StorageManager):
             return
         self.sync()
         self._unmounted = True
+
+    def crash(self) -> None:
+        """Simulate an OS crash: in-flight disk writes and memory are lost."""
+        self.disk.crash()
+        self._unmounted = True
+        # A dead file system is one big reference cycle; give its cache
+        # back now so that peak memory is not a matter of collector timing.
+        self.cache.clear()
 
     # ------------------------------------------------------------------
     # Introspection

@@ -166,3 +166,77 @@ class TestLazilyZeroedImage:
             ).stdout
         )
         assert grown_kib < 32 * 1024
+
+
+class TestLoadedImage:
+    """``load`` maps the file copy-on-write; ``save`` replaces the file."""
+
+    def test_save_over_the_loaded_path_round_trips(self, tmp_path):
+        path = str(tmp_path / "disk.img")
+        fresh = SectorDevice(num_sectors=64)
+        fresh.write(3, b"a" * 512)
+        fresh.save(path)
+
+        device = SectorDevice.load(path)
+        device.write(5, b"b" * 1024)
+        device.save(path)  # the file the image is mapped from
+        assert device.read(5, 2) == b"b" * 1024  # the mapping survived
+
+        again = SectorDevice.load(path)
+        assert again.read(3, 1) == b"a" * 512
+        assert again.read(5, 2) == b"b" * 1024
+        assert again.snapshot() == device.snapshot()
+        assert os.listdir(tmp_path) == ["disk.img"]  # no scratch file left
+
+    def test_source_file_is_untouched_until_save(self, tmp_path):
+        path, other = str(tmp_path / "disk.img"), str(tmp_path / "other.img")
+        SectorDevice(num_sectors=16).save(path)
+        original = open(path, "rb").read()
+
+        device = SectorDevice.load(path)
+        device.write(0, b"w" * 512)
+        device.write(1, b"p" * 512, completion_time=9.0)
+        device.crash(now=1.0)  # rollback writes into the mapping too
+        assert open(path, "rb").read() == original
+        device.save(other)
+        assert open(path, "rb").read() == original
+        assert open(other, "rb").read() == b"w" * 512 + bytes(15 * 512)
+
+    def test_failed_save_leaves_the_old_image(self, tmp_path):
+        path = str(tmp_path / "disk.img")
+        SectorDevice(num_sectors=16).save(path)
+        device = SectorDevice.load(path)
+        device.write(0, b"n" * 512)
+        os.mkdir(str(tmp_path / "dir.img"))
+        with pytest.raises(OSError):
+            device.save(str(tmp_path / "dir.img"))  # cannot replace a directory
+        assert sorted(os.listdir(tmp_path)) == ["dir.img", "disk.img"]
+        assert not any(open(path, "rb").read())
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+    def test_untouched_sectors_of_a_loaded_image_cost_no_memory(self, tmp_path):
+        path = str(tmp_path / "sparse.img")
+        with open(path, "wb") as handle:
+            handle.truncate(512 << 20)
+            handle.seek(1000 * 512)
+            handle.write(b"x" * 512)
+        probe = (
+            "import resource, sys\n"
+            "from repro.disk.device import SectorDevice\n"
+            "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak()\n"
+            "device = SectorDevice.load(sys.argv[1])\n"
+            "assert device.num_sectors == (512 << 20) // 512\n"
+            "assert device.read(1000, 1) == b'x' * 512\n"
+            "device.write(2000, b'y' * 512)\n"
+            "assert not any(device.read(device.num_sectors - 8, 8))\n"
+            "print(peak() - before)\n"
+        )
+        grown_kib = int(
+            subprocess.run(
+                [sys.executable, "-c", probe, path],
+                check=True, capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            ).stdout
+        )
+        assert grown_kib < 32 * 1024

@@ -180,10 +180,13 @@ class TestBlocks:
         assert other.get(inum + 1).atime == 0.0
         assert (fetched, other.demand_loads) == ([1000], 1)
         assert other.allocated_inums() == [inum]
-        assert len(other._blocks[-1]) == 1024 - (
+        assert len(other._blocks[-1].entries) == 1024 - (
             other.num_blocks - 1
         ) * other.entries_per_block
         assert other.demand_loads == 1
+        # Only the fetched block was decoded; never-written ones are
+        # built free, not decoded.
+        assert other.entries_decoded == other.entries_per_block
 
     def test_load_all_wrong_count(self, imap):
         other = InodeMap(max_inodes=1024, block_size=BS)

@@ -2,10 +2,13 @@
 
 The amortized-O(1) claims of the clean-segment heap and of the device's
 durability tracking, asserted on a whole file system rather than on the
-structures alone (``test_segment_usage_indexes.py`` fuzzes those)."""
+structures alone (``test_segment_usage_indexes.py`` fuzzes those) — and,
+below, the inode map's: work in proportion to the entries touched."""
 
 from repro.lfs.config import LfsConfig
-from repro.lfs.filesystem import make_lfs
+from repro.lfs.filesystem import LogStructuredFS, make_lfs
+from repro.lfs.inode_map import ImapEntry
+from repro.lfs.verify import verify_lfs
 from repro.units import KIB, MIB
 from repro.workloads.cleaning import run_cleaning_rate_test
 
@@ -39,3 +42,96 @@ def test_cleaning_pass_operation_counts():
     wamp = fs.wamp_report()
     assert wamp["cleaner_bytes"] > 0
     assert wamp["write_amplification"] > 1
+
+
+# ----------------------------------------------------------------------
+# The inode map costs what is touched in it: mount, flush and verify
+# ----------------------------------------------------------------------
+
+
+def _crashed_round(files=300):
+    """A volume whose log tail holds ``files`` creates, every fourth
+    fsynced — each fsync logs the dirty inode-map blocks again."""
+    fs = make_lfs(total_bytes=64 * MIB)
+    fs.mkdir("/r")
+    fs.checkpoint()
+    for index in range(files):
+        handle = fs.create(f"/r/f{index}")
+        handle.write(bytes([index % 251]) * 3000)
+        if index % 4 == 3:
+            handle.fsync()
+        handle.close()
+    fs.sync()
+    fs.crash()
+    fs.disk.revive()
+    return fs
+
+
+def _blocks_decoded(imap):
+    return sum(
+        block is not None and block.entries is not None
+        for block in imap._blocks
+    )
+
+
+def test_roll_forward_decodes_only_the_imap_blocks_touched_afterwards():
+    crashed = _crashed_round()
+    fs = LogStructuredFS.mount(crashed.disk, crashed.cpu)
+    imap, applied = fs.imap, fs.last_recovery.imap_blocks_applied
+    per_block = imap.entries_per_block
+    # Replay handed over every logged imap block (each fsync wrote the
+    # dirty ones again) but only the last version of a block is ever
+    # decoded, and only once something asks for an entry in it.
+    assert applied >= 75
+    assert imap.entries_decoded <= per_block * _blocks_decoded(imap)
+    # Two blocks hold the 302 inodes; mount's closing checkpoint packed them.
+    assert _blocks_decoded(imap) == 2
+    for index in range(300):
+        assert len(fs.read_file(f"/r/f{index}")) == 3000
+    touched = _blocks_decoded(imap)
+    assert imap.entries_decoded <= per_block * touched == per_block * 2
+    assert imap.entries_decoded < per_block * applied  # what it used to cost
+    assert imap.demand_loads == 0  # replay supplied every block: no disk read
+
+
+def test_flush_packs_the_entries_modified_since_the_previous_flush():
+    fs = make_lfs(total_bytes=64 * MIB)
+    imap = fs.imap
+    # A block's first pack is a full one: mkfs flushed block 0.
+    assert imap.entries_packed == imap.entries_per_block
+    for batch in (1, 5, 20):
+        before = imap.entries_packed
+        for index in range(batch):
+            fs.write_file(f"/b{batch}-{index}", b"x" * 3000)
+        fs.sync()
+        # The new files and the root directory's inode; not 170 a flush.
+        assert 0 < imap.entries_packed - before <= batch + 1
+    before = imap.entries_packed
+    fs.imap.mark_block_dirty(0)  # what the cleaner does to relocate a block
+    fs.sync()
+    assert imap.entries_packed == before  # the image is shipped as it is
+    # The first touch of a second block costs that one block in full.
+    far = imap.entries_per_block + 3
+    imap.force_allocate(far, 0.0)
+    imap.free(far)
+    fs.sync()
+    assert imap.entries_packed - before == imap.entries_per_block
+
+
+def test_verify_builds_nothing_for_free_inodes(monkeypatch):
+    fs = make_lfs(total_bytes=64 * MIB)
+    assert fs.config.max_inodes == 32768
+    for index in range(10):
+        fs.write_file(f"/f{index}", b"v" * 5000)
+    fs.unmount()
+    built = []
+    init = ImapEntry.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ImapEntry, "__init__", counting)
+    report = verify_lfs(fs.disk.device)
+    assert report.consistent and report.inodes_checked == 11
+    assert len(built) < 100  # it used to be one per inode: 32,768

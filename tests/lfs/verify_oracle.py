@@ -1,34 +1,15 @@
-"""Offline consistency checking for LFS images.
+"""The LFS verifier as it walked an image before it streamed the inode map.
 
-The paper's pitch is that LFS never *needs* an fsck — recovery is the
-checkpoint plus roll-forward.  A verifier is still invaluable for
-development and testing: it independently walks the on-disk structures
-(checkpoint → inode map → inodes → indirect blocks → data) and checks
-the invariants the implementation is supposed to maintain:
-
-* every allocated inode's recorded location holds that inode;
-* every block pointer lands inside the segmented log and no two files
-  (or two positions in one file) claim the same disk block;
-* directory entries reference allocated inodes, and every allocated
-  non-root inode is referenced by exactly ``nlink`` entries (directories
-  by their single entry, with child directories adding to the parent's
-  count);
-* file sizes are consistent with their block maps;
-* the segment usage array never *under*-estimates live bytes (an
-  overestimate is allowed — the paper calls the array a hint — but an
-  underestimate could make the cleaner destroy live data).
-
-The verifier is read-only and works on a crashed-and-revived device as
-long as a valid checkpoint exists (run it after mount+roll-forward for
-the post-recovery state).
+Kept verbatim as the oracle for ``tests/lfs/test_verify_oracle.py``: it
+decodes every inode-map entry (free ones too) into an ``ImapEntry``,
+reads an inode's block once per inode and labels every claimed block.
+``repro.lfs.verify`` must report exactly what this reports, field for
+field and error for error, in the same order.
 """
 
 from __future__ import annotations
 
-import struct
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.common.directory import DirectoryBlock
 from repro.common.inode import (
@@ -44,33 +25,10 @@ from repro.errors import CorruptionError, MediaError, TransientIOError
 from repro.lfs.checkpoint import CheckpointData
 from repro.lfs.config import CHECKPOINT_REGION_BLOCKS, LfsConfig, LfsLayout
 from repro.lfs.filesystem import SuperBlock
+from repro.lfs.inode_map import IMAP_ENTRY_SIZE, ImapEntry
 from repro.lfs.segment_usage import SegmentUsage
+from repro.lfs.verify import VerifyReport
 from repro.vfs.base import ROOT_INUM
-
-# The verifier's own reading of an imap entry (u64 inode_addr, u8 slot,
-# u8 allocated, u32 version, f64 atime, 2 pad bytes): it is the oracle
-# for ``InodeMap`` and does not decode through it.
-_IMAP_ENTRY = struct.Struct("<QBBId2x")
-
-
-@dataclass
-class VerifyReport:
-    """Outcome of an offline LFS verification."""
-
-    inodes_checked: int = 0
-    blocks_checked: int = 0
-    directories_checked: int = 0
-    live_bytes_found: int = 0
-    media_errors: int = 0
-    """Reads that failed hard; each also appends to ``errors``."""
-    errors: List[str] = field(default_factory=list)
-
-    @property
-    def consistent(self) -> bool:
-        return not self.errors
-
-    def error(self, message: str) -> None:
-        self.errors.append(message)
 
 
 class _Verifier:
@@ -84,9 +42,7 @@ class _Verifier:
         )
         self.layout = LfsLayout.for_device(self.config, device.total_bytes)
         self.report = VerifyReport()
-        # addr -> (inum, what); a data block's ``what`` is its bare lbn,
-        # spelled out (``_label``) only if a finding names it.
-        self.block_owner: Dict[int, Tuple[int, str | int]] = {}
+        self.block_owner: Dict[int, Tuple[int, str]] = {}
         self.live_per_segment: Dict[int, int] = {}
 
     def _read_block(self, addr: int) -> bytes:
@@ -109,7 +65,7 @@ class _Verifier:
         self.report.error(f"{what}: {exc}")
 
     def _claim(
-        self, addr: int, inum: int, what: str | int, live_bytes: int | None = None
+        self, addr: int, inum: int, what: str, live_bytes: int | None = None
     ) -> bool:
         """Register a live block; reports range and sharing violations.
 
@@ -121,14 +77,14 @@ class _Verifier:
             seg = self.layout.segment_of_block(addr)
         except Exception:
             self.report.error(
-                f"{_label(what)} of inode {inum}: address {addr} outside the log"
+                f"{what} of inode {inum}: address {addr} outside the log"
             )
             return False
         if addr in self.block_owner:
             other_inum, other_what = self.block_owner[addr]
             self.report.error(
-                f"block {addr} claimed by both {_label(what)} of inode "
-                f"{inum} and {_label(other_what)} of inode {other_inum}"
+                f"block {addr} claimed by both {what} of inode {inum} "
+                f"and {other_what} of inode {other_inum}"
             )
             return False
         self.block_owner[addr] = (inum, what)
@@ -160,9 +116,9 @@ class _Verifier:
             raise CorruptionError("no valid checkpoint region")
         return max(candidates, key=lambda data: data.timestamp)
 
-    def load_imap(self, checkpoint: CheckpointData) -> Iterator[Tuple[int, int, int]]:
-        """(inum, inode_addr, slot) of each allocated entry, ascending."""
-        per_block = self.config.block_size // _IMAP_ENTRY.size
+    def load_imap(self, checkpoint: CheckpointData) -> List[ImapEntry]:
+        entries = [ImapEntry() for _ in range(self.config.max_inodes)]
+        per_block = self.config.block_size // IMAP_ENTRY_SIZE
         for index, addr in enumerate(checkpoint.imap_addrs):
             if addr == NIL:
                 continue
@@ -172,40 +128,37 @@ class _Verifier:
                 self._media_error(f"imap block {index}", exc)
                 continue
             first = index * per_block
-            count = max(0, min(per_block, self.config.max_inodes - first))
-            for inum, entry in enumerate(
-                _IMAP_ENTRY.iter_unpack(raw[: count * _IMAP_ENTRY.size]), first
+            for position in range(
+                min(per_block, self.config.max_inodes - first)
             ):
-                if entry[2]:
-                    yield inum, entry[0], entry[1]
+                offset = position * IMAP_ENTRY_SIZE
+                entries[first + position] = ImapEntry.unpack(
+                    raw[offset : offset + IMAP_ENTRY_SIZE]
+                )
+        return entries
 
     # -- inodes and block maps ----------------------------------------
 
-    def load_inode(
-        self, inum: int, inode_addr: int, slot: int, blocks: Dict[int, bytes]
-    ) -> Inode | None:
-        """``blocks`` keeps each inode block read for the inodes sharing it."""
-        if inode_addr == NIL:
+    def load_inode(self, inum: int, entry: ImapEntry) -> Inode | None:
+        if entry.inode_addr == NIL:
             self.report.error(f"allocated inode {inum} has no disk address")
             return None
-        raw = blocks.get(inode_addr)
-        if raw is None:
-            try:
-                raw = blocks[inode_addr] = self._read_block(inode_addr)
-            except MediaError as exc:
-                self._media_error(f"inode {inum}", exc)
-                return None
+        try:
+            raw = self._read_block(entry.inode_addr)
+        except MediaError as exc:
+            self._media_error(f"inode {inum}", exc)
+            return None
         try:
             inode = Inode.unpack(
-                raw[slot * INODE_SIZE : (slot + 1) * INODE_SIZE]
+                raw[entry.slot * INODE_SIZE : (entry.slot + 1) * INODE_SIZE]
             )
         except CorruptionError as exc:
             self.report.error(f"inode {inum} unreadable: {exc}")
             return None
         if inode.inum != inum:
             self.report.error(
-                f"imap says inode {inum} is at block {inode_addr} "
-                f"slot {slot}, found inode {inode.inum}"
+                f"imap says inode {inum} is at block {entry.inode_addr} "
+                f"slot {entry.slot}, found inode {inode.inum}"
             )
             return None
         if not inode.is_allocated:
@@ -261,7 +214,7 @@ class _Verifier:
                     f"inode {inode.inum}: block {lbn} mapped beyond size "
                     f"{inode.size}"
                 )
-            self._claim(addr, inode.inum, lbn)
+            self._claim(addr, inode.inum, f"data lbn {lbn}")
         return blocks
 
     # -- the walk -----------------------------------------------------
@@ -272,7 +225,7 @@ class _Verifier:
         except CorruptionError as exc:
             self.report.error(str(exc))
             return self.report
-        imap = list(self.load_imap(checkpoint))
+        imap = self.load_imap(checkpoint)
         for index, addr in enumerate(checkpoint.imap_addrs):
             if addr != NIL:
                 self._claim(addr, 0, f"imap block {index}")
@@ -282,20 +235,22 @@ class _Verifier:
 
         inodes: Dict[int, Inode] = {}
         inode_blocks: Set[int] = set()
-        raw_blocks: Dict[int, bytes] = {}
-        for inum, inode_addr, slot in imap:
+        for inum, entry in enumerate(imap):
+            if not entry.allocated:
+                continue
             self.report.inodes_checked += 1
-            inode = self.load_inode(inum, inode_addr, slot, raw_blocks)
+            inode = self.load_inode(inum, entry)
             if inode is None:
                 continue
             inodes[inum] = inode
-            if inode_addr not in inode_blocks:
-                inode_blocks.add(inode_addr)
+            if entry.inode_addr not in inode_blocks:
+                inode_blocks.add(entry.inode_addr)
                 self._claim(
-                    inode_addr, inum, "inode block", live_bytes=INODE_SIZE
+                    entry.inode_addr, inum, "inode block",
+                    live_bytes=INODE_SIZE,
                 )
             else:
-                self._note_extra_live(inode_addr, INODE_SIZE)
+                self._note_extra_live(entry.inode_addr, INODE_SIZE)
 
         if ROOT_INUM not in inodes:
             self.report.error("root inode missing or unreadable")
@@ -307,10 +262,10 @@ class _Verifier:
 
         # Directory walk: connectivity and link counts.
         links: Dict[int, int] = {ROOT_INUM: 2}
-        queue = deque([ROOT_INUM])
+        queue = [ROOT_INUM]
         visited: Set[int] = set()
         while queue:
-            dir_inum = queue.popleft()
+            dir_inum = queue.pop(0)
             if dir_inum in visited:
                 continue
             visited.add(dir_inum)
@@ -379,11 +334,7 @@ class _Verifier:
         return self.report
 
 
-def _label(what: str | int) -> str:
-    return f"data lbn {what}" if isinstance(what, int) else what
-
-
-def verify_lfs(device: SectorDevice) -> VerifyReport:
+def verify_lfs_oracle(device: SectorDevice) -> VerifyReport:
     """Check every LFS on-disk invariant; read-only.
 
     Never raises on damaged media or a damaged image: unreadable or

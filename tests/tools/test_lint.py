@@ -331,3 +331,39 @@ class TestRigBuilder:
         for relpath in ("src/repro/rig.py", "src/repro/disk/ext.py"):
             path = write_module(tmp_path, relpath, self.SOURCE)
             assert not any("RIG001" in m for _, _, m in lint_file(path))
+
+
+class TestVerifierIndependence:
+    def ver001(self, tmp_path, relpath, source):
+        path = write_module(tmp_path, relpath, source)
+        return [(n, m) for _, n, m in lint_file(path) if "VER001" in m]
+
+    def test_flags_the_structures_the_verifier_checks(self, tmp_path):
+        source = (
+            "import repro.lfs.cleaner as cleaner\n"
+            "from repro.lfs.inode_map import IMAP_ENTRY_SIZE, InodeMap\n"
+            "from repro.lfs.recovery import roll_forward\n"
+            "def walk(device):\n"
+            "    return InodeMap(8, IMAP_ENTRY_SIZE), cleaner.SegmentCleaner\n"
+        )
+        findings = self.ver001(tmp_path, "src/repro/lfs/verify.py", source)
+        assert [n for n, _ in findings] == [2, 3, 5]
+        assert "`InodeMap`" in findings[0][1] and "oracle" in findings[0][1]
+
+    def test_codecs_constants_and_other_modules_are_free(self, tmp_path):
+        allowed = (
+            "from repro.lfs.filesystem import SuperBlock\n"
+            "from repro.lfs.inode_map import IMAP_ENTRY_SIZE\n"
+            "from repro.lfs.segment_usage import SegmentUsage\n"
+        )
+        assert not self.ver001(tmp_path, "src/repro/lfs/verify.py", allowed)
+        banned = "from repro.lfs.filesystem import LogStructuredFS  # noqa\n"
+        assert not self.ver001(tmp_path, "src/repro/lfs/verify.py", banned)
+        banned = "from repro.lfs.filesystem import LogStructuredFS\n"
+        assert not self.ver001(tmp_path, "src/repro/lfs/cleaner.py", banned)
+        assert self.ver001(tmp_path, "src/repro/lfs/verify.py", banned)
+
+    def test_the_shipped_verifier_is_clean(self):
+        import repro.lfs.verify as verify
+
+        assert not any("VER001" in m for _, _, m in lint_file(verify.__file__))

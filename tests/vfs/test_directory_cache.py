@@ -7,7 +7,9 @@ import pytest
 from repro.common.directory import entry_size
 from repro.errors import NoSpaceError
 from repro.ffs.filesystem import FastFileSystem
+from repro.ffs.fsck import fsck
 from repro.lfs.filesystem import LogStructuredFS
+from repro.lfs.verify import verify_lfs
 from tests.conftest import small_ffs_config, small_lfs_config
 
 
@@ -103,3 +105,35 @@ def test_failed_remove_leaves_the_cached_block_unchanged(anyfs, monkeypatch):
     anyfs.unlink("/doomed")  # used to raise "no entry named ... in block"
     anyfs.flush_caches()
     assert anyfs.listdir("/") == ["kept"]
+
+
+def assert_image_clean(fs):
+    fs.unmount()
+    if isinstance(fs, LogStructuredFS):
+        assert verify_lfs(fs.disk.device).errors == []
+    else:
+        report = fsck(fs.disk, small_ffs_config())
+        assert report.clean and report.repairs() == 0
+
+
+@pytest.mark.parametrize("call", ["create", "mkdir"])
+def test_failed_create_frees_the_inode_it_allocated(anyfs, monkeypatch, call):
+    def make(path):
+        if call == "create":
+            anyfs.create(path).close()
+        else:
+            anyfs.mkdir(path)
+
+    anyfs.mkdir("/d")
+    anyfs.create("/d/kept").close()
+    allocated = anyfs.statvfs().used_files
+    fail_next_dir_write(anyfs, monkeypatch)
+    with pytest.raises(NoSpaceError):
+        make("/d/x")
+    assert not anyfs.exists("/d/x")
+    assert anyfs.statvfs().used_files == allocated
+    make("/d/x")
+    assert anyfs.statvfs().used_files == allocated + 1
+    assert anyfs.listdir("/d") == ["kept", "x"]
+    # Used to report "inode N allocated but unreachable" / an orphan.
+    assert_image_clean(anyfs)
