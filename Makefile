@@ -32,9 +32,17 @@ trace:
 
 # Fixed seed, small trial count: CI asserts zero unhandled exceptions
 # (the command exits nonzero if any trial escapes with an untyped
-# error), not any particular corruption mix.
+# error), not any particular corruption mix.  The jobs=2 rerun must
+# render and export telemetry byte-identically to the serial one.
 crashtest:
-	$(PYTHON) -m repro crashtest --trials 10 --seed 0
+	$(PYTHON) -m repro crashtest --trials 10 --seed 0 --verbose \
+		--telemetry /tmp/crashtest.jsonl > /tmp/crashtest_j1.txt
+	mv /tmp/crashtest.jsonl /tmp/crashtest_j1.jsonl
+	$(PYTHON) -m repro crashtest --trials 10 --seed 0 --verbose --jobs 2 \
+		--telemetry /tmp/crashtest.jsonl > /tmp/crashtest_j2.txt
+	diff /tmp/crashtest_j1.txt /tmp/crashtest_j2.txt
+	diff /tmp/crashtest_j1.jsonl /tmp/crashtest.jsonl
+	@cat /tmp/crashtest_j1.txt
 
 # Crash-under-load campaign: boot the full service rig on a faulty
 # device, crash it at adversarial instants, remount, and check the

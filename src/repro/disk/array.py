@@ -7,12 +7,13 @@ improved".  That asymmetry is exactly what LFS exploits — segment-sized
 writes stripe across every spindle, while the FFS baseline's small
 synchronous writes still pay a full seek on one spindle per operation.
 
-:class:`StripedDisk` duck-types :class:`~repro.disk.sim_disk.SimDisk`:
-one flat sector address space backed by a single crash-aware device,
-with addresses interleaved across ``num_disks`` member spindles in
-``stripe_sectors`` units.  Each member has its own head position and
-busy timeline; a request is split into per-member runs that proceed in
-parallel, and completes when the slowest member finishes.
+:class:`StripedDisk` is a :class:`~repro.disk.sim_disk.SimDisk` — same
+requests, statistics, telemetry, retry and stall accounting — whose busy
+timeline is ``num_disks`` member timelines: one flat sector address space
+backed by a single crash-aware device, with addresses interleaved across
+the member spindles in ``stripe_sectors`` units.  Each member has its own
+head position and busy timeline; a request is split into per-member runs
+that proceed in parallel, and completes when the slowest member finishes.
 """
 
 from __future__ import annotations
@@ -21,15 +22,18 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.disk.device import SectorDevice
 from repro.disk.geometry import DiskGeometry
-from repro.disk.stats import DiskStats
-from repro.disk.trace import AccessTier, TraceEvent, TraceRecorder
+from repro.disk.sim_disk import SimDisk
+from repro.disk.trace import AccessTier, TraceRecorder
 from repro.errors import InvalidArgumentError, OutOfRangeError
+from repro.obs import Telemetry
 from repro.sim.clock import SimClock
 from repro.units import KIB
 
+_SEVERITY = list(AccessTier)  # sequential < near < far
 
-class StripedDisk:
-    """RAID-0 array of identical spindles; SimDisk-compatible."""
+
+class StripedDisk(SimDisk):
+    """RAID-0 array of identical spindles."""
 
     def __init__(
         self,
@@ -38,6 +42,7 @@ class StripedDisk:
         num_disks: int,
         stripe_bytes: int = 64 * KIB,
         trace: Optional[TraceRecorder] = None,
+        telemetry: Optional[Telemetry] = None,
     ) -> None:
         if num_disks < 1:
             raise InvalidArgumentError(f"need at least one disk: {num_disks}")
@@ -45,27 +50,24 @@ class StripedDisk:
             raise InvalidArgumentError(
                 "stripe size must be a whole number of sectors"
             )
-        self.geometry = geometry
-        """Per-member geometry; total capacity is num_disks x this."""
-        self.clock = clock
+        # ``geometry`` describes one member; capacity is num_disks x that.
+        super().__init__(
+            geometry,
+            clock,
+            device=SectorDevice(
+                geometry.num_sectors * num_disks, geometry.sector_size
+            ),
+            trace=trace,
+            telemetry=telemetry,
+        )
         self.num_disks = num_disks
         self.stripe_sectors = stripe_bytes // geometry.sector_size
-        self.device = SectorDevice(
-            geometry.num_sectors * num_disks, geometry.sector_size
-        )
-        self.trace = trace
-        self.stats = DiskStats()
-        self._head_pos = [0] * num_disks
-        self._busy_until = [0.0] * num_disks
-        self.vectored_reads = 0
+        self._member_head = [0] * num_disks
+        self._member_busy = [0.0] * num_disks
 
     @property
     def total_bytes(self) -> int:
         return self.device.total_bytes
-
-    # ------------------------------------------------------------------
-    # Address mapping
-    # ------------------------------------------------------------------
 
     def _split(self, sector: int, count: int) -> Dict[int, List[Tuple[int, int]]]:
         """Split a flat request into per-member (sector, count) runs."""
@@ -97,135 +99,38 @@ class StripedDisk:
             remaining -= take
         return runs
 
-    def _member_service(self, member: int, sector: int, nbytes: int) -> Tuple[float, AccessTier]:
-        distance = abs(sector - self._head_pos[member])
-        if distance == 0:
-            tier = AccessTier.SEQUENTIAL
-            positioning = self.geometry.request_gap
-        elif distance <= self.geometry.near_distance:
-            tier = AccessTier.NEAR
-            positioning = self.geometry.track_seek + self.geometry.rotation / 2
-        else:
-            tier = AccessTier.FAR
-            positioning = self.geometry.avg_seek + self.geometry.rotation / 2
-        return positioning + self.geometry.transfer_time(nbytes), tier
-
-    def _schedule(self, sector: int, count: int) -> Tuple[float, float, AccessTier]:
+    def _schedule(self, sector: int, nbytes: int) -> Tuple[float, float, AccessTier]:
         """Place a request on the member timelines; (start, done, tier).
 
-        The reported tier is the worst tier any member saw (it decides
-        the request's character for the trace/stats).
+        It starts when the first member turns to it and is done when the
+        last one finishes; the reported tier is the worst any member saw
+        (it decides the request's character for the trace/stats).
         """
-        start = self.clock.now()
-        done = start
+        sector_size = self.geometry.sector_size
+        now = self.clock.now()
+        starts: List[float] = []
+        dones: List[float] = []
         worst = AccessTier.SEQUENTIAL
-        order = [AccessTier.SEQUENTIAL, AccessTier.NEAR, AccessTier.FAR]
-        for member, runs in self._split(sector, count).items():
-            member_start = max(start, self._busy_until[member])
-            member_done = member_start
+        for member, runs in self._split(sector, -(-nbytes // sector_size)).items():
+            busy = max(now, self._member_busy[member])
+            starts.append(busy)
             for run_sector, run_count in runs:
-                duration, tier = self._member_service(
-                    member, run_sector, run_count * self.geometry.sector_size
+                duration, tier = self.service_time(
+                    run_sector, run_count * sector_size, self._member_head[member]
                 )
-                member_done += duration
-                self._head_pos[member] = run_sector + run_count
-                if order.index(tier) > order.index(worst):
-                    worst = tier
-            self._busy_until[member] = member_done
-            done = max(done, member_done)
-        return start, done, worst
-
-    # ------------------------------------------------------------------
-    # I/O (SimDisk-compatible surface)
-    # ------------------------------------------------------------------
-
-    def read(
-        self,
-        sector: int,
-        count: int,
-        label: str = "",
-        *,
-        vectored: bool = False,
-        copy: bool = False,
-    ) -> "bytes | memoryview":
-        issue = self.clock.now()
-        start, done, tier = self._schedule(sector, count)
-        if vectored:
-            self.vectored_reads += 1
-        data = self.device.read(sector, count, copy=copy)
-        self.stats.record(False, len(data), True, tier.value, done - start)
-        if self.trace is not None:
-            self.trace.record(
-                TraceEvent(
-                    issue_time=issue,
-                    complete_time=done,
-                    is_write=False,
-                    sector=sector,
-                    nsectors=count,
-                    nbytes=len(data),
-                    sync=True,
-                    tier=tier,
-                    label=label,
-                )
-            )
-        self.clock.advance_to(done)
-        self.device.mark_durable(self.clock.now())
-        return data
-
-    def write(
-        self, sector: int, data: bytes, sync: bool = False, label: str = ""
-    ) -> float:
-        if not data:
-            raise OutOfRangeError("cannot write zero bytes")
-        issue = self.clock.now()
-        count = len(data) // self.geometry.sector_size
-        start, done, tier = self._schedule(sector, count)
-        # Synchronous requests advance the clock past ``done`` before
-        # returning, so the device can skip their undo records.
-        self.device.write(sector, data, completion_time=done, durable=sync)
-        self.stats.record(True, len(data), sync, tier.value, done - start)
-        if self.trace is not None:
-            self.trace.record(
-                TraceEvent(
-                    issue_time=issue,
-                    complete_time=done,
-                    is_write=True,
-                    sector=sector,
-                    nsectors=count,
-                    nbytes=len(data),
-                    sync=sync,
-                    tier=tier,
-                    label=label,
-                )
-            )
-        if sync:
-            self.clock.advance_to(done)
-        self.device.mark_durable(self.clock.now())
-        return done
-
-    def drain(self) -> None:
-        self.clock.advance_to(max(self._busy_until))
-        self.device.mark_durable(self.clock.now())
-
-    @property
-    def busy_until(self) -> float:
-        return max(self._busy_until)
-
-    @property
-    def idle(self) -> bool:
-        return self.busy_until <= self.clock.now()
-
-    def queue_delay(self) -> float:
-        return max(0.0, self.busy_until - self.clock.now())
+                busy += duration
+                self._member_head[member] = run_sector + run_count
+                worst = max(worst, tier, key=_SEVERITY.index)
+            self._member_busy[member] = busy
+            dones.append(busy)
+        done = max(dones)
+        self._busy_until = max(self._busy_until, done)
+        return min(starts), done, worst
 
     def crash(self) -> None:
-        self.device.crash(self.clock.now())
-        now = self.clock.now()
-        self._busy_until = [now] * self.num_disks
-        self._head_pos = [0] * self.num_disks
-
-    def revive(self) -> None:
-        self.device.revive()
+        super().crash()
+        self._member_busy = [self.clock.now()] * self.num_disks
+        self._member_head = [0] * self.num_disks
 
     def __repr__(self) -> str:
         return (

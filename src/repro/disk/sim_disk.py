@@ -111,22 +111,22 @@ class SimDisk:
     # Timing model
     # ------------------------------------------------------------------
 
-    def _classify(self, sector: int) -> AccessTier:
-        distance = abs(sector - self._head_pos)
-        if distance == 0:
-            return AccessTier.SEQUENTIAL
-        if distance <= self.geometry.near_distance:
-            return AccessTier.NEAR
-        return AccessTier.FAR
+    def service_time(
+        self, sector: int, nbytes: int, head: Optional[int] = None
+    ) -> Tuple[float, AccessTier]:
+        """Service time of a request with the head at ``head``.
 
-    def service_time(self, sector: int, nbytes: int) -> Tuple[float, AccessTier]:
-        """Service time of a request at the current head position."""
-        tier = self._classify(sector)
-        if tier is AccessTier.SEQUENTIAL:
+        ``head`` defaults to this disk's current head position.
+        """
+        distance = abs(sector - (self._head_pos if head is None else head))
+        if distance == 0:
+            tier = AccessTier.SEQUENTIAL
             positioning = self.geometry.request_gap
-        elif tier is AccessTier.NEAR:
+        elif distance <= self.geometry.near_distance:
+            tier = AccessTier.NEAR
             positioning = self.geometry.track_seek + self.geometry.rotation / 2.0
         else:
+            tier = AccessTier.FAR
             positioning = self.geometry.avg_seek + self.geometry.rotation / 2.0
         return positioning + self.geometry.transfer_time(nbytes), tier
 

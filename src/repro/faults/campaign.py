@@ -272,29 +272,6 @@ def _execute_trial(
     result.outcome = "detected" if result.signals else "clean"
 
 
-def _trial_worker(
-    trial: int, seed: int, device_bytes: int, with_telemetry: bool
-):
-    """Run one trial in a worker process.
-
-    Each worker records into its own fresh :class:`Telemetry` (live
-    instrument objects cannot be shared across processes) and ships the
-    exported counter samples home for an order-independent merge.
-    """
-    from repro.harness.parallel import export_telemetry_totals
-
-    telemetry = Telemetry() if with_telemetry else None
-    result = run_trial(
-        trial, seed, telemetry=telemetry, device_bytes=device_bytes
-    )
-    samples = (
-        export_telemetry_totals(telemetry)
-        if telemetry is not None
-        else None
-    )
-    return result, samples
-
-
 def run_campaign(
     trials: int = 50,
     seed: int = 0,
@@ -306,13 +283,13 @@ def run_campaign(
     """Run ``trials`` independent seeded trials and aggregate the report.
 
     ``jobs > 1`` farms the trials across worker processes via
-    :func:`repro.harness.parallel.run_tasks`.  Trial *i* of seed *s* is
+    :func:`repro.harness.parallel.run_trials`.  Trial *i* of seed *s* is
     deterministic and self-contained, and aggregation (totals, log
-    lines, telemetry merge) always happens in trial order, so the
-    report — and the rendered output — is byte-identical for any
-    ``jobs`` value.
+    lines, per-trial telemetry merge) always happens in trial order, so
+    the report, the rendered output and the exported telemetry are
+    byte-identical for any ``jobs`` value.
     """
-    from repro.harness.parallel import merge_metric_samples, run_tasks
+    from repro.harness.parallel import run_trials
     from repro.service.config import validate_rig
 
     # Fail fast (with every violation listed) before forking workers:
@@ -320,27 +297,15 @@ def run_campaign(
     # mid-campaign crashes.
     validate_rig(None, _trial_config(), device_bytes=device_bytes)
     report = CampaignReport(seed=seed)
-    if jobs > 1:
-        outcomes = run_tasks(
-            _trial_worker,
-            [
-                (trial, seed, device_bytes, telemetry is not None)
-                for trial in range(trials)
-            ],
-            jobs=jobs,
-        )
-        results = []
-        for result, samples in outcomes:
-            results.append(result)
-            if telemetry is not None and samples is not None:
-                merge_metric_samples(telemetry, samples)
-    else:
-        results = [
-            run_trial(
-                trial, seed, telemetry=telemetry, device_bytes=device_bytes
-            )
+    results = run_trials(
+        run_trial,
+        [
+            dict(trial=trial, seed=seed, device_bytes=device_bytes)
             for trial in range(trials)
-        ]
+        ],
+        telemetry=telemetry,
+        jobs=jobs,
+    )
     for trial, result in enumerate(results):
         report.trials.append(result)
         report.torn_writes += result.faults.get("torn_writes", 0)

@@ -737,32 +737,6 @@ def _execute_chaos_trial(
 # ----------------------------------------------------------------------
 
 
-def _chaos_trial_worker(
-    trial: int,
-    seed: int,
-    clients: int,
-    requests_per_client: int,
-    device_bytes: int,
-    with_telemetry: bool,
-):
-    """Run one trial in a worker process (see campaign._trial_worker)."""
-    from repro.harness.parallel import export_telemetry_totals
-
-    telemetry = Telemetry() if with_telemetry else None
-    result = run_chaos_trial(
-        trial,
-        seed,
-        clients=clients,
-        requests_per_client=requests_per_client,
-        telemetry=telemetry,
-        device_bytes=device_bytes,
-    )
-    samples = (
-        export_telemetry_totals(telemetry) if telemetry is not None else None
-    )
-    return result, samples
-
-
 def run_chaos_campaign(
     trials: int = 12,
     seed: int = 0,
@@ -780,35 +754,24 @@ def run_chaos_campaign(
     happens in trial order, so the report is byte-identical for any
     ``jobs`` value.
     """
-    from repro.harness.parallel import merge_metric_samples, run_tasks
+    from repro.harness.parallel import run_trials
 
     report = ChaosReport(seed=seed, clients=clients)
-    # Every trial — even under ``jobs=1`` — runs against its own fresh
-    # Telemetry and is folded in afterwards, so the caller's telemetry
-    # always sees the same sequence of per-trial merges in trial order.
-    # Running serial trials inline against the shared object instead
-    # would accumulate span seconds in a different float-addition order
-    # than the merged path and break ``--jobs`` byte-identity.
-    outcomes = run_tasks(
-        _chaos_trial_worker,
+    results = run_trials(
+        run_chaos_trial,
         [
-            (
-                trial,
-                seed,
-                clients,
-                requests_per_client,
-                device_bytes,
-                telemetry is not None,
+            dict(
+                trial=trial,
+                seed=seed,
+                clients=clients,
+                requests_per_client=requests_per_client,
+                device_bytes=device_bytes,
             )
             for trial in range(trials)
         ],
+        telemetry=telemetry,
         jobs=jobs,
     )
-    results = []
-    for result, samples in outcomes:
-        results.append(result)
-        if telemetry is not None and samples is not None:
-            merge_metric_samples(telemetry, samples)
     for trial, result in enumerate(results):
         report.trials.append(result)
         report.torn_writes += result.faults.get("torn_writes", 0)

@@ -13,7 +13,8 @@ Behavioural contrast with LFS, straight from §3.1:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
+from dataclasses import astuple, dataclass
 from typing import List, Optional, Tuple
 
 from repro.cache.writeback import WritebackReason
@@ -25,7 +26,7 @@ from repro.common.inode import (
     INODE_SIZE,
     NIL,
 )
-from repro.common.serialization import Packer, Unpacker, checksum
+from repro.common.serialization import U32, checksum
 from repro.disk.sim_disk import SimDisk
 from repro.errors import CorruptionError
 from repro.ffs.allocator import Allocator, CylinderGroup
@@ -33,6 +34,11 @@ from repro.ffs.config import FFS_MAGIC, FfsConfig, FfsLayout
 from repro.sim.cpu import CpuModel
 from repro.units import MIB
 from repro.vfs.base import BaseFileSystem, ROOT_INUM
+
+
+_SUPERBLOCK = struct.Struct("<IIIIIIQ")
+"""magic, CRC of the fields after it, then :class:`FfsSuperBlock`'s fields."""
+_SUPERBLOCK_BODY = slice(8, _SUPERBLOCK.size)
 
 
 @dataclass(frozen=True)
@@ -46,49 +52,21 @@ class FfsSuperBlock:
     total_blocks: int
 
     def pack(self) -> bytes:
-        body = (
-            Packer()
-            .u32(self.block_size)
-            .u32(self.cg_bytes)
-            .u32(self.inodes_per_cg)
-            .u32(self.maxbpg)
-            .u64(self.total_blocks)
-            .bytes()
-        )
-        header = Packer().u32(FFS_MAGIC).u32(checksum(body))
-        data = header.bytes() + body
-        return data + b"\x00" * (self.block_size - len(data))
+        data = bytearray(self.block_size)
+        _SUPERBLOCK.pack_into(data, 0, FFS_MAGIC, 0, *astuple(self))
+        U32.pack_into(data, 4, checksum(data[_SUPERBLOCK_BODY]))
+        return bytes(data)
 
     @classmethod
     def unpack(cls, data: bytes) -> "FfsSuperBlock":
-        unpacker = Unpacker(data)
-        magic = unpacker.u32()
+        if len(data) < _SUPERBLOCK.size:
+            raise CorruptionError(f"truncated superblock: {len(data)} bytes")
+        magic, crc, *fields = _SUPERBLOCK.unpack_from(data)
         if magic != FFS_MAGIC:
             raise CorruptionError(f"not an FFS superblock (magic 0x{magic:08x})")
-        crc = unpacker.u32()
-        block_size = unpacker.u32()
-        cg_bytes = unpacker.u32()
-        inodes_per_cg = unpacker.u32()
-        maxbpg = unpacker.u32()
-        total_blocks = unpacker.u64()
-        body = (
-            Packer()
-            .u32(block_size)
-            .u32(cg_bytes)
-            .u32(inodes_per_cg)
-            .u32(maxbpg)
-            .u64(total_blocks)
-            .bytes()
-        )
-        if checksum(body) != crc:
+        if checksum(data[_SUPERBLOCK_BODY]) != crc:
             raise CorruptionError("FFS superblock checksum mismatch")
-        return cls(
-            block_size=block_size,
-            cg_bytes=cg_bytes,
-            inodes_per_cg=inodes_per_cg,
-            maxbpg=maxbpg,
-            total_blocks=total_blocks,
-        )
+        return cls(*fields)
 
 
 class FastFileSystem(BaseFileSystem):
@@ -339,15 +317,7 @@ class FastFileSystem(BaseFileSystem):
             self.layout.cg_of_inum(inode.inum), 0
         )
         addr = self.allocator.alloc_data_block(preferred, None)
-        if key.kind is BlockKind.DINDIRECT:
-            inode.dindirect = addr
-        elif key.index == 0:
-            inode.indirect = addr
-        else:
-            root_key = BlockKey(inode.inum, BlockKind.DINDIRECT, 0)
-            root = self._load_pointers(root_key, inode.dindirect)
-            root[key.index - 1] = addr
-            self.cache.mark_dirty(root_key, self.clock.now())
+        self._set_pointer_block_addr(inode, key, addr)
         self._mark_inode_dirty(inode)
         return addr
 

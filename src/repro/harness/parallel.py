@@ -25,9 +25,12 @@ import multiprocessing
 import os
 from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
+from repro.obs import Telemetry
+
 __all__ = [
     "available_jobs",
     "run_tasks",
+    "run_trials",
     "merge_metric_samples",
     "export_telemetry_totals",
     "GAUGE_MERGE_MAX",
@@ -90,6 +93,45 @@ def run_tasks(
         return [worker(*task) for task in tasks]
     with _context().Pool(processes=jobs) as pool:
         return pool.starmap(worker, tasks, chunksize=1)
+
+
+def run_trials(
+    trial: Callable[..., Any],
+    tasks: Sequence[Dict[str, Any]],
+    telemetry=None,
+    jobs: int = 1,
+) -> List[Any]:
+    """Run ``trial(**task, telemetry=...)`` per task; results in task order.
+
+    Every trial — even under ``jobs=1`` — records into its own fresh
+    :class:`Telemetry` (``None`` when the caller passes none) and its
+    totals are folded into the caller's afterwards, so ``telemetry``
+    always sees the same per-trial merges in task order.  Running serial
+    trials inline against the shared object instead would add span
+    seconds in a different float order, overwrite gauges instead of
+    summing them and keep span events, breaking ``--jobs`` byte-identity.
+    """
+    outcomes = run_tasks(
+        _isolated_trial,
+        [(trial, task, telemetry is not None) for task in tasks],
+        jobs=jobs,
+    )
+    results = []
+    for result, totals in outcomes:
+        results.append(result)
+        if totals is not None:
+            merge_metric_samples(telemetry, totals)
+    return results
+
+
+def _isolated_trial(
+    trial: Callable[..., Any], task: Dict[str, Any], with_telemetry: bool
+):
+    telemetry = Telemetry() if with_telemetry else None
+    result = trial(**task, telemetry=telemetry)
+    return result, (
+        export_telemetry_totals(telemetry) if with_telemetry else None
+    )
 
 
 def export_telemetry_totals(telemetry) -> Dict[str, Any]:

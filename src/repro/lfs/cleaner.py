@@ -77,6 +77,17 @@ class CleanerStats:
 class SegmentCleaner:
     """Reads fragmented segments and relocates their live blocks."""
 
+    # By name: looked up per call, so a method replaced on the class or
+    # the instance (the e2e tracer, a crash plan) is the one that runs.
+    _RELOCATORS = {
+        BlockKind.DATA: "_relocate_data",
+        BlockKind.INDIRECT: "_relocate_pointer",
+        BlockKind.DINDIRECT: "_relocate_pointer",
+        BlockKind.INODE: "_relocate_inodes",
+        BlockKind.IMAP: "_relocate_imap",
+        BlockKind.SEGUSAGE: "_relocate_usage",
+    }
+
     def __init__(
         self,
         fs: "LogStructuredFS",
@@ -203,7 +214,7 @@ class SegmentCleaner:
         cleaned = 0
         usage = self.fs.usage
         start = self.fs.clock.now()
-        stall_before = getattr(self.fs.disk, "sync_stall_seconds", 0.0)
+        stall_before = self.fs.disk.sync_stall_seconds
         stagnant_passes = 0
         while usage.clean_count() < target:
             clean_before = usage.clean_count()
@@ -294,7 +305,7 @@ class SegmentCleaner:
                 stagnant_passes = 0
         self.stats.busy_seconds += self.fs.clock.now() - start
         self.stats.disk_stall_seconds += (
-            getattr(self.fs.disk, "sync_stall_seconds", 0.0) - stall_before
+            self.fs.disk.sync_stall_seconds - stall_before
         )
         self.clean_reserve()  # refresh the cleaner.clean_reserve gauge
         return cleaned
@@ -378,15 +389,7 @@ class SegmentCleaner:
         self, entry: SummaryEntry, addr: int, payload: bytes
     ) -> bool:
         """Re-dirty ``entry``'s block in cache if it is live."""
-        handler = {
-            BlockKind.DATA: self._relocate_data,
-            BlockKind.INDIRECT: self._relocate_pointer,
-            BlockKind.DINDIRECT: self._relocate_pointer,
-            BlockKind.INODE: self._relocate_inodes,
-            BlockKind.IMAP: self._relocate_imap,
-            BlockKind.SEGUSAGE: self._relocate_usage,
-        }[entry.kind]
-        return handler(entry, addr, payload)
+        return getattr(self, self._RELOCATORS[entry.kind])(entry, addr, payload)
 
     def _file_is_current(self, entry: SummaryEntry) -> bool:
         """Step 1 of §4.3.3: the summary-entry version check."""

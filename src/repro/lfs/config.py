@@ -159,10 +159,6 @@ class LfsLayout:
         return cls(config=config, total_blocks=device_bytes // config.block_size)
 
     @property
-    def superblock_addr(self) -> int:
-        return 0
-
-    @property
     def checkpoint_addrs(self) -> tuple:
         return (1, 1 + CHECKPOINT_REGION_BLOCKS)
 

@@ -11,7 +11,9 @@ synchronous write in the system is the periodic checkpoint region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
+from dataclasses import astuple, dataclass, replace
+from functools import partial
 from typing import Any, Dict, List, Optional, Set
 
 from repro.cache.writeback import WritebackReason
@@ -24,7 +26,7 @@ from repro.common.inode import (
     N_DIRECT,
     NIL,
 )
-from repro.common.serialization import Packer, Unpacker, checksum
+from repro.common.serialization import U32, checksum
 from repro.disk.sim_disk import SimDisk
 from repro.errors import (
     CorruptionError,
@@ -37,13 +39,18 @@ from repro.lfs.cleaner import CleanerPolicy, SegmentCleaner
 from repro.lfs.config import LFS_MAGIC, LfsConfig, LfsLayout
 from repro.lfs.inode_map import InodeMap
 from repro.lfs.recovery import RollForwardReport, roll_forward
-from repro.lfs.segments import LogPosition, PlannedBlock, SegmentManager
+from repro.lfs.segments import PlannedBlock, SegmentManager
 from repro.lfs.segment_usage import SegmentState, SegmentUsage
 from repro.lfs.summary import SummaryEntry
 from repro.obs import Telemetry
 from repro.sim.cpu import CpuModel
 from repro.units import MIB
 from repro.vfs.base import BaseFileSystem, ROOT_INUM
+
+
+_SUPERBLOCK = struct.Struct("<IIIIIQ")
+"""magic, CRC of the fields after it, then :class:`SuperBlock`'s fields."""
+_SUPERBLOCK_BODY = slice(8, _SUPERBLOCK.size)
 
 
 @dataclass(frozen=True)
@@ -56,45 +63,21 @@ class SuperBlock:
     total_blocks: int
 
     def pack(self) -> bytes:
-        body = (
-            Packer()
-            .u32(self.block_size)
-            .u32(self.segment_size)
-            .u32(self.max_inodes)
-            .u64(self.total_blocks)
-            .bytes()
-        )
-        header = Packer().u32(LFS_MAGIC).u32(checksum(body))
-        data = header.bytes() + body
-        return data + b"\x00" * (self.block_size - len(data))
+        data = bytearray(self.block_size)
+        _SUPERBLOCK.pack_into(data, 0, LFS_MAGIC, 0, *astuple(self))
+        U32.pack_into(data, 4, checksum(data[_SUPERBLOCK_BODY]))
+        return bytes(data)
 
     @classmethod
     def unpack(cls, data: bytes) -> "SuperBlock":
-        unpacker = Unpacker(data)
-        magic = unpacker.u32()
+        if len(data) < _SUPERBLOCK.size:
+            raise CorruptionError(f"truncated superblock: {len(data)} bytes")
+        magic, crc, *fields = _SUPERBLOCK.unpack_from(data)
         if magic != LFS_MAGIC:
             raise CorruptionError(f"not an LFS superblock (magic 0x{magic:08x})")
-        crc = unpacker.u32()
-        block_size = unpacker.u32()
-        segment_size = unpacker.u32()
-        max_inodes = unpacker.u32()
-        total_blocks = unpacker.u64()
-        body = (
-            Packer()
-            .u32(block_size)
-            .u32(segment_size)
-            .u32(max_inodes)
-            .u64(total_blocks)
-            .bytes()
-        )
-        if checksum(body) != crc:
+        if checksum(data[_SUPERBLOCK_BODY]) != crc:
             raise CorruptionError("superblock checksum mismatch")
-        return cls(
-            block_size=block_size,
-            segment_size=segment_size,
-            max_inodes=max_inodes,
-            total_blocks=total_blocks,
-        )
+        return cls(*fields)
 
 
 class LogStructuredFS(BaseFileSystem):
@@ -214,23 +197,11 @@ class LogStructuredFS(BaseFileSystem):
         """
         raw = disk.read(0, 8, label="superblock")
         superblock = SuperBlock.unpack(raw)
-        base = config or LfsConfig()
-        merged = LfsConfig(
+        merged = replace(
+            config or LfsConfig(),
             block_size=superblock.block_size,
             segment_size=superblock.segment_size,
             max_inodes=superblock.max_inodes,
-            cache_bytes=base.cache_bytes,
-            checkpoint_interval=base.checkpoint_interval,
-            clean_low_water=base.clean_low_water,
-            clean_high_water=base.clean_high_water,
-            cleaner_reserve_segments=base.cleaner_reserve_segments,
-            max_live_fraction_to_clean=base.max_live_fraction_to_clean,
-            cleaner_policy=base.cleaner_policy,
-            roll_forward=base.roll_forward,
-            writeback=base.writeback,
-            readahead_blocks=base.readahead_blocks,
-            retry=base.retry,
-            quarantine_budget=base.quarantine_budget,
         )
         fs = cls(disk, cpu, merged, telemetry=telemetry)
         checkpoint, _region = fs.checkpoints.load_latest()
@@ -456,154 +427,77 @@ class LogStructuredFS(BaseFileSystem):
         cache = self.cache
         clock = self.clock
 
-        data_blocks = sorted(
-            (
-                block
-                for block in cache.dirty_blocks()
-                if block.key.kind is BlockKind.DATA
-            ),
-            key=lambda block: (block.key.inum, block.key.index),
-        )
+        def moved(old: int, new: int, nbytes: int = bs) -> None:
+            """``nbytes`` at ``old`` die; they live at ``new`` from now on."""
+            if old != NIL:
+                usage.note_dead(seg_of(old), nbytes)
+            usage.note_write(seg_of(new), nbytes, clock.now())
+
+        # A dirty data block past the direct pointers drags its leaf into
+        # the plan, and a leaf past the first drags the root.
+        data_blocks: Dict[BlockKey, Any] = {}
         leaf_keys: Set[BlockKey] = set()
         root_keys: Set[BlockKey] = set()
         for block in cache.dirty_blocks():
-            if block.key.kind is BlockKind.INDIRECT:
-                leaf_keys.add(block.key)
-            elif block.key.kind is BlockKind.DINDIRECT:
-                root_keys.add(block.key)
-        for block in data_blocks:
-            lbn = block.key.index
-            if lbn >= N_DIRECT:
-                ordinal = self.block_map.single_indirect_ordinal(lbn)
-                leaf_keys.add(
-                    BlockKey(block.key.inum, BlockKind.INDIRECT, ordinal)
-                )
+            key = block.key
+            if key.kind is BlockKind.DATA:
+                data_blocks[key] = block
+                if key.index >= N_DIRECT:
+                    ordinal = self.block_map.single_indirect_ordinal(key.index)
+                    leaf_keys.add(
+                        BlockKey(key.inum, BlockKind.INDIRECT, ordinal)
+                    )
+            elif key.kind is BlockKind.INDIRECT:
+                leaf_keys.add(key)
+            elif key.kind is BlockKind.DINDIRECT:
+                root_keys.add(key)
         for key in leaf_keys:
             if key.index >= 1:
                 root_keys.add(BlockKey(key.inum, BlockKind.DINDIRECT, 0))
 
-        def plan_data(block) -> None:
-            key = block.key
+        def plan_file_block(key: BlockKey, block=None) -> None:
+            """A dirty cache block of a file, data or pointer.
+
+            A data block is held by object: its own ``finalize`` marks
+            it clean, and a later one in the same partial segment
+            (loading a pointer block) may evict it before it is
+            serialized.  A pointer block may not exist until a data
+            finalizer creates it, so it is looked up when written.
+            """
             inode = self._get_inode(key.inum)
             version = self.imap.get(key.inum).version
 
             def finalize(addr: int) -> None:
-                old = self.block_map.set(inode, key.index, addr)
-                if old != NIL:
-                    usage.note_dead(seg_of(old), bs)
-                usage.note_write(seg_of(addr), bs, clock.now())
-                cache.mark_clean(key)
-                self._mark_inode_dirty(inode)
-
-            plan.append(
-                PlannedBlock(
-                    entry=SummaryEntry(
-                        kind=BlockKind.DATA,
-                        inum=key.inum,
-                        index=key.index,
-                        version=version,
-                    ),
-                    payload=lambda block=block: block.as_bytes(bs),
-                    finalize=finalize,
-                    write_into=lambda out, block=block: block.write_into(
-                        out, bs
-                    ),
-                )
-            )
-
-        for block in data_blocks:
-            plan_data(block)
-
-        def plan_leaf(key: BlockKey) -> None:
-            inode = self._get_inode(key.inum)
-            version = self.imap.get(key.inum).version
-
-            def finalize(addr: int) -> None:
-                if key.index == 0:
-                    old = inode.indirect
-                    inode.indirect = addr
+                if key.kind is BlockKind.DATA:
+                    old = self.block_map.set(inode, key.index, addr)
                 else:
-                    root_key = BlockKey(key.inum, BlockKind.DINDIRECT, 0)
-                    root = self._load_pointers(root_key, inode.dindirect)
-                    old = root[key.index - 1]
-                    root[key.index - 1] = addr
-                    cache.mark_dirty(root_key, clock.now())
-                if old != NIL:
-                    usage.note_dead(seg_of(old), bs)
-                usage.note_write(seg_of(addr), bs, clock.now())
+                    old = self._set_pointer_block_addr(inode, key, addr)
+                moved(old, addr)
                 cache.mark_clean(key)
                 self._mark_inode_dirty(inode)
 
-            def payload(key=key, inode=inode) -> bytes:
-                current = cache.peek(key)
-                if current is None:
-                    raise CorruptionError(f"planned pointer block {key} vanished")
-                return current.as_bytes(bs)
-
-            def write_into(out, key=key) -> None:
-                current = cache.peek(key)
+            def write_into(out: memoryview) -> None:
+                current = block or cache.peek(key)
                 if current is None:
                     raise CorruptionError(f"planned pointer block {key} vanished")
                 current.write_into(out, bs)
 
             plan.append(
                 PlannedBlock(
-                    entry=SummaryEntry(
+                    SummaryEntry(
                         kind=key.kind,
                         inum=key.inum,
                         index=key.index,
                         version=version,
                     ),
-                    payload=payload,
-                    finalize=finalize,
-                    write_into=write_into,
+                    finalize,
+                    write_into,
                 )
             )
 
-        for key in sorted(leaf_keys, key=lambda k: (k.inum, k.index)):
-            plan_leaf(key)
-
-        def plan_root(key: BlockKey) -> None:
-            inode = self._get_inode(key.inum)
-            version = self.imap.get(key.inum).version
-
-            def finalize(addr: int) -> None:
-                old = inode.dindirect
-                inode.dindirect = addr
-                if old != NIL:
-                    usage.note_dead(seg_of(old), bs)
-                usage.note_write(seg_of(addr), bs, clock.now())
-                cache.mark_clean(key)
-                self._mark_inode_dirty(inode)
-
-            def payload(key=key) -> bytes:
-                current = cache.peek(key)
-                if current is None:
-                    raise CorruptionError(f"planned pointer block {key} vanished")
-                return current.as_bytes(bs)
-
-            def write_into(out, key=key) -> None:
-                current = cache.peek(key)
-                if current is None:
-                    raise CorruptionError(f"planned pointer block {key} vanished")
-                current.write_into(out, bs)
-
-            plan.append(
-                PlannedBlock(
-                    entry=SummaryEntry(
-                        kind=BlockKind.DINDIRECT,
-                        inum=key.inum,
-                        index=0,
-                        version=version,
-                    ),
-                    payload=payload,
-                    finalize=finalize,
-                    write_into=write_into,
-                )
-            )
-
-        for key in sorted(root_keys, key=lambda k: k.inum):
-            plan_root(key)
+        for keys in (data_blocks, leaf_keys, root_keys):
+            for key in sorted(keys, key=lambda key: (key.inum, key.index)):
+                plan_file_block(key, data_blocks.get(key))
 
         # Inodes, packed several to a block.
         dirty_inums = self.dirty_inode_numbers()
@@ -620,16 +514,11 @@ class LogStructuredFS(BaseFileSystem):
                 cache.discard(BlockKey(0, BlockKind.INODE, addr))
                 for slot, inum in enumerate(group):
                     old = self.imap.set_location(inum, addr, slot)
+                    moved(old, addr, INODE_SIZE)
                     if old != NIL:
-                        usage.note_dead(seg_of(old), INODE_SIZE)
                         cache.discard(BlockKey(0, BlockKind.INODE, old))
-                    usage.note_write(seg_of(addr), INODE_SIZE, clock.now())
 
-            def payload(group=group) -> bytes:
-                data = b"".join(self._inodes[inum].pack() for inum in group)
-                return data + b"\x00" * (bs - len(data))
-
-            def write_into(out, group=group) -> None:
+            def write_into(out: memoryview, group=group) -> None:
                 offset = 0
                 for inum in group:
                     offset += self._inodes[inum].pack_into(out, offset)
@@ -637,81 +526,49 @@ class LogStructuredFS(BaseFileSystem):
 
             plan.append(
                 PlannedBlock(
-                    entry=SummaryEntry(
+                    SummaryEntry(
                         kind=BlockKind.INODE,
                         inum=group[0],
                         index=0,
                         inums=group,
                     ),
-                    payload=payload,
-                    finalize=finalize,
-                    write_into=write_into,
+                    finalize,
+                    write_into,
                 )
             )
             imap_indexes.update(self.imap.block_of(inum) for inum in group)
 
-        for index in sorted(imap_indexes):
-
-            def finalize(addr: int, index=index) -> None:
-                old = self.imap.block_addrs[index]
-                self.imap.block_addrs[index] = addr
-                if old != NIL:
-                    usage.note_dead(seg_of(old), bs)
-                usage.note_write(seg_of(addr), bs, clock.now())
-                self.imap.mark_block_clean(index)
-
-            plan.append(
-                PlannedBlock(
-                    entry=SummaryEntry(
-                        kind=BlockKind.IMAP, inum=0, index=index
-                    ),
-                    payload=lambda index=index: self.imap.pack_block(index),
-                    finalize=finalize,
-                    write_into=lambda out, index=index: self.imap.pack_block_into(
-                        index, out
-                    ),
-                )
-            )
-
-        if checkpoint:
-            for index in self.usage.all_block_indexes():
+        def plan_table_blocks(kind: BlockKind, table, indexes) -> None:
+            """Blocks of the inode map or of the segment usage array."""
+            for index in indexes:
 
                 def finalize(addr: int, index=index) -> None:
-                    old = self.usage.block_addrs[index]
-                    self.usage.block_addrs[index] = addr
-                    if old != NIL:
-                        usage.note_dead(seg_of(old), bs)
-                    usage.note_write(seg_of(addr), bs, clock.now())
-                    self.usage.mark_block_clean(index)
+                    moved(table.block_addrs[index], addr)
+                    table.block_addrs[index] = addr
+                    table.mark_block_clean(index)
 
                 plan.append(
                     PlannedBlock(
-                        entry=SummaryEntry(
-                            kind=BlockKind.SEGUSAGE, inum=0, index=index
-                        ),
-                        payload=lambda index=index: self.usage.pack_block(index),
-                        finalize=finalize,
-                        write_into=lambda out, index=index: (
-                            self.usage.pack_block_into(index, out)
-                        ),
+                        SummaryEntry(kind=kind, inum=0, index=index),
+                        finalize,
+                        partial(table.pack_block_into, index),
                     )
                 )
 
+        plan_table_blocks(BlockKind.IMAP, self.imap, sorted(imap_indexes))
+        if checkpoint:
+            plan_table_blocks(
+                BlockKind.SEGUSAGE, usage, usage.all_block_indexes()
+            )
         return plan
 
     def _write_checkpoint(self) -> None:
         """Commit point: everything logged so far becomes recoverable."""
         self.disk.drain()
         self.cpu.checkpoint()
-        position = self.segments.position
         data = CheckpointData(
             timestamp=self.clock.now(),
-            position=LogPosition(
-                active_segment=position.active_segment,
-                active_offset=position.active_offset,
-                next_segment=position.next_segment,
-                sequence=position.sequence,
-            ),
+            position=replace(self.segments.position),
             imap_addrs=list(self.imap.block_addrs),
             usage_addrs=list(self.usage.block_addrs),
         )

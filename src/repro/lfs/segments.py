@@ -15,7 +15,7 @@ forward link is what crash recovery follows when rolling forward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional
 
 from repro.disk.sim_disk import SimDisk
@@ -76,23 +76,17 @@ class PlannedBlock:
     """One block headed for the log.
 
     ``finalize`` is invoked with the assigned disk address before any
-    payload in the same partial segment is serialized; it updates the
+    block of the same partial segment is serialized; it updates the
     referencing structure (pointer slot, inode map, ...) and the segment
-    usage accounting.  ``payload`` is called afterwards, so blocks whose
-    serialized form depends on later-placed blocks' addresses (inodes,
-    inode-map blocks) are always written with the final values.
-
-    ``write_into``, when provided, is the zero-copy alternative to
-    ``payload``: it serializes the block directly into a block-sized
-    slice of the segment writer's pooled buffer instead of returning a
-    fresh ``bytes`` object.  ``payload`` stays as the fallback (and for
-    callers, like recovery tests, that want standalone bytes).
+    usage accounting.  ``write_into`` is called afterwards with a
+    block-sized slice of the segment writer's pooled buffer, so blocks
+    whose serialized form depends on later-placed blocks' addresses
+    (inodes, inode-map blocks) are always written with the final values.
     """
 
     entry: SummaryEntry
-    payload: Callable[[], bytes]
     finalize: Callable[[int], None]
-    write_into: Optional[Callable[[memoryview], None]] = None
+    write_into: Callable[[memoryview], None]
 
 
 @dataclass
@@ -156,13 +150,8 @@ class SegmentManager:
         )
 
     def restore(self, position: LogPosition) -> None:
-        """Adopt a log position read from a checkpoint."""
-        self._pos = LogPosition(
-            active_segment=position.active_segment,
-            active_offset=position.active_offset,
-            next_segment=position.next_segment,
-            sequence=position.sequence,
-        )
+        """Adopt (a copy of) a log position read from a checkpoint."""
+        self._pos = replace(position)
 
     def _pop_clean(self) -> int:
         # O(1) clean-count check plus an amortized-O(1) min-heap pop;
@@ -194,9 +183,6 @@ class SegmentManager:
 
     def remaining_blocks(self) -> int:
         return self.layout.config.blocks_per_segment - self.position.active_offset
-
-    def clean_segments_available(self) -> int:
-        return self.usage.clean_count()
 
     # ------------------------------------------------------------------
     # Writing
@@ -277,16 +263,7 @@ class SegmentManager:
                 raise AssertionError("partial segment size mismatch")
             offset = nsummary * bs
             for planned in chunk:
-                if planned.write_into is not None:
-                    planned.write_into(view[offset : offset + bs])
-                else:
-                    payload = planned.payload()
-                    if len(payload) != bs:
-                        raise CleanerError(
-                            f"planned block serialized to {len(payload)} "
-                            f"bytes, expected {bs}"
-                        )
-                    view[offset : offset + bs] = payload
+                planned.write_into(view[offset : offset + bs])
                 offset += bs
             label = (
                 f"segment:{pos.active_segment}"

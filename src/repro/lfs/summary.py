@@ -54,14 +54,6 @@ class SummaryEntry:
     def packed_size(self) -> int:
         return _ENTRY_BASE_SIZE + 4 * len(self.inums)
 
-    def pack(self) -> bytes:
-        head = _ENTRY_HEAD.pack(
-            int(self.kind), self.inum, self.index, self.version, len(self.inums)
-        )
-        if not self.inums:
-            return head
-        return head + struct.pack(f"<{len(self.inums)}I", *self.inums)
-
     def pack_into(self, packer: BatchPacker) -> None:
         """Append this entry to a batch serialization in place."""
         packer.pack_with(

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import abc
 import struct
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.cache.block_cache import BlockCache, CacheBlock
+from repro.cache.block_cache import BlockCache
 from repro.cache.readahead import ReadaheadPolicy
 from repro.cache.writeback import WritebackConfig, WritebackMonitor, WritebackReason
 from repro.common.directory import (
@@ -48,7 +48,7 @@ from repro.errors import (
     NotADirectoryError_,
     StaleHandleError,
 )
-from repro.obs import NULL_TELEMETRY, Telemetry
+from repro.obs import Telemetry
 from repro.sim.cpu import CpuModel
 from repro.units import KIB
 from repro.vfs.interface import FileHandle, FsStats, StatResult, StorageManager
@@ -92,11 +92,7 @@ class BaseFileSystem(StorageManager):
         self.cpu = cpu
         # Adopt the disk's telemetry when none is given so one object
         # covers the whole simulated machine by default.
-        self.telemetry = (
-            telemetry
-            or getattr(disk, "telemetry", None)
-            or NULL_TELEMETRY
-        )
+        self.telemetry = telemetry or disk.telemetry
         self.telemetry.bind_clock(self.clock)
         self._obs_enabled = self.telemetry.enabled
         self._m_fs_bytes_written = self.telemetry.counter("fs.bytes_written")
@@ -429,20 +425,31 @@ class BaseFileSystem(StorageManager):
         )
         return root[key.index - 1]
 
-    def _clear_pointer_block(self, inode: Inode, key: BlockKey) -> None:
-        """Drop a pointer block: release its address, zero the parent slot."""
-        addr = self._pointer_block_addr(inode, key)
-        if addr != NIL:
-            self._release_block_addr(addr)
+    def _set_pointer_block_addr(
+        self, inode: Inode, key: BlockKey, addr: int
+    ) -> int:
+        """Store ``addr`` in the parent slot of a pointer block.
+
+        Returns the address the slot held (NIL if none).
+        """
         if key.kind is BlockKind.DINDIRECT:
-            inode.dindirect = NIL
+            old, inode.dindirect = inode.dindirect, addr
+        elif key.kind is not BlockKind.INDIRECT:
+            raise InvalidArgumentError(f"not a pointer block key: {key}")
         elif key.index == 0:
-            inode.indirect = NIL
+            old, inode.indirect = inode.indirect, addr
         else:
             root_key = BlockKey(inode.inum, BlockKind.DINDIRECT, 0)
             root = self._load_pointers(root_key, inode.dindirect)
-            root[key.index - 1] = NIL
+            old, root[key.index - 1] = root[key.index - 1], addr
             self.cache.mark_dirty(root_key, self.clock.now())
+        return old
+
+    def _clear_pointer_block(self, inode: Inode, key: BlockKey) -> None:
+        """Drop a pointer block: release its address, zero the parent slot."""
+        addr = self._set_pointer_block_addr(inode, key, NIL)
+        if addr != NIL:
+            self._release_block_addr(addr)
         self.cache.discard(key)
 
     def _truncate(self, inode: Inode, new_size: int) -> None:
@@ -947,8 +954,3 @@ class BaseFileSystem(StorageManager):
     def stats(self) -> FsStats:
         return self._stats
 
-    def cache_dirty_bytes(self) -> int:
-        return self.cache.dirty_bytes
-
-    def iter_dirty_blocks(self) -> Iterable[CacheBlock]:
-        return self.cache.dirty_blocks()

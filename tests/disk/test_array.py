@@ -128,3 +128,93 @@ class TestFileSystemOnArray:
         fs.write_file("/f", b"on raid" * 500)
         fs.sync()
         assert fs.read_file("/f") == b"on raid" * 500
+
+
+class TestOneTimingModel:
+    """An array is a SimDisk whose timeline is N member timelines."""
+
+    def test_one_member_array_is_a_sim_disk(self):
+        import random
+
+        from repro.disk.sim_disk import SimDisk
+        from repro.disk.trace import TraceRecorder
+
+        geometry = wren_iv(32 * MIB)
+        rigs = []
+        for build in (
+            lambda clock, trace: SimDisk(geometry, clock, trace=trace),
+            lambda clock, trace: StripedDisk(geometry, clock, 1, trace=trace),
+        ):
+            clock, trace = SimClock(), TraceRecorder()
+            rigs.append((build(clock, trace), clock, trace, []))
+        rng = random.Random(24)
+        cursor = 0  # where the previous request stopped
+        for _ in range(600):
+            # Half the requests continue where the head stopped, the
+            # rest land near or far; the caller computes in between.
+            sector = rng.choice((None, rng.randrange(0, 60000)))
+            count = rng.choice((1, 8, 8, 64, 300))
+            is_write, sync = rng.random() < 0.6, rng.random() < 0.3
+            think = rng.choice((0.0, 0.0, 0.001, 0.05))
+            at = cursor if sector is None else sector
+            at = min(at, geometry.num_sectors - count)
+            cursor = at + count
+            for disk, clock, _trace, completions in rigs:
+                if is_write:
+                    done = disk.write(at, b"w" * (count * 512), sync=sync)
+                else:
+                    disk.read(at, count)
+                    done = clock.now()
+                completions.append(done)
+                clock.advance(think)
+        (single, clock_one, trace_one, done_one), (
+            array, clock_many, trace_many, done_many
+        ) = rigs
+        assert done_one == done_many
+        assert single.stats == array.stats
+        assert set(single.stats.tier_counts) == {"sequential", "near", "far"}
+        assert trace_one.events == trace_many.events
+        assert clock_one.now() == clock_many.now()
+        assert single.sync_stall_seconds == array.sync_stall_seconds
+        assert single.busy_until == array.busy_until
+
+    def test_array_reports_telemetry_and_cleaner_stalls(self):
+        from repro.lfs.filesystem import LogStructuredFS
+        from repro.obs import Telemetry
+        from repro.sim.cpu import CpuModel
+        from repro.workloads.cleaning import run_cleaning_rate_test
+        from tests.conftest import small_lfs_config
+
+        clock, telemetry = SimClock(), Telemetry()
+        array = StripedDisk(wren_iv(8 * MIB), clock, 4, telemetry=telemetry)
+        fs = LogStructuredFS.mkfs(
+            array, CpuModel(clock), small_lfs_config(segment_size=64 * KIB)
+        )
+        assert fs.telemetry is telemetry  # adopted from the disk
+        point = run_cleaning_rate_test(fs, 0.25, fill_segments=24)
+        assert point.segments_cleaned > 0
+        # The cleaner waits on the array's reads like on any disk's.
+        assert fs.cleaner.stats.disk_stall_seconds > 0
+        value = telemetry.registry.value
+        assert value("disk.writes") == array.stats.writes > 0
+        assert value("disk.reads") == array.stats.reads > 0
+        assert value("disk.bytes_written") == array.stats.bytes_written
+        assert value("disk.busy_seconds") == pytest.approx(
+            array.stats.busy_seconds
+        )
+
+    def test_ablation_points_are_pinned(self):
+        from repro.harness import ablation_disk_array
+
+        assert [
+            (p.kind, p.num_disks, p.create_files_per_second,
+             p.seq_write_kb_per_second)
+            for p in ablation_disk_array((1, 2, 4))
+        ] == [
+            ("lfs", 1, 146.3505104434907, 1146.0176995221625),
+            ("lfs", 2, 190.55332443772866, 2027.0915139025765),
+            ("lfs", 4, 224.07111534586173, 3137.54045052877),
+            ("ffs", 1, 20.300533545992835, 714.1703084594651),
+            ("ffs", 2, 22.716441656961155, 1323.9823466466155),
+            ("ffs", 4, 24.275203911498085, 2281.277990283659),
+        ]

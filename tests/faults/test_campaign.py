@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import run_campaign, run_trial
+from repro.harness.parallel import export_telemetry_totals
 from repro.obs import Telemetry
 from repro.units import MIB
 
@@ -102,20 +103,9 @@ class TestCampaign:
         assert [t.signals for t in parallel.trials] == [
             t.signals for t in sequential.trials
         ]
-        # The telemetry merge is order-independent and complete: the
-        # merged counters equal the single-process recording.
-        seq_metrics = {
-            (m["name"], tuple(sorted(m.get("labels", {}).items()))): m.get(
-                "value"
-            )
-            for m in telemetry_seq.registry.to_dict()["metrics"]
-            if m.get("kind") == "counter"
-        }
-        par_metrics = {
-            (m["name"], tuple(sorted(m.get("labels", {}).items()))): m.get(
-                "value"
-            )
-            for m in telemetry_par.registry.to_dict()["metrics"]
-            if m.get("kind") == "counter"
-        }
-        assert par_metrics == seq_metrics
+        # Every trial records into its own telemetry and is merged in
+        # trial order for any ``jobs``: counters, gauges, histograms and
+        # span totals all agree, to the last float bit.
+        assert export_telemetry_totals(telemetry_par) == (
+            export_telemetry_totals(telemetry_seq)
+        )

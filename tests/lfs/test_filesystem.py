@@ -1,9 +1,17 @@
 """Behavioural tests for the LFS storage manager."""
 
+import dataclasses
+
 import pytest
 
+from repro.cache.writeback import WritebackConfig
+from repro.common.inode import N_DIRECT, pointers_per_block
+from repro.disk.retry import RetryPolicy
 from repro.errors import NoSpaceError, StaleHandleError
+from repro.lfs.config import LfsConfig
 from repro.lfs.filesystem import LogStructuredFS, SuperBlock
+from repro.lfs.verify import verify_lfs
+from repro.units import KIB, MIB
 from tests.conftest import small_lfs_config
 
 
@@ -113,6 +121,37 @@ class TestDataPath:
         lfs.flush_caches()
         assert lfs.read_file("/big") == payload
 
+    def test_data_block_evicted_between_finalize_and_serialize(self, disk, cpu):
+        # One flush, one partial segment, a cache with three blocks to
+        # spare: placing /near's thirteenth block and /far's only one
+        # loads their pointer blocks, which evicts /near's first blocks —
+        # already placed and marked clean, not yet copied into the
+        # segment buffer.  The plan must hold them by object.
+        bs = 4 * KIB
+        config = small_lfs_config(
+            cache_bytes=32 * bs,
+            writeback=WritebackConfig(dirty_high_fraction=1.0),
+        )
+        fs = LogStructuredFS.mkfs(disk, cpu, config)
+        near = bytes(range(256)) * (bs // 256) * 29  # past N_DIRECT
+        far_lbn = N_DIRECT + pointers_per_block(bs) + 5  # second leaf
+        partials = fs.segments.partial_segments_written
+        with fs.create("/near") as handle:
+            handle.write(near)
+        with fs.create("/far") as handle:
+            handle.pwrite(far_lbn * bs, b"far" * 100)
+        assert fs.segments.partial_segments_written == partials
+        evictions = fs.cache.stats.evictions
+        fs.sync()
+        assert fs.segments.partial_segments_written == partials + 1
+        assert fs.cache.stats.evictions > evictions  # the window was open
+        fs.unmount()
+        again = LogStructuredFS.mount(disk, cpu, config)
+        assert again.read_file("/near") == near
+        far = again.read_file("/far")
+        assert far == bytes(far_lbn * bs) + b"far" * 100
+        assert verify_lfs(disk.device).consistent
+
 
 class TestDurability:
     def test_unmount_then_mount(self, lfs):
@@ -144,6 +183,36 @@ class TestDurability:
         lfs.unmount()
         again = LogStructuredFS.mount(lfs.disk, lfs.cpu, small_lfs_config())
         assert again.imap.get(inum).version == version
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(LfsConfig)]
+    )
+    def test_mount_keeps_the_config_it_is_given(self, lfs, name):
+        lfs.unmount()
+        given = LfsConfig(
+            block_size=8 * KIB,
+            segment_size=512 * KIB,
+            cache_bytes=3 * MIB,
+            max_inodes=64,
+            checkpoint_interval=7.0,
+            clean_low_water=3,
+            clean_high_water=5,
+            cleaner_reserve_segments=2,
+            max_live_fraction_to_clean=0.5,
+            cleaner_policy="cost-benefit",
+            roll_forward=False,
+            writeback=WritebackConfig(age_threshold=9.0),
+            readahead_blocks=2,
+            retry=RetryPolicy(max_attempts=5),
+            quarantine_budget=1,
+        )
+        default, on_disk = LfsConfig(), small_lfs_config()
+        # A field added to LfsConfig must be given a non-default value above.
+        assert getattr(given, name) != getattr(default, name)
+        mounted = LogStructuredFS.mount(lfs.disk, lfs.cpu, given).config
+        geometry = ("block_size", "segment_size", "max_inodes")
+        expected = on_disk if name in geometry else given
+        assert getattr(mounted, name) == getattr(expected, name)
 
     def test_flush_caches_forces_disk_reads(self, lfs):
         lfs.write_file("/f", b"y" * 4096)

@@ -3,11 +3,16 @@
 The amortized-O(1) claims of the clean-segment heap and of the device's
 durability tracking, asserted on a whole file system rather than on the
 structures alone (``test_segment_usage_indexes.py`` fuzzes those) — and,
-below, the inode map's: work in proportion to the entries touched."""
+below, the inode map's (work in proportion to the entries touched) and
+the segment plan's (one pass over the dirty set)."""
 
+from itertools import groupby
+
+from repro.cache.block_cache import BlockCache
 from repro.lfs.config import LfsConfig
 from repro.lfs.filesystem import LogStructuredFS, make_lfs
 from repro.lfs.inode_map import ImapEntry
+from repro.lfs.segments import PlannedBlock
 from repro.lfs.verify import verify_lfs
 from repro.units import KIB, MIB
 from repro.workloads.cleaning import run_cleaning_rate_test
@@ -135,3 +140,39 @@ def test_verify_builds_nothing_for_free_inodes(monkeypatch):
     report = verify_lfs(fs.disk.device)
     assert report.consistent and report.inodes_checked == 11
     assert len(built) < 100  # it used to be one per inode: 32,768
+
+
+# ----------------------------------------------------------------------
+# The plan is built in one pass: one dirty-set read, one object per block
+# ----------------------------------------------------------------------
+
+
+def test_build_plan_reads_the_dirty_set_once(monkeypatch):
+    fs = make_lfs(total_bytes=64 * MIB)
+    fs.write_file("/small", b"s" * 3000)
+    fs.write_file("/indirect", b"i" * (40 * 4 * KIB))  # data + a leaf
+    with fs.create("/double") as handle:  # data + a leaf + the root
+        handle.pwrite((12 + 512 + 3) * 4 * KIB, b"d" * 100)
+    reads, built = [], []
+    dirty_blocks = BlockCache.dirty_blocks
+    init = PlannedBlock.__init__
+
+    def counting_read(self):
+        reads.append(1)
+        return dirty_blocks(self)
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BlockCache, "dirty_blocks", counting_read)
+    monkeypatch.setattr(PlannedBlock, "__init__", counting_init)
+    plan = fs._build_plan(checkpoint=True)
+    assert len(reads) == 1  # it used to be two, each a sort by stamp
+    kinds = [planned.entry.kind.name for planned in plan]
+    assert len(built) == len(plan)  # one object per summary entry
+    # Log order: each layer's addresses feed the next layer's contents.
+    assert [kind for kind, _run in groupby(kinds)] == [
+        "DATA", "INDIRECT", "DINDIRECT", "INODE", "IMAP", "SEGUSAGE",
+    ]
+    assert kinds.count("INDIRECT") == 2 and kinds.count("DINDIRECT") == 1

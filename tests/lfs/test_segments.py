@@ -1,6 +1,7 @@
 """Unit tests for segment allocation and the segment writer."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -41,12 +42,11 @@ def planned(n: int, sink: list) -> list:
         def finalize(addr: int, i=i) -> None:
             sink.append((i, addr))
 
+        def write_into(out: memoryview, i=i) -> None:
+            out[:] = bytes([i % 256]) * BS
+
         blocks.append(
-            PlannedBlock(
-                entry=entry,
-                payload=lambda i=i: bytes([i % 256]) * BS,
-                finalize=finalize,
-            )
+            PlannedBlock(entry=entry, finalize=finalize, write_into=write_into)
         )
     return blocks
 
@@ -159,13 +159,24 @@ class TestWritePlan:
 
     def test_bad_payload_size_rejected(self, rig):
         manager, usage, layout, disk = rig
+
+        def write_into(out: memoryview) -> None:
+            out[:] = b"short"
+
         block = PlannedBlock(
             entry=SummaryEntry(kind=BlockKind.DATA, inum=1, index=0),
-            payload=lambda: b"short",
             finalize=lambda addr: None,
+            write_into=write_into,
         )
-        with pytest.raises(CleanerError):
+        manager.write_plan(planned(1, []))  # the pool now owns one buffer
+        before = replace(manager.position)
+        # A block-sized slice of the pooled buffer refuses any other size.
+        with pytest.raises(ValueError):
             manager.write_plan([block])
+        assert manager.position == before
+        assert disk.stats.writes == 1
+        manager.write_plan(planned(1, []))
+        assert manager.pool.allocations == 1  # the buffer went back
 
 
 class TestSpaceManagement:
