@@ -151,10 +151,14 @@ HOTPATH_FINGERPRINTS = {
     },
 }
 
-# The end-to-end benchmark's simulated metrics and final image hashes,
-# `benchmarks/e2e/workloads.py W 0 untraced --smoke`, generated at
-# commit 7ced895.  A simulator-speed PR must leave these alone: "every
-# simulated byte unchanged" is asserted here, not diffed by hand.
+# The end-to-end benchmark's simulated metrics, model counters and final
+# image hashes, `benchmarks/e2e/workloads.py W 0 untraced --smoke`: the
+# sim metrics and images of smallfile, largefile and crash_recover were
+# generated at commit 7ced895, the rest at commit dce89e6.  A
+# simulator-speed PR must leave these alone: "every simulated byte
+# unchanged" is asserted here, not diffed by hand.  ``counters`` holds
+# cache hits and misses, so a change in how often a layer looks a block
+# up shows here even when no simulated second moves.
 E2E_SMOKE = {
     "smallfile": {
         "sim": {
@@ -164,8 +168,41 @@ E2E_SMOKE = {
             "write_amp": 1.9166986314865004,
             "read_amp": 1.8716250914403452,
         },
+        "counters": {
+            "cache.hits": 2476,
+            "cache.misses": 868,
+            "cache.insertions": 1716,
+            "cache.evictions": 0,
+            "vfs.creates": 550,
+            "vfs.removes": 550,
+            "vfs.read_calls": 550,
+            "vfs.write_calls": 550,
+            "vfs.user_bytes_read": 1908348,
+            "vfs.user_bytes_written": 1908348,
+            "vfs.writebacks": 6,
+            "lfs.log_bytes": 3657728,
+            "lfs.cleaner_bytes": 0,
+            "lfs.cleaner_passes": 0,
+            "lfs.cleaner_segments_cleaned": 0,
+            "lfs.cleaner_live_bytes_copied": 0,
+            "lfs.cleaner_bytes_read": 0,
+            "lfs.cleaner_busy_sim_s": 0.0,
+            "lfs.emergency_passes": 0,
+            "disk.requests": 586,
+            "disk.bytes_read": 3571712,
+            "disk.bytes_written": 3657728,
+            "disk.seeks": 56,
+            "disk.sync_requests": 579,
+            "disk.busy_sim_s": 8.180835576923043,
+            "sim.elapsed_sim_s": 12.900306936923212,
+            "disk.util": 0.6341582116552502,
+            "cache.hit_rate": 0.7404306220095693,
+            "lfs.cleaned_utilization": 0.0,
+            "lfs.write_cost": 1.9166986314865004,
+            "lfs.space_amp": 2.8074023303632627,
+        },
         "images": [
-            "6964510747c4d1d4e0037fee62e8fcfc48a3c347d29c4f9ba3c6387758f0ac70"
+            "6964510747c4d1d4e0037fee62e8fcfc48a3c347d29c4f9ba3c6387758f0ac70",
         ],
     },
     "largefile": {
@@ -176,8 +213,145 @@ E2E_SMOKE = {
             "write_amp": 0.921435546875,
             "read_amp": 0.9364844616133389,
         },
+        "counters": {
+            "cache.hits": 120512,
+            "cache.misses": 16811,
+            "cache.insertions": 43687,
+            "cache.evictions": 7751,
+            "vfs.creates": 0,
+            "vfs.removes": 0,
+            "vfs.read_calls": 15360,
+            "vfs.write_calls": 10240,
+            "vfs.user_bytes_read": 118022742,
+            "vfs.user_bytes_written": 83886080,
+            "vfs.writebacks": 22,
+            "lfs.log_bytes": 77099008,
+            "lfs.cleaner_bytes": 0,
+            "lfs.cleaner_passes": 7,
+            "lfs.cleaner_segments_cleaned": 28,
+            "lfs.cleaner_live_bytes_copied": 0,
+            "lfs.cleaner_bytes_read": 0,
+            "lfs.cleaner_busy_sim_s": 0.0,
+            "lfs.emergency_passes": 0,
+            "disk.requests": 13685,
+            "disk.bytes_read": 110526464,
+            "disk.bytes_written": 77295616,
+            "disk.seeks": 6951,
+            "disk.sync_requests": 13594,
+            "disk.busy_sim_s": 338.2462567308266,
+            "sim.elapsed_sim_s": 382.18679920908767,
+            "disk.util": 0.8850286232564982,
+            "cache.hit_rate": 0.877580594656394,
+            "lfs.cleaned_utilization": 0.0,
+            "lfs.write_cost": 0.919091796875,
+            "lfs.space_amp": 1.0969836965618827,
+        },
         "images": [
-            "1fe30e3edc9ea8aa7cfa6b55055ba6e2966ed3705fef90404d6d9c4bb36f4f2e"
+            "1fe30e3edc9ea8aa7cfa6b55055ba6e2966ed3705fef90404d6d9c4bb36f4f2e",
+        ],
+    },
+    "service_clean": {
+        "sim": {
+            "sim_ops_per_s": 30.538318006983015,
+            "sim_lat_p50_ms": 4.838400000004128,
+            "sim_lat_p99_ms": 1503.29086153846,
+            "write_amp": 2.657559101711503,
+            "read_amp": 3.371710455057869,
+        },
+        "counters": {
+            "cache.hits": 1402,
+            "cache.misses": 633,
+            "cache.insertions": 958,
+            "cache.evictions": 726,
+            "vfs.creates": 74,
+            "vfs.removes": 44,
+            "vfs.read_calls": 67,
+            "vfs.write_calls": 228,
+            "vfs.user_bytes_read": 2308146,
+            "vfs.user_bytes_written": 2294942,
+            "vfs.writebacks": 0,
+            "lfs.log_bytes": 5836800,
+            "lfs.cleaner_bytes": 1617920,
+            "lfs.cleaner_passes": 7,
+            "lfs.cleaner_segments_cleaned": 28,
+            "lfs.cleaner_live_bytes_copied": 1396736,
+            "lfs.cleaner_bytes_read": 7340032,
+            "lfs.cleaner_busy_sim_s": 8.343583653845933,
+            "lfs.emergency_passes": 0,
+            "disk.requests": 149,
+            "disk.bytes_read": 7782400,
+            "disk.bytes_written": 6098944,
+            "disk.seeks": 117,
+            "disk.sync_requests": 77,
+            "disk.busy_sim_s": 13.22534326923072,
+            "sim.elapsed_sim_s": 15.717958005750063,
+            "service.commit_batches": 43,
+            "service.commit_batch_mean": 2.5813953488372094,
+            "service.throttle_events": 6,
+            "service.throttle_sim_s": 8.343583653845933,
+            "service.forced_admissions": 0,
+            "service.rejections": 0,
+            "disk.util": 0.8414161218901669,
+            "cache.hit_rate": 0.6889434889434889,
+            "lfs.cleaned_utilization": 0.19029017857142858,
+            "lfs.write_cost": 5.741684103563402,
+            "lfs.space_amp": 1.1246259026385876,
+        },
+        "images": [
+            "3d75074d31c4d67b560259c314303a64491773a6acf16098fa89a592e9d15a2b",
+        ],
+    },
+    "cluster_migrate": {
+        "sim": {
+            "sim_ops_per_s": 116.87850318956416,
+            "sim_lat_p50_ms": 4.780479999997311,
+            "sim_lat_p99_ms": 1050.191735384578,
+            "write_amp": 1.8048160021497475,
+            "read_amp": 0.26108507665566383,
+        },
+        "counters": {
+            "service.commit_batches": 123,
+            "service.commit_batch_mean": 4.959349593495935,
+            "service.throttle_events": 0,
+            "service.throttle_sim_s": 0.0,
+            "service.forced_admissions": 0,
+            "service.rejections": 0,
+            "disk.requests": 485,
+            "disk.bytes_read": 2494464,
+            "disk.bytes_written": 21868544,
+            "disk.seeks": 317,
+            "disk.sync_requests": 271,
+            "disk.busy_sim_s": 23.955446153846204,
+            "cache.hits": 4915,
+            "cache.misses": 3449,
+            "cache.insertions": 3977,
+            "cache.evictions": 1542,
+            "vfs.user_bytes_read": 9554219,
+            "vfs.user_bytes_written": 12116772,
+            "lfs.log_bytes": 21393408,
+            "lfs.cleaner_bytes": 0,
+            "lfs.cleaner_passes": 0,
+            "lfs.cleaner_segments_cleaned": 0,
+            "lfs.cleaner_live_bytes_copied": 0,
+            "lfs.cleaner_bytes_read": 0,
+            "lfs.cleaner_busy_sim_s": 0.0,
+            "sim.elapsed_sim_s": 21.903086796448445,
+            "cluster.migrated_bytes": 308440,
+            "cluster.migrated_files": 32,
+            "cluster.redirected_requests": 22,
+            "cluster.cutover_sim_s": 1.3633658307692138,
+            "cluster.shard_imbalance": 2.0390625,
+            "disk.util": 0.27342545797849077,
+            "cache.hit_rate": 0.587637494021999,
+            "lfs.cleaned_utilization": 0.0,
+            "lfs.write_cost": 1.7656029180048944,
+            "lfs.space_amp": 0.0,
+        },
+        "images": [
+            "bae8f6ad19f9db140bab7a9713409ea8f1d2c1c019828cb1878c53d39af5abda",
+            "ee6b475b0ca07ee76fae8a06f8477adf7995ca5c464071f5d0aa119999dc2bb7",
+            "61a0d3e264659b465ce716cd20bf3c161ecbb8325c84ac35274eeb2c32a1c18f",
+            "c2cd029887ee2e7f6be7491a2c9caf0a3ea90b923fa7a0d0b2f615c813144cdd",
         ],
     },
     "crash_recover": {
@@ -188,8 +362,124 @@ E2E_SMOKE = {
             "write_amp": 1.704179454207744,
             "read_amp": 4.318741764585182,
         },
+        "counters": {
+            "cache.hits": 439,
+            "cache.misses": 608,
+            "cache.insertions": 851,
+            "cache.evictions": 0,
+            "vfs.creates": 185,
+            "vfs.removes": 0,
+            "vfs.read_calls": 90,
+            "vfs.write_calls": 185,
+            "vfs.user_bytes_read": 809006,
+            "vfs.user_bytes_written": 1749750,
+            "vfs.writebacks": 0,
+            "lfs.log_bytes": 2883584,
+            "lfs.cleaner_bytes": 0,
+            "lfs.cleaner_passes": 0,
+            "lfs.cleaner_segments_cleaned": 0,
+            "lfs.cleaner_live_bytes_copied": 0,
+            "lfs.cleaner_bytes_read": 0,
+            "lfs.cleaner_busy_sim_s": 0.0,
+            "lfs.emergency_passes": 0,
+            "disk.requests": 325,
+            "disk.bytes_read": 3493888,
+            "disk.bytes_written": 2981888,
+            "disk.seeks": 206,
+            "disk.sync_requests": 275,
+            "disk.busy_sim_s": 7.629025961538478,
+            "sim.elapsed_sim_s": 8.968626921538524,
+            "lfs.recovery_sim_s": 0.6910137820512817,
+            "lfs.partials_replayed": 31,
+            "disk.util": 0.8506347770155385,
+            "cache.hit_rate": 0.4192932187201528,
+            "lfs.cleaned_utilization": 0.0,
+            "lfs.write_cost": 1.647997713959137,
+            "lfs.space_amp": 1.6995850622406639,
+        },
         "images": [
-            "1634e4d6f57c218f9badef2b49fee1a34d5226ce3c6ff9d2395e7664b1df0f2b"
+            "1634e4d6f57c218f9badef2b49fee1a34d5226ce3c6ff9d2395e7664b1df0f2b",
+        ],
+    },
+}
+
+# The same for the FFS pass (`workloads.py W 0 ffs --smoke`, traced).
+# FFS shares BlockMap and the vfs read path with LFS, and its delayed
+# write-back goes out in cache stamp order, so it pins the lookup and
+# recency order of that shared code.  Generated at commit dce89e6.
+E2E_FFS_SMOKE = {
+    "smallfile": {
+        "sim": {
+            "sim_ops_per_s": 28.918874833981675,
+            "sim_lat_p50_ms": 36.81923076922544,
+            "sim_lat_p99_ms": 44.0166861538529,
+            "write_amp": 12.440297052738808,
+            "read_amp": 3.0134881059429413,
+        },
+        "counters": {
+            "cache.hits": 4523,
+            "cache.misses": 698,
+            "cache.insertions": 1382,
+            "cache.evictions": 0,
+            "vfs.creates": 550,
+            "vfs.removes": 550,
+            "vfs.read_calls": 550,
+            "vfs.write_calls": 550,
+            "vfs.user_bytes_read": 1908348,
+            "vfs.user_bytes_written": 1908348,
+            "vfs.writebacks": 6,
+            "disk.requests": 3470,
+            "disk.bytes_read": 5750784,
+            "disk.bytes_written": 23740416,
+            "disk.seeks": 2239,
+            "disk.sync_requests": 2772,
+            "disk.busy_sim_s": 52.41869038461519,
+            "sim.elapsed_sim_s": 57.056161744617256,
+            "disk.util": 0.9187209370872276,
+            "cache.hit_rate": 0.8663091361808083,
+            "lfs.cleaned_utilization": 0.0,
+            "lfs.write_cost": 0.0,
+            "lfs.space_amp": 0.0,
+        },
+        "images": [
+            "4aa597914f9d00e9277ce21db6b6c65a622ecfee67b1c6b9b701e79747168bb1",
+        ],
+    },
+    "largefile": {
+        "sim": {
+            "sim_ops_per_s": 61.94683688868119,
+            "sim_lat_p50_ms": 11.89237538463317,
+            "sim_lat_p99_ms": 33.70641538458585,
+            "write_amp": 0.90810546875,
+            "read_amp": 0.9361374098561445,
+        },
+        "counters": {
+            "cache.hits": 77723,
+            "cache.misses": 8399,
+            "cache.insertions": 21837,
+            "cache.evictions": 3875,
+            "vfs.creates": 0,
+            "vfs.removes": 0,
+            "vfs.read_calls": 15360,
+            "vfs.write_calls": 10240,
+            "vfs.user_bytes_read": 118022742,
+            "vfs.user_bytes_written": 83886080,
+            "vfs.writebacks": 22,
+            "disk.requests": 22786,
+            "disk.bytes_read": 110485504,
+            "disk.bytes_written": 76177408,
+            "disk.seeks": 7466,
+            "disk.sync_requests": 13487,
+            "disk.busy_sim_s": 375.3611961539236,
+            "sim.elapsed_sim_s": 413.25758159376795,
+            "disk.util": 0.9082983903315378,
+            "cache.hit_rate": 0.9024755579294489,
+            "lfs.cleaned_utilization": 0.0,
+            "lfs.write_cost": 0.0,
+            "lfs.space_amp": 0.0,
+        },
+        "images": [
+            "7e3b47ab75354cbf9386c6437f82487c357677c76601c698bec6760aac10af75",
         ],
     },
 }
@@ -245,15 +535,24 @@ def test_hotpath_workload_fingerprint(name):
         assert workload(telemetry) == HOTPATH_FINGERPRINTS[name]
 
 
-@pytest.mark.parametrize("name", sorted(E2E_SMOKE))
-def test_e2e_smoke_sim_and_images(name):
+def _e2e_smoke_pass(name: str, mode: str) -> dict:
     # A subprocess, as run.py starts it: one pass per fresh process.
     done = subprocess.run(
-        [sys.executable, str(E2E_WORKLOADS), name, "0", "untraced", "--smoke"],
+        [sys.executable, str(E2E_WORKLOADS), name, "0", mode, "--smoke"],
         stdout=subprocess.PIPE,
         text=True,
         check=True,
     )
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["failed"] == 0
-    assert {key: result[key] for key in ("sim", "images")} == E2E_SMOKE[name]
+    return {key: result[key] for key in ("sim", "counters", "images")}
+
+
+@pytest.mark.parametrize("name", sorted(E2E_SMOKE))
+def test_e2e_smoke_sim_and_images(name):
+    assert _e2e_smoke_pass(name, "untraced") == E2E_SMOKE[name]
+
+
+@pytest.mark.parametrize("name", sorted(E2E_FFS_SMOKE))
+def test_e2e_ffs_smoke_sim_counters_and_images(name):
+    assert _e2e_smoke_pass(name, "ffs") == E2E_FFS_SMOKE[name]
