@@ -26,9 +26,9 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import count
+from itertools import count, islice
 from operator import attrgetter
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.common.inode import BlockKey, BlockKind
 from repro.errors import InvalidArgumentError
@@ -49,15 +49,17 @@ _BY_STAMP = attrgetter("stamp")
 
 @dataclass
 class CacheBlock:
-    """One cached block."""
+    """One cached block (slotted: one exists per resident block)."""
+
+    __slots__ = ("key", "payload", "dirty", "dirty_since", "stamp", "queued")
 
     key: BlockKey
     payload: Payload
-    dirty: bool = False
-    dirty_since: float = 0.0
-    stamp: int = 0
+    dirty: bool
+    dirty_since: float
+    stamp: int
     """Recency: the larger, the more recently inserted or hit."""
-    queued: bool = False
+    queued: bool
     """Whether the eviction heap holds an entry for this block."""
 
     def as_bytes(self, block_size: int) -> bytes:
@@ -125,7 +127,8 @@ class BlockCache:
         self.capacity_bytes = capacity_bytes
         self.block_size = block_size
         self.clear()
-        self._next_stamp = count(1).__next__
+        self._stamps = count(1)
+        self._next_stamp = self._stamps.__next__
         # Operation-count probe: an examined entry is evicted, dropped
         # or (block hit since) pushed back once, so heap_entries_examined
         # <= clean inserts + mark_cleans + hits: O(1) amortized.
@@ -163,28 +166,89 @@ class BlockCache:
     def contains(self, key: BlockKey) -> bool:
         return key in self._blocks
 
+    def rehit(self, keys: Sequence[BlockKey], rounds: int) -> None:
+        """Account ``rounds`` passes of ``get(key) for key in keys``.
+
+        Every key must be cached, so each lookup is a hit; the blocks end
+        with the stamps the last pass would have given them, and the
+        passes before it use up theirs.  This is how a caller that walks
+        the same pointer blocks once per block of a run pays for the
+        walk once without changing what the cache counts or the order
+        it keeps.
+        """
+        if rounds <= 0:
+            return
+        lookups = rounds * len(keys)
+        self.stats.hits += lookups
+        if self._obs_enabled:
+            self._m_hits.inc(lookups)
+        if rounds > 1:
+            deque(islice(self._stamps, lookups - len(keys)), maxlen=0)
+        blocks = self._blocks
+        for key in keys:
+            blocks[key].stamp = self._next_stamp()
+
     def insert(
         self, key: BlockKey, payload: Payload, dirty: bool, now: float
     ) -> CacheBlock:
-        """Insert (or replace) a block; evicts clean data blocks if full."""
+        """Insert (or replace) a block; evicts clean data blocks if full.
+
+        One body for what the mark/enqueue/evict helpers do, because
+        every block read from or written to a file passes through here.
+        """
+        blocks = self._blocks
+        bs = self.block_size
+        obs = self._obs_enabled
         if self._dirty.pop(key, None) is not None:
-            self._dirty_bytes -= self.block_size
-        block = CacheBlock(
-            key=key, payload=payload, dirty=dirty, stamp=self._next_stamp()
-        )
+            self._dirty_bytes -= bs
+        block = CacheBlock(key, payload, dirty, 0.0, self._next_stamp(), False)
         # A replaced block's heap entry is dropped when it surfaces.
-        self._blocks[key] = block
-        self._by_inum.setdefault(key.inum, set()).add(key)
-        self.stats.insertions += 1
-        if self._obs_enabled:
-            self._m_insertions.inc()
-        if dirty:
-            self._note_dirty(block, now)
+        blocks[key] = block
+        keys = self._by_inum.get(key.inum)
+        if keys is None:
+            self._by_inum[key.inum] = {key}
         else:
-            self._enqueue(block)
-            if self._obs_enabled:
-                self._m_dirty_bytes.set(self._dirty_bytes)
-        self._evict_to_capacity()
+            keys.add(key)
+        self.stats.insertions += 1
+        if obs:
+            self._m_insertions.inc()
+        heap = self._heap
+        if dirty:
+            block.dirty_since = now
+            self._dirty[key] = block
+            self._dirty_bytes += bs
+            self._dirty_fifo.append((key, now))
+        elif key.kind in _EVICTABLE_KINDS:
+            if len(heap) > 2 * len(blocks) + 64:
+                # As in _enqueue.
+                heap[:] = [e for e in heap if blocks.get(e[1].key) is e[1]]
+                heapify(heap)
+            block.queued = True
+            heappush(heap, (block.stamp, block))
+        if obs:
+            self._m_dirty_bytes.set(self._dirty_bytes)
+        # A full cache exceeds capacity by one block per insert, so this
+        # runs on nearly every insert.  Victims are the clean data/inode
+        # blocks in stamp order, the just-inserted one included.  Stamps
+        # are unique, so entries never tie and blocks are never compared.
+        over = len(blocks) * bs - self.capacity_bytes
+        while over > 0 and heap:
+            stamp, victim = heappop(heap)
+            self.heap_entries_examined += 1
+            if victim.dirty or blocks.get(victim.key) is not victim:
+                victim.queued = False
+            elif victim.stamp != stamp:
+                heappush(heap, (victim.stamp, victim))
+            else:
+                del blocks[victim.key]
+                keys = self._by_inum[victim.key.inum]
+                keys.discard(victim.key)
+                if not keys:
+                    del self._by_inum[victim.key.inum]
+                over -= bs
+                self.stats.evictions += 1
+                if obs:
+                    self._m_evictions.inc()
         return block
 
     def mark_dirty(self, key: BlockKey, now: float) -> None:
@@ -282,29 +346,6 @@ class BlockCache:
             heapify(heap)
         block.queued = True
         heappush(heap, (block.stamp, block))
-
-    def _evict_to_capacity(self) -> None:
-        # A full cache exceeds capacity by one block per insert, so this
-        # runs on nearly every insert.  Victims are the clean data/inode
-        # blocks in stamp order, the just-inserted one included.  Stamps
-        # are unique, so entries never tie and blocks are never compared.
-        heap = self._heap
-        blocks = self._blocks
-        over = self.used_bytes - self.capacity_bytes
-        while over > 0 and heap:
-            stamp, block = heappop(heap)
-            self.heap_entries_examined += 1
-            if block.dirty or blocks.get(block.key) is not block:
-                block.queued = False
-            elif block.stamp != stamp:
-                heappush(heap, (block.stamp, block))
-            else:
-                del blocks[block.key]
-                self._forget_key(block.key)
-                over -= self.block_size
-                self.stats.evictions += 1
-                if self._obs_enabled:
-                    self._m_evictions.inc()
 
     def over_capacity(self) -> bool:
         """True when even after eviction the cache exceeds capacity.

@@ -19,7 +19,17 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, NamedTuple, Tuple, Union
+from functools import partial
+from typing import (
+    Callable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.errors import CorruptionError, InvalidArgumentError
 
@@ -63,6 +73,15 @@ class BlockKind(enum.IntEnum):
     SEGUSAGE = 5  # a segment-usage-array block (LFS only)
 
 
+# Reading an enum member through its class runs a descriptor; the
+# per-call code below reads these instead.
+_FREE = FileType.FREE
+_DIRECTORY = FileType.DIRECTORY
+_DATA = BlockKind.DATA
+_INDIRECT = BlockKind.INDIRECT
+_DINDIRECT = BlockKind.DINDIRECT
+
+
 class BlockKey(NamedTuple):
     """Cache/log identity of a block: owner, kind and index.
 
@@ -80,6 +99,12 @@ class BlockKey(NamedTuple):
     inum: int
     kind: BlockKind
     index: int
+
+
+block_key = partial(tuple.__new__, BlockKey)
+"""``block_key((inum, kind, index))`` is ``BlockKey(inum, kind, index)``
+built in C, without the class's Python-level ``__new__``: the data path
+makes a few keys per block."""
 
 
 @dataclass
@@ -108,11 +133,11 @@ class Inode:
 
     @property
     def is_dir(self) -> bool:
-        return self.ftype is FileType.DIRECTORY
+        return self.ftype is _DIRECTORY
 
     @property
     def is_allocated(self) -> bool:
-        return self.ftype is not FileType.FREE
+        return self.ftype is not _FREE
 
     def nblocks(self, block_size: int) -> int:
         """Logical blocks spanned by the current size."""
@@ -201,6 +226,13 @@ class BlockMap:
     zeroed block when ``addr`` is NIL (how LFS materializes pointer
     blocks that have never been written).  ``dirty(key)`` marks a pointer
     block modified.
+
+    A *container* is what one walk reaches: the inode's direct slots or
+    one single-indirect leaf.  The run methods (:meth:`get_missing`,
+    :meth:`set_run`) walk once per container and hand the lookups the
+    other blocks would have repeated to ``rehit(keys, rounds)``: the
+    loaded blocks are cached, so each would have been a hit.  By default
+    that repeats the loads.
     """
 
     def __init__(
@@ -208,13 +240,20 @@ class BlockMap:
         block_size: int,
         load_pointers: Callable[[BlockKey, int], List[int]],
         dirty: Callable[[BlockKey], None],
+        rehit: Optional[Callable[[Sequence[BlockKey], int], None]] = None,
     ) -> None:
         self.block_size = block_size
         self.ppb = pointers_per_block(block_size)
         self._load = load_pointers
         self._dirty = dirty
+        self._rehit = rehit or self._load_again
         self._probe: Callable[[BlockKey], bool] = lambda _key: False
         self.max_lbn = N_DIRECT + self.ppb + self.ppb * self.ppb - 1
+
+    def _load_again(self, keys: Sequence[BlockKey], rounds: int) -> None:
+        for _ in range(rounds):
+            for key in keys:
+                self._load(key, NIL)
 
     def _check_lbn(self, lbn: int) -> None:
         if lbn < 0:
@@ -231,37 +270,102 @@ class BlockMap:
             return 0
         return 1 + (lbn - N_DIRECT - self.ppb) // self.ppb
 
-    def _leaf_pointers(self, inode: Inode, lbn: int, touch: bool) -> List[int]:
-        """Pointer list of the single-indirect block covering ``lbn``.
-
-        With ``touch`` the double-indirect root is dirtied when traversed
-        for a write (its leaf slot may be filled in later by the flush
-        code once the leaf gets a disk address).
-        """
+    def container(self, lbn: int) -> Tuple[int, int, int]:
+        """``(ordinal, first, last)`` of the container that maps ``lbn``:
+        the single-indirect ordinal (-1 for the inode's direct slots) and
+        the first and last logical blocks it maps."""
+        if lbn < N_DIRECT:
+            return -1, 0, N_DIRECT - 1
         ordinal = self.single_indirect_ordinal(lbn)
+        first = N_DIRECT + ordinal * self.ppb
+        return ordinal, first, first + self.ppb - 1
+
+    def _leaf_pointers(
+        self, inode: Inode, ordinal: int
+    ) -> Tuple[List[int], Tuple[BlockKey, ...]]:
+        """Pointer list of single-indirect block ``ordinal``, for a write,
+        and the keys looked up to reach it (root first).
+
+        The double-indirect root is dirtied on the way: its leaf slot may
+        be filled in later by the flush code once the leaf gets a disk
+        address.
+        """
         if ordinal == 0:
-            key = BlockKey(inode.inum, BlockKind.INDIRECT, 0)
-            return self._load(key, inode.indirect)
-        root_key = BlockKey(inode.inum, BlockKind.DINDIRECT, 0)
+            key = block_key((inode.inum, _INDIRECT, 0))
+            return self._load(key, inode.indirect), (key,)
+        root_key = block_key((inode.inum, _DINDIRECT, 0))
         root = self._load(root_key, inode.dindirect)
-        if touch:
-            self._dirty(root_key)
-        leaf_key = BlockKey(inode.inum, BlockKind.INDIRECT, ordinal)
-        return self._load(leaf_key, root[ordinal - 1])
+        self._dirty(root_key)
+        leaf_key = block_key((inode.inum, _INDIRECT, ordinal))
+        return self._load(leaf_key, root[ordinal - 1]), (root_key, leaf_key)
+
+    def _read_leaf(
+        self, inode: Inode, ordinal: int
+    ) -> Tuple[Optional[List[int]], Tuple[BlockKey, ...]]:
+        """Pointer list of single-indirect block ``ordinal`` for a read,
+        and the keys looked up to reach it.  None for a hole under pointer
+        blocks that exist neither on disk nor in the cache: nothing is
+        created."""
+        if ordinal == 0:
+            key = block_key((inode.inum, _INDIRECT, 0))
+            if inode.indirect == NIL and not self._probe(key):
+                return None, ()
+            return self._load(key, inode.indirect), (key,)
+        root_key = block_key((inode.inum, _DINDIRECT, 0))
+        if inode.dindirect == NIL and not self._probe(root_key):
+            return None, ()
+        root = self._load(root_key, inode.dindirect)
+        leaf_key = block_key((inode.inum, _INDIRECT, ordinal))
+        return self._load(leaf_key, root[ordinal - 1]), (root_key, leaf_key)
 
     def get(self, inode: Inode, lbn: int) -> int:
         """Disk address of logical block ``lbn`` (NIL for holes)."""
         self._check_lbn(lbn)
         if lbn < N_DIRECT:
             return inode.direct[lbn]
-        # Avoid materializing pointer blocks for reads of obvious holes.
-        if lbn < N_DIRECT + self.ppb:
-            if inode.indirect == NIL and not self._cached(inode.inum, 0):
-                return NIL
-        elif inode.dindirect == NIL and not self._cached_root(inode.inum):
-            return NIL
-        pointers = self._leaf_pointers(inode, lbn, touch=False)
-        return pointers[self._leaf_slot(lbn)]
+        ordinal, first, _last = self.container(lbn)
+        pointers, _keys = self._read_leaf(inode, ordinal)
+        return NIL if pointers is None else pointers[lbn - first]
+
+    def get_missing(
+        self,
+        inode: Inode,
+        first: int,
+        last: int,
+        cached: Callable[[BlockKey], bool],
+    ) -> List[Tuple[int, int]]:
+        """``(lbn, addr)`` of every data block in ``[first, last]`` that
+        ``cached`` does not hold and that is not a hole.
+
+        The same lookups, in the same order, as asking ``cached`` and then
+        :meth:`get` block by block, but with one walk per container.
+        ``cached`` is still asked block by block after the walk for the
+        blocks before it: a walk may read a leaf from disk, and caching
+        it may evict a later block of the range.
+        """
+        if first < 0 or last > self.max_lbn:
+            self._check_lbn(first)
+            self._check_lbn(last)
+        inum = inode.inum
+        found: List[Tuple[int, int]] = []
+        lbn = first
+        while lbn <= last:
+            ordinal, base, end = self.container(lbn)
+            pointers: Optional[List[int]] = inode.direct
+            keys: Tuple[BlockKey, ...] = ()
+            rounds = -1  # lookups past the walk's
+            for lbn in range(lbn, min(last, end) + 1):
+                if cached(block_key((inum, _DATA, lbn))):
+                    continue
+                rounds += 1
+                if rounds == 0 and ordinal >= 0:
+                    pointers, keys = self._read_leaf(inode, ordinal)
+                if pointers is not None and pointers[lbn - base] != NIL:
+                    found.append((lbn, pointers[lbn - base]))
+            if rounds > 0 and keys:
+                self._rehit(keys, rounds)
+            lbn = end + 1
+        return found
 
     def set(self, inode: Inode, lbn: int, addr: int) -> int:
         """Point ``lbn`` at ``addr``; returns the previous address.
@@ -270,23 +374,35 @@ class BlockMap:
         block dirty.  The *caller* is responsible for marking the inode
         itself dirty.
         """
-        self._check_lbn(lbn)
-        if lbn < N_DIRECT:
-            old = inode.direct[lbn]
-            inode.direct[lbn] = addr
-            return old
-        pointers = self._leaf_pointers(inode, lbn, touch=True)
-        slot = self._leaf_slot(lbn)
-        old = pointers[slot]
-        pointers[slot] = addr
-        ordinal = self.single_indirect_ordinal(lbn)
-        self._dirty(BlockKey(inode.inum, BlockKind.INDIRECT, ordinal))
-        return old
+        return self.set_run(inode, (lbn,), addr)[0]
 
-    def _leaf_slot(self, lbn: int) -> int:
-        if lbn < N_DIRECT + self.ppb:
-            return lbn - N_DIRECT
-        return (lbn - N_DIRECT - self.ppb) % self.ppb
+    def set_run(
+        self, inode: Inode, lbns: Sequence[int], first_addr: int
+    ) -> List[int]:
+        """Point ``lbns[i]`` at ``first_addr + i``; returns the previous
+        addresses.
+
+        ``lbns`` ascend within one container.  As :meth:`set` block by
+        block, but only the first block walks the tree (loading, creating
+        and dirtying pointer blocks); the other blocks' lookups go to
+        ``rehit``, and the pointer blocks they would have dirtied again
+        are dirty already.
+        """
+        self._check_lbn(lbns[0])
+        self._check_lbn(lbns[-1])
+        ordinal, base, _end = self.container(lbns[0])
+        if ordinal < 0:
+            pointers = inode.direct
+        else:
+            pointers, keys = self._leaf_pointers(inode, ordinal)
+            self._dirty(keys[-1])
+            if len(lbns) > 1:
+                self._rehit(keys, len(lbns) - 1)
+        olds = []
+        for addr, lbn in enumerate(lbns, first_addr):
+            olds.append(pointers[lbn - base])
+            pointers[lbn - base] = addr
+        return olds
 
     # The hole-read fast path above must not hide pointer blocks that live
     # only in cache (dirty, no disk address yet — the normal LFS state).
@@ -294,12 +410,6 @@ class BlockMap:
 
     def set_cache_probe(self, probe: Callable[[BlockKey], bool]) -> None:
         self._probe = probe
-
-    def _cached(self, inum: int, ordinal: int) -> bool:
-        return self._probe(BlockKey(inum, BlockKind.INDIRECT, ordinal))
-
-    def _cached_root(self, inum: int) -> bool:
-        return self._probe(BlockKey(inum, BlockKind.DINDIRECT, 0))
 
     def iter_allocated(self, inode: Inode) -> Iterator[Tuple[int, int]]:
         """Yield ``(lbn, addr)`` for every non-NIL data pointer in range."""
@@ -313,7 +423,7 @@ class BlockMap:
         nblocks = inode.nblocks(self.block_size)
         keys: List[BlockKey] = []
         if nblocks > N_DIRECT:
-            keys.append(BlockKey(inode.inum, BlockKind.INDIRECT, 0))
+            keys.append(BlockKey(inode.inum, _INDIRECT, 0))
         beyond_single = nblocks - N_DIRECT - self.ppb
         if beyond_single > 0:
             keys.append(BlockKey(inode.inum, BlockKind.DINDIRECT, 0))

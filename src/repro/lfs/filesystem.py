@@ -14,8 +14,10 @@ from __future__ import annotations
 import struct
 from dataclasses import astuple, dataclass, replace
 from functools import partial
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Set
 
+from repro.cache.block_cache import CacheBlock
 from repro.cache.writeback import WritebackReason
 from repro.common.inode import (
     BlockKey,
@@ -23,7 +25,6 @@ from repro.common.inode import (
     FileType,
     Inode,
     INODE_SIZE,
-    N_DIRECT,
     NIL,
 )
 from repro.common.serialization import U32, checksum
@@ -39,7 +40,7 @@ from repro.lfs.cleaner import CleanerPolicy, SegmentCleaner
 from repro.lfs.config import LFS_MAGIC, LfsConfig, LfsLayout
 from repro.lfs.inode_map import InodeMap
 from repro.lfs.recovery import RollForwardReport, roll_forward
-from repro.lfs.segments import PlannedBlock, SegmentManager
+from repro.lfs.segments import PlannedRun, SegmentManager
 from repro.lfs.segment_usage import SegmentState, SegmentUsage
 from repro.lfs.summary import SummaryEntry
 from repro.obs import Telemetry
@@ -51,6 +52,21 @@ from repro.vfs.base import BaseFileSystem, ROOT_INUM
 _SUPERBLOCK = struct.Struct("<IIIIIQ")
 """magic, CRC of the fields after it, then :class:`SuperBlock`'s fields."""
 _SUPERBLOCK_BODY = slice(8, _SUPERBLOCK.size)
+
+_BLOCK_KEY = attrgetter("key")
+_DATA = BlockKind.DATA
+_INDIRECT = BlockKind.INDIRECT
+_DINDIRECT = BlockKind.DINDIRECT
+
+
+def _write_payloads(
+    blocks: List[CacheBlock], bs: int, out: memoryview, start: int, count: int
+) -> None:
+    """Copy the payloads of a piece of a data run into the log buffer."""
+    offset = 0
+    for block in blocks[start : start + count]:
+        out[offset : offset + bs] = block.payload
+        offset += bs
 
 
 @dataclass(frozen=True)
@@ -412,20 +428,23 @@ class LogStructuredFS(BaseFileSystem):
         if self.usage.clean_count() < max(config.clean_low_water, needed):
             self.cleaner.clean(max(config.clean_high_water, needed))
 
-    def _build_plan(self, checkpoint: bool) -> List[PlannedBlock]:
+    def _build_plan(self, checkpoint: bool) -> List[PlannedRun]:
         """Assemble the dirty state into log order.
 
         Order matters: data blocks first, then single-indirect blocks,
         then double-indirect roots, then inode blocks, then inode-map
         blocks, then (at checkpoints) segment-usage blocks — each layer's
-        address assignment feeds the next layer's contents.
+        address assignment feeds the next layer's contents.  A file's
+        dirty data blocks under one pointer container form one run;
+        every other block is a run of one.
         """
-        plan: List[PlannedBlock] = []
+        plan: List[PlannedRun] = []
         bs = self.block_size
         seg_of = self.layout.segment_of_block
         usage = self.usage
         cache = self.cache
         clock = self.clock
+        container = self.block_map.container
 
         def moved(old: int, new: int, nbytes: int = bs) -> None:
             """``nbytes`` at ``old`` die; they live at ``new`` from now on."""
@@ -433,71 +452,81 @@ class LogStructuredFS(BaseFileSystem):
                 usage.note_dead(seg_of(old), nbytes)
             usage.note_write(seg_of(new), nbytes, clock.now())
 
-        # A dirty data block past the direct pointers drags its leaf into
-        # the plan, and a leaf past the first drags the root.
-        data_blocks: Dict[BlockKey, Any] = {}
+        data_blocks: List[CacheBlock] = []
         leaf_keys: Set[BlockKey] = set()
         root_keys: Set[BlockKey] = set()
         for block in cache.dirty_blocks():
+            kind = block.key.kind
+            if kind is _DATA:
+                data_blocks.append(block)
+            elif kind is _INDIRECT:
+                leaf_keys.add(block.key)
+            elif kind is _DINDIRECT:
+                root_keys.add(block.key)
+        # Data, one run per file and container.  A data run past the
+        # direct pointers drags its leaf into the plan, and a leaf past
+        # the first drags the root.
+        data_blocks.sort(key=_BLOCK_KEY)
+        runs: List[List[CacheBlock]] = []
+        inum, end = NIL, -1
+        for block in data_blocks:
             key = block.key
-            if key.kind is BlockKind.DATA:
-                data_blocks[key] = block
-                if key.index >= N_DIRECT:
-                    ordinal = self.block_map.single_indirect_ordinal(key.index)
-                    leaf_keys.add(
-                        BlockKey(key.inum, BlockKind.INDIRECT, ordinal)
-                    )
-            elif key.kind is BlockKind.INDIRECT:
-                leaf_keys.add(key)
-            elif key.kind is BlockKind.DINDIRECT:
-                root_keys.add(key)
+            if key.inum != inum or key.index > end:
+                inum = key.inum
+                ordinal, _first, end = container(key.index)
+                runs.append([])
+                if ordinal >= 0:
+                    leaf_keys.add(BlockKey(inum, _INDIRECT, ordinal))
+            runs[-1].append(block)
         for key in leaf_keys:
             if key.index >= 1:
-                root_keys.add(BlockKey(key.inum, BlockKind.DINDIRECT, 0))
+                root_keys.add(BlockKey(key.inum, _DINDIRECT, 0))
+        # A data block is held by object: its run marks it clean when
+        # finalized, and a later run of the same partial segment (loading
+        # a pointer block) may evict it before it is serialized.
+        for blocks in runs:
+            inum = blocks[0].key.inum
+            inode = self._get_inode(inum)
+            version = self.imap.get(inum).version
+            plan.append(
+                PlannedRun(
+                    [
+                        SummaryEntry(_DATA, inum, block.key.index, version)
+                        for block in blocks
+                    ],
+                    partial(self._finalize_data_run, inode, blocks),
+                    partial(_write_payloads, blocks, bs),
+                )
+            )
 
-        def plan_file_block(key: BlockKey, block=None) -> None:
-            """A dirty cache block of a file, data or pointer.
-
-            A data block is held by object: its own ``finalize`` marks
-            it clean, and a later one in the same partial segment
-            (loading a pointer block) may evict it before it is
-            serialized.  A pointer block may not exist until a data
-            finalizer creates it, so it is looked up when written.
-            """
+        # Pointer blocks.  One may not exist until a data run's finalize
+        # creates it, so it is looked up when written.
+        for key in sorted(leaf_keys) + sorted(root_keys):
             inode = self._get_inode(key.inum)
             version = self.imap.get(key.inum).version
 
-            def finalize(addr: int) -> None:
-                if key.kind is BlockKind.DATA:
-                    old = self.block_map.set(inode, key.index, addr)
-                else:
-                    old = self._set_pointer_block_addr(inode, key, addr)
-                moved(old, addr)
+            def finalize(
+                _start: int, _count: int, addr: int, key=key, inode=inode
+            ) -> None:
+                moved(self._set_pointer_block_addr(inode, key, addr), addr)
                 cache.mark_clean(key)
                 self._mark_inode_dirty(inode)
 
-            def write_into(out: memoryview) -> None:
-                current = block or cache.peek(key)
+            def write_pointers(
+                out: memoryview, _start: int, _count: int, key=key
+            ) -> None:
+                current = cache.peek(key)
                 if current is None:
                     raise CorruptionError(f"planned pointer block {key} vanished")
                 current.write_into(out, bs)
 
             plan.append(
-                PlannedBlock(
-                    SummaryEntry(
-                        kind=key.kind,
-                        inum=key.inum,
-                        index=key.index,
-                        version=version,
-                    ),
+                PlannedRun(
+                    [SummaryEntry(key.kind, key.inum, key.index, version)],
                     finalize,
-                    write_into,
+                    write_pointers,
                 )
             )
-
-        for keys in (data_blocks, leaf_keys, root_keys):
-            for key in sorted(keys, key=lambda key: (key.inum, key.index)):
-                plan_file_block(key, data_blocks.get(key))
 
         # Inodes, packed several to a block.
         dirty_inums = self.dirty_inode_numbers()
@@ -508,7 +537,9 @@ class LogStructuredFS(BaseFileSystem):
                 dirty_inums[group_start : group_start + inodes_per_block]
             )
 
-            def finalize(addr: int, group=group) -> None:
+            def place_inodes(
+                _start: int, _count: int, addr: int, group=group
+            ) -> None:
                 # The address may have belonged to an older inode block
                 # whose segment was cleaned; drop any stale cached copy.
                 cache.discard(BlockKey(0, BlockKind.INODE, addr))
@@ -518,22 +549,26 @@ class LogStructuredFS(BaseFileSystem):
                     if old != NIL:
                         cache.discard(BlockKey(0, BlockKind.INODE, old))
 
-            def write_into(out: memoryview, group=group) -> None:
+            def write_inodes(
+                out: memoryview, _start: int, _count: int, group=group
+            ) -> None:
                 offset = 0
                 for inum in group:
                     offset += self._inodes[inum].pack_into(out, offset)
                 out[offset:] = bytes(len(out) - offset)  # alloc-ok: tail pad
 
             plan.append(
-                PlannedBlock(
-                    SummaryEntry(
-                        kind=BlockKind.INODE,
-                        inum=group[0],
-                        index=0,
-                        inums=group,
-                    ),
-                    finalize,
-                    write_into,
+                PlannedRun(
+                    [
+                        SummaryEntry(
+                            kind=BlockKind.INODE,
+                            inum=group[0],
+                            index=0,
+                            inums=group,
+                        )
+                    ],
+                    place_inodes,
+                    write_inodes,
                 )
             )
             imap_indexes.update(self.imap.block_of(inum) for inum in group)
@@ -542,16 +577,23 @@ class LogStructuredFS(BaseFileSystem):
             """Blocks of the inode map or of the segment usage array."""
             for index in indexes:
 
-                def finalize(addr: int, index=index) -> None:
+                def place(
+                    _start: int, _count: int, addr: int, index=index
+                ) -> None:
                     moved(table.block_addrs[index], addr)
                     table.block_addrs[index] = addr
                     table.mark_block_clean(index)
 
+                def pack(
+                    out: memoryview, _start: int, _count: int, index=index
+                ) -> None:
+                    table.pack_block_into(index, out)
+
                 plan.append(
-                    PlannedBlock(
-                        SummaryEntry(kind=kind, inum=0, index=index),
-                        finalize,
-                        partial(table.pack_block_into, index),
+                    PlannedRun(
+                        [SummaryEntry(kind=kind, inum=0, index=index)],
+                        place,
+                        pack,
                     )
                 )
 
@@ -561,6 +603,33 @@ class LogStructuredFS(BaseFileSystem):
                 BlockKind.SEGUSAGE, usage, usage.all_block_indexes()
             )
         return plan
+
+    def _finalize_data_run(
+        self,
+        inode: Inode,
+        blocks: List[CacheBlock],
+        start: int,
+        count: int,
+        first_addr: int,
+    ) -> None:
+        """Blocks ``start`` to ``start + count - 1`` of a data run went to
+        the log from ``first_addr`` on: point the file at them, account
+        the bytes that died and the bytes written, mark them clean."""
+        piece = blocks[start : start + count]
+        olds = self.block_map.set_run(
+            inode, [block.key.index for block in piece], first_addr
+        )
+        bs = self.block_size
+        seg_of = self.layout.segment_of_block
+        note_dead = self.usage.note_dead
+        for old in olds:
+            if old != NIL:
+                note_dead(seg_of(old), bs)
+        self.usage.note_write(seg_of(first_addr), count * bs, self.clock.now())
+        mark_clean = self.cache.mark_clean
+        for block in piece:
+            mark_clean(block.key)
+        self._mark_inode_dirty(inode)
 
     def _write_checkpoint(self) -> None:
         """Commit point: everything logged so far becomes recoverable."""

@@ -1,12 +1,12 @@
 """Segment allocation and the segment writer (§4.1, §4.3).
 
 The log is a chain of fixed-size segments.  The writer packs planned
-blocks into *partial segments* — a summary followed by content blocks —
-and pushes each partial segment to disk as **one large sequential,
-asynchronous transfer**, which is the entire performance story of the
-paper's Figure 2.  Partial segments arise when a flush does not fill the
-current segment (§4.3.5 notes this is the system running below capacity,
-not a problem).
+runs of blocks into *partial segments* — a summary followed by content
+blocks — and pushes each partial segment to disk as **one large
+sequential, asynchronous transfer**, which is the entire performance
+story of the paper's Figure 2.  Partial segments arise when a flush does
+not fill the current segment (§4.3.5 notes this is the system running
+below capacity, not a problem).
 
 Segment selection pre-picks the *next* segment when the current one is
 opened so that every summary can record where the log continues; that
@@ -16,7 +16,7 @@ forward link is what crash recovery follows when rolling forward.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.disk.sim_disk import SimDisk
 from repro.errors import CleanerError, NoSpaceError
@@ -72,21 +72,30 @@ class SegmentBufferPool:
 
 
 @dataclass
-class PlannedBlock:
-    """One block headed for the log.
+class PlannedRun:
+    """Blocks headed for consecutive log addresses.
 
-    ``finalize`` is invoked with the assigned disk address before any
-    block of the same partial segment is serialized; it updates the
-    referencing structure (pointer slot, inode map, ...) and the segment
-    usage accounting.  ``write_into`` is called afterwards with a
-    block-sized slice of the segment writer's pooled buffer, so blocks
-    whose serialized form depends on later-placed blocks' addresses
-    (inodes, inode-map blocks) are always written with the final values.
+    ``entries`` describes the blocks, one summary entry each.  The writer
+    may split a run at a partial-segment boundary, so both callbacks take
+    the piece ``start, count`` (entries ``start`` to ``start + count - 1``).
+    ``finalize(start, count, first_addr)`` is invoked with the piece's
+    first disk address before any block of the same partial segment is
+    serialized; it updates the referencing structures (pointer slots,
+    inode map, ...) and the segment usage accounting.
+    ``write_into(out, start, count)`` is called afterwards with a
+    ``count``-block slice of the segment writer's pooled buffer, so
+    blocks whose serialized form depends on later-placed blocks'
+    addresses (inodes, inode-map blocks) are always written with the
+    final values.  A metadata block is a run of one.
     """
 
-    entry: SummaryEntry
-    finalize: Callable[[int], None]
-    write_into: Callable[[memoryview], None]
+    entries: List[SummaryEntry]
+    finalize: Callable[[int, int, int], None]
+    write_into: Callable[[memoryview, int, int], None]
+
+
+Piece = Tuple[PlannedRun, int, int]
+"""``(run, start, count)``: the part of a run one partial segment holds."""
 
 
 @dataclass
@@ -188,47 +197,62 @@ class SegmentManager:
     # Writing
     # ------------------------------------------------------------------
 
-    def write_plan(self, plan: List[PlannedBlock]) -> int:
-        """Write every planned block to the log; returns bytes written.
+    def write_plan(self, plan: List[PlannedRun]) -> int:
+        """Write every planned run to the log; returns bytes written.
 
         The plan is split into partial segments as dictated by the space
-        remaining in the active segment.  Each partial segment goes to
-        the disk as a single asynchronous request.
+        remaining in the active segment, a run at a partial-segment
+        boundary included.  Each partial segment goes to the disk as a
+        single asynchronous request.
         """
         total_bytes = 0
-        index = 0
+        index, start = 0, 0
         while index < len(plan):
             if self.remaining_blocks() < 2:
                 self._advance_segment()
-            chunk, nsummary = self._take_chunk(plan, index)
-            if not chunk:
+            pieces, nsummary = self._take_chunk(plan, index, start)
+            if not pieces:
                 # Not even one block fits next to its summary here.
                 self._advance_segment()
                 continue
-            total_bytes += self._write_partial(chunk, nsummary)
-            index += len(chunk)
+            total_bytes += self._write_partial(pieces, nsummary)
+            run, piece_start, count = pieces[-1]
+            start = piece_start + count
+            index += len(pieces) - 1
+            if start == len(run.entries):
+                index, start = index + 1, 0
         return total_bytes
 
     def _take_chunk(
-        self, plan: List[PlannedBlock], start: int
-    ) -> "tuple[List[PlannedBlock], int]":
-        """Largest plan prefix from ``start`` that fits the active segment."""
+        self, plan: List[PlannedRun], index: int, start: int
+    ) -> "tuple[List[Piece], int]":
+        """Largest plan prefix from entry ``start`` of run ``index`` that
+        fits the active segment, as pieces of runs."""
         bs = self.layout.config.block_size
         remaining = self.remaining_blocks()
-        chunk: List[PlannedBlock] = []
+        pieces: List[Piece] = []
+        nblocks = 0
         entries_size = 0
         nsummary = 1
-        for planned in plan[start:]:
-            new_size = entries_size + planned.entry.packed_size()
-            new_nsummary = SegmentSummary.blocks_needed(new_size, bs)
-            if new_nsummary + len(chunk) + 1 > remaining:
+        for run in plan[index:]:
+            count = 0
+            for entry in run.entries[start:]:
+                new_size = entries_size + entry.packed_size()
+                new_nsummary = SegmentSummary.blocks_needed(new_size, bs)
+                if new_nsummary + nblocks + 1 > remaining:
+                    break
+                count += 1
+                nblocks += 1
+                entries_size = new_size
+                nsummary = new_nsummary
+            if count:
+                pieces.append((run, start, count))
+            if start + count < len(run.entries):
                 break
-            chunk.append(planned)
-            entries_size = new_size
-            nsummary = new_nsummary
-        return chunk, nsummary
+            start = 0
+        return pieces, nsummary
 
-    def _write_partial(self, chunk: List[PlannedBlock], nsummary: int) -> int:
+    def _write_partial(self, pieces: List[Piece], nsummary: int) -> int:
         bs = self.layout.config.block_size
         pos = self.position
         now = self.clock.now()
@@ -236,10 +260,13 @@ class SegmentManager:
             self.layout.segment_first_block(pos.active_segment)
             + pos.active_offset
         )
-        content_start = first_block + nsummary
         # Phase 1: hand out addresses (updates pointers, imap, usage).
-        for offset, planned in enumerate(chunk):
-            planned.finalize(content_start + offset)
+        addr = first_block + nsummary
+        entries: List[SummaryEntry] = []
+        for run, start, count in pieces:
+            run.finalize(start, count, addr)
+            entries += run.entries[start : start + count]
+            addr += count
         # Phase 2: serialize with final contents.
         summary = SegmentSummary(
             seq=pos.sequence,
@@ -247,14 +274,14 @@ class SegmentManager:
             next_segment_block=self.layout.segment_first_block(
                 pos.next_segment
             ),
-            entries=[planned.entry for planned in chunk],
+            entries=entries,
         )
         # Assemble the whole partial segment in one pooled buffer: the
         # summary plus every content block lands via slice assignment /
         # pack_into, then a single asynchronous device write ships it.
         # The device copies the buffer into its image synchronously, so
         # the buffer goes straight back to the pool.
-        total = (nsummary + len(chunk)) * bs
+        total = (nsummary + len(entries)) * bs
         buffer = self.pool.acquire()
         view = memoryview(buffer)
         try:
@@ -262,9 +289,10 @@ class SegmentManager:
             if packed != nsummary * bs:
                 raise AssertionError("partial segment size mismatch")
             offset = nsummary * bs
-            for planned in chunk:
-                planned.write_into(view[offset : offset + bs])
-                offset += bs
+            for run, start, count in pieces:
+                end = offset + count * bs
+                run.write_into(view[offset:end], start, count)
+                offset = end
             label = (
                 f"segment:{pos.active_segment}"
                 f"+{pos.active_offset} seq={pos.sequence}"
@@ -279,7 +307,7 @@ class SegmentManager:
         finally:
             view.release()
             self.pool.release(buffer)
-        pos.active_offset += nsummary + len(chunk)
+        pos.active_offset += nsummary + len(entries)
         pos.sequence += 1
         self.partial_segments_written += 1
         self.log_bytes_written += total

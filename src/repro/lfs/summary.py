@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import List, Tuple, Union
+from typing import List, NamedTuple, Tuple, Union
 
 from repro.common.inode import BlockKind, NIL
 from repro.common.serialization import U32, BatchPacker, checksum_chain
@@ -40,9 +40,13 @@ assert _CRC_OFFSET + U32.size == _HEADER_SIZE
 assert _ENTRY_HEAD.size == _ENTRY_BASE_SIZE
 
 
-@dataclass(frozen=True)
-class SummaryEntry:
-    """Describes one content block of a partial segment."""
+class SummaryEntry(NamedTuple):
+    """Describes one content block of a partial segment.
+
+    An immutable tuple rather than a frozen dataclass: the writer makes
+    one per block it logs, and a tuple is built without a Python-level
+    ``__init__``.
+    """
 
     kind: BlockKind
     inum: int
@@ -58,13 +62,14 @@ class SummaryEntry:
         """Append this entry to a batch serialization in place."""
         packer.pack_with(
             _ENTRY_HEAD,
-            int(self.kind),
+            self.kind,
             self.inum,
             self.index,
             self.version,
             len(self.inums),
         )
-        packer.u32_array(self.inums)
+        if self.inums:
+            packer.u32_array(self.inums)
 
     @classmethod
     def unpack_from(cls, data: bytes, offset: int) -> "Tuple[SummaryEntry, int]":
@@ -114,8 +119,11 @@ class SegmentSummary:
         return (total + block_size - 1) // block_size
 
     def summary_blocks(self, block_size: int) -> int:
+        entries = self.entries
         return self.blocks_needed(
-            sum(entry.packed_size() for entry in self.entries), block_size
+            _ENTRY_BASE_SIZE * len(entries)
+            + 4 * sum(len(entry.inums) for entry in entries),
+            block_size,
         )
 
     def pack(self, block_size: int) -> bytes:

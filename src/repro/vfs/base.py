@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 import struct
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.cache.block_cache import BlockCache
 from repro.cache.readahead import ReadaheadPolicy
@@ -35,6 +35,7 @@ from repro.common.inode import (
     FileType,
     Inode,
     NIL,
+    block_key,
     pointers_per_block,
 )
 from repro.disk.sim_disk import SimDisk
@@ -60,6 +61,7 @@ ROOT_INUM = 1
 MAX_READ_CLUSTER = 64 * KIB
 """Largest single disk read issued when filling the cache."""
 
+_DATA = BlockKind.DATA  # read per block; through the class it costs a call
 
 class _Directory:
     """A cached directory: its blocks, and a name index over all of them.
@@ -121,7 +123,10 @@ class BaseFileSystem(StorageManager):
         self._unmounted = False
         self._in_writeback = False
         self.block_map = BlockMap(
-            self.block_size, self._load_pointers, self._dirty_pointer_block
+            self.block_size,
+            self._load_pointers,
+            self._dirty_pointer_block,
+            self.cache.rehit,
         )
         self.block_map.set_cache_probe(self.cache.contains)
 
@@ -274,48 +279,49 @@ class BaseFileSystem(StorageManager):
         disk-contiguous runs may grow to the full readahead window
         rather than the ordinary demand-read cluster limit.
         """
-        missing: List[Tuple[int, int]] = []
-        for lbn in range(first, last + 1):
-            if not self.cache.contains(self._data_key(inode.inum, lbn)):
-                addr = self.block_map.get(inode, lbn)
-                if addr != NIL:
-                    missing.append((lbn, addr))
+        missing = self.block_map.get_missing(
+            inode, first, last, self.cache.contains
+        )
         # Coalesce disk-contiguous runs into single requests, as the real
         # systems' read clustering does; this is why LFS's 4 KB blocks do
         # not halve its sequential read bandwidth relative to FFS's 8 KB.
-        max_blocks = max(1, MAX_READ_CLUSTER // self.block_size)
+        bs = self.block_size
+        spb = self.sectors_per_block
+        max_blocks = max(1, MAX_READ_CLUSTER // bs)
         if prefetch_after is not None:
             max_blocks = max(max_blocks, self.readahead.window_blocks)
+        insert = self.cache.insert
+        inum = inode.inum
         index = 0
         while index < len(missing):
-            run = [missing[index]]
+            start_lbn, start_addr = missing[index]
+            count = 1
             while (
-                index + len(run) < len(missing)
-                and len(run) < max_blocks
-                and missing[index + len(run)][1] == run[-1][1] + 1
-                and missing[index + len(run)][0] == run[0][0] + len(run)
+                index + count < len(missing)
+                and count < max_blocks
+                and missing[index + count][1] == start_addr + count
+                and missing[index + count][0] == start_lbn + count
             ):
-                run.append(missing[index + len(run)])
-            start_addr = run[0][1]
+                count += 1
             raw = self.disk.read(
-                start_addr * self.sectors_per_block,
-                self.sectors_per_block * len(run),
-                label=f"data:{inode.inum}",
-                vectored=len(run) > 1,
+                start_addr * spb,
+                spb * count,
+                label=f"data:{inum}",
+                vectored=count > 1,
             )
-            for position, (lbn, _addr) in enumerate(run):
-                chunk = raw[
-                    position * self.block_size : (position + 1) * self.block_size
-                ]
-                self.cache.insert(
-                    self._data_key(inode.inum, lbn),
-                    bytearray(chunk),
-                    dirty=False,
-                    now=self.clock.now(),
+            now = self.clock.now()
+            for lbn, offset in zip(
+                range(start_lbn, start_lbn + count), range(0, count * bs, bs)
+            ):
+                insert(
+                    block_key((inum, _DATA, lbn)),
+                    bytearray(raw[offset : offset + bs]),
+                    False,
+                    now,
                 )
                 if prefetch_after is not None and lbn > prefetch_after:
-                    self.readahead.note_prefetched(inode.inum, lbn)
-            index += len(run)
+                    self.readahead.note_prefetched(inum, lbn)
+            index += count
 
     def _read_range(self, inode: Inode, offset: int, length: int) -> bytes:
         if offset < 0 or length < 0:
@@ -335,28 +341,27 @@ class BaseFileSystem(StorageManager):
             )
         else:
             self._fetch_data_blocks(inode, first, last)
-        parts: List[bytes] = []
+        # Data payloads are whole blocks; each is copied once, by join.
+        get = self.cache.get
+        inum = inode.inum
+        parts: List[Union[bytes, bytearray]] = []
         for lbn in range(first, last + 1):
-            block = self.cache.get(self._data_key(inode.inum, lbn))
-            if block is None:
-                addr = self.block_map.get(inode, lbn)
-                if addr == NIL:
-                    chunk = b"\x00" * bs  # hole
-                else:
-                    # The clustered fetch skipped this block because it
-                    # was cached, but inserting its fetched neighbours
-                    # evicted it before assembly (cache smaller than
-                    # the read window).  Evicted means clean, so the
-                    # on-disk copy is current: read it directly rather
-                    # than re-inserting a block the cache just dropped.
-                    chunk = self._read_block_from_disk(
-                        addr, label=f"data:{inode.inum}"
-                    )
+            block = get(block_key((inum, _DATA, lbn)))
+            if block is not None:
+                chunk = block.payload
+            elif (addr := self.block_map.get(inode, lbn)) == NIL:
+                chunk = bytes(bs)  # hole
             else:
-                chunk = block.as_bytes(bs)
+                # The clustered fetch skipped this block because it
+                # was cached, but inserting its fetched neighbours
+                # evicted it before assembly (cache smaller than
+                # the read window).  Evicted means clean, so the
+                # on-disk copy is current: read it directly rather
+                # than re-inserting a block the cache just dropped.
+                chunk = self._read_block_from_disk(addr, label=f"data:{inum}")
             lo = offset - lbn * bs if lbn == first else 0
             hi = end - lbn * bs if lbn == last else bs
-            parts.append(chunk[max(0, lo) : hi])
+            parts.append(chunk if lo == 0 and hi == bs else chunk[lo:hi])
         return b"".join(parts)
 
     def _write_range(self, inode: Inode, offset: int, data: bytes) -> int:
@@ -367,16 +372,21 @@ class BaseFileSystem(StorageManager):
         bs = self.block_size
         end = offset + len(data)
         first, last = offset // bs, (end - 1) // bs
+        source = memoryview(data)
+        get = self.cache.get
+        inum = inode.inum
         src = 0
         for lbn in range(first, last + 1):
             lo = offset - lbn * bs if lbn == first else 0
             hi = end - lbn * bs if lbn == last else bs
             lo = max(0, lo)
-            key = self._data_key(inode.inum, lbn)
-            block = self.cache.get(key)
+            piece = source[src : src + (hi - lo)]
+            src += hi - lo
+            key = block_key((inum, _DATA, lbn))
+            block = get(key)
             if block is None:
                 if hi - lo == bs:
-                    payload = bytearray(bs)
+                    payload = bytearray(piece)  # the one copy
                 else:
                     # Partial update of an uncached block: bring in the
                     # old contents if the block exists on disk.
@@ -388,21 +398,20 @@ class BaseFileSystem(StorageManager):
                     if addr != NIL:
                         payload = bytearray(
                             self._read_block_from_disk(
-                                addr, label=f"rmw:{inode.inum}"
+                                addr, label=f"rmw:{inum}"
                             )
                         )
                     else:
                         payload = bytearray(bs)
-                block = self.cache.insert(
+                    payload[lo:hi] = piece
+                self.cache.insert(
                     key, payload, dirty=True, now=self.clock.now()
                 )
             else:
                 if not isinstance(block.payload, bytearray):
                     raise CorruptionError(f"data block {key} has wrong payload")
                 self.cache.mark_dirty(key, self.clock.now())
-            assert isinstance(block.payload, bytearray)
-            block.payload[lo:hi] = data[src : src + (hi - lo)]
-            src += hi - lo
+                block.payload[lo:hi] = piece
             self._note_data_block_dirtied(inode, lbn)
         if end > inode.size:
             inode.size = end
@@ -845,16 +854,19 @@ class BaseFileSystem(StorageManager):
         inode = self._handle_inode(handle)
         if length is None:
             length = max(0, inode.size - offset)
-        self.cpu.syscall()
+        cpu = self.cpu
+        cpu.syscall()
         data = self._read_range(inode, offset, length)
-        nblocks = max(1, (len(data) + self.block_size - 1) // self.block_size)
-        self.cpu.block_touch(nblocks)
-        self.cpu.copy(len(data))
+        nbytes = len(data)
+        bs = self.block_size
+        cpu.block_touch(max(1, (nbytes + bs - 1) // bs))
+        cpu.copy(nbytes)
         self._update_atime(inode)
-        self._stats.read_calls += 1
-        self._stats.bytes_read += len(data)
+        stats = self._stats
+        stats.read_calls += 1
+        stats.bytes_read += nbytes
         if self._obs_enabled:
-            self._m_fs_bytes_read.inc(len(data))
+            self._m_fs_bytes_read.inc(nbytes)
         return data
 
     def pwrite(self, handle: FileHandle, offset: int, data: bytes) -> int:
@@ -869,13 +881,16 @@ class BaseFileSystem(StorageManager):
     def _pwrite(self, handle: FileHandle, offset: int, data: bytes) -> int:
         inode = self._handle_inode(handle)
         self._check_writable()
-        self.cpu.syscall()
-        nblocks = max(1, (len(data) + self.block_size - 1) // self.block_size)
-        self.cpu.block_touch(nblocks)
-        self.cpu.copy(len(data))
+        cpu = self.cpu
+        cpu.syscall()
+        nbytes = len(data)
+        bs = self.block_size
+        cpu.block_touch(max(1, (nbytes + bs - 1) // bs))
+        cpu.copy(nbytes)
         written = self._write_range(inode, offset, data)
-        self._stats.write_calls += 1
-        self._stats.bytes_written += written
+        stats = self._stats
+        stats.write_calls += 1
+        stats.bytes_written += written
         self._maybe_writeback()
         return written
 

@@ -4,18 +4,25 @@ The amortized-O(1) claims of the clean-segment heap and of the device's
 durability tracking, asserted on a whole file system rather than on the
 structures alone (``test_segment_usage_indexes.py`` fuzzes those) — and,
 below, the inode map's (work in proportion to the entries touched) and
-the segment plan's (one pass over the dirty set)."""
+the segment plan's (one pass over the dirty set) and the data path's
+(one pointer-tree walk per run)."""
 
 from itertools import groupby
 
+import pytest
+
 from repro.cache.block_cache import BlockCache
+from repro.common.inode import N_DIRECT, BlockKey, BlockKind
 from repro.lfs.config import LfsConfig
 from repro.lfs.filesystem import LogStructuredFS, make_lfs
 from repro.lfs.inode_map import ImapEntry
-from repro.lfs.segments import PlannedBlock
+from repro.lfs.segments import PlannedRun
 from repro.lfs.verify import verify_lfs
 from repro.units import KIB, MIB
 from repro.workloads.cleaning import run_cleaning_rate_test
+
+BS = 4 * KIB
+PPB = BS // 8
 
 
 def test_cleaning_pass_operation_counts():
@@ -143,7 +150,7 @@ def test_verify_builds_nothing_for_free_inodes(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# The plan is built in one pass: one dirty-set read, one object per block
+# The plan is built in one pass: one dirty-set read, one object per run
 # ----------------------------------------------------------------------
 
 
@@ -155,7 +162,7 @@ def test_build_plan_reads_the_dirty_set_once(monkeypatch):
         handle.pwrite((12 + 512 + 3) * 4 * KIB, b"d" * 100)
     reads, built = [], []
     dirty_blocks = BlockCache.dirty_blocks
-    init = PlannedBlock.__init__
+    init = PlannedRun.__init__
 
     def counting_read(self):
         reads.append(1)
@@ -166,13 +173,72 @@ def test_build_plan_reads_the_dirty_set_once(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(BlockCache, "dirty_blocks", counting_read)
-    monkeypatch.setattr(PlannedBlock, "__init__", counting_init)
+    monkeypatch.setattr(PlannedRun, "__init__", counting_init)
     plan = fs._build_plan(checkpoint=True)
     assert len(reads) == 1  # it used to be two, each a sort by stamp
-    kinds = [planned.entry.kind.name for planned in plan]
-    assert len(built) == len(plan)  # one object per summary entry
+    kinds = [run.entries[0].kind.name for run in plan]
+    assert len(built) == len(plan)  # one object per run
+    # Data: one run per file and pointer container (the root directory,
+    # /small, /indirect's direct blocks and its first leaf, /double's
+    # block); every other block is a run of one.
+    assert [len(run.entries) for run in plan] == [1, 1, 12, 28, 1] + [1] * (
+        len(plan) - 5
+    )
     # Log order: each layer's addresses feed the next layer's contents.
     assert [kind for kind, _run in groupby(kinds)] == [
         "DATA", "INDIRECT", "DINDIRECT", "INODE", "IMAP", "SEGUSAGE",
     ]
     assert kinds.count("INDIRECT") == 2 and kinds.count("DINDIRECT") == 1
+
+
+# ----------------------------------------------------------------------
+# A run walks the pointer tree once per container, and still pays for
+# every lookup the per-block walks would have made
+# ----------------------------------------------------------------------
+
+
+def _count_walk_loads(fs):
+    """Pointer-block loads made by the block map: a walk makes one per
+    level it descends (leaf, or root then leaf)."""
+    loads = []
+    load = fs.block_map._load
+
+    def counting(key, addr):
+        loads.append(key)
+        return load(key, addr)
+
+    fs.block_map._load = counting
+    return loads
+
+
+@pytest.mark.parametrize(
+    "first, levels", [(N_DIRECT + 40, 1), (N_DIRECT + PPB + 40, 2)]
+)
+def test_flush_of_a_run_walks_once(first, levels):
+    fs = make_lfs(total_bytes=64 * MIB)
+    blocks = 48
+    with fs.create("/run") as handle:
+        handle.pwrite(first * BS, b"r" * (blocks * BS))
+    loads = _count_walk_loads(fs)
+    lookups = fs.cache.stats.lookups
+    fs.sync()
+    assert len(loads) == levels  # the first block's walk
+    # One lookup per level per block, as block by block; a leaf under the
+    # root also costs the root lookup that stores the leaf's address.
+    assert fs.cache.stats.lookups - lookups == levels * blocks + (levels - 1)
+
+
+def test_pread_of_uncached_blocks_walks_once():
+    fs = make_lfs(total_bytes=64 * MIB)
+    with fs.create("/run") as handle:
+        handle.pwrite(N_DIRECT * BS, b"p" * (40 * BS))
+    fs.flush_caches()
+    fs.stat("/run")  # directory and inode back in memory
+    loads = _count_walk_loads(fs)
+    lookups = fs.cache.stats.lookups
+    with fs.open("/run") as handle:
+        assert handle.pread((N_DIRECT + 8) * BS, 16 * BS) == b"p" * (16 * BS)
+    assert loads == [BlockKey(fs.stat("/run").inum, BlockKind.INDIRECT, 0)]
+    # Per block: the leaf lookup its own walk would have made (the first
+    # a miss that reads the leaf), and the lookup that assembles it.
+    assert fs.cache.stats.lookups - lookups == 16 + 16

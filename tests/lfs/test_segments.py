@@ -11,7 +11,7 @@ from repro.disk.sim_disk import SimDisk
 from repro.errors import CleanerError, NoSpaceError
 from repro.lfs.config import LfsConfig, LfsLayout
 from repro.lfs.filesystem import make_lfs
-from repro.lfs.segments import PlannedBlock, SegmentManager
+from repro.lfs.segments import PlannedRun, SegmentManager
 from repro.lfs.segment_usage import SegmentState, SegmentUsage
 from repro.lfs.summary import SegmentSummary, SummaryEntry
 from repro.lfs.verify import verify_lfs
@@ -35,20 +35,18 @@ def rig():
 
 
 def planned(n: int, sink: list) -> list:
-    blocks = []
-    for i in range(n):
-        entry = SummaryEntry(kind=BlockKind.DATA, inum=1, index=i)
+    """One run of ``n`` blocks; ``sink`` gets each block's address."""
+    entries = [SummaryEntry(BlockKind.DATA, 1, i) for i in range(n)]
 
-        def finalize(addr: int, i=i) -> None:
-            sink.append((i, addr))
+    def finalize(start: int, count: int, first_addr: int) -> None:
+        for offset in range(count):
+            sink.append((start + offset, first_addr + offset))
 
-        def write_into(out: memoryview, i=i) -> None:
-            out[:] = bytes([i % 256]) * BS
+    def write_into(out: memoryview, start: int, count: int) -> None:
+        for offset, i in enumerate(range(start, start + count)):
+            out[offset * BS : (offset + 1) * BS] = bytes([i % 256]) * BS
 
-        blocks.append(
-            PlannedBlock(entry=entry, finalize=finalize, write_into=write_into)
-        )
-    return blocks
+    return [PlannedRun(entries, finalize, write_into)]
 
 
 class TestLayout:
@@ -160,12 +158,12 @@ class TestWritePlan:
     def test_bad_payload_size_rejected(self, rig):
         manager, usage, layout, disk = rig
 
-        def write_into(out: memoryview) -> None:
+        def write_into(out: memoryview, start: int, count: int) -> None:
             out[:] = b"short"
 
-        block = PlannedBlock(
-            entry=SummaryEntry(kind=BlockKind.DATA, inum=1, index=0),
-            finalize=lambda addr: None,
+        block = PlannedRun(
+            entries=[SummaryEntry(kind=BlockKind.DATA, inum=1, index=0)],
+            finalize=lambda start, count, first_addr: None,
             write_into=write_into,
         )
         manager.write_plan(planned(1, []))  # the pool now owns one buffer
