@@ -7,8 +7,9 @@ emit metric/span names missing from the registered vocabulary
 (FAULT002), wall-clock calls in the simulated-time service and cluster layers
 (SVC001), buffer copies on the zero-copy data path (ALLOC001), and
 simulated machines assembled by hand instead of through
-:func:`repro.rig.new_rig` (RIG001), and the offline verifier reaching
-for the structures it is the oracle for (VER001).
+:func:`repro.rig.new_rig` (RIG001), the offline verifier reaching
+for the structures it is the oracle for (VER001), and code outside the
+cache package reaching into the block cache's state (CACHE001).
 
 The container this project builds in has no third-party linter, so this
 module is the fallback for ``make lint`` — when ``ruff`` is installed
@@ -508,6 +509,69 @@ def _check_verifier_independence(
                 )
 
 
+_CACHE_STATS_FIELDS = frozenset(("hits", "misses", "insertions", "evictions"))
+"""The counters of :class:`~repro.cache.block_cache.CacheStats`.
+
+The block cache counts every lookup itself, including the ones a caller
+that walks the pointer tree once per run accounts in bulk through
+``BlockCache.rehit``.  CACHE001 keeps it that way: outside
+``repro/cache`` nothing reads the cache's private state (``._blocks``,
+``._dirty``, ``._heap``, ``._next_stamp``, ``._m_*`` ...) or writes a
+``CacheStats`` field.  ``CacheBlock`` has no private state, so the
+receiver to watch is whatever names the cache (``cache``,
+``self.cache``, ``fs.cache``); an alias the AST cannot see through is
+skipped rather than guessed."""
+
+
+def _names_cache(node: ast.expr) -> bool:
+    if isinstance(node, ast.Name):
+        name = node.id
+    elif isinstance(node, ast.Attribute):
+        name = node.attr
+    else:
+        return False
+    return name.lstrip("_").endswith("cache")
+
+
+def _check_cache_encapsulation(
+    path: str, tree: ast.Module, noqa: Set[int]
+) -> Iterator[Tuple[str, int, str]]:
+    normalized = path.replace(os.sep, "/")
+    if "src/repro/" not in normalized or "repro/cache/" in normalized:
+        return
+    for node in ast.walk(tree):
+        finding = None
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+            and _names_cache(node.value)
+        ):
+            finding = f"`.{node.attr}` is the block cache's private state"
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = (
+                node.targets if isinstance(node, ast.Assign) else [node.target]
+            )
+            for target in targets:
+                if (
+                    isinstance(target, ast.Attribute)
+                    and target.attr in _CACHE_STATS_FIELDS
+                    and isinstance(target.value, ast.Attribute)
+                    and target.value.attr == "stats"
+                    and _names_cache(target.value.value)
+                ):
+                    finding = (
+                        f"assignment to `stats.{target.attr}` of the block cache"
+                    )
+        if finding and node.lineno not in noqa:
+            yield (
+                path,
+                node.lineno,
+                f"CACHE001 {finding}; go through BlockCache's methods "
+                "(get, insert, rehit, ...), which keep its counts",
+            )
+
+
 def lint_file(path: str) -> List[Tuple[str, int, str]]:
     with open(path, encoding="utf-8") as handle:
         source = handle.read()
@@ -528,6 +592,7 @@ def lint_file(path: str) -> List[Tuple[str, int, str]]:
     )
     findings.extend(_check_rig_builder(path, tree, noqa))
     findings.extend(_check_verifier_independence(path, tree, noqa))
+    findings.extend(_check_cache_encapsulation(path, tree, noqa))
     return findings
 
 

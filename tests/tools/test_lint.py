@@ -367,3 +367,44 @@ class TestVerifierIndependence:
         import repro.lfs.verify as verify
 
         assert not any("VER001" in m for _, _, m in lint_file(verify.__file__))
+
+
+class TestCacheEncapsulation:
+    SOURCE = (
+        "def account(fs, keys, rounds):\n"
+        "    fs.cache.stats.hits += rounds * len(keys)\n"
+        "    for key in keys:\n"
+        "        fs.cache._blocks[key].stamp = fs.cache._next_stamp()\n"
+        "    cache = fs.cache\n"
+        "    cache.stats.misses = 0\n"
+        "    if cache._obs_enabled:\n"
+        "        cache._m_hits.inc(rounds)\n"
+    )
+
+    def cache001(self, tmp_path, relpath, source):
+        path = write_module(tmp_path, relpath, source)
+        return sorted((n, m) for _, n, m in lint_file(path) if "CACHE001" in m)
+
+    def test_flags_private_state_and_stats_writes(self, tmp_path):
+        findings = self.cache001(tmp_path, "src/repro/lfs/ext.py", self.SOURCE)
+        assert [n for n, _ in findings] == [2, 4, 4, 6, 7, 8]
+        messages = dict(findings)
+        assert "`stats.hits`" in messages[2]
+        assert "`._blocks`" in findings[1][1] or "`._blocks`" in findings[2][1]
+        assert "rehit" in messages[4]
+
+    def test_the_cache_package_and_tests_are_free(self, tmp_path):
+        for relpath in ("src/repro/cache/ext.py", "tests/cache/test_ext.py"):
+            assert not self.cache001(tmp_path, relpath, self.SOURCE)
+
+    def test_public_calls_reads_and_other_private_state_are_fine(self, tmp_path):
+        source = (
+            "def walk(fs, keys):\n"
+            "    fs.cache.rehit(keys, 2)\n"
+            "    hits = fs.cache.stats.hits\n"
+            "    fs._stats.read_calls += 1\n"
+            "    block = fs.imap._blocks[0]\n"
+            "    fs.cache.stats.hits += 1  # noqa: CACHE001\n"
+            "    return hits, block\n"
+        )
+        assert not self.cache001(tmp_path, "src/repro/vfs/ext.py", source)
