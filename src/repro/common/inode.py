@@ -303,9 +303,9 @@ class BlockMap:
         self, inode: Inode, ordinal: int
     ) -> Tuple[Optional[List[int]], Tuple[BlockKey, ...]]:
         """Pointer list of single-indirect block ``ordinal`` for a read,
-        and the keys looked up to reach it.  None for a hole under pointer
-        blocks that exist neither on disk nor in the cache: nothing is
-        created."""
+        and the keys looked up to reach it.  None for a hole under a
+        pointer block that exists neither on disk nor in the cache:
+        nothing is created, at either level."""
         if ordinal == 0:
             key = block_key((inode.inum, _INDIRECT, 0))
             if inode.indirect == NIL and not self._probe(key):
@@ -316,7 +316,10 @@ class BlockMap:
             return None, ()
         root = self._load(root_key, inode.dindirect)
         leaf_key = block_key((inode.inum, _INDIRECT, ordinal))
-        return self._load(leaf_key, root[ordinal - 1]), (root_key, leaf_key)
+        leaf_addr = root[ordinal - 1]
+        if leaf_addr == NIL and not self._probe(leaf_key):
+            return None, (root_key,)
+        return self._load(leaf_key, leaf_addr), (root_key, leaf_key)
 
     def get(self, inode: Inode, lbn: int) -> int:
         """Disk address of logical block ``lbn`` (NIL for holes)."""

@@ -146,6 +146,13 @@ class TestBlockMapIndirect:
         root = BlockKey(1, BlockKind.DINDIRECT, 0)
         assert root in h.blocks
 
+    def test_hole_under_an_allocated_root_creates_no_leaf(self):
+        h = _MapHarness()
+        inode = Inode(inum=1, ftype=FileType.REGULAR)
+        h.map.set(inode, N_DIRECT + PPB, 7)  # the root and its first leaf
+        assert h.map.get(inode, N_DIRECT + 3 * PPB + 5) == NIL
+        assert BlockKey(1, BlockKind.INDIRECT, 3) not in h.blocks
+
     def test_double_indirect_dirties_root(self):
         h = _MapHarness()
         inode = Inode(inum=1, ftype=FileType.REGULAR)

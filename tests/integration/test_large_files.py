@@ -1,9 +1,13 @@
 """Large-file edge cases: indirect trees under churn and cleaning."""
 
 
-from repro.common.inode import N_DIRECT, pointers_per_block
+import pytest
+
+from repro.common.inode import BlockKey, BlockKind, N_DIRECT, pointers_per_block
+from repro.ffs.filesystem import FastFileSystem
 from repro.lfs.filesystem import LogStructuredFS
-from tests.conftest import small_lfs_config
+from repro.units import KIB
+from tests.conftest import small_ffs_config, small_lfs_config
 
 
 def big_payload(tag: int, nbytes: int) -> bytes:
@@ -62,6 +66,63 @@ class TestDoubleIndirect:
         anyfs.sync()
         anyfs.flush_caches()
         assert anyfs.read_file("/f") == second
+
+
+class TestHolesUnderTheDoubleIndirectRoot:
+    """A hole whose leaf was never allocated reads as zeros and creates
+    nothing: a leaf loaded for it would be a clean all-NIL pointer
+    block, and pointer blocks are never evicted."""
+
+    @staticmethod
+    def sparse(kind, disk, cpu, leaves):
+        """One block in the first leaf under the root and one ``leaves``
+        leaves further, on a 256 KiB cache."""
+        if kind == "lfs":
+            config = small_lfs_config(cache_bytes=256 * KIB)
+            fs = LogStructuredFS.mkfs(disk, cpu, config)
+        else:
+            config = small_ffs_config(cache_bytes=256 * KIB)
+            fs = FastFileSystem.mkfs(disk, cpu, config)
+        bs, ppb = fs.block_size, pointers_per_block(fs.block_size)
+        first = N_DIRECT + ppb
+        with fs.create("/sparse") as handle:
+            handle.pwrite(first * bs, b"a" * bs)
+            handle.pwrite((first + leaves * ppb) * bs, b"z" * bs)
+        fs.sync()
+        return fs, first, ppb
+
+    @pytest.mark.parametrize("kind", ["lfs", "ffs"])
+    def test_reading_holes_loads_no_leaves(self, kind, disk, cpu):
+        fs, first, ppb = self.sparse(kind, disk, cpu, leaves=200)
+        bs = fs.block_size
+        evictions = fs.cache.stats.evictions
+        with fs.open("/sparse") as handle:
+            for leaf in range(2, 150):
+                offset = (first + (leaf - 1) * ppb + 7) * bs
+                assert handle.pread(offset, 16) == bytes(16)
+        inum = fs.stat("/sparse").inum
+        assert not any(
+            fs.cache.contains(BlockKey(inum, BlockKind.INDIRECT, leaf))
+            for leaf in range(2, 150)
+        )
+        assert not fs.cache.over_capacity()
+        assert fs.cache.stats.evictions == evictions
+
+    @pytest.mark.parametrize("kind", ["lfs", "ffs"])
+    def test_unlinking_a_sparse_file_loads_no_leaves(
+        self, kind, disk, cpu, monkeypatch
+    ):
+        fs, _first, _ppb = self.sparse(kind, disk, cpu, leaves=20)
+        inserted = []
+        insert = fs.cache.insert
+
+        def counting(key, *args, **kwargs):
+            inserted.append(key)
+            return insert(key, *args, **kwargs)
+
+        monkeypatch.setattr(fs.cache, "insert", counting)
+        fs.unlink("/sparse")
+        assert [key for key in inserted if key.kind is BlockKind.INDIRECT] == []
 
 
 class TestLargeFileThroughCleaning:
