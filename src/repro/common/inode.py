@@ -346,9 +346,8 @@ class BlockMap:
         blocks before it: a walk may read a leaf from disk, and caching
         it may evict a later block of the range.
         """
-        if first < 0 or last > self.max_lbn:
-            self._check_lbn(first)
-            self._check_lbn(last)
+        self._check_lbn(first)
+        self._check_lbn(last)
         inum = inode.inum
         found: List[Tuple[int, int]] = []
         lbn = first
@@ -426,7 +425,7 @@ class BlockMap:
         nblocks = inode.nblocks(self.block_size)
         keys: List[BlockKey] = []
         if nblocks > N_DIRECT:
-            keys.append(BlockKey(inode.inum, _INDIRECT, 0))
+            keys.append(BlockKey(inode.inum, BlockKind.INDIRECT, 0))
         beyond_single = nblocks - N_DIRECT - self.ppb
         if beyond_single > 0:
             keys.append(BlockKey(inode.inum, BlockKind.DINDIRECT, 0))

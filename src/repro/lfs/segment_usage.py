@@ -191,19 +191,14 @@ class SegmentUsage:
         self._touch(seg)
 
     def note_dead(self, seg: int, nbytes: int) -> None:
-        """Previously live bytes in ``seg`` were overwritten or deleted.
-
-        Called once per overwritten block, so the helpers are inlined.
-        """
-        if not 0 <= seg < self.num_segments:
-            raise CorruptionError(f"segment {seg} out of range")
-        info = self._info[seg]
+        """Previously live bytes in ``seg`` were overwritten or deleted."""
+        info = self.info(seg)
         if nbytes > info.live_bytes:
             self.underflow_clamps += 1
-            nbytes = info.live_bytes
-        info.live_bytes -= nbytes
-        self._total_live -= nbytes
-        self._dirty_blocks.add(seg // self.entries_per_block)
+            self._set_live(info, 0)
+        else:
+            self._set_live(info, info.live_bytes - nbytes)
+        self._touch(seg)
 
     def utilization(self, seg: int) -> float:
         return self.info(seg).live_bytes / self.segment_size

@@ -63,6 +63,7 @@ MAX_READ_CLUSTER = 64 * KIB
 
 _DATA = BlockKind.DATA  # read per block; through the class it costs a call
 
+
 class _Directory:
     """A cached directory: its blocks, and a name index over all of them.
 
