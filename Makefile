@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint e2e-smoke trace crashtest chaos service-bench cluster-bench ci
+.PHONY: test lint e2e-smoke e2e-digest trace crashtest chaos service-bench cluster-bench ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -21,6 +21,21 @@ lint:
 e2e-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --smoke --output /tmp/e2e_smoke.json
 	$(PYTHON) -m pytest benchmarks/e2e -q
+
+# One md5 of what a full-scale untraced pass simulated (its `sim`,
+# `counters`, `images` and `failed` keys) per workload and seed.  A
+# change meant only to make the simulator faster leaves every line as
+# it was on the parent commit.
+E2E_WORKLOADS := smallfile largefile service_clean cluster_migrate crash_recover
+E2E_DIGEST := import hashlib, json, sys; r = json.loads(sys.stdin.readlines()[-1]); \
+	print(hashlib.md5(json.dumps([r[k] for k in ("sim", "counters", "images", "failed")], \
+	sort_keys=True).encode()).hexdigest())
+e2e-digest:
+	@for w in $(E2E_WORKLOADS); do for s in 0 7; do \
+		printf '%-16s %s ' $$w $$s; \
+		$(PYTHON) benchmarks/e2e/workloads.py $$w $$s untraced \
+			| $(PYTHON) -c '$(E2E_DIGEST)' || exit 1; \
+	done; done
 
 # Regenerate the committed trace-attribution report: a seeded
 # 16-client serve-sim with full request tracing, decomposed into

@@ -213,13 +213,14 @@ class BlockCache:
         if obs:
             self._m_insertions.inc()
         heap = self._heap
+        nblocks = len(blocks)
         if dirty:
             block.dirty_since = now
             self._dirty[key] = block
             self._dirty_bytes += bs
             self._dirty_fifo.append((key, now))
         elif key.kind in _EVICTABLE_KINDS:
-            if len(heap) > 2 * len(blocks) + 64:
+            if len(heap) > 2 * nblocks + 64:
                 # As in _enqueue.
                 heap[:] = [e for e in heap if blocks.get(e[1].key) is e[1]]
                 heapify(heap)
@@ -231,7 +232,7 @@ class BlockCache:
         # runs on nearly every insert.  Victims are the clean data/inode
         # blocks in stamp order, the just-inserted one included.  Stamps
         # are unique, so entries never tie and blocks are never compared.
-        over = len(blocks) * bs - self.capacity_bytes
+        over = nblocks * bs - self.capacity_bytes
         while over > 0 and heap:
             stamp, victim = heappop(heap)
             self.heap_entries_examined += 1

@@ -64,6 +64,9 @@ class WritebackMonitor:
         self.cache = cache
         self.clock = clock
         self.config = config or WritebackConfig()
+        self._dirty_limit = int(
+            cache.capacity_bytes * self.config.dirty_high_fraction
+        )
         self.triggers: dict = {}
         obs = telemetry or NULL_TELEMETRY
         self._m_triggers = {
@@ -73,17 +76,17 @@ class WritebackMonitor:
             for reason in WritebackReason
         }
 
-    def _dirty_threshold_bytes(self) -> int:
-        return int(self.cache.capacity_bytes * self.config.dirty_high_fraction)
-
     def check(self) -> Optional[WritebackReason]:
-        """Reason a write-back should start now, or None."""
-        if (
-            self.cache.dirty_bytes >= self._dirty_threshold_bytes()
-            or self.cache.over_capacity()
-        ):
+        """Reason a write-back should start now, or None.
+
+        The file system asks after every operation.  Asking the cache
+        for its oldest dirty block also drops the stale entries at the
+        head of its dirty FIFO, which keeps that FIFO short.
+        """
+        cache = self.cache
+        if cache.dirty_bytes >= self._dirty_limit or cache.over_capacity():
             return self._fire(WritebackReason.CACHE_FULL)
-        oldest = self.cache.oldest_dirty_time()
+        oldest = cache.oldest_dirty_time()
         if (
             oldest is not None
             and self.clock.now() - oldest >= self.config.age_threshold

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import (
     Callable,
@@ -77,6 +77,7 @@ class BlockKind(enum.IntEnum):
 # per-call code below reads these instead.
 _FREE = FileType.FREE
 _DIRECTORY = FileType.DIRECTORY
+_FILE_TYPES = {ftype.value: ftype for ftype in FileType}
 _DATA = BlockKind.DATA
 _INDIRECT = BlockKind.INDIRECT
 _DINDIRECT = BlockKind.DINDIRECT
@@ -107,29 +108,62 @@ built in C, without the class's Python-level ``__new__``: the data path
 makes a few keys per block."""
 
 
-@dataclass
+@dataclass(init=False)
 class Inode:
-    """An in-memory inode; serialize with :meth:`pack`."""
+    """An in-memory inode; serialize with :meth:`pack`.
+
+    Slotted, with the constructor written out: every create and every
+    inode load builds one, and every call reads a few of its fields.
+    """
+
+    __slots__ = (
+        "inum", "ftype", "nlink", "size", "mtime", "ctime", "atime",
+        "direct", "indirect", "dindirect",
+    )
 
     inum: int
-    ftype: FileType = FileType.FREE
-    nlink: int = 0
-    size: int = 0
-    mtime: float = 0.0
-    ctime: float = 0.0
-    atime: float = 0.0
+    ftype: FileType
+    nlink: int
+    size: int
+    mtime: float
+    ctime: float
+    atime: float
     """Access time.  Only FFS maintains it here: LFS keeps atime in the
     inode map so that reads never relocate inodes (paper footnote 2)."""
-    direct: List[int] = field(default_factory=lambda: [NIL] * N_DIRECT)
-    indirect: int = NIL
-    dindirect: int = NIL
+    direct: List[int]
+    indirect: int
+    dindirect: int
 
-    def __post_init__(self) -> None:
-        if len(self.direct) != N_DIRECT:
+    def __init__(
+        self,
+        inum: int,
+        ftype: FileType = _FREE,
+        nlink: int = 0,
+        size: int = 0,
+        mtime: float = 0.0,
+        ctime: float = 0.0,
+        atime: float = 0.0,
+        direct: Optional[List[int]] = None,
+        indirect: int = NIL,
+        dindirect: int = NIL,
+    ) -> None:
+        if direct is None:
+            direct = [NIL] * N_DIRECT
+        elif len(direct) != N_DIRECT:
             raise InvalidArgumentError(
                 f"inode needs exactly {N_DIRECT} direct pointers, "
-                f"got {len(self.direct)}"
+                f"got {len(direct)}"
             )
+        self.inum = inum
+        self.ftype = ftype
+        self.nlink = nlink
+        self.size = size
+        self.mtime = mtime
+        self.ctime = ctime
+        self.atime = atime
+        self.direct = direct
+        self.indirect = indirect
+        self.dindirect = dindirect
 
     @property
     def is_dir(self) -> bool:
@@ -173,30 +207,24 @@ class Inode:
         return INODE_SIZE
 
     @classmethod
-    def unpack(cls, data: Union[bytes, memoryview]) -> "Inode":
+    def unpack(
+        cls, data: Union[bytes, bytearray, memoryview], offset: int = 0
+    ) -> "Inode":
+        """The inode packed at ``offset`` of ``data`` (read in place)."""
         try:
-            fields = _INODE_RECORD.unpack_from(data)
+            fields = _INODE_RECORD.unpack_from(data, offset)
         except struct.error as exc:
             raise CorruptionError(f"truncated inode: {exc}") from exc
-        inum, raw_type, nlink, size, mtime, ctime, atime = fields[:7]
-        try:
-            ftype = FileType(raw_type)
-        except ValueError as exc:
-            raise CorruptionError(f"bad inode file type {raw_type}") from exc
-        direct = list(fields[7 : 7 + N_DIRECT])
-        indirect = fields[7 + N_DIRECT]
-        dindirect = fields[8 + N_DIRECT]
+        ftype = _FILE_TYPES.get(fields[1])
+        if ftype is None:
+            raise CorruptionError(f"bad inode file type {fields[1]}")
         return cls(
-            inum=inum,
-            ftype=ftype,
-            nlink=nlink,
-            size=size,
-            mtime=mtime,
-            ctime=ctime,
-            atime=atime,
-            direct=direct,
-            indirect=indirect,
-            dindirect=dindirect,
+            fields[0],
+            ftype,
+            *fields[2:7],
+            list(fields[7 : 7 + N_DIRECT]),
+            fields[7 + N_DIRECT],
+            fields[8 + N_DIRECT],
         )
 
     def copy(self) -> "Inode":
@@ -263,6 +291,12 @@ class BlockMap:
                 f"logical block {lbn} beyond maximum file size "
                 f"({self.max_lbn + 1} blocks)"
             )
+
+    def _check_range(self, first: int, last: int) -> None:
+        """``_check_lbn`` of both ends, with one call when they pass."""
+        if not 0 <= first <= last <= self.max_lbn:
+            self._check_lbn(first)
+            self._check_lbn(last)
 
     def single_indirect_ordinal(self, lbn: int) -> int:
         """Which INDIRECT block maps ``lbn`` (for lbn >= N_DIRECT)."""
@@ -346,8 +380,7 @@ class BlockMap:
         blocks before it: a walk may read a leaf from disk, and caching
         it may evict a later block of the range.
         """
-        self._check_lbn(first)
-        self._check_lbn(last)
+        self._check_range(first, last)
         inum = inode.inum
         found: List[Tuple[int, int]] = []
         lbn = first
@@ -390,8 +423,7 @@ class BlockMap:
         ``rehit``, and the pointer blocks they would have dirtied again
         are dirty already.
         """
-        self._check_lbn(lbns[0])
-        self._check_lbn(lbns[-1])
+        self._check_range(lbns[0], lbns[-1])
         ordinal, base, _end = self.container(lbns[0])
         if ordinal < 0:
             pointers = inode.direct
@@ -405,6 +437,39 @@ class BlockMap:
             olds.append(pointers[lbn - base])
             pointers[lbn - base] = addr
         return olds
+
+    def clear_run(self, inode: Inode, first: int, last: int) -> List[int]:
+        """Point ``[first, last]``, inside one container, at NIL; returns
+        the addresses that were not NIL, in block order.
+
+        The lookups of :meth:`get` block by block, and of :meth:`set` to
+        NIL for each block that is not a hole, from one walk: the rest
+        go to ``rehit``.  A direct-slot container makes none.  The first
+        block that is not a hole dirties the pointer blocks, as its
+        ``set`` would have.
+        """
+        self._check_range(first, last)
+        ordinal, base, _end = self.container(first)
+        if ordinal < 0:
+            pointers: Optional[List[int]] = inode.direct
+            keys: Tuple[BlockKey, ...] = ()
+        else:
+            pointers, keys = self._read_leaf(inode, ordinal)
+        freed: List[int] = []
+        if pointers is not None:
+            for index in range(first - base, last - base + 1):
+                addr = pointers[index]
+                if addr != NIL:
+                    if not freed:
+                        for key in keys:
+                            self._dirty(key)
+                    pointers[index] = NIL
+                    freed.append(addr)
+        if keys:
+            rounds = last - first + len(freed)  # past the walk's
+            if rounds:
+                self._rehit(keys, rounds)
+        return freed
 
     # The hole-read fast path above must not hide pointer blocks that live
     # only in cache (dirty, no disk address yet — the normal LFS state).

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import astuple, dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 from repro.cache.writeback import WritebackReason
@@ -163,11 +164,13 @@ class FastFileSystem(BaseFileSystem):
     def config(self) -> FfsConfig:
         return self._config
 
-    @property
+    # Fixed by the superblock; cached because every block touched reads it.
+
+    @cached_property
     def block_size(self) -> int:
         return self._config.block_size
 
-    @property
+    @cached_property
     def sectors_per_block(self) -> int:
         return self._config.sectors_per_block
 

@@ -184,7 +184,8 @@ class LfsLayout:
                 f"block {addr} lies before the segmented log"
             )
         seg = (addr - self.seg_start_block) // self.config.blocks_per_segment
-        self._check_segment(seg)
+        if seg >= self.num_segments:  # every freed or logged block asks
+            self._check_segment(seg)
         return seg
 
     def _check_segment(self, seg: int) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import astuple, dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from operator import attrgetter
 from typing import Any, Dict, List, Optional, Set
 
@@ -26,6 +26,7 @@ from repro.common.inode import (
     Inode,
     INODE_SIZE,
     NIL,
+    block_key,
 )
 from repro.common.serialization import U32, checksum
 from repro.disk.sim_disk import SimDisk
@@ -54,9 +55,11 @@ _SUPERBLOCK = struct.Struct("<IIIIIQ")
 _SUPERBLOCK_BODY = slice(8, _SUPERBLOCK.size)
 
 _BLOCK_KEY = attrgetter("key")
+_BLOCK_INDEX = attrgetter("key.index")
 _DATA = BlockKind.DATA
 _INDIRECT = BlockKind.INDIRECT
 _DINDIRECT = BlockKind.DINDIRECT
+_INODE = BlockKind.INODE
 
 
 def _write_payloads(
@@ -286,16 +289,19 @@ class LogStructuredFS(BaseFileSystem):
     def config(self) -> LfsConfig:
         return self._config
 
-    @property
+    # Fixed by the superblock; cached because every block touched reads it.
+
+    @cached_property
     def block_size(self) -> int:
         return self._config.block_size
 
-    @property
+    @cached_property
     def sectors_per_block(self) -> int:
         return self._config.sectors_per_block
 
-    def _read_inode_block(self, addr: int) -> bytes:
-        """Read (and cache) a packed inode block, keyed by disk address.
+    def _read_inode_block(self, addr: int) -> bytearray:
+        """Read (and cache) a packed inode block, keyed by disk address;
+        returns the cached bytes, not a copy, to be read at once.
 
         Inode blocks hold many inodes; without this cache, opening the
         files of one directory would re-read the same block once per
@@ -303,14 +309,14 @@ class LogStructuredFS(BaseFileSystem):
         segment writer reuses it — the writer discards the stale entry
         when that happens.
         """
-        key = BlockKey(0, BlockKind.INODE, addr)
+        key = block_key((0, _INODE, addr))
         block = self.cache.get(key)
         if block is None:
             raw = bytearray(
                 self._read_block_from_disk(addr, label=f"inode block {addr}")
             )
             block = self.cache.insert(key, raw, dirty=False, now=self.clock.now())
-        return block.as_bytes(self.block_size)
+        return block.payload
 
     def _load_inode_from_disk(self, inum: int) -> Inode:
         entry = self.imap.get(inum)
@@ -320,9 +326,8 @@ class LogStructuredFS(BaseFileSystem):
             raise CorruptionError(
                 f"inode {inum} allocated but never written and not cached"
             )
-        raw = self._read_inode_block(entry.inode_addr)
         inode = Inode.unpack(
-            raw[entry.slot * INODE_SIZE : (entry.slot + 1) * INODE_SIZE]
+            self._read_inode_block(entry.inode_addr), entry.slot * INODE_SIZE
         )
         if inode.inum != inum:
             raise CorruptionError(
@@ -617,7 +622,7 @@ class LogStructuredFS(BaseFileSystem):
         the bytes that died and the bytes written, mark them clean."""
         piece = blocks[start : start + count]
         olds = self.block_map.set_run(
-            inode, [block.key.index for block in piece], first_addr
+            inode, list(map(_BLOCK_INDEX, piece)), first_addr
         )
         bs = self.block_size
         seg_of = self.layout.segment_of_block

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterator, List, Optional, Set
 
 from repro.common.inode import NIL
@@ -178,7 +179,8 @@ class InodeMap:
         return block.entries
 
     def get(self, inum: int) -> ImapEntry:
-        self._check_inum(inum)
+        if not 0 < inum < self.max_inodes:  # _check_inum, on every call
+            raise CorruptionError(f"inode number {inum} out of range")
         per_block = self.entries_per_block
         block = self._blocks[inum // per_block]
         if block is None or block.entries is None:
@@ -226,7 +228,11 @@ class InodeMap:
 
     def allocate(self, now: float) -> int:
         """Allocate a free inode number (lowest-first from a rotating hint)."""
-        for candidate in self._scan_from_hint():
+        hint = self._alloc_hint
+        start = hint if ROOT_INUM <= hint < self.max_inodes else ROOT_INUM
+        for candidate in chain(
+            range(start, self.max_inodes), range(ROOT_INUM, start)
+        ):
             entry = self.get(candidate)
             if not entry.allocated:
                 entry.allocated = True
@@ -237,11 +243,6 @@ class InodeMap:
                 self._touch(candidate)
                 return candidate
         raise NoInodesError(f"all {self.max_inodes} inodes are allocated")
-
-    def _scan_from_hint(self) -> Iterator[int]:
-        start = self._alloc_hint if ROOT_INUM <= self._alloc_hint < self.max_inodes else ROOT_INUM
-        yield from range(start, self.max_inodes)
-        yield from range(ROOT_INUM, start)
 
     def force_allocate(self, inum: int, now: float) -> None:
         """Allocate a specific inode number (mkfs uses this for the root)."""

@@ -111,12 +111,9 @@ class SegmentUsage:
         self.heap_pops = 0
         self.min_clean_calls = 0
 
-    def _check(self, seg: int) -> None:
+    def info(self, seg: int) -> SegmentInfo:
         if not 0 <= seg < self.num_segments:
             raise CorruptionError(f"segment {seg} out of range")
-
-    def info(self, seg: int) -> SegmentInfo:
-        self._check(seg)
         return self._info[seg]
 
     def _touch(self, seg: int) -> None:

@@ -74,7 +74,13 @@ class CpuCosts:
 
 
 class CpuModel:
-    """Charges CPU time against a :class:`SimClock` and keeps totals."""
+    """Charges CPU time against a :class:`SimClock` and keeps totals.
+
+    The charges the file system makes on every call are each one
+    addition to the total and one ``advance``, made by the method
+    itself.  A charge is never merged with the next one: float addition
+    is not associative, so the clock's last digits would move.
+    """
 
     def __init__(
         self,
@@ -94,30 +100,44 @@ class CpuModel:
         self.total_cpu_seconds += seconds
         self.clock.advance(seconds)
 
-    def syscall(self) -> None:
-        self.charge(self.costs.syscall)
-
-    def path_lookup(self, n_components: int) -> None:
-        self.charge(self.costs.path_component * n_components)
-
-    def create(self) -> None:
-        self.charge(self.costs.create)
-
-    def remove(self) -> None:
-        self.charge(self.costs.remove)
-
-    def copy(self, nbytes: int) -> None:
-        """Charge for copying ``nbytes`` of file data, plus block touches."""
-        self.charge(self.costs.copy_per_byte * nbytes)
-
-    def block_touch(self, nblocks: int = 1) -> None:
-        self.charge(self.costs.block_touch * nblocks)
-
     def cleaner_blocks(self, nblocks: int) -> None:
         self.charge(self.costs.cleaner_per_block * nblocks)
 
     def checkpoint(self) -> None:
         self.charge(self.costs.checkpoint)
+
+    # The file system's per-call charges; the clock refuses a negative one.
+
+    def syscall(self) -> None:
+        seconds = self.costs.syscall
+        self.total_cpu_seconds += seconds
+        self.clock.advance(seconds)
+
+    def path_lookup(self, n_components: int) -> None:
+        seconds = self.costs.path_component * n_components
+        self.total_cpu_seconds += seconds
+        self.clock.advance(seconds)
+
+    def create(self) -> None:
+        seconds = self.costs.create
+        self.total_cpu_seconds += seconds
+        self.clock.advance(seconds)
+
+    def remove(self) -> None:
+        seconds = self.costs.remove
+        self.total_cpu_seconds += seconds
+        self.clock.advance(seconds)
+
+    def copy(self, nbytes: int) -> None:
+        """Charge for copying ``nbytes`` of file data."""
+        seconds = self.costs.copy_per_byte * nbytes
+        self.total_cpu_seconds += seconds
+        self.clock.advance(seconds)
+
+    def block_touch(self, nblocks: int = 1) -> None:
+        seconds = self.costs.block_touch * nblocks
+        self.total_cpu_seconds += seconds
+        self.clock.advance(seconds)
 
     def __repr__(self) -> str:
         return (

@@ -8,8 +8,10 @@ emit metric/span names missing from the registered vocabulary
 (SVC001), buffer copies on the zero-copy data path (ALLOC001), and
 simulated machines assembled by hand instead of through
 :func:`repro.rig.new_rig` (RIG001), the offline verifier reaching
-for the structures it is the oracle for (VER001), and code outside the
-cache package reaching into the block cache's state (CACHE001).
+for the structures it is the oracle for (VER001), code outside the
+cache package reaching into the block cache's state (CACHE001), and
+code outside the sim package reaching into the simulated clock's state
+(CLOCK001).
 
 The container this project builds in has no third-party linter, so this
 module is the fallback for ``make lint`` — when ``ruff`` is installed
@@ -523,14 +525,16 @@ receiver to watch is whatever names the cache (``cache``,
 skipped rather than guessed."""
 
 
-def _names_cache(node: ast.expr) -> bool:
+def _receiver_named(node: ast.expr, suffix: str) -> bool:
+    """Whether ``node`` is a name or attribute ending in ``suffix``
+    (``cache``, ``self.cache``, ``fs._cache`` for ``"cache"``)."""
     if isinstance(node, ast.Name):
         name = node.id
     elif isinstance(node, ast.Attribute):
         name = node.attr
     else:
         return False
-    return name.lstrip("_").endswith("cache")
+    return name.lstrip("_").endswith(suffix)
 
 
 def _check_cache_encapsulation(
@@ -545,7 +549,7 @@ def _check_cache_encapsulation(
             isinstance(node, ast.Attribute)
             and node.attr.startswith("_")
             and not node.attr.startswith("__")
-            and _names_cache(node.value)
+            and _receiver_named(node.value, "cache")
         ):
             finding = f"`.{node.attr}` is the block cache's private state"
         elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
@@ -558,7 +562,7 @@ def _check_cache_encapsulation(
                     and target.attr in _CACHE_STATS_FIELDS
                     and isinstance(target.value, ast.Attribute)
                     and target.value.attr == "stats"
-                    and _names_cache(target.value.value)
+                    and _receiver_named(target.value.value, "cache")
                 ):
                     finding = (
                         f"assignment to `stats.{target.attr}` of the block cache"
@@ -569,6 +573,41 @@ def _check_cache_encapsulation(
                 node.lineno,
                 f"CACHE001 {finding}; go through BlockCache's methods "
                 "(get, insert, rehit, ...), which keep its counts",
+            )
+
+
+_CLOCK_HOME = "repro/sim/"
+"""Where :class:`~repro.sim.clock.SimClock`'s private state may be used.
+
+Time moves only through ``advance``/``advance_to``, which fire the
+timers that come due on the way, and ``advance`` keeps its no-timer
+fast path to itself.  Code that read ``clock._now`` to skip a call, or
+wrote it, would see or make a time no timer was checked against.
+CLOCK001 flags any single-underscore attribute of a receiver named like
+a clock (``clock``, ``self.clock``, ``fs.clock``) in the package outside
+``repro/sim``; tests may poke the clock."""
+
+
+def _check_clock_encapsulation(
+    path: str, tree: ast.Module, noqa: Set[int]
+) -> Iterator[Tuple[str, int, str]]:
+    normalized = path.replace(os.sep, "/")
+    if "src/repro/" not in normalized or _CLOCK_HOME in normalized:
+        return
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+            and _receiver_named(node.value, "clock")
+            and node.lineno not in noqa
+        ):
+            yield (
+                path,
+                node.lineno,
+                f"CLOCK001 `.{node.attr}` is the simulated clock's private "
+                "state; use now(), advance() or advance_to(), which fire "
+                "the timers that come due",
             )
 
 
@@ -593,6 +632,7 @@ def lint_file(path: str) -> List[Tuple[str, int, str]]:
     findings.extend(_check_rig_builder(path, tree, noqa))
     findings.extend(_check_verifier_independence(path, tree, noqa))
     findings.extend(_check_cache_encapsulation(path, tree, noqa))
+    findings.extend(_check_clock_encapsulation(path, tree, noqa))
     return findings
 
 

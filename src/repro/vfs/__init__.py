@@ -7,7 +7,7 @@ managers differ only in block placement, write timing and recovery.
 """
 
 from repro.vfs.interface import FileHandle, FsStats, StatResult, StorageManager
-from repro.vfs.path import dirname_basename, join, normalize, split_path
+from repro.vfs.path import join, normalize, split_path
 
 __all__ = [
     "FileHandle",
@@ -17,5 +17,4 @@ __all__ = [
     "split_path",
     "normalize",
     "join",
-    "dirname_basename",
 ]

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import abc
 import struct
-from typing import Dict, List, Optional, Set, Tuple, Union
+from itertools import compress, count
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.cache.block_cache import BlockCache
 from repro.cache.readahead import ReadaheadPolicy
@@ -35,6 +37,7 @@ from repro.common.inode import (
     FileType,
     Inode,
     NIL,
+    N_DIRECT,
     block_key,
     pointers_per_block,
 )
@@ -53,7 +56,7 @@ from repro.obs import Telemetry
 from repro.sim.cpu import CpuModel
 from repro.units import KIB
 from repro.vfs.interface import FileHandle, FsStats, StatResult, StorageManager
-from repro.vfs.path import dirname_basename, split_path
+from repro.vfs.path import split_path
 
 ROOT_INUM = 1
 """Inode number of the root directory in both file systems."""
@@ -61,7 +64,12 @@ ROOT_INUM = 1
 MAX_READ_CLUSTER = 64 * KIB
 """Largest single disk read issued when filling the cache."""
 
-_DATA = BlockKind.DATA  # read per block; through the class it costs a call
+# Read per call; through the class each costs a descriptor call.
+_DATA = BlockKind.DATA
+_FREE = FileType.FREE
+_REGULAR = FileType.REGULAR
+_DIRECTORY = FileType.DIRECTORY
+_USED = attrgetter("used")
 
 
 class _Directory:
@@ -118,11 +126,15 @@ class BaseFileSystem(StorageManager):
         self._stats = FsStats()
         self._inodes: Dict[int, Inode] = {}
         self._dirty_inodes: Set[int] = set()
+        # Times each inode number was freed: a handle opened before the
+        # last free names a file that no longer exists.  Memory only.
+        self._generations: Dict[int, int] = {}
         # Directory cache by inum, kept coherent by the _dir_* methods,
         # which are the only writers of directory data.
         self._dirs: Dict[int, _Directory] = {}
         self._unmounted = False
         self._in_writeback = False
+        self._cluster_blocks = max(1, MAX_READ_CLUSTER // self.block_size)
         self.block_map = BlockMap(
             self.block_size,
             self._load_pointers,
@@ -262,9 +274,6 @@ class BaseFileSystem(StorageManager):
     # File data I/O
     # ------------------------------------------------------------------
 
-    def _data_key(self, inum: int, lbn: int) -> BlockKey:
-        return BlockKey(inum, BlockKind.DATA, lbn)
-
     def _fetch_data_blocks(
         self,
         inode: Inode,
@@ -288,31 +297,31 @@ class BaseFileSystem(StorageManager):
         # not halve its sequential read bandwidth relative to FFS's 8 KB.
         bs = self.block_size
         spb = self.sectors_per_block
-        max_blocks = max(1, MAX_READ_CLUSTER // bs)
+        max_blocks = self._cluster_blocks
         if prefetch_after is not None:
             max_blocks = max(max_blocks, self.readahead.window_blocks)
         insert = self.cache.insert
         inum = inode.inum
-        index = 0
-        while index < len(missing):
+        index, nmissing = 0, len(missing)
+        while index < nmissing:
             start_lbn, start_addr = missing[index]
-            count = 1
+            run = 1
             while (
-                index + count < len(missing)
-                and count < max_blocks
-                and missing[index + count][1] == start_addr + count
-                and missing[index + count][0] == start_lbn + count
+                index + run < nmissing
+                and run < max_blocks
+                and missing[index + run][1] == start_addr + run
+                and missing[index + run][0] == start_lbn + run
             ):
-                count += 1
+                run += 1
             raw = self.disk.read(
                 start_addr * spb,
-                spb * count,
+                spb * run,
                 label=f"data:{inum}",
-                vectored=count > 1,
+                vectored=run > 1,
             )
             now = self.clock.now()
             for lbn, offset in zip(
-                range(start_lbn, start_lbn + count), range(0, count * bs, bs)
+                range(start_lbn, start_lbn + run), range(0, run * bs, bs)
             ):
                 insert(
                     block_key((inum, _DATA, lbn)),
@@ -322,7 +331,7 @@ class BaseFileSystem(StorageManager):
                 )
                 if prefetch_after is not None and lbn > prefetch_after:
                     self.readahead.note_prefetched(inum, lbn)
-            index += count
+            index += run
 
     def _read_range(self, inode: Inode, offset: int, length: int) -> bytes:
         if offset < 0 or length < 0:
@@ -334,8 +343,10 @@ class BaseFileSystem(StorageManager):
             return b""
         bs = self.block_size
         first, last = offset // bs, (end - 1) // bs
-        window = self.readahead.advise(inode.inum, first, last)
-        if window:
+        readahead = self.readahead
+        if readahead.window_blocks and (
+            window := readahead.advise(inode.inum, first, last)
+        ):
             fetch_last = min(last + window, (inode.size - 1) // bs)
             self._fetch_data_blocks(
                 inode, first, fetch_last, prefetch_after=last
@@ -374,14 +385,15 @@ class BaseFileSystem(StorageManager):
         end = offset + len(data)
         first, last = offset // bs, (end - 1) // bs
         source = memoryview(data)
-        get = self.cache.get
+        cache = self.cache
+        get = cache.get
+        now = self.clock.now
         inum = inode.inum
         src = 0
         for lbn in range(first, last + 1):
             lo = offset - lbn * bs if lbn == first else 0
             hi = end - lbn * bs if lbn == last else bs
-            lo = max(0, lo)
-            piece = source[src : src + (hi - lo)]
+            piece = source[src : src + hi - lo]
             src += hi - lo
             key = block_key((inum, _DATA, lbn))
             block = get(key)
@@ -405,20 +417,19 @@ class BaseFileSystem(StorageManager):
                     else:
                         payload = bytearray(bs)
                     payload[lo:hi] = piece
-                self.cache.insert(
-                    key, payload, dirty=True, now=self.clock.now()
-                )
+                cache.insert(key, payload, True, now())
             else:
                 if not isinstance(block.payload, bytearray):
                     raise CorruptionError(f"data block {key} has wrong payload")
-                self.cache.mark_dirty(key, self.clock.now())
+                if not block.dirty:
+                    cache.mark_dirty(key, now())
                 block.payload[lo:hi] = piece
             self._note_data_block_dirtied(inode, lbn)
         if end > inode.size:
             inode.size = end
-        inode.mtime = self.clock.now()
+        inode.mtime = now()
         self._mark_inode_dirty(inode)
-        return len(data)
+        return end - offset
 
     # -- truncation ---------------------------------------------------
 
@@ -471,28 +482,42 @@ class BaseFileSystem(StorageManager):
             inode.mtime = self.clock.now()
             self._mark_inode_dirty(inode)
             return
-        old_keys = set(self.block_map.indirect_block_keys(inode))
-        keep_blocks = (new_size + bs - 1) // bs
-        for lbn in range(keep_blocks, inode.nblocks(bs)):
-            addr = self.block_map.get(inode, lbn)
-            if addr != NIL:
-                self.block_map.set(inode, lbn, NIL)
-                self._release_block_addr(addr)
-            self.cache.discard(self._data_key(inode.inum, lbn))
-        inode.size = new_size
-        new_keys = set(self.block_map.indirect_block_keys(inode))
-        # Free pointer blocks the shrunken file no longer needs; leaves
-        # before the double-indirect root so parent slots stay readable.
-        doomed = sorted(
-            old_keys - new_keys,
-            key=lambda key: (key.kind is BlockKind.DINDIRECT, key.index),
+        block_map = self.block_map
+        nblocks = inode.nblocks(bs)
+        old_keys = (
+            set(block_map.indirect_block_keys(inode))
+            if nblocks > N_DIRECT
+            else None
         )
-        for key in doomed:
-            self._clear_pointer_block(inode, key)
+        release = self._release_block_addr
+        discard = self.cache.discard
+        inum = inode.inum
+        # One walk per pointer container.  Its data blocks leave the
+        # cache before the next container's walk, which may read a leaf
+        # and evict, as the block-by-block loop did.
+        first = (new_size + bs - 1) // bs
+        while first < nblocks:
+            last = min(block_map.container(first)[2], nblocks - 1)
+            for addr in block_map.clear_run(inode, first, last):
+                release(addr)
+            for lbn in range(first, last + 1):
+                discard(block_key((inum, _DATA, lbn)))
+            first = last + 1
+        inode.size = new_size
+        if old_keys:
+            # Free pointer blocks the shrunken file no longer needs;
+            # leaves before the double-indirect root so parent slots stay
+            # readable.
+            doomed = sorted(
+                old_keys - set(block_map.indirect_block_keys(inode)),
+                key=lambda key: (key.kind is BlockKind.DINDIRECT, key.index),
+            )
+            for key in doomed:
+                self._clear_pointer_block(inode, key)
         if new_size % bs:
             # Zero the dropped tail of the final partial block so a later
             # extension reads zeros, not stale bytes.
-            key = self._data_key(inode.inum, new_size // bs)
+            key = block_key((inum, _DATA, new_size // bs))
             block = self.cache.peek(key)
             if block is None:
                 addr = self.block_map.get(inode, new_size // bs)
@@ -520,9 +545,11 @@ class BaseFileSystem(StorageManager):
     def _release_inode(self, inode: Inode) -> None:
         """Free a file's blocks and its inode number."""
         self._free_file_storage(inode)
-        inode.ftype = FileType.FREE
+        inode.ftype = _FREE
         inode.nlink = 0
         self._on_inode_freed(inode)
+        inum = inode.inum
+        self._generations[inum] = self._generations.get(inum, 0) + 1
 
     # ------------------------------------------------------------------
     # Directories
@@ -534,8 +561,8 @@ class BaseFileSystem(StorageManager):
         # The whole block goes through the file cache, as any data
         # write does, so cache stamps, dirty accounting and what the
         # segment writer or FFS later sends to disk do not depend on how
-        # the block was edited.
-        self._write_range(inode, index * self.block_size, block.encode())
+        # the block was edited.  The cache copies what it is handed.
+        self._write_range(inode, index * self.block_size, memoryview(block.data))
 
     def _new_dir(self, inode: Inode) -> None:
         """Give a new directory its first, empty, data block.
@@ -580,10 +607,11 @@ class BaseFileSystem(StorageManager):
         if name in directory.names:
             raise FileExistsError_(f"directory entry {name!r} already exists")
         blocks = directory.blocks
-        # First fit, reading each block's fill directly.
+        # First fit, reading each block's fill directly; the scan runs
+        # in C, as the blocks of a big directory are mostly full.
         max_used = self.block_size - ENTRY_HEADER_SIZE - len(encoded)
         index = next(
-            (i for i, block in enumerate(blocks) if block.used <= max_used),
+            compress(count(), map(max_used.__ge__, map(_USED, blocks))),
             len(blocks),
         )
         block = (
@@ -606,7 +634,7 @@ class BaseFileSystem(StorageManager):
         """Enter a just-allocated inode in ``parent``; if a directory
         write fails the inode is freed again, not left unreachable."""
         try:
-            if inode.is_dir:
+            if inode.ftype is _DIRECTORY:
                 self._new_dir(inode)
             return self._dir_add(parent, name, encoded, inode.inum)
         except Exception:
@@ -636,26 +664,41 @@ class BaseFileSystem(StorageManager):
     # ------------------------------------------------------------------
 
     def _namei(self, path: str) -> Inode:
-        components = split_path(path)
-        self.cpu.path_lookup(max(1, len(components)))
-        inode = self._get_inode(ROOT_INUM)
+        return self._walk(split_path(path), path)
+
+    def _walk(self, components: Sequence[str], path: str = "") -> Inode:
+        """The inode ``components`` name, looked up from the root.
+
+        ``path`` names them in error messages (default: their own
+        normalized path).
+        """
+        self.cpu.path_lookup(len(components) or 1)
+        inodes, dirs = self._inodes, self._dirs
+        inode = inodes.get(ROOT_INUM) or self._get_inode(ROOT_INUM)
         for component in components:
-            if not inode.is_dir:
+            if inode.ftype is not _DIRECTORY:
                 raise NotADirectoryError_(
-                    f"{component!r} looked up inside a non-directory in {path!r}"
+                    f"{component!r} looked up inside a non-directory in "
+                    f"{path or '/' + '/'.join(components)!r}"
                 )
-            child = self._dir_lookup(inode, component)
-            if child is None:
-                raise FileNotFoundError_(path)
-            inode = self._get_inode(child)
+            entry = (dirs.get(inode.inum) or self._dir(inode)).names.get(
+                component
+            )
+            if entry is None:
+                raise FileNotFoundError_(path or "/" + "/".join(components))
+            inode = inodes.get(entry[0]) or self._get_inode(entry[0])
         return inode
 
-    def _resolve_parent(self, path: str) -> Tuple[Inode, str]:
-        parent_path, name = dirname_basename(path)
-        parent = self._namei(parent_path)
-        if not parent.is_dir:
-            raise NotADirectoryError_(parent_path)
-        return parent, name
+    def _resolve_parent(self, components: List[str]) -> Tuple[Inode, str]:
+        """The directory that holds the last of ``components``, and that
+        last component: one walk, over the components before it."""
+        if not components:
+            raise InvalidArgumentError("the root directory has no parent")
+        parent_components = components[:-1]
+        parent = self._walk(parent_components)
+        if parent.ftype is not _DIRECTORY:
+            raise NotADirectoryError_("/" + "/".join(parent_components))
+        return parent, components[-1]
 
     # ------------------------------------------------------------------
     # Public namespace operations
@@ -675,126 +718,107 @@ class BaseFileSystem(StorageManager):
         refused uniformly at the VFS entry points while reads continue.
         """
 
-    def create(self, path: str) -> FileHandle:
+    def _make(self, path: str, ftype: FileType) -> Inode:
+        """The body of ``create`` and ``mkdir``: a new inode, entered in
+        its parent directory."""
         self._check_mounted()
         self._check_writable()
         self.cpu.syscall()
-        parent, name = self._resolve_parent(path)
+        parent, name = self._resolve_parent(split_path(path))
         encoded = validate_name(name)
-        if self._dir_lookup(parent, name) is not None:
+        if name in self._dir(parent).names:
             raise FileExistsError_(path)
         self.cpu.create()
-        inum = self._alloc_inum(FileType.REGULAR, parent.inum)
+        inum = self._alloc_inum(ftype, parent.inum)
+        now = self.clock.now()
+        is_dir = ftype is _DIRECTORY
         inode = Inode(
-            inum=inum,
-            ftype=FileType.REGULAR,
-            nlink=1,
-            mtime=self.clock.now(),
-            ctime=self.clock.now(),
+            inum=inum, ftype=ftype, nlink=2 if is_dir else 1, mtime=now, ctime=now
         )
         self._install_inode(inode)
+        # Writing the entry's block stamps the parent's mtime and marks
+        # the parent dirty, as any write to a file does.
         block_index = self._link_new(parent, name, encoded, inode)
-        parent.mtime = self.clock.now()
-        self._mark_inode_dirty(parent)
+        if is_dir:
+            parent.nlink += 1
         self._after_create(parent, inode, block_index)
+        return inode
+
+    def _remove(self, path: str, ftype: FileType) -> None:
+        """The body of ``unlink`` and ``rmdir``."""
+        self._check_mounted()
+        self._check_writable()
+        self.cpu.syscall()
+        parent, name = self._resolve_parent(split_path(path))
+        entry = self._dir(parent).names.get(name)
+        if entry is None:
+            raise FileNotFoundError_(path)
+        inode = self._get_inode(entry[0])
+        is_dir = ftype is _DIRECTORY
+        if (inode.ftype is _DIRECTORY) != is_dir:
+            raise (NotADirectoryError_ if is_dir else IsADirectoryError_)(path)
+        if is_dir and self._dir(inode).names:
+            raise DirectoryNotEmptyError(path)
+        self.cpu.remove()
+        # Stamps the parent's mtime and marks it dirty, as in _make.
+        _child, block_index = self._dir_remove(parent, name)
+        if is_dir:
+            parent.nlink -= 1
+        self._release_inode(inode)
+        self._after_remove(parent, inode, block_index)
+        self._drop_inode(inode.inum)
+        self._stats.removes += 1
+        self._maybe_writeback()
+
+    def create(self, path: str) -> FileHandle:
+        inum = self._make(path, _REGULAR).inum
         self._stats.creates += 1
         self._maybe_writeback()
-        return FileHandle(self, inum, path)
+        return FileHandle(self, inum, path, self._generations.get(inum, 0))
 
     def open(self, path: str) -> FileHandle:
         self._check_mounted()
         self.cpu.syscall()
         inode = self._namei(path)
-        if inode.is_dir:
+        if inode.ftype is _DIRECTORY:
             raise IsADirectoryError_(path)
         self._stats.opens += 1
-        return FileHandle(self, inode.inum, path)
+        inum = inode.inum
+        return FileHandle(self, inum, path, self._generations.get(inum, 0))
 
     def unlink(self, path: str) -> None:
-        self._check_mounted()
-        self._check_writable()
-        self.cpu.syscall()
-        parent, name = self._resolve_parent(path)
-        child = self._dir_lookup(parent, name)
-        if child is None:
-            raise FileNotFoundError_(path)
-        inode = self._get_inode(child)
-        if inode.is_dir:
-            raise IsADirectoryError_(path)
-        self.cpu.remove()
-        _child, block_index = self._dir_remove(parent, name)
-        parent.mtime = self.clock.now()
-        self._mark_inode_dirty(parent)
-        self._release_inode(inode)
-        self._after_remove(parent, inode, block_index)
-        self._drop_inode(inode.inum)
-        self._stats.removes += 1
-        self._maybe_writeback()
+        self._remove(path, _REGULAR)
 
     def mkdir(self, path: str) -> None:
-        self._check_mounted()
-        self._check_writable()
-        self.cpu.syscall()
-        parent, name = self._resolve_parent(path)
-        encoded = validate_name(name)
-        if self._dir_lookup(parent, name) is not None:
-            raise FileExistsError_(path)
-        self.cpu.create()
-        inum = self._alloc_inum(FileType.DIRECTORY, parent.inum)
-        inode = Inode(
-            inum=inum,
-            ftype=FileType.DIRECTORY,
-            nlink=2,
-            mtime=self.clock.now(),
-            ctime=self.clock.now(),
-        )
-        self._install_inode(inode)
-        block_index = self._link_new(parent, name, encoded, inode)
-        parent.nlink += 1
-        parent.mtime = self.clock.now()
-        self._mark_inode_dirty(parent)
-        self._after_create(parent, inode, block_index)
+        self._make(path, _DIRECTORY)
         self._stats.mkdirs += 1
         self._maybe_writeback()
 
     def rmdir(self, path: str) -> None:
-        self._check_mounted()
-        self._check_writable()
-        self.cpu.syscall()
-        parent, name = self._resolve_parent(path)
-        child = self._dir_lookup(parent, name)
-        if child is None:
-            raise FileNotFoundError_(path)
-        inode = self._get_inode(child)
-        if not inode.is_dir:
-            raise NotADirectoryError_(path)
-        if self._dir(inode).names:
-            raise DirectoryNotEmptyError(path)
-        self.cpu.remove()
-        _child, block_index = self._dir_remove(parent, name)
-        parent.nlink -= 1
-        parent.mtime = self.clock.now()
-        self._mark_inode_dirty(parent)
-        self._release_inode(inode)
-        self._after_remove(parent, inode, block_index)
-        self._drop_inode(inode.inum)
-        self._stats.removes += 1
-        self._maybe_writeback()
+        self._remove(path, _DIRECTORY)
 
     def rename(self, old_path: str, new_path: str) -> None:
         self._check_mounted()
         self._check_writable()
         self.cpu.syscall()
-        old_parent, old_name = self._resolve_parent(old_path)
+        old = split_path(old_path)
+        old_parent, old_name = self._resolve_parent(old)
         child = self._dir_lookup(old_parent, old_name)
         if child is None:
             raise FileNotFoundError_(old_path)
         moving = self._get_inode(child)
-        new_parent, new_name = self._resolve_parent(new_path)
+        new = split_path(new_path)
+        new_parent, new_name = self._resolve_parent(new)
         encoded = validate_name(new_name)
         existing = self._dir_lookup(new_parent, new_name)
         if existing == child:
             return  # both paths name the same entry: POSIX says do nothing
+        if new[: len(old)] == old:
+            # The new path runs through the entry being moved: it would
+            # leave the tree inside itself, and its subtree would leak.
+            raise InvalidArgumentError(
+                f"cannot move {old_path!r} inside itself: {new_path!r}"
+            )
         if existing is not None:
             target = self._get_inode(existing)
             if target.is_dir:
@@ -803,7 +827,7 @@ class BaseFileSystem(StorageManager):
                 raise NotADirectoryError_(new_path)
             self.unlink(new_path)
             # unlink re-resolved parents; refresh our references.
-            new_parent, new_name = self._resolve_parent(new_path)
+            new_parent, new_name = self._resolve_parent(new)
         self.cpu.create()
         self._dir_remove(old_parent, old_name)
         self._dir_add(new_parent, new_name, encoded, moving.inum)
@@ -821,7 +845,7 @@ class BaseFileSystem(StorageManager):
         self._check_mounted()
         self.cpu.syscall()
         inode = self._namei(path)
-        if not inode.is_dir:
+        if inode.ftype is not _DIRECTORY:
             raise NotADirectoryError_(path)
         return sorted(self._dir(inode).names)
 
@@ -843,9 +867,17 @@ class BaseFileSystem(StorageManager):
     # ------------------------------------------------------------------
 
     def _handle_inode(self, handle: FileHandle) -> Inode:
-        self._check_mounted()
-        inode = self._get_inode(handle.inum)
-        if not inode.is_allocated:
+        """The prologue of every call on an open file: the file system is
+        mounted, and the file the handle opened still exists.  Its inode
+        number may name a newer file by now; the generation tells."""
+        if self._unmounted:
+            raise StaleHandleError("file system is unmounted")
+        inum = handle.inum
+        inode = self._inodes.get(inum) or self._get_inode(inum)
+        if (
+            inode.ftype is _FREE
+            or self._generations.get(inum, 0) != handle.generation
+        ):
             raise StaleHandleError(f"file {handle.path} was deleted")
         return inode
 
@@ -860,7 +892,7 @@ class BaseFileSystem(StorageManager):
         data = self._read_range(inode, offset, length)
         nbytes = len(data)
         bs = self.block_size
-        cpu.block_touch(max(1, (nbytes + bs - 1) // bs))
+        cpu.block_touch((nbytes + bs - 1) // bs or 1)
         cpu.copy(nbytes)
         self._update_atime(inode)
         stats = self._stats
@@ -886,7 +918,7 @@ class BaseFileSystem(StorageManager):
         cpu.syscall()
         nbytes = len(data)
         bs = self.block_size
-        cpu.block_touch(max(1, (nbytes + bs - 1) // bs))
+        cpu.block_touch((nbytes + bs - 1) // bs or 1)
         cpu.copy(nbytes)
         written = self._write_range(inode, offset, data)
         stats = self._stats

@@ -67,12 +67,21 @@ class FsStats:
 
 
 class FileHandle:
-    """An open file: a position plus read/write calls against the FS."""
+    """An open file: a position plus read/write calls against the FS.
 
-    def __init__(self, fs: "StorageManager", inum: int, path: str) -> None:
+    ``generation`` is how many times ``inum`` had been freed when the
+    file was opened: once the file is deleted and its number reused,
+    the file system refuses the handle instead of writing into the new
+    file.
+    """
+
+    def __init__(
+        self, fs: "StorageManager", inum: int, path: str, generation: int = 0
+    ) -> None:
         self._fs = fs
         self.inum = inum
         self.path = path
+        self.generation = generation
         self.pos = 0
         self.closed = False
 
@@ -216,8 +225,7 @@ class StorageManager(abc.ABC):
 
     def read_file(self, path: str) -> bytes:
         """Whole contents of a file."""
-        with self.open(path) as handle:
-            return handle.read()
+        return self.pread(self.open(path), 0, None)
 
     @abc.abstractmethod
     def statvfs(self) -> VfsInfo:

@@ -8,7 +8,7 @@ exact).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.errors import InvalidArgumentError
 
@@ -21,8 +21,10 @@ def split_path(path: str) -> List[str]:
     >>> split_path("/")
     []
     """
-    if not path or not path.startswith("/"):
+    if not path.startswith("/"):
         raise InvalidArgumentError(f"path must be absolute: {path!r}")
+    if "//" not in path and "/." not in path and not path.endswith("/"):
+        return path[1:].split("/")  # already normal: every namespace call
     components: List[str] = []
     for part in path.split("/"):
         if part in ("", "."):
@@ -46,15 +48,3 @@ def join(base: str, *parts: str) -> str:
     for part in parts:
         pieces.append(part.strip("/"))
     return normalize("/".join(pieces) or "/")
-
-
-def dirname_basename(path: str) -> Tuple[str, str]:
-    """Split into (parent directory path, final component).
-
-    >>> dirname_basename("/a/b/c")
-    ('/a/b', 'c')
-    """
-    components = split_path(path)
-    if not components:
-        raise InvalidArgumentError("the root directory has no parent")
-    return "/" + "/".join(components[:-1]), components[-1]

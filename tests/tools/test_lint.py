@@ -408,3 +408,57 @@ class TestCacheEncapsulation:
             "    return hits, block\n"
         )
         assert not self.cache001(tmp_path, "src/repro/vfs/ext.py", source)
+
+
+class TestClockEncapsulation:
+    SOURCE = (
+        "def charge(fs, cpu, seconds):\n"
+        "    if not fs.clock._expiry_heap:\n"
+        "        fs.clock._now += seconds\n"
+        "    clock = cpu.clock\n"
+        "    return clock._now, clock._buckets, self._clock._ntimers\n"
+    )
+
+    def clock001(self, tmp_path, relpath, source):
+        path = write_module(tmp_path, relpath, source)
+        return sorted((n, m) for _, n, m in lint_file(path) if "CLOCK001" in m)
+
+    def test_flags_reads_and_writes_of_private_state(self, tmp_path):
+        findings = self.clock001(tmp_path, "src/repro/cache/ext.py", self.SOURCE)
+        assert [n for n, _ in findings] == [2, 3, 5, 5, 5]
+        assert "`._expiry_heap`" in findings[0][1]
+        assert "`._now`" in findings[1][1]
+        assert "advance()" in findings[1][1]
+
+    def test_the_sim_package_and_tests_are_free(self, tmp_path):
+        for relpath in ("src/repro/sim/ext.py", "tests/sim/test_ext.py"):
+            assert not self.clock001(tmp_path, relpath, self.SOURCE)
+
+    def test_public_calls_and_other_private_state_are_fine(self, tmp_path):
+        source = (
+            "def tick(fs, cpu, seconds):\n"
+            "    now = fs.clock.now()\n"
+            "    cpu.clock.advance(seconds)\n"
+            "    fs._clocked = fs.cache._now_ish = now\n"
+            "    fs.clock._now = now  # noqa: CLOCK001\n"
+            "    return fs.clock.pending_timers(), fs._clock_hand\n"
+        )
+        assert not self.clock001(tmp_path, "src/repro/vfs/ext.py", source)
+
+    def test_the_shipped_package_is_clean(self):
+        import repro
+
+        package = os.path.dirname(repro.__file__)
+        files = [
+            os.path.join(root, name)
+            for root, _dirs, names in os.walk(package)
+            for name in names
+            if name.endswith(".py")
+        ]
+        assert files
+        assert not [
+            finding
+            for path in files
+            for finding in lint_file(path)
+            if "CLOCK001" in finding[2]
+        ]

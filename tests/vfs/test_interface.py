@@ -73,6 +73,36 @@ class TestCreateOpenUnlink:
         with pytest.raises(StaleHandleError):
             handle.pread(0, 1)
 
+    def test_stale_handle_cannot_reach_the_file_that_reuses_its_inode(
+        self, anyfs
+    ):
+        stale = anyfs.create("/a")
+        anyfs.unlink("/a")
+        with anyfs.create("/b") as handle:
+            handle.write(b"BBBBBB")
+        assert anyfs.stat("/b").inum == stale.inum  # the number was reused
+        for call in (
+            lambda: stale.pwrite(0, b"XX"),
+            lambda: stale.pread(0, 2),
+            lambda: stale.truncate(0),
+            lambda: stale.size,
+            stale.fsync,
+        ):
+            with pytest.raises(StaleHandleError):
+                call()
+        assert anyfs.read_file("/b") == b"BBBBBB"
+        assert_image_clean(anyfs)
+
+    def test_handle_opened_after_reuse_is_live(self, anyfs):
+        anyfs.create("/a").close()
+        anyfs.unlink("/a")
+        anyfs.write_file("/b", b"bee")
+        with anyfs.open("/b") as handle:
+            handle.pwrite(0, b"B")
+            assert handle.size == 3
+            handle.fsync()
+        assert anyfs.read_file("/b") == b"Bee"
+
     def test_empty_file(self, anyfs):
         anyfs.create("/empty").close()
         assert anyfs.read_file("/empty") == b""
@@ -123,6 +153,14 @@ class TestDirectories:
         anyfs.write_file("/f", b"")
         with pytest.raises((NotADirectoryError_, FileNotFoundError_)):
             anyfs.stat("/f/child")
+
+    @pytest.mark.parametrize("op", ["create", "mkdir", "unlink", "rmdir"])
+    def test_the_root_has_no_parent(self, anyfs, op):
+        with pytest.raises(InvalidArgumentError):
+            getattr(anyfs, op)("/")
+        with pytest.raises(InvalidArgumentError):
+            anyfs.rename("/", "/x")
+        assert anyfs.listdir("/") == []
 
     def test_nlink_counts(self, anyfs):
         assert anyfs.stat("/").nlink == 2
@@ -198,6 +236,27 @@ class TestRename:
         assert anyfs.listdir("/") == ["d"]
         assert anyfs.listdir("/d") == ["f"]
         assert anyfs.read_file("/d/f") == b"keep me"
+        assert_image_clean(anyfs)
+
+    @pytest.mark.parametrize("target", ["/x/y", "/x/y/z", "/x/./y", "/x//y"])
+    def test_into_its_own_subtree_is_refused(self, anyfs, target):
+        anyfs.mkdir("/x")
+        anyfs.mkdir("/x/y")
+        anyfs.write_file("/x/f", b"still reachable")
+        if target != "/x/y/z":
+            anyfs.rmdir("/x/y")
+        with pytest.raises(InvalidArgumentError):
+            anyfs.rename("/x", target)
+        assert anyfs.listdir("/") == ["x"]
+        assert anyfs.read_file("/x/f") == b"still reachable"
+        assert_image_clean(anyfs)
+
+    def test_sibling_with_a_common_prefix_is_not_a_subtree(self, anyfs):
+        anyfs.mkdir("/x")
+        anyfs.mkdir("/xy")
+        anyfs.rename("/x", "/xy/x")
+        assert anyfs.listdir("/") == ["xy"]
+        assert anyfs.listdir("/xy") == ["x"]
         assert_image_clean(anyfs)
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import InvalidArgumentError
-from repro.vfs.path import dirname_basename, join, normalize, split_path
+from repro.vfs.path import join, normalize, split_path
 
 
 class TestSplitPath:
@@ -30,6 +30,21 @@ class TestSplitPath:
         with pytest.raises(InvalidArgumentError):
             split_path("")
 
+    @pytest.mark.parametrize(
+        "path, components",
+        [
+            ("/a/b/c", ["a", "b", "c"]),  # already normal
+            ("/.a/b..", [".a", "b.."]),  # dots inside names are names
+            ("/a/.../b", ["a", "...", "b"]),
+            ("/a/b/", ["a", "b"]),
+            ("//", []),
+            ("/a/./..", []),
+        ],
+    )
+    def test_normal_and_unnormal_paths_agree(self, path, components):
+        assert split_path(path) == components
+        assert split_path(normalize(path)) == components
+
 
 class TestNormalize:
     def test_examples(self):
@@ -47,14 +62,3 @@ class TestJoin:
     def test_strips_extra_slashes(self):
         assert join("/a/", "/b/") == "/a/b"
 
-
-class TestDirnameBasename:
-    def test_basic(self):
-        assert dirname_basename("/a/b/c") == ("/a/b", "c")
-
-    def test_top_level(self):
-        assert dirname_basename("/file") == ("/", "file")
-
-    def test_root_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            dirname_basename("/")
