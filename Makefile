@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint e2e-smoke e2e-digest trace crashtest chaos service-bench cluster-bench ci
+.PHONY: test lint e2e-smoke e2e-digest bench-pairs trace crashtest chaos service-bench cluster-bench ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -36,6 +36,19 @@ e2e-digest:
 		$(PYTHON) benchmarks/e2e/workloads.py $$w $$s untraced \
 			| $(PYTHON) -c '$(E2E_DIGEST)' || exit 1; \
 	done; done
+
+# A speed claim, measured: PARENT is checked out into a temporary git
+# worktree and `run.py --workload W --seed SEED` alternates between it
+# and the working tree N times, each side first in half the pairs.
+# Prints each side's median, quartiles and wins of ops_per_wall_s, and
+# fails if any simulated number or image hash differs between them.
+PARENT ?= HEAD
+W ?= service_clean
+SEED ?= 0
+N ?= 10
+bench-pairs:
+	$(PYTHON) benchmarks/pairs.py $(PARENT) --workload $(W) --seed $(SEED) \
+		--pairs $(N)
 
 # Regenerate the committed trace-attribution report: a seeded
 # 16-client serve-sim with full request tracing, decomposed into

@@ -3,9 +3,9 @@
 Blocks are keyed by :class:`~repro.common.inode.BlockKey` — (owner inode,
 kind, index) — because in LFS a block has no stable disk address to key
 by: every write relocates it.  The payload is either raw bytes (data and
-directory blocks) or a mutable list of u64 disk addresses (pointer
-blocks), so the :class:`~repro.common.inode.BlockMap` can edit pointer
-blocks in place.
+directory blocks) or a mutable array of u64 disk addresses (pointer
+blocks, :func:`~repro.common.inode.pointer_block`), so the
+:class:`~repro.common.inode.BlockMap` can edit pointer blocks in place.
 
 Eviction only ever removes *clean data* blocks: dirty blocks must first
 be written back by the owning file system, and metadata blocks (pointer
@@ -22,7 +22,7 @@ lower bound on its block's; one found out of date on pop is pushed back
 
 from __future__ import annotations
 
-import struct
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -30,11 +30,11 @@ from itertools import count, islice
 from operator import attrgetter
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.common.inode import BlockKey, BlockKind
+from repro.common.inode import BlockKey, BlockKind, pointer_block_bytes
 from repro.errors import InvalidArgumentError
 from repro.obs import NULL_TELEMETRY, Telemetry
 
-Payload = Union[bytearray, List[int]]
+Payload = Union[bytearray, "array[int]"]
 
 # Shared zero source for padding short blocks without allocating a fresh
 # bytes object per block; slicing a memoryview is copy-free.
@@ -64,9 +64,10 @@ class CacheBlock:
 
     def as_bytes(self, block_size: int) -> bytes:
         """Serialized block contents, zero-padded to ``block_size``."""
-        if isinstance(self.payload, list):
-            return struct.pack(f"<{len(self.payload)}Q", *self.payload)
-        data = bytes(self.payload)
+        payload = self.payload
+        if isinstance(payload, array):
+            payload = pointer_block_bytes(payload)
+        data = bytes(payload)
         if len(data) < block_size:
             data += b"\x00" * (block_size - len(data))
         return data
@@ -80,12 +81,10 @@ class CacheBlock:
         path.
         """
         payload = self.payload
-        if isinstance(payload, list):
-            struct.pack_into(f"<{len(payload)}Q", out, 0, *payload)
-            used = len(payload) * 8
-        else:
-            used = len(payload)
-            out[:used] = payload
+        if isinstance(payload, array):
+            payload = pointer_block_bytes(payload)
+        used = len(payload)
+        out[:used] = payload
         if used < block_size:
             pad = block_size - used
             if pad <= len(_ZERO_PAD):
@@ -221,9 +220,7 @@ class BlockCache:
             self._dirty_fifo.append((key, now))
         elif key.kind in _EVICTABLE_KINDS:
             if len(heap) > 2 * nblocks + 64:
-                # As in _enqueue.
-                heap[:] = [e for e in heap if blocks.get(e[1].key) is e[1]]
-                heapify(heap)
+                self._compact()
             block.queued = True
             heappush(heap, (block.stamp, block))
         if obs:
@@ -279,6 +276,23 @@ class BlockCache:
             # The block keeps its stamp: it becomes a victim at its old
             # LRU position, not at the tail.
             self._enqueue(block)
+
+    def mark_run_clean(self, run: Sequence[CacheBlock]) -> None:
+        """``mark_clean`` of every block of ``run``, in order: data blocks,
+        each resident and dirty, that the log writer just wrote.  The
+        dirty byte count moves once."""
+        dirty, heap = self._dirty, self._heap
+        if len(heap) + len(run) > 2 * len(self._blocks) + 64:
+            self._compact()
+        for block in run:
+            block.dirty = False
+            del dirty[block.key]
+            if not block.queued:
+                block.queued = True
+                heappush(heap, (block.stamp, block))
+        self._dirty_bytes -= len(run) * self.block_size
+        if self._obs_enabled:
+            self._m_dirty_bytes.set(self._dirty_bytes)
 
     def discard(self, key: BlockKey) -> None:
         """Remove a block outright (e.g. file deleted before write-back)."""
@@ -340,13 +354,17 @@ class BlockCache:
             return
         heap = self._heap
         if len(heap) > 2 * len(self._blocks) + 64:
-            # Entries of discarded and replaced blocks leave only by
-            # being popped, which a cache that never fills never does.
-            blocks = self._blocks
-            heap[:] = [e for e in heap if blocks.get(e[1].key) is e[1]]
-            heapify(heap)
+            self._compact()
         block.queued = True
         heappush(heap, (block.stamp, block))
+
+    def _compact(self) -> None:
+        """Drop the heap entries of discarded and replaced blocks: they
+        leave only by being popped, which a cache that never fills never
+        does."""
+        heap, blocks = self._heap, self._blocks
+        heap[:] = [e for e in heap if blocks.get(e[1].key) is e[1]]
+        heapify(heap)
 
     def over_capacity(self) -> bool:
         """True when even after eviction the cache exceeds capacity.

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import enum
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import partial
 from typing import (
@@ -54,6 +56,33 @@ _INODE_PAD = b"\x00" * (INODE_SIZE - _INODE_RECORD.size)
 def pointers_per_block(block_size: int) -> int:
     """Number of u64 disk addresses an indirect block holds."""
     return block_size // 8
+
+
+# A pointer block in memory is an ``array('Q')``: its slots are edited in
+# place, and its on-disk form (little-endian u64s) is its own buffer on a
+# little-endian host, so writing one out is a copy, not 512 conversions.
+_SWAP = sys.byteorder != "little"
+
+
+def pointer_block(data: Optional[bytes], block_size: int) -> "array[int]":
+    """A pointer block's addresses: decoded from its on-disk ``data``, or
+    all NIL when ``data`` is None (a block never written)."""
+    pointers = array("Q")
+    if data is None:
+        pointers.frombytes(bytes(block_size))
+    else:
+        pointers.frombytes(data)
+        if _SWAP:
+            pointers.byteswap()
+    return pointers
+
+
+def pointer_block_bytes(pointers: "array[int]") -> memoryview:
+    """The on-disk form of a pointer block, as a view of its bytes."""
+    if _SWAP:
+        pointers = array("Q", pointers)
+        pointers.byteswap()
+    return memoryview(pointers).cast("B")
 
 
 class FileType(enum.IntEnum):
@@ -245,8 +274,9 @@ class Inode:
 class BlockMap:
     """Walks and edits the direct/indirect pointer tree of one inode.
 
-    ``load_pointers(key, addr)`` must return the live, mutable list of
-    u64 addresses for the pointer block identified by ``key``.  The
+    ``load_pointers(key, addr)`` must return the live, mutable sequence
+    of u64 addresses (see :func:`pointer_block`) for the pointer block
+    identified by ``key``.  The
     ``addr`` argument is the on-disk address recorded in the parent
     structure (:data:`NIL` if none); the callback is the authority — a
     file system whose cache already holds the block returns the cached
@@ -357,12 +387,29 @@ class BlockMap:
 
     def get(self, inode: Inode, lbn: int) -> int:
         """Disk address of logical block ``lbn`` (NIL for holes)."""
-        self._check_lbn(lbn)
-        if lbn < N_DIRECT:
+        if 0 <= lbn < N_DIRECT:
             return inode.direct[lbn]
-        ordinal, first, _last = self.container(lbn)
-        pointers, _keys = self._read_leaf(inode, ordinal)
+        pointers, first, _keys = self.get_container(inode, lbn)
         return NIL if pointers is None else pointers[lbn - first]
+
+    def get_container(
+        self, inode: Inode, lbn: int
+    ) -> Tuple[Optional[List[int]], int, Tuple[BlockKey, ...]]:
+        """The container that maps ``lbn``, walked as :meth:`get` walks
+        it: its pointers (the inode's direct slots, a leaf, or None for a
+        hole), the first logical block they map, and the keys the walk
+        looked up.
+
+        One walk answers :meth:`get` for every block of the container;
+        a caller that asks for more than one hands the lookups the
+        others would have repeated to ``rehit``, as the run methods do.
+        """
+        if 0 <= lbn < N_DIRECT:
+            return inode.direct, 0, ()
+        self._check_lbn(lbn)
+        ordinal, first, _last = self.container(lbn)
+        pointers, keys = self._read_leaf(inode, ordinal)
+        return pointers, first, keys
 
     def get_missing(
         self,
@@ -423,15 +470,20 @@ class BlockMap:
         ``rehit``, and the pointer blocks they would have dirtied again
         are dirty already.
         """
-        self._check_range(lbns[0], lbns[-1])
-        ordinal, base, _end = self.container(lbns[0])
-        if ordinal < 0:
-            pointers = inode.direct
+        if 0 <= lbns[0] and lbns[-1] < N_DIRECT:
+            pointers, base = inode.direct, 0
         else:
+            self._check_range(lbns[0], lbns[-1])
+            ordinal, base, _end = self.container(lbns[0])
             pointers, keys = self._leaf_pointers(inode, ordinal)
             self._dirty(keys[-1])
             if len(lbns) > 1:
                 self._rehit(keys, len(lbns) - 1)
+        low, high = lbns[0] - base, lbns[-1] - base + 1
+        if high - low == len(lbns):  # ascending, so consecutive
+            olds = pointers[low:high]
+            pointers[low:high] = array("Q", range(first_addr, first_addr + len(lbns)))
+            return olds
         olds = []
         for addr, lbn in enumerate(lbns, first_addr):
             olds.append(pointers[lbn - base])

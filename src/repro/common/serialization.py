@@ -289,11 +289,6 @@ class BatchPacker:
         struct.pack_into(f"<{len(values)}I", self._buffer, offset, *values)
         return self
 
-    def pack_with(self, record: struct.Struct, *values) -> "BatchPacker":
-        """Pack one precompiled record layout in a single call."""
-        record.pack_into(self._buffer, self._reserve(record.size), *values)
-        return self
-
     def skip(self, size: int) -> int:
         """Reserve ``size`` bytes; returns their offset for backfill."""
         return self._reserve(size)

@@ -174,7 +174,13 @@ class FastFileSystem(BaseFileSystem):
     def sectors_per_block(self) -> int:
         return self._config.sectors_per_block
 
-    def _table_block(self, table_index: int):
+    def _table_block(self, table_index: int, dirty: bool = False):
+        """The cached inode-table block ``table_index``, read in if needed.
+
+        A caller about to dirty the block reads it in ``dirty``: a clean
+        block may be the one its own insert evicts when every other
+        cached block is dirty.
+        """
         key = BlockKey(0, BlockKind.INODE, table_index)
         block = self.cache.get(key)
         if block is None:
@@ -183,7 +189,7 @@ class FastFileSystem(BaseFileSystem):
                 label=f"inode table block {table_index}",
             )
             block = self.cache.insert(
-                key, bytearray(raw), dirty=False, now=self.clock.now()
+                key, bytearray(raw), dirty=dirty, now=self.clock.now()
             )
         return block
 
@@ -206,7 +212,7 @@ class FastFileSystem(BaseFileSystem):
         """Serialize an inode into its cached table block; returns the
         table block's global index."""
         table_index = self.layout.inode_table_block_index(inode.inum)
-        block = self._table_block(table_index)
+        block = self._table_block(table_index, dirty=True)
         _addr, slot = self.layout.inode_location(inode.inum)
         assert isinstance(block.payload, bytearray)
         block.payload[slot * INODE_SIZE : (slot + 1) * INODE_SIZE] = inode.pack()

@@ -39,7 +39,13 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.common.inode import BlockKey, BlockKind, Inode, INODE_SIZE
+from repro.common.inode import (
+    BlockKey,
+    BlockKind,
+    Inode,
+    INODE_SIZE,
+    block_key,
+)
 from repro.errors import CorruptionError, MediaError
 from repro.lfs.segment_usage import SegmentState
 from repro.lfs.summary import SegmentSummary, SummaryEntry
@@ -47,6 +53,8 @@ from repro.obs import NULL_TELEMETRY, Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lfs.filesystem import LogStructuredFS
+
+_DATA = BlockKind.DATA
 
 
 class CleanerPolicy(str, enum.Enum):
@@ -347,12 +355,26 @@ class SegmentCleaner:
                 pool.release(buffer)
 
     def _scan_segment(self, seg: int, first_block: int, raw, span) -> None:
-        """Walk a staged segment image, relocating its live entries."""
+        """Walk a staged segment image, relocating its live entries.
+
+        Each summary is decoded once.  Consecutive DATA entries of one
+        file version under one pointer container form a run, which
+        :meth:`_relocate_data` checks and relocates as a whole; every
+        other entry is relocated on its own.
+        """
         fs = self.fs
         bs = fs.config.block_size
         bps = fs.config.blocks_per_segment
         self.stats.bytes_read += len(raw)
         self._m_bytes_read.inc(len(raw))
+        charge = fs.cpu.cleaner_blocks
+        container = fs.block_map.container
+        # Bound by name once per scan: a method replaced on the class or
+        # the instance (the e2e tracer, a crash plan) is the one that runs.
+        relocators = {
+            kind: getattr(self, name) for kind, name in self._RELOCATORS.items()
+        }
+        relocate_data = relocators[_DATA]
         live = dead = 0
         offset = 0
         while offset < bps:
@@ -360,22 +382,45 @@ class SegmentCleaner:
                 nsummary = SegmentSummary.peek_summary_blocks(
                     raw[offset * bs : (offset + 1) * bs], bs
                 )
-                summary = SegmentSummary.unpack(raw[offset * bs :], bs)
+                entries = SegmentSummary.unpack(raw[offset * bs :], bs).entries
             except CorruptionError:
                 break  # end of the written log within this segment
-            fs.cpu.cleaner_blocks(len(summary.entries))
-            for position, entry in enumerate(summary.entries):
-                addr = first_block + offset + nsummary + position
-                payload = raw[
-                    (offset + nsummary + position)
-                    * bs : (offset + nsummary + position + 1)
-                    * bs
-                ]
-                if self._relocate_entry(entry, addr, payload):
-                    live += 1
+            nentries = len(entries)
+            charge(nentries)
+            first = offset + nsummary  # the block of entries[0]
+            position = 0
+            while position < nentries:
+                kind, inum, index, version, _inums = entries[position]
+                stop = position + 1
+                if kind is _DATA:
+                    _ordinal, low, high = container(index)
+                    while stop < nentries:
+                        next_kind, next_inum, next_index, next_version, _ = (
+                            entries[stop]
+                        )
+                        if (
+                            next_kind is not _DATA
+                            or next_inum != inum
+                            or next_version != version
+                            or not low <= next_index <= high
+                        ):
+                            break
+                        stop += 1
+                    moved = relocate_data(
+                        entries[position:stop],
+                        first_block + first + position,
+                        raw[(first + position) * bs : (first + stop) * bs],
+                    )
                 else:
-                    dead += 1
-            offset += nsummary + summary.nblocks
+                    moved = relocators[kind](
+                        entries[position],
+                        first_block + first + position,
+                        raw[(first + position) * bs : (first + stop) * bs],
+                    )
+                live += moved
+                dead += stop - position - moved
+                position = stop
+            offset = first + nentries
         self.stats.live_blocks_copied += live
         self.stats.live_bytes_copied += live * bs
         self.stats.dead_blocks_dropped += dead
@@ -385,37 +430,66 @@ class SegmentCleaner:
         span.set_attr("live_blocks", live)
         span.set_attr("dead_blocks", dead)
 
-    def _relocate_entry(
-        self, entry: SummaryEntry, addr: int, payload: bytes
-    ) -> bool:
-        """Re-dirty ``entry``'s block in cache if it is live."""
-        return getattr(self, self._RELOCATORS[entry.kind])(entry, addr, payload)
-
     def _file_is_current(self, entry: SummaryEntry) -> bool:
         """Step 1 of §4.3.3: the summary-entry version check."""
         imap_entry = self.fs.imap.get(entry.inum)
         return imap_entry.allocated and imap_entry.version == entry.version
 
     def _relocate_data(
-        self, entry: SummaryEntry, addr: int, payload: bytes
-    ) -> bool:
+        self, run: List[SummaryEntry], addr: int, image
+    ) -> int:
+        """Re-dirty the live blocks of a data run in cache; returns how
+        many were live.
+
+        ``run`` is DATA entries of one file version under one pointer
+        container, logged from ``addr`` on; ``image`` holds their blocks.
+        The run takes one version check, one inode fetch and one walk of
+        the container.  Block by block, each entry would have walked the
+        container again, so the lookups of those walks are accounted
+        through ``rehit``, and in their order: a walk's lookups come just
+        before the insert of its live block.
+        """
         fs = self.fs
-        if not self._file_is_current(entry):
-            return False
-        inode = fs._get_inode(entry.inum)
-        if fs.block_map.get(inode, entry.index) != addr:
-            return False  # step 2: the file no longer points here
-        key = BlockKey(entry.inum, BlockKind.DATA, entry.index)
-        fs.cpu.cleaner_blocks(1)
-        cached = fs.cache.peek(key)
-        if cached is None:
-            fs.cache.insert(
-                key, bytearray(payload), dirty=True, now=fs.clock.now()
-            )
-        elif not cached.dirty:
-            fs.cache.mark_dirty(key, fs.clock.now())
-        fs._mark_inode_dirty(inode)
-        return True
+        head = run[0]
+        if not self._file_is_current(head):
+            return 0
+        inum = head.inum
+        inode = fs._get_inode(inum)
+        pointers, base, keys = fs.block_map.get_container(inode, head.index)
+        cache = fs.cache
+        last = len(run) - 1
+        walked = 0  # the walk the pointer blocks' stamps come from
+        live = 0
+        if pointers is not None:
+            bs = fs.config.block_size
+            charge = fs.cpu.cleaner_blocks
+            now = fs.clock.now
+            peek, rehit = cache.peek, cache.rehit
+            for position, entry in enumerate(run):
+                index = entry.index
+                if pointers[index - base] != addr + position:
+                    continue  # step 2: the file no longer points here
+                live += 1
+                charge(1)
+                key = block_key((inum, _DATA, index))
+                cached = peek(key)
+                if cached is None:
+                    if keys and position > walked:
+                        rehit(keys, position - walked)
+                        walked = position
+                    cache.insert(
+                        key,
+                        bytearray(image[position * bs : (position + 1) * bs]),
+                        dirty=True,
+                        now=now(),
+                    )
+                elif not cached.dirty:
+                    cache.mark_dirty(key, now())
+            if live:
+                fs._mark_inode_dirty(inode)
+        if keys and last > walked:
+            cache.rehit(keys, last - walked)
+        return live
 
     def _relocate_pointer(
         self, entry: SummaryEntry, addr: int, payload: bytes

@@ -43,7 +43,7 @@ from repro.lfs.inode_map import InodeMap
 from repro.lfs.recovery import RollForwardReport, roll_forward
 from repro.lfs.segments import PlannedRun, SegmentManager
 from repro.lfs.segment_usage import SegmentState, SegmentUsage
-from repro.lfs.summary import SummaryEntry
+from repro.lfs.summary import SummaryEntry, summary_entry
 from repro.obs import Telemetry
 from repro.sim.cpu import CpuModel
 from repro.units import MIB
@@ -481,7 +481,7 @@ class LogStructuredFS(BaseFileSystem):
                 ordinal, _first, end = container(key.index)
                 runs.append([])
                 if ordinal >= 0:
-                    leaf_keys.add(BlockKey(inum, _INDIRECT, ordinal))
+                    leaf_keys.add(block_key((inum, _INDIRECT, ordinal)))
             runs[-1].append(block)
         for key in leaf_keys:
             if key.index >= 1:
@@ -496,7 +496,7 @@ class LogStructuredFS(BaseFileSystem):
             plan.append(
                 PlannedRun(
                     [
-                        SummaryEntry(_DATA, inum, block.key.index, version)
+                        summary_entry((_DATA, inum, block.key.index, version, ()))
                         for block in blocks
                     ],
                     partial(self._finalize_data_run, inode, blocks),
@@ -547,12 +547,21 @@ class LogStructuredFS(BaseFileSystem):
             ) -> None:
                 # The address may have belonged to an older inode block
                 # whose segment was cleaned; drop any stale cached copy.
-                cache.discard(BlockKey(0, BlockKind.INODE, addr))
-                for slot, inum in enumerate(group):
-                    old = self.imap.set_location(inum, addr, slot)
-                    moved(old, addr, INODE_SIZE)
+                cache.discard(block_key((0, _INODE, addr)))
+                olds = self.imap.set_locations(group, addr)
+                # Inode by inode, each old copy died just before its new
+                # one was written.  Only the first old copy can find its
+                # segment short, as every later one follows a write to
+                # the new segment: noting it first, then the block, then
+                # the rest, one call per segment, ends the same.
+                self._note_dead_addrs(olds[:1], INODE_SIZE)
+                usage.note_write(
+                    seg_of(addr), INODE_SIZE * len(group), clock.now()
+                )
+                self._note_dead_addrs(olds[1:], INODE_SIZE)
+                for old in dict.fromkeys(olds):
                     if old != NIL:
-                        cache.discard(BlockKey(0, BlockKind.INODE, old))
+                        cache.discard(block_key((0, _INODE, old)))
 
             def write_inodes(
                 out: memoryview, _start: int, _count: int, group=group
@@ -625,16 +634,33 @@ class LogStructuredFS(BaseFileSystem):
             inode, list(map(_BLOCK_INDEX, piece)), first_addr
         )
         bs = self.block_size
-        seg_of = self.layout.segment_of_block
-        note_dead = self.usage.note_dead
-        for old in olds:
-            if old != NIL:
-                note_dead(seg_of(old), bs)
-        self.usage.note_write(seg_of(first_addr), count * bs, self.clock.now())
-        mark_clean = self.cache.mark_clean
-        for block in piece:
-            mark_clean(block.key)
+        self._note_dead_addrs(olds, bs)
+        self.usage.note_write(
+            self.layout.segment_of_block(first_addr), count * bs, self.clock.now()
+        )
+        self.cache.mark_run_clean(piece)
         self._mark_inode_dirty(inode)
+
+    def _note_dead_addrs(self, addrs: List[int], nbytes: int) -> None:
+        """``nbytes`` died at each address of ``addrs`` but NIL: one
+        ``note_dead`` per stretch of addresses in one segment."""
+        layout = self.layout
+        note_dead = self.usage.note_dead
+        bps = self._config.blocks_per_segment
+        seg = count = low = high = 0
+        for addr in addrs:
+            if addr == NIL:
+                continue
+            if not low <= addr < high:
+                if count:
+                    note_dead(seg, nbytes, count)
+                seg = layout.segment_of_block(addr)
+                low = layout.seg_start_block + seg * bps
+                high = low + bps
+                count = 0
+            count += 1
+        if count:
+            note_dead(seg, nbytes, count)
 
     def _write_checkpoint(self) -> None:
         """Commit point: everything logged so far becomes recoverable."""

@@ -187,14 +187,21 @@ class SegmentUsage:
         self._set_state(seg, info, state)
         self._touch(seg)
 
-    def note_dead(self, seg: int, nbytes: int) -> None:
-        """Previously live bytes in ``seg`` were overwritten or deleted."""
+    def note_dead(self, seg: int, nbytes: int, count: int = 1) -> None:
+        """``count`` items of ``nbytes`` previously live bytes in ``seg``
+        were overwritten or deleted.
+
+        The end state of ``count`` notes of one item each: an item that
+        finds fewer than ``nbytes`` live clamps the account at zero, and
+        every item from there on clamps again.
+        """
         info = self.info(seg)
-        if nbytes > info.live_bytes:
-            self.underflow_clamps += 1
+        live = info.live_bytes
+        if nbytes * count > live:
+            self.underflow_clamps += count - live // nbytes
             self._set_live(info, 0)
         else:
-            self._set_live(info, info.live_bytes - nbytes)
+            self._set_live(info, live - nbytes * count)
         self._touch(seg)
 
     def utilization(self, seg: int) -> float:

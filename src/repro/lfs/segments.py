@@ -16,13 +16,19 @@ forward link is what crash recovery follows when rolling forward.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Callable, List, Optional, Tuple
 
 from repro.disk.sim_disk import SimDisk
 from repro.errors import CleanerError, NoSpaceError
 from repro.lfs.config import LfsLayout
 from repro.lfs.segment_usage import SegmentUsage
-from repro.lfs.summary import SegmentSummary, SummaryEntry
+from repro.lfs.summary import (
+    ENTRY_BASE_SIZE,
+    HEADER_SIZE,
+    SegmentSummary,
+    SummaryEntry,
+)
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.sim.clock import SimClock
 
@@ -227,26 +233,34 @@ class SegmentManager:
         self, plan: List[PlannedRun], index: int, start: int
     ) -> "tuple[List[Piece], int]":
         """Largest plan prefix from entry ``start`` of run ``index`` that
-        fits the active segment, as pieces of runs."""
+        fits the active segment, as pieces of runs.
+
+        An entry takes ``ENTRY_BASE_SIZE`` bytes plus four per inode
+        number, and the summary the blocks that header and entries need
+        (``SegmentSummary.blocks_needed``), reckoned here inline.
+        """
         bs = self.layout.config.block_size
+        # Summary blocks for ``size`` bytes of entries: (size + head) // bs.
+        head = HEADER_SIZE + bs - 1
         remaining = self.remaining_blocks()
         pieces: List[Piece] = []
         nblocks = 0
         entries_size = 0
         nsummary = 1
-        for run in plan[index:]:
+        for run in islice(plan, index, None):
             count = 0
-            for entry in run.entries[start:]:
-                new_size = entries_size + entry.packed_size()
-                new_nsummary = SegmentSummary.blocks_needed(new_size, bs)
-                if new_nsummary + nblocks + 1 > remaining:
+            for entry in islice(run.entries, start, None):
+                size = entries_size + ENTRY_BASE_SIZE
+                if entry.inums:
+                    size += 4 * len(entry.inums)
+                if (size + head) // bs + nblocks + 1 > remaining:
                     break
                 count += 1
                 nblocks += 1
-                entries_size = new_size
-                nsummary = new_nsummary
+                entries_size = size
             if count:
                 pieces.append((run, start, count))
+                nsummary = (entries_size + head) // bs
             if start + count < len(run.entries):
                 break
             start = 0

@@ -19,15 +19,17 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, NamedTuple, Tuple, Union
 
 from repro.common.inode import BlockKind, NIL
-from repro.common.serialization import U32, BatchPacker, checksum_chain
+from repro.common.serialization import U32, checksum_chain
 from repro.errors import ChecksumMismatch, CorruptionError, TornWriteError
 from repro.lfs.config import SUMMARY_MAGIC
 
-_HEADER_SIZE = 4 + 8 + 8 + 8 + 4 + 2 + 4  # through the checksum field
-_ENTRY_BASE_SIZE = 1 + 4 + 8 + 4 + 2
+HEADER_SIZE = 4 + 8 + 8 + 8 + 4 + 2 + 4  # through the checksum field
+ENTRY_BASE_SIZE = 1 + 4 + 8 + 4 + 2
+"""Bytes of an entry without its inode numbers (4 bytes each)."""
 
 # Precompiled layouts (summaries are packed on every flush and unpacked
 # on every cleaning pass and roll-forward, so this is a hot path).  The
@@ -36,8 +38,12 @@ _ENTRY_BASE_SIZE = 1 + 4 + 8 + 4 + 2
 _HEADER_PREFIX = struct.Struct("<IQdQIH")  # magic seq ts next nentries nsummary
 _ENTRY_HEAD = struct.Struct("<BIQIH")  # kind inum index version ninums
 _CRC_OFFSET = _HEADER_PREFIX.size
-assert _CRC_OFFSET + U32.size == _HEADER_SIZE
-assert _ENTRY_HEAD.size == _ENTRY_BASE_SIZE
+assert _CRC_OFFSET + U32.size == HEADER_SIZE
+assert _ENTRY_HEAD.size == ENTRY_BASE_SIZE
+
+# Decoding maps the kind byte through this table: calling ``BlockKind``
+# per entry costs more than the rest of the entry's decode.
+_KINDS = {kind.value: kind for kind in BlockKind}
 
 
 class SummaryEntry(NamedTuple):
@@ -56,46 +62,13 @@ class SummaryEntry(NamedTuple):
     """For INODE blocks: the inode numbers packed into the block."""
 
     def packed_size(self) -> int:
-        return _ENTRY_BASE_SIZE + 4 * len(self.inums)
+        return ENTRY_BASE_SIZE + 4 * len(self.inums)
 
-    def pack_into(self, packer: BatchPacker) -> None:
-        """Append this entry to a batch serialization in place."""
-        packer.pack_with(
-            _ENTRY_HEAD,
-            int(self.kind),
-            self.inum,
-            self.index,
-            self.version,
-            len(self.inums),
-        )
-        packer.u32_array(self.inums)
 
-    @classmethod
-    def unpack_from(cls, data: bytes, offset: int) -> "Tuple[SummaryEntry, int]":
-        """Parse one entry at ``offset``; returns (entry, next offset)."""
-        try:
-            raw_kind, inum, index, version, count = _ENTRY_HEAD.unpack_from(
-                data, offset
-            )
-        except struct.error as exc:
-            raise CorruptionError(f"truncated summary entry: {exc}") from exc
-        try:
-            kind = BlockKind(raw_kind)
-        except ValueError as exc:
-            raise CorruptionError(f"bad summary block kind {raw_kind}") from exc
-        offset += _ENTRY_HEAD.size
-        if count:
-            try:
-                inums = struct.unpack_from(f"<{count}I", data, offset)
-            except struct.error as exc:
-                raise CorruptionError(f"truncated summary entry: {exc}") from exc
-            offset += 4 * count
-        else:
-            inums = ()
-        entry = cls(
-            kind=kind, inum=inum, index=index, version=version, inums=inums
-        )
-        return entry, offset
+summary_entry = partial(tuple.__new__, SummaryEntry)
+"""``summary_entry((kind, inum, index, version, inums))`` builds a
+:class:`SummaryEntry` in C, all five fields given, without the class's
+Python-level ``__new__`` (as :func:`~repro.common.inode.block_key`)."""
 
 
 @dataclass
@@ -114,7 +87,7 @@ class SegmentSummary:
 
     @staticmethod
     def blocks_needed(entries_size: int, block_size: int) -> int:
-        total = _HEADER_SIZE + entries_size
+        total = HEADER_SIZE + entries_size
         return (total + block_size - 1) // block_size
 
     def summary_blocks(self, block_size: int) -> int:
@@ -139,35 +112,48 @@ class SegmentSummary:
         The segment writer hands this a window of its pooled segment
         buffer, so the whole summary — header, CRC, entries, padding —
         is produced with ``pack_into`` calls and never exists as an
-        intermediate ``bytes`` object.  Returns the padded size
-        (``nsummary * block_size``).
+        intermediate ``bytes`` object.  The entries are sized as they
+        are packed, and the header, which records the size, goes in
+        last.  Returns the padded size (``nsummary * block_size``).
         """
-        nsummary = self.summary_blocks(block_size)
+        entries = self.entries
+        pack_head = _ENTRY_HEAD.pack_into
+        end = offset + HEADER_SIZE
+        for kind, inum, index, version, inums in entries:
+            pack_head(buffer, end, kind, inum, index, version, len(inums))
+            end += ENTRY_BASE_SIZE
+            if inums:
+                struct.pack_into(f"<{len(inums)}I", buffer, end, *inums)
+                end += 4 * len(inums)
+        nsummary = (end - offset + block_size - 1) // block_size
         padded_size = nsummary * block_size
-        packer = BatchPacker(buffer, offset, limit=offset + padded_size)
-        packer.pack_with(
-            _HEADER_PREFIX,
+        if offset + padded_size > len(buffer):
+            raise ValueError(
+                f"summary of {padded_size} bytes overflows the buffer at "
+                f"offset {offset}"
+            )
+        _HEADER_PREFIX.pack_into(
+            buffer,
+            offset,
             SUMMARY_MAGIC,
             self.seq,
             self.timestamp,
             self.next_segment_block,
-            len(self.entries),
+            len(entries),
             nsummary,
         )
-        crc_slot = packer.skip(U32.size)
-        for entry in self.entries:
-            entry.pack_into(packer)
-        end = packer.offset
         # The CRC covers prefix + entries, exactly as serialized; chain
         # over the two spans around the CRC slot without copying them.
+        view = memoryview(buffer)
         crc = checksum_chain(
             (
-                packer.view(offset, offset + _CRC_OFFSET),
-                packer.view(offset + _HEADER_SIZE, end),
+                view[offset : offset + _CRC_OFFSET],
+                view[offset + HEADER_SIZE : end],
             )
         )
-        packer.patch_u32(crc_slot, crc)
-        packer.zero_to(offset + padded_size)
+        U32.pack_into(buffer, offset + _CRC_OFFSET, crc)
+        view[end : offset + padded_size] = bytes(offset + padded_size - end)
+        view.release()
         return padded_size
 
     @classmethod
@@ -178,7 +164,7 @@ class SegmentSummary:
         spans several blocks the caller must supply them all (the header
         says how many — use :meth:`peek_summary_blocks` first).
         """
-        if len(data) < _HEADER_SIZE:
+        if len(data) < HEADER_SIZE:
             raise CorruptionError(
                 f"truncated summary header: {len(data)} bytes"
             )
@@ -201,17 +187,34 @@ class SegmentSummary:
                 f"{len(data) // block_size} supplied"
             )
         entries: List[SummaryEntry] = []
-        offset = _HEADER_SIZE
-        for _ in range(nentries):
-            entry, offset = SummaryEntry.unpack_from(data, offset)
-            entries.append(entry)
+        append = entries.append
+        unpack_head = _ENTRY_HEAD.unpack_from
+        kinds = _KINDS
+        offset = HEADER_SIZE
+        try:
+            for _ in range(nentries):
+                raw_kind, inum, index, version, count = unpack_head(
+                    data, offset
+                )
+                kind = kinds.get(raw_kind)
+                if kind is None:
+                    raise CorruptionError(f"bad summary block kind {raw_kind}")
+                offset += ENTRY_BASE_SIZE
+                if count:
+                    inums = struct.unpack_from(f"<{count}I", data, offset)
+                    offset += 4 * count
+                else:
+                    inums = ()
+                append(summary_entry((kind, inum, index, version, inums)))
+        except struct.error as exc:
+            raise CorruptionError(f"truncated summary entry: {exc}") from exc
         # Every field decodes bijectively, so checksumming the raw bytes
         # we just parsed is equivalent to re-packing them (and much
         # cheaper — the cleaner unpacks a summary per partial segment).
         # Chained crc32 avoids concatenating the two spans, which also
         # keeps this working when ``data`` is a zero-copy memoryview.
         computed = checksum_chain(
-            (data[:_CRC_OFFSET], data[_HEADER_SIZE:offset])
+            (data[:_CRC_OFFSET], data[HEADER_SIZE:offset])
         )
         if computed != crc:
             raise ChecksumMismatch(f"summary checksum mismatch at seq {seq}")

@@ -100,9 +100,6 @@ class CpuModel:
         self.total_cpu_seconds += seconds
         self.clock.advance(seconds)
 
-    def cleaner_blocks(self, nblocks: int) -> None:
-        self.charge(self.costs.cleaner_per_block * nblocks)
-
     def checkpoint(self) -> None:
         self.charge(self.costs.checkpoint)
 
@@ -136,6 +133,13 @@ class CpuModel:
 
     def block_touch(self, nblocks: int = 1) -> None:
         seconds = self.costs.block_touch * nblocks
+        self.total_cpu_seconds += seconds
+        self.clock.advance(seconds)
+
+    def cleaner_blocks(self, nblocks: int) -> None:
+        """The cleaner's charge: once per partial segment for its summary
+        entries, then once per live block it relocates."""
+        seconds = self.costs.cleaner_per_block * nblocks
         self.total_cpu_seconds += seconds
         self.clock.advance(seconds)
 

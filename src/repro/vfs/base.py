@@ -17,7 +17,7 @@ management and recovery to hooks the concrete systems override:
 from __future__ import annotations
 
 import abc
-import struct
+from array import array
 from itertools import compress, count
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -39,7 +39,7 @@ from repro.common.inode import (
     NIL,
     N_DIRECT,
     block_key,
-    pointers_per_block,
+    pointer_block,
 )
 from repro.disk.sim_disk import SimDisk
 from repro.errors import (
@@ -241,18 +241,21 @@ class BaseFileSystem(StorageManager):
     # Pointer-block access (BlockMap callbacks)
     # ------------------------------------------------------------------
 
-    def _load_pointers(self, key: BlockKey, addr: int) -> List[int]:
+    def _load_pointers(self, key: BlockKey, addr: int) -> "array[int]":
         block = self.cache.get(key)
         if block is None:
-            if addr == NIL:
-                payload: List[int] = [NIL] * pointers_per_block(self.block_size)
-            else:
-                raw = self._read_block_from_disk(addr, label=f"ptr:{key.inum}")
-                payload = list(
-                    struct.unpack(f"<{pointers_per_block(self.block_size)}Q", raw)
-                )
-            block = self.cache.insert(key, payload, dirty=False, now=self.clock.now())
-        if not isinstance(block.payload, list):
+            raw = (
+                None
+                if addr == NIL
+                else self._read_block_from_disk(addr, label=f"ptr:{key.inum}")
+            )
+            block = self.cache.insert(
+                key,
+                pointer_block(raw, self.block_size),
+                dirty=False,
+                now=self.clock.now(),
+            )
+        if not isinstance(block.payload, array):
             raise CorruptionError(f"cached block {key} is not a pointer block")
         return block.payload
 

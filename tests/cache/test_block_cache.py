@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cache.block_cache import BlockCache
-from repro.common.inode import BlockKey, BlockKind
+from repro.common.inode import BlockKey, BlockKind, pointer_block
 from repro.errors import InvalidArgumentError
 
 BS = 4096
@@ -107,7 +107,7 @@ class TestEviction:
         for i in range(10):
             cache.insert(
                 key(kind=BlockKind.INDIRECT, index=i),
-                [0] * (BS // 8),
+                pointer_block(None, BS),
                 dirty=False,
                 now=0.0,
             )
@@ -161,7 +161,8 @@ class TestDropClean:
 
     def test_drop_clean_data_only(self, cache):
         cache.insert(
-            key(kind=BlockKind.INDIRECT), [0] * (BS // 8), dirty=False, now=0.0
+            key(kind=BlockKind.INDIRECT), pointer_block(None, BS), dirty=False,
+            now=0.0,
         )
         cache.insert(key(index=1), bytearray(BS), dirty=False, now=0.0)
         dropped = cache.drop_clean(metadata_too=False)
@@ -177,13 +178,16 @@ class TestPayloads:
         assert data.startswith(b"abc")
 
     def test_as_bytes_serializes_pointers(self, cache):
-        pointers = [7] * (BS // 8)
+        pointers = pointer_block(None, BS)
+        pointers[0], pointers[-1] = 7, 2**40 + 1
         block = cache.insert(
             key(kind=BlockKind.INDIRECT), pointers, dirty=False, now=0.0
         )
         data = block.as_bytes(BS)
         assert len(data) == BS
         assert data[:8] == (7).to_bytes(8, "little")
+        assert data[-8:] == (2**40 + 1).to_bytes(8, "little")
+        assert pointer_block(data, BS) == pointers
 
     def test_capacity_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -259,8 +263,10 @@ class TestWriteInto:
         assert bytes(out) == block.as_bytes(BS)
 
     def test_matches_as_bytes_for_pointers(self, cache):
+        pointers = pointer_block(None, BS)
+        pointers[:] = pointer_block(bytes(range(256)) * (BS // 256), BS)
         block = cache.insert(
-            key(kind=BlockKind.INDIRECT), list(range(BS // 8)), dirty=False, now=0.0
+            key(kind=BlockKind.INDIRECT), pointers, dirty=False, now=0.0
         )
         out = bytearray(BS)
         block.write_into(memoryview(out), BS)
@@ -272,3 +278,25 @@ class TestWriteInto:
         block.write_into(memoryview(out), BS)
         assert bytes(out[:2]) == b"xy"
         assert not any(out[2:])
+
+
+class TestMarkRunClean:
+    def test_matches_mark_clean_block_by_block(self):
+        caches = [BlockCache(capacity_bytes=8 * BS, block_size=BS) for _ in "ab"]
+        for cache in caches:
+            for index in range(6):
+                cache.insert(key(index=index), bytearray(BS), dirty=True, now=1.0)
+            cache.get(key(index=2))
+        one, run = caches
+        for index in (1, 2, 4):
+            one.mark_clean(key(index=index))
+        run.mark_run_clean([run.peek(key(index=i)) for i in (1, 2, 4)])
+        assert run.dirty_bytes == one.dirty_bytes == 3 * BS
+        assert [b.key for b in run.dirty_blocks()] == [
+            b.key for b in one.dirty_blocks()
+        ]
+        for cache in caches:  # the cleaned blocks are evicted in LRU order
+            for index in range(6, 11):
+                cache.insert(key(index=index), bytearray(BS), dirty=False, now=2.0)
+        assert sorted(run._blocks) == sorted(one._blocks)
+        assert run.stats == one.stats

@@ -6,7 +6,7 @@ from collections import OrderedDict
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.block_cache import BlockCache
-from repro.common.inode import BlockKey, BlockKind
+from repro.common.inode import BlockKey, BlockKind, pointer_block
 
 BS = 4096
 EVICTABLE = (BlockKind.DATA, BlockKind.INODE)
@@ -139,7 +139,7 @@ class TestWorkPerOperation:
             cache.insert(data_key(i), bytearray(BS), dirty=True, now=0.0)
         for i in range(16):
             cache.insert(
-                BlockKey(1, BlockKind.INDIRECT, i), [0] * (BS // 8),
+                BlockKey(1, BlockKind.INDIRECT, i), pointer_block(None, BS),
                 dirty=False, now=0.0,
             )
         cleans = 0

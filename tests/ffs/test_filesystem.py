@@ -3,7 +3,10 @@
 import pytest
 
 from repro.common.inode import NIL
+from repro.ffs.config import FfsConfig
 from repro.ffs.filesystem import FastFileSystem, FfsSuperBlock
+from repro.rig import new_rig
+from repro.units import KIB, MIB
 from tests.conftest import small_ffs_config
 
 
@@ -134,3 +137,24 @@ class TestDurability:
         ffs.sync()
         ffs.flush_caches()
         assert ffs.read_file("/big") == payload
+
+
+class TestWritesAsLargeAsTheCache:
+    """A write that leaves every cached block dirty used to evict the
+    inode-table block the write-back was about to dirty, and failed with
+    ``cannot dirty uncached block``."""
+
+    @pytest.mark.parametrize("cache_kib", [16, 256])
+    def test_one_write_fills_the_cache(self, cache_kib):
+        fs = new_rig(
+            "ffs",
+            total_bytes=64 * MIB,
+            ffs_config=FfsConfig(cache_bytes=cache_kib * KIB),
+        ).fs
+        payload = bytes(range(256)) * (cache_kib * 4)
+        with fs.create("/a") as handle:
+            handle.write(payload)
+        assert fs.read_file("/a") == payload
+        fs.unmount()
+        again = FastFileSystem.mount(fs.disk, fs.cpu, fs.config)
+        assert again.read_file("/a") == payload

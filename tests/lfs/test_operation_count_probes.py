@@ -5,7 +5,7 @@ durability tracking, asserted on a whole file system rather than on the
 structures alone (``test_segment_usage_indexes.py`` fuzzes those) — and,
 below, the inode map's (work in proportion to the entries touched) and
 the segment plan's (one pass over the dirty set) and the data path's
-(one pointer-tree walk per run)."""
+and the cleaner's (one pointer-tree walk per run)."""
 
 from itertools import groupby
 
@@ -17,6 +17,7 @@ from repro.lfs.config import LfsConfig
 from repro.lfs.filesystem import LogStructuredFS, make_lfs
 from repro.lfs.inode_map import ImapEntry
 from repro.lfs.segments import PlannedRun
+from repro.lfs.summary import SegmentSummary, SummaryEntry
 from repro.lfs.verify import verify_lfs
 from repro.units import KIB, MIB
 from repro.workloads.cleaning import run_cleaning_rate_test
@@ -242,3 +243,53 @@ def test_pread_of_uncached_blocks_walks_once():
     # Per block: the leaf lookup its own walk would have made (the first
     # a miss that reads the leaf), and the lookup that assembles it.
     assert fs.cache.stats.lookups - lookups == 16 + 16
+
+
+# ----------------------------------------------------------------------
+# The cleaner relocates by run: one walk of a leaf for all its blocks
+# ----------------------------------------------------------------------
+
+
+def test_relocating_a_run_under_a_leaf_walks_it_once():
+    fs = make_lfs(total_bytes=64 * MIB)
+    blocks = 40
+    with fs.create("/run") as handle:
+        handle.pwrite((N_DIRECT + 5) * BS, b"c" * (blocks * BS))
+    fs.sync()
+    inum = fs.stat("/run").inum
+    seg = fs.layout.segment_of_block(
+        fs.block_map.get(fs._get_inode(inum), N_DIRECT + 5)
+    )
+    fs.write_file("/filler", b"f" * fs.config.segment_size)  # seg fills up
+    fs.flush_caches()
+    fs._get_inode(inum)  # back in memory, so only the leaf is walked
+    loads = _count_walk_loads(fs)
+    lookups = fs.cache.stats.lookups
+    fs.cleaner._relocate_live_blocks(seg)
+    assert [key for key in loads if key.inum == inum] == [
+        BlockKey(inum, BlockKind.INDIRECT, 0)
+    ]
+    assert fs.cleaner.stats.live_blocks_copied >= blocks
+    # A leaf lookup per block, as block by block.
+    assert fs.cache.stats.lookups - lookups >= blocks
+
+
+def test_decoding_a_summary_builds_no_block_kind(monkeypatch):
+    entries = [
+        SummaryEntry(kind, 7, index, 2, (7, 8) if kind is BlockKind.INODE else ())
+        for index in range(20)
+        for kind in BlockKind
+    ]
+    packed = SegmentSummary(seq=3, timestamp=1.5, entries=entries).pack(BS)
+    calls = []
+    meta = type(BlockKind)
+    original = meta.__call__
+
+    def counting(cls, *args, **kwargs):
+        if cls is BlockKind:
+            calls.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(meta, "__call__", counting)
+    assert SegmentSummary.unpack(packed, BS).entries == entries
+    assert calls == []  # it used to be one per entry

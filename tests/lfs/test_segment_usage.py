@@ -56,6 +56,22 @@ class TestAccounting:
         assert usage.info(0).live_bytes == 0
         assert usage.underflow_clamps == 1
 
+    @pytest.mark.parametrize("live", [0, 100, BS, 3 * BS - 1, 3 * BS, 9 * BS])
+    @pytest.mark.parametrize("count", [1, 2, 3, 5])
+    def test_counted_note_dead_is_repeated_single_notes(self, live, count):
+        one, many = (
+            SegmentUsage(num_segments=4, segment_size=SEG, block_size=BS)
+            for _ in range(2)
+        )
+        for each in (one, many):
+            each.note_write(1, live, now=0.0)
+        for _ in range(count):
+            one.note_dead(1, BS)
+        many.note_dead(1, BS, count)
+        assert many.info(1) == one.info(1)
+        assert many.underflow_clamps == one.underflow_clamps
+        assert many.total_live_bytes() == one.total_live_bytes()
+
     def test_note_write_hint_clamps(self, usage):
         usage.note_write_hint(0, SEG + 999, now=0.0)
         assert usage.info(0).live_bytes == SEG
