@@ -1,7 +1,6 @@
 """Alternating parent/change pairs of the end-to-end benchmark.
 
     python benchmarks/pairs.py PARENT [--workload W] [--seed N] [--pairs N]
-                               [--seconds S]
 
 ``make bench-pairs PARENT=<rev> W=<workload> SEED=0 N=10`` runs this.
 It checks PARENT out into a temporary ``git worktree`` and runs
@@ -40,9 +39,7 @@ HOST_METRICS = [
 ]
 
 
-def run_side(
-    tree: Path, workload: str, seed: int, seconds: Optional[float]
-) -> Dict[str, Any]:
+def run_side(tree: Path, workload: str, seed: int) -> Dict[str, Any]:
     """One ``run.py`` of ``workload`` in ``tree``; its result document."""
     with tempfile.NamedTemporaryFile(suffix=".json") as output:
         command = [
@@ -50,8 +47,6 @@ def run_side(
             "--workload", workload, "--seed", str(seed),
             "--output", output.name,
         ]
-        if seconds is not None:
-            command += ["--seconds", str(seconds)]
         # Each tree's run.py finds its own sources; an inherited
         # PYTHONPATH could hand one of them the other's.
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -91,10 +86,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--workload", default="service_clean")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument(
-        "--seconds", type=float,
-        help="measured time per run (default: BENCHMARK.json's run_seconds)",
-    )
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -115,7 +106,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             if pair % 2:
                 sides.reverse()
             results = {
-                side: run_side(tree, args.workload, args.seed, args.seconds)
+                side: run_side(tree, args.workload, args.seed)
                 for side, tree in sides
             }
             parent, change = (

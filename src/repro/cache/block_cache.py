@@ -15,7 +15,7 @@ that "blocks mapping active files will stay memory resident" (§4.2.1).
 LRU order is *stamp* order: inserts and hits take the next value of a
 counter that only grows.  Victims come off a min-heap of ``(stamp,
 block)`` with at most one entry per clean data/inode block, pushed by a
-clean ``insert`` and by ``mark_clean`` only, so an entry's stamp is a
+clean ``insert`` and by ``mark_run_clean`` only, so an entry's stamp is a
 lower bound on its block's; one found out of date on pop is pushed back
 (block hit since) or dropped (dirty or gone).  Nothing walks the cache.
 """
@@ -268,26 +268,21 @@ class BlockCache:
     def mark_clean(self, key: BlockKey) -> None:
         block = self._blocks.get(key)
         if block is not None and block.dirty:
-            block.dirty = False
-            del self._dirty[key]
-            self._dirty_bytes -= self.block_size
-            if self._obs_enabled:
-                self._m_dirty_bytes.set(self._dirty_bytes)
-            # The block keeps its stamp: it becomes a victim at its old
-            # LRU position, not at the tail.
-            self._enqueue(block)
+            self.mark_run_clean((block,))
 
     def mark_run_clean(self, run: Sequence[CacheBlock]) -> None:
-        """``mark_clean`` of every block of ``run``, in order: data blocks,
-        each resident and dirty, that the log writer just wrote.  The
-        dirty byte count moves once."""
+        """Mark every block of ``run`` clean, in order; each must be
+        resident and dirty (the log writer just wrote them).  The heap
+        is compacted and the dirty byte count moves once per call."""
         dirty, heap = self._dirty, self._heap
         if len(heap) + len(run) > 2 * len(self._blocks) + 64:
             self._compact()
         for block in run:
             block.dirty = False
             del dirty[block.key]
-            if not block.queued:
+            # The block keeps its stamp: it becomes a victim at its old
+            # LRU position, not at the tail.
+            if not block.queued and block.key.kind in _EVICTABLE_KINDS:
                 block.queued = True
                 heappush(heap, (block.stamp, block))
         self._dirty_bytes -= len(run) * self.block_size
@@ -347,16 +342,6 @@ class BlockCache:
     # ------------------------------------------------------------------
     # Eviction
     # ------------------------------------------------------------------
-
-    def _enqueue(self, block: CacheBlock) -> None:
-        """Make a clean block a candidate for eviction."""
-        if block.queued or block.key.kind not in _EVICTABLE_KINDS:
-            return
-        heap = self._heap
-        if len(heap) > 2 * len(self._blocks) + 64:
-            self._compact()
-        block.queued = True
-        heappush(heap, (block.stamp, block))
 
     def _compact(self) -> None:
         """Drop the heap entries of discarded and replaced blocks: they

@@ -479,11 +479,6 @@ class BlockMap:
             self._dirty(keys[-1])
             if len(lbns) > 1:
                 self._rehit(keys, len(lbns) - 1)
-        low, high = lbns[0] - base, lbns[-1] - base + 1
-        if high - low == len(lbns):  # ascending, so consecutive
-            olds = pointers[low:high]
-            pointers[low:high] = array("Q", range(first_addr, first_addr + len(lbns)))
-            return olds
         olds = []
         for addr, lbn in enumerate(lbns, first_addr):
             olds.append(pointers[lbn - base])

@@ -450,6 +450,7 @@ class LogStructuredFS(BaseFileSystem):
         cache = self.cache
         clock = self.clock
         container = self.block_map.container
+        set_location = self.imap.set_location
 
         def moved(old: int, new: int, nbytes: int = bs) -> None:
             """``nbytes`` at ``old`` die; they live at ``new`` from now on."""
@@ -548,7 +549,10 @@ class LogStructuredFS(BaseFileSystem):
                 # The address may have belonged to an older inode block
                 # whose segment was cleaned; drop any stale cached copy.
                 cache.discard(block_key((0, _INODE, addr)))
-                olds = self.imap.set_locations(group, addr)
+                olds = [
+                    set_location(inum, addr, slot)
+                    for slot, inum in enumerate(group)
+                ]
                 # Inode by inode, each old copy died just before its new
                 # one was written.  Only the first old copy can find its
                 # segment short, as every later one follows a write to
@@ -655,7 +659,7 @@ class LogStructuredFS(BaseFileSystem):
                 if count:
                     note_dead(seg, nbytes, count)
                 seg = layout.segment_of_block(addr)
-                low = layout.seg_start_block + seg * bps
+                low = layout.segment_first_block(seg)
                 high = low + bps
                 count = 0
             count += 1

@@ -24,7 +24,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterator, List, Optional, Sequence, Set
+from typing import Callable, Iterator, List, Optional, Set
 
 from repro.common.inode import NIL
 from repro.errors import CorruptionError, NoInodesError
@@ -200,25 +200,15 @@ class InodeMap:
 
     def set_location(self, inum: int, inode_addr: int, slot: int) -> int:
         """Record a freshly written inode; returns the previous address."""
-        return self.set_locations((inum,), inode_addr, slot)[0]
-
-    def set_locations(
-        self, inums: Sequence[int], inode_addr: int, first_slot: int = 0
-    ) -> List[int]:
-        """Record a freshly written inode block that holds ``inums`` from
-        ``first_slot`` on; returns their previous addresses."""
-        previous = []
-        get, touch = self.get, self._touch
-        for slot, inum in enumerate(inums, first_slot):
-            entry = get(inum)
-            if not entry.allocated:
-                raise CorruptionError(
-                    f"inode {inum} written to the log but not allocated"
-                )
-            previous.append(entry.inode_addr)
-            entry.inode_addr = inode_addr
-            entry.slot = slot
-            touch(inum)
+        entry = self.get(inum)
+        if not entry.allocated:
+            raise CorruptionError(
+                f"inode {inum} written to the log but not allocated"
+            )
+        previous = entry.inode_addr
+        entry.inode_addr = inode_addr
+        entry.slot = slot
+        self._touch(inum)
         return previous
 
     def set_atime(self, inum: int, atime: float) -> None:
