@@ -16,7 +16,7 @@ from repro.analysis.write_cost import analytic_cleaning_rate, analytic_write_cos
 from repro.disk.trace import TraceRecorder
 from repro.ffs.filesystem import FastFileSystem
 from repro.ffs.fsck import fsck
-from repro.lfs.config import LfsConfig
+from repro.lfs.config import CleanerPolicy, LfsConfig
 from repro.lfs.filesystem import LogStructuredFS
 from repro.obs import Telemetry
 from repro.rig import new_rig
@@ -398,7 +398,7 @@ class PolicyPoint:
 
 
 def ablation_cleaner_policy(
-    policies: Sequence[str] = ("greedy", "cost-benefit", "random"),
+    policies: Sequence[str] = tuple(p.value for p in CleanerPolicy),
     operations: int = 6000,
     total_bytes: int = 32 * MIB,
     segment_size: int = 256 * KIB,

@@ -34,7 +34,8 @@ with the remaining victims.
 
 from __future__ import annotations
 
-import enum
+import heapq
+import math
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
@@ -47,6 +48,7 @@ from repro.common.inode import (
     block_key,
 )
 from repro.errors import CorruptionError, MediaError
+from repro.lfs.config import CleanerPolicy
 from repro.lfs.segment_usage import SegmentState
 from repro.lfs.summary import SegmentSummary, SummaryEntry
 from repro.obs import NULL_TELEMETRY, Telemetry
@@ -57,10 +59,34 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _DATA = BlockKind.DATA
 
 
-class CleanerPolicy(str, enum.Enum):
-    GREEDY = "greedy"
-    COST_BENEFIT = "cost-benefit"
-    RANDOM = "random"
+def _greedy(cleaner: "SegmentCleaner", segs: List[int], count: int) -> List[int]:
+    info = cleaner.fs.usage.info
+    return heapq.nsmallest(count, segs, key=lambda seg: (info(seg).live_bytes, seg))
+
+
+def _cost_benefit(cleaner: "SegmentCleaner", segs: List[int], count: int) -> List[int]:
+    usage, now = cleaner.fs.usage, cleaner.fs.clock.now()
+
+    def key(seg: int):
+        u = usage.utilization(seg)
+        age = max(0.0, now - usage.info(seg).last_write)
+        return (-((1.0 - u) * age / (1.0 + u)), seg)
+
+    return heapq.nsmallest(count, segs, key=key)
+
+
+def _random(cleaner: "SegmentCleaner", segs: List[int], count: int) -> List[int]:
+    cleaner._rng.shuffle(segs)  # ascending in, so the draw is reproducible
+    return segs[:count]
+
+
+# Both keys are total orders (ties fall to the segment number), so the
+# choice never depends on the order of the candidates.
+_CHOOSE = {
+    CleanerPolicy.GREEDY: _greedy,
+    CleanerPolicy.COST_BENEFIT: _cost_benefit,
+    CleanerPolicy.RANDOM: _random,
+}
 
 
 @dataclass
@@ -100,12 +126,11 @@ class SegmentCleaner:
         self,
         fs: "LogStructuredFS",
         policy: CleanerPolicy = CleanerPolicy.GREEDY,
-        victims_per_pass: int = 4,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.fs = fs
         self.policy = policy
-        self.victims_per_pass = victims_per_pass
+        self.victims_per_pass = 4
         self.stats = CleanerStats()
         self._rng = random.Random(0x5EC5)
         self.telemetry = telemetry or NULL_TELEMETRY
@@ -137,9 +162,7 @@ class SegmentCleaner:
         the cleaner catches up.  May be negative transiently while the
         cleaner itself is consuming reserve segments.
         """
-        reserve = (
-            self.fs.usage.clean_count() - self.fs.segments.reserve_segments
-        )
+        reserve = self.fs.usage.clean_count() - self.fs.segments.reserve_segments
         self._g_reserve.set(reserve)
         return reserve
 
@@ -150,38 +173,13 @@ class SegmentCleaner:
     def select_victims(
         self,
         count: int,
-        written_before: float | None = None,
+        written_before: float = math.inf,
         max_utilization: float | None = None,
     ) -> List[int]:
-        usage = self.fs.usage
-        config = self.fs.config
         if max_utilization is None:
-            max_utilization = config.max_live_fraction_to_clean
-        candidates = [
-            seg
-            for seg in usage.dirty_segments()
-            if usage.utilization(seg) <= max_utilization
-            and (
-                written_before is None
-                or usage.info(seg).last_write < written_before
-            )
-        ]
-        if not candidates:
-            return []
-        if self.policy is CleanerPolicy.GREEDY:
-            candidates.sort(key=lambda seg: (usage.info(seg).live_bytes, seg))
-        elif self.policy is CleanerPolicy.COST_BENEFIT:
-            now = self.fs.clock.now()
-
-            def benefit(seg: int) -> float:
-                u = usage.utilization(seg)
-                age = max(0.0, now - usage.info(seg).last_write)
-                return (1.0 - u) * age / (1.0 + u)
-
-            candidates.sort(key=lambda seg: (-benefit(seg), seg))
-        else:
-            self._rng.shuffle(candidates)
-        return candidates[:count]
+            max_utilization = self.fs.config.max_live_fraction_to_clean
+        candidates = self.fs.usage.cleanable(max_utilization, written_before)
+        return _CHOOSE[self.policy](self, candidates, count)
 
     # ------------------------------------------------------------------
     # The cleaning loop
@@ -205,15 +203,12 @@ class SegmentCleaner:
         """
         if self.fs.degraded:
             return 0  # read-only volumes neither clean nor flush
-        target = (
-            self.fs.config.clean_high_water
-            if target_clean is None
-            else target_clean
-        )
-        with self.telemetry.span("cleaner.clean", target=target) as span:
+        if target_clean is None:
+            target_clean = self.fs.config.clean_high_water
+        with self.telemetry.span("cleaner.clean", target=target_clean) as span:
             if pays_for is not None:
                 span.add_link(pays_for, "pays_for")
-            cleaned = self._run_clean(target)
+            cleaned = self._run_clean(target_clean)
             span.set_attr("cleaned", cleaned)
         self._m_segments.inc(cleaned)
         return cleaned
@@ -231,21 +226,16 @@ class SegmentCleaner:
             # the checkpoint metadata that rides along) must not be
             # re-cleaned in the same breath, or a nearly full disk makes
             # the cleaner chase its own tail.
-            victims = self.select_victims(
-                self.victims_per_pass, written_before=start
-            )
+            victims = self.select_victims(self.victims_per_pass, written_before=start)
             if not victims and (
-                usage.clean_count()
-                <= self.fs.segments.reserve_segments + 2
+                usage.clean_count() <= self.fs.segments.reserve_segments + 2
             ):
                 # Emergency: space is trapped in segments fuller than
                 # the policy threshold.  §4.3.4 notes cleaning full
                 # segments "will not harm the system" — it is merely
                 # expensive, and far better than wedging.
                 victims = self.select_victims(
-                    self.victims_per_pass,
-                    written_before=start,
-                    max_utilization=0.999,
+                    self.victims_per_pass, start, max_utilization=0.999
                 )
                 self.stats.emergency_passes += 1 if victims else 0
             if not victims:

@@ -15,6 +15,7 @@ Everything after ``seg_start`` belongs to the segmented log.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,6 +30,12 @@ SUMMARY_MAGIC = 0x4C46_5353  # "LFSS"
 
 CHECKPOINT_REGION_BLOCKS = 8
 """Blocks reserved for each of the two checkpoint regions."""
+
+
+class CleanerPolicy(str, enum.Enum):
+    GREEDY = "greedy"
+    COST_BENEFIT = "cost-benefit"
+    RANDOM = "random"
 
 
 @dataclass(frozen=True)
@@ -50,9 +57,6 @@ class LfsConfig:
 
     clean_high_water: int = 16
     """Clean until at least this many segments are clean."""
-
-    cleaner_reserve_segments: int = 4
-    """Clean segments only the cleaner's own writes may consume."""
 
     max_live_fraction_to_clean: float = 0.95
     """Segments fuller than this are never chosen for cleaning."""
@@ -111,7 +115,7 @@ class LfsConfig:
             raise InvalidArgumentError("segments must hold at least 4 blocks")
         if self.max_inodes < 16:
             raise InvalidArgumentError("max_inodes too small to be useful")
-        if self.cleaner_policy not in ("greedy", "cost-benefit", "random"):
+        if self.cleaner_policy not in [p.value for p in CleanerPolicy]:
             raise InvalidArgumentError(
                 f"unknown cleaner policy: {self.cleaner_policy!r}"
             )
@@ -173,6 +177,28 @@ class LfsLayout:
         return (self.total_blocks - self.seg_start_block) // (
             self.config.blocks_per_segment
         )
+
+    @cached_property
+    def reserve_segments(self) -> int:
+        """Clean segments only the cleaner's own writes may consume.
+
+        The reserve must cover the worst single write-back the cleaner
+        can be asked to perform: the user dirty backlog that triggered
+        cleaning (the cache's dirty threshold), plus one batch of
+        relocated victims, plus metadata.  An undersized reserve can
+        deadlock the cleaner's own flush on a busy, nearly full disk.
+        """
+        config = self.config
+        dirty_limit_segments = -(
+            -int(config.cache_bytes * config.writeback.dirty_high_fraction)
+            // config.segment_size
+        )
+        return min(dirty_limit_segments + 4 + 2, max(2, self.num_segments // 3))
+
+    @property
+    def serviceable_segments(self) -> int:
+        """Segments left beyond the reserve and the clean low water."""
+        return self.num_segments - self.reserve_segments - self.config.clean_low_water
 
     def segment_first_block(self, seg: int) -> int:
         self._check_segment(seg)

@@ -123,27 +123,8 @@ class LogStructuredFS(BaseFileSystem):
         self.usage = SegmentUsage(
             self.layout.num_segments, config.segment_size, config.block_size
         )
-        # The reserve must cover the worst single write-back the cleaner
-        # can be asked to perform: the user dirty backlog that triggered
-        # cleaning (the cache's dirty threshold), plus one batch of
-        # relocated victims, plus metadata.  An undersized reserve can
-        # deadlock the cleaner's own flush on a busy, nearly full disk.
-        dirty_limit_segments = -(
-            -int(config.cache_bytes * config.writeback.dirty_high_fraction)
-            // config.segment_size
-        )
-        reserve = max(
-            config.cleaner_reserve_segments,
-            dirty_limit_segments + 4 + 2,
-        )
-        reserve = min(reserve, max(2, self.layout.num_segments // 3))
         self.segments = SegmentManager(
-            self.layout,
-            self.usage,
-            disk,
-            self.clock,
-            reserve,
-            telemetry=self.telemetry,
+            self.layout, self.usage, disk, self.clock, telemetry=self.telemetry
         )
         self.checkpoints = CheckpointManager(
             self.layout, disk, self.clock, telemetry=self.telemetry

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+import math
 import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set
@@ -244,6 +245,18 @@ class SegmentUsage:
 
     def dirty_segments(self) -> List[int]:
         return sorted(self._state_sets[SegmentState.DIRTY])
+
+    def cleanable(
+        self, max_utilization: float, written_before: float = math.inf
+    ) -> List[int]:
+        """Ascending dirty segments at most ``max_utilization`` live and
+        last written before ``written_before``: the cleaner's victims."""
+        info, size = self._info, self.segment_size
+        return [
+            seg for seg in self.dirty_segments()
+            if info[seg].live_bytes / size <= max_utilization
+            and info[seg].last_write < written_before
+        ]
 
     def quarantine(self, seg: int) -> None:
         """Remove ``seg`` from circulation: its media is unreadable.

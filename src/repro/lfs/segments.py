@@ -123,14 +123,13 @@ class SegmentManager:
         usage: SegmentUsage,
         disk: SimDisk,
         clock: SimClock,
-        reserve_segments: int,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.layout = layout
         self.usage = usage
         self.disk = disk
         self.clock = clock
-        self.reserve_segments = reserve_segments
+        self.reserve_segments = layout.reserve_segments
         self.cleaner_mode = False
         self._pos: Optional[LogPosition] = None
         self.segments_written = 0

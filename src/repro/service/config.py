@@ -185,35 +185,32 @@ def validate_rig(
     if device_bytes is not None:
         from repro.lfs.config import LfsLayout
 
-        num_segments = LfsLayout.for_device(lfs, device_bytes).num_segments
-        if lfs.clean_high_water >= num_segments:
+        layout = LfsLayout.for_device(lfs, device_bytes)
+        if lfs.clean_high_water >= layout.num_segments:
             violations.append(
                 f"clean_high_water ({lfs.clean_high_water}) is not "
-                f"below the device's segment count ({num_segments}): "
+                f"below the device's segment count ({layout.num_segments}): "
                 f"the cleaner's target is unreachable"
             )
         # The admission watermark sits reserve_watermark above the fs's
-        # own clean_low_water (see AdmissionController); if the sum of
-        # hard reserve + watermark cannot fit, throttling engages
+        # own clean_low_water (see AdmissionController); if the hard
+        # reserve + low water + watermark cannot fit, throttling engages
         # immediately and permanently.
         watermark = service.reserve_watermark if service is not None else 0
-        floor = (
-            lfs.cleaner_reserve_segments + lfs.clean_low_water + watermark
-        )
-        if floor >= num_segments:
+        if layout.serviceable_segments <= watermark:
             violations.append(
-                f"cleaner_reserve_segments + clean_low_water + "
-                f"reserve_watermark ({floor}) leaves no serviceable "
-                f"segments on a {num_segments}-segment device"
+                f"cleaner reserve {layout.reserve_segments} + clean_low_water "
+                f"{lfs.clean_low_water} + reserve_watermark {watermark} leaves "
+                f"no serviceable segments on a {layout.num_segments}-segment device"
             )
         if (
             service is not None
             and service.fill_fraction > 0
-            and num_segments < 8
+            and layout.num_segments < 8
         ):
             violations.append(
                 f"fill_fraction {service.fill_fraction} needs room to "
-                f"fragment, but the device has only {num_segments} "
+                f"fragment, but the device has only {layout.num_segments} "
                 f"segments (minimum 8)"
             )
     if violations:

@@ -593,11 +593,7 @@ def serviceable_bytes(fs: LogStructuredFS) -> int:
     """Capacity the service can fill while leaving the cleaner room:
     everything beyond the writer's hard reserve and the clean-segment
     low water."""
-    headroom = (
-        fs.segments.reserve_segments + fs.config.clean_low_water
-    )
-    segments = max(0, fs.layout.num_segments - headroom)
-    return segments * fs.config.segment_size
+    return max(0, fs.layout.serviceable_segments) * fs.config.segment_size
 
 
 def prefill(

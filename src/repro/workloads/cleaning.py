@@ -89,10 +89,7 @@ def run_cleaning_rate_test(
         fs.unlink(f"{directory}/f{index}")
     fs.sync()
 
-    victims_before = [
-        seg for seg in fs.usage.dirty_segments()
-        if fs.usage.utilization(seg) <= fs.config.max_live_fraction_to_clean
-    ]
+    victims_before = fs.usage.cleanable(fs.config.max_live_fraction_to_clean)
     measured_u = (
         sum(fs.usage.utilization(seg) for seg in victims_before)
         / len(victims_before)

@@ -10,7 +10,9 @@ threshold when the clean pool hits the reserve.
 import pytest
 
 from repro.errors import NoSpaceError
+from repro.lfs.config import LfsConfig, LfsLayout
 from repro.lfs.filesystem import LogStructuredFS
+from repro.service.config import SERVICE_LFS_CONFIG
 from tests.conftest import small_lfs_config
 from repro.units import KIB, MIB
 
@@ -22,7 +24,7 @@ class TestReserveSizing:
         )
         fs = LogStructuredFS.mkfs(disk, cpu, config)
         # dirty threshold = 2 MB = 8 segments; +4 victims +2 slack.
-        assert fs.segments.reserve_segments >= 14
+        assert fs.segments.reserve_segments == fs.layout.reserve_segments == 14
 
     def test_reserve_capped_on_tiny_devices(self, clock, cpu):
         from repro.disk.geometry import wren_iv
@@ -34,6 +36,24 @@ class TestReserveSizing:
         )
         fs = LogStructuredFS.mkfs(disk, cpu, config)
         assert fs.segments.reserve_segments <= fs.layout.num_segments // 3
+
+    @pytest.mark.parametrize(
+        "config, device_bytes, reserve",
+        [
+            (LfsConfig(), 120 * MIB, 14),
+            (LfsConfig(), 128 * MIB, 14),
+            (LfsConfig(), 300 * MIB, 14),
+            (SERVICE_LFS_CONFIG, 64 * MIB, 10),
+            (SERVICE_LFS_CONFIG, 5 * MIB, 6),
+            (SERVICE_LFS_CONFIG, 4 * MIB, 5),
+        ],
+    )
+    def test_reserve_on_the_volumes_in_use(self, config, device_bytes, reserve):
+        # The default volume holds back its 7.5 MiB dirty threshold plus
+        # six segments; the service volume its 1 MiB one; the smallest
+        # service volumes are capped at a third of their segments.
+        layout = LfsLayout.for_device(config, device_bytes)
+        assert layout.reserve_segments == reserve
 
 
 class TestEmergencyCleaning:

@@ -197,7 +197,6 @@ class TestDurability:
             checkpoint_interval=7.0,
             clean_low_water=3,
             clean_high_water=5,
-            cleaner_reserve_segments=2,
             max_live_fraction_to_clean=0.5,
             cleaner_policy="cost-benefit",
             roll_forward=False,

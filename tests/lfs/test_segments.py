@@ -29,7 +29,7 @@ def rig():
     config = LfsConfig(segment_size=SEG, max_inodes=512)
     layout = LfsLayout.for_device(config, disk.device.total_bytes)
     usage = SegmentUsage(layout.num_segments, SEG, BS)
-    manager = SegmentManager(layout, usage, disk, clock, reserve_segments=2)
+    manager = SegmentManager(layout, usage, disk, clock)
     manager.start_fresh()
     return manager, usage, layout, disk
 
@@ -237,14 +237,14 @@ class TestSpaceManagement:
         manager, usage, layout, disk = rig
         manager.write_plan(planned(3, []))
         saved = manager.position
-        other = SegmentManager(layout, usage, disk, SimClock(), 2)
+        other = SegmentManager(layout, usage, disk, SimClock())
         other.restore(saved)
         assert other.position == saved
         assert other.position is not saved  # defensive copy
 
     def test_position_requires_open_log(self, rig):
         _manager, usage, layout, disk = rig
-        fresh = SegmentManager(layout, usage, disk, SimClock(), 2)
+        fresh = SegmentManager(layout, usage, disk, SimClock())
         with pytest.raises(CleanerError):
             fresh.position
 

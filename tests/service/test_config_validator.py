@@ -1,10 +1,12 @@
 """Cross-config rig validation (`validate_rig`)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigError
 from repro.lfs.config import LfsConfig
-from repro.service.config import ServiceConfig, validate_rig
+from repro.service.config import SERVICE_LFS_CONFIG, ServiceConfig, validate_rig
 from repro.units import KIB, MIB
 
 
@@ -57,6 +59,25 @@ class TestValidateRig:
         with pytest.raises(ConfigError) as excinfo:
             validate_rig(config, _lfs(), device_bytes=8 * MIB)
         assert "serviceable" in str(excinfo.value)
+
+    def test_watermark_checked_against_the_reserve_in_use(self):
+        # 20 segments of 256 KiB: the file system holds back 6 of them
+        # (a third of the device), so clean_low_water 8 and watermark 6
+        # leave the admission controller throttling from its first
+        # request.
+        device_bytes = 21 * 256 * KIB
+        config = ServiceConfig(
+            num_clients=4, requests_per_client=40, reserve_watermark=6
+        )
+        with pytest.raises(ConfigError) as excinfo:
+            validate_rig(config, SERVICE_LFS_CONFIG, device_bytes=device_bytes)
+        assert "cleaner reserve 6 " in str(excinfo.value)
+        assert "serviceable" in str(excinfo.value)
+        validate_rig(
+            replace(config, reserve_watermark=5),
+            SERVICE_LFS_CONFIG,
+            device_bytes=device_bytes,
+        )
 
     def test_every_violation_reported_in_one_error(self):
         config = ServiceConfig(

@@ -86,10 +86,10 @@ class TestPrefill:
         assert prefill(lfs, config) == lfs.live_data_bytes()
 
     def test_serviceable_excludes_reserve_and_low_water(self, lfs):
-        headroom = lfs.segments.reserve_segments + lfs.config.clean_low_water
-        expected = (
-            lfs.layout.num_segments - headroom
-        ) * lfs.config.segment_size
+        layout = lfs.layout
+        headroom = layout.reserve_segments + lfs.config.clean_low_water
+        assert layout.serviceable_segments == layout.num_segments - headroom
+        expected = layout.serviceable_segments * lfs.config.segment_size
         assert serviceable_bytes(lfs) == expected
 
 
