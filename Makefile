@@ -6,13 +6,14 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Prefer ruff when available; otherwise the dependency-free fallback
-# (same F401/F841 scope, see src/repro/tools/lint.py).
+# The repo's own rules (OBS001/OBS002, FAULT001/FAULT002, SVC001,
+# ALLOC001, RIG001, VER001, CACHE001, CLOCK001 and the F401/F841
+# subset, see src/repro/tools/lint.py) always run; ruff adds its rules
+# (pyproject.toml) when it is installed.
 lint:
+	$(PYTHON) -m repro.tools.lint src tests benchmarks
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks; \
-	else \
-		$(PYTHON) -m repro.tools.lint src tests benchmarks; \
 	fi
 
 # The end-to-end benchmark (BENCHMARK.json) at smoke scale — every

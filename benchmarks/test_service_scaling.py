@@ -8,16 +8,13 @@ per-request latency would suggest.  The sweep writes the same
 CI and local runs produce diffable numbers.
 """
 
-import os
-
 from benchmarks.conftest import PAPER_SCALE, emit, once
 from repro.analysis.report import Table
-from repro.service.bench import run_sweep, write_report
+from repro.service.bench import DEFAULT_OUTPUT, run_sweep, update_report
 
 CLIENTS = (1, 2, 4, 8, 16)
 REQUESTS = 100 if PAPER_SCALE else 40
 SEED = 0
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_service_scaling(benchmark):
@@ -43,11 +40,9 @@ def test_service_scaling(benchmark):
         )
     emit(table.render())
 
-    write_report(
-        points,
-        os.path.join(_REPO_ROOT, "BENCH_service.json"),
-        SEED,
-        REQUESTS,
+    update_report(
+        DEFAULT_OUTPUT,
+        {"seed": SEED, "requests_per_client": REQUESTS, "points": points},
     )
 
     last = points[-1]

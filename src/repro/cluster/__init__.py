@@ -1,15 +1,15 @@
 """``repro.cluster`` — the sharded scale-out layer.
 
-A front-end :class:`~repro.cluster.router.ShardRouter` partitions the
-namespace (one service client directory per key) across N independent
-LFS volumes via a pluggable placement policy — a consistent-hash
+A :class:`~repro.cluster.router.ShardRouter` places the namespace (one
+service client directory per key) across N independent LFS volumes at
+the start of a run, via a placement policy — a consistent-hash
 :class:`~repro.cluster.ring.HashRing` or an explicit
 :class:`~repro.cluster.ring.PrefixPlacement` table.  Each shard is a
 complete single-volume rig (scheduler, admission control, group
 commit, cleaner); :mod:`repro.cluster.sim` runs them as deterministic
 shard groups, optionally in parallel worker processes, and
 :mod:`repro.cluster.migrate` rebalances a live shard onto another
-mid-run with an atomic routing cutover.
+mid-run, handing its clients over to the target in one atomic cutover.
 
 See DESIGN.md §10 for the architecture and the determinism rules.
 """

@@ -22,12 +22,11 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.sim import run_cluster
+from repro.service.bench import DEFAULT_OUTPUT, update_report
 
 DEFAULT_POINTS: Tuple[Tuple[int, int], ...] = (
     (1, 64),
@@ -39,12 +38,6 @@ DEFAULT_REQUESTS = 25
 SCALE_FLOOR = 3.0
 """Gate: 4 shards at the baseline's offered load must deliver at least
 this multiple of the single-volume throughput."""
-
-_REPO_ROOT = os.path.dirname(
-    os.path.dirname(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    )
-)
 
 
 def sweep_point(
@@ -105,28 +98,6 @@ def run_sweep(
                 f"p99 {row['latency_p99_seconds'] * 1000:>9.3f} ms"
             )
     return rows
-
-
-def update_report(
-    points: List[Dict[str, object]],
-    output: str,
-    seed: int,
-    requests_per_client: int,
-) -> None:
-    """Merge the cluster section into the (existing) service report."""
-    report: Dict[str, object] = {}
-    if os.path.exists(output):
-        with open(output) as handle:
-            report = json.load(handle)
-    report.setdefault("benchmark", "service_scaling")
-    report["cluster"] = {
-        "seed": seed,
-        "requests_per_client": requests_per_client,
-        "points": points,
-    }
-    with open(output, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def scale_gate(points: Sequence[Dict[str, object]]) -> List[str]:
@@ -190,7 +161,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--output",
-        default=os.path.join(_REPO_ROOT, "BENCH_service.json"),
+        default=DEFAULT_OUTPUT,
         help="report path (default: BENCH_service.json at the repo root)",
     )
     args = parser.parse_args(argv)
@@ -205,7 +176,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.smoke:
         points = [(1, 8), (2, 8)]
         requests = 10
-        if args.output == os.path.join(_REPO_ROOT, "BENCH_service.json"):
+        if args.output == DEFAULT_OUTPUT:
             output = "/tmp/BENCH_cluster_smoke.json"
 
     rows = run_sweep(
@@ -215,7 +186,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         jobs=args.jobs,
         log=print,
     )
-    update_report(rows, output, args.seed, requests)
+    update_report(
+        output,
+        {
+            "cluster": {
+                "seed": args.seed,
+                "requests_per_client": requests,
+                "points": rows,
+            }
+        },
+    )
     print(f"report -> {output}")
 
     failures = scale_gate(rows) if not args.smoke else [

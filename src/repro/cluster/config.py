@@ -10,12 +10,11 @@ pure function of ``seed``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.errors import InvalidArgumentError
 from repro.service.config import ServiceConfig
-from repro.cluster.ring import DEFAULT_REPLICAS
 
 PLACEMENTS = ("hash", "prefix")
 
@@ -29,21 +28,15 @@ class MigrationSpec:
     source: int
     target: int
     at: float
-    drain: float = 0.02
-    """Seconds the frozen clients are left to park their next request
-    after the in-flight drain, before the copy starts.  This window is
-    what makes the ``migration_redirect`` latency component observable
-    in short runs; 0 is legal (cutover as soon as quiesced)."""
 
     def __post_init__(self) -> None:
         if self.source == self.target:
             raise InvalidArgumentError(
                 f"migration source == target: {self.source}"
             )
-        if self.at < 0 or self.drain < 0:
+        if self.at < 0:
             raise InvalidArgumentError(
-                f"migration times must be >= 0: at={self.at} "
-                f"drain={self.drain}"
+                f"migration time must be >= 0: at={self.at}"
             )
 
 
@@ -68,16 +61,7 @@ class ClusterConfig:
     """``hash`` (consistent-hash ring) or ``prefix`` (round-robin
     directory-prefix table)."""
 
-    replicas: int = DEFAULT_REPLICAS
-    """Virtual ring points per shard (hash placement only)."""
-
     migrations: Tuple[MigrationSpec, ...] = ()
-
-    service: ServiceConfig = field(
-        default_factory=lambda: ServiceConfig()
-    )
-    """Per-shard service template; ``seed``, ``num_clients`` and
-    ``requests_per_client`` are overridden per shard."""
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -110,9 +94,9 @@ class ClusterConfig:
 
     def shard_service_config(self, num_clients: int) -> ServiceConfig:
         """The per-shard service config for a shard serving
-        ``num_clients`` of the global streams."""
-        return replace(
-            self.service,
+        ``num_clients`` of the global streams; every other field keeps
+        its single-volume default."""
+        return ServiceConfig(
             seed=self.seed,
             num_clients=max(1, num_clients),
             requests_per_client=self.requests_per_client,

@@ -12,18 +12,19 @@ RECLAIMING → DONE``
   already admitted keep running.
 * **Quiesce**: poll until the moving clients' in-flight count drains
   to zero, so the source image is stable for the copy.
-* **Drain window**: wait ``spec.drain`` simulated seconds so frozen
-  clients' pending ticks land in the parked state (this is what makes
-  the ``migration_redirect`` latency component measurable).
+* **Drain window**: wait :data:`DRAIN_WINDOW` simulated seconds so
+  frozen clients' pending ticks land in the parked state (this is what
+  makes the ``migration_redirect`` latency component measurable).
 * **Copy**: read each live file out of the source (the same
   read-live-blocks discipline as the cleaner's copy-out path) and
   replay it onto the target volume, then checkpoint the target so the
-  moved data is durable *before* any routing changes.
-* **Cutover**: one event, one simulated instant — the routing flip,
-  the client handover (:meth:`~repro.service.scheduler.
-  RequestScheduler.release_client` / :meth:`adopt_client`) and the
-  parked-request resubmission all happen between two events on the
-  shared clock, so no request can observe a half-flipped route.
+  moved data is durable *before* any client is handed over.
+* **Cutover**: one event, one simulated instant — the client handover
+  (:meth:`~repro.service.scheduler.RequestScheduler.release_client` /
+  :meth:`adopt_client`) and the parked-request resubmission all happen
+  between two events on the shared clock, so no request can observe a
+  half-moved client.  Late ticks still scheduled on the source are
+  forwarded to the target when they fire.
 * **Reclaim**: the source unlinks the moved files and runs a cleaning
   pass — reclamation rides the cleaner's normal copy-out machinery —
   then checkpoints, leaving a verifiable source image.
@@ -45,6 +46,12 @@ from repro.service.scheduler import RequestScheduler
 QUIESCE_POLL = 0.002
 """Seconds between in-flight drain checks while quiescing."""
 
+DRAIN_WINDOW = 0.02
+"""Seconds the frozen clients are left to park their next request
+after the in-flight drain, before the copy starts.  This window is what
+makes the ``migration_redirect`` latency component observable in short
+runs."""
+
 
 class ShardMigrator:
     """Executes one :class:`MigrationSpec` inside a migration group."""
@@ -54,13 +61,11 @@ class ShardMigrator:
         spec: MigrationSpec,
         source: RequestScheduler,
         target: RequestScheduler,
-        on_flip=None,
         telemetry=None,
     ) -> None:
         self.spec = spec
         self.source = source
         self.target = target
-        self.on_flip = on_flip
         self.clock = source.clock
         self.telemetry = telemetry or NULL_TELEMETRY
         self.state = "PENDING"
@@ -128,7 +133,7 @@ class ShardMigrator:
             return
         self.state = "DRAINING"
         self.clock.call_at(
-            self.clock.now() + self.spec.drain,
+            self.clock.now() + DRAIN_WINDOW,
             lambda: self.source._enqueue(self._copy),
         )
 
@@ -147,9 +152,9 @@ class ShardMigrator:
                 dst_fs.write_file(path, data)
                 self.summary["files"] += 1
                 self.summary["bytes"] += len(data)
-        # The moved data must be durable on the target before any
-        # routing changes — a post-cutover target crash may not lose
-        # files the source already reclaimed.
+        # The moved data must be durable on the target before the
+        # handover — a post-cutover target crash may not lose files the
+        # source already reclaimed.
         dst_fs.checkpoint()
         self.target._enqueue(self._cutover)
 
@@ -160,8 +165,6 @@ class ShardMigrator:
             source=self.spec.source,
             target=self.spec.target,
         ):
-            if self.on_flip is not None:
-                self.on_flip(self.moving, self.spec.target)
             self._m_flips.inc()
             redirected = 0
             for cid in self.moving:
@@ -200,4 +203,4 @@ class ShardMigrator:
         self.state = "DONE"
 
 
-__all__ = ["ShardMigrator", "QUIESCE_POLL"]
+__all__ = ["DRAIN_WINDOW", "ShardMigrator", "QUIESCE_POLL"]

@@ -6,11 +6,11 @@ placement key).  Two interchangeable policies decide which shard serves
 a key:
 
 * :class:`HashRing` — classic consistent hashing.  Each shard
-  contributes ``replicas`` virtual points on a 64-bit ring (SHA-1 of
-  ``shard-<id>:<replica>``); a key lands on the first point clockwise
-  from its own hash.  Adding or removing a shard only remaps the keys
-  that fall between the changed points — the minimal-disruption
-  property the hypothesis suite pins.
+  contributes :data:`DEFAULT_REPLICAS` virtual points on a 64-bit ring
+  (SHA-1 of ``shard-<id>:<replica>``); a key lands on the first point
+  clockwise from its own hash.  Adding a shard only remaps the keys
+  that fall between its new points — the minimal-disruption property
+  the hypothesis suite pins.
 * :class:`PrefixPlacement` — an explicit longest-prefix-match table,
   for operators who want deterministic pinning (and for tests that
   need an exactly balanced assignment).
@@ -27,6 +27,7 @@ import hashlib
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 DEFAULT_REPLICAS = 64
+"""Virtual ring points per shard."""
 
 
 def stable_hash(key: str) -> int:
@@ -38,40 +39,21 @@ def stable_hash(key: str) -> int:
 class HashRing:
     """A consistent-hash ring over integer shard ids."""
 
-    def __init__(
-        self,
-        shard_ids: Iterable[int] = (),
-        replicas: int = DEFAULT_REPLICAS,
-    ) -> None:
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1: {replicas}")
-        self.replicas = replicas
+    def __init__(self, shard_ids: Iterable[int] = ()) -> None:
         self._shards: set = set()
         self._points: List[Tuple[int, int]] = []  # (ring point, shard)
         for shard_id in shard_ids:
             self.add_shard(shard_id)
 
-    @property
-    def shards(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._shards))
-
     def add_shard(self, shard_id: int) -> None:
         if shard_id in self._shards:
             raise ValueError(f"shard {shard_id} already on the ring")
         self._shards.add(shard_id)
-        for replica in range(self.replicas):
+        for replica in range(DEFAULT_REPLICAS):
             point = stable_hash(f"shard-{shard_id}:{replica}")
             bisect.insort(self._points, (point, shard_id))
 
-    def remove_shard(self, shard_id: int) -> None:
-        if shard_id not in self._shards:
-            raise ValueError(f"shard {shard_id} not on the ring")
-        self._shards.discard(shard_id)
-        self._points = [
-            entry for entry in self._points if entry[1] != shard_id
-        ]
-
-    def lookup(self, key: str) -> int:
+    def shard_for(self, key: str) -> int:
         """The shard serving ``key``: first ring point at or clockwise
         of the key's hash, wrapping at the top of the ring."""
         if not self._points:
@@ -80,9 +62,6 @@ class HashRing:
         if index == len(self._points):
             index = 0
         return self._points[index][1]
-
-    def shard_for(self, key: str) -> int:
-        return self.lookup(key)
 
 
 class PrefixPlacement:
@@ -103,14 +82,6 @@ class PrefixPlacement:
             if key.startswith(prefix):
                 return shard_id
         return self.default
-
-    def pin(self, prefix: str, shard_id: int) -> None:
-        """Add or replace one table entry (used by the routing flip)."""
-        entries = [e for e in self._table if e[0] != prefix]
-        entries.append((prefix, shard_id))
-        self._table = sorted(
-            entries, key=lambda item: (-len(item[0]), item[0])
-        )
 
 
 def round_robin_table(

@@ -1,18 +1,16 @@
-"""The shard router: namespace partitioning over N LFS volumes.
+"""The shard router: a cluster run's initial client placement.
 
-A :class:`ShardRouter` owns the authoritative client→shard routing
-table.  The table is *seeded* by a placement policy (consistent-hash
-ring or explicit prefix table — see :mod:`repro.cluster.ring`) and then
-maintained imperatively: a live migration calls :meth:`flip` exactly
-once, at the cutover barrier, to repoint a batch of clients at their
-new shard.  Routing reads during the run go through the table, not the
-policy, so a flip is atomic — there is no window where half the ring
-answers differently from the other half.
+A :class:`ShardRouter` turns a placement policy (consistent-hash ring
+or explicit prefix table — see :mod:`repro.cluster.ring`) into the
+client→shard table a cluster run starts from.  It is consulted once,
+before any shard group runs; a live migration does not edit it but
+hands the moving clients from the source scheduler to the target one
+at its cutover barrier (:mod:`repro.cluster.migrate`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.ring import (
@@ -20,7 +18,6 @@ from repro.cluster.ring import (
     PrefixPlacement,
     round_robin_table,
 )
-from repro.obs import NULL_TELEMETRY
 
 
 def client_key(client_id: int) -> str:
@@ -29,16 +26,13 @@ def client_key(client_id: int) -> str:
 
 
 class ShardRouter:
-    """Authoritative client→shard routing for one cluster run."""
+    """Initial client→shard placement for one cluster run."""
 
-    def __init__(
-        self, config: ClusterConfig, telemetry=None
-    ) -> None:
+    def __init__(self, config: ClusterConfig) -> None:
         self.config = config
-        self.telemetry = telemetry or NULL_TELEMETRY
         shard_ids = list(range(config.shards))
         if config.placement == "hash":
-            self.policy = HashRing(shard_ids, replicas=config.replicas)
+            self.policy = HashRing(shard_ids)
         else:
             self.policy = PrefixPlacement(
                 round_robin_table(
@@ -50,14 +44,12 @@ class ShardRouter:
             cid: self.policy.shard_for(client_key(cid))
             for cid in range(config.clients)
         }
-        self._m_flips = self.telemetry.counter("cluster.routing_flips")
-        self.telemetry.gauge("cluster.shards").set(config.shards)
 
     def shard_of(self, client_id: int) -> int:
         return self._route[client_id]
 
     def assignments(self) -> Dict[int, List[int]]:
-        """Current shard → sorted client ids map (every shard present,
+        """Shard → sorted client ids map (every shard present,
         including empty ones)."""
         table: Dict[int, List[int]] = {
             shard_id: [] for shard_id in range(self.config.shards)
@@ -65,16 +57,6 @@ class ShardRouter:
         for cid in sorted(self._route):
             table[self._route[cid]].append(cid)
         return table
-
-    def flip(self, client_ids: Sequence[int], target: int) -> None:
-        """Atomically repoint ``client_ids`` at ``target``.
-
-        Called exactly once per migration, at the cutover barrier —
-        a single simulated instant, between two events on the group's
-        shared clock."""
-        for cid in client_ids:
-            self._route[cid] = target
-        self._m_flips.inc()
 
 
 __all__ = ["ShardRouter", "client_key"]

@@ -39,7 +39,11 @@ from repro.cluster.router import ShardRouter
 from repro.obs import Telemetry
 from repro.rig import new_rig
 from repro.service.config import SERVICE_LFS_CONFIG
-from repro.service.scheduler import ClientStream, RequestScheduler
+from repro.service.scheduler import (
+    ClientStream,
+    RequestScheduler,
+    run_events,
+)
 from repro.service.stats import percentile
 from repro.units import MIB
 
@@ -47,24 +51,22 @@ DEFAULT_SHARD_BYTES = 64 * MIB
 
 
 def build_groups(config: ClusterConfig) -> List[Tuple[int, ...]]:
-    """Partition shard ids into deterministic groups: migration pairs
-    merge, everything else stays singleton."""
-    parent = list(range(config.shards))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    """Partition shard ids into deterministic groups: each migration's
+    source and target form a pair, every other shard stays singleton.
+    Groups come in order of their lowest shard id.  (``ClusterConfig``
+    refuses a shard in two migrations, so pairs never overlap.)"""
+    partner: Dict[int, int] = {}
     for spec in config.migrations:
-        ra, rb = find(spec.source), find(spec.target)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    groups: Dict[int, List[int]] = {}
+        partner[spec.source] = spec.target
+        partner[spec.target] = spec.source
+    groups: List[Tuple[int, ...]] = []
     for shard_id in range(config.shards):
-        groups.setdefault(find(shard_id), []).append(shard_id)
-    return [tuple(groups[root]) for root in sorted(groups)]
+        other = partner.get(shard_id)
+        if other is None:
+            groups.append((shard_id,))
+        elif shard_id < other:
+            groups.append((shard_id, other))
+    return groups
 
 
 def run_group(
@@ -131,13 +133,7 @@ def run_group(
     solo = len(shard_ids) == 1
     for shard_id in shard_ids:
         schedulers[shard_id].start(open_run_span=solo)
-    while ready or clock.pending_timers():
-        if ready:
-            ready.popleft()()
-            continue
-        next_at = clock.next_timer_at()
-        assert next_at is not None
-        clock.advance_to(next_at)
+    run_events(clock, ready)
     shards: List[Dict[str, Any]] = []
     for shard_id in shard_ids:
         scheduler = schedulers[shard_id]
@@ -258,8 +254,7 @@ def run_cluster(
     ``jobs`` value."""
     from repro.harness.parallel import merge_metric_samples, run_tasks
 
-    router = ShardRouter(config)
-    assignments = router.assignments()
+    assignments = ShardRouter(config).assignments()
     groups = build_groups(config)
     tasks = [
         (
@@ -283,16 +278,6 @@ def run_cluster(
         result.migrations.extend(group_result["migrations"])
     result.shards.sort(key=lambda row: row["shard"])
     result.migrations.sort(key=lambda summary: summary["at"])
-    # Reflect completed migrations in the authoritative routing table
-    # (the in-group cutover already moved the clients; this keeps the
-    # router's view consistent for callers inspecting it post-run).
-    for summary in result.migrations:
-        moved = [
-            cid
-            for cid in range(config.clients)
-            if router.shard_of(cid) == summary["source"]
-        ]
-        router.flip(moved, summary["target"])
     return result
 
 

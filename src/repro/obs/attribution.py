@@ -9,9 +9,11 @@ each component explains, span-link counts (cleaner passes tied to the
 writes that paid for them), and the ``wamp.*`` write-amplification
 ledger — emitted as ``BENCH_trace.json`` by ``repro trace``.
 
-Everything here is deterministic: nearest-rank percentiles, sorted
-keys, and inputs measured on the simulated clock, so the same seed
-produces a byte-identical report.
+Everything here is deterministic: the service layer's nearest-rank
+percentile (:func:`repro.service.stats.percentile`, so a report's p99
+is the one ``serve-sim`` prints for the same run), sorted keys, and
+inputs measured on the simulated clock, so the same seed produces a
+byte-identical report.
 """
 
 from __future__ import annotations
@@ -21,21 +23,13 @@ from typing import Any, Dict, List, Optional
 
 from repro.obs.context import COMPONENTS
 from repro.obs.tracer import Span
+from repro.service.stats import percentile
 
 SCHEMA_VERSION = 1
 
 ROOT_KIND = "service.request"
 
 _ROUND = 9  # digits; matches the service layer's latency reporting
-
-
-def percentile(samples: List[float], q: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = max(1, int(round(q / 100.0 * len(ordered) + 0.5)))
-    return ordered[min(rank, len(ordered)) - 1]
 
 
 def request_roots(spans: List[Span]) -> List[Span]:
@@ -50,8 +44,8 @@ def request_roots(spans: List[Span]) -> List[Span]:
 def _component_summary(values: List[float], grand_total: float) -> Dict:
     total = sum(values)
     return {
-        "p50": round(percentile(values, 50.0), _ROUND),
-        "p99": round(percentile(values, 99.0), _ROUND),
+        "p50": round(percentile(values, 0.50), _ROUND),
+        "p99": round(percentile(values, 0.99), _ROUND),
         "mean": round(total / len(values), _ROUND) if values else 0.0,
         "total": round(total, _ROUND),
         "share": round(total / grand_total, 6) if grand_total else 0.0,
@@ -71,8 +65,8 @@ def _aggregate(roots: List[Span]) -> Dict[str, Any]:
         "count": len(roots),
         "components": components,
         "total": {
-            "p50": round(percentile(totals, 50.0), _ROUND),
-            "p99": round(percentile(totals, 99.0), _ROUND),
+            "p50": round(percentile(totals, 0.50), _ROUND),
+            "p99": round(percentile(totals, 0.99), _ROUND),
             "mean": (
                 round(grand_total / len(totals), _ROUND) if totals else 0.0
             ),
@@ -204,7 +198,6 @@ def render_trace_report(report: Dict[str, Any]) -> str:
 __all__ = [
     "SCHEMA_VERSION",
     "ROOT_KIND",
-    "percentile",
     "request_roots",
     "max_sum_error",
     "link_counts",

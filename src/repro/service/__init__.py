@@ -9,7 +9,7 @@ when the cleaner's clean-segment reserve runs low.
 
 from repro.service.admission import AdmissionController, Decision
 from repro.service.committer import GroupCommitter
-from repro.service.config import DEFAULT_MIX, ServiceConfig, validate_rig
+from repro.service.config import ServiceConfig, validate_rig
 from repro.service.scheduler import (
     ClientStream,
     Request,
@@ -25,7 +25,6 @@ __all__ = [
     "AdmissionController",
     "ClientStream",
     "Decision",
-    "DEFAULT_MIX",
     "GroupCommitter",
     "percentile",
     "prefill",

@@ -2,10 +2,10 @@
 
 Two independent gates, checked in order:
 
-1. **Bounded queue** — at most ``admission_capacity`` requests may be
-   in the system at once; excess arrivals are rejected and the client
-   retries after a backoff.  This caps memory and bounds tail latency
-   instead of letting the queue grow without limit.
+1. **Bounded queue** — at most ``max(16, 4 * num_clients)`` requests
+   may be in the system at once; excess arrivals are rejected and the
+   client retries after a backoff.  This caps memory and bounds tail
+   latency instead of letting the queue grow without limit.
 2. **Clean-segment reserve** — write-class requests (write, fsync,
    delete: anything that consumes log space) are *throttled* when the
    cleaner's clean-segment reserve drops below a watermark.  A
@@ -18,9 +18,9 @@ Two independent gates, checked in order:
    breached.
 
 A request that still finds the reserve low after
-``max_throttle_retries`` cleaning passes is force-admitted: the file
-system's own emergency cleaning (and, past that, ``NoSpaceError``) is
-the final authority, and the service must terminate even on a disk
+:data:`MAX_THROTTLE_RETRIES` cleaning passes is force-admitted: the
+file system's own emergency cleaning (and, past that, ``NoSpaceError``)
+is the final authority, and the service must terminate even on a disk
 that cleaning cannot help.
 """
 
@@ -39,6 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 WRITE_CLASS = frozenset({"write", "fsync", "delete"})
 """Request kinds that consume log space and respect the watermark."""
+
+MAX_THROTTLE_RETRIES = 3
+"""Throttle passes per request before it is force-admitted."""
 
 
 class Decision(enum.Enum):
@@ -64,9 +67,8 @@ class AdmissionController:
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.fs = fs
-        self.config = config
         self.stats = stats
-        self.capacity = config.effective_capacity
+        self.capacity = max(16, 4 * config.num_clients)
         # The file system's own self-maintenance keeps the clean count
         # near ``clean_low_water`` in steady state, so a useful service
         # watermark sits *above* that floor: backpressure engages while
@@ -106,13 +108,13 @@ class AdmissionController:
             return Decision.REJECT
         if (
             kind in WRITE_CLASS
-            and throttle_count < self.config.max_throttle_retries
+            and throttle_count < MAX_THROTTLE_RETRIES
             and self.reserve_low()
         ):
             return Decision.THROTTLE
         if (
             kind in WRITE_CLASS
-            and throttle_count >= self.config.max_throttle_retries
+            and throttle_count >= MAX_THROTTLE_RETRIES
             and self.reserve_low()
         ):
             self.stats.forced_admissions += 1

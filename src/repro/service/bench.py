@@ -26,11 +26,16 @@ from repro.service.scheduler import simulate_service
 from repro.units import MIB
 
 DEFAULT_CLIENTS = (1, 2, 4, 8, 16)
-_REPO_ROOT = os.path.dirname(
+DEFAULT_OUTPUT = os.path.join(
     os.path.dirname(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    )
+        os.path.dirname(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        )
+    ),
+    "BENCH_service.json",
 )
+"""The committed report both sweeps write: this one's points at the
+top level, :mod:`repro.cluster.bench`'s under ``cluster``."""
 
 
 def sweep_point(
@@ -99,18 +104,15 @@ def run_sweep(
     return points
 
 
-def write_report(
-    points: List[Dict[str, object]],
-    output: str,
-    seed: int,
-    requests_per_client: int,
-) -> None:
-    report = {
-        "benchmark": "service_scaling",
-        "seed": seed,
-        "requests_per_client": requests_per_client,
-        "points": points,
-    }
+def update_report(output: str, section: Dict[str, object]) -> None:
+    """Write one sweep's keys into the report at ``output``, keeping
+    every key the other sweep left there."""
+    report: Dict[str, object] = {}
+    if os.path.exists(output):
+        with open(output) as handle:
+            report = json.load(handle)
+    report["benchmark"] = "service_scaling"
+    report.update(section)
     with open(output, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -147,7 +149,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--output",
-        default=os.path.join(_REPO_ROOT, "BENCH_service.json"),
+        default=DEFAULT_OUTPUT,
         help="report path (default: BENCH_service.json at the repo root)",
     )
     args = parser.parse_args(argv)
@@ -158,7 +160,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.smoke:
         clients_list = [1, 4]
         requests = 10
-        if args.output == os.path.join(_REPO_ROOT, "BENCH_service.json"):
+        if args.output == DEFAULT_OUTPUT:
             output = "/tmp/BENCH_service_smoke.json"
 
     points = run_sweep(
@@ -169,7 +171,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         log=print,
         jobs=args.jobs,
     )
-    write_report(points, output, args.seed, requests)
+    update_report(
+        output,
+        {
+            "seed": args.seed,
+            "requests_per_client": requests,
+            "points": points,
+        },
+    )
     print(f"report -> {output}")
 
     # Smoke gate: every request completes at every point.

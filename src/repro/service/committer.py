@@ -48,16 +48,10 @@ class GroupCommitter:
         self.stats = stats
         self._enqueue = enqueue
         self._waiters: List[
-            Tuple[
-                FileHandle,
-                Callable[[], None],
-                Optional[Callable[[], None]],
-                Any,
-            ]
+            Tuple[FileHandle, Callable[[], None], Callable[[], None], Any]
         ] = []
         self._window_open = False
         self.commits = 0
-        self.failed_commits = 0
         # Durability-barrier hook: called after every *successful*
         # fsync_many (flush + drain), i.e. at the instant everything
         # written so far became durable.  The chaos campaign's ledger
@@ -84,19 +78,18 @@ class GroupCommitter:
         self,
         handle: FileHandle,
         done: Callable[[], None],
+        fail: Callable[[], None],
         ctx: Any = NULL_TRACE_CONTEXT,
-        fail: Optional[Callable[[], None]] = None,
     ) -> None:
         """Join the current commit window (opening one if needed).
 
         ``done`` runs — via the scheduler's ready queue — once the
-        flush that covers ``handle`` is durable.  ``ctx`` is the
-        request's trace context: its commit wait ends when the flush
-        starts, and the shared flush time is attributed to it.
-        ``fail`` runs instead of ``done`` when the flush is refused
-        because the file system degraded to read-only (without it the
-        waiter is completed via ``done`` — callers that distinguish a
-        refused fsync from a durable one must supply ``fail``).
+        flush that covers ``handle`` is durable.  ``fail`` runs instead
+        when the flush is refused because the file system degraded to
+        read-only: nothing became durable, so the waiter is not acked.
+        ``ctx`` is the request's trace context: its commit wait ends
+        when the flush starts, and the shared flush time is attributed
+        to it.
         """
         self._waiters.append((handle, done, fail, ctx))
         if not self._window_open:
@@ -149,9 +142,8 @@ class GroupCommitter:
             for ctx in traced:
                 ctx.charge_split(elapsed, delta)
         if refused:
-            self.failed_commits += 1
-            for _handle, done, fail, _ctx in batch:
-                self._enqueue(fail if fail is not None else done)
+            for _handle, _done, fail, _ctx in batch:
+                self._enqueue(fail)
             return
         if self.on_durable is not None:
             self.on_durable()

@@ -1,17 +1,19 @@
 """Service-layer configuration.
 
 One :class:`ServiceConfig` describes a whole multi-client run: how many
-clients, what each client's request stream looks like, how long the
-group-commit window stays open, and where admission control draws its
-backpressure watermark.  Everything is deterministic given ``seed`` —
+clients and how many requests each issues, how long the group-commit
+window stays open, where admission control draws its backpressure
+watermark, and how full the log starts.  The request streams' shape
+(mix, think time, payload band, working set) is fixed by the constants
+in :mod:`repro.service.scheduler` and the payload band below.  Everything is deterministic given ``seed`` —
 the config deliberately contains no wall-clock quantities (all times
 are simulated seconds on the shared :class:`~repro.sim.clock.SimClock`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.errors import ConfigError, InvalidArgumentError
 from repro.lfs.config import LfsConfig
@@ -27,15 +29,9 @@ otherwise (``serve-sim``, each ``cluster-sim`` shard, every ``chaos``
 trial): quarter-megabyte segments so a few dozen megabytes of device
 still hold enough segments for cleaning and backpressure to be real."""
 
-DEFAULT_MIX: Dict[str, float] = {
-    "write": 0.40,
-    "fsync": 0.25,
-    "read": 0.15,
-    "open": 0.05,
-    "delete": 0.15,
-}
-"""Request mix: write-heavy with frequent fsync, the shape that makes
-group commit matter (LogBase-style OLTP front-end over a log store)."""
+WRITE_MIN_BYTES = 1 * KIB
+WRITE_MAX_BYTES = 32 * KIB
+"""Per-write payload size band (log-uniform within the band)."""
 
 
 @dataclass(frozen=True)
@@ -51,42 +47,12 @@ class ServiceConfig:
     requests_per_client: int = 100
     """Requests each client issues before going quiet."""
 
-    mix: Dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_MIX)
-    )
-    """Relative weights of write / fsync / read / open / delete."""
-
-    think_mean: float = 0.002
-    """Mean client think time between requests (exponential, seconds)."""
-
-    write_min_bytes: int = 1 * KIB
-    write_max_bytes: int = 32 * KIB
-    """Per-write payload size band (log-uniform within the band)."""
-
     commit_window: float = 0.01
     """Seconds a group-commit window stays open collecting fsyncs."""
-
-    admission_capacity: int = 0
-    """Bounded request queue depth; 0 means ``max(16, 4 * clients)``."""
 
     reserve_watermark: int = 2
     """Throttle writers when the cleaner's clean-segment reserve (clean
     segments beyond the writer's hard reserve) drops below this."""
-
-    max_throttle_retries: int = 3
-    """Throttle passes per request before it is force-admitted (the
-    file system's own emergency cleaning is the last resort — the
-    service must terminate even on a disk that cannot be cleaned)."""
-
-    retry_backoff: float = 0.005
-    """Seconds a rejected request waits before re-entering admission."""
-
-    flusher_period: float = 0.5
-    """Background flusher wake-up period (services the age trigger)."""
-
-    max_files_per_client: int = 32
-    min_files_per_client: int = 2
-    """Working-set bounds for each client's private directory."""
 
     fill_fraction: float = 0.0
     """Pre-fill the log to this fraction of serviceable capacity before
@@ -109,38 +75,10 @@ class ServiceConfig:
             raise InvalidArgumentError(
                 f"negative commit window: {self.commit_window}"
             )
-        if self.think_mean <= 0:
-            raise InvalidArgumentError(
-                f"think_mean must be positive: {self.think_mean}"
-            )
         if not 0.0 <= self.fill_fraction < 1.0:
             raise InvalidArgumentError(
                 f"fill_fraction must be in [0, 1): {self.fill_fraction}"
             )
-        if self.min_files_per_client < 1:
-            raise InvalidArgumentError("min_files_per_client must be >= 1")
-        if self.max_files_per_client < self.min_files_per_client:
-            raise InvalidArgumentError(
-                "max_files_per_client below min_files_per_client"
-            )
-        unknown = set(self.mix) - set(DEFAULT_MIX)
-        if unknown:
-            raise InvalidArgumentError(
-                f"unknown request kinds in mix: {sorted(unknown)}"
-            )
-        if not self.mix or sum(self.mix.values()) <= 0:
-            raise InvalidArgumentError("request mix has no weight")
-        if self.write_min_bytes < 1 or (
-            self.write_max_bytes < self.write_min_bytes
-        ):
-            raise InvalidArgumentError(
-                f"bad write size band: "
-                f"[{self.write_min_bytes}, {self.write_max_bytes}]"
-            )
-
-    @property
-    def effective_capacity(self) -> int:
-        return self.admission_capacity or max(16, 4 * self.num_clients)
 
 
 def validate_rig(
@@ -176,9 +114,9 @@ def validate_rig(
                 f"quarter of the cache ({lfs.cache_bytes} bytes): "
                 f"prefetch would evict its own payload"
             )
-    if service is not None and service.write_max_bytes > lfs.segment_size:
+    if service is not None and WRITE_MAX_BYTES > lfs.segment_size:
         violations.append(
-            f"write_max_bytes ({service.write_max_bytes}) exceeds the "
+            f"WRITE_MAX_BYTES ({WRITE_MAX_BYTES}) exceeds the "
             f"segment size ({lfs.segment_size}): one payload could "
             f"never fit a single log write"
         )

@@ -41,28 +41,56 @@ from repro.obs.registry import DEFAULT_TIME_BUCKETS
 from repro.service.admission import AdmissionController, Decision
 from repro.service.committer import GroupCommitter
 from repro.rig import new_rig
-from repro.service.config import SERVICE_LFS_CONFIG, ServiceConfig
+from repro.service.config import (
+    SERVICE_LFS_CONFIG,
+    WRITE_MAX_BYTES,
+    WRITE_MIN_BYTES,
+    ServiceConfig,
+)
 from repro.service.stats import REQUEST_KINDS, ServiceStats
+from repro.sim.clock import SimClock
 from repro.units import MIB
 
 MAX_FILE_BYTES = 1 * MIB
 """Appends wrap to offset 0 past this size, bounding working files."""
 
+MIX = {
+    "write": 0.40,
+    "fsync": 0.25,
+    "read": 0.15,
+    "open": 0.05,
+    "delete": 0.15,
+}
+"""Request mix: write-heavy with frequent fsync, the shape that makes
+group commit matter (LogBase-style OLTP front-end over a log store)."""
+_KINDS = list(MIX.keys())
+_WEIGHTS = [MIX[kind] for kind in _KINDS]
+
+THINK_MEAN = 0.002
+"""Mean client think time between requests (exponential, seconds)."""
+
+MIN_FILES_PER_CLIENT = 2
+MAX_FILES_PER_CLIENT = 32
+"""Working-set bounds for each client's private directory."""
+
+RETRY_BACKOFF = 0.005
+"""Seconds a rejected request waits before re-entering admission."""
+
+FLUSHER_PERIOD = 0.5
+"""Background flusher wake-up period (services the age trigger)."""
+
 
 class Request:
     """One client request travelling through admission → execution."""
 
-    __slots__ = ("client_id", "kind", "arrival", "throttles", "ctx", "rid")
+    __slots__ = ("client_id", "kind", "arrival", "throttles", "ctx")
 
-    def __init__(
-        self, client_id: int, kind: str, arrival: float, rid: int = 0
-    ) -> None:
+    def __init__(self, client_id: int, kind: str, arrival: float) -> None:
         self.client_id = client_id
         self.kind = kind
         self.arrival = arrival
         self.throttles = 0
         self.ctx = NULL_TRACE_CONTEXT
-        self.rid = rid
 
 
 class ClientStream:
@@ -79,19 +107,15 @@ class ClientStream:
         self.issued = 0
         self.completed = 0
         self.inflight = 0
-        self._kinds = list(config.mix.keys())
-        self._weights = [config.mix[kind] for kind in self._kinds]
 
     def think(self) -> float:
-        return self.rng.expovariate(1.0 / self.config.think_mean)
+        return self.rng.expovariate(1.0 / THINK_MEAN)
 
     def next_kind(self) -> str:
-        kind = self.rng.choices(self._kinds, weights=self._weights)[0]
+        kind = self.rng.choices(_KINDS, weights=_WEIGHTS)[0]
         # Degrade gracefully while the working set is tiny: everything
         # that needs an existing file becomes a write.
-        if kind == "delete" and (
-            len(self.files) <= self.config.min_files_per_client
-        ):
+        if kind == "delete" and len(self.files) <= MIN_FILES_PER_CLIENT:
             return "write"
         if kind in ("read", "open") and not self.files:
             return "write"
@@ -107,19 +131,28 @@ class ClientStream:
         return self.rng.choice(self.files)
 
     def write_payload(self) -> bytes:
-        lo, hi = self.config.write_min_bytes, self.config.write_max_bytes
-        if hi > lo:
-            # Log-uniform across the band, like real file-size mixes.
-            size = int(
-                math.exp(
-                    self.rng.uniform(math.log(lo), math.log(hi))
-                )
-            )
-            size = max(lo, min(hi, size))
-        else:
-            size = lo
+        lo, hi = WRITE_MIN_BYTES, WRITE_MAX_BYTES
+        # Log-uniform across the band, like real file-size mixes.
+        size = int(math.exp(self.rng.uniform(math.log(lo), math.log(hi))))
+        size = max(lo, min(hi, size))
         fill = (self.client_id * 31 + self.issued) % 256
         return bytes([fill]) * size
+
+
+def run_events(clock: SimClock, ready: Deque[Callable[[], None]]) -> None:
+    """The event loop: run ready events one at a time, and when none is
+    ready move ``clock`` to its next timer, until neither is left.
+
+    One scheduler's :meth:`RequestScheduler.run` drives it over its own
+    queue; a cluster group drives it once over the queue its schedulers
+    share."""
+    while ready or clock.pending_timers():
+        if ready:
+            ready.popleft()()
+            continue
+        next_at = clock.next_timer_at()
+        assert next_at is not None
+        clock.advance_to(next_at)
 
 
 class RequestScheduler:
@@ -186,7 +219,6 @@ class RequestScheduler:
         self._parked: List[Tuple[Request, float]] = []
         self._migrated: Dict[int, "RequestScheduler"] = {}
         self._flusher_live = False
-        self._next_rid = 0
         self._run_span_cm = None
         self._run_span = None
         obs = self.telemetry
@@ -256,13 +288,7 @@ class RequestScheduler:
 
     def run(self) -> ServiceStats:
         self.start()
-        while self._ready or self.clock.pending_timers():
-            if self._ready:
-                self._ready.popleft()()
-                continue
-            next_at = self.clock.next_timer_at()
-            assert next_at is not None
-            self.clock.advance_to(next_at)
+        run_events(self.clock, self._ready)
         return self.finish()
 
     # ------------------------------------------------------------------
@@ -280,10 +306,7 @@ class RequestScheduler:
             return
         kind = client.next_kind()
         client.issued += 1
-        request = Request(
-            client.client_id, kind, self.clock.now(), rid=self._next_rid
-        )
-        self._next_rid += 1
+        request = Request(client.client_id, kind, self.clock.now())
         if client.client_id in self._frozen:
             # The client's shard is mid-migration: park the request.
             # It is adopted (and its redirect wait charged) by the
@@ -307,7 +330,7 @@ class RequestScheduler:
                 "service.admission_retry", "admission_retry"
             )
             self._post_at(
-                self.clock.now() + self.config.retry_backoff,
+                self.clock.now() + RETRY_BACKOFF,
                 lambda: self._submit(request),
             )
             return
@@ -354,8 +377,8 @@ class RequestScheduler:
                 self.committer.request_commit(
                     handle,
                     lambda: self._finish_fsync(request, handle),
+                    lambda: self._fail_fsync(request, handle),
                     ctx=request.ctx,
-                    fail=lambda: self._fail_fsync(request, handle),
                 )
                 return  # completes when the commit window closes
             if request.kind == "write":
@@ -405,8 +428,8 @@ class RequestScheduler:
         # the flush, an injected crash) fires *after* the client-visible
         # state changed — the mutation must be on the books either way.
         data = client.write_payload()
-        create = len(client.files) < self.config.min_files_per_client or (
-            len(client.files) < self.config.max_files_per_client
+        create = len(client.files) < MIN_FILES_PER_CLIENT or (
+            len(client.files) < MAX_FILES_PER_CLIENT
             and client.rng.random() < 0.25
         )
         if create:
@@ -499,7 +522,7 @@ class RequestScheduler:
             self.stats.background_flushes += 1
         if self._active_clients > 0:
             self._post_at(
-                self.clock.now() + self.config.flusher_period,
+                self.clock.now() + FLUSHER_PERIOD,
                 self._background_flush,
             )
         else:
@@ -508,7 +531,7 @@ class RequestScheduler:
     def _arm_flusher(self) -> None:
         self._flusher_live = True
         self._post_at(
-            self.clock.now() + self.config.flusher_period,
+            self.clock.now() + FLUSHER_PERIOD,
             self._background_flush,
         )
 

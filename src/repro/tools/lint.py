@@ -13,11 +13,10 @@ cache package reaching into the block cache's state (CACHE001), and
 code outside the sim package reaching into the simulated clock's state
 (CLOCK001).
 
-The container this project builds in has no third-party linter, so this
-module is the fallback for ``make lint`` — when ``ruff`` is installed
-the Makefile prefers it (configuration in ``pyproject.toml``), and this
-tool is written to be a strict subset of what ruff's F401/F841 would
-flag.  It is deliberately conservative: a check that cannot be decided
+``make lint`` always runs this module, and runs ``ruff`` after it when
+ruff is installed (configuration in ``pyproject.toml``); the unused
+import and write-only variable checks are written to be a strict
+subset of what ruff's F401/F841 would flag.  It is deliberately conservative: a check that cannot be decided
 from the AST alone is skipped rather than guessed.
 
 Usage::

@@ -1,10 +1,9 @@
-"""ShardRouter: seeding, coverage, atomic flips, telemetry."""
+"""ShardRouter: seeding, coverage, config validation."""
 
 import pytest
 
 from repro.cluster import ClusterConfig, ShardRouter, client_key
 from repro.errors import InvalidArgumentError
-from repro.obs import Telemetry
 
 
 def test_assignments_partition_all_clients():
@@ -34,18 +33,6 @@ def test_prefix_placement_is_exactly_balanced():
     router = ShardRouter(config)
     table = router.assignments()
     assert all(len(cids) == 4 for cids in table.values())
-
-
-def test_flip_repoints_and_counts():
-    telemetry = Telemetry()
-    config = ClusterConfig(shards=2, clients=8)
-    router = ShardRouter(config, telemetry=telemetry)
-    moving = router.assignments()[1]
-    router.flip(moving, 0)
-    assert router.assignments()[1] == []
-    assert sorted(router.assignments()[0]) == list(range(8))
-    flips = telemetry.counter("cluster.routing_flips")
-    assert flips.value == 1
 
 
 def test_config_validation():

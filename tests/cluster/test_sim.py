@@ -29,6 +29,12 @@ def test_build_groups_merges_migration_pairs():
         migrations=(MigrationSpec(2, 0, 0.1),),
     )
     assert build_groups(config) == [(0, 2), (1,), (3,)]
+    config = ClusterConfig(
+        shards=6,
+        clients=8,
+        migrations=(MigrationSpec(5, 1, 0.1), MigrationSpec(0, 3, 0.2)),
+    )
+    assert build_groups(config) == [(0, 3), (1, 5), (2,), (4,)]
 
 
 def test_plain_cluster_run_completes_and_verifies():

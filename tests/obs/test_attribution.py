@@ -15,7 +15,6 @@ from repro.obs.attribution import (
     build_trace_report,
     link_counts,
     max_sum_error,
-    percentile,
     request_roots,
 )
 from repro.obs.context import (
@@ -176,11 +175,6 @@ class TestRequestTracer:
 
 
 class TestAnalyzer:
-    def test_percentile_nearest_rank(self):
-        assert percentile([], 99.0) == 0.0
-        assert percentile([3.0, 1.0, 2.0, 4.0], 50.0) == 2.0
-        assert percentile([3.0, 1.0, 2.0, 4.0], 99.0) == 4.0
-
     def _finish_requests(self, tracer, totals):
         for index, total in enumerate(totals):
             ctx = make_context(tracer)

@@ -84,6 +84,18 @@ class TestSeededTraceIsByteIdentical:
         assert report["max_sum_error"] == 0.0
 
 
+class TestReportPercentilesAreTheService:
+    def test_overall_p50_p99_equal_service_stats(self):
+        # One percentile definition: the trace report and the service
+        # report read the same p50/p99 off the same run.
+        telemetry = Telemetry()
+        stats, fs, _ = run_serve_sim(telemetry)
+        report = build_trace_report(telemetry, fs=fs)
+        total = report["attribution"]["overall"]["total"]
+        assert total["p50"] == round(stats.p50(), 9)
+        assert total["p99"] == round(stats.p99(), 9)
+
+
 class TestTracingIsAPureObserver:
     def test_tracing_on_off_identical_images_and_stats(self):
         stats_off, _, image_off = run_serve_sim(None)

@@ -5,14 +5,19 @@ from __future__ import annotations
 import pytest
 
 from repro.obs import Telemetry
-from repro.service.admission import AdmissionController, Decision, WRITE_CLASS
+from repro.service.admission import (
+    MAX_THROTTLE_RETRIES,
+    WRITE_CLASS,
+    AdmissionController,
+    Decision,
+)
 from repro.service.config import ServiceConfig
 from repro.service.stats import ServiceStats
 
 
 @pytest.fixture
 def config() -> ServiceConfig:
-    return ServiceConfig(num_clients=2, admission_capacity=4)
+    return ServiceConfig(num_clients=2)
 
 
 @pytest.fixture
@@ -22,18 +27,19 @@ def controller(lfs, config) -> AdmissionController:
 
 class TestBoundedQueue:
     def test_admits_until_capacity(self, controller):
-        for _ in range(4):
+        assert controller.capacity == 16  # the floor, at two clients
+        for _ in range(controller.capacity):
             assert controller.try_admit("read") is Decision.ADMIT
-        assert controller.in_flight == 4
+        assert controller.in_flight == 16
 
     def test_rejects_at_capacity(self, controller):
-        for _ in range(4):
+        for _ in range(controller.capacity):
             controller.try_admit("read")
         assert controller.try_admit("read") is Decision.REJECT
         assert controller.stats.rejections == 1
 
     def test_release_reopens_the_queue(self, controller):
-        for _ in range(4):
+        for _ in range(controller.capacity):
             controller.try_admit("read")
         controller.release()
         assert controller.try_admit("read") is Decision.ADMIT
@@ -78,7 +84,7 @@ class TestReserveWatermark:
     def test_forced_admission_after_max_retries(self, lfs, config):
         controller = AdmissionController(lfs, config, ServiceStats())
         controller.watermark = 10**9
-        retries = config.max_throttle_retries
+        retries = MAX_THROTTLE_RETRIES
         assert controller.try_admit("write", retries - 1) is Decision.THROTTLE
         assert controller.try_admit("write", retries) is Decision.ADMIT
         assert controller.stats.forced_admissions == 1

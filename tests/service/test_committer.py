@@ -41,7 +41,7 @@ class TestWindowLifecycle:
         with lfs.create("/a") as handle:
             handle.write(b"x" * 4096)
         h = lfs.open("/a")
-        committer.request_commit(h, lambda: None)
+        committer.request_commit(h, lambda: None, lambda: None)
         assert committer.window_open
         assert committer.waiting == 1
         assert lfs.clock.pending_timers() >= 1
@@ -52,7 +52,7 @@ class TestWindowLifecycle:
             handle.write(b"x" * 4096)
         h = lfs.open("/a")
         start = lfs.clock.now()
-        committer.request_commit(h, lambda: None)
+        committer.request_commit(h, lambda: None, lambda: None)
         lfs.clock.advance(0.05)
         assert drain(ready) >= 1  # the commit event, then the callback
         assert not committer.window_open
@@ -72,7 +72,9 @@ class TestWindowLifecycle:
         )
         done = []
         for i, handle in enumerate(handles):
-            committer.request_commit(handle, lambda i=i: done.append(i))
+            committer.request_commit(
+                handle, lambda i=i: done.append(i), lambda: None
+            )
         assert committer.waiting == 6
         lfs.clock.advance(1.0)
         drain(ready)
@@ -96,11 +98,11 @@ class TestWindowLifecycle:
             with lfs.create(name) as handle:
                 handle.write(b"y" * 4096)
         h1 = lfs.open("/a")
-        committer.request_commit(h1, lambda: None)
+        committer.request_commit(h1, lambda: None, lambda: None)
         lfs.clock.advance(1.0)
         drain(ready)
         h2 = lfs.open("/b")
-        committer.request_commit(h2, lambda: None)
+        committer.request_commit(h2, lambda: None, lambda: None)
         assert committer.window_open
         lfs.clock.advance(1.0)
         drain(ready)
@@ -114,7 +116,9 @@ class TestCommitterTelemetry:
         for i in range(3):
             with lfs.create(f"/t{i}") as handle:
                 handle.write(b"z" * 4096)
-            committer.request_commit(lfs.open(f"/t{i}"), lambda: None)
+            committer.request_commit(
+                lfs.open(f"/t{i}"), lambda: None, lambda: None
+            )
         lfs.clock.advance(1.0)
         drain(ready)
         assert telemetry.registry.value("service.commits") == 1

@@ -6,7 +6,12 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.lfs.config import LfsConfig
-from repro.service.config import SERVICE_LFS_CONFIG, ServiceConfig, validate_rig
+from repro.service.config import (
+    SERVICE_LFS_CONFIG,
+    WRITE_MAX_BYTES,
+    ServiceConfig,
+    validate_rig,
+)
 from repro.units import KIB, MIB
 
 
@@ -31,12 +36,12 @@ class TestValidateRig:
         assert "cache_bytes" in str(excinfo.value)
 
     def test_payload_exceeding_segment(self):
-        config = ServiceConfig(
-            write_min_bytes=KIB, write_max_bytes=512 * KIB
-        )
+        segment = WRITE_MAX_BYTES // 2
+        lfs = _lfs(segment_size=segment, cache_bytes=16 * segment)
         with pytest.raises(ConfigError) as excinfo:
-            validate_rig(config, _lfs())
-        assert "write_max_bytes" in str(excinfo.value)
+            validate_rig(ServiceConfig(), lfs)
+        assert "WRITE_MAX_BYTES" in str(excinfo.value)
+        validate_rig(None, lfs)  # a bare fs rig writes no payloads
 
     def test_readahead_window_eating_the_cache(self):
         with pytest.raises(ConfigError) as excinfo:
@@ -80,22 +85,23 @@ class TestValidateRig:
         )
 
     def test_every_violation_reported_in_one_error(self):
-        config = ServiceConfig(
-            write_min_bytes=KIB,
-            write_max_bytes=512 * KIB,
-            reserve_watermark=1000,
-        )
+        config = ServiceConfig(reserve_watermark=1000)
+        segment = WRITE_MAX_BYTES // 2
         with pytest.raises(ConfigError) as excinfo:
             validate_rig(
                 config,
-                _lfs(cache_bytes=256 * KIB, readahead_blocks=256),
+                _lfs(
+                    segment_size=segment,
+                    cache_bytes=segment,
+                    readahead_blocks=4,
+                ),
                 device_bytes=8 * MIB,
             )
         message = str(excinfo.value)
         # One round trip fixes the whole rig: all four named at once.
         for marker in (
             "cache_bytes",
-            "write_max_bytes",
+            "WRITE_MAX_BYTES",
             "readahead",
             "serviceable",
         ):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache.writeback import WritebackConfig
 from repro.errors import InvalidArgumentError
+from repro.lfs.filesystem import LogStructuredFS
 from repro.lfs.verify import verify_lfs
 from repro.obs import Telemetry
 from repro.service import (
@@ -16,6 +18,8 @@ from repro.service import (
     serviceable_bytes,
     simulate_service,
 )
+from repro.service.scheduler import FLUSHER_PERIOD
+from tests.conftest import small_lfs_config
 
 
 class TestServiceConfig:
@@ -28,13 +32,7 @@ class TestServiceConfig:
             dict(num_clients=0),
             dict(requests_per_client=0),
             dict(commit_window=-1.0),
-            dict(think_mean=0.0),
             dict(fill_fraction=1.0),
-            dict(mix={"write": 1.0, "scan": 2.0}),
-            dict(mix={}),
-            dict(write_min_bytes=0),
-            dict(write_min_bytes=4096, write_max_bytes=1024),
-            dict(max_files_per_client=1, min_files_per_client=2),
         ],
     )
     def test_bad_configs_rejected(self, overrides):
@@ -119,22 +117,22 @@ class TestSchedulerRun:
         assert registry.value("service.requests", kind="write") > 0
         assert registry.value("service.commits") >= 1
 
-    def test_background_flusher_services_the_age_trigger(self, lfs):
-        # Writes small enough that the threshold trigger never fires,
-        # spaced far enough apart that dirty data crosses the 30 s age
-        # threshold mid-run: only the flusher can write it back.
-        config = ServiceConfig(
-            num_clients=1,
-            seed=4,
-            requests_per_client=40,
-            mix={"write": 1.0},
-            think_mean=2.0,
-            write_min_bytes=1024,
-            write_max_bytes=1024,
-            flusher_period=1.0,
+    def test_background_flusher_services_the_age_trigger(
+        self, disk, cpu
+    ):
+        # One client's single write dirties far less than the cache
+        # holds, and no request follows it, so the file system is never
+        # asked again: with an age threshold shorter than the flusher's
+        # period, only the flusher can write that data back.
+        config = small_lfs_config(
+            writeback=WritebackConfig(age_threshold=FLUSHER_PERIOD / 2)
         )
-        stats, _scheduler = run_service(lfs, config)
-        assert stats.background_flushes >= 1
+        fs = LogStructuredFS.mkfs(disk, cpu, config)
+        service = ServiceConfig(num_clients=1, requests_per_client=1)
+        stats, _scheduler = run_service(fs, service)
+        assert stats.submitted == {"write": 1}
+        assert stats.background_flushes == 1
+        assert fs.monitor.next_age_deadline() is None  # nothing dirty
 
 
 class TestAcceptanceSixteenClients:
