@@ -532,11 +532,11 @@ def _chaos_service_config(
     # occur: cleaning wants a fragmented, mostly full log; throttle
     # paybacks want a scarce clean reserve; a group commit happens at
     # any fill; high-fill needs room to *cross* the threshold live.
-    fill = {
-        "mid-clean": 0.80,
-        "mid-commit": 0.30,
-        "throttle-payback": 0.85,
-        "high-fill": 0.88,
+    fill, watermark = {
+        "mid-clean": (0.80, 6),
+        "mid-commit": (0.30, 2),
+        "throttle-payback": (0.85, 6),
+        "high-fill": (0.88, 2),
     }[instant]
     return ServiceConfig(
         num_clients=clients,
@@ -544,7 +544,7 @@ def _chaos_service_config(
         requests_per_client=requests,
         fill_fraction=fill,
         fragment_every=4,
-        reserve_watermark=6 if instant == "throttle-payback" else 2,
+        reserve_watermark=watermark,
     )
 
 

@@ -243,6 +243,43 @@ class SegmentCleaner:
             self.stats.passes += 1
             self._m_passes.inc()
             self._m_victims[self.policy].inc(len(victims))
+            cleaned += self._clean_pass(victims, clean_before)
+            if self.fs.degraded:
+                break
+            # Safety valve: a pass that costs as many segments as it
+            # frees means the disk is effectively full at this
+            # threshold; stop rather than spin.
+            if usage.clean_count() <= clean_before:
+                stagnant_passes += 1
+                if stagnant_passes >= 2:
+                    break
+            else:
+                stagnant_passes = 0
+        self.stats.busy_seconds += self.fs.clock.now() - start
+        self.stats.disk_stall_seconds += (
+            self.fs.disk.sync_stall_seconds - stall_before
+        )
+        self.clean_reserve()  # refresh the cleaner.clean_reserve gauge
+        return cleaned
+
+    def _clean_pass(self, victims: List[int], clean_before: int) -> int:
+        """Clean ``victims`` with one write-back and checkpoint.
+
+        The pass is one ``cleaner.pass`` span: the victims the policy
+        chose, each one's utilization and age, the live bytes the pass
+        moved and the clean count before and after it.
+        """
+        usage = self.fs.usage
+        now = self.fs.clock.now()
+        copied_before = self.stats.live_bytes_copied
+        cleaned = 0
+        with self.telemetry.span(
+            "cleaner.pass",
+            victims=victims,
+            u=[usage.utilization(seg) for seg in victims],
+            age=[now - usage.info(seg).last_write for seg in victims],
+            clean_before=clean_before,
+        ) as span:
             occupied = []
             for seg in victims:
                 # §5.3: "Segments with no live blocks have no cost."  The
@@ -281,7 +318,7 @@ class SegmentCleaner:
                 # occupied victims clean: their live blocks sit dirty in
                 # the cache and the on-disk copies remain referenced —
                 # unreclaimed but safe.
-                break
+                return cleaned
             if occupied:
                 # The write-back both copies the live data and
                 # checkpoints, so nothing durable references the victims
@@ -292,20 +329,10 @@ class SegmentCleaner:
                     usage.mark_clean(seg, now)
                     cleaned += 1
                     self.stats.segments_cleaned += 1
-            # Safety valve: a pass that costs as many segments as it
-            # frees means the disk is effectively full at this
-            # threshold; stop rather than spin.
-            if usage.clean_count() <= clean_before:
-                stagnant_passes += 1
-                if stagnant_passes >= 2:
-                    break
-            else:
-                stagnant_passes = 0
-        self.stats.busy_seconds += self.fs.clock.now() - start
-        self.stats.disk_stall_seconds += (
-            self.fs.disk.sync_stall_seconds - stall_before
-        )
-        self.clean_reserve()  # refresh the cleaner.clean_reserve gauge
+            span.set_attr(
+                "live_bytes_moved", self.stats.live_bytes_copied - copied_before
+            )
+            span.set_attr("clean_after", usage.clean_count())
         return cleaned
 
     # ------------------------------------------------------------------

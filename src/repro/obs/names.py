@@ -114,6 +114,7 @@ SPAN_KINDS = frozenset(
         "cache.flush",
         "checkpoint.write",
         "cleaner.clean",
+        "cleaner.pass",
         "cluster.cutover",
         "cluster.migrate",
         "cluster.migration_redirect",

@@ -8,14 +8,26 @@ Two independent gates, checked in order:
    latency instead of letting the queue grow without limit.
 2. **Clean-segment reserve** — write-class requests (write, fsync,
    delete: anything that consumes log space) are *throttled* when the
-   cleaner's clean-segment reserve drops below a watermark.  A
-   throttled writer pays for a cleaning pass — simulated time advances
+   cleaner's clean-segment reserve (clean segments beyond the writer's
+   hard reserve) drops below ``reserve_watermark``.  A throttled writer
+   pays for one cleaning pass — ``victims_per_pass`` victims, one
+   write-back and the checkpoint that ends it; simulated time advances
    while the cleaner runs, which is exactly the stall a real writer
    would see — and then retries.  This is the pacing Lomet & Luo argue
    for: reclamation keeps up with foreground load because foreground
-   load is made to wait for it, and the log can never wedge at high
-   utilization because writers slow down *before* the hard reserve is
-   breached.
+   load is made to wait for it, one bounded quantum at a time, so no
+   single writer pays for refilling the whole reserve.
+
+The watermark sits at the file system's own floor, not above it.
+Before a flush, :meth:`~repro.lfs.filesystem.LogStructuredFS.
+_ensure_clean_segments` cleans synchronously once the clean count falls
+below ``max(clean_low_water, reserve + 2 + dirty segments)``; on the
+service rig the hard reserve (10 segments) already exceeds
+``clean_low_water`` (8), so that floor is reserve + 2 + the dirty
+backlog.  The default watermark of 2 throttles at reserve + 2: cleaning
+starts only once clean segments run short, as in the paper, so victims
+have had the longest time for their blocks to die (§5.3: write cost
+2/(1−u)).
 
 A request that still finds the reserve low after
 :data:`MAX_THROTTLE_RETRIES` cleaning passes is force-admitted: the
@@ -69,12 +81,7 @@ class AdmissionController:
         self.fs = fs
         self.stats = stats
         self.capacity = max(16, 4 * config.num_clients)
-        # The file system's own self-maintenance keeps the clean count
-        # near ``clean_low_water`` in steady state, so a useful service
-        # watermark sits *above* that floor: backpressure engages while
-        # the fs can still clean calmly, not after it is already in
-        # emergency territory.
-        self.watermark = config.reserve_watermark + fs.config.clean_low_water
+        self.watermark = config.reserve_watermark
         self.in_flight = 0
         obs = telemetry or NULL_TELEMETRY
         self._obs = obs
@@ -106,17 +113,9 @@ class AdmissionController:
             self.stats.rejections += 1
             self._m_rejected.inc()
             return Decision.REJECT
-        if (
-            kind in WRITE_CLASS
-            and throttle_count < MAX_THROTTLE_RETRIES
-            and self.reserve_low()
-        ):
-            return Decision.THROTTLE
-        if (
-            kind in WRITE_CLASS
-            and throttle_count >= MAX_THROTTLE_RETRIES
-            and self.reserve_low()
-        ):
+        if kind in WRITE_CLASS and self.reserve_low():
+            if throttle_count < MAX_THROTTLE_RETRIES:
+                return Decision.THROTTLE
             self.stats.forced_admissions += 1
             self._m_forced.inc()
         self.in_flight += 1
@@ -125,12 +124,13 @@ class AdmissionController:
         return Decision.ADMIT
 
     def pay_throttle(self, ctx: object = NULL_TRACE_CONTEXT) -> float:
-        """Run one paced cleaning pass on the throttled writer's dime.
+        """Run one cleaning pass on the throttled writer's dime.
 
-        Returns the simulated seconds the writer stalled.  The cleaning
-        target clears the watermark with slack, so one stall buys
-        enough reserve for many subsequent admissions and throttling
-        self-limits instead of recurring on every write.
+        Returns the simulated seconds the writer stalled.  The writer
+        pays for one pass however far the reserve is below the
+        watermark, so no one writer stalls for refilling the reserve; a
+        writer that still finds the reserve low on retry pays for the
+        next pass.
 
         ``ctx`` is the throttled request's trace context: the stall is
         recorded as a ``service.throttle`` span under its root, the
@@ -142,7 +142,11 @@ class AdmissionController:
         start = clock.now()
         self.stats.throttle_events += 1
         self._m_throttles.inc()
-        target = self.fs.segments.reserve_segments + self.watermark + 2
+        # Clean until one more segment is clean than now.  One pass of
+        # ``victims_per_pass`` victims gets there unless it frees no
+        # more than it writes; the cleaner's safety valve then allows
+        # a second pass before it gives up.
+        target = self.fs.usage.clean_count() + 1
         self._obs.resume(ctx.root)
         with self._obs.span("service.throttle"):
             self.fs.cleaner.clean(target, pays_for=ctx.root_id)

@@ -130,10 +130,13 @@ def validate_rig(
                 f"below the device's segment count ({layout.num_segments}): "
                 f"the cleaner's target is unreachable"
             )
-        # The admission watermark sits reserve_watermark above the fs's
-        # own clean_low_water (see AdmissionController); if the hard
-        # reserve + low water + watermark cannot fit, throttling engages
-        # immediately and permanently.
+        # Writers are throttled once the clean reserve (clean segments
+        # beyond the hard reserve) falls below reserve_watermark (see
+        # AdmissionController); the file system's own floor is reserve
+        # + 2 + dirty segments, not clean_low_water.  A watermark as
+        # large as the serviceable segments (beyond the hard reserve and
+        # clean_low_water: what prefill fills) throttles writers before
+        # that space is used.
         watermark = service.reserve_watermark if service is not None else 0
         if layout.serviceable_segments <= watermark:
             violations.append(

@@ -176,6 +176,26 @@ class TestCleaningJsonlCrossCheck:
         live = sum(span.attrs["live_blocks"] for span in relocations)
         assert live == fs.cleaner.stats.live_blocks_copied
 
+    def test_each_pass_is_a_span_under_clean(self):
+        telemetry = Telemetry()
+        fs = make_rig(telemetry)
+        fragment_log(fs)
+        fs.clean_now(fs.layout.num_segments)
+        tracer = telemetry.tracer
+        (clean_span,) = tracer.by_kind("cleaner.clean")
+        passes = tracer.by_kind("cleaner.pass")
+        stats = fs.cleaner.stats
+        assert len(passes) == stats.passes > 1
+        assert {span.parent_id for span in passes} == {clean_span.span_id}
+        moved = sum(span.attrs["live_bytes_moved"] for span in passes)
+        assert moved == stats.live_bytes_copied
+        victims = [seg for span in passes for seg in span.attrs["victims"]]
+        assert len(victims) == stats.segments_cleaned
+        for span in passes:
+            assert all(0.0 <= u < 1.0 for u in span.attrs["u"])
+            assert all(age >= 0.0 for age in span.attrs["age"])
+            assert span.attrs["clean_after"] > span.attrs["clean_before"]
+
 
 class TestTelemetryChangesNothing:
     def test_identical_simulated_results_with_and_without(self):

@@ -59,11 +59,18 @@ class TestReserveWatermark:
         # A fresh disk is nearly all clean segments.
         assert not controller.reserve_low()
 
-    def test_watermark_sits_above_the_low_water_floor(self, lfs, config):
+    def test_watermark_is_the_reserve_watermark(self, lfs, config):
         controller = AdmissionController(lfs, config, ServiceStats())
-        assert controller.watermark == (
-            config.reserve_watermark + lfs.config.clean_low_water
-        )
+        assert controller.watermark == config.reserve_watermark
+
+    def test_low_exactly_below_the_watermark(self, lfs):
+        # No clean_low_water term: the reserve is low from one segment
+        # below the watermark, not eight.
+        reserve = lfs.cleaner.clean_reserve()
+        at = ServiceConfig(num_clients=2, reserve_watermark=reserve)
+        above = ServiceConfig(num_clients=2, reserve_watermark=reserve + 1)
+        assert not AdmissionController(lfs, at, ServiceStats()).reserve_low()
+        assert AdmissionController(lfs, above, ServiceStats()).reserve_low()
 
     def test_write_class_covers_log_consumers(self):
         assert WRITE_CLASS == {"write", "fsync", "delete"}
@@ -90,14 +97,19 @@ class TestReserveWatermark:
         assert controller.stats.forced_admissions == 1
 
 
+def _fragment(lfs) -> None:
+    """Leave many half-live segments: more than one pass's victims."""
+    for i in range(48):
+        lfs.write_file(f"/f{i}", bytes([i % 256]) * (128 * 1024))
+    lfs.sync()
+    for i in range(0, 48, 2):
+        lfs.unlink(f"/f{i}")
+    lfs.sync()
+
+
 class TestPayThrottle:
     def test_throttle_advances_simulated_time(self, lfs, config):
-        # Fill enough that a cleaning pass has segments to work on.
-        for i in range(40):
-            lfs.write_file(f"/f{i}", bytes([i % 256]) * (128 * 1024))
-            if i % 3 == 0:
-                lfs.unlink(f"/f{i}")
-        lfs.flush_log()
+        _fragment(lfs)
         controller = AdmissionController(lfs, config, ServiceStats())
         before = lfs.clock.now()
         stalled = controller.pay_throttle()
@@ -105,6 +117,18 @@ class TestPayThrottle:
         assert stalled == lfs.clock.now() - before
         assert controller.stats.throttle_events == 1
         assert controller.stats.throttle_seconds == stalled
+
+    def test_one_pass_however_low_the_reserve(self, lfs, config):
+        _fragment(lfs)
+        controller = AdmissionController(lfs, config, ServiceStats())
+        controller.watermark = 10**6  # the reserve is far below it
+        assert controller.reserve_low()
+        cleaner = lfs.cleaner
+        passes, cleaned = cleaner.stats.passes, cleaner.stats.segments_cleaned
+        controller.pay_throttle()
+        assert cleaner.stats.passes == passes + 1
+        assert 0 < cleaner.stats.segments_cleaned - cleaned <= cleaner.victims_per_pass
+        assert controller.reserve_low()  # the next writer pays the next pass
 
     def test_throttle_metrics_published(self, lfs, config):
         telemetry = Telemetry()

@@ -9,6 +9,7 @@ from repro.errors import InvalidArgumentError
 from repro.lfs.filesystem import LogStructuredFS
 from repro.lfs.verify import verify_lfs
 from repro.obs import Telemetry
+from repro.obs.names import LINK_PAYS_FOR
 from repro.service import (
     ServiceConfig,
     ServiceStats,
@@ -161,6 +162,39 @@ class TestBackpressureUnderPressure:
         lfs.unmount()
         report = verify_lfs(lfs.disk.device)
         assert report.consistent, report.errors
+
+
+    def test_throttled_request_trace_shows_one_linked_pass(self, lfs_factory):
+        telemetry = Telemetry()
+        fs = lfs_factory(telemetry)
+        config = ServiceConfig(
+            num_clients=8, seed=3, requests_per_client=40, fill_fraction=0.85
+        )
+        stats, _scheduler = run_service(fs, config, telemetry=telemetry)
+        spans = telemetry.tracer.spans
+        by_id = {span.span_id: span for span in spans}
+        passes = {}
+        for span in spans:
+            if span.kind == "cleaner.pass":
+                passes.setdefault(span.parent_id, []).append(span)
+        paid = [
+            span
+            for span in spans
+            if any(link["relation"] == LINK_PAYS_FOR for link in span.links)
+        ]
+        assert len(paid) == stats.throttle_events > 0
+        for clean in paid:
+            assert clean.kind == "cleaner.clean"
+            (link,) = clean.links
+            root = by_id[link["target"]]
+            assert root.kind == "service.request"
+            (one,) = passes[clean.span_id]
+            assert len(one.attrs["victims"]) == len(one.attrs["u"])
+            assert len(one.attrs["age"]) == len(one.attrs["victims"])
+            assert one.attrs["clean_after"] > one.attrs["clean_before"]
+            assert one.attrs["live_bytes_moved"] >= 0
+            # The stall the request was charged is the pass it paid for.
+            assert root.attrs["lat.cleaner_throttle"] >= one.duration
 
 
 class TestSeededDeterminism:
