@@ -61,8 +61,8 @@ chaos: 2 trials, seed 0, 4 clients
   crashes injected: 2
     mid-clean:        1/1 fired
     mid-commit:       1/1 fired
-  durability contract: 61 file checks, 0 violations
-  acked fsyncs: 88
+  durability contract: 78 file checks, 0 violations
+  acked fsyncs: 81
   resumed clients: 8
   degraded trials: 0
   failed trials: 0
@@ -252,17 +252,17 @@ E2E_SMOKE = {
     },
     "service_clean": {
         "sim": {
-            "sim_ops_per_s": 30.538318006983015,
-            "sim_lat_p50_ms": 4.838400000004128,
-            "sim_lat_p99_ms": 1503.29086153846,
-            "write_amp": 2.657559101711503,
-            "read_amp": 3.371710455057869,
+            "sim_ops_per_s": 44.19974962820465,
+            "sim_lat_p50_ms": 4.7728000000049065,
+            "sim_lat_p99_ms": 1194.1767400000103,
+            "write_amp": 2.134614295263235,
+            "read_amp": 1.9130020371328331,
         },
         "counters": {
-            "cache.hits": 1402,
-            "cache.misses": 633,
-            "cache.insertions": 958,
-            "cache.evictions": 726,
+            "cache.hits": 1193,
+            "cache.misses": 626,
+            "cache.insertions": 758,
+            "cache.evictions": 520,
             "vfs.creates": 74,
             "vfs.removes": 44,
             "vfs.read_calls": 67,
@@ -270,35 +270,35 @@ E2E_SMOKE = {
             "vfs.user_bytes_read": 2308146,
             "vfs.user_bytes_written": 2294942,
             "vfs.writebacks": 0,
-            "lfs.log_bytes": 5836800,
-            "lfs.cleaner_bytes": 1617920,
-            "lfs.cleaner_passes": 7,
-            "lfs.cleaner_segments_cleaned": 28,
-            "lfs.cleaner_live_bytes_copied": 1396736,
-            "lfs.cleaner_bytes_read": 7340032,
-            "lfs.cleaner_busy_sim_s": 8.343583653845933,
+            "lfs.log_bytes": 4734976,
+            "lfs.cleaner_bytes": 557056,
+            "lfs.cleaner_passes": 4,
+            "lfs.cleaner_segments_cleaned": 16,
+            "lfs.cleaner_live_bytes_copied": 462848,
+            "lfs.cleaner_bytes_read": 4194304,
+            "lfs.cleaner_busy_sim_s": 4.431130769230677,
             "lfs.emergency_passes": 0,
-            "disk.requests": 149,
-            "disk.bytes_read": 7782400,
-            "disk.bytes_written": 6098944,
-            "disk.seeks": 117,
-            "disk.sync_requests": 77,
-            "disk.busy_sim_s": 13.22534326923072,
-            "sim.elapsed_sim_s": 15.717958005750063,
+            "disk.requests": 102,
+            "disk.bytes_read": 4415488,
+            "disk.bytes_written": 4898816,
+            "disk.seeks": 66,
+            "disk.sync_requests": 38,
+            "disk.busy_sim_s": 8.631332692307645,
+            "sim.elapsed_sim_s": 10.859790022287896,
             "service.commit_batches": 43,
             "service.commit_batch_mean": 2.5813953488372094,
-            "service.throttle_events": 6,
-            "service.throttle_sim_s": 8.343583653845933,
+            "service.throttle_events": 4,
+            "service.throttle_sim_s": 4.431130769230677,
             "service.forced_admissions": 0,
             "service.rejections": 0,
-            "disk.util": 0.8414161218901669,
-            "cache.hit_rate": 0.6889434889434889,
-            "lfs.cleaned_utilization": 0.19029017857142858,
-            "lfs.write_cost": 5.741684103563402,
-            "lfs.space_amp": 1.1246259026385876,
+            "disk.util": 0.7947973832452822,
+            "cache.hit_rate": 0.6558548653106102,
+            "lfs.cleaned_utilization": 0.1103515625,
+            "lfs.write_cost": 3.890852143540011,
+            "lfs.space_amp": 1.1629110397496885,
         },
         "images": [
-            "3d75074d31c4d67b560259c314303a64491773a6acf16098fa89a592e9d15a2b",
+            "1702f8326d1b607633665b546d2b44ff4acd3c2d9fdd18a1da7a499970a6c96b",
         ],
     },
     "cluster_migrate": {
