@@ -59,10 +59,6 @@ class TestReserveWatermark:
         # A fresh disk is nearly all clean segments.
         assert not controller.reserve_low()
 
-    def test_watermark_is_the_reserve_watermark(self, lfs, config):
-        controller = AdmissionController(lfs, config, ServiceStats())
-        assert controller.watermark == config.reserve_watermark
-
     def test_low_exactly_below_the_watermark(self, lfs):
         # No clean_low_water term: the reserve is low from one segment
         # below the watermark, not eight.

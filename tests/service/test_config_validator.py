@@ -67,9 +67,8 @@ class TestValidateRig:
 
     def test_watermark_checked_against_the_reserve_in_use(self):
         # 20 segments of 256 KiB: the file system holds back 6 of them
-        # (a third of the device), so clean_low_water 8 and watermark 6
-        # leave the admission controller throttling from its first
-        # request.
+        # (a third of the device), and clean_low_water 8 leaves 6
+        # serviceable segments, which a watermark of 6 does not fit.
         device_bytes = 21 * 256 * KIB
         config = ServiceConfig(
             num_clients=4, requests_per_client=40, reserve_watermark=6
