@@ -529,9 +529,11 @@ def _chaos_service_config(
     seed: int, trial: int, clients: int, requests: int, instant: str
 ) -> ServiceConfig:
     # Each instant needs a different amount of pressure to actually
-    # occur: cleaning wants a fragmented, mostly full log; throttle
-    # paybacks want a scarce clean reserve; a group commit happens at
-    # any fill; high-fill needs room to *cross* the threshold live.
+    # occur: cleaning wants a fragmented, mostly full log and, like a
+    # throttle payback, a watermark high enough that a short run
+    # reaches it (at the default, writers are throttled only at the
+    # file system's own floor); a group commit happens at any fill;
+    # high-fill needs room to *cross* the threshold live.
     fill, watermark = {
         "mid-clean": (0.80, 6),
         "mid-commit": (0.30, 2),
