@@ -8,7 +8,7 @@ between the CPU and disk subsystem."
 
 from repro.cache.block_cache import BlockCache, CacheBlock, CacheStats
 from repro.cache.readahead import ReadaheadPolicy, ReadaheadStats
-from repro.cache.writeback import WritebackConfig, WritebackMonitor
+from repro.cache.writeback import WritebackMonitor
 
 __all__ = [
     "BlockCache",
@@ -16,6 +16,5 @@ __all__ = [
     "CacheStats",
     "ReadaheadPolicy",
     "ReadaheadStats",
-    "WritebackConfig",
     "WritebackMonitor",
 ]

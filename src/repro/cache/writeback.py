@@ -15,12 +15,17 @@ the behaviour the paper attributes to the BSD file system.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.cache.block_cache import BlockCache
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.sim.clock import SimClock
+
+AGE_THRESHOLD = 30.0
+"""Seconds a block may stay dirty before it is pushed to disk."""
+
+DIRTY_HIGH_FRACTION = 0.5
+"""Dirty-bytes fraction of cache capacity that triggers a write."""
 
 
 class WritebackReason(enum.Enum):
@@ -31,26 +36,6 @@ class WritebackReason(enum.Enum):
     CLEANER = "cleaner"
 
 
-@dataclass(frozen=True)
-class WritebackConfig:
-    """Tunable write-back policy knobs."""
-
-    age_threshold: float = 30.0
-    """Seconds a block may stay dirty before it is pushed to disk."""
-
-    dirty_high_fraction: float = 0.5
-    """Dirty-bytes fraction of cache capacity that triggers a write."""
-
-    def __post_init__(self) -> None:
-        if self.age_threshold < 0:
-            raise ValueError(f"negative age threshold: {self.age_threshold}")
-        if not 0.0 < self.dirty_high_fraction <= 1.0:
-            raise ValueError(
-                f"dirty_high_fraction must be in (0, 1]: "
-                f"{self.dirty_high_fraction}"
-            )
-
-
 class WritebackMonitor:
     """Decides when the cache needs a write-back pass."""
 
@@ -58,15 +43,11 @@ class WritebackMonitor:
         self,
         cache: BlockCache,
         clock: SimClock,
-        config: Optional[WritebackConfig] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.cache = cache
         self.clock = clock
-        self.config = config or WritebackConfig()
-        self._dirty_limit = int(
-            cache.capacity_bytes * self.config.dirty_high_fraction
-        )
+        self._dirty_limit = int(cache.capacity_bytes * DIRTY_HIGH_FRACTION)
         self.triggers: dict = {}
         obs = telemetry or NULL_TELEMETRY
         self._m_triggers = {
@@ -89,7 +70,7 @@ class WritebackMonitor:
         oldest = cache.oldest_dirty_time()
         if (
             oldest is not None
-            and self.clock.now() - oldest >= self.config.age_threshold
+            and self.clock.now() - oldest >= AGE_THRESHOLD
         ):
             return self._fire(WritebackReason.AGE)
         return None
@@ -107,7 +88,7 @@ class WritebackMonitor:
         oldest = self.cache.oldest_dirty_time()
         if oldest is None:
             return None
-        return oldest + self.config.age_threshold
+        return oldest + AGE_THRESHOLD
 
     def _fire(self, reason: WritebackReason) -> WritebackReason:
         self.triggers[reason] = self.triggers.get(reason, 0) + 1

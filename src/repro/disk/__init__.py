@@ -17,7 +17,6 @@ from repro.disk.geometry import (
     NULL_TIMING,
     WREN_IV,
 )
-from repro.disk.retry import RetryPolicy
 from repro.disk.sim_disk import SimDisk
 from repro.disk.stats import DiskStats
 from repro.disk.trace import AccessTier, TraceEvent, TraceRecorder
@@ -28,7 +27,6 @@ __all__ = [
     "WREN_IV",
     "FAST_1990S_DISK",
     "NULL_TIMING",
-    "RetryPolicy",
     "SimDisk",
     "DiskStats",
     "AccessTier",

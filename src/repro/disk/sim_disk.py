@@ -22,12 +22,18 @@ from typing import Optional, Tuple
 
 from repro.disk.device import SectorDevice
 from repro.disk.geometry import DiskGeometry
-from repro.disk.retry import RetryPolicy
 from repro.disk.stats import DiskStats
 from repro.disk.trace import AccessTier, TraceEvent, TraceRecorder
 from repro.errors import OutOfRangeError, TransientIOError
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.sim.clock import SimClock
+
+# Transient read errors (see repro.faults) are retried with exponential
+# backoff: three retries at 2 ms, 4 ms and 8 ms, far below the 50 ms cap.
+RETRY_BASE_DELAY = 0.002
+RETRY_MULTIPLIER = 2.0
+RETRY_CAP = 0.05
+RETRY_MAX_ATTEMPTS = 3
 
 
 class SimDisk:
@@ -40,7 +46,6 @@ class SimDisk:
         device: Optional[SectorDevice] = None,
         trace: Optional[TraceRecorder] = None,
         telemetry: Optional[Telemetry] = None,
-        retry: Optional[RetryPolicy] = None,
     ) -> None:
         self.geometry = geometry
         self.clock = clock
@@ -61,11 +66,9 @@ class SimDisk:
         self.stats = DiskStats()
         self._head_pos = 0
         self._busy_until = 0.0
-        # Transient read errors (see repro.faults) are retried per the
-        # backoff policy; each retry occupies the disk for its backoff
+        # Each transient-read retry occupies the disk for its backoff
         # interval.  Hard MediaErrors are never retried — they propagate
         # to the caller immediately.
-        self.retry = retry or RetryPolicy()
         self.read_retries = 0
         # Busy-timeline seconds spent inside retry backoff.  Same plain-
         # float contract as sync_stall_seconds below: the attribution
@@ -164,7 +167,7 @@ class SimDisk:
         multi-block transfer coalesced by the readahead pipeline (it
         only affects accounting, not timing).
 
-        Transient device errors are retried up to ``retry.max_attempts``
+        Transient device errors are retried up to ``RETRY_MAX_ATTEMPTS``
         times, each retry costing an exponentially growing backoff on
         the busy timeline; the last failure propagates.  Hard
         ``MediaError`` failures propagate immediately.
@@ -191,9 +194,11 @@ class SimDisk:
                 self.read_retries += 1
                 if self._obs_enabled:
                     self._m_retries.inc()
-                if attempt > self.retry.max_attempts:
+                if attempt > RETRY_MAX_ATTEMPTS:
                     raise
-                backoff = self.retry.delay(attempt)
+                backoff = min(
+                    RETRY_CAP, RETRY_BASE_DELAY * RETRY_MULTIPLIER ** (attempt - 1)
+                )
                 self.retry_stall_seconds += backoff
                 done += backoff
                 self._busy_until = done

@@ -15,10 +15,9 @@ bitmaps), a fixed inode table, and data blocks::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
-from repro.cache.writeback import WritebackConfig
 from repro.common.inode import INODE_SIZE
 from repro.errors import InvalidArgumentError
 from repro.units import KIB, MIB, SECTOR_SIZE
@@ -28,7 +27,7 @@ FFS_MAGIC = 0x46_46_53_31  # "FFS1"
 
 @dataclass(frozen=True)
 class FfsConfig:
-    """Tunable parameters of an FFS instance."""
+    """On-disk format and caller-set knobs of an FFS instance."""
 
     block_size: int = 8 * KIB
     cg_bytes: int = 16 * MIB
@@ -49,8 +48,6 @@ class FfsConfig:
     isolating how much of LFS's small-file win is mere asynchrony and
     how much is the log's sequential layout.  The price is FFS's crash
     guarantee — fsck may find far more damage."""
-
-    writeback: WritebackConfig = field(default_factory=WritebackConfig)
 
     readahead_blocks: int = 0
     """Sequential-readahead window in blocks (0 disables readahead).

@@ -14,7 +14,7 @@ Behavioural contrast with LFS, straight from §3.1:
 from __future__ import annotations
 
 import struct
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from functools import cached_property
 from typing import List, Optional, Tuple
 
@@ -80,7 +80,6 @@ class FastFileSystem(BaseFileSystem):
             disk,
             cpu,
             config.cache_bytes,
-            config.writeback,
             readahead_blocks=config.readahead_blocks,
         )
         self.allocator = Allocator(config, self.layout)
@@ -136,16 +135,12 @@ class FastFileSystem(BaseFileSystem):
         """
         raw = disk.read(0, 16, label="superblock")
         superblock = FfsSuperBlock.unpack(raw)
-        base = config or FfsConfig()
-        merged = FfsConfig(
+        merged = replace(
+            config or FfsConfig(),
             block_size=superblock.block_size,
             cg_bytes=superblock.cg_bytes,
             inodes_per_cg=superblock.inodes_per_cg,
             maxbpg=superblock.maxbpg,
-            cache_bytes=base.cache_bytes,
-            synchronous_metadata=base.synchronous_metadata,
-            writeback=base.writeback,
-            readahead_blocks=base.readahead_blocks,
         )
         fs = cls(disk, cpu, merged)
         for cg in range(fs.layout.num_groups):

@@ -76,7 +76,6 @@ class _Fsck:
             inodes_per_cg=superblock.inodes_per_cg,
             maxbpg=superblock.maxbpg,
             cache_bytes=base.cache_bytes,
-            writeback=base.writeback,
         )
         self.layout = FfsLayout.for_device(
             self.config, disk.device.total_bytes

@@ -48,7 +48,11 @@ from repro.common.inode import (
     block_key,
 )
 from repro.errors import CorruptionError, MediaError
-from repro.lfs.config import CleanerPolicy
+from repro.lfs.config import (
+    CLEAN_HIGH_WATER,
+    MAX_LIVE_FRACTION_TO_CLEAN,
+    CleanerPolicy,
+)
 from repro.lfs.segment_usage import SegmentState
 from repro.lfs.summary import SegmentSummary, SummaryEntry
 from repro.obs import NULL_TELEMETRY, Telemetry
@@ -177,7 +181,7 @@ class SegmentCleaner:
         max_utilization: float | None = None,
     ) -> List[int]:
         if max_utilization is None:
-            max_utilization = self.fs.config.max_live_fraction_to_clean
+            max_utilization = MAX_LIVE_FRACTION_TO_CLEAN
         candidates = self.fs.usage.cleanable(max_utilization, written_before)
         return _CHOOSE[self.policy](self, candidates, count)
 
@@ -204,7 +208,7 @@ class SegmentCleaner:
         if self.fs.degraded:
             return 0  # read-only volumes neither clean nor flush
         if target_clean is None:
-            target_clean = self.fs.config.clean_high_water
+            target_clean = CLEAN_HIGH_WATER
         with self.telemetry.span("cleaner.clean", target=target_clean) as span:
             if pays_for is not None:
                 span.add_link(pays_for, "pays_for")

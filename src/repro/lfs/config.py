@@ -2,6 +2,10 @@
 
 The defaults are the paper's evaluation parameters (§5): a four-kilobyte
 block size and a one-megabyte segment size on a ~300 MB file system.
+Parameters the paper fixes and no caller changes (the checkpoint
+interval, the cleaning thresholds, the quarantine budget) are the
+module constants below; :class:`LfsConfig` holds the on-disk format and
+the knobs a caller sets.
 
 Disk layout (in file-system blocks)::
 
@@ -16,11 +20,10 @@ Everything after ``seg_start`` belongs to the segmented log.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
-from repro.cache.writeback import WritebackConfig
-from repro.disk.retry import RetryPolicy
+from repro.cache.writeback import DIRTY_HIGH_FRACTION
 from repro.errors import InvalidArgumentError
 from repro.units import KIB, MIB, SECTOR_SIZE
 
@@ -31,6 +34,28 @@ SUMMARY_MAGIC = 0x4C46_5353  # "LFSS"
 CHECKPOINT_REGION_BLOCKS = 8
 """Blocks reserved for each of the two checkpoint regions."""
 
+CHECKPOINT_INTERVAL = 30.0
+"""Seconds between automatic checkpoints (§4.4.1 uses 30 s)."""
+
+CLEAN_LOW_WATER = 8
+"""Start cleaning when clean segments drop below this (§4.3.4)."""
+
+CLEAN_HIGH_WATER = 16
+"""Clean until at least this many segments are clean."""
+
+MAX_LIVE_FRACTION_TO_CLEAN = 0.95
+"""Segments fuller than this are never chosen for cleaning."""
+
+QUARANTINE_BUDGET = 4
+"""Media-damage strikes tolerated before degrading to read-only.
+
+Each segment the cleaner quarantines and each unreadable sector
+roll-forward survives counts one strike; exceeding the budget
+transitions the file system to ``DEGRADED_READONLY`` (writes raise
+:class:`~repro.errors.ReadOnlyFSError`, reads still served) instead
+of letting a failing volume absorb damage silently forever.
+"""
+
 
 class CleanerPolicy(str, enum.Enum):
     GREEDY = "greedy"
@@ -40,7 +65,7 @@ class CleanerPolicy(str, enum.Enum):
 
 @dataclass(frozen=True)
 class LfsConfig:
-    """Tunable parameters of an LFS instance."""
+    """On-disk format and caller-set knobs of an LFS instance."""
 
     block_size: int = 4 * KIB
     segment_size: int = 1 * MIB
@@ -48,18 +73,6 @@ class LfsConfig:
     """File cache size; §5 reports ~15 MB was used as a file cache."""
 
     max_inodes: int = 32768
-
-    checkpoint_interval: float = 30.0
-    """Seconds between automatic checkpoints (§4.4.1 uses 30 s)."""
-
-    clean_low_water: int = 8
-    """Start cleaning when clean segments drop below this (§4.3.4)."""
-
-    clean_high_water: int = 16
-    """Clean until at least this many segments are clean."""
-
-    max_live_fraction_to_clean: float = 0.95
-    """Segments fuller than this are never chosen for cleaning."""
 
     cleaner_policy: str = "greedy"
     """Victim selection: 'greedy', 'cost-benefit' or 'random'."""
@@ -72,32 +85,12 @@ class LfsConfig:
     is lost.
     """
 
-    writeback: WritebackConfig = field(default_factory=WritebackConfig)
-
     readahead_blocks: int = 0
     """Sequential-readahead window in blocks (0 disables readahead).
 
     Prefetch reads are real simulated I/O and advance the simulated
     clock, so experiments that pin device images byte-for-byte must
     leave this at 0; benchmarks opt in explicitly.
-    """
-
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    """Transient-read retry backoff pushed onto the disk timing layer.
-
-    The defaults reproduce the historical hard-coded schedule exactly
-    (2 ms base, doubling, three attempts), so existing seeded images
-    are unaffected unless a policy is supplied explicitly.
-    """
-
-    quarantine_budget: int = 4
-    """Media-damage strikes tolerated before degrading to read-only.
-
-    Each segment the cleaner quarantines and each unreadable sector
-    roll-forward survives counts one strike; exceeding the budget
-    transitions the file system to ``DEGRADED_READONLY`` (writes raise
-    :class:`~repro.errors.ReadOnlyFSError`, reads still served) instead
-    of letting a failing volume absorb damage silently forever.
     """
 
     def __post_init__(self) -> None:
@@ -119,19 +112,9 @@ class LfsConfig:
             raise InvalidArgumentError(
                 f"unknown cleaner policy: {self.cleaner_policy!r}"
             )
-        if not 0.0 < self.max_live_fraction_to_clean <= 1.0:
-            raise InvalidArgumentError("max_live_fraction_to_clean out of range")
-        if self.clean_high_water < self.clean_low_water:
-            raise InvalidArgumentError(
-                "clean_high_water below clean_low_water"
-            )
         if self.readahead_blocks < 0:
             raise InvalidArgumentError(
                 f"readahead_blocks must be >= 0: {self.readahead_blocks}"
-            )
-        if self.quarantine_budget < 0:
-            raise InvalidArgumentError(
-                f"quarantine_budget must be >= 0: {self.quarantine_budget}"
             )
 
     # Geometry is read on every block-to-segment conversion; derive it
@@ -190,7 +173,7 @@ class LfsLayout:
         """
         config = self.config
         dirty_limit_segments = -(
-            -int(config.cache_bytes * config.writeback.dirty_high_fraction)
+            -int(config.cache_bytes * DIRTY_HIGH_FRACTION)
             // config.segment_size
         )
         return min(dirty_limit_segments + 4 + 2, max(2, self.num_segments // 3))
@@ -198,7 +181,7 @@ class LfsLayout:
     @property
     def serviceable_segments(self) -> int:
         """Segments left beyond the reserve and the clean low water."""
-        return self.num_segments - self.reserve_segments - self.config.clean_low_water
+        return self.num_segments - self.reserve_segments - CLEAN_LOW_WATER
 
     def segment_first_block(self, seg: int) -> int:
         self._check_segment(seg)

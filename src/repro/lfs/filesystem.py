@@ -38,7 +38,15 @@ from repro.errors import (
 )
 from repro.lfs.checkpoint import CheckpointData, CheckpointManager
 from repro.lfs.cleaner import CleanerPolicy, SegmentCleaner
-from repro.lfs.config import LFS_MAGIC, LfsConfig, LfsLayout
+from repro.lfs.config import (
+    CHECKPOINT_INTERVAL,
+    CLEAN_HIGH_WATER,
+    CLEAN_LOW_WATER,
+    LFS_MAGIC,
+    QUARANTINE_BUDGET,
+    LfsConfig,
+    LfsLayout,
+)
 from repro.lfs.inode_map import InodeMap
 from repro.lfs.recovery import RollForwardReport, roll_forward
 from repro.lfs.segments import PlannedRun, SegmentManager
@@ -115,7 +123,6 @@ class LogStructuredFS(BaseFileSystem):
             disk,
             cpu,
             config.cache_bytes,
-            config.writeback,
             telemetry=telemetry,
             readahead_blocks=config.readahead_blocks,
         )
@@ -143,7 +150,6 @@ class LogStructuredFS(BaseFileSystem):
         self._degraded = False
         self._media_strikes = 0
         self._g_degraded = self.telemetry.gauge("fs.degraded")
-        disk.retry = config.retry
 
     # ------------------------------------------------------------------
     # Construction: mkfs and mount
@@ -191,9 +197,9 @@ class LogStructuredFS(BaseFileSystem):
     ) -> "LogStructuredFS":
         """Attach an existing LFS, recovering from a crash if necessary.
 
-        ``config`` may override policy knobs (cache size, cleaner policy,
-        roll-forward); the on-disk geometry always comes from the
-        superblock.
+        Every field of ``config`` is kept as given except the on-disk
+        geometry (``block_size``, ``segment_size``, ``max_inodes``),
+        which always comes from the superblock.
         """
         raw = disk.read(0, 8, label="superblock")
         superblock = SuperBlock.unpack(raw)
@@ -360,7 +366,7 @@ class LogStructuredFS(BaseFileSystem):
         checkpoint_due = (
             self.checkpoints.last_checkpoint_time is None
             or self.clock.now() - self.checkpoints.last_checkpoint_time
-            >= self._config.checkpoint_interval
+            >= CHECKPOINT_INTERVAL
         )
         self.flush_log(checkpoint=checkpoint_due)
 
@@ -411,8 +417,8 @@ class LogStructuredFS(BaseFileSystem):
             + self.segments.reserve_segments
             + 2
         )
-        if self.usage.clean_count() < max(config.clean_low_water, needed):
-            self.cleaner.clean(max(config.clean_high_water, needed))
+        if self.usage.clean_count() < max(CLEAN_LOW_WATER, needed):
+            self.cleaner.clean(max(CLEAN_HIGH_WATER, needed))
 
     def _build_plan(self, checkpoint: bool) -> List[PlannedRun]:
         """Assemble the dirty state into log order.
@@ -722,7 +728,7 @@ class LogStructuredFS(BaseFileSystem):
 
     @property
     def media_strikes(self) -> int:
-        """Accumulated media-damage strikes (vs. ``quarantine_budget``)."""
+        """Accumulated media-damage strikes (vs. ``QUARANTINE_BUDGET``)."""
         return self._media_strikes
 
     def note_media_damage(self, strikes: int = 1, reason: str = "") -> None:
@@ -730,7 +736,7 @@ class LogStructuredFS(BaseFileSystem):
 
         Called by the cleaner when it quarantines a victim segment and
         by mount when roll-forward survived unreadable sectors.  Once
-        ``media_strikes`` exceeds ``config.quarantine_budget`` the file
+        ``media_strikes`` exceeds ``QUARANTINE_BUDGET`` the file
         system transitions (exactly once) to degraded read-only mode:
         every mutating VFS entry point raises
         :class:`~repro.errors.ReadOnlyFSError`, flushes become no-ops,
@@ -741,7 +747,7 @@ class LogStructuredFS(BaseFileSystem):
         self._media_strikes += strikes
         if (
             not self._degraded
-            and self._media_strikes > self._config.quarantine_budget
+            and self._media_strikes > QUARANTINE_BUDGET
         ):
             self._enter_degraded(reason)
 
@@ -758,7 +764,7 @@ class LogStructuredFS(BaseFileSystem):
             raise ReadOnlyFSError(
                 f"volume is degraded read-only: {self._media_strikes} "
                 f"media-damage strikes exceed quarantine budget "
-                f"{self._config.quarantine_budget}"
+                f"{QUARANTINE_BUDGET}"
             )
 
     # ------------------------------------------------------------------

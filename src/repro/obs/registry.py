@@ -32,7 +32,8 @@ LabelItems = Tuple[Tuple[str, str], ...]
 OVERFLOW_LABELS: LabelItems = (("_overflow", "true"),)
 """Label set that absorbs series beyond the cardinality cap."""
 
-DEFAULT_MAX_LABEL_SETS = 64
+MAX_LABEL_SETS = 64
+"""Series per metric name before new label sets collapse into overflow."""
 
 DEFAULT_BYTE_BUCKETS: Tuple[float, ...] = (
     512.0,
@@ -180,17 +181,8 @@ def _label_items(labels: Dict[str, Any]) -> LabelItems:
 class MetricsRegistry:
     """Owns every instrument; the single source of exported metrics."""
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        max_label_sets: int = DEFAULT_MAX_LABEL_SETS,
-    ) -> None:
-        if max_label_sets < 1:
-            raise InvalidArgumentError(
-                f"max_label_sets must be positive: {max_label_sets}"
-            )
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.max_label_sets = max_label_sets
         self.dropped_label_sets = 0
         self._instruments: Dict[Tuple[str, LabelItems], Any] = {}
         self._kinds: Dict[str, str] = {}
@@ -218,7 +210,7 @@ class MetricsRegistry:
         instrument = self._instruments.get(key)
         if instrument is not None:
             return instrument
-        if self._series_per_name.get(name, 0) >= self.max_label_sets:
+        if self._series_per_name.get(name, 0) >= MAX_LABEL_SETS:
             # Cardinality guard: collapse into one overflow series.
             self.dropped_label_sets += 1
             key = (name, OVERFLOW_LABELS)

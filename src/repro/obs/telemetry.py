@@ -16,11 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Sequence
 
-from repro.obs.registry import (
-    DEFAULT_MAX_LABEL_SETS,
-    DEFAULT_BYTE_BUCKETS,
-    MetricsRegistry,
-)
+from repro.obs.registry import DEFAULT_BYTE_BUCKETS, MetricsRegistry
 from repro.obs.tracer import DEFAULT_MAX_SPANS, SpanTracer
 from repro.sim.clock import SimClock
 
@@ -33,7 +29,6 @@ class Telemetry:
         enabled: bool = True,
         clock: Optional[SimClock] = None,
         max_spans: int = DEFAULT_MAX_SPANS,
-        max_label_sets: int = DEFAULT_MAX_LABEL_SETS,
         trace_io: bool = False,
     ) -> None:
         self.enabled = enabled
@@ -41,9 +36,7 @@ class Telemetry:
         # than the component spans; they are opt-in so a plain
         # telemetry rig keeps its established overhead profile.
         self.trace_io = trace_io and enabled
-        self.registry = MetricsRegistry(
-            enabled=enabled, max_label_sets=max_label_sets
-        )
+        self.registry = MetricsRegistry(enabled=enabled)
         self.tracer = SpanTracer(
             clock=clock, enabled=enabled, max_spans=max_spans
         )

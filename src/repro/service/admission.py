@@ -21,9 +21,9 @@ Two independent gates, checked in order:
 The watermark sits at the file system's own floor, not above it.
 Before a flush, :meth:`~repro.lfs.filesystem.LogStructuredFS.
 _ensure_clean_segments` cleans synchronously once the clean count falls
-below ``max(clean_low_water, reserve + 2 + dirty segments)``; on the
+below ``max(CLEAN_LOW_WATER, reserve + 2 + dirty segments)``; on the
 service rig the hard reserve (10 segments) already exceeds
-``clean_low_water`` (8), so that floor is reserve + 2 + the dirty
+``CLEAN_LOW_WATER`` (8), so that floor is reserve + 2 + the dirty
 backlog.  The default watermark of 2 throttles at reserve + 2: cleaning
 starts only once clean segments run short, as in the paper, so victims
 have had the longest time for their blocks to die (§5.3: write cost

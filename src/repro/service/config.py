@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.errors import ConfigError, InvalidArgumentError
-from repro.lfs.config import LfsConfig
+from repro.lfs.config import CLEAN_HIGH_WATER, CLEAN_LOW_WATER, LfsConfig, LfsLayout
 from repro.units import KIB, MIB
 
 SERVICE_LFS_CONFIG = LfsConfig(
@@ -121,27 +121,25 @@ def validate_rig(
             f"never fit a single log write"
         )
     if device_bytes is not None:
-        from repro.lfs.config import LfsLayout
-
         layout = LfsLayout.for_device(lfs, device_bytes)
-        if lfs.clean_high_water >= layout.num_segments:
+        if CLEAN_HIGH_WATER >= layout.num_segments:
             violations.append(
-                f"clean_high_water ({lfs.clean_high_water}) is not "
+                f"CLEAN_HIGH_WATER ({CLEAN_HIGH_WATER}) is not "
                 f"below the device's segment count ({layout.num_segments}): "
                 f"the cleaner's target is unreachable"
             )
         # Writers are throttled once the clean reserve (clean segments
         # beyond the hard reserve) falls below reserve_watermark (see
         # AdmissionController); the file system's own floor is reserve
-        # + 2 + dirty segments, not clean_low_water.  A watermark as
+        # + 2 + dirty segments, not CLEAN_LOW_WATER.  A watermark as
         # large as the serviceable segments (beyond the hard reserve and
-        # clean_low_water: what prefill fills) throttles writers before
+        # CLEAN_LOW_WATER: what prefill fills) throttles writers before
         # that space is used.
         watermark = service.reserve_watermark if service is not None else 0
         if layout.serviceable_segments <= watermark:
             violations.append(
-                f"cleaner reserve {layout.reserve_segments} + clean_low_water "
-                f"{lfs.clean_low_water} + reserve_watermark {watermark} leaves "
+                f"cleaner reserve {layout.reserve_segments} + CLEAN_LOW_WATER "
+                f"{CLEAN_LOW_WATER} + reserve_watermark {watermark} leaves "
                 f"no serviceable segments on a {layout.num_segments}-segment device"
             )
         if (

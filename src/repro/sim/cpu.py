@@ -85,12 +85,11 @@ class CpuModel:
     def __init__(
         self,
         clock: SimClock,
-        costs: CpuCosts | None = None,
         speed_factor: float = 1.0,
     ) -> None:
         self.clock = clock
         self.speed_factor = speed_factor
-        self.costs = (costs or CpuCosts()).scaled(speed_factor)
+        self.costs = CpuCosts().scaled(speed_factor)
         self.total_cpu_seconds = 0.0
 
     def charge(self, seconds: float) -> None:

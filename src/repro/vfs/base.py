@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.cache.block_cache import BlockCache
 from repro.cache.readahead import ReadaheadPolicy
-from repro.cache.writeback import WritebackConfig, WritebackMonitor, WritebackReason
+from repro.cache.writeback import WritebackMonitor, WritebackReason
 from repro.common.directory import (
     ENTRY_HEADER_SIZE,
     DirectoryBlock,
@@ -94,7 +94,6 @@ class BaseFileSystem(StorageManager):
         disk: SimDisk,
         cpu: CpuModel,
         cache_bytes: int,
-        writeback_config: Optional[WritebackConfig] = None,
         telemetry: Optional[Telemetry] = None,
         readahead_blocks: int = 0,
     ) -> None:
@@ -118,10 +117,7 @@ class BaseFileSystem(StorageManager):
             readahead_blocks, telemetry=self.telemetry
         )
         self.monitor = WritebackMonitor(
-            self.cache,
-            self.clock,
-            writeback_config or WritebackConfig(),
-            telemetry=self.telemetry,
+            self.cache, self.clock, telemetry=self.telemetry
         )
         self._stats = FsStats()
         self._inodes: Dict[int, Inode] = {}

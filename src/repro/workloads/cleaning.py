@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import InvalidArgumentError
+from repro.lfs.config import MAX_LIVE_FRACTION_TO_CLEAN
 from repro.lfs.filesystem import LogStructuredFS
 from repro.units import KIB
 
@@ -89,7 +90,7 @@ def run_cleaning_rate_test(
         fs.unlink(f"{directory}/f{index}")
     fs.sync()
 
-    victims_before = fs.usage.cleanable(fs.config.max_live_fraction_to_clean)
+    victims_before = fs.usage.cleanable(MAX_LIVE_FRACTION_TO_CLEAN)
     measured_u = (
         sum(fs.usage.utilization(seg) for seg in victims_before)
         / len(victims_before)

@@ -20,8 +20,9 @@ Trace format: one operation per line, ``#`` comments allowed::
     rmdir /src
     sync
 
-Payload bytes are deterministic (derived from the path), so replays are
-reproducible and reads can be verified against a parallel model.
+Payload bytes are deterministic (derived from the path and offset), so
+replays are reproducible.  Reads are counted, not checked: the replayer
+keeps no model of what the files should hold.
 """
 
 from __future__ import annotations

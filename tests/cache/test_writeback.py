@@ -4,7 +4,7 @@ import pytest
 
 from repro.cache.block_cache import BlockCache
 from repro.cache.writeback import (
-    WritebackConfig,
+    AGE_THRESHOLD,
     WritebackMonitor,
     WritebackReason,
 )
@@ -32,15 +32,7 @@ class TestConfig:
     def test_defaults_match_paper(self):
         # §4.3.5: "The current LFS implementation uses a threshold of
         # 30 seconds."
-        assert WritebackConfig().age_threshold == 30.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WritebackConfig(age_threshold=-1.0)
-        with pytest.raises(ValueError):
-            WritebackConfig(dirty_high_fraction=0.0)
-        with pytest.raises(ValueError):
-            WritebackConfig(dirty_high_fraction=1.5)
+        assert AGE_THRESHOLD == 30.0
 
 
 class TestTriggers:
@@ -49,25 +41,19 @@ class TestTriggers:
         assert monitor.check() is None
 
     def test_cache_full_trigger(self, cache, clock):
-        monitor = WritebackMonitor(
-            cache, clock, WritebackConfig(dirty_high_fraction=0.5)
-        )
+        monitor = WritebackMonitor(cache, clock)
         for i in range(4):  # 4 of 8 blocks dirty = the threshold
             cache.insert(key(i), bytearray(BS), dirty=True, now=0.0)
         assert monitor.check() is WritebackReason.CACHE_FULL
 
     def test_below_threshold_no_trigger(self, cache, clock):
-        monitor = WritebackMonitor(
-            cache, clock, WritebackConfig(dirty_high_fraction=0.5)
-        )
+        monitor = WritebackMonitor(cache, clock)
         for i in range(3):
             cache.insert(key(i), bytearray(BS), dirty=True, now=0.0)
         assert monitor.check() is None
 
     def test_age_trigger(self, cache, clock):
-        monitor = WritebackMonitor(
-            cache, clock, WritebackConfig(age_threshold=30.0)
-        )
+        monitor = WritebackMonitor(cache, clock)
         cache.insert(key(0), bytearray(BS), dirty=True, now=clock.now())
         clock.advance(29.0)
         assert monitor.check() is None
@@ -98,9 +84,7 @@ class TestNextAgeDeadline:
         assert monitor.next_age_deadline() is None
 
     def test_tracks_oldest_dirty_block(self, cache, clock):
-        monitor = WritebackMonitor(
-            cache, clock, WritebackConfig(age_threshold=30.0)
-        )
+        monitor = WritebackMonitor(cache, clock)
         clock.advance(5.0)
         cache.insert(key(0), bytearray(BS), dirty=True, now=clock.now())
         clock.advance(10.0)
@@ -108,9 +92,7 @@ class TestNextAgeDeadline:
         assert monitor.next_age_deadline() == pytest.approx(35.0)
 
     def test_deadline_advances_when_oldest_cleaned(self, cache, clock):
-        monitor = WritebackMonitor(
-            cache, clock, WritebackConfig(age_threshold=30.0)
-        )
+        monitor = WritebackMonitor(cache, clock)
         cache.insert(key(0), bytearray(BS), dirty=True, now=clock.now())
         clock.advance(10.0)
         cache.insert(key(1), bytearray(BS), dirty=True, now=clock.now())
@@ -136,9 +118,7 @@ class TestExplicitFlushResetsTriggerState:
     def test_threshold_trigger_resets_after_explicit_flush(
         self, cache, clock
     ):
-        monitor = WritebackMonitor(
-            cache, clock, WritebackConfig(dirty_high_fraction=0.5)
-        )
+        monitor = WritebackMonitor(cache, clock)
         self._dirty_to_threshold(cache, clock)
         assert monitor.check() is WritebackReason.CACHE_FULL
         self._explicit_flush(monitor, cache)
@@ -150,9 +130,7 @@ class TestExplicitFlushResetsTriggerState:
         assert monitor.triggers[WritebackReason.CACHE_FULL] == 2
 
     def test_age_clock_restarts_after_explicit_flush(self, cache, clock):
-        monitor = WritebackMonitor(
-            cache, clock, WritebackConfig(age_threshold=30.0)
-        )
+        monitor = WritebackMonitor(cache, clock)
         cache.insert(key(0), bytearray(BS), dirty=True, now=clock.now())
         clock.advance(31.0)
         assert monitor.check() is WritebackReason.AGE

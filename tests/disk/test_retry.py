@@ -1,50 +1,18 @@
-"""Transient-read retry policy on the disk timing layer."""
+"""Transient-read retry schedule on the disk timing layer."""
 
 import pytest
 
+from repro.disk import sim_disk
 from repro.disk.geometry import wren_iv
-from repro.disk.retry import RetryPolicy
 from repro.disk.sim_disk import SimDisk
-from repro.errors import InvalidArgumentError, TransientIOError
+from repro.errors import TransientIOError
 from repro.faults.device import FaultyDevice
 from repro.faults.injector import FaultConfig, FaultInjector
-from repro.lfs.config import LfsConfig
 from repro.sim.clock import SimClock
 from repro.units import MIB
 
 
-class TestRetryPolicy:
-    def test_defaults_reproduce_the_historical_schedule(self):
-        policy = RetryPolicy()
-        assert [policy.delay(n) for n in (1, 2, 3)] == [0.002, 0.004, 0.008]
-        assert policy.max_attempts == 3
-
-    def test_cap_bounds_every_delay(self):
-        policy = RetryPolicy(base_delay=0.01, multiplier=10.0, cap=0.05)
-        assert policy.delay(1) == 0.01
-        assert policy.delay(2) == 0.05
-        assert policy.delay(9) == 0.05
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(base_delay=-0.001),
-            dict(multiplier=0.5),
-            dict(base_delay=0.01, cap=0.005),
-            dict(max_attempts=-1),
-        ],
-    )
-    def test_invalid_policies_rejected(self, kwargs):
-        with pytest.raises(InvalidArgumentError):
-            RetryPolicy(**kwargs)
-
-    def test_policy_rides_lfs_config(self):
-        policy = RetryPolicy(base_delay=0.001, max_attempts=5)
-        config = LfsConfig(retry=policy)
-        assert config.retry is policy
-
-
-def _faulty_disk(transient_prob, retry=None, seed=0):
+def _faulty_disk(transient_prob, seed=0):
     geometry = wren_iv(8 * MIB)
     injector = FaultInjector(
         FaultConfig(transient_read_prob=transient_prob), seed=seed
@@ -53,16 +21,44 @@ def _faulty_disk(transient_prob, retry=None, seed=0):
         geometry.num_sectors, geometry.sector_size, injector=injector
     )
     clock = SimClock()
-    disk = SimDisk(geometry, clock, device=device)
-    if retry is not None:
-        disk.retry = retry
-    return disk, clock
+    return SimDisk(geometry, clock, device=device), clock
+
+
+def _flaky_disk(failures):
+    """A disk whose device fails its first ``failures`` reads."""
+    disk = SimDisk(wren_iv(8 * MIB), SimClock())
+    read = disk.device.read
+    left = [failures]
+
+    def flaky(*args, **kwargs):
+        if left[0]:
+            left[0] -= 1
+            raise TransientIOError("flaky")
+        return read(*args, **kwargs)
+
+    disk.device.read = flaky
+    return disk
+
+
+class TestRetryPolicy:
+    def test_defaults_reproduce_the_historical_schedule(self):
+        disk = _flaky_disk(3)
+        disk.read(0, 1)
+        assert disk.read_retries == 3
+        assert disk.retry_stall_seconds == pytest.approx(0.002 + 0.004 + 0.008)
+
+    def test_cap_bounds_every_delay(self, monkeypatch):
+        monkeypatch.setattr(sim_disk, "RETRY_MAX_ATTEMPTS", 9)
+        disk = _flaky_disk(9)
+        disk.read(0, 1)
+        # 2, 4, 8, 16 and 32 ms, then the 50 ms cap for the last four.
+        assert disk.retry_stall_seconds == pytest.approx(0.062 + 4 * 0.05)
 
 
 class TestDiskRetryTiming:
     # The injector arms transient errors per request — the identical
-    # retry succeeds — so a default policy always wins after one retry
-    # and the error surfaces only when the budget is zero.
+    # retry succeeds — so the default schedule always wins after one
+    # retry and the error surfaces only when the budget is zero.
 
     def test_retry_wins_and_charges_the_stall_counter(self):
         disk, _clock = _faulty_disk(transient_prob=1.0)
@@ -70,13 +66,12 @@ class TestDiskRetryTiming:
         assert len(data) > 0  # the retry succeeded
         assert disk.read_retries == 1
         assert disk.retry_stall_seconds == pytest.approx(
-            disk.retry.delay(1)
+            sim_disk.RETRY_BASE_DELAY
         )
 
-    def test_zero_attempts_fails_immediately(self):
-        disk, _clock = _faulty_disk(
-            transient_prob=1.0, retry=RetryPolicy(max_attempts=0)
-        )
+    def test_zero_attempts_fails_immediately(self, monkeypatch):
+        monkeypatch.setattr(sim_disk, "RETRY_MAX_ATTEMPTS", 0)
+        disk, _clock = _faulty_disk(transient_prob=1.0)
         with pytest.raises(TransientIOError):
             disk.read(0, 1)
         assert disk.read_retries == 1  # the one probe that failed
@@ -89,8 +84,12 @@ class TestDiskRetryTiming:
         assert disk.retry_stall_seconds == 0.0
 
     def test_backoff_advances_the_simulated_clock(self):
-        patient = RetryPolicy(base_delay=0.5, multiplier=1.0, cap=0.5)
-        disk, clock = _faulty_disk(transient_prob=1.0, retry=patient)
-        disk.read(0, 1)
-        disk.drain()
-        assert clock.now() >= 0.5  # the retry's backoff is real time
+        clean, clean_clock = _faulty_disk(transient_prob=0.0)
+        faulty, faulty_clock = _faulty_disk(transient_prob=1.0)
+        for disk in (clean, faulty):
+            disk.read(0, 1)
+            disk.drain()
+        # The retry's backoff is real time on the busy timeline.
+        assert faulty_clock.now() - clean_clock.now() == pytest.approx(
+            sim_disk.RETRY_BASE_DELAY
+        )

@@ -1,5 +1,7 @@
 """Behavioural tests for the FFS baseline."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.inode import NIL
@@ -121,6 +123,28 @@ class TestDurability:
         free_before = again.allocator.free_blocks()
         again.write_file("/g", b"y" * 8192)
         assert again.allocator.free_blocks() == free_before - 1
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(FfsConfig)]
+    )
+    def test_mount_keeps_the_config_it_is_given(self, ffs, name):
+        ffs.unmount()
+        given = FfsConfig(
+            block_size=4 * KIB,
+            cg_bytes=4 * MIB,
+            inodes_per_cg=256,
+            maxbpg=64,
+            cache_bytes=3 * MIB,
+            synchronous_metadata=False,
+            readahead_blocks=2,
+        )
+        default, on_disk = FfsConfig(), small_ffs_config()
+        # A field added to FfsConfig must be given a non-default value above.
+        assert getattr(given, name) != getattr(default, name)
+        mounted = FastFileSystem.mount(ffs.disk, ffs.cpu, given).config
+        geometry = ("block_size", "cg_bytes", "inodes_per_cg", "maxbpg")
+        expected = on_disk if name in geometry else given
+        assert getattr(mounted, name) == getattr(expected, name)
 
     def test_free_space_accounting(self, ffs):
         ffs.create("/f").close()  # the root dir block is allocated here

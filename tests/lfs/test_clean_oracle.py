@@ -161,8 +161,6 @@ def rig(cache_blocks):
         segment_size=64 * KIB,
         cache_bytes=cache_blocks * BS,
         max_inodes=64,
-        clean_low_water=4,
-        clean_high_water=8,
     )
     fs = new_rig("lfs", total_bytes=12 * MIB, lfs_config=config).fs
     for path in FILES:

@@ -2,6 +2,7 @@
 
 
 from repro.lfs.cleaner import CleanerPolicy
+from repro.lfs.config import MAX_LIVE_FRACTION_TO_CLEAN
 from repro.lfs.filesystem import LogStructuredFS
 from repro.lfs.segment_usage import SegmentState
 from tests.conftest import small_lfs_config
@@ -41,10 +42,7 @@ class TestVictimSelection:
             lfs.write_file(f"/full{i}", b"f" * 4096)
         lfs.sync()
         for seg in lfs.cleaner.select_victims(100):
-            assert (
-                lfs.usage.utilization(seg)
-                <= lfs.config.max_live_fraction_to_clean
-            )
+            assert lfs.usage.utilization(seg) <= MAX_LIVE_FRACTION_TO_CLEAN
 
     def test_cost_benefit_prefers_old_when_equal(self, disk, cpu):
         config = small_lfs_config(cleaner_policy="cost-benefit")

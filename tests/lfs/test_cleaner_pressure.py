@@ -57,16 +57,15 @@ class TestReserveSizing:
 
 
 class TestEmergencyCleaning:
-    def test_threshold_waived_when_pool_hits_reserve(self, disk, cpu):
+    def test_threshold_waived_when_pool_hits_reserve(
+        self, disk, cpu, monkeypatch
+    ):
         """White-box: every dirty segment sits above the cleanability
         threshold and the clean pool is at the reserve — the normal
         policy finds no victims, and the emergency mode must clean the
         over-threshold segments anyway."""
-        config = small_lfs_config(
-            segment_size=256 * KIB,
-            cache_bytes=2 * MIB,
-            max_live_fraction_to_clean=0.3,
-        )
+        monkeypatch.setattr("repro.lfs.cleaner.MAX_LIVE_FRACTION_TO_CLEAN", 0.3)
+        config = small_lfs_config(segment_size=256 * KIB, cache_bytes=2 * MIB)
         fs = LogStructuredFS.mkfs(disk, cpu, config)
         # Write real data so the "over-threshold" segments genuinely
         # hold live files, then fabricate the pressure: mark the rest

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import InvalidArgumentError
 from repro.lfs.config import (
+    CHECKPOINT_INTERVAL,
     CHECKPOINT_REGION_BLOCKS,
     LfsConfig,
     LfsLayout,
@@ -21,7 +22,7 @@ class TestConfigDefaults:
         # segment size"; §4.4.1: 30-second checkpoint interval.
         assert config.block_size == 4 * KIB
         assert config.segment_size == 1 * MIB
-        assert config.checkpoint_interval == 30.0
+        assert CHECKPOINT_INTERVAL == 30.0
 
     def test_blocks_per_segment(self):
         assert LfsConfig().blocks_per_segment == 256
@@ -46,14 +47,6 @@ class TestConfigValidation:
     def test_bad_policy(self):
         with pytest.raises(InvalidArgumentError):
             LfsConfig(cleaner_policy="newest-first")
-
-    def test_watermark_ordering(self):
-        with pytest.raises(InvalidArgumentError):
-            LfsConfig(clean_low_water=10, clean_high_water=5)
-
-    def test_live_fraction_bounds(self):
-        with pytest.raises(InvalidArgumentError):
-            LfsConfig(max_live_fraction_to_clean=0.0)
 
 
 class TestLayout:

@@ -4,9 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.cache.writeback import WritebackConfig
 from repro.common.inode import N_DIRECT, pointers_per_block
-from repro.disk.retry import RetryPolicy
 from repro.errors import NoSpaceError, StaleHandleError
 from repro.lfs.config import LfsConfig
 from repro.lfs.filesystem import LogStructuredFS, SuperBlock
@@ -121,17 +119,19 @@ class TestDataPath:
         lfs.flush_caches()
         assert lfs.read_file("/big") == payload
 
-    def test_data_block_evicted_between_finalize_and_serialize(self, disk, cpu):
+    def test_data_block_evicted_between_finalize_and_serialize(
+        self, disk, cpu, monkeypatch
+    ):
         # One flush, one partial segment, a cache with three blocks to
         # spare: placing /near's thirteenth block and /far's only one
         # loads their pointer blocks, which evicts /near's first blocks —
         # already placed and marked clean, not yet copied into the
-        # segment buffer.  The plan must hold them by object.
+        # segment buffer.  The plan must hold them by object.  Nothing
+        # but a full cache triggers a write-back.
+        for module in ("repro.cache.writeback", "repro.lfs.config"):
+            monkeypatch.setattr(f"{module}.DIRTY_HIGH_FRACTION", 1.0)
         bs = 4 * KIB
-        config = small_lfs_config(
-            cache_bytes=32 * bs,
-            writeback=WritebackConfig(dirty_high_fraction=1.0),
-        )
+        config = small_lfs_config(cache_bytes=32 * bs)
         fs = LogStructuredFS.mkfs(disk, cpu, config)
         near = bytes(range(256)) * (bs // 256) * 29  # past N_DIRECT
         far_lbn = N_DIRECT + pointers_per_block(bs) + 5  # second leaf
@@ -194,16 +194,9 @@ class TestDurability:
             segment_size=512 * KIB,
             cache_bytes=3 * MIB,
             max_inodes=64,
-            checkpoint_interval=7.0,
-            clean_low_water=3,
-            clean_high_water=5,
-            max_live_fraction_to_clean=0.5,
             cleaner_policy="cost-benefit",
             roll_forward=False,
-            writeback=WritebackConfig(age_threshold=9.0),
             readahead_blocks=2,
-            retry=RetryPolicy(max_attempts=5),
-            quarantine_budget=1,
         )
         default, on_disk = LfsConfig(), small_lfs_config()
         # A field added to LfsConfig must be given a non-default value above.

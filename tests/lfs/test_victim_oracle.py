@@ -14,17 +14,16 @@ from types import SimpleNamespace
 from hypothesis import given, settings, strategies as st
 
 from repro.lfs.cleaner import _CHOOSE, SegmentCleaner
-from repro.lfs.config import CleanerPolicy
+from repro.lfs.config import MAX_LIVE_FRACTION_TO_CLEAN, CleanerPolicy
 from repro.lfs.segment_usage import SegmentState, SegmentUsage
 
 BS = 4096
 SEG = 16 * BS
-MAX_LIVE_FRACTION = 0.95
 
 
 def reference_select(usage, policy, rng, now, count, written_before, max_u):
     if max_u is None:
-        max_u = MAX_LIVE_FRACTION
+        max_u = MAX_LIVE_FRACTION_TO_CLEAN
     candidates = [
         seg
         for seg in usage.dirty_segments()
@@ -91,7 +90,6 @@ def build_usage(states):
 def cleaner_over(usage, policy, now, seed):
     fs = SimpleNamespace(
         usage=usage,
-        config=SimpleNamespace(max_live_fraction_to_clean=MAX_LIVE_FRACTION),
         clock=SimpleNamespace(now=lambda: now),
     )
     cleaner = SegmentCleaner(fs, policy=policy)
@@ -141,6 +139,8 @@ def test_deterministic_choice_ignores_candidate_order(
     # candidates arrive.
     usage = build_usage(states)
     cleaner = cleaner_over(usage, policy, now, 0)
-    candidates = data.draw(st.permutations(usage.cleanable(MAX_LIVE_FRACTION)))
+    candidates = data.draw(
+        st.permutations(usage.cleanable(MAX_LIVE_FRACTION_TO_CLEAN))
+    )
     expected = reference_select(usage, policy, None, now, count, None, None)
     assert _CHOOSE[policy](cleaner, list(candidates), count) == expected

@@ -51,13 +51,10 @@ class TestValidateRig:
         assert "readahead" in str(excinfo.value)
 
     def test_unreachable_clean_high_water(self):
+        # 4 MiB holds 15 segments of 256 KiB: fewer than CLEAN_HIGH_WATER.
         with pytest.raises(ConfigError) as excinfo:
-            validate_rig(
-                ServiceConfig(),
-                _lfs(clean_high_water=4096),
-                device_bytes=8 * MIB,
-            )
-        assert "clean_high_water" in str(excinfo.value)
+            validate_rig(None, _lfs(), device_bytes=4 * MIB)
+        assert "CLEAN_HIGH_WATER (16)" in str(excinfo.value)
 
     def test_watermarks_leaving_no_serviceable_segments(self):
         config = ServiceConfig(reserve_watermark=1000)
@@ -67,7 +64,7 @@ class TestValidateRig:
 
     def test_watermark_checked_against_the_reserve_in_use(self):
         # 20 segments of 256 KiB: the file system holds back 6 of them
-        # (a third of the device), and clean_low_water 8 leaves 6
+        # (a third of the device), and CLEAN_LOW_WATER 8 leaves 6
         # serviceable segments, which a watermark of 6 does not fit.
         device_bytes = 21 * 256 * KIB
         config = ServiceConfig(

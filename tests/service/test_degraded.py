@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ReadOnlyFSError
-from repro.lfs.config import LfsConfig
+from repro.lfs.config import QUARANTINE_BUDGET, LfsConfig
 from repro.lfs.filesystem import make_lfs
 from repro.obs import Telemetry
 from repro.service.admission import Decision
@@ -12,22 +12,18 @@ from repro.service.scheduler import RequestScheduler
 from repro.units import KIB, MIB
 
 
-def _small_fs(telemetry=None, budget=4):
+def _small_fs(telemetry=None):
     return make_lfs(
         total_bytes=8 * MIB,
-        config=LfsConfig(
-            segment_size=256 * KIB,
-            cache_bytes=2 * MIB,
-            quarantine_budget=budget,
-        ),
+        config=LfsConfig(segment_size=256 * KIB, cache_bytes=2 * MIB),
         telemetry=telemetry,
     )
 
 
 class TestDegradedTransition:
     def test_strikes_within_budget_stay_writable(self):
-        fs = _small_fs(budget=4)
-        fs.note_media_damage(4, reason="test")
+        fs = _small_fs()
+        fs.note_media_damage(QUARANTINE_BUDGET, reason="test")
         assert not fs.degraded
         with fs.create("/ok") as handle:
             handle.write(b"still writable")
@@ -35,8 +31,8 @@ class TestDegradedTransition:
 
     def test_exceeding_the_budget_degrades_exactly_once(self):
         telemetry = Telemetry()
-        fs = _small_fs(telemetry=telemetry, budget=2)
-        fs.note_media_damage(3, reason="test")
+        fs = _small_fs(telemetry=telemetry)
+        fs.note_media_damage(QUARANTINE_BUDGET + 1, reason="test")
         assert fs.degraded
         assert telemetry.gauge("fs.degraded").value == 1
         spans = [s for s in telemetry.tracer.spans if s.kind == "fs.degrade"]

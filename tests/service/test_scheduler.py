@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache.writeback import WritebackConfig
 from repro.errors import InvalidArgumentError
+from repro.lfs.config import CLEAN_LOW_WATER
 from repro.lfs.filesystem import LogStructuredFS
 from repro.lfs.verify import verify_lfs
 from repro.obs import Telemetry
@@ -86,7 +86,7 @@ class TestPrefill:
 
     def test_serviceable_excludes_reserve_and_low_water(self, lfs):
         layout = lfs.layout
-        headroom = layout.reserve_segments + lfs.config.clean_low_water
+        headroom = layout.reserve_segments + CLEAN_LOW_WATER
         assert layout.serviceable_segments == layout.num_segments - headroom
         expected = layout.serviceable_segments * lfs.config.segment_size
         assert serviceable_bytes(lfs) == expected
@@ -119,16 +119,16 @@ class TestSchedulerRun:
         assert registry.value("service.commits") >= 1
 
     def test_background_flusher_services_the_age_trigger(
-        self, disk, cpu
+        self, disk, cpu, monkeypatch
     ):
         # One client's single write dirties far less than the cache
         # holds, and no request follows it, so the file system is never
         # asked again: with an age threshold shorter than the flusher's
         # period, only the flusher can write that data back.
-        config = small_lfs_config(
-            writeback=WritebackConfig(age_threshold=FLUSHER_PERIOD / 2)
+        monkeypatch.setattr(
+            "repro.cache.writeback.AGE_THRESHOLD", FLUSHER_PERIOD / 2
         )
-        fs = LogStructuredFS.mkfs(disk, cpu, config)
+        fs = LogStructuredFS.mkfs(disk, cpu, small_lfs_config())
         service = ServiceConfig(num_clients=1, requests_per_client=1)
         stats, _scheduler = run_service(fs, service)
         assert stats.submitted == {"write": 1}

@@ -4,9 +4,15 @@ Downstream users import from ``repro`` directly; these tests pin the
 exported surface so refactors cannot silently break it.
 """
 
+import dataclasses
+
 import pytest
 
 import repro
+from repro.cluster.config import ClusterConfig, MigrationSpec
+from repro.ffs.config import FfsConfig
+from repro.lfs.config import LfsConfig
+from repro.service.config import ServiceConfig
 
 
 class TestExports:
@@ -92,3 +98,58 @@ class TestStorageManagerContract:
                 assert not getattr(
                     member, "__isabstractmethod__", False
                 ), f"{cls.__name__}.{name} left abstract"
+
+
+class TestConfigSurfaces:
+    def test_every_config_field_is_listed_here(self):
+        # Each field is a knob some caller outside the tests sets, or
+        # on-disk format; a parameter the paper fixes is a module
+        # constant instead.  Adding a field means editing this test.
+        surfaces = {
+            cls.__name__: tuple(f.name for f in dataclasses.fields(cls))
+            for cls in (
+                LfsConfig,
+                FfsConfig,
+                ServiceConfig,
+                ClusterConfig,
+                MigrationSpec,
+            )
+        }
+        assert surfaces == {
+            "LfsConfig": (
+                "block_size",
+                "segment_size",
+                "cache_bytes",
+                "max_inodes",
+                "cleaner_policy",
+                "roll_forward",
+                "readahead_blocks",
+            ),
+            "FfsConfig": (
+                "block_size",
+                "cg_bytes",
+                "inodes_per_cg",
+                "maxbpg",
+                "cache_bytes",
+                "synchronous_metadata",
+                "readahead_blocks",
+            ),
+            "ServiceConfig": (
+                "num_clients",
+                "seed",
+                "requests_per_client",
+                "commit_window",
+                "reserve_watermark",
+                "fill_fraction",
+                "fragment_every",
+            ),
+            "ClusterConfig": (
+                "shards",
+                "clients",
+                "seed",
+                "requests_per_client",
+                "placement",
+                "migrations",
+            ),
+            "MigrationSpec": ("source", "target", "at"),
+        }
