@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint e2e-smoke e2e-digest bench-pairs trace crashtest chaos service-bench cluster-bench ci
+.PHONY: test lint e2e-smoke e2e-digest bench-pairs trace reports crashtest chaos ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -59,6 +59,19 @@ bench-pairs:
 trace:
 	$(PYTHON) -m repro trace --output BENCH_trace.json
 
+# Regenerate both committed reports in place and fail if either moved:
+# the trace report, then BENCH_service.json (`repro sweep`: the service
+# and cluster scaling sweeps) serially and again with --jobs 2.  The
+# sweep itself exits nonzero on a dropped request, a shard image that
+# fails verification, or a 4-shard point under the 3x scale floor.  A
+# change that moves a simulated number commits the regenerated files.
+reports: trace
+	git diff --exit-code BENCH_trace.json
+	$(PYTHON) -m repro sweep
+	git diff --exit-code BENCH_service.json
+	$(PYTHON) -m repro sweep --jobs 2
+	git diff --exit-code BENCH_service.json
+
 # Fixed seed, small trial count: CI asserts zero unhandled exceptions
 # (the command exits nonzero if any trial escapes with an untyped
 # error), not any particular corruption mix.  The jobs=2 rerun must
@@ -86,32 +99,4 @@ chaos:
 	diff /tmp/chaos_j1.txt /tmp/chaos_j2.txt
 	@cat /tmp/chaos_j1.txt
 
-# Tiny client sweep; exits nonzero if any request is dropped.  The
-# full sweep (and the committed BENCH_service.json) comes from
-# benchmarks/test_service_scaling.py.
-service-bench:
-	$(PYTHON) -m repro.service.bench --smoke
-
-# Sharded scale-out smoke: a tiny cluster sweep run twice (serial and
-# jobs=2) whose reports must be byte-identical — the shard-group
-# merge discipline makes simulated numbers a pure function of the
-# seed, so any divergence is a determinism bug, and `repro bench-diff`
-# gates the throughput/p99 numbers point by point on top.  The final
-# step regenerates the cluster section onto a copy of the committed
-# BENCH_service.json and diffs it against the committed file.  Every
-# run exits nonzero if any shard image fails verification.
-cluster-bench:
-	$(PYTHON) -m repro.cluster.bench --smoke \
-		--output /tmp/BENCH_cluster_a.json
-	$(PYTHON) -m repro.cluster.bench --smoke --jobs 2 \
-		--output /tmp/BENCH_cluster_b.json
-	diff /tmp/BENCH_cluster_a.json /tmp/BENCH_cluster_b.json
-	$(PYTHON) -m repro bench-diff /tmp/BENCH_cluster_a.json \
-		/tmp/BENCH_cluster_b.json --max-regression 0.001
-	cp BENCH_service.json /tmp/BENCH_service_new.json
-	$(PYTHON) -m repro.cluster.bench --smoke \
-		--output /tmp/BENCH_service_new.json
-	$(PYTHON) -m repro bench-diff BENCH_service.json \
-		/tmp/BENCH_service_new.json
-
-ci: lint test e2e-smoke service-bench cluster-bench crashtest chaos
+ci: lint test e2e-smoke reports crashtest chaos

@@ -3,26 +3,23 @@
 The sweep that motivates the service layer: as concurrent clients
 increase, group commit amortizes fsync cost (batch sizes grow well past
 1) so aggregate throughput scales far better than linearly-degrading
-per-request latency would suggest.  The sweep writes the same
-``BENCH_service.json`` report as ``python -m repro.service.bench`` so
-CI and local runs produce diffable numbers.
+per-request latency would suggest.  At the default scale this is the
+sweep behind the points of ``BENCH_service.json`` (which
+``python -m repro sweep`` writes); at paper scale it runs 100 requests
+per client.  It writes no report.
 """
 
 from benchmarks.conftest import PAPER_SCALE, emit, once
 from repro.analysis.report import Table
-from repro.service.bench import DEFAULT_OUTPUT, run_sweep, update_report
+from repro.service.bench import REQUESTS_PER_CLIENT, SEED, run_sweep
 
-CLIENTS = (1, 2, 4, 8, 16)
-REQUESTS = 100 if PAPER_SCALE else 40
-SEED = 0
+REQUESTS = 100 if PAPER_SCALE else REQUESTS_PER_CLIENT
 
 
 def test_service_scaling(benchmark):
     points = once(
         benchmark,
-        lambda: run_sweep(
-            CLIENTS, seed=SEED, requests_per_client=REQUESTS
-        ),
+        lambda: run_sweep(REQUESTS),
     )
 
     table = Table(
@@ -39,11 +36,6 @@ def test_service_scaling(benchmark):
             point["throttle_events"],
         )
     emit(table.render())
-
-    update_report(
-        DEFAULT_OUTPUT,
-        {"seed": SEED, "requests_per_client": REQUESTS, "points": points},
-    )
 
     last = points[-1]
     benchmark.extra_info.update(

@@ -29,8 +29,8 @@ Commands::
                                               (--migrate SRC:DST@T)
     trace --clients N --seed S                traced service run + latency
                                               attribution (BENCH_trace.json)
-    bench-diff A.json B.json                  compare two service/cluster
-                                              sweep reports
+    sweep [--jobs N]                          service + cluster scaling
+                                              sweeps (BENCH_service.json)
 
 ``fig --telemetry out.jsonl`` records the experiment's metrics and
 spans (see :mod:`repro.obs`) and writes them as JSONL for offline
@@ -40,6 +40,7 @@ analysis.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
@@ -468,12 +469,20 @@ def cmd_cluster_sim(args) -> int:
     return 0 if result.consistent else 1
 
 
+def _write_report(report, path: str) -> None:
+    """Write a committed report (``BENCH_trace.json``,
+    ``BENCH_service.json``): sorted keys, two-space indent and a final
+    newline, so a regenerated report diffs byte for byte."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(report, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def cmd_trace(args) -> int:
     from repro.obs import Telemetry, export_jsonl
     from repro.obs.attribution import (
         build_trace_report,
         render_trace_report,
-        write_trace_report,
     )
     from repro.service import ServiceConfig, simulate_service
 
@@ -501,7 +510,7 @@ def cmd_trace(args) -> int:
             "trace_io": bool(args.trace_io),
         },
     )
-    write_trace_report(report, args.output)
+    _write_report(report, args.output)
     print(render_trace_report(report))
     print(f"trace report -> {args.output}")
     if args.export:
@@ -510,21 +519,48 @@ def cmd_trace(args) -> int:
     return 1 if stats.dropped else 0
 
 
-def cmd_bench_diff(args) -> int:
-    from repro.tools.bench_report import (
-        diff_points,
-        load_report,
-        render_diff,
-        service_points,
-    )
+def cmd_sweep(args) -> int:
+    from repro.cluster import bench as cluster_bench
+    from repro.service import bench as service_bench
 
-    diff = diff_points(
-        service_points(load_report(args.old)),
-        service_points(load_report(args.new)),
-        args.max_regression / 100.0,
+    points = service_bench.run_sweep(
+        service_bench.REQUESTS_PER_CLIENT, jobs=args.jobs
     )
-    print(render_diff(diff))
-    return 1 if diff["regressions"] else 0
+    for point in points:
+        print(
+            f"clients={point['clients']:>3}: "
+            f"{point['throughput_per_second']:>8.1f} req/s, "
+            f"p99 {point['latency_p99_seconds'] * 1000:>9.3f} ms, "
+            f"batch mean {point['commit_batch_mean']:.2f}"
+        )
+    rows = cluster_bench.run_sweep(jobs=args.jobs)
+    for row in rows:
+        print(
+            f"shards={row['shards']:>3} clients={row['clients']:>4}: "
+            f"{row['throughput_per_second']:>8.1f} req/s, "
+            f"p99 {row['latency_p99_seconds'] * 1000:>9.3f} ms"
+        )
+    report = {
+        "benchmark": "service_scaling",
+        "seed": service_bench.SEED,
+        "requests_per_client": service_bench.REQUESTS_PER_CLIENT,
+        "points": points,
+        "cluster": {
+            "seed": cluster_bench.SEED,
+            "requests_per_client": cluster_bench.REQUESTS_PER_CLIENT,
+            "points": rows,
+        },
+    }
+    _write_report(report, args.output)
+    print(f"sweep report -> {args.output}")
+
+    failures = cluster_bench.scale_gate(rows)
+    dropped = sum(int(point["dropped"]) for point in points)
+    if dropped:
+        failures.append(f"{dropped} dropped request(s)")
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    return 1 if failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -790,20 +826,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser(
-        "bench-diff",
-        help="compare two service/cluster sweep reports point by point",
+        "sweep",
+        help="run the service and cluster scaling sweeps and write the "
+        "report (BENCH_service.json)",
     )
-    p.add_argument("old", help="baseline BENCH_service.json")
-    p.add_argument("new", help="candidate BENCH_service.json")
     p.add_argument(
-        "--max-regression",
-        type=float,
-        default=3.0,
-        metavar="PCT",
-        help="fail (exit 1) if any metric is more than PCT%% worse "
-        "(default 3)",
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes for the sweep points and shard groups "
+        "(report is byte-identical for any value)",
     )
-    p.set_defaults(func=cmd_bench_diff)
+    p.add_argument(
+        "--output",
+        default="BENCH_service.json",
+        metavar="OUT.JSON",
+        help="where to write the sweep report",
+    )
+    p.set_defaults(func=cmd_sweep)
 
     return parser
 

@@ -14,7 +14,6 @@ from repro.harness.experiments import (
     write_cost_comparison,
 )
 from repro.harness.parallel import (
-    available_jobs,
     export_telemetry_totals,
     merge_metric_samples,
     run_tasks,
@@ -35,7 +34,6 @@ __all__ = [
     "ablation_cleaner_policy",
     "ablation_disk_array",
     "write_cost_comparison",
-    "available_jobs",
     "export_telemetry_totals",
     "merge_metric_samples",
     "run_tasks",

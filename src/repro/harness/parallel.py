@@ -1,7 +1,7 @@
 """Deterministic fan-out of independent seeded rigs across processes.
 
 Every heavyweight rig in this repository — a ``repro crashtest`` trial,
-a :mod:`repro.service.bench` sweep point, a cluster shard group — is an
+a ``repro sweep`` service point, a cluster shard group — is an
 *independent, seeded* simulation: it builds its own clock, device and
 file system, and its result is a pure function of its arguments.  That
 makes them embarrassingly parallel, and :func:`run_tasks` is the one
@@ -22,45 +22,17 @@ must be module-level functions.
 from __future__ import annotations
 
 import multiprocessing
-import os
-from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.obs import Telemetry
+from repro.obs.names import GAUGE_MERGE_MAX
 
 __all__ = [
-    "available_jobs",
     "run_tasks",
     "run_trials",
     "merge_metric_samples",
     "export_telemetry_totals",
-    "GAUGE_MERGE_MAX",
 ]
-
-GAUGE_MERGE_MAX = frozenset({"fs.degraded"})
-"""Gauges that merge by ``max`` instead of summation.
-
-Most gauges are extensive end-of-run quantities (queue depth, dirty
-bytes) for which summing worker contributions matches what a single
-process would have accumulated.  A *sticky state flag* like
-``fs.degraded`` is different: it is 0 or 1 per rig, and the merged
-answer to "did any rig degrade?" is the maximum, not the count —
-summing would turn the flag into a tally and make ``--jobs N`` output
-diverge from serial runs that overwrite the gauge in place."""
-
-
-def available_jobs(requested: int) -> int:
-    """Advisory clamp of a ``--jobs`` request to the machine's CPU count.
-
-    :func:`run_tasks` deliberately does *not* apply this clamp — an
-    explicit ``--jobs 4`` forks four workers even on a smaller machine
-    (oversubscription only timeslices; results are identical either
-    way, and the pool path stays exercisable everywhere).  Use this
-    helper when picking a default job count, not when honouring an
-    explicit request.
-    """
-    if requested < 1:
-        raise ValueError(f"jobs must be >= 1: {requested}")
-    return min(requested, os.cpu_count() or 1)
 
 
 def _context() -> multiprocessing.context.BaseContext:
@@ -155,44 +127,21 @@ def export_telemetry_totals(telemetry) -> Dict[str, Any]:
     }
 
 
-def merge_metric_samples(telemetry, samples) -> int:
+def merge_metric_samples(telemetry, totals: Dict[str, Any]) -> int:
     """Fold one worker's exported observability totals into ``telemetry``.
 
-    ``samples`` is either the plain ``metrics`` list of
-    :meth:`repro.obs.registry.MetricsRegistry.to_dict` (the original
-    contract) or the dict built by :func:`export_telemetry_totals`,
-    which additionally carries the tracer's span-kind counts/seconds
-    and the drop counters.  Counters and gauges merge by summation,
-    histograms bucket-by-bucket — all order-independent for the integer
-    increments the simulators emit, so the merged state is the same for
-    any worker count when callers merge in task order.  Returns the
-    number of metric series merged; span *event records* are
-    per-process and are not merged, but their per-kind totals are.
+    ``totals`` is the dict built by :func:`export_telemetry_totals`:
+    metric samples plus the tracer's span-kind counts/seconds and the
+    drop counters.  Counters and gauges merge by summation (the gauges
+    in :data:`repro.obs.names.GAUGE_MERGE_MAX` by ``max``), histograms
+    bucket-by-bucket — all order-independent for the integer increments
+    the simulators emit, so the merged state is the same for any worker
+    count when callers merge in task order.  Returns the number of
+    metric series merged; span *event records* are per-process and are
+    not merged, but their per-kind totals are.
     """
-    if isinstance(samples, dict):
-        merged = _merge_sample_list(telemetry, samples.get("metrics", []))
-        tracer = telemetry.tracer
-        for kind, count in samples.get("kind_counts", {}).items():
-            tracer.kind_counts[kind] = (
-                tracer.kind_counts.get(kind, 0) + count
-            )
-        for kind, seconds in samples.get("kind_seconds", {}).items():
-            tracer.kind_seconds[kind] = (
-                tracer.kind_seconds.get(kind, 0.0) + seconds
-            )
-        tracer.dropped_spans += samples.get("dropped_spans", 0)
-        telemetry.registry.dropped_label_sets += samples.get(
-            "dropped_label_sets", 0
-        )
-        return merged
-    return _merge_sample_list(telemetry, samples)
-
-
-def _merge_sample_list(
-    telemetry, samples: Iterable[Dict[str, Any]]
-) -> int:
     merged = 0
-    for record in samples:
+    for record in totals["metrics"]:
         name = record["name"]
         labels = record.get("labels", {})
         kind = record.get("kind")
@@ -218,4 +167,13 @@ def _merge_sample_list(
         else:
             continue
         merged += 1
+    tracer = telemetry.tracer
+    for kind, count in totals["kind_counts"].items():
+        tracer.kind_counts[kind] = tracer.kind_counts.get(kind, 0) + count
+    for kind, seconds in totals["kind_seconds"].items():
+        tracer.kind_seconds[kind] = (
+            tracer.kind_seconds.get(kind, 0.0) + seconds
+        )
+    tracer.dropped_spans += totals["dropped_spans"]
+    telemetry.registry.dropped_label_sets += totals["dropped_label_sets"]
     return merged

@@ -18,7 +18,6 @@ byte-identical report.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional
 
 from repro.obs.context import COMPONENTS
@@ -147,12 +146,6 @@ def build_trace_report(
     return report
 
 
-def write_trace_report(report: Dict[str, Any], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def render_trace_report(report: Dict[str, Any]) -> str:
     """Human-readable summary (printed by ``repro trace``)."""
     lines = [
@@ -202,6 +195,5 @@ __all__ = [
     "max_sum_error",
     "link_counts",
     "build_trace_report",
-    "write_trace_report",
     "render_trace_report",
 ]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.harness.parallel import (
-    available_jobs,
+    export_telemetry_totals,
     merge_metric_samples,
     run_tasks,
 )
@@ -18,20 +18,6 @@ def _identify(index):
     import os
 
     return index, os.getpid()
-
-
-class TestAvailableJobs:
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            available_jobs(0)
-        with pytest.raises(ValueError):
-            available_jobs(-3)
-
-    def test_clamps_to_cpu_count(self):
-        import os
-
-        assert available_jobs(1) == 1
-        assert available_jobs(10_000) == (os.cpu_count() or 1)
 
 
 class TestRunTasks:
@@ -89,28 +75,25 @@ class TestMergeMetricSamples:
         for _worker in range(2):
             worker = Telemetry()
             _record(worker, 1)
-            samples = worker.registry.to_dict()["metrics"]
-            assert merge_metric_samples(merged, samples) == 4
+            totals = export_telemetry_totals(worker)
+            assert merge_metric_samples(merged, totals) == 4
         assert merged.registry.to_dict() == expected.registry.to_dict()
 
     def test_merge_is_incremental(self):
         merged = Telemetry()
         worker = Telemetry()
         worker.counter("n").inc(3)
-        samples = worker.registry.to_dict()["metrics"]
-        merge_metric_samples(merged, samples)
-        merge_metric_samples(merged, samples)
+        totals = export_telemetry_totals(worker)
+        merge_metric_samples(merged, totals)
+        merge_metric_samples(merged, totals)
         [record] = merged.registry.to_dict()["metrics"]
         assert record["value"] == 6
 
     def test_unknown_kinds_skipped(self):
         merged = Telemetry()
-        assert (
-            merge_metric_samples(
-                merged, [{"name": "x", "kind": "span", "labels": {}}]
-            )
-            == 0
-        )
+        totals = export_telemetry_totals(Telemetry())
+        totals["metrics"] = [{"name": "x", "kind": "span", "labels": {}}]
+        assert merge_metric_samples(merged, totals) == 0
 
     def test_sticky_gauges_merge_by_max_not_sum(self):
         # fs.degraded is a state flag, not a quantity: four degraded
@@ -121,8 +104,7 @@ class TestMergeMetricSamples:
             worker = Telemetry()
             worker.gauge("fs.degraded").set(value)
             worker.gauge("cache.bytes").set(10)
-            samples = worker.registry.to_dict()["metrics"]
-            merge_metric_samples(merged, samples)
+            merge_metric_samples(merged, export_telemetry_totals(worker))
         assert merged.gauge("fs.degraded").value == 1
         assert merged.gauge("cache.bytes").value == 40  # sum, as before
 
@@ -141,8 +123,6 @@ class TestExportTelemetryTotals:
         # Two "workers" each record scale=1 (metrics *and* spans);
         # merging their exported totals must equal one process
         # recording scale=2 — the --jobs N == --jobs 1 contract.
-        from repro.harness.parallel import export_telemetry_totals
-
         expected = Telemetry()
         _record_with_spans(expected, 2)
 
@@ -165,8 +145,6 @@ class TestExportTelemetryTotals:
         )
 
     def test_span_event_records_stay_in_the_worker(self):
-        from repro.harness.parallel import export_telemetry_totals
-
         worker = Telemetry()
         _record_with_spans(worker, 1)
         merged = Telemetry()
@@ -175,8 +153,6 @@ class TestExportTelemetryTotals:
         assert merged.tracer.kind_counts["service.request"] == 1
 
     def test_drop_counters_merge(self):
-        from repro.harness.parallel import export_telemetry_totals
-
         worker = Telemetry()
         worker.tracer.dropped_spans = 3
         worker.registry.dropped_label_sets = 2
@@ -185,16 +161,3 @@ class TestExportTelemetryTotals:
         merge_metric_samples(merged, export_telemetry_totals(worker))
         assert merged.tracer.dropped_spans == 6
         assert merged.registry.dropped_label_sets == 4
-
-    def test_legacy_list_form_still_merges(self):
-        worker = Telemetry()
-        worker.counter("n").inc(5)
-        merged = Telemetry()
-        assert (
-            merge_metric_samples(
-                merged, worker.registry.to_dict()["metrics"]
-            )
-            == 1
-        )
-        [record] = merged.registry.to_dict()["metrics"]
-        assert record["value"] == 5

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import io
+import json
 import sys
 
 import pytest
@@ -288,3 +289,133 @@ class TestServeSim:
                 names.add(json.loads(line).get("name", ""))
         assert any(name.startswith("service.") for name in names)
         assert "cleaner.clean_reserve" in names
+
+
+class TestTraceCommand:
+    def test_trace_writes_report_with_exact_attribution(self, tmp_path):
+        output = str(tmp_path / "trace.json")
+        export = str(tmp_path / "trace.jsonl")
+        code, out = run_cli(
+            [
+                "trace",
+                "--clients",
+                "4",
+                "--requests-per-client",
+                "5",
+                "--fill",
+                "0",
+                "--size",
+                "32M",
+                "--output",
+                output,
+                "--export",
+                export,
+            ]
+        )
+        assert code == 0
+        assert "requests traced" in out
+        with open(output) as handle:
+            report = json.load(handle)
+        assert report["requests"] == 20
+        assert report["max_sum_error"] < 1e-9
+        assert report["wamp"]["write_amplification"] >= 1.0
+        with open(export) as handle:
+            lines = handle.read().splitlines()
+        assert lines, "JSONL export is empty"
+        assert json.loads(lines[-1])["type"] == "summary"
+
+
+@pytest.fixture
+def tiny_sweep(monkeypatch):
+    """Shrink both sweep grids so one ``repro sweep`` takes a second."""
+    from repro.cluster import bench as cluster_bench
+    from repro.service import bench as service_bench
+
+    monkeypatch.setattr(service_bench, "CLIENTS", (1, 2))
+    monkeypatch.setattr(service_bench, "REQUESTS_PER_CLIENT", 3)
+    monkeypatch.setattr(cluster_bench, "POINTS", ((1, 2), (2, 4)))
+    monkeypatch.setattr(cluster_bench, "REQUESTS_PER_CLIENT", 3)
+    return service_bench, cluster_bench
+
+
+class TestSweepCommand:
+    def test_one_run_writes_the_whole_report(self, tmp_path, tiny_sweep):
+        output = tmp_path / "BENCH_service.json"
+        code, out = run_cli(["sweep", "--output", str(output)])
+        assert code == 0, out
+        report = json.loads(output.read_text())
+        assert sorted(report) == [
+            "benchmark",
+            "cluster",
+            "points",
+            "requests_per_client",
+            "seed",
+        ]
+        assert report["benchmark"] == "service_scaling"
+        assert report["requests_per_client"] == 3
+        assert [point["clients"] for point in report["points"]] == [1, 2]
+        cluster = report["cluster"]
+        assert sorted(cluster) == ["points", "requests_per_client", "seed"]
+        assert [
+            (row["shards"], row["clients"]) for row in cluster["points"]
+        ] == [(1, 2), (2, 4)]
+        assert all(row["consistent"] for row in cluster["points"])
+
+    def test_report_is_byte_identical_for_any_jobs(
+        self, tmp_path, tiny_sweep
+    ):
+        serial, parallel = tmp_path / "j1.json", tmp_path / "j2.json"
+        assert run_cli(["sweep", "--output", str(serial)])[0] == 0
+        code, _out = run_cli(
+            ["sweep", "--jobs", "2", "--output", str(parallel)]
+        )
+        assert code == 0
+        assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_scale_gate_failure_exits_one(
+        self, tmp_path, tiny_sweep, monkeypatch
+    ):
+        _service_bench, cluster_bench = tiny_sweep
+        monkeypatch.setattr(
+            cluster_bench, "scale_gate", lambda rows: ["too slow"]
+        )
+        code, out = run_cli(["sweep", "--output", str(tmp_path / "r.json")])
+        assert code == 1
+        assert "FAIL: too slow" in out
+
+    def test_dropped_request_exits_one(
+        self, tmp_path, tiny_sweep, monkeypatch
+    ):
+        service_bench, _cluster_bench = tiny_sweep
+        real_point = service_bench.sweep_point
+
+        def dropping_point(clients, requests_per_client):
+            point = real_point(clients, requests_per_client)
+            point["dropped"] = 1
+            return point
+
+        monkeypatch.setattr(service_bench, "sweep_point", dropping_point)
+        code, out = run_cli(["sweep", "--output", str(tmp_path / "r.json")])
+        assert code == 1
+        assert "FAIL: 2 dropped request(s)" in out
+
+    def test_scale_gate_checks_floor_p99_and_verification(self):
+        from repro.cluster.bench import SCALE_FLOOR, scale_gate
+
+        def row(shards, tput, p99, consistent=True):
+            return {
+                "shards": shards,
+                "clients": 64,
+                "throughput_per_second": tput,
+                "latency_p99_seconds": p99,
+                "consistent": consistent,
+            }
+
+        base = row(1, 60.0, 1.0)
+        assert scale_gate([base, row(4, 60.0 * SCALE_FLOOR, 0.5)]) == []
+        [slow] = scale_gate([base, row(4, 150.0, 0.5)])
+        assert "2.50x" in slow
+        [tail] = scale_gate([base, row(4, 300.0, 1.5)])
+        assert "exceeds" in tail
+        [broken] = scale_gate([row(1, 60.0, 1.0, consistent=False)])
+        assert "failed verification" in broken
