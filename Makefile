@@ -52,12 +52,13 @@ bench-pairs:
 		--pairs $(N)
 
 # Regenerate the committed trace-attribution report: a seeded
-# 16-client serve-sim with full request tracing, decomposed into
-# queueing / admission-retry / commit-wait / fs / disk /
-# cleaner-throttle (components sum to the measured latency) plus the
+# 16-client serve-sim on a log pre-filled to 0.85 (so the cleaner and
+# throttling engage) with full request tracing (`--report`),
+# decomposed into queueing / admission-retry / commit-wait / fs / disk
+# / cleaner-throttle (components sum to the measured latency) plus the
 # write-amplification ledger.
 trace:
-	$(PYTHON) -m repro trace --output BENCH_trace.json
+	$(PYTHON) -m repro serve-sim --clients 16 --fill 0.85 --report BENCH_trace.json
 
 # Regenerate both committed reports in place and fail if either moved:
 # the trace report, then BENCH_service.json (`repro sweep`: the service

@@ -1,17 +1,13 @@
-"""Metrics, analytic models and report formatting."""
+"""Analytic models and report formatting."""
 
-from repro.analysis.metrics import PhaseTimer, speedup
-from repro.analysis.report import Table, format_series
+from repro.analysis.report import Table
 from repro.analysis.write_cost import (
     analytic_cleaning_rate,
     analytic_write_cost,
 )
 
 __all__ = [
-    "PhaseTimer",
-    "speedup",
     "Table",
-    "format_series",
     "analytic_write_cost",
     "analytic_cleaning_rate",
 ]

@@ -1,12 +1,12 @@
-"""Plain-text tables and series for benchmark output.
+"""Plain-text tables for benchmark output.
 
 The benchmark harness prints the same rows/series the paper's figures
-report; these helpers keep that output aligned and consistent.
+report; :class:`Table` keeps that output aligned and consistent.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import List, Sequence, Union
 
 Cell = Union[str, int, float]
 
@@ -68,12 +68,3 @@ class Table:
     def __str__(self) -> str:
         return self.render()
 
-
-def format_series(
-    name: str, points: Iterable[Tuple[Cell, Cell]], x_label: str, y_label: str
-) -> str:
-    """One labelled x→y series, figure-caption style."""
-    lines = [f"{name}  ({x_label} -> {y_label})"]
-    for x, y in points:
-        lines.append(f"  {_format_cell(x):>8} -> {_format_cell(y)}")
-    return "\n".join(lines)

@@ -16,6 +16,7 @@ Commands::
     mkdir IMAGE PATH                          create a directory
     inspect IMAGE                             dump on-disk structures
     fsck IMAGE                                check/repair an FFS image
+    verify IMAGE                              offline consistency check (LFS)
     fig {1,3,4,5,scaling,recovery}            run a paper experiment
     stats IMAGE                               mount with telemetry, report
     stats A.jsonl B.jsonl ...                 merge exported telemetry
@@ -24,17 +25,18 @@ Commands::
     chaos --trials N --seed S --clients C     crash-under-load campaign with
                                               durability-contract checking
     serve-sim --clients N --seed S            multi-client service sim
+                                              (--report OUT.json: latency
+                                              attribution, BENCH_trace.json)
     cluster-sim --shards S --clients N        sharded scale-out run with
                                               optional live migration
                                               (--migrate SRC:DST@T)
-    trace --clients N --seed S                traced service run + latency
-                                              attribution (BENCH_trace.json)
     sweep [--jobs N]                          service + cluster scaling
                                               sweeps (BENCH_service.json)
 
-``fig --telemetry out.jsonl`` records the experiment's metrics and
-spans (see :mod:`repro.obs`) and writes them as JSONL for offline
-analysis.
+``--telemetry out.jsonl`` (fig, stats, crashtest, chaos, serve-sim,
+cluster-sim) records the run's metrics and spans (see
+:mod:`repro.obs`) and writes them as JSONL for offline analysis;
+``repro stats out.jsonl`` renders such a file.
 """
 
 from __future__ import annotations
@@ -49,22 +51,53 @@ from repro.errors import ReproError
 from repro.ffs.fsck import fsck as run_fsck
 from repro.rig import new_rig
 from repro.tools.inspect import describe_image, identify
-from repro.units import KIB, MIB
+from repro.units import GIB, KIB, MIB
+
+
+_SIZE_SUFFIXES = (
+    ("KIB", KIB), ("MIB", MIB), ("GIB", GIB), ("K", KIB), ("M", MIB), ("G", GIB),
+)
 
 
 def _parse_size(text: str) -> int:
-    text = text.strip().upper()
-    multiplier = 1
-    if text.endswith("K"):
-        multiplier, text = KIB, text[:-1]
-    elif text.endswith("M"):
-        multiplier, text = MIB, text[:-1]
-    elif text.endswith("G"):
-        multiplier, text = 1024 * MIB, text[:-1]
+    """``16M``, ``16MiB`` or plain bytes -> bytes (case-insensitive)."""
+    number, multiplier = text.strip().upper(), 1
+    for suffix, scale in _SIZE_SUFFIXES:
+        if number.endswith(suffix):
+            number, multiplier = number[: -len(suffix)], scale
+            break
     try:
-        return int(text) * multiplier
+        return int(number) * multiplier
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad size: {text!r}") from exc
+
+
+def _positive_int(text: str) -> int:
+    """A count flag (``--trials``, ``--jobs``): an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"want an integer >= 1: {text!r}")
+    return value
+
+
+def _add_telemetry_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--telemetry",
+        metavar="OUT.JSONL",
+        help="record metrics and spans; write them as JSONL here",
+    )
+
+
+def _export_telemetry(telemetry, path: Optional[str]) -> None:
+    """Write ``telemetry`` to ``path`` as JSONL (no-op without a path)."""
+    from repro.obs import export_jsonl
+
+    if path:
+        lines = export_jsonl(telemetry, path)
+        print(f"telemetry: {lines} records -> {path}")
 
 
 def _open_image(path: str, telemetry=None, readahead: int = 0):
@@ -213,7 +246,7 @@ def cmd_fig(args) -> int:
         sec31_cpu_scaling,
     )
     from repro.lfs.config import LfsConfig
-    from repro.obs import Telemetry, export_jsonl
+    from repro.obs import Telemetry
     from repro.workloads.largefile import PHASES
 
     telemetry = Telemetry() if args.telemetry else None
@@ -272,9 +305,7 @@ def cmd_fig(args) -> int:
             table.row(point.num_files, point.lfs_recovery_seconds,
                       point.ffs_fsck_seconds)
         print(table.render())
-    if telemetry is not None:
-        lines = export_jsonl(telemetry, args.telemetry)
-        print(f"telemetry: {lines} records -> {args.telemetry}")
+    _export_telemetry(telemetry, args.telemetry)
     return 0
 
 
@@ -312,12 +343,7 @@ def _exercise_reads(fs, pattern: str, chunk_blocks: int = 4) -> int:
 
 
 def cmd_stats(args) -> int:
-    from repro.obs import (
-        Telemetry,
-        export_jsonl,
-        merge_jsonl_files,
-        render_report,
-    )
+    from repro.obs import Telemetry, merge_jsonl_files, render_report
 
     if all(path.endswith(".jsonl") for path in args.inputs):
         # Telemetry-stream mode: fold one or more exported JSONL
@@ -326,9 +352,7 @@ def cmd_stats(args) -> int:
         merged = merge_jsonl_files(args.inputs)
         title = ", ".join(args.inputs)
         print(render_report(merged, title=f"merged {title}"))
-        if args.telemetry:
-            lines = export_jsonl(merged, args.telemetry)
-            print(f"telemetry: {lines} records -> {args.telemetry}")
+        _export_telemetry(merged, args.telemetry)
         return 0
     if len(args.inputs) != 1:
         raise ReproError(
@@ -350,15 +374,13 @@ def cmd_stats(args) -> int:
     print(render_report(telemetry, title=f"mount {image}"))
     print("-- disk --")
     print(f"  {fs.disk.stats.summary()}")
-    if args.telemetry:
-        lines = export_jsonl(telemetry, args.telemetry)
-        print(f"telemetry: {lines} records -> {args.telemetry}")
+    _export_telemetry(telemetry, args.telemetry)
     return 0
 
 
 def cmd_crashtest(args) -> int:
     from repro.faults import run_campaign
-    from repro.obs import Telemetry, export_jsonl
+    from repro.obs import Telemetry
 
     telemetry = Telemetry() if args.telemetry else None
     report = run_campaign(
@@ -370,15 +392,13 @@ def cmd_crashtest(args) -> int:
         jobs=args.jobs,
     )
     print(report.render())
-    if telemetry is not None:
-        lines = export_jsonl(telemetry, args.telemetry)
-        print(f"telemetry: {lines} records -> {args.telemetry}")
+    _export_telemetry(telemetry, args.telemetry)
     return 0 if report.survived_all else 1
 
 
 def cmd_chaos(args) -> int:
     from repro.faults.chaos import run_chaos_campaign
-    from repro.obs import Telemetry, export_jsonl
+    from repro.obs import Telemetry
 
     telemetry = Telemetry() if args.telemetry else None
     report = run_chaos_campaign(
@@ -392,22 +412,31 @@ def cmd_chaos(args) -> int:
         jobs=args.jobs,
     )
     print(report.render())
-    if telemetry is not None:
-        lines = export_jsonl(telemetry, args.telemetry)
-        print(f"telemetry: {lines} records -> {args.telemetry}")
+    _export_telemetry(telemetry, args.telemetry)
     return 0 if report.passed_all else 1
 
 
-def cmd_serve_sim(args) -> int:
-    from repro.obs import Telemetry, export_jsonl
-    from repro.service import ServiceConfig, simulate_service
+def _write_report(report, path: str) -> None:
+    """Write a committed report (``BENCH_trace.json``,
+    ``BENCH_service.json``): sorted keys, two-space indent and a final
+    newline, so a regenerated report diffs byte for byte."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(report, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
-    telemetry = Telemetry() if args.telemetry else None
+
+def cmd_serve_sim(args) -> int:
+    from repro.obs import Telemetry
+    from repro.service import ServiceConfig, simulate_service
+    from repro.service.committer import COMMIT_WINDOW
+
+    telemetry = None
+    if args.telemetry or args.report:
+        telemetry = Telemetry(trace_io=args.trace_io)
     config = ServiceConfig(
         num_clients=args.clients,
         seed=args.seed,
         requests_per_client=args.requests_per_client,
-        commit_window=args.commit_window,
         fill_fraction=args.fill,
     )
     stats, fs = simulate_service(
@@ -425,9 +454,28 @@ def cmd_serve_sim(args) -> int:
     if args.image:
         fs.disk.device.save(args.image)
         print(f"image -> {args.image}")
-    if telemetry is not None:
-        lines = export_jsonl(telemetry, args.telemetry)
-        print(f"telemetry: {lines} records -> {args.telemetry}")
+    if args.report:
+        from repro.obs.attribution import (
+            build_trace_report,
+            render_trace_report,
+        )
+
+        report = build_trace_report(
+            telemetry,
+            fs=fs,
+            config={
+                "clients": args.clients,
+                "seed": args.seed,
+                "requests_per_client": args.requests_per_client,
+                "commit_window": COMMIT_WINDOW,
+                "fill_fraction": args.fill,
+                "trace_io": args.trace_io,
+            },
+        )
+        _write_report(report, args.report)
+        print(render_trace_report(report))
+        print(f"trace report -> {args.report}")
+    _export_telemetry(telemetry, args.telemetry)
     return 1 if stats.dropped else 0
 
 
@@ -447,76 +495,20 @@ def _parse_migration(text: str):
 
 def cmd_cluster_sim(args) -> int:
     from repro.cluster import ClusterConfig, run_cluster
-    from repro.obs import export_jsonl, render_report
 
     config = ClusterConfig(
         shards=args.shards,
         clients=args.clients,
         seed=args.seed,
         requests_per_client=args.requests_per_client,
-        placement=args.placement,
         migrations=tuple(args.migrate or ()),
     )
     result = run_cluster(
         config, jobs=args.jobs, total_bytes=args.size
     )
     print(result.render())
-    if args.stats:
-        print(render_report(result.telemetry, title="cluster telemetry"))
-    if args.telemetry:
-        lines = export_jsonl(result.telemetry, args.telemetry)
-        print(f"telemetry: {lines} records -> {args.telemetry}")
+    _export_telemetry(result.telemetry, args.telemetry)
     return 0 if result.consistent else 1
-
-
-def _write_report(report, path: str) -> None:
-    """Write a committed report (``BENCH_trace.json``,
-    ``BENCH_service.json``): sorted keys, two-space indent and a final
-    newline, so a regenerated report diffs byte for byte."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def cmd_trace(args) -> int:
-    from repro.obs import Telemetry, export_jsonl
-    from repro.obs.attribution import (
-        build_trace_report,
-        render_trace_report,
-    )
-    from repro.service import ServiceConfig, simulate_service
-
-    telemetry = Telemetry(trace_io=args.trace_io)
-    config = ServiceConfig(
-        num_clients=args.clients,
-        seed=args.seed,
-        requests_per_client=args.requests_per_client,
-        commit_window=args.commit_window,
-        fill_fraction=args.fill,
-    )
-    stats, fs = simulate_service(
-        config, total_bytes=args.size, telemetry=telemetry
-    )
-    fs.unmount()
-    report = build_trace_report(
-        telemetry,
-        fs=fs,
-        config={
-            "clients": args.clients,
-            "seed": args.seed,
-            "requests_per_client": args.requests_per_client,
-            "commit_window": args.commit_window,
-            "fill_fraction": args.fill,
-            "trace_io": bool(args.trace_io),
-        },
-    )
-    _write_report(report, args.output)
-    print(render_trace_report(report))
-    print(f"trace report -> {args.output}")
-    if args.export:
-        lines = export_jsonl(telemetry, args.export)
-        print(f"trace export: {lines} records -> {args.export}")
-    return 1 if stats.dropped else 0
 
 
 def cmd_sweep(args) -> int:
@@ -617,11 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "which", choices=("1", "3", "4", "5", "scaling", "recovery")
     )
-    p.add_argument(
-        "--telemetry",
-        metavar="OUT.JSONL",
-        help="record metrics and spans; write them as JSONL here",
-    )
+    _add_telemetry_flag(p)
     p.set_defaults(func=cmd_fig)
 
     p = sub.add_parser(
@@ -649,23 +637,19 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BLOCKS",
         help="readahead window used with --exercise (default 16)",
     )
-    p.add_argument(
-        "--telemetry",
-        metavar="OUT.JSONL",
-        help="also write the raw metrics/spans as JSONL here",
-    )
+    _add_telemetry_flag(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser(
         "crashtest",
         help="run a seeded crash+corruption campaign and report survival",
     )
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=_parse_size, default=24 * MIB)
     p.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes for the trials (report is byte-identical "
         "for any value)",
@@ -673,11 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verbose", action="store_true", help="print a line per trial"
     )
-    p.add_argument(
-        "--telemetry",
-        metavar="OUT.JSONL",
-        help="record campaign metrics/spans; write them as JSONL here",
-    )
+    _add_telemetry_flag(p)
     p.set_defaults(func=cmd_crashtest)
 
     p = sub.add_parser(
@@ -685,14 +665,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="crash a loaded service rig at adversarial instants and "
         "check the durability contract after every remount",
     )
-    p.add_argument("--trials", type=int, default=12)
+    p.add_argument("--trials", type=_positive_int, default=12)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--clients", type=int, default=8)
     p.add_argument("--requests-per-client", type=int, default=80)
     p.add_argument("--size", type=_parse_size, default=32 * MIB)
     p.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes for the trials (report is byte-identical "
         "for any value)",
@@ -700,11 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verbose", action="store_true", help="print a line per trial"
     )
-    p.add_argument(
-        "--telemetry",
-        metavar="OUT.JSONL",
-        help="record campaign metrics/spans; write them as JSONL here",
-    )
+    _add_telemetry_flag(p)
     p.set_defaults(func=cmd_chaos)
 
     p = sub.add_parser(
@@ -714,12 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clients", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--requests-per-client", type=int, default=100)
-    p.add_argument(
-        "--commit-window",
-        type=float,
-        default=0.01,
-        help="group-commit window in simulated seconds",
-    )
     p.add_argument(
         "--fill",
         type=float,
@@ -734,10 +704,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="save the post-run device image here",
     )
     p.add_argument(
-        "--telemetry",
-        metavar="OUT.JSONL",
-        help="record service metrics/spans; write them as JSONL here",
+        "--report",
+        metavar="OUT.JSON",
+        help="trace every request and write the latency-attribution "
+        "report here (BENCH_trace.json)",
     )
+    p.add_argument(
+        "--trace-io",
+        action="store_true",
+        help="with --report or --telemetry: also record a span per disk "
+        "request (finer tree, bigger export)",
+    )
+    _add_telemetry_flag(p)
     p.set_defaults(func=cmd_serve_sim)
 
     p = sub.add_parser(
@@ -750,12 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--requests-per-client", type=int, default=40)
     p.add_argument(
-        "--placement",
-        choices=("hash", "prefix"),
-        default="hash",
-        help="client->shard placement policy (default hash ring)",
-    )
-    p.add_argument(
         "--migrate",
         type=_parse_migration,
         action="append",
@@ -765,65 +737,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes for the shard groups (output is "
         "byte-identical for any value)",
     )
     p.add_argument("--size", type=_parse_size, default=64 * MIB)
-    p.add_argument(
-        "--stats",
-        action="store_true",
-        help="also print the merged cluster telemetry report",
-    )
-    p.add_argument(
-        "--telemetry",
-        metavar="OUT.JSONL",
-        help="write the merged cluster metrics as JSONL here",
-    )
+    _add_telemetry_flag(p)
     p.set_defaults(func=cmd_cluster_sim)
-
-    p = sub.add_parser(
-        "trace",
-        help="run a traced service simulation and write the latency "
-        "attribution report (BENCH_trace.json)",
-    )
-    p.add_argument("--clients", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--requests-per-client", type=int, default=100)
-    p.add_argument(
-        "--commit-window",
-        type=float,
-        default=0.01,
-        help="group-commit window in simulated seconds",
-    )
-    p.add_argument(
-        "--fill",
-        type=float,
-        default=0.85,
-        metavar="FRACTION",
-        help="pre-fill the log to this fraction of serviceable capacity "
-        "(the default engages the cleaner, so throttle attribution and "
-        "cleaner-copied bytes are exercised)",
-    )
-    p.add_argument("--size", type=_parse_size, default=64 * MIB)
-    p.add_argument(
-        "--output",
-        default="BENCH_trace.json",
-        metavar="OUT.JSON",
-        help="where to write the attribution report",
-    )
-    p.add_argument(
-        "--export",
-        metavar="OUT.JSONL",
-        help="also write the raw trace tree (metrics + spans) as JSONL",
-    )
-    p.add_argument(
-        "--trace-io",
-        action="store_true",
-        help="record a span per disk request (finer tree, bigger export)",
-    )
-    p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser(
         "sweep",
@@ -832,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes for the sweep points and shard groups "
         "(report is byte-identical for any value)",

@@ -2,9 +2,8 @@
 
 A :class:`~repro.cluster.router.ShardRouter` places the namespace (one
 service client directory per key) across N independent LFS volumes at
-the start of a run, via a placement policy — a consistent-hash
-:class:`~repro.cluster.ring.HashRing` or an explicit
-:class:`~repro.cluster.ring.PrefixPlacement` table.  Each shard is a
+the start of a run, via a consistent-hash
+:class:`~repro.cluster.ring.HashRing`.  Each shard is a
 complete single-volume rig (scheduler, admission control, group
 commit, cleaner); :mod:`repro.cluster.sim` runs them as deterministic
 shard groups, optionally in parallel worker processes, and
@@ -16,7 +15,7 @@ See DESIGN.md §10 for the architecture and the determinism rules.
 
 from repro.cluster.config import ClusterConfig, MigrationSpec
 from repro.cluster.migrate import ShardMigrator
-from repro.cluster.ring import HashRing, PrefixPlacement, stable_hash
+from repro.cluster.ring import HashRing, stable_hash
 from repro.cluster.router import ShardRouter, client_key
 from repro.cluster.sim import (
     ClusterResult,
@@ -30,7 +29,6 @@ __all__ = [
     "ClusterResult",
     "HashRing",
     "MigrationSpec",
-    "PrefixPlacement",
     "ShardMigrator",
     "ShardRouter",
     "build_groups",

@@ -1,9 +1,9 @@
-"""Cluster-layer configuration: shards, placement, planned migrations.
+"""Cluster-layer configuration: shards, clients, planned migrations.
 
 A :class:`ClusterConfig` describes one scale-out run: how many LFS
-volumes (shards), how many global clients, which placement policy maps
-client directories to shards, and any :class:`MigrationSpec` rebalances
-scheduled to fire mid-run.  Like :class:`~repro.service.config.
+volumes (shards), how many global clients (placed on shards by the
+consistent-hash ring, see :mod:`repro.cluster.router`), and any
+:class:`MigrationSpec` rebalances scheduled to fire mid-run.  Like :class:`~repro.service.config.
 ServiceConfig`, everything is simulated time and the whole run is a
 pure function of ``seed``.
 """
@@ -15,9 +15,6 @@ from typing import Dict, Tuple
 
 from repro.errors import InvalidArgumentError
 from repro.service.config import ServiceConfig
-
-PLACEMENTS = ("hash", "prefix")
-
 
 @dataclass(frozen=True)
 class MigrationSpec:
@@ -48,7 +45,7 @@ class ClusterConfig:
     """Independent LFS volumes behind the router."""
 
     clients: int = 64
-    """Global client streams, partitioned across shards by placement."""
+    """Global client streams, partitioned across shards by the ring."""
 
     seed: int = 0
     """Master seed; client ``i`` derives its stream from (seed, i)
@@ -56,10 +53,6 @@ class ClusterConfig:
     does not depend on which shard serves it."""
 
     requests_per_client: int = 40
-
-    placement: str = "hash"
-    """``hash`` (consistent-hash ring) or ``prefix`` (round-robin
-    directory-prefix table)."""
 
     migrations: Tuple[MigrationSpec, ...] = ()
 
@@ -71,11 +64,6 @@ class ClusterConfig:
         if self.clients < 1:
             raise InvalidArgumentError(
                 f"need at least one client: {self.clients}"
-            )
-        if self.placement not in PLACEMENTS:
-            raise InvalidArgumentError(
-                f"unknown placement {self.placement!r} "
-                f"(want one of {PLACEMENTS})"
             )
         seen: Dict[int, float] = {}
         for spec in self.migrations:
@@ -103,4 +91,4 @@ class ClusterConfig:
         )
 
 
-__all__ = ["ClusterConfig", "MigrationSpec", "PLACEMENTS"]
+__all__ = ["ClusterConfig", "MigrationSpec"]

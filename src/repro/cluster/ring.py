@@ -1,19 +1,13 @@
-"""Placement policies: consistent-hash ring and directory prefixes.
+"""Placement: a consistent-hash ring over the shards.
 
 The cluster layer partitions the namespace at the top-level directory
 (each service client owns ``/cN``, so the client's directory is the
-placement key).  Two interchangeable policies decide which shard serves
-a key:
-
-* :class:`HashRing` — classic consistent hashing.  Each shard
-  contributes :data:`DEFAULT_REPLICAS` virtual points on a 64-bit ring
-  (SHA-1 of ``shard-<id>:<replica>``); a key lands on the first point
-  clockwise from its own hash.  Adding a shard only remaps the keys
-  that fall between its new points — the minimal-disruption property
-  the hypothesis suite pins.
-* :class:`PrefixPlacement` — an explicit longest-prefix-match table,
-  for operators who want deterministic pinning (and for tests that
-  need an exactly balanced assignment).
+placement key).  :class:`HashRing` is classic consistent hashing: each
+shard contributes :data:`DEFAULT_REPLICAS` virtual points on a 64-bit
+ring (SHA-1 of ``shard-<id>:<replica>``); a key lands on the first
+point clockwise from its own hash.  Adding a shard only remaps the keys
+that fall between its new points — the minimal-disruption property the
+hypothesis suite pins.
 
 Hashes are SHA-1, **never** the builtin ``hash()`` — Python salts
 string hashing per process, which would silently break cross-run and
@@ -24,7 +18,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 DEFAULT_REPLICAS = 64
 """Virtual ring points per shard."""
@@ -64,40 +58,4 @@ class HashRing:
         return self._points[index][1]
 
 
-class PrefixPlacement:
-    """Longest-prefix-match placement over an explicit table."""
-
-    def __init__(
-        self, table: Dict[str, int], default: int = 0
-    ) -> None:
-        # Longest prefix first, then lexicographic — fully deterministic
-        # match order even for equal-length prefixes.
-        self._table: List[Tuple[str, int]] = sorted(
-            table.items(), key=lambda item: (-len(item[0]), item[0])
-        )
-        self.default = default
-
-    def shard_for(self, key: str) -> int:
-        for prefix, shard_id in self._table:
-            if key.startswith(prefix):
-                return shard_id
-        return self.default
-
-
-def round_robin_table(
-    keys: Sequence[str], shard_ids: Sequence[int]
-) -> Dict[str, int]:
-    """An exactly balanced prefix table: key ``i`` → shard ``i % N``."""
-    return {
-        key: shard_ids[index % len(shard_ids)]
-        for index, key in enumerate(keys)
-    }
-
-
-__all__ = [
-    "DEFAULT_REPLICAS",
-    "HashRing",
-    "PrefixPlacement",
-    "round_robin_table",
-    "stable_hash",
-]
+__all__ = ["DEFAULT_REPLICAS", "HashRing", "stable_hash"]

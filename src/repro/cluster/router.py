@@ -1,11 +1,11 @@
 """The shard router: a cluster run's initial client placement.
 
-A :class:`ShardRouter` turns a placement policy (consistent-hash ring
-or explicit prefix table — see :mod:`repro.cluster.ring`) into the
-client→shard table a cluster run starts from.  It is consulted once,
-before any shard group runs; a live migration does not edit it but
-hands the moving clients from the source scheduler to the target one
-at its cutover barrier (:mod:`repro.cluster.migrate`).
+A :class:`ShardRouter` turns the consistent-hash ring
+(:mod:`repro.cluster.ring`) into the client→shard table a cluster run
+starts from.  It is consulted once, before any shard group runs; a
+live migration does not edit it but hands the moving clients from the
+source scheduler to the target one at its cutover barrier
+(:mod:`repro.cluster.migrate`).
 """
 
 from __future__ import annotations
@@ -13,11 +13,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.cluster.config import ClusterConfig
-from repro.cluster.ring import (
-    HashRing,
-    PrefixPlacement,
-    round_robin_table,
-)
+from repro.cluster.ring import HashRing
 
 
 def client_key(client_id: int) -> str:
@@ -30,16 +26,7 @@ class ShardRouter:
 
     def __init__(self, config: ClusterConfig) -> None:
         self.config = config
-        shard_ids = list(range(config.shards))
-        if config.placement == "hash":
-            self.policy = HashRing(shard_ids)
-        else:
-            self.policy = PrefixPlacement(
-                round_robin_table(
-                    [client_key(cid) for cid in range(config.clients)],
-                    shard_ids,
-                )
-            )
+        self.policy = HashRing(range(config.shards))
         self._route: Dict[int, int] = {
             cid: self.policy.shard_for(client_key(cid))
             for cid in range(config.clients)

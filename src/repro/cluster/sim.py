@@ -209,7 +209,7 @@ class ClusterResult:
         lines = [
             f"== cluster-sim: {config.shards} shards, "
             f"{config.clients} clients, seed {config.seed}, "
-            f"placement {config.placement} =="
+            f"placement hash =="
         ]
         for row in self.shards:
             stats = row["stats"]

@@ -48,7 +48,7 @@ from repro.lfs.filesystem import LogStructuredFS
 from repro.lfs.verify import verify_lfs
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.rig import new_rig
-from repro.service.config import SERVICE_LFS_CONFIG, ServiceConfig
+from repro.service.config import SERVICE_LFS_CONFIG, ServiceConfig, validate_rig
 from repro.service.scheduler import (
     ClientStream,
     RequestScheduler,
@@ -758,6 +758,17 @@ def run_chaos_campaign(
     """
     from repro.harness.parallel import run_trials
 
+    # Fail fast (with every violation listed) before forking workers:
+    # a bad configuration would otherwise be reported as every trial
+    # escaping with the same error.  Each instant has its own config.
+    for instant in INSTANTS:
+        validate_rig(
+            _chaos_service_config(
+                seed, 0, clients, requests_per_client, instant
+            ),
+            SERVICE_LFS_CONFIG,
+            device_bytes=wren_iv(device_bytes).total_bytes,
+        )
     report = ChaosReport(seed=seed, clients=clients)
     results = run_trials(
         run_chaos_trial,

@@ -7,7 +7,7 @@ those roots into the report the paper-style analysis needs: per-kind
 and overall p50/p99/mean per component, the share of total latency
 each component explains, span-link counts (cleaner passes tied to the
 writes that paid for them), and the ``wamp.*`` write-amplification
-ledger — emitted as ``BENCH_trace.json`` by ``repro trace``.
+ledger — emitted as ``BENCH_trace.json`` by ``repro serve-sim --report``.
 
 Everything here is deterministic: the service layer's nearest-rank
 percentile (:func:`repro.service.stats.percentile`, so a report's p99
@@ -147,7 +147,7 @@ def build_trace_report(
 
 
 def render_trace_report(report: Dict[str, Any]) -> str:
-    """Human-readable summary (printed by ``repro trace``)."""
+    """Human-readable summary (printed by ``repro serve-sim --report``)."""
     lines = [
         f"requests traced           {report['requests']}",
         f"max attribution error     {report['max_sum_error']:.3e}",

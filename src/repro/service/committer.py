@@ -3,7 +3,7 @@
 §4.3.5's sync request is the small-write problem in miniature: each
 ``fsync`` forces a partial-segment write, and N clients fsyncing
 independently would pay N flushes for what is logically one log append.
-The committer holds the first fsync of a window for ``commit_window``
+The committer holds the first fsync of a window for :data:`COMMIT_WINDOW`
 simulated seconds; every fsync that arrives meanwhile joins the batch,
 and the window closes with a single :meth:`~repro.lfs.filesystem.
 LogStructuredFS.fsync_many` — one flush, one drain, N completions.
@@ -21,12 +21,14 @@ from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 from repro.errors import ReadOnlyFSError
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.obs.context import NULL_TRACE_CONTEXT, StallProbe
-from repro.service.config import ServiceConfig
 from repro.service.stats import ServiceStats
 from repro.vfs.interface import FileHandle
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lfs.filesystem import LogStructuredFS
+
+COMMIT_WINDOW = 0.01
+"""Seconds a group-commit window stays open collecting fsyncs."""
 
 BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 """Histogram buckets for fsyncs-per-flush (implicit +inf appended)."""
@@ -38,13 +40,11 @@ class GroupCommitter:
     def __init__(
         self,
         fs: "LogStructuredFS",
-        config: ServiceConfig,
         stats: ServiceStats,
         enqueue: Callable[[Callable[[], None]], None],
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.fs = fs
-        self.config = config
         self.stats = stats
         self._enqueue = enqueue
         self._waiters: List[
@@ -94,7 +94,7 @@ class GroupCommitter:
         self._waiters.append((handle, done, fail, ctx))
         if not self._window_open:
             self._window_open = True
-            deadline = self.fs.clock.now() + self.config.commit_window
+            deadline = self.fs.clock.now() + COMMIT_WINDOW
             self.fs.clock.call_at(
                 deadline, lambda: self._enqueue(self._commit)
             )

@@ -1,13 +1,15 @@
 """Service-layer configuration.
 
 One :class:`ServiceConfig` describes a whole multi-client run: how many
-clients and how many requests each issues, how long the group-commit
-window stays open, where admission control draws its backpressure
-watermark, and how full the log starts.  The request streams' shape
-(mix, think time, payload band, working set) is fixed by the constants
-in :mod:`repro.service.scheduler` and the payload band below.  Everything is deterministic given ``seed`` —
-the config deliberately contains no wall-clock quantities (all times
-are simulated seconds on the shared :class:`~repro.sim.clock.SimClock`).
+clients and how many requests each issues, where admission control
+draws its backpressure watermark, and how full the log starts.  The
+request streams' shape (mix, think time, payload band, working set) is
+fixed by the constants in :mod:`repro.service.scheduler` and the
+payload band below, the group-commit window by
+:data:`repro.service.committer.COMMIT_WINDOW`.  Everything is
+deterministic given ``seed`` — the config deliberately contains no
+wall-clock quantities (all times are simulated seconds on the shared
+:class:`~repro.sim.clock.SimClock`).
 """
 
 from __future__ import annotations
@@ -47,9 +49,6 @@ class ServiceConfig:
     requests_per_client: int = 100
     """Requests each client issues before going quiet."""
 
-    commit_window: float = 0.01
-    """Seconds a group-commit window stays open collecting fsyncs."""
-
     reserve_watermark: int = 2
     """Throttle writers when the cleaner's clean-segment reserve (clean
     segments beyond the writer's hard reserve) drops below this."""
@@ -70,10 +69,6 @@ class ServiceConfig:
             raise InvalidArgumentError(
                 f"need at least one request per client: "
                 f"{self.requests_per_client}"
-            )
-        if self.commit_window < 0:
-            raise InvalidArgumentError(
-                f"negative commit window: {self.commit_window}"
             )
         if not 0.0 <= self.fill_fraction < 1.0:
             raise InvalidArgumentError(

@@ -187,7 +187,7 @@ class RequestScheduler:
             fs, config, self.stats, telemetry=self.telemetry
         )
         self.committer = GroupCommitter(
-            fs, config, self.stats, self._enqueue, telemetry=self.telemetry
+            fs, self.stats, self._enqueue, telemetry=self.telemetry
         )
         if ledger is not None:
             self.committer.on_durable = ledger.note_barrier

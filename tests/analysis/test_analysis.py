@@ -1,36 +1,15 @@
-"""Tests for metrics, the analytic model and report rendering."""
+"""Tests for the analytic model and report rendering."""
 
 import pytest
 
-from repro.analysis.metrics import PhaseTimer, speedup
-from repro.analysis.report import Table, format_series
+from repro.analysis.report import Table
 from repro.analysis.write_cost import (
     analytic_cleaning_rate,
     analytic_write_cost,
 )
 from repro.disk.geometry import WREN_IV
 from repro.errors import InvalidArgumentError
-from repro.sim.clock import SimClock
 from repro.units import MIB
-
-
-class TestPhaseTimer:
-    def test_measures_simulated_time(self):
-        clock = SimClock()
-        timer = PhaseTimer(clock)
-        with timer:
-            clock.advance(2.0)
-        assert timer.elapsed == pytest.approx(2.0)
-        assert timer.rate(10) == pytest.approx(5.0)
-
-    def test_rate_before_finish_raises(self):
-        timer = PhaseTimer(SimClock())
-        with pytest.raises(InvalidArgumentError):
-            timer.rate(1)
-
-    def test_speedup(self):
-        assert speedup(10.0, 2.0) == pytest.approx(5.0)
-        assert speedup(1.0, 0.0) == float("inf")
 
 
 class TestWriteCostModel:
@@ -78,12 +57,6 @@ class TestReport:
 
     def test_empty_table_renders(self):
         assert "a" in Table(["a"]).render()
-
-    def test_format_series(self):
-        text = format_series(
-            "fig", [(0.2, 100.0), (0.4, 50.0)], "u", "KB/s"
-        )
-        assert "fig" in text and "0.2" in text and "100" in text
 
     def test_infinity_rendered(self):
         table = Table(["x"])

@@ -1,4 +1,4 @@
-"""Property tests for the consistent-hash ring and prefix placement.
+"""Property tests for the consistent-hash ring.
 
 The ring's contract has three legs the cluster layer leans on:
 
@@ -17,12 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.ring import (
-    HashRing,
-    PrefixPlacement,
-    round_robin_table,
-    stable_hash,
-)
+from repro.cluster.ring import HashRing, stable_hash
 
 shard_sets = st.sets(st.integers(0, 10**6), min_size=2, max_size=12)
 
@@ -88,18 +83,3 @@ def test_ring_rejects_duplicates_and_empty_lookup():
     with pytest.raises(ValueError):
         empty.shard_for("/c0")
 
-
-def test_prefix_placement_longest_match_and_pin():
-    placement = PrefixPlacement({"/c1": 1, "/c12": 2}, default=0)
-    assert placement.shard_for("/c12") == 2  # longest prefix wins
-    assert placement.shard_for("/c1") == 1
-    assert placement.shard_for("/c9") == 0  # default
-
-
-def test_round_robin_table_is_exactly_balanced():
-    table = round_robin_table(client_keys(8), [0, 1])
-    placement = PrefixPlacement(table)
-    counts = {0: 0, 1: 0}
-    for key in client_keys(8):
-        counts[placement.shard_for(key)] += 1
-    assert counts == {0: 4, 1: 4}

@@ -28,18 +28,9 @@ def test_hash_routing_matches_policy_and_is_stable():
         )
 
 
-def test_prefix_placement_is_exactly_balanced():
-    config = ClusterConfig(shards=4, clients=16, placement="prefix")
-    router = ShardRouter(config)
-    table = router.assignments()
-    assert all(len(cids) == 4 for cids in table.values())
-
-
 def test_config_validation():
     with pytest.raises(InvalidArgumentError):
         ClusterConfig(shards=0)
-    with pytest.raises(InvalidArgumentError):
-        ClusterConfig(placement="modulo")
     from repro.cluster import MigrationSpec
 
     with pytest.raises(InvalidArgumentError):

@@ -1,6 +1,6 @@
 """Unit tests for request trace contexts and the attribution analyzer.
 
-The contract under test is the one the ``repro trace`` report relies
+The contract under test is the one ``repro serve-sim --report`` relies
 on: every request's latency components sum exactly to its total
 (queueing is the residual), execution time splits fs/disk/cleaner by
 monotone counter deltas, and the aggregation into p50/p99/share tables

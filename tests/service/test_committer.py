@@ -8,8 +8,7 @@ import pytest
 
 from repro.cache.writeback import WritebackReason
 from repro.obs import Telemetry
-from repro.service.committer import GroupCommitter
-from repro.service.config import ServiceConfig
+from repro.service.committer import COMMIT_WINDOW, GroupCommitter
 from repro.service.stats import ServiceStats
 
 
@@ -18,12 +17,9 @@ def ready() -> deque:
     return deque()
 
 
-def make_committer(lfs, ready, telemetry=None, **overrides):
-    config = ServiceConfig(num_clients=2, **overrides)
+def make_committer(lfs, ready, telemetry=None):
     stats = ServiceStats()
-    committer = GroupCommitter(
-        lfs, config, stats, ready.append, telemetry=telemetry
-    )
+    committer = GroupCommitter(lfs, stats, ready.append, telemetry=telemetry)
     return committer, stats
 
 
@@ -47,17 +43,20 @@ class TestWindowLifecycle:
         assert lfs.clock.pending_timers() >= 1
 
     def test_window_closes_after_commit_window_seconds(self, lfs, ready):
-        committer, _stats = make_committer(lfs, ready, commit_window=0.05)
+        committer, _stats = make_committer(lfs, ready)
         with lfs.create("/a") as handle:
             handle.write(b"x" * 4096)
         h = lfs.open("/a")
         start = lfs.clock.now()
         committer.request_commit(h, lambda: None, lambda: None)
-        lfs.clock.advance(0.05)
+        lfs.clock.advance(COMMIT_WINDOW / 2)
+        assert drain(ready) == 0  # the window is still open
+        assert committer.window_open
+        lfs.clock.advance(COMMIT_WINDOW)
         assert drain(ready) >= 1  # the commit event, then the callback
         assert not committer.window_open
         assert committer.commits == 1
-        assert lfs.clock.now() >= start + 0.05
+        assert lfs.clock.now() >= start + COMMIT_WINDOW
 
     def test_batched_fsyncs_share_one_flush(self, lfs, ready):
         committer, stats = make_committer(lfs, ready)

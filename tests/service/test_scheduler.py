@@ -32,8 +32,8 @@ class TestServiceConfig:
         [
             dict(num_clients=0),
             dict(requests_per_client=0),
-            dict(commit_window=-1.0),
             dict(fill_fraction=1.0),
+            dict(fill_fraction=-0.1),
         ],
     )
     def test_bad_configs_rejected(self, overrides):

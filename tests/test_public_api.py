@@ -138,7 +138,6 @@ class TestConfigSurfaces:
                 "num_clients",
                 "seed",
                 "requests_per_client",
-                "commit_window",
                 "reserve_watermark",
                 "fill_fraction",
                 "fragment_every",
@@ -148,7 +147,6 @@ class TestConfigSurfaces:
                 "clients",
                 "seed",
                 "requests_per_client",
-                "placement",
                 "migrations",
             ),
             "MigrationSpec": ("source", "target", "at"),

@@ -2,11 +2,14 @@
 
 import io
 import json
+import re
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 @pytest.fixture
@@ -66,10 +69,85 @@ class TestMkfsAndBasicOps:
         captured = capfdbinary.readouterr()
         assert payload in captured.out
 
+    @pytest.mark.parametrize(
+        "text, size",
+        [("32M", 32 << 20), ("32MiB", 32 << 20), ("32mib", 32 << 20),
+         ("1GiB", 1 << 30), ("512KiB", 512 << 10), ("4096", 4096)],
+    )
+    def test_size_spellings(self, text, size):
+        args = build_parser().parse_args(["mkfs", "x.img", "--size", text])
+        assert args.size == size
+
+    def test_bad_size_error_quotes_the_input(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["mkfs", "x.img", "--size", "16mb"])
+        assert exit_info.value.code == 2
+        assert "bad size: '16mb'" in capsys.readouterr().err
+
     def test_size_parsing(self, image):
         code, out = run_cli(["mkfs", image, "--size", "32M"])
         assert code == 0
         assert str(32 * 1024 * 1024) in out
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crashtest", "--trials", "0"],
+            ["chaos", "--trials", "0"],
+            ["crashtest", "--jobs", "0"],
+            ["chaos", "--jobs", "-1"],
+            ["cluster-sim", "--jobs", "0"],
+            ["sweep", "--jobs", "0"],
+            ["crashtest", "--trials", "ten"],
+        ],
+    )
+    def test_count_below_one_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "want an integer >= 1" in capsys.readouterr().err
+
+
+REPO = Path(__file__).resolve().parents[2]
+# ``python -m repro ARGS`` or ``$(PYTHON) -m repro ARGS``, up to the end
+# of the line, an inline-code span's closing backtick, a comment or a
+# shell operator.
+INVOCATION = re.compile(
+    r"(?:python3?|\$\(PYTHON\))\s+-m\s+repro[ \t]+([^\n`#|<>;&]*)"
+)
+
+
+def documented_command_lines(path: Path):
+    text = re.sub(r"\\\n\s*", " ", path.read_text(encoding="utf-8"))
+    return [shlex.split(args) for args in INVOCATION.findall(text)]
+
+
+class TestDocumentedCommandLines:
+    """Every ``repro`` command line the docs, Makefile and CI spell out
+    parses, so none of them names a removed command or flag."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            "README.md",
+            "Makefile",
+            ".github/workflows/ci.yml",
+            ".claude/skills/verify/SKILL.md",
+        ],
+    )
+    def test_every_command_line_parses(self, doc, capsys):
+        lines = documented_command_lines(REPO / doc)
+        assert lines, f"no repro command line found in {doc}"
+        failures = []
+        for argv in lines:
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit:
+                err = capsys.readouterr().err.strip().splitlines()
+                failures.append(f"repro {shlex.join(argv)}: {err[-1]}")
+        assert not failures, "\n".join(failures)
 
 
 class TestInspect:
@@ -249,6 +327,20 @@ class TestUnserviceableRigIsRejected:
         assert "11-segment device" in serve_err
         assert cluster_err == serve_err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--size", "3M"], "11-segment device"),
+            (["--clients", "0"], "need at least one client: 0"),
+        ],
+    )
+    def test_chaos_fails_before_running_a_trial(self, flags, message, capsys):
+        code = main(["chaos", "--trials", "1", *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert message in captured.err
+        assert captured.out == ""
+
 
 class TestServeSim:
     def test_serve_sim_reports_and_saves_image(self, image, tmp_path):
@@ -297,19 +389,12 @@ class TestTraceCommand:
         export = str(tmp_path / "trace.jsonl")
         code, out = run_cli(
             [
-                "trace",
-                "--clients",
-                "4",
-                "--requests-per-client",
-                "5",
-                "--fill",
-                "0",
-                "--size",
-                "32M",
-                "--output",
-                output,
-                "--export",
-                export,
+                "serve-sim",
+                "--clients", "4",
+                "--requests-per-client", "5",
+                "--size", "32M",
+                "--report", output,
+                "--telemetry", export,
             ]
         )
         assert code == 0
