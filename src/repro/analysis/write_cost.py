@@ -2,8 +2,8 @@
 
 §5.3 observes that "the cost of segment cleaning is directly related to
 the utilization ... of the segments being cleaned".  The closed form —
-later made famous by Rosenblum's SOSP '91 follow-up — falls straight out
-of the mechanics implemented in :mod:`repro.lfs.cleaner`:
+later made famous by Rosenblum's SOSP '91 follow-up — assumes a cleaner
+that reads whole segments:
 
 * cleaning a segment at utilization *u* reads the whole segment and
   writes back *u* of it as live data;
@@ -21,6 +21,13 @@ and the rate at which clean segments can be generated is::
 
 with *S* the segment size.  The MODEL benchmark compares these against
 the measured Figure 5 sweep.
+
+:mod:`repro.lfs.cleaner` reads less than this model: a victim's
+summaries and its live blocks, in extents that read through only the
+dead blocks cheaper to pass over than to seek around.  Its read traffic
+is at most one segment per victim and falls toward *u* of one as the
+dead runs it skips grow, so ``2 / (1 - u)`` bounds its write cost from
+above, and ``(1 + u) / (1 - u)`` is about where it heads.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
 """The segment cleaner (§4.3.2–§4.3.4).
 
-Cleaning turns fragmented segments back into clean ones: read the
-victims into memory, decide which blocks are still live, re-dirty the
-live blocks in the file cache, and let the ordinary segment writer copy
-them to the log tail ("LFS implements cleaning by reading the live
-blocks of a segment into the file cache and then using the cache
-write-back code to combine and copy the blocks into a new segment").
+Cleaning turns fragmented segments back into clean ones: decide which
+blocks of the victims are still live, read those into the file cache
+dirty, and let the ordinary segment writer copy them to the log tail
+("LFS implements cleaning by reading the live blocks of a segment into
+the file cache and then using the cache write-back code to combine and
+copy the blocks into a new segment").  The cleaner reads a victim's
+summaries and then only the blocks it copies, in extents merged across
+any gap the disk reads through faster than it could reposition; dead
+blocks are never read.
 
 Liveness (§4.3.3) is decided exactly as the paper describes:
 
@@ -25,11 +28,13 @@ Every cleaning pass ends with a checkpoint: cleaned segments are only
 reusable once the relocated metadata that references them is itself
 durable.
 
-A victim whose media cannot be read (:class:`~repro.errors.MediaError`,
-see :mod:`repro.faults`) is *quarantined* rather than aborting the
-pass: it leaves the dirty set permanently, so the cleaner never
-re-selects it and the writer never reuses it, and cleaning continues
-with the remaining victims.
+A victim whose summary or live block cannot be read
+(:class:`~repro.errors.MediaError`, see :mod:`repro.faults`) is
+*quarantined* rather than aborting the pass: it leaves the dirty set
+permanently, so the cleaner never re-selects it and the writer never
+reuses it, and cleaning continues with the remaining victims.  An
+unreadable dead block is never read: its segment is cleaned, and the
+log's next write over it heals the sector.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.common.inode import (
     BlockKey,
@@ -61,6 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lfs.filesystem import LogStructuredFS
 
 _DATA = BlockKind.DATA
+_INODE = BlockKind.INODE
 
 
 def _greedy(cleaner: "SegmentCleaner", segs: List[int], count: int) -> List[int]:
@@ -117,11 +123,11 @@ class SegmentCleaner:
 
     # By name: looked up per call, so a method replaced on the class or
     # the instance (the e2e tracer, a crash plan) is the one that runs.
+    # DATA and INODE blocks are decided and copied in two steps (see
+    # _scan_segment); these kinds are relocated by one call each.
     _RELOCATORS = {
-        BlockKind.DATA: "_relocate_data",
         BlockKind.INDIRECT: "_relocate_pointer",
         BlockKind.DINDIRECT: "_relocate_pointer",
-        BlockKind.INODE: "_relocate_inodes",
         BlockKind.IMAP: "_relocate_imap",
         BlockKind.SEGUSAGE: "_relocate_usage",
     }
@@ -343,203 +349,287 @@ class SegmentCleaner:
     # Per-segment relocation
     # ------------------------------------------------------------------
 
+
     def _relocate_live_blocks(self, seg: int) -> None:
         fs = self.fs
-        layout = fs.layout
-        bps = fs.config.blocks_per_segment
         if fs.usage.info(seg).state is not SegmentState.DIRTY:
             raise CorruptionError(f"cleaning non-dirty segment {seg}")
-        first_block = layout.segment_first_block(seg)
         with self.telemetry.span(
             "cleaner.relocate_segment", segment=seg
         ) as span:
-            # Stage the whole-segment read in a pooled buffer: the
-            # device hands back a zero-copy view of live storage, and
-            # relocation must keep parsing it across cache traffic, so
-            # one memcpy into the segment writer's reusable buffer (no
+            # Stage what is read in a pooled segment buffer, each extent
+            # at its offset in the segment: the device hands back
+            # zero-copy views of live storage, and relocation must keep
+            # reading them across cache traffic, so one memcpy per
+            # extent into the segment writer's reusable buffer (no
             # per-victim allocation) decouples us from later writes.
+            # Blocks that are not read keep the buffer's stale bytes and
+            # are never looked at.
             pool = fs.segments.pool
             buffer = pool.acquire()
             try:
-                image = fs.disk.read(
-                    first_block * fs.config.sectors_per_block,
-                    bps * fs.config.sectors_per_block,
-                    label=f"cleaner segment {seg}",
-                    vectored=True,
-                )
-                nbytes = len(image)
-                staging = memoryview(buffer)
-                staging[:nbytes] = image
-                raw = staging[:nbytes].toreadonly()
-                self._scan_segment(seg, first_block, raw, span)
+                self._scan_segment(seg, memoryview(buffer), span)
             finally:
                 pool.release(buffer)
 
-    def _scan_segment(self, seg: int, first_block: int, raw, span) -> None:
-        """Walk a staged segment image, relocating its live entries.
+    def _scan_segment(self, seg: int, staging: memoryview, span) -> None:
+        """Walk a victim's partial segments in log order, reading only
+        their summaries and the blocks relocation copies.
 
-        Each summary is decoded once.  Consecutive DATA entries of one
-        file version under one pointer container form a run, which
-        :meth:`_relocate_data` checks and relocates as a whole; every
-        other entry is relocated on its own.
+        Reads go through ``stage``: the blocks asked for are merged into
+        extents, a gap being read through when it transfers no slower
+        than repositioning the head over it would take (a near access),
+        and each extent lands in ``staging`` at its offset in the
+        segment.  The first summary block is read alone; each partial
+        segment then reads the next one with its own blocks.
         """
         fs = self.fs
         bs = fs.config.block_size
         bps = fs.config.blocks_per_segment
-        self.stats.bytes_read += len(raw)
-        self._m_bytes_read.inc(len(raw))
-        charge = fs.cpu.cleaner_blocks
+        spb = fs.config.sectors_per_block
+        first_block = fs.layout.segment_first_block(seg)
+        disk = fs.disk
+        transfer = disk.geometry.transfer_time
+        reposition = disk.geometry.track_seek + disk.geometry.rotation / 2.0
+        label = f"cleaner segment {seg}"
+        reads = nread = 0
+
+        def stage(blocks) -> None:
+            """Read the blocks at ascending offsets ``blocks``."""
+            nonlocal reads, nread
+            extents = []
+            start = end = blocks[0]
+            for block in blocks:
+                if transfer((block - end) * bs) > reposition:
+                    extents.append((start, end))
+                    start = block
+                end = block + 1
+            extents.append((start, end))
+            for start, end in extents:
+                image = disk.read(
+                    (first_block + start) * spb,
+                    (end - start) * spb,
+                    label=label,
+                    vectored=end - start > 1,
+                )
+                staging[start * bs : start * bs + len(image)] = image
+                reads += 1
+                nread += len(image)
+
+        relocate_partial = self._relocate_partial
+        live = dead = 0
+        offset = 0
+        # A MediaError quarantines the victim (see _clean_pass); what was
+        # read and relocated before it is still accounted.
+        try:
+            stage((0,))
+            while offset < bps:
+                try:
+                    nsummary = SegmentSummary.peek_summary_blocks(
+                        staging[offset * bs : (offset + 1) * bs], bs
+                    )
+                    if nsummary > 1 and offset + 1 < bps:
+                        stage(range(offset + 1, min(offset + nsummary, bps)))
+                    entries = SegmentSummary.unpack(
+                        staging[offset * bs : (offset + nsummary) * bs], bs
+                    ).entries
+                except CorruptionError:
+                    break  # end of the written log within this segment
+                offset += nsummary
+                moved = relocate_partial(
+                    entries, first_block, offset, staging, stage
+                )
+                live += moved
+                dead += len(entries) - moved
+                offset += len(entries)
+        finally:
+            self.stats.bytes_read += nread
+            self._m_bytes_read.inc(nread)
+            self.stats.live_blocks_copied += live
+            self.stats.live_bytes_copied += live * bs
+            self.stats.dead_blocks_dropped += dead
+            self._m_live_blocks.inc(live)
+            self._m_live_copied.inc(live * bs)
+            self._m_dead_blocks.inc(dead)
+            span.set_attr("live_blocks", live)
+            span.set_attr("dead_blocks", dead)
+            span.set_attr("reads", reads)
+            span.set_attr("bytes_read", nread)
+
+    def _relocate_partial(
+        self,
+        entries: List[SummaryEntry],
+        first_block: int,
+        first: int,
+        staging: memoryview,
+        stage,
+    ) -> int:
+        """Relocate one partial segment of the victim that starts at
+        ``first_block``; returns how many of its blocks were live.
+
+        ``entries`` describe the blocks from offset ``first`` on.
+        Consecutive DATA entries of one file version under one pointer
+        container form a run.  Liveness of every run and entry is decided
+        before any of their blocks is read: a run by :meth:`_live_data`,
+        an inode block by :meth:`_live_slots`.  Then the live DATA
+        blocks, the inode blocks with a live slot and the next summary
+        block are staged, and the entries are relocated in log order.
+        Pointer, imap and usage blocks reload through the cache or need
+        no payload, so their bytes are never read.
+        """
+        fs = self.fs
+        bs = fs.config.block_size
+        nentries = len(entries)
+        fs.cpu.cleaner_blocks(nentries)
+        head = first_block + first  # the address of entries[0]
         container = fs.block_map.container
-        # Bound by name once per scan: a method replaced on the class or
-        # the instance (the e2e tracer, a crash plan) is the one that runs.
+        # Bound by name once per partial segment: a method replaced on
+        # the class or the instance (the e2e tracer, a crash plan) is the
+        # one that runs.
         relocators = {
             kind: getattr(self, name) for kind, name in self._RELOCATORS.items()
         }
-        relocate_data = relocators[_DATA]
-        live = dead = 0
-        offset = 0
-        while offset < bps:
-            try:
-                nsummary = SegmentSummary.peek_summary_blocks(
-                    raw[offset * bs : (offset + 1) * bs], bs
-                )
-                entries = SegmentSummary.unpack(raw[offset * bs :], bs).entries
-            except CorruptionError:
-                break  # end of the written log within this segment
-            nentries = len(entries)
-            charge(nentries)
-            first = offset + nsummary  # the block of entries[0]
-            position = 0
-            while position < nentries:
-                kind, inum, index, version, _inums = entries[position]
-                stop = position + 1
-                if kind is _DATA:
-                    _ordinal, low, high = container(index)
-                    while stop < nentries:
-                        next_kind, next_inum, next_index, next_version, _ = (
-                            entries[stop]
-                        )
-                        if (
-                            next_kind is not _DATA
-                            or next_inum != inum
-                            or next_version != version
-                            or not low <= next_index <= high
-                        ):
-                            break
-                        stop += 1
-                    moved = relocate_data(
-                        entries[position:stop],
-                        first_block + first + position,
-                        raw[(first + position) * bs : (first + stop) * bs],
+        live_data, copy_data = self._live_data, self._copy_data
+        live_slots, copy_inodes = self._live_slots, self._copy_inodes
+        plan = []  # (kind, position, stop, what is live)
+        needed = []  # offsets of the blocks whose bytes are copied
+        position = 0
+        while position < nentries:
+            kind, inum, index, version, _inums = entries[position]
+            stop = position + 1
+            found = None
+            if kind is _DATA:
+                _ordinal, low, high = container(index)
+                while stop < nentries:
+                    next_kind, next_inum, next_index, next_version, _ = (
+                        entries[stop]
                     )
-                else:
-                    moved = relocators[kind](
-                        entries[position],
-                        first_block + first + position,
-                        raw[(first + position) * bs : (first + stop) * bs],
-                    )
-                live += moved
-                dead += stop - position - moved
-                position = stop
-            offset = first + nentries
-        self.stats.live_blocks_copied += live
-        self.stats.live_bytes_copied += live * bs
-        self.stats.dead_blocks_dropped += dead
-        self._m_live_blocks.inc(live)
-        self._m_live_copied.inc(live * bs)
-        self._m_dead_blocks.inc(dead)
-        span.set_attr("live_blocks", live)
-        span.set_attr("dead_blocks", dead)
+                    if (
+                        next_kind is not _DATA
+                        or next_inum != inum
+                        or next_version != version
+                        or not low <= next_index <= high
+                    ):
+                        break
+                    stop += 1
+                found = live_data(entries[position:stop], head + position)
+                if found is not None:
+                    needed += [first + position + at for at in found[1]]
+            elif kind is _INODE:
+                found = live_slots(entries[position], head + position)
+                if found:
+                    needed.append(first + position)
+            plan.append((kind, position, stop, found))
+            position = stop
+        if first + nentries < fs.config.blocks_per_segment:
+            needed.append(first + nentries)  # the next summary
+        if needed:
+            stage(needed)
+        live = 0
+        for kind, position, stop, found in plan:
+            addr = head + position
+            image = staging[(first + position) * bs : (first + stop) * bs]
+            if kind is _DATA:
+                if found is not None:
+                    copy_data(entries[position:stop], found, image)
+                    live += len(found[1])
+            elif kind is _INODE:
+                if found:
+                    copy_inodes(found, addr, image)
+                    live += 1
+            else:
+                live += relocators[kind](entries[position], addr)
+        return live
 
     def _file_is_current(self, entry: SummaryEntry) -> bool:
         """Step 1 of §4.3.3: the summary-entry version check."""
         imap_entry = self.fs.imap.get(entry.inum)
         return imap_entry.allocated and imap_entry.version == entry.version
 
-    def _relocate_data(
-        self, run: List[SummaryEntry], addr: int, image
-    ) -> int:
-        """Re-dirty the live blocks of a data run in cache; returns how
-        many were live.
+    def _live_data(
+        self, run: List[SummaryEntry], addr: int
+    ) -> Optional[Tuple[Inode, List[int]]]:
+        """The inode of a data run and the positions of its live blocks,
+        or None when none is live; nothing is read from the run itself.
 
         ``run`` is DATA entries of one file version under one pointer
-        container, logged from ``addr`` on; ``image`` holds their blocks.
-        The run takes one version check, one inode fetch and one walk of
-        the container.  Block by block, each entry would have walked the
-        container again, so the lookups of those walks are accounted
-        through ``rehit``, and in their order: a walk's lookups come just
-        before the insert of its live block.
+        container, logged from ``addr`` on.  The run takes one version
+        check, one inode fetch and one walk of the container.  Block by
+        block, each entry would have walked the container again, so the
+        lookups of those walks are accounted through ``rehit``.
         """
         fs = self.fs
         head = run[0]
         if not self._file_is_current(head):
-            return 0
-        inum = head.inum
-        inode = fs._get_inode(inum)
+            return None
+        inode = fs._get_inode(head.inum)
         pointers, base, keys = fs.block_map.get_container(inode, head.index)
+        if keys:
+            fs.cache.rehit(keys, len(run) - 1)
+        if pointers is None:
+            return None
+        live = [
+            position
+            for position, entry in enumerate(run)
+            # step 2: the file still points here
+            if pointers[entry.index - base] == addr + position
+        ]
+        return (inode, live) if live else None
+
+    def _copy_data(
+        self,
+        run: List[SummaryEntry],
+        found: Tuple[Inode, List[int]],
+        image,
+    ) -> None:
+        """Re-dirty the live blocks :meth:`_live_data` found in cache.
+
+        ``image`` spans the run's blocks; only the live ones were read.
+        A block already dirty in cache is left alone (the write-back will
+        move it), and a clean cached copy is dirtied in place.
+        """
+        fs = self.fs
+        inode, live = found
+        inum = inode.inum
+        bs = fs.config.block_size
         cache = fs.cache
-        last = len(run) - 1
-        walked = 0  # the walk the pointer blocks' stamps come from
-        live = 0
-        if pointers is not None:
-            bs = fs.config.block_size
-            charge = fs.cpu.cleaner_blocks
-            now = fs.clock.now
-            peek, rehit = cache.peek, cache.rehit
-            for position, entry in enumerate(run):
-                index = entry.index
-                if pointers[index - base] != addr + position:
-                    continue  # step 2: the file no longer points here
-                live += 1
-                charge(1)
-                key = block_key((inum, _DATA, index))
-                cached = peek(key)
-                if cached is None:
-                    if keys and position > walked:
-                        rehit(keys, position - walked)
-                        walked = position
-                    cache.insert(
-                        key,
-                        bytearray(image[position * bs : (position + 1) * bs]),
-                        dirty=True,
-                        now=now(),
-                    )
-                elif not cached.dirty:
-                    cache.mark_dirty(key, now())
-            if live:
-                fs._mark_inode_dirty(inode)
-        if keys and last > walked:
-            cache.rehit(keys, last - walked)
+        charge = fs.cpu.cleaner_blocks
+        now = fs.clock.now
+        for position in live:
+            charge(1)
+            key = block_key((inum, _DATA, run[position].index))
+            cached = cache.peek(key)
+            if cached is None:
+                cache.insert(
+                    key,
+                    bytearray(image[position * bs : (position + 1) * bs]),
+                    dirty=True,
+                    now=now(),
+                )
+            elif not cached.dirty:
+                cache.mark_dirty(key, now())
+        fs._mark_inode_dirty(inode)
+
+    def _live_slots(
+        self, entry: SummaryEntry, addr: int
+    ) -> List[Tuple[int, int]]:
+        """The ``(slot, inum)`` pairs of an inode block whose inode map
+        entry still names ``addr``."""
+        get = self.fs.imap.get
+        live = []
+        for slot, inum in enumerate(entry.inums):
+            imap_entry = get(inum)
+            if imap_entry.allocated and imap_entry.inode_addr == addr:
+                live.append((slot, inum))
         return live
 
-    def _relocate_pointer(
-        self, entry: SummaryEntry, addr: int, payload: bytes
-    ) -> bool:
+    def _copy_inodes(
+        self, slots: List[Tuple[int, int]], addr: int, payload
+    ) -> None:
+        """Re-dirty the live inodes of the inode block at ``addr``,
+        unpacking from ``payload`` those not already in memory."""
         fs = self.fs
-        if not self._file_is_current(entry):
-            return False
-        inode = fs._get_inode(entry.inum)
-        key = BlockKey(entry.inum, entry.kind, entry.index)
-        if fs._pointer_block_addr(inode, key) != addr:
-            return False
-        fs.cpu.cleaner_blocks(1)
-        # Materialize through the normal path (reuses the disk image we
-        # just read only if uncached; the cached copy is always current).
-        fs._load_pointers(key, addr)
-        fs.cache.mark_dirty(key, fs.clock.now())
-        fs._mark_inode_dirty(inode)
-        return True
-
-    def _relocate_inodes(
-        self, entry: SummaryEntry, addr: int, payload: bytes
-    ) -> bool:
-        fs = self.fs
-        any_live = False
-        for slot, inum in enumerate(entry.inums):
-            imap_entry = fs.imap.get(inum)
-            if not imap_entry.allocated or imap_entry.inode_addr != addr:
-                continue
-            any_live = True
+        for slot, inum in slots:
             fs.cpu.cleaner_blocks(1)
             if inum not in fs._inodes:
                 inode = Inode.unpack(
@@ -552,11 +642,24 @@ class SegmentCleaner:
                     )
                 fs._inodes[inum] = inode
             fs._mark_inode_dirty(fs._inodes[inum])
-        return any_live
 
-    def _relocate_imap(
-        self, entry: SummaryEntry, addr: int, payload: bytes
-    ) -> bool:
+    def _relocate_pointer(self, entry: SummaryEntry, addr: int) -> bool:
+        fs = self.fs
+        if not self._file_is_current(entry):
+            return False
+        inode = fs._get_inode(entry.inum)
+        key = BlockKey(entry.inum, entry.kind, entry.index)
+        if fs._pointer_block_addr(inode, key) != addr:
+            return False
+        fs.cpu.cleaner_blocks(1)
+        # Materialize through the normal path: the cached copy is always
+        # current, and an uncached one is read from ``addr``.
+        fs._load_pointers(key, addr)
+        fs.cache.mark_dirty(key, fs.clock.now())
+        fs._mark_inode_dirty(inode)
+        return True
+
+    def _relocate_imap(self, entry: SummaryEntry, addr: int) -> bool:
         fs = self.fs
         index = entry.index
         if (
@@ -567,9 +670,7 @@ class SegmentCleaner:
         fs.imap.mark_block_dirty(index)
         return True
 
-    def _relocate_usage(
-        self, entry: SummaryEntry, addr: int, payload: bytes
-    ) -> bool:
+    def _relocate_usage(self, entry: SummaryEntry, addr: int) -> bool:
         fs = self.fs
         index = entry.index
         if (

@@ -37,10 +37,11 @@ class SegmentBufferPool:
     """Reusable segment-sized ``bytearray`` buffers.
 
     The segment writer assembles every partial segment in one of these
-    (and the cleaner stages whole-segment reads in them), so the steady
-    state allocates no transfer-sized buffers at all — the same one or
-    two arrays cycle forever.  Buffers come back dirty; callers always
-    overwrite the prefix they use, so no zeroing happens on release.
+    (and the cleaner stages the extents it reads from a victim in them,
+    each at its offset in the segment), so the steady state allocates no
+    transfer-sized buffers at all — the same one or two arrays cycle
+    forever.  Buffers come back dirty; callers always overwrite the
+    blocks they use, so no zeroing happens on release.
     """
 
     def __init__(

@@ -151,21 +151,33 @@ class TestRollForwardUnderDamage:
 
 
 class TestCleanerQuarantine:
-    def test_unreadable_live_block_quarantines_segment(self):
+    @staticmethod
+    def fragmented_rig():
         fs, _device, injector = faulty_rig()
         # Several dirty segments with live data in each.
         for i in range(30):
             fs.write_file(f"/f{i}", bytes([i]) * 20_000)
         fs.checkpoint()
-        dirty = fs.usage.dirty_segments()
-        assert dirty
-        victim = dirty[0]
-        first_block = fs.layout.segment_first_block(victim)
-        # Kill a whole block's worth of sectors mid-segment so the
-        # cleaner's relocation read cannot succeed.
+        assert fs.usage.dirty_segments()
+        return fs, injector
+
+    @staticmethod
+    def poison_block(fs, injector, addr):
+        """Kill a whole block's worth of sectors."""
         spb = fs.config.sectors_per_block
-        for sector in range(first_block * spb + spb, first_block * spb + 2 * spb):
+        for sector in range(addr * spb, (addr + 1) * spb):
             injector.mark_unreadable(sector)
+
+    def test_unreadable_live_block_quarantines_segment(self):
+        fs, injector = self.fragmented_rig()
+        # A data block of /f0: the file's block map names it, so it is
+        # live and the cleaner must read it to relocate it.
+        inode = fs._get_inode(fs.stat("/f0").inum)
+        addr = fs.block_map.get(inode, 1)
+        victim = fs.layout.segment_of_block(addr)
+        dirty = fs.usage.dirty_segments()
+        assert victim in dirty
+        self.poison_block(fs, injector, addr)
         target = fs.usage.clean_count() + len(dirty)
         fs.clean_now(target)
         assert fs.cleaner.stats.segments_quarantined >= 1
@@ -175,3 +187,27 @@ class TestCleanerQuarantine:
         assert victim not in fs.usage.clean_segments()
         fs.clean_now(target)
         assert fs.usage.quarantined_segments().count(victim) == 1
+
+    def test_unreadable_dead_block_is_cleaned_and_healed(self):
+        fs, injector = self.fragmented_rig()
+        # The first content block of the log held the root directory's
+        # first block, which every create since has rewritten elsewhere.
+        victim = fs.usage.dirty_segments()[0]
+        addr = fs.layout.segment_first_block(victim) + 1
+        root = fs._get_inode(fs.stat("/").inum)
+        assert fs.block_map.get(root, 0) != addr
+        self.poison_block(fs, injector, addr)
+        fs.clean_now(fs.usage.clean_count() + len(fs.usage.dirty_segments()))
+        # The cleaner never reads a dead block, so nothing is quarantined.
+        assert fs.cleaner.stats.segments_quarantined == 0
+        assert fs.usage.quarantined_segments() == []
+        assert victim in fs.usage.clean_segments()
+        # The log's next write over the segment remaps the bad sectors.
+        for i in range(200):
+            fs.write_file(f"/g{i}", bytes([i]) * 20_000)
+            fs.sync()
+            if victim in fs.usage.dirty_segments():
+                break
+        assert victim in fs.usage.dirty_segments()
+        assert injector.remaps >= 1
+        assert not injector.bad_sectors

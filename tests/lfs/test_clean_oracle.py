@@ -1,4 +1,5 @@
-"""The cleaner's run-at-a-time copy loop against the entry-at-a-time one.
+"""The cleaner's run-at-a-time copy loop against the entry-at-a-time one,
+and what it reads against a whole-segment scan.
 
 The cleaner relocates a victim's data by run: consecutive DATA entries of
 one file version under one pointer container take one version check,
@@ -7,26 +8,44 @@ other entries' walks would have made handed to ``BlockCache.rehit``.
 The write-back accounts a run's dead and written bytes, and marks its
 blocks clean, with one call per segment or per run, and an inode block's
 moves with one call per segment.  None of it may show.  The oracle rig
-keeps the loops that came before: every summary entry is relocated on
-its own (``BlockMap.get`` per entry, one CPU charge per live block), and
-the write-back notes every block and every inode by itself.  Both rigs
-run the same schedule of sparse writes, overwrites, truncates, unlinks,
-syncs, ``flush_caches`` and cleaning passes over files that reach the
-double-indirect region, and after every step their images, usage tables,
-cache statistics, resident blocks, dirty order, cleaner statistics and
-clocks must be equal.
-"""
+keeps the loops that came before: every summary entry's liveness is
+decided on its own (``BlockMap.get`` per entry) and every live block is
+copied on its own (one CPU charge each), and the write-back notes every
+block and every inode by itself.  Both rigs run the same schedule of
+sparse writes, overwrites, truncates, unlinks, syncs, ``flush_caches``
+and cleaning passes over files that reach the double-indirect region,
+and after every step their images, usage tables, cache statistics,
+resident blocks, dirty order, cleaner statistics and clocks must be
+equal.
 
+The cleaner reads only a victim's summaries and the blocks whose bytes
+it copies.  The reference reads the whole segment, decides liveness
+entry by entry without touching the cache, and lists every block a
+relocator consumes: each must lie inside an extent the cleaner read and
+reach the copy step byte for byte, the cleaner must relocate exactly the
+reference's live set, and after a crash and remount every file must
+read back as a model of the schedule says.
+"""
 from __future__ import annotations
 
 import dataclasses
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.common.inode import INODE_SIZE, N_DIRECT, NIL, BlockKey, BlockKind
+from repro.common.inode import (
+    INODE_SIZE,
+    N_DIRECT,
+    NIL,
+    BlockKey,
+    BlockKind,
+    Inode,
+    pointer_block,
+)
 from repro.errors import CorruptionError
 from repro.lfs.config import LfsConfig
+from repro.lfs.filesystem import LogStructuredFS
 from repro.lfs.summary import SegmentSummary
+from repro.lfs.verify import verify_lfs
 from repro.rig import new_rig
 from repro.units import KIB, MIB
 
@@ -44,52 +63,29 @@ def entry_at_a_time(fs):
     seg_of = fs.layout.segment_of_block
     build_plan = fs._build_plan
 
-    def relocate_data(entry, addr, payload):
-        if not cleaner._file_is_current(entry):
-            return False
-        inode = fs._get_inode(entry.inum)
-        if block_map.get(inode, entry.index) != addr:
-            return False
-        key = BlockKey(entry.inum, _DATA, entry.index)
-        fs.cpu.cleaner_blocks(1)
-        cached = cache.peek(key)
-        if cached is None:
-            cache.insert(key, bytearray(payload), dirty=True, now=fs.clock.now())
-        elif not cached.dirty:
-            cache.mark_dirty(key, fs.clock.now())
-        fs._mark_inode_dirty(inode)
-        return True
+    def live_data(run, addr):
+        inode, live = None, []
+        for position, entry in enumerate(run):
+            if not cleaner._file_is_current(entry):
+                continue
+            inode = fs._get_inode(entry.inum)
+            if block_map.get(inode, entry.index) == addr + position:
+                live.append(position)
+        return (inode, live) if live else None
 
-    def scan_segment(seg, first_block, raw, span):
-        bps = fs.config.blocks_per_segment
-        cleaner.stats.bytes_read += len(raw)
-        live = dead = 0
-        offset = 0
-        while offset < bps:
-            try:
-                nsummary = SegmentSummary.peek_summary_blocks(
-                    raw[offset * BS : (offset + 1) * BS], BS
-                )
-                summary = SegmentSummary.unpack(raw[offset * BS :], BS)
-            except CorruptionError:
-                break
-            fs.cpu.cleaner_blocks(len(summary.entries))
-            for position, entry in enumerate(summary.entries):
-                block = offset + nsummary + position
-                if entry.kind is _DATA:
-                    relocate = relocate_data
-                else:
-                    relocate = getattr(cleaner, cleaner._RELOCATORS[entry.kind])
-                if relocate(
-                    entry, first_block + block, raw[block * BS : (block + 1) * BS]
-                ):
-                    live += 1
-                else:
-                    dead += 1
-            offset += nsummary + summary.nblocks
-        cleaner.stats.live_blocks_copied += live
-        cleaner.stats.live_bytes_copied += live * BS
-        cleaner.stats.dead_blocks_dropped += dead
+    def copy_data(run, found, image):
+        inode, live = found
+        for position in live:
+            entry = run[position]
+            key = BlockKey(entry.inum, _DATA, entry.index)
+            fs.cpu.cleaner_blocks(1)
+            cached = cache.peek(key)
+            if cached is None:
+                payload = bytearray(image[position * BS : (position + 1) * BS])
+                cache.insert(key, payload, dirty=True, now=fs.clock.now())
+            elif not cached.dirty:
+                cache.mark_dirty(key, fs.clock.now())
+            fs._mark_inode_dirty(inode)
 
     def finalize_data(inode, blocks):
         def finalize(start, count, first_addr):
@@ -131,7 +127,8 @@ def entry_at_a_time(fs):
                 run.finalize = place_inodes(head.inums)
         return plan
 
-    cleaner._scan_segment = scan_segment
+    cleaner._live_data = live_data
+    cleaner._copy_data = copy_data
     fs._build_plan = block_by_block_plan
     return fs
 
@@ -258,3 +255,236 @@ def test_runs_match_the_entry_at_a_time_cleaner(cache_blocks, schedule):
         for each in (fs, oracle):
             apply(each, number, op, args)
         assert state(fs) == state(oracle), f"after step {number}: {op}"
+
+
+# ----------------------------------------------------------------------
+# What the cleaner reads, against a whole-segment scan
+# ----------------------------------------------------------------------
+
+
+def whole_segment(fs, seg):
+    """The reference: the victim's image, its live blocks and the live
+    blocks whose bytes a relocator consumes (DATA, and INODE blocks with
+    a live slot), decided entry by entry without touching the cache."""
+    device = fs.disk.device
+    spb = fs.config.sectors_per_block
+    bps = fs.config.blocks_per_segment
+    first_block = fs.layout.segment_first_block(seg)
+    raw = device.read(first_block * spb, bps * spb, copy=True)
+
+    def load(key, addr):
+        cached = fs.cache.peek(key)
+        if cached is not None:
+            return cached.payload
+        if addr == NIL:
+            return None
+        return pointer_block(device.read(addr * spb, spb, copy=True), BS)
+
+    def inode_of(inum):
+        if inum in fs._inodes:
+            return fs._inodes[inum]
+        entry = fs.imap.get(inum)
+        block = device.read(entry.inode_addr * spb, spb, copy=True)
+        return Inode.unpack(block, entry.slot * INODE_SIZE)
+
+    def pointer_block_addr(inode, entry):
+        if entry.kind is BlockKind.DINDIRECT:
+            return inode.dindirect
+        if entry.index == 0:
+            return inode.indirect
+        root_key = BlockKey(inode.inum, BlockKind.DINDIRECT, 0)
+        root = load(root_key, inode.dindirect)
+        return NIL if root is None else root[entry.index - 1]
+
+    def data_addr(inode, index):
+        if index < N_DIRECT:
+            return inode.direct[index]
+        ordinal, base, _last = fs.block_map.container(index)
+        leaf_key = BlockKey(inode.inum, BlockKind.INDIRECT, ordinal)
+        leaf = load(
+            leaf_key,
+            pointer_block_addr(inode, leaf_key),
+        )
+        return NIL if leaf is None else leaf[index - base]
+
+    def is_live(entry, addr):
+        imap = fs.imap
+        if entry.kind is _INODE:
+            return any(
+                imap.get(inum).allocated and imap.get(inum).inode_addr == addr
+                for inum in entry.inums
+            )
+        if entry.kind is BlockKind.IMAP:
+            return (
+                entry.index < imap.num_blocks
+                and imap.block_addrs[entry.index] == addr
+            )
+        if entry.kind is BlockKind.SEGUSAGE:
+            usage = fs.usage
+            return (
+                entry.index < usage.num_blocks
+                and usage.block_addrs[entry.index] == addr
+            )
+        imap_entry = imap.get(entry.inum)
+        if not imap_entry.allocated or imap_entry.version != entry.version:
+            return False
+        inode = inode_of(entry.inum)
+        if entry.kind is _DATA:
+            return data_addr(inode, entry.index) == addr
+        return pointer_block_addr(inode, entry) == addr
+
+    live, consumed = set(), set()
+    offset = 0
+    while offset < bps:
+        try:
+            nsummary = SegmentSummary.peek_summary_blocks(
+                raw[offset * BS : (offset + 1) * BS], BS
+            )
+            summary = SegmentSummary.unpack(raw[offset * BS :], BS)
+        except CorruptionError:
+            break
+        for position, entry in enumerate(summary.entries):
+            addr = first_block + offset + nsummary + position
+            if is_live(entry, addr):
+                live.add(addr)
+                if entry.kind in (_DATA, _INODE):
+                    consumed.add(addr)
+        offset += nsummary + summary.nblocks
+    return raw, live, consumed
+
+
+def spy_on_reads(fs, victims):
+    """Check every victim the cleaner relocates against the reference;
+    ``victims`` collects one record per relocated segment."""
+    cleaner, disk = fs.cleaner, fs.disk
+    spb = fs.config.sectors_per_block
+    relocate_segment = cleaner._relocate_live_blocks
+    live_data, copy_data = cleaner._live_data, cleaner._copy_data
+    live_slots, copy_inodes = cleaner._live_slots, cleaner._copy_inodes
+    read = disk.read
+    current = {}
+
+    def copied(addr, payload):
+        first_block = current["first_block"]
+        at = (addr - first_block) * BS
+        block = current["raw"][at : at + BS]
+        assert bytes(payload) == block, f"block {addr} staged wrong bytes"
+        current["copied"].add(addr)
+
+    def spy_relocate_segment(seg):
+        raw, live, consumed = whole_segment(fs, seg)
+        current.update(
+            first_block=fs.layout.segment_first_block(seg),
+            raw=raw,
+            extents=[],
+            relocated=set(),
+            copied=set(),
+            pending={},
+        )
+        relocate_segment(seg)
+        assert current["relocated"] == live, f"segment {seg}"
+        assert current["copied"] == consumed, f"segment {seg}"
+        read_blocks = [
+            range(sector // spb, (sector + count) // spb)
+            for sector, count in current["extents"]
+        ]
+        for addr in consumed:
+            assert any(addr in extent for extent in read_blocks), (
+                f"block {addr} of segment {seg} was not read"
+            )
+        victims.append((seg, len(current["extents"])))
+
+    def spy_read(sector, count, *args, **kwargs):
+        if "raw" in current:
+            current["extents"].append((sector, count))
+        return read(sector, count, *args, **kwargs)
+
+    def spy_live_data(run, addr):
+        found = live_data(run, addr)
+        if found is not None:
+            current["relocated"].update(addr + at for at in found[1])
+            current["pending"][id(found)] = addr
+        return found
+
+    def spy_copy_data(run, found, image):
+        addr = current["pending"].pop(id(found))
+        for at in found[1]:
+            copied(addr + at, image[at * BS : (at + 1) * BS])
+        return copy_data(run, found, image)
+
+    def spy_live_slots(entry, addr):
+        slots = live_slots(entry, addr)
+        if slots:
+            current["relocated"].add(addr)
+        return slots
+
+    def spy_copy_inodes(slots, addr, payload):
+        copied(addr, payload)
+        return copy_inodes(slots, addr, payload)
+
+    def spy_relocator(relocate):
+        def spy(entry, addr):
+            moved = relocate(entry, addr)
+            if moved:
+                current["relocated"].add(addr)
+            return moved
+
+        return spy
+
+    for name in set(cleaner._RELOCATORS.values()):
+        setattr(cleaner, name, spy_relocator(getattr(cleaner, name)))
+    cleaner._relocate_live_blocks = spy_relocate_segment
+    cleaner._live_data = spy_live_data
+    cleaner._copy_data = spy_copy_data
+    cleaner._live_slots = spy_live_slots
+    cleaner._copy_inodes = spy_copy_inodes
+    disk.read = spy_read
+
+
+def model_apply(model, number, op, args):
+    """What ``apply`` does to the files' contents."""
+    if op == "write":
+        path, first, count, cut = args
+        data = model.setdefault(path, bytearray())
+        start = first * BS
+        payload = bytes([number % 251 + 1]) * (count * BS - cut)
+        if len(data) < start:
+            data.extend(bytes(start - len(data)))
+        data[start : start + len(payload)] = payload
+    elif op == "truncate":
+        path, nblocks, cut = args
+        if path in model:
+            size = max(0, nblocks * BS - cut)
+            data = model[path]
+            del data[size:]
+            data.extend(bytes(size - len(data)))
+    elif op == "unlink":
+        model.pop(args[0], None)
+
+
+@settings(max_examples=25, deadline=None)
+@example(8, RUNS)
+@given(
+    st.sampled_from([8, 24]),
+    st.lists(steps, min_size=4, max_size=16),
+)
+def test_the_cleaner_reads_what_it_relocates(cache_blocks, schedule):
+    fs = rig(cache_blocks)
+    model = {path: bytearray() for path in FILES}
+    victims = []
+    spy_on_reads(fs, victims)
+    for number, (op, *args) in enumerate(schedule):
+        apply(fs, number, op, args)
+        model_apply(model, number, op, args)
+    fs.clean_now(fs.usage.clean_count() + 6)
+    fs.sync()
+    fs.crash()
+    fs.disk.revive()
+    config = dataclasses.replace(fs.config, cache_bytes=8 * BS)
+    again = LogStructuredFS.mount(fs.disk, fs.cpu, config)
+    assert verify_lfs(fs.disk.device).consistent
+    assert sorted(again.listdir("/")) == sorted(
+        path.lstrip("/") for path in model
+    )
+    for path, data in model.items():
+        assert again.read_file(path) == bytes(data), path

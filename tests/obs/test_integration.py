@@ -175,6 +175,13 @@ class TestCleaningJsonlCrossCheck:
         assert clean_span.attrs["cleaned"] == fs.cleaner.stats.segments_cleaned
         live = sum(span.attrs["live_blocks"] for span in relocations)
         assert live == fs.cleaner.stats.live_blocks_copied
+        # Each relocation names the requests it read and their bytes,
+        # which never exceed the segment.
+        read = sum(span.attrs["bytes_read"] for span in relocations)
+        assert read == fs.cleaner.stats.bytes_read
+        for span in relocations:
+            assert span.attrs["reads"] >= 1
+            assert 0 < span.attrs["bytes_read"] <= fs.config.segment_size
 
     def test_each_pass_is_a_span_under_clean(self):
         telemetry = Telemetry()
