@@ -112,7 +112,7 @@ HOTPATH_FINGERPRINTS = {
     "cleaning": {
         "segments_cleaned": 31,
         "live_blocks_copied": 24,
-        "simulated_seconds": 2.00110769230769,
+        "simulated_seconds": 1.4792432692307615,
         "log_bytes_written": 2347008,
     },
     "batch_checksum": {
@@ -252,11 +252,11 @@ E2E_SMOKE = {
     },
     "service_clean": {
         "sim": {
-            "sim_ops_per_s": 44.19974962820465,
+            "sim_ops_per_s": 57.401758898153915,
             "sim_lat_p50_ms": 4.7728000000049065,
-            "sim_lat_p99_ms": 1194.1767400000103,
+            "sim_lat_p99_ms": 567.6561092307821,
             "write_amp": 2.134614295263235,
-            "read_amp": 1.9130020371328331,
+            "read_amp": 0.3158760321054214,
         },
         "counters": {
             "cache.hits": 1193,
@@ -275,30 +275,30 @@ E2E_SMOKE = {
             "lfs.cleaner_passes": 4,
             "lfs.cleaner_segments_cleaned": 16,
             "lfs.cleaner_live_bytes_copied": 462848,
-            "lfs.cleaner_bytes_read": 4194304,
-            "lfs.cleaner_busy_sim_s": 4.431130769230677,
+            "lfs.cleaner_bytes_read": 507904,
+            "lfs.cleaner_busy_sim_s": 1.9334538461537036,
             "lfs.emergency_passes": 0,
-            "disk.requests": 102,
-            "disk.bytes_read": 4415488,
+            "disk.requests": 124,
+            "disk.bytes_read": 729088,
             "disk.bytes_written": 4898816,
-            "disk.seeks": 66,
-            "disk.sync_requests": 38,
-            "disk.busy_sim_s": 8.631332692307645,
-            "sim.elapsed_sim_s": 10.859790022287896,
+            "disk.seeks": 82,
+            "disk.sync_requests": 60,
+            "disk.busy_sim_s": 6.133655769230671,
+            "sim.elapsed_sim_s": 8.362113099210923,
             "service.commit_batches": 43,
             "service.commit_batch_mean": 2.5813953488372094,
             "service.throttle_events": 4,
-            "service.throttle_sim_s": 4.431130769230677,
+            "service.throttle_sim_s": 1.9334538461537036,
             "service.forced_admissions": 0,
             "service.rejections": 0,
-            "disk.util": 0.7947973832452822,
+            "disk.util": 0.7335054783951037,
             "cache.hit_rate": 0.6558548653106102,
             "lfs.cleaned_utilization": 0.1103515625,
-            "lfs.write_cost": 3.890852143540011,
+            "lfs.write_cost": 2.2845370384088137,
             "lfs.space_amp": 1.1629110397496885,
         },
         "images": [
-            "1702f8326d1b607633665b546d2b44ff4acd3c2d9fdd18a1da7a499970a6c96b",
+            "4aa4458c411ceb634d6c0f17d5199c0820a49b5c45811c56b8db3dfe27019a30",
         ],
     },
     "cluster_migrate": {

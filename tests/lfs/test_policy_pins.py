@@ -33,14 +33,14 @@ POINTS = [
         write_cost=1.0405972962951724,
         segments_cleaned=192,
         live_blocks_copied=3,
-        ops_per_second=47.31196989484047,
+        ops_per_second=47.5009262520262,
     ),
     PolicyPoint(
         policy="random",
         write_cost=1.0913793124230284,
         segments_cleaned=212,
         live_blocks_copied=867,
-        ops_per_second=42.896445891333634,
+        ops_per_second=43.44288064128986,
     ),
 ]
 
