@@ -124,7 +124,7 @@ class SegmentCleaner:
     # By name: looked up per call, so a method replaced on the class or
     # the instance (the e2e tracer, a crash plan) is the one that runs.
     # DATA and INODE blocks are decided and copied in two steps (see
-    # _scan_segment); these kinds are relocated by one call each.
+    # _relocate_partial); these kinds are relocated by one call each.
     _RELOCATORS = {
         BlockKind.INDIRECT: "_relocate_pointer",
         BlockKind.DINDIRECT: "_relocate_pointer",
@@ -349,7 +349,6 @@ class SegmentCleaner:
     # Per-segment relocation
     # ------------------------------------------------------------------
 
-
     def _relocate_live_blocks(self, seg: int) -> None:
         fs = self.fs
         if fs.usage.info(seg).state is not SegmentState.DIRTY:
@@ -475,7 +474,10 @@ class SegmentCleaner:
         blocks, the inode blocks with a live slot and the next summary
         block are staged, and the entries are relocated in log order.
         Pointer, imap and usage blocks reload through the cache or need
-        no payload, so their bytes are never read.
+        no payload, so their bytes are never read.  No file changes
+        between the two steps: the reads only advance the clock, and
+        timers never enter the file system (the service layer's queue
+        events for its run loop).
         """
         fs = self.fs
         bs = fs.config.block_size
