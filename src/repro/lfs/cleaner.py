@@ -19,10 +19,20 @@ Liveness (§4.3.3) is decided exactly as the paper describes:
    block is live iff the file's pointer for that logical block still
    names this disk address.
 
-Victim selection (§4.3.4) supports the paper's policy (greedy: most free
-space first) plus two for the ablation benchmarks: cost-benefit
-(the refinement Rosenblum's follow-up work develops, scoring segments by
-``(1 - u) * age / (1 + u)``) and random.
+Victim selection (§4.3.4) defaults to cost-benefit, the refinement
+Rosenblum's follow-up work develops, priced by what this cleaner moves:
+a victim of utilization u costs its summary block (``s``, one block of
+the segment) plus u read and u written, so it scores
+``(1 - u) * age / (2u + s)``, and a victim with no live bytes, freed
+without a read, costs nothing and goes first.  The paper's policy
+(greedy: most free space first) and random stay for the ablation
+benchmarks.
+
+The cleaner reads nothing that is already in memory: a live data block
+with a cached copy is taken from the cache, and an inode block whose
+live inodes are all in memory is not read.  The blocks it does read
+into the cache are dropped again once the pass has written them, so
+cold relocated data never displaces the clients' working set.
 
 Every cleaning pass ends with a checkpoint: cleaned segments are only
 reusable once the relocated metadata that references them is itself
@@ -75,12 +85,21 @@ def _greedy(cleaner: "SegmentCleaner", segs: List[int], count: int) -> List[int]
 
 
 def _cost_benefit(cleaner: "SegmentCleaner", segs: List[int], count: int) -> List[int]:
-    usage, now = cleaner.fs.usage, cleaner.fs.clock.now()
+    fs = cleaner.fs
+    usage, now = fs.usage, fs.clock.now()
+    # What cleaning a victim moves, in segments: its summary (one block)
+    # read, then its live fraction u read and u written.
+    summary = 1.0 / fs.config.blocks_per_segment
 
     def key(seg: int):
+        info = usage.info(seg)
+        if not info.live_bytes:
+            # Freed without a read: it costs nothing, so it goes first,
+            # in segment order as greedy takes it.
+            return (-math.inf, seg)
         u = usage.utilization(seg)
-        age = max(0.0, now - usage.info(seg).last_write)
-        return (-((1.0 - u) * age / (1.0 + u)), seg)
+        age = max(0.0, now - info.last_write)
+        return (-((1.0 - u) * age / (2.0 * u + summary)), seg)
 
     return heapq.nsmallest(count, segs, key=key)
 
@@ -135,7 +154,7 @@ class SegmentCleaner:
     def __init__(
         self,
         fs: "LogStructuredFS",
-        policy: CleanerPolicy = CleanerPolicy.GREEDY,
+        policy: CleanerPolicy,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.fs = fs
@@ -143,6 +162,9 @@ class SegmentCleaner:
         self.victims_per_pass = 4
         self.stats = CleanerStats()
         self._rng = random.Random(0x5EC5)
+        # The DATA blocks this pass reads into the cache; dropped once
+        # the pass's flush has written them (see _clean_pass).
+        self._inserted: List[BlockKey] = []
         self.telemetry = telemetry or NULL_TELEMETRY
         obs = self.telemetry
         self._m_passes = obs.counter("cleaner.passes")
@@ -283,6 +305,7 @@ class SegmentCleaner:
         now = self.fs.clock.now()
         copied_before = self.stats.live_bytes_copied
         cleaned = 0
+        self._inserted = []
         with self.telemetry.span(
             "cleaner.pass",
             victims=victims,
@@ -334,6 +357,13 @@ class SegmentCleaner:
                 # checkpoints, so nothing durable references the victims
                 # any more.
                 self.fs.flush_log(checkpoint=True, cleaner=True)
+                # What the cleaner read in is cold: leave the cache to
+                # the clients' working set.
+                cache = self.fs.cache
+                for key in self._inserted:
+                    block = cache.peek(key)
+                    if block is not None and not block.dirty:
+                        cache.discard(key)
                 now = self.fs.clock.now()
                 for seg in occupied:
                     usage.mark_clean(seg, now)
@@ -471,10 +501,11 @@ class SegmentCleaner:
         container form a run.  Liveness of every run and entry is decided
         before any of their blocks is read: a run by :meth:`_live_data`,
         an inode block by :meth:`_live_slots`.  Then the live DATA
-        blocks, the inode blocks with a live slot and the next summary
-        block are staged, and the entries are relocated in log order.
-        Pointer, imap and usage blocks reload through the cache or need
-        no payload, so their bytes are never read.  No file changes
+        blocks with no cached copy (:meth:`_uncached`), the inode blocks
+        with a live inode not in memory and the next summary block are
+        staged, and the entries are relocated in log order.  Pointer,
+        imap and usage blocks reload through the cache or need no
+        payload, so their bytes are never read.  No file changes
         between the two steps: the reads only advance the clock, and
         timers never enter the file system (the service layer's queue
         events for its run loop).
@@ -493,6 +524,7 @@ class SegmentCleaner:
         }
         live_data, copy_data = self._live_data, self._copy_data
         live_slots, copy_inodes = self._live_slots, self._copy_inodes
+        uncached, inodes = self._uncached, fs._inodes
         plan = []  # (kind, position, stop, what is live)
         needed = []  # offsets of the blocks whose bytes are copied
         position = 0
@@ -514,12 +546,15 @@ class SegmentCleaner:
                     ):
                         break
                     stop += 1
-                found = live_data(entries[position:stop], head + position)
+                run = entries[position:stop]
+                found = live_data(run, head + position)
                 if found is not None:
-                    needed += [first + position + at for at in found[1]]
+                    needed += [
+                        first + position + at for at in uncached(run, found[1])
+                    ]
             elif kind is _INODE:
                 found = live_slots(entries[position], head + position)
-                if found:
+                if any(inum not in inodes for _slot, inum in found):
                     needed.append(first + position)
             plan.append((kind, position, stop, found))
             position = stop
@@ -578,17 +613,41 @@ class SegmentCleaner:
         ]
         return (inode, live) if live else None
 
+    def _uncached(self, run: List[SummaryEntry], live: List[int]) -> List[int]:
+        """The positions in ``live`` whose blocks have no cached copy,
+        and so must be read.
+
+        A cached copy is current and is what relocation moves.  A clean
+        one is dirtied now, which also keeps the partial's own inserts
+        from evicting it before the copy step; a dirty one is left to the
+        write-back.  The keys of the blocks to read are noted for the
+        pass to drop once it has written them.
+        """
+        cache = self.fs.cache
+        now = self.fs.clock.now()
+        inum = run[0].inum
+        missing = []
+        for position in live:
+            key = block_key((inum, _DATA, run[position].index))
+            cached = cache.peek(key)
+            if cached is None:
+                missing.append(position)
+                self._inserted.append(key)
+            elif not cached.dirty:
+                cache.mark_dirty(key, now)
+        return missing
+
     def _copy_data(
         self,
         run: List[SummaryEntry],
         found: Tuple[Inode, List[int]],
         image,
     ) -> None:
-        """Re-dirty the live blocks :meth:`_live_data` found in cache.
+        """Re-dirty the live blocks :meth:`_live_data` found.
 
-        ``image`` spans the run's blocks; only the live ones were read.
-        A block already dirty in cache is left alone (the write-back will
-        move it), and a clean cached copy is dirtied in place.
+        ``image`` spans the run's blocks; only those with no cached copy
+        were read (:meth:`_uncached`), and they are inserted dirty.  The
+        others are dirty in the cache already.
         """
         fs = self.fs
         inode, live = found
@@ -600,16 +659,13 @@ class SegmentCleaner:
         for position in live:
             charge(1)
             key = block_key((inum, _DATA, run[position].index))
-            cached = cache.peek(key)
-            if cached is None:
+            if cache.peek(key) is None:
                 cache.insert(
                     key,
                     bytearray(image[position * bs : (position + 1) * bs]),
                     dirty=True,
                     now=now(),
                 )
-            elif not cached.dirty:
-                cache.mark_dirty(key, now())
         fs._mark_inode_dirty(inode)
 
     def _live_slots(
@@ -629,7 +685,8 @@ class SegmentCleaner:
         self, slots: List[Tuple[int, int]], addr: int, payload
     ) -> None:
         """Re-dirty the live inodes of the inode block at ``addr``,
-        unpacking from ``payload`` those not already in memory."""
+        unpacking from ``payload`` those not already in memory (the
+        block is read only if there is one)."""
         fs = self.fs
         for slot, inum in slots:
             fs.cpu.cleaner_blocks(1)

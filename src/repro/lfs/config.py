@@ -74,8 +74,11 @@ class LfsConfig:
 
     max_inodes: int = 32768
 
-    cleaner_policy: str = "greedy"
-    """Victim selection: 'greedy', 'cost-benefit' or 'random'."""
+    cleaner_policy: str = "cost-benefit"
+    """Victim selection: 'cost-benefit' (the default: live fraction
+    freed times age, over what cleaning the victim reads and writes),
+    or 'greedy' (§4.3.4's least-utilized first) or 'random', which the
+    cleaning-policy ablation compares against it."""
 
     roll_forward: bool = True
     """Recover log writes after the last checkpoint at mount time.

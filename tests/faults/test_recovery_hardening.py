@@ -171,9 +171,11 @@ class TestCleanerQuarantine:
     def test_unreadable_live_block_quarantines_segment(self):
         fs, injector = self.fragmented_rig()
         # A data block of /f0: the file's block map names it, so it is
-        # live and the cleaner must read it to relocate it.
+        # live, and with the cache emptied the cleaner must read it to
+        # relocate it.
         inode = fs._get_inode(fs.stat("/f0").inum)
         addr = fs.block_map.get(inode, 1)
+        fs.flush_caches()
         victim = fs.layout.segment_of_block(addr)
         dirty = fs.usage.dirty_segments()
         assert victim in dirty

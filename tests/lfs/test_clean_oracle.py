@@ -19,12 +19,18 @@ resident blocks, dirty order, cleaner statistics and clocks must be
 equal.
 
 The cleaner reads only a victim's summaries and the blocks whose bytes
-it copies.  The reference reads the whole segment, decides liveness
-entry by entry without touching the cache, and lists every block a
-relocator consumes: each must lie inside an extent the cleaner read and
-reach the copy step byte for byte, the cleaner must relocate exactly the
-reference's live set, and after a crash and remount every file must
-read back as a model of the schedule says.
+it copies and does not already hold in memory.  The reference reads the
+whole segment, decides liveness entry by entry without touching the
+cache, and lists every block a relocator consumes.  Each must reach the
+copy step, and the cleaner must relocate exactly the reference's live
+set.  A consumed block either lies inside an extent the cleaner read and
+reaches the copy step byte for byte, or was in memory when the cleaner
+planned the partial segment: a data block cached (a clean copy holding
+the reference's bytes), an inode block whose live inodes were all loaded
+(an unmodified one equal to the reference's).  No data block the
+cleaner read into the cache is still cached once its pass has ended.
+After a crash and remount every file must read back as a model of the
+schedule says.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from repro.common.inode import (
 from repro.errors import CorruptionError
 from repro.lfs.config import LfsConfig
 from repro.lfs.filesystem import LogStructuredFS
+from repro.lfs.segment_usage import SegmentState
 from repro.lfs.summary import SegmentSummary
 from repro.lfs.verify import verify_lfs
 from repro.rig import new_rig
@@ -80,12 +87,9 @@ def entry_at_a_time(fs):
             entry = run[position]
             key = BlockKey(entry.inum, _DATA, entry.index)
             fs.cpu.cleaner_blocks(1)
-            cached = cache.peek(key)
-            if cached is None:
+            if cache.peek(key) is None:
                 payload = bytearray(image[position * BS : (position + 1) * BS])
                 cache.insert(key, payload, dirty=True, now=fs.clock.now())
-            elif not cached.dirty:
-                cache.mark_dirty(key, fs.clock.now())
             fs._mark_inode_dirty(inode)
 
     def finalize_data(inode, blocks):
@@ -264,9 +268,11 @@ def test_runs_match_the_entry_at_a_time_cleaner(cache_blocks, schedule):
 
 
 def whole_segment(fs, seg):
-    """The reference: the victim's image, its live blocks and the live
+    """The reference: the victim's image, its live blocks, the live
     blocks whose bytes a relocator consumes (DATA, and INODE blocks with
-    a live slot), decided entry by entry without touching the cache."""
+    a live slot), decided entry by entry without touching the cache, and
+    the summary blocks (with the block where the log ends, if it ends
+    inside the segment)."""
     device = fs.disk.device
     spb = fs.config.sectors_per_block
     bps = fs.config.blocks_per_segment
@@ -331,9 +337,10 @@ def whole_segment(fs, seg):
             return data_addr(inode, entry.index) == addr
         return pointer_block_addr(inode, entry) == addr
 
-    live, consumed = set(), set()
+    live, consumed, summaries = set(), set(), set()
     offset = 0
     while offset < bps:
+        summaries.add(first_block + offset)  # the end of the log, maybe
         try:
             nsummary = SegmentSummary.peek_summary_blocks(
                 raw[offset * BS : (offset + 1) * BS], BS
@@ -341,6 +348,7 @@ def whole_segment(fs, seg):
             summary = SegmentSummary.unpack(raw[offset * BS :], BS)
         except CorruptionError:
             break
+        summaries.update(range(first_block + offset, first_block + offset + nsummary))
         for position, entry in enumerate(summary.entries):
             addr = first_block + offset + nsummary + position
             if is_live(entry, addr):
@@ -348,34 +356,63 @@ def whole_segment(fs, seg):
                 if entry.kind in (_DATA, _INODE):
                     consumed.add(addr)
         offset += nsummary + summary.nblocks
-    return raw, live, consumed
+    return raw, live, consumed, summaries
 
 
 def spy_on_reads(fs):
     """Check every victim the cleaner relocates against the reference."""
-    cleaner, disk = fs.cleaner, fs.disk
+    cleaner, disk, cache = fs.cleaner, fs.disk, fs.cache
     spb = fs.config.sectors_per_block
+    clean_pass = cleaner._clean_pass
     relocate_segment = cleaner._relocate_live_blocks
     live_data, copy_data = cleaner._live_data, cleaner._copy_data
     live_slots, copy_inodes = cleaner._live_slots, cleaner._copy_inodes
-    read = disk.read
-    current = {}
+    read, insert = disk.read, cache.insert
+    current = {"inserted": None}
+
+    def reference_block(addr):
+        at = (addr - current["first_block"]) * BS
+        return current["raw"][at : at + BS]
 
     def copied(addr, payload):
-        first_block = current["first_block"]
-        at = (addr - first_block) * BS
-        block = current["raw"][at : at + BS]
-        assert bytes(payload) == block, f"block {addr} staged wrong bytes"
+        if addr not in current["in_memory"]:
+            assert bytes(payload) == reference_block(addr), (
+                f"block {addr} staged wrong bytes"
+            )
         current["copied"].add(addr)
 
+    def spy_clean_pass(victims, clean_before):
+        # Empty victims are freed before the flush, which may reuse them.
+        occupied = [seg for seg in victims if fs.usage.info(seg).live_bytes]
+        current["inserted"] = []
+        cleaned = clean_pass(victims, clean_before)
+        for key, block in current["inserted"]:
+            assert cache.peek(key) is not block, (
+                f"{key} the cleaner read in is still cached"
+            )
+        current["inserted"] = None
+        for seg in occupied:
+            if fs.usage.info(seg).state is SegmentState.CLEAN:
+                assert not whole_segment(fs, seg)[1], (
+                    f"cleaned segment {seg} still holds live blocks"
+                )
+        return cleaned
+
+    def spy_insert(key, payload, dirty, now):
+        block = insert(key, payload, dirty, now)
+        if current["inserted"] is not None and key.kind is _DATA:
+            current["inserted"].append((key, block))
+        return block
+
     def spy_relocate_segment(seg):
-        raw, live, consumed = whole_segment(fs, seg)
+        raw, live, consumed, summaries = whole_segment(fs, seg)
         current.update(
             first_block=fs.layout.segment_first_block(seg),
             raw=raw,
             extents=[],
             relocated=set(),
             copied=set(),
+            in_memory=set(),
             pending={},
         )
         relocate_segment(seg)
@@ -385,9 +422,17 @@ def spy_on_reads(fs):
             range(sector // spb, (sector + count) // spb)
             for sector, count in current["extents"]
         ]
-        for addr in consumed:
+        needed = summaries | (consumed - current["in_memory"])
+        for addr in consumed - current["in_memory"]:
             assert any(addr in extent for extent in read_blocks), (
-                f"block {addr} of segment {seg} was not read"
+                f"block {addr} of segment {seg} was neither read nor in memory"
+            )
+        # Extents are merged across gaps only: each starts and ends at a
+        # block the cleaner needed, so nothing in memory is read for its
+        # own sake.
+        for extent in read_blocks:
+            assert extent[0] in needed and extent[-1] in needed, (
+                f"segment {seg} read {extent}, which it did not need"
             )
 
     def spy_read(sector, count, label="", **kwargs):
@@ -400,6 +445,17 @@ def spy_on_reads(fs):
         if found is not None:
             current["relocated"].update(addr + at for at in found[1])
             current["pending"][id(found)] = addr
+            # Plan time: what the cleaner may take from the cache.
+            for at in found[1]:
+                entry = run[at]
+                cached = cache.peek(BlockKey(entry.inum, _DATA, entry.index))
+                if cached is None:
+                    continue
+                current["in_memory"].add(addr + at)
+                if not cached.dirty:
+                    assert cached.as_bytes(BS) == reference_block(addr + at), (
+                        f"clean cached copy of block {addr + at} differs"
+                    )
         return found
 
     def spy_copy_data(run, found, image):
@@ -412,6 +468,14 @@ def spy_on_reads(fs):
         slots = live_slots(entry, addr)
         if slots:
             current["relocated"].add(addr)
+            if all(inum in fs._inodes for _slot, inum in slots):
+                current["in_memory"].add(addr)
+                block = reference_block(addr)
+                for slot, inum in slots:
+                    if inum not in fs._dirty_inodes:
+                        assert fs._inodes[inum] == Inode.unpack(
+                            block, slot * INODE_SIZE
+                        ), f"unmodified inode {inum} differs from block {addr}"
         return slots
 
     def spy_copy_inodes(slots, addr, payload):
@@ -429,12 +493,14 @@ def spy_on_reads(fs):
 
     for name in set(cleaner._RELOCATORS.values()):
         setattr(cleaner, name, spy_relocator(getattr(cleaner, name)))
+    cleaner._clean_pass = spy_clean_pass
     cleaner._relocate_live_blocks = spy_relocate_segment
     cleaner._live_data = spy_live_data
     cleaner._copy_data = spy_copy_data
     cleaner._live_slots = spy_live_slots
     cleaner._copy_inodes = spy_copy_inodes
     disk.read = spy_read
+    cache.insert = spy_insert
 
 
 def model_apply(model, number, op, args):

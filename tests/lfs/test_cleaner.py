@@ -28,7 +28,10 @@ def fill_and_fragment(lfs, rounds=3, files=150, size=4096, delete_every=2):
 
 
 class TestVictimSelection:
-    def test_greedy_prefers_emptiest(self, lfs):
+    def test_greedy_prefers_emptiest(self, disk, cpu):
+        lfs = LogStructuredFS.mkfs(
+            disk, cpu, small_lfs_config(cleaner_policy="greedy")
+        )
         fill_and_fragment(lfs)
         victims = lfs.cleaner.select_victims(3)
         utils = [lfs.usage.utilization(seg) for seg in victims]
@@ -187,15 +190,13 @@ class TestCleanerObservability:
         cleaned = fs.clean_now(fs.layout.num_segments)
         assert cleaned > 0
         victims = telemetry.registry.value(
-            "cleaner.victims", policy="greedy"
+            "cleaner.victims", policy="cost-benefit"
         )
         assert victims >= cleaned - fs.cleaner.stats.empty_segments_skipped
         # Unused policies exist as zero series, so `repro stats` always
         # shows the full breakdown.
-        assert (
-            telemetry.registry.value("cleaner.victims", policy="random")
-            == 0
-        )
+        for unused in ("greedy", "random"):
+            assert telemetry.registry.value("cleaner.victims", policy=unused) == 0
 
 
 class TestFsyncMany:

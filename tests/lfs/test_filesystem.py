@@ -194,7 +194,7 @@ class TestDurability:
             segment_size=512 * KIB,
             cache_bytes=3 * MIB,
             max_inodes=64,
-            cleaner_policy="cost-benefit",
+            cleaner_policy="greedy",
             roll_forward=False,
             readahead_blocks=2,
         )

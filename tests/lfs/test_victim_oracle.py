@@ -6,6 +6,9 @@ reference below is the selection it replaced: filter the sorted dirty
 segments, sort them by the policy's key (or shuffle them), take the
 first ``count``.  Both are run over random usage states and must agree
 call for call, random policy included (two identically seeded RNGs).
+Cost-benefit prices a victim by what the cleaner moves: its summary
+block plus its live fraction read and written, and nothing for an
+empty one.
 """
 
 import random
@@ -38,13 +41,18 @@ def reference_select(usage, policy, rng, now, count, written_before, max_u):
     if policy is CleanerPolicy.GREEDY:
         candidates.sort(key=lambda seg: (usage.info(seg).live_bytes, seg))
     elif policy is CleanerPolicy.COST_BENEFIT:
+        empty = [seg for seg in candidates if usage.info(seg).live_bytes == 0]
 
         def benefit(seg):
             u = usage.utilization(seg)
             age = max(0.0, now - usage.info(seg).last_write)
-            return (1.0 - u) * age / (1.0 + u)
+            return (1.0 - u) * age / (2 * u + BS / SEG)
 
-        candidates.sort(key=lambda seg: (-benefit(seg), seg))
+        rest = sorted(
+            (seg for seg in candidates if seg not in empty),
+            key=lambda seg: (-benefit(seg), seg),
+        )
+        candidates = empty + rest
     else:
         rng.shuffle(candidates)
     return candidates[:count]
@@ -91,6 +99,7 @@ def cleaner_over(usage, policy, now, seed):
     fs = SimpleNamespace(
         usage=usage,
         clock=SimpleNamespace(now=lambda: now),
+        config=SimpleNamespace(blocks_per_segment=SEG // BS),
     )
     cleaner = SegmentCleaner(fs, policy=policy)
     cleaner._rng = random.Random(seed)
@@ -144,3 +153,27 @@ def test_deterministic_choice_ignores_candidate_order(
     )
     expected = reference_select(usage, policy, None, now, count, None, None)
     assert _CHOOSE[policy](cleaner, list(candidates), count) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    states=segment_states,
+    count=st.integers(min_value=0, max_value=12),
+    age=st.sampled_from([0.5, 3.0, 100.0]),
+)
+def test_cost_benefit_at_equal_ages_is_greedy_with_empty_first(
+    states, count, age
+):
+    # Every segment is written at time 0 and chosen at ``age``: the key
+    # then falls as u rises, so the order is greedy's, and the empty
+    # segments, which cost no read, come before the others in segment
+    # order.
+    usage = build_usage(
+        {seg: (state, blocks, 0.0) for seg, (state, blocks, _) in states.items()}
+    )
+    greedy = cleaner_over(usage, CleanerPolicy.GREEDY, age, 0)
+    cost_benefit = cleaner_over(usage, CleanerPolicy.COST_BENEFIT, age, 0)
+    assert cost_benefit.select_victims(count) == greedy.select_victims(count)
+    order = cost_benefit.select_victims(NUM_SEGMENTS)
+    empty = [seg for seg in order if usage.info(seg).live_bytes == 0]
+    assert order[: len(empty)] == sorted(empty)
