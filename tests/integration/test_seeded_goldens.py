@@ -112,7 +112,7 @@ HOTPATH_FINGERPRINTS = {
     "cleaning": {
         "segments_cleaned": 31,
         "live_blocks_copied": 24,
-        "simulated_seconds": 1.4792432692307615,
+        "simulated_seconds": 1.2997528846153807,
         "log_bytes_written": 2347008,
     },
     "batch_checksum": {
@@ -252,17 +252,17 @@ E2E_SMOKE = {
     },
     "service_clean": {
         "sim": {
-            "sim_ops_per_s": 57.401758898153915,
-            "sim_lat_p50_ms": 4.7728000000049065,
-            "sim_lat_p99_ms": 567.6561092307821,
-            "write_amp": 2.134614295263235,
-            "read_amp": 0.3158760321054214,
+            "sim_ops_per_s": 59.10057993273972,
+            "sim_lat_p50_ms": 4.764160000000572,
+            "sim_lat_p99_ms": 552.6320707692421,
+            "write_amp": 2.1363990898244922,
+            "read_amp": 0.27151142085465996,
         },
         "counters": {
-            "cache.hits": 1193,
-            "cache.misses": 626,
-            "cache.insertions": 758,
-            "cache.evictions": 520,
+            "cache.hits": 1198,
+            "cache.misses": 624,
+            "cache.insertions": 752,
+            "cache.evictions": 431,
             "vfs.creates": 74,
             "vfs.removes": 44,
             "vfs.read_calls": 67,
@@ -270,35 +270,35 @@ E2E_SMOKE = {
             "vfs.user_bytes_read": 2308146,
             "vfs.user_bytes_written": 2294942,
             "vfs.writebacks": 0,
-            "lfs.log_bytes": 4734976,
-            "lfs.cleaner_bytes": 557056,
+            "lfs.log_bytes": 4739072,
+            "lfs.cleaner_bytes": 561152,
             "lfs.cleaner_passes": 4,
             "lfs.cleaner_segments_cleaned": 16,
-            "lfs.cleaner_live_bytes_copied": 462848,
-            "lfs.cleaner_bytes_read": 507904,
-            "lfs.cleaner_busy_sim_s": 1.9334538461537036,
+            "lfs.cleaner_live_bytes_copied": 475136,
+            "lfs.cleaner_bytes_read": 425984,
+            "lfs.cleaner_busy_sim_s": 1.8435124999998607,
             "lfs.emergency_passes": 0,
-            "disk.requests": 124,
-            "disk.bytes_read": 729088,
-            "disk.bytes_written": 4898816,
-            "disk.seeks": 82,
-            "disk.sync_requests": 60,
-            "disk.busy_sim_s": 6.133655769230671,
-            "sim.elapsed_sim_s": 8.362113099210923,
+            "disk.requests": 118,
+            "disk.bytes_read": 626688,
+            "disk.bytes_written": 4902912,
+            "disk.seeks": 74,
+            "disk.sync_requests": 54,
+            "disk.busy_sim_s": 5.892090384615301,
+            "sim.elapsed_sim_s": 8.121747714595543,
             "service.commit_batches": 43,
             "service.commit_batch_mean": 2.5813953488372094,
             "service.throttle_events": 4,
-            "service.throttle_sim_s": 1.9334538461537036,
+            "service.throttle_sim_s": 1.8435124999998607,
             "service.forced_admissions": 0,
             "service.rejections": 0,
-            "disk.util": 0.7335054783951037,
-            "cache.hit_rate": 0.6558548653106102,
-            "lfs.cleaned_utilization": 0.1103515625,
-            "lfs.write_cost": 2.2845370384088137,
+            "disk.util": 0.725470747389341,
+            "cache.hit_rate": 0.6575192096597146,
+            "lfs.cleaned_utilization": 0.11328125,
+            "lfs.write_cost": 2.250625941744933,
             "lfs.space_amp": 1.1629110397496885,
         },
         "images": [
-            "4aa4458c411ceb634d6c0f17d5199c0820a49b5c45811c56b8db3dfe27019a30",
+            "c1f4672ae17c140400e8f254b140ef7b01c26b18a2eaed1583f58010e6bd701c",
         ],
     },
     "cluster_migrate": {
