@@ -31,7 +31,8 @@ Commands::
                                               optional live migration
                                               (--migrate SRC:DST@T)
     sweep [--jobs N]                          service + cluster scaling
-                                              sweeps (BENCH_service.json)
+                                              sweeps and the fill curve
+                                              (BENCH_service.json)
 
 ``--telemetry out.jsonl`` (fig, stats, crashtest, chaos, serve-sim,
 cluster-sim) records the run's metrics and spans (see
@@ -532,6 +533,15 @@ def cmd_sweep(args) -> int:
             f"{row['throughput_per_second']:>8.1f} req/s, "
             f"p99 {row['latency_p99_seconds'] * 1000:>9.3f} ms"
         )
+    fill = service_bench.run_fill_sweep(jobs=args.jobs)
+    for row in fill["medians"]:
+        print(
+            f"fill={row['fill']:.2f} {row['policy']:>12}: "
+            f"write amp {row['write_amp']:>6.3f}, "
+            f"read amp {row['read_amp']:>6.3f}, "
+            f"p99 {row['latency_p99_seconds'] * 1000:>9.3f} ms, "
+            f"cleaned u {row['cleaned_utilization']:.3f}"
+        )
     report = {
         "benchmark": "service_scaling",
         "seed": service_bench.SEED,
@@ -542,11 +552,12 @@ def cmd_sweep(args) -> int:
             "requests_per_client": cluster_bench.REQUESTS_PER_CLIENT,
             "points": rows,
         },
+        "fill": fill,
     }
     _write_report(report, args.output)
     print(f"sweep report -> {args.output}")
 
-    failures = cluster_bench.scale_gate(rows)
+    failures = cluster_bench.scale_gate(rows) + service_bench.fill_gate(fill)
     dropped = sum(int(point["dropped"]) for point in points)
     if dropped:
         failures.append(f"{dropped} dropped request(s)")
@@ -748,8 +759,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep",
-        help="run the service and cluster scaling sweeps and write the "
-        "report (BENCH_service.json)",
+        help="run the service and cluster scaling sweeps and the fill "
+        "curve and write the report (BENCH_service.json)",
     )
     p.add_argument(
         "--jobs",

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.units import MIB
 
 
 @pytest.fixture
@@ -412,12 +413,17 @@ class TestTraceCommand:
 
 @pytest.fixture
 def tiny_sweep(monkeypatch):
-    """Shrink both sweep grids so one ``repro sweep`` takes a second."""
+    """Shrink every sweep grid so one ``repro sweep`` takes a second."""
     from repro.cluster import bench as cluster_bench
     from repro.service import bench as service_bench
 
     monkeypatch.setattr(service_bench, "CLIENTS", (1, 2))
     monkeypatch.setattr(service_bench, "REQUESTS_PER_CLIENT", 3)
+    monkeypatch.setattr(service_bench, "FILLS", (0.5,))
+    monkeypatch.setattr(service_bench, "FILL_SEEDS", (0, 1))
+    monkeypatch.setattr(service_bench, "FILL_CLIENTS", 2)
+    monkeypatch.setattr(service_bench, "FILL_REQUESTS_PER_CLIENT", 3)
+    monkeypatch.setattr(service_bench, "FILL_VOLUME", 16 * MIB)
     monkeypatch.setattr(cluster_bench, "POINTS", ((1, 2), (2, 4)))
     monkeypatch.setattr(cluster_bench, "REQUESTS_PER_CLIENT", 3)
     return service_bench, cluster_bench
@@ -432,6 +438,7 @@ class TestSweepCommand:
         assert sorted(report) == [
             "benchmark",
             "cluster",
+            "fill",
             "points",
             "requests_per_client",
             "seed",
@@ -445,6 +452,27 @@ class TestSweepCommand:
             (row["shards"], row["clients"]) for row in cluster["points"]
         ] == [(1, 2), (2, 4)]
         assert all(row["consistent"] for row in cluster["points"])
+        fill = report["fill"]
+        assert sorted(fill) == [
+            "clients",
+            "medians",
+            "points",
+            "requests_per_client",
+            "seeds",
+        ]
+        assert [
+            (point["fill"], point["policy"], point["seed"])
+            for point in fill["points"]
+        ] == [
+            (0.5, "greedy", 0),
+            (0.5, "greedy", 1),
+            (0.5, "cost-benefit", 0),
+            (0.5, "cost-benefit", 1),
+        ]
+        assert [(row["fill"], row["policy"]) for row in fill["medians"]] == [
+            (0.5, "greedy"),
+            (0.5, "cost-benefit"),
+        ]
 
     def test_report_is_byte_identical_for_any_jobs(
         self, tmp_path, tiny_sweep
@@ -483,6 +511,45 @@ class TestSweepCommand:
         code, out = run_cli(["sweep", "--output", str(tmp_path / "r.json")])
         assert code == 1
         assert "FAIL: 2 dropped request(s)" in out
+
+    def test_fill_gate_failure_exits_one(
+        self, tmp_path, tiny_sweep, monkeypatch
+    ):
+        service_bench, _cluster_bench = tiny_sweep
+        real_point = service_bench.fill_point
+
+        def costly_default(fill, policy, seed):
+            point = real_point(fill, policy, seed)
+            if policy == "cost-benefit":
+                point["write_amp"] *= 1.02
+            return point
+
+        monkeypatch.setattr(service_bench, "fill_point", costly_default)
+        code, out = run_cli(["sweep", "--output", str(tmp_path / "r.json")])
+        assert code == 1
+        assert "FAIL: fill 0.5: cost-benefit write amp" in out
+        assert "exceeds 1.01x greedy's" in out
+
+    def test_fill_gate_compares_medians_at_every_fill(self):
+        from repro.service.bench import FILL_GATE, fill_gate
+
+        def section(greedy, default, dropped=0):
+            return {
+                "points": [{"dropped": dropped}],
+                "medians": [
+                    {"fill": 0.5, "policy": "greedy", "write_amp": 2.0},
+                    {"fill": 0.5, "policy": "cost-benefit", "write_amp": 2.0},
+                    {"fill": 0.9, "policy": "greedy", "write_amp": greedy},
+                    {"fill": 0.9, "policy": "cost-benefit", "write_amp": default},
+                ],
+            }
+
+        assert fill_gate(section(4.0, 4.0 * FILL_GATE)) == []
+        assert fill_gate(section(4.0, 3.0)) == []
+        [worse] = fill_gate(section(4.0, 4.1))
+        assert worse.startswith("fill 0.9: cost-benefit write amp 4.100")
+        [dropped] = fill_gate(section(4.0, 4.0, dropped=2))
+        assert "2 dropped" in dropped
 
     def test_scale_gate_checks_floor_p99_and_verification(self):
         from repro.cluster.bench import SCALE_FLOOR, scale_gate
