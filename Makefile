@@ -62,10 +62,12 @@ trace:
 
 # Regenerate both committed reports in place and fail if either moved:
 # the trace report, then BENCH_service.json (`repro sweep`: the service
-# and cluster scaling sweeps) serially and again with --jobs 2.  The
-# sweep itself exits nonzero on a dropped request, a shard image that
-# fails verification, or a 4-shard point under the 3x scale floor.  A
-# change that moves a simulated number commits the regenerated files.
+# and cluster scaling sweeps and the fill curve) serially and again
+# with --jobs 2.  The sweep itself exits nonzero on a dropped request,
+# a shard image that fails verification, a 4-shard point under the 3x
+# scale floor, or a fill at which the default cleaning policy writes
+# more than 1.01x greedy's bytes.  A change that moves a simulated
+# number commits the regenerated files.
 reports: trace
 	git diff --exit-code BENCH_trace.json
 	$(PYTHON) -m repro sweep

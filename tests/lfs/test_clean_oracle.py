@@ -348,7 +348,8 @@ def whole_segment(fs, seg):
             summary = SegmentSummary.unpack(raw[offset * BS :], BS)
         except CorruptionError:
             break
-        summaries.update(range(first_block + offset, first_block + offset + nsummary))
+        start = first_block + offset
+        summaries.update(range(start, start + nsummary))
         for position, entry in enumerate(summary.entries):
             addr = first_block + offset + nsummary + position
             if is_live(entry, addr):
@@ -524,8 +525,24 @@ def model_apply(model, number, op, args):
         model.pop(args[0], None)
 
 
+# Victims cleaned while their live blocks are still cached, some clean
+# and one dirty, so relocation takes them from memory instead of reading.
+CACHED = [
+    ("write", "/a", 0, 10, 0),
+    ("write", "/b", N_DIRECT + 1, 6, 0),
+    ("sync",),
+    ("write", "/a", 3, 2, 0),
+    ("write", "/b", N_DIRECT + 2, 1, 0),
+    ("sync",),
+    ("write", "/a", 4, 1, 0),
+    ("clean", 6),
+    ("sync",),
+]
+
+
 @settings(max_examples=25, deadline=None)
 @example(8, RUNS)
+@example(24, CACHED)
 @given(
     st.sampled_from([8, 24]),
     st.lists(steps, min_size=4, max_size=16),
