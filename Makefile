@@ -6,7 +6,7 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q
 
-# The repo's own rules (OBS001/OBS002, FAULT001/FAULT002, SVC001,
+# The repo's own rules (OBS001/OBS002, FAULT001-FAULT003, SVC001,
 # ALLOC001, RIG001, VER001, CACHE001, CLOCK001 and the F401/F841
 # subset, see src/repro/tools/lint.py) always run; ruff adds its rules
 # (pyproject.toml) when it is installed.
@@ -93,13 +93,18 @@ crashtest:
 # device, crash it at adversarial instants, remount, and check the
 # durability contract (every acked fsync intact, no torn client state).
 # Exits nonzero on any contract violation or unhandled escape; the
-# jobs=2 rerun must render byte-identically to the serial one.
+# jobs=2 rerun must render and export telemetry byte-identically to the
+# serial one.
 chaos:
 	$(PYTHON) -m repro chaos --trials 6 --seed 0 --clients 4 \
-		--requests-per-client 40 --verbose > /tmp/chaos_j1.txt
+		--requests-per-client 40 --verbose \
+		--telemetry /tmp/chaos.jsonl > /tmp/chaos_j1.txt
+	mv /tmp/chaos.jsonl /tmp/chaos_j1.jsonl
 	$(PYTHON) -m repro chaos --trials 6 --seed 0 --clients 4 \
-		--requests-per-client 40 --verbose --jobs 2 > /tmp/chaos_j2.txt
+		--requests-per-client 40 --verbose --jobs 2 \
+		--telemetry /tmp/chaos.jsonl > /tmp/chaos_j2.txt
 	diff /tmp/chaos_j1.txt /tmp/chaos_j2.txt
+	diff /tmp/chaos_j1.jsonl /tmp/chaos.jsonl
 	@cat /tmp/chaos_j1.txt
 
 ci: lint test e2e-smoke reports crashtest chaos

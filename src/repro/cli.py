@@ -52,7 +52,7 @@ from repro.errors import ReproError
 from repro.ffs.fsck import fsck as run_fsck
 from repro.rig import new_rig
 from repro.tools.inspect import describe_image, identify
-from repro.units import GIB, KIB, MIB
+from repro.units import GIB, KIB, MIB, SECTOR_SIZE
 
 
 _SIZE_SUFFIXES = (
@@ -61,16 +61,23 @@ _SIZE_SUFFIXES = (
 
 
 def _parse_size(text: str) -> int:
-    """``16M``, ``16MiB`` or plain bytes -> bytes (case-insensitive)."""
+    """``16M``, ``16MiB`` or plain bytes -> bytes (case-insensitive);
+    a device size, so a positive multiple of ``SECTOR_SIZE``."""
     number, multiplier = text.strip().upper(), 1
     for suffix, scale in _SIZE_SUFFIXES:
         if number.endswith(suffix):
             number, multiplier = number[: -len(suffix)], scale
             break
     try:
-        return int(number) * multiplier
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad size: {text!r}") from exc
+        size = int(number) * multiplier
+    except ValueError:
+        size = 0
+    if size <= 0 or size % SECTOR_SIZE:
+        raise argparse.ArgumentTypeError(
+            f"bad size: {text!r} (want a positive multiple of "
+            f"{SECTOR_SIZE} bytes)"
+        )
+    return size
 
 
 def _positive_int(text: str) -> int:
@@ -89,6 +96,16 @@ def _add_telemetry_flag(parser: argparse.ArgumentParser) -> None:
         "--telemetry",
         metavar="OUT.JSONL",
         help="record metrics and spans; write them as JSONL here",
+    )
+
+
+def _add_jobs_flag(parser, what: str, output: str = "report") -> None:
+    parser.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help=f"worker processes for {what} ({output} is byte-identical "
+        "for any value)",
     )
 
 
@@ -379,42 +396,31 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def cmd_crashtest(args) -> int:
-    from repro.faults import run_campaign
+def cmd_campaign(args) -> int:
+    """``crashtest`` and ``chaos``: run the seeded campaign, print its
+    report, exit 1 if any trial failed."""
+    from repro.faults import run_campaign, run_chaos_campaign
     from repro.obs import Telemetry
 
+    run, load = run_campaign, {}
+    if args.command == "chaos":
+        run = run_chaos_campaign
+        load = dict(
+            clients=args.clients, requests_per_client=args.requests_per_client
+        )
     telemetry = Telemetry() if args.telemetry else None
-    report = run_campaign(
+    report = run(
         trials=args.trials,
         seed=args.seed,
         telemetry=telemetry,
         device_bytes=args.size,
         log=print if args.verbose else None,
         jobs=args.jobs,
+        **load,
     )
     print(report.render())
     _export_telemetry(telemetry, args.telemetry)
-    return 0 if report.survived_all else 1
-
-
-def cmd_chaos(args) -> int:
-    from repro.faults.chaos import run_chaos_campaign
-    from repro.obs import Telemetry
-
-    telemetry = Telemetry() if args.telemetry else None
-    report = run_chaos_campaign(
-        trials=args.trials,
-        seed=args.seed,
-        clients=args.clients,
-        requests_per_client=args.requests_per_client,
-        telemetry=telemetry,
-        device_bytes=args.size,
-        log=print if args.verbose else None,
-        jobs=args.jobs,
-    )
-    print(report.render())
-    _export_telemetry(telemetry, args.telemetry)
-    return 0 if report.passed_all else 1
+    return 1 if report.failures else 0
 
 
 def _write_report(report, path: str) -> None:
@@ -566,6 +572,21 @@ def cmd_sweep(args) -> int:
     return 1 if failures else 0
 
 
+def _add_campaign_parser(sub, name: str, help: str, trials: int, size: int):
+    """The flags ``crashtest`` and ``chaos`` share (see cmd_campaign)."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--trials", type=_positive_int, default=trials)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--size", type=_parse_size, default=size)
+    _add_jobs_flag(p, "the trials")
+    p.add_argument(
+        "--verbose", action="store_true", help="print a line per trial"
+    )
+    _add_telemetry_flag(p)
+    p.set_defaults(func=cmd_campaign)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -651,48 +672,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_telemetry_flag(p)
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser(
+    _add_campaign_parser(
+        sub,
         "crashtest",
-        help="run a seeded crash+corruption campaign and report survival",
+        "run a seeded crash+corruption campaign and report survival",
+        trials=50,
+        size=24 * MIB,
     )
-    p.add_argument("--trials", type=_positive_int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--size", type=_parse_size, default=24 * MIB)
-    p.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        help="worker processes for the trials (report is byte-identical "
-        "for any value)",
-    )
-    p.add_argument(
-        "--verbose", action="store_true", help="print a line per trial"
-    )
-    _add_telemetry_flag(p)
-    p.set_defaults(func=cmd_crashtest)
-
-    p = sub.add_parser(
+    p = _add_campaign_parser(
+        sub,
         "chaos",
-        help="crash a loaded service rig at adversarial instants and "
+        "crash a loaded service rig at adversarial instants and "
         "check the durability contract after every remount",
+        trials=12,
+        size=32 * MIB,
     )
-    p.add_argument("--trials", type=_positive_int, default=12)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--clients", type=int, default=8)
     p.add_argument("--requests-per-client", type=int, default=80)
-    p.add_argument("--size", type=_parse_size, default=32 * MIB)
-    p.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        help="worker processes for the trials (report is byte-identical "
-        "for any value)",
-    )
-    p.add_argument(
-        "--verbose", action="store_true", help="print a line per trial"
-    )
-    _add_telemetry_flag(p)
-    p.set_defaults(func=cmd_chaos)
 
     p = sub.add_parser(
         "serve-sim",
@@ -746,13 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="migrate shard SRC's clients onto shard DST starting T "
         "simulated seconds into the run (repeatable)",
     )
-    p.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        help="worker processes for the shard groups (output is "
-        "byte-identical for any value)",
-    )
+    _add_jobs_flag(p, "the shard groups", "output")
     p.add_argument("--size", type=_parse_size, default=64 * MIB)
     _add_telemetry_flag(p)
     p.set_defaults(func=cmd_cluster_sim)
@@ -762,13 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the service and cluster scaling sweeps and the fill "
         "curve and write the report (BENCH_service.json)",
     )
-    p.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        help="worker processes for the sweep points and shard groups "
-        "(report is byte-identical for any value)",
-    )
+    _add_jobs_flag(p, "the sweep points and shard groups")
     p.add_argument(
         "--output",
         default="BENCH_service.json",

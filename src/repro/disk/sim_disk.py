@@ -27,6 +27,7 @@ from repro.disk.trace import AccessTier, TraceEvent, TraceRecorder
 from repro.errors import OutOfRangeError, TransientIOError
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.sim.clock import SimClock
+from repro.sim.crashpoints import crashpoint
 
 # Transient read errors (see repro.faults) are retried with exponential
 # backoff: three retries at 2 ms, 4 ms and 8 ms, far below the 50 ms cap.
@@ -242,6 +243,7 @@ class SimDisk:
         time (the request blocks); otherwise the request merely occupies
         the disk and becomes durable when the clock passes its completion.
         """
+        crashpoint("disk.write", sector)
         if not data:
             raise OutOfRangeError("cannot write zero bytes")
         issue = self.clock.now()

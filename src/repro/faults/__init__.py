@@ -1,12 +1,14 @@
 """Deterministic storage fault injection (torn writes, bit rot, bad
-sectors, transient I/O errors) and the crash+corruption campaign behind
-``repro crashtest``.
+sectors, transient I/O errors) and the two crash campaigns behind
+``repro crashtest`` and ``repro chaos``.
 
 Everything here is policy layered *around* the stack under test:
 :class:`FaultInjector` decides what breaks, :class:`FaultyDevice` breaks
 it at the :class:`~repro.disk.device.SectorDevice` boundary, and the
-campaign in :mod:`repro.faults.campaign` checks that the LFS above
-detects, contains, or recovers from the damage with typed errors only.
+campaigns (one trial runner, :mod:`repro.faults.campaign`) check that
+the LFS above recovers: crashtest that it reports all damage with typed
+errors, chaos (:mod:`repro.faults.chaos`) that every acked fsync
+survives a crash of the loaded service rig.
 """
 
 from repro.faults.campaign import (

@@ -1,41 +1,39 @@
-"""Randomized crash+corruption campaign (the ``repro crashtest`` command).
+"""Seeded crash campaigns: the trial runner ``repro crashtest`` and
+``repro chaos`` share, and crashtest's crash+corruption trial.
 
-Each trial builds a fresh LFS on a :class:`FaultyDevice`, runs a seeded
-random workload, power-fails it mid-activity (tearing in-flight writes,
-flipping bits, growing bad sectors), remounts, exercises the cleaner,
-and verifies the surviving image with :func:`repro.lfs.verify.verify_lfs`.
+Every trial of either campaign is a :class:`SeededTrial`: one
+``random.Random`` per (campaign, seed, trial) draws its fault config and
+injector seed, its rig is an LFS on a :class:`FaultyDevice`, and one
+classifier records how its body ended.  :func:`run_in_order` runs the
+trials and logs them in trial order, byte-identically for any ``jobs``.
 
-The contract under test is the robustness guarantee of the hardened
-recovery stack: **every trial must end in a typed, reported state** —
-
-* a clean remount whose verify pass finds nothing, or
-* detected corruption: a checkpoint-region fallback, a roll-forward
-  scan stopped/limited by damage, quarantined segments, verify
-  findings, or a typed mount failure when both checkpoint regions are
-  gone.
-
-A trial that escapes with anything other than a :class:`ReproError`
-(``struct.error``, ``KeyError``, …) is recorded as *unhandled* and
-fails the campaign — that is the regression the crashtest exists to
-catch.  Trials are deterministic: trial *i* of campaign seed *s* always
-injects the same faults.
+A crashtest trial runs a seeded random workload, power-fails it
+mid-activity (tearing in-flight writes, flipping bits, growing bad
+sectors), remounts, exercises the cleaner and verifies the image with
+:func:`repro.lfs.verify.verify_lfs`.  **Every trial must end in a typed,
+reported state**: a clean remount, or detected damage (a checkpoint
+fallback, a roll-forward stopped by damage, quarantined segments,
+verify findings, or a typed mount failure when both checkpoint regions
+are gone).  A trial that escapes with anything but a :class:`ReproError`
+(``struct.error``, ``KeyError``, …) is *unhandled* and fails the
+campaign: the regression the crashtest exists to catch.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.disk.geometry import wren_iv
 from repro.errors import ReproError
 from repro.faults.device import FaultyDevice
-from repro.faults.injector import FaultConfig, FaultInjector
+from repro.faults.injector import FAULT_KINDS, FaultConfig, FaultInjector
 from repro.lfs.config import LfsConfig
 from repro.lfs.filesystem import LogStructuredFS
 from repro.lfs.verify import verify_lfs
 from repro.obs import Telemetry
-from repro.rig import new_rig
+from repro.rig import Rig, new_rig
 from repro.units import KIB, MIB
 
 DEFAULT_DEVICE_BYTES = 24 * MIB
@@ -44,6 +42,132 @@ _TORN_PROBS = (0.0, 0.3, 1.0)
 _BIT_FLIPS = (0, 0, 1, 2, 4)
 _BAD_SECTORS = (0, 0, 1, 4, 8)
 _TRANSIENT_PROBS = (0.0, 0.0, 0.01, 0.05)
+
+_TRIAL_CONFIG = LfsConfig(
+    segment_size=256 * KIB,
+    cache_bytes=2 * MIB,
+    max_inodes=1024,
+)
+
+
+# ----------------------------------------------------------------------
+# What every campaign trial shares
+# ----------------------------------------------------------------------
+
+
+class SeededTrial:
+    """One trial's seeded prologue, its faulty rig, and its ending.
+
+    Trial ``trial`` of campaign ``name`` with seed ``seed`` draws its
+    fault config, then its injector's seed, from one ``random.Random``;
+    the rest of :attr:`rng` belongs to the trial body.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        trial: int,
+        seed: int,
+        draw_faults: Callable[[random.Random], FaultConfig],
+        telemetry: Optional[Telemetry],
+    ) -> None:
+        self.rng = random.Random(f"{name}-{seed}-{trial}")
+        self.injector = FaultInjector(
+            draw_faults(self.rng),
+            seed=self.rng.getrandbits(32),
+            telemetry=telemetry,
+        )
+        self.telemetry = telemetry
+
+    def boot(
+        self, device_bytes: int, lfs_config: LfsConfig, service=None
+    ) -> Rig:
+        """Format an LFS on a fault-injecting device of ``device_bytes``."""
+        geometry = wren_iv(device_bytes)
+        self.device = FaultyDevice(
+            geometry.num_sectors, geometry.sector_size, injector=self.injector
+        )
+        self.lfs_config = lfs_config
+        self.rig = new_rig(
+            "lfs",
+            lfs_config=lfs_config,
+            geometry=geometry,
+            telemetry=self.telemetry,
+            device=self.device,
+            service=service,
+        )
+        return self.rig
+
+    def crash_and_remount(self) -> LogStructuredFS:
+        """Power-fail the rig (with the injector's crash damage), bring
+        the device back and mount what survived; a failed mount raises
+        its typed error."""
+        self.rig.fs.crash()
+        self.device.revive()
+        return LogStructuredFS.mount(
+            self.rig.disk,
+            self.rig.cpu,
+            self.lfs_config,
+            telemetry=self.telemetry,
+        )
+
+    def run(self, result, body: Callable[[], None], detected: bool = False):
+        """Run ``body``, classify how it ended on ``result``, attach the
+        injector's totals and return ``result``.  An escaping exception
+        is *unhandled*, except that a typed :class:`ReproError` is
+        *detected* damage when ``detected`` (crashtest; a chaos rig
+        must degrade politely, never abort)."""
+        try:
+            body()
+        except Exception as exc:  # the campaigns' one outcome classifier
+            result.detail = f"{type(exc).__name__}: {exc}"
+            if detected and isinstance(exc, ReproError):
+                result.outcome = "detected"
+                result.signals.append(f"typed-error {type(exc).__name__}")
+            else:
+                result.outcome = "unhandled"
+        result.faults = self.injector.totals()
+        return result
+
+
+def run_in_order(
+    trial: Callable[..., object],
+    trials: int,
+    task: Dict[str, object],
+    telemetry: Optional[Telemetry],
+    jobs: int,
+    log: Optional[Callable[[str], None]],
+) -> list:
+    """Run ``trial(trial=i, **task)`` for each of ``trials`` trials,
+    ``jobs`` at a time, and log each result's ``summary()``.  Results,
+    log and merged telemetry come in trial order (:func:`~repro.harness.
+    parallel.run_trials`), byte-identical for any ``jobs``."""
+    from repro.harness.parallel import run_trials
+
+    tasks = [dict(trial=i, **task) for i in range(trials)]
+    results = run_trials(trial, tasks, telemetry=telemetry, jobs=jobs)
+    if log is not None:
+        for result in results:
+            log(f"trial {result.trial:3d}: {result.summary()}")
+    return results
+
+
+def fault_lines(trials: Iterable, *rows: Iterable[str]) -> List[str]:
+    """A report's fault totals over ``trials``: one line per row of
+    kinds, e.g. ``  torn writes 3, bit flips 2``."""
+    totals = dict.fromkeys(FAULT_KINDS, 0)
+    for trial in trials:
+        for kind, count in trial.faults.items():
+            totals[kind] += count
+    return ["fault injection totals:"] + [
+        "  " + ", ".join(f"{kind.replace('_', ' ')} {totals[kind]}" for kind in row)
+        for row in rows
+    ]
+
+
+# ----------------------------------------------------------------------
+# The crash+corruption trial (``repro crashtest``)
+# ----------------------------------------------------------------------
 
 
 @dataclass
@@ -61,6 +185,9 @@ class TrialResult:
     def survived(self) -> bool:
         return self.outcome != "unhandled"
 
+    def summary(self) -> str:
+        return f"{self.outcome:12s} " + ("; ".join(self.signals) or "-")
+
 
 @dataclass
 class CampaignReport:
@@ -68,23 +195,17 @@ class CampaignReport:
 
     seed: int
     trials: List[TrialResult] = field(default_factory=list)
-    torn_writes: int = 0
-    bit_flips: int = 0
-    bad_sectors_grown: int = 0
-    media_errors: int = 0
-    transient_errors: int = 0
-    remaps: int = 0
 
     def count(self, outcome: str) -> int:
         return sum(1 for t in self.trials if t.outcome == outcome)
 
     @property
-    def unhandled(self) -> List[TrialResult]:
+    def failures(self) -> List[TrialResult]:
         return [t for t in self.trials if not t.survived]
 
     @property
     def survived_all(self) -> bool:
-        return not self.unhandled
+        return not self.failures
 
     def signal_count(self, prefix: str) -> int:
         return sum(
@@ -105,29 +226,16 @@ class CampaignReport:
             f"    verify findings:      {self.signal_count('verify-errors')}",
             f"    degraded operation:   {self.signal_count('post-mount')}",
             f"    mount failures:       {self.count('mount-failed')}",
-            f"  unhandled exceptions: {len(self.unhandled)}",
+            f"  unhandled exceptions: {len(self.failures)}",
         ]
-        for t in self.unhandled:
+        for t in self.failures:
             lines.append(f"    trial {t.trial}: {t.detail}")
+        lines += fault_lines(self.trials, FAULT_KINDS[:3], FAULT_KINDS[3:])
         lines += [
-            "fault injection totals:",
-            f"  torn writes {self.torn_writes}, bit flips {self.bit_flips}, "
-            f"bad sectors grown {self.bad_sectors_grown}",
-            f"  media errors {self.media_errors}, "
-            f"transient errors {self.transient_errors}, "
-            f"remaps {self.remaps}",
             "survival: "
             + ("OK" if self.survived_all else "FAILED (unhandled exceptions)"),
         ]
         return "\n".join(lines)
-
-
-def _trial_config() -> LfsConfig:
-    return LfsConfig(
-        segment_size=256 * KIB,
-        cache_bytes=2 * MIB,
-        max_inodes=1024,
-    )
 
 
 def _random_fault_config(rng: random.Random) -> FaultConfig:
@@ -176,61 +284,26 @@ def run_trial(
     device_bytes: int = DEFAULT_DEVICE_BYTES,
 ) -> TrialResult:
     """One deterministic write → fault → crash → remount → verify cycle."""
-    rng = random.Random(f"crashtest-{seed}-{trial}")
-    fault_config = _random_fault_config(rng)
-    injector = FaultInjector(
-        fault_config, seed=rng.getrandbits(32), telemetry=telemetry
+    seeded = SeededTrial(
+        "crashtest", trial, seed, _random_fault_config, telemetry
     )
-    result = TrialResult(trial=trial, outcome="clean", config=fault_config)
-    try:
-        _execute_trial(result, injector, rng, device_bytes, telemetry)
-    except ReproError as exc:
-        # A typed failure outside the classified phases still counts as
-        # detected, reported degradation — not a crash of the stack.
-        result.outcome = "detected"
-        result.detail = f"{type(exc).__name__}: {exc}"
-        result.signals.append(f"typed-error {type(exc).__name__}")
-    except Exception as exc:  # the regression the campaign exists to catch
-        result.outcome = "unhandled"
-        result.detail = f"{type(exc).__name__}: {exc}"
-    result.faults = {
-        "torn_writes": injector.torn_writes,
-        "bit_flips": injector.bit_flips,
-        "bad_sectors_grown": injector.bad_sectors_grown,
-        "media_errors": injector.media_errors,
-        "transient_errors": injector.transient_errors,
-        "remaps": injector.remaps,
-    }
-    return result
+    result = TrialResult(
+        trial=trial, outcome="clean", config=seeded.injector.config
+    )
+    return seeded.run(
+        result,
+        lambda: _execute_trial(result, seeded, device_bytes),
+        detected=True,
+    )
 
 
 def _execute_trial(
-    result: TrialResult,
-    injector: FaultInjector,
-    rng: random.Random,
-    device_bytes: int,
-    telemetry: Optional[Telemetry],
+    result: TrialResult, seeded: SeededTrial, device_bytes: int
 ) -> None:
-    geometry = wren_iv(device_bytes)
-    device = FaultyDevice(
-        geometry.num_sectors, geometry.sector_size, injector=injector
-    )
-    rig = new_rig(
-        "lfs",
-        lfs_config=_trial_config(),
-        geometry=geometry,
-        telemetry=telemetry,
-        device=device,
-    )
-    fs, disk, cpu = rig.fs, rig.disk, rig.cpu
-    _run_workload(fs, rng)
-    fs.crash()
-    device.revive()
-
+    rig = seeded.boot(device_bytes, _TRIAL_CONFIG)
+    _run_workload(rig.fs, seeded.rng)
     try:
-        again = LogStructuredFS.mount(
-            disk, cpu, _trial_config(), telemetry=telemetry
-        )
+        again = seeded.crash_and_remount()
     except ReproError as exc:
         result.outcome = "mount-failed"
         result.detail = f"{type(exc).__name__}: {exc}"
@@ -253,7 +326,7 @@ def _execute_trial(
     # Exercise the post-recovery paths that meet damaged media: the
     # cleaner (quarantine) and an unmount flush (retries, remaps).
     try:
-        if injector.bad_sectors:
+        if seeded.injector.bad_sectors:
             # Force a full cleaning pass (target above the current clean
             # count) so relocation has to read every dirty segment and
             # the quarantine path actually runs against the bad sectors.
@@ -266,7 +339,7 @@ def _execute_trial(
     except ReproError as exc:
         result.signals.append(f"post-mount {type(exc).__name__}: {exc}")
 
-    verify = verify_lfs(device)
+    verify = verify_lfs(seeded.device)
     if verify.errors:
         result.signals.append(f"verify-errors={len(verify.errors)}")
     result.outcome = "detected" if result.signals else "clean"
@@ -282,41 +355,16 @@ def run_campaign(
 ) -> CampaignReport:
     """Run ``trials`` independent seeded trials and aggregate the report.
 
-    ``jobs > 1`` farms the trials across worker processes via
-    :func:`repro.harness.parallel.run_trials`.  Trial *i* of seed *s* is
-    deterministic and self-contained, and aggregation (totals, log
-    lines, per-trial telemetry merge) always happens in trial order, so
-    the report, the rendered output and the exported telemetry are
-    byte-identical for any ``jobs`` value.
+    Trial *i* of seed *s* always injects the same faults, and the
+    report, its log lines and the exported telemetry are byte-identical
+    for any ``jobs`` (see :func:`run_in_order`).
     """
-    from repro.harness.parallel import run_trials
     from repro.service.config import validate_rig
 
     # Fail fast (with every violation listed) before forking workers:
     # a bad trial configuration would otherwise surface as N identical
     # mid-campaign crashes.
-    validate_rig(None, _trial_config(), device_bytes=device_bytes)
-    report = CampaignReport(seed=seed)
-    results = run_trials(
-        run_trial,
-        [
-            dict(trial=trial, seed=seed, device_bytes=device_bytes)
-            for trial in range(trials)
-        ],
-        telemetry=telemetry,
-        jobs=jobs,
-    )
-    for trial, result in enumerate(results):
-        report.trials.append(result)
-        report.torn_writes += result.faults.get("torn_writes", 0)
-        report.bit_flips += result.faults.get("bit_flips", 0)
-        report.bad_sectors_grown += result.faults.get("bad_sectors_grown", 0)
-        report.media_errors += result.faults.get("media_errors", 0)
-        report.transient_errors += result.faults.get("transient_errors", 0)
-        report.remaps += result.faults.get("remaps", 0)
-        if log is not None:
-            log(
-                f"trial {trial:3d}: {result.outcome:12s} "
-                + ("; ".join(result.signals) or "-")
-            )
-    return report
+    validate_rig(None, _TRIAL_CONFIG, device_bytes=device_bytes)
+    task = dict(seed=seed, device_bytes=device_bytes)
+    results = run_in_order(run_trial, trials, task, telemetry, jobs, log)
+    return CampaignReport(seed=seed, trials=results)

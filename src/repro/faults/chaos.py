@@ -26,11 +26,9 @@ the cache *before* any write-back can run, and roll-forward replays only
 complete flushes — so a recovered file is always some whole-mutation
 state at least as new as its floor.
 
-Faults injected here are the *contract-preserving* classes (torn
-in-flight writes, transient read errors).  Bit rot and grown bad
-sectors can destroy acked bytes — surviving those with detection is
-``crashtest``'s contract; chaos proves the stronger promise on media
-that merely crashes.
+The crash itself is a :class:`CrashPlan` armed on the named crash
+points of :mod:`repro.sim.crashpoints`; the trial runs on the runner it
+shares with crashtest (:mod:`repro.faults.campaign`).
 """
 
 from __future__ import annotations
@@ -38,16 +36,18 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from repro.disk.geometry import wren_iv
-from repro.errors import FileNotFoundError_, ReproError
-from repro.faults.device import FaultyDevice
-from repro.faults.injector import FaultConfig, FaultInjector
+from repro.errors import FileNotFoundError_
+from repro.faults.campaign import (
+    SeededTrial,
+    fault_lines,
+    run_in_order,
+)
+from repro.faults.injector import FaultConfig
 from repro.lfs.filesystem import LogStructuredFS
 from repro.lfs.verify import verify_lfs
 from repro.obs import NULL_TELEMETRY, Telemetry
-from repro.rig import new_rig
 from repro.service.config import SERVICE_LFS_CONFIG, ServiceConfig, validate_rig
 from repro.service.scheduler import (
     ClientStream,
@@ -55,6 +55,7 @@ from repro.service.scheduler import (
     prefill,
     serviceable_bytes,
 )
+from repro.sim.crashpoints import armed
 from repro.units import MIB
 
 DEFAULT_CHAOS_DEVICE_BYTES = 32 * MIB
@@ -271,153 +272,86 @@ class DurabilityLedger:
 # Crash instants
 # ----------------------------------------------------------------------
 
+# instant: (the crash point whose N-th pass starts it, N's range, the
+# range of the disk-write countdown that pass arms -- None: crash at
+# the pass itself -- and the crash point that ends the countdown's
+# window).  high-fill crashes instead at the first disk write once live
+# data reaches HIGH_FILL_FRACTION of serviceable capacity.
+_INSTANT_TABLE = {
+    "mid-clean": ("cleaner.relocate", (1, 4), None, None),
+    "mid-commit": ("fsync.begin", (1, 4), (1, 5), "fsync.durable"),
+    "throttle-payback": ("throttle.begin", (1, 3), (1, 6), "throttle.paid"),
+    "high-fill": (None, None, None, None),
+}
+
+_SAYS = {
+    "cleaner.relocate": "relocation #{n} (segment {at})",
+    "disk.write": "power fail before disk write to sector {at}",
+    # The batch flushed in fewer writes than the countdown: crash in
+    # the window after durability, before the acks.
+    "fsync.durable": "batch #{n} durable, acks never delivered",
+    # The paid pass wrote less than the countdown: crash at payback
+    # completion, before the writer re-submits.
+    "throttle.paid": "pass #{n} ended",
+    "high-fill": "{at} live bytes >= {threshold} ({share:.0%} of serviceable)",
+}
+
 
 class CrashPlan:
-    """Arms one adversarial crash instant on a live rig.
+    """One trial's crash instant: the hook armed on the crash points
+    (:mod:`repro.sim.crashpoints`) while the rig runs.
 
-    Works by shadowing bound methods with instance attributes — the
-    wrappers raise :class:`CrashSignal` at the seeded moment and
-    :meth:`disarm` always restores the originals (the remount and the
-    resumed run must see an unwrapped stack).
+    The instant's rng draws happen here, N before the countdown; the
+    hook counts passes and raises :class:`CrashSignal` at the chosen
+    moment, once.
     """
 
     def __init__(
-        self,
-        instant: str,
-        rng: random.Random,
-        fs: LogStructuredFS,
-        scheduler: RequestScheduler,
+        self, instant: str, rng: random.Random, fs: LogStructuredFS
     ) -> None:
-        if instant not in INSTANTS:
+        if instant not in _INSTANT_TABLE:
             raise ValueError(f"unknown crash instant: {instant!r}")
         self.instant = instant
         self.fs = fs
-        self.disk = fs.disk
-        self.scheduler = scheduler
         self.fired = False
         self.fired_detail = ""
-        self._write_countdown: Optional[int] = None
-        self._restores: List[Callable[[], None]] = []
-        arm = {
-            "mid-clean": self._arm_mid_clean,
-            "mid-commit": self._arm_mid_commit,
-            "throttle-payback": self._arm_throttle_payback,
-            "high-fill": self._arm_high_fill,
-        }[instant]
-        arm(rng)
+        self.starts, calls, writes, self.ends = _INSTANT_TABLE[instant]
+        self.passes = 0
+        self.target = rng.randrange(*calls) if calls else None
+        self.writes = rng.randrange(*writes) if writes else None
+        self.countdown: Optional[int] = None
+        self.threshold: Optional[int] = None
+        if instant == "high-fill":
+            self.threshold = int(HIGH_FILL_FRACTION * serviceable_bytes(fs))
 
-    # -- plumbing ------------------------------------------------------
-
-    def _shadow(self, obj, name: str, wrapper) -> None:
-        setattr(obj, name, wrapper)
-        self._restores.append(lambda: obj.__dict__.pop(name, None))
-
-    def disarm(self) -> None:
-        for restore in self._restores:
-            restore()
-        self._restores = []
-
-    def _fire(self, detail: str) -> None:
-        self.fired = True
-        self.fired_detail = detail
-        self._write_countdown = None
-        raise CrashSignal(detail)
-
-    def _hook_disk_writes(self) -> None:
-        """Crash on the N-th disk write after a countdown is armed."""
-        original = self.disk.write
-
-        def write_wrapper(sector, data, sync=False, label=""):
-            if self._write_countdown is not None and not self.fired:
-                self._write_countdown -= 1
-                if self._write_countdown <= 0:
-                    self._fire(
-                        f"{self.instant}: power fail before disk write "
-                        f"to sector {sector}"
-                    )
-            return original(sector, data, sync=sync, label=label)
-
-        self._shadow(self.disk, "write", write_wrapper)
-
-    # -- the four instants ---------------------------------------------
-
-    def _arm_mid_clean(self, rng: random.Random) -> None:
-        target = rng.randrange(1, 4)
-        original = self.fs.cleaner._relocate_live_blocks
-        state = {"calls": 0}
-
-        def relocate_wrapper(seg):
-            state["calls"] += 1
-            if state["calls"] == target and not self.fired:
-                self._fire(
-                    f"mid-clean: relocation #{state['calls']} "
-                    f"(segment {seg})"
-                )
-            return original(seg)
-
-        self._shadow(self.fs.cleaner, "_relocate_live_blocks", relocate_wrapper)
-
-    def _arm_mid_commit(self, rng: random.Random) -> None:
-        fsync_target = rng.randrange(1, 4)
-        countdown = rng.randrange(1, 5)
-        self._hook_disk_writes()
-        original = self.fs.fsync_many
-        state = {"calls": 0}
-
-        def fsync_wrapper(handles):
-            state["calls"] += 1
-            if state["calls"] == fsync_target and not self.fired:
-                self._write_countdown = countdown
-            result = original(handles)
-            if self._write_countdown is not None and not self.fired:
-                # The batch flushed in fewer writes than the countdown:
-                # crash in the window after durability, before the acks.
-                self._fire(
-                    f"mid-commit: batch #{state['calls']} durable, "
-                    f"acks never delivered"
-                )
-            return result
-
-        self._shadow(self.fs, "fsync_many", fsync_wrapper)
-
-    def _arm_throttle_payback(self, rng: random.Random) -> None:
-        pay_target = rng.randrange(1, 3)
-        countdown = rng.randrange(1, 6)
-        self._hook_disk_writes()
-        original = self.scheduler.admission.pay_throttle
-        state = {"calls": 0}
-
-        def pay_wrapper(ctx=None):
-            state["calls"] += 1
-            if state["calls"] == pay_target and not self.fired:
-                self._write_countdown = countdown
-            result = original(ctx) if ctx is not None else original()
-            if self._write_countdown is not None and not self.fired:
-                # The paid pass wrote less than the countdown: crash at
-                # payback completion, before the writer re-submits.
-                self._fire(
-                    f"throttle-payback: pass #{state['calls']} ended"
-                )
-            return result
-
-        self._shadow(self.scheduler.admission, "pay_throttle", pay_wrapper)
-
-    def _arm_high_fill(self, rng: random.Random) -> None:
-        threshold = int(HIGH_FILL_FRACTION * serviceable_bytes(self.fs))
-        original = self.disk.write
-
-        def write_wrapper(sector, data, sync=False, label=""):
-            if not self.fired:
+    def __call__(self, point: str, at: object) -> None:
+        if self.fired:
+            return
+        if point == self.starts:
+            self.passes += 1
+            if self.passes == self.target:
+                if self.writes is None:
+                    self._fire(point, at)
+                self.countdown = self.writes
+        elif point == "disk.write":
+            if self.countdown is not None:
+                self.countdown -= 1
+                if self.countdown <= 0:
+                    self._fire(point, at)
+            elif self.threshold is not None:
                 live = self.fs.live_data_bytes()
-                if live >= threshold:
-                    self._fire(
-                        f"high-fill: {live} live bytes >= "
-                        f"{threshold} ({HIGH_FILL_FRACTION:.0%} of "
-                        f"serviceable)"
-                    )
-            return original(sector, data, sync=sync, label=label)
+                if live >= self.threshold:
+                    self._fire("high-fill", live)
+        elif point == self.ends and self.countdown is not None:
+            self._fire(point, at)
 
-        self._shadow(self.disk, "write", write_wrapper)
+    def _fire(self, said: str, at: object) -> None:
+        self.fired = True
+        self.fired_detail = f"{self.instant}: " + _SAYS[said].format(
+            n=self.passes, at=at, threshold=self.threshold,
+            share=HIGH_FILL_FRACTION,
+        )
+        raise CrashSignal(self.fired_detail)
 
 
 # ----------------------------------------------------------------------
@@ -437,16 +371,16 @@ class ChaosTrialResult:
     detail: str = ""
     violations: List[str] = field(default_factory=list)
     acked_fsyncs: int = 0
-    barriers: int = 0
     checks: int = 0
-    completed_requests: int = 0
     resumed_clients: int = 0
     degraded: bool = False
     faults: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return self.outcome == "passed"
+    def summary(self) -> str:
+        fired = "crash" if self.fired else "no-crash"
+        return f"{self.instant:17s} {fired:9s} {self.outcome:10s} " + (
+            self.detail or self.crash_detail or "-"
+        )
 
 
 @dataclass
@@ -456,12 +390,10 @@ class ChaosReport:
     seed: int
     clients: int
     trials: List[ChaosTrialResult] = field(default_factory=list)
-    torn_writes: int = 0
-    transient_errors: int = 0
 
     @property
     def failures(self) -> List[ChaosTrialResult]:
-        return [t for t in self.trials if not t.passed]
+        return [t for t in self.trials if t.outcome != "passed"]
 
     @property
     def passed_all(self) -> bool:
@@ -515,13 +447,8 @@ class ChaosReport:
             lines.append(f"    trial {t.trial} [{t.instant}]: {t.detail}")
             for violation in t.violations:
                 lines.append(f"      {violation}")
-        lines += [
-            "fault injection totals:",
-            f"  torn writes {self.torn_writes}, "
-            f"transient errors {self.transient_errors}",
-            "durability: "
-            + ("OK" if self.passed_all else "VIOLATED"),
-        ]
+        lines += fault_lines(self.trials, ("torn_writes", "transient_errors"))
+        lines.append("durability: " + ("OK" if self.passed_all else "VIOLATED"))
         return "\n".join(lines)
 
 
@@ -553,7 +480,7 @@ def _chaos_service_config(
 def _chaos_fault_config(rng: random.Random) -> FaultConfig:
     # Contract-preserving classes only: torn in-flight writes and
     # transient read noise.  Bit rot / grown bad sectors destroy acked
-    # bytes, which is crashtest's detection contract, not this one.
+    # bytes; surviving those with detection is crashtest's contract.
     return FaultConfig(
         torn_write_prob=rng.choice(_TORN_PROBS),
         transient_read_prob=rng.choice(_TRANSIENT_PROBS),
@@ -591,103 +518,53 @@ def run_chaos_trial(
     device_bytes: int = DEFAULT_CHAOS_DEVICE_BYTES,
 ) -> ChaosTrialResult:
     """One crash-under-load → remount → contract-check → resume cycle."""
-    rng = random.Random(f"chaos-{seed}-{trial}")
+    seeded = SeededTrial("chaos", trial, seed, _chaos_fault_config, telemetry)
     instant = INSTANTS[trial % len(INSTANTS)]
-    fault_config = _chaos_fault_config(rng)
-    injector = FaultInjector(
-        fault_config, seed=rng.getrandbits(32), telemetry=telemetry
-    )
     result = ChaosTrialResult(trial=trial, instant=instant)
+    service = _chaos_service_config(
+        seed, trial, clients, requests_per_client, instant
+    )
     obs = telemetry or NULL_TELEMETRY
     obs.counter("chaos.trials").inc()
-    try:
-        _execute_chaos_trial(
-            result,
-            injector,
-            rng,
-            seed,
-            clients,
-            requests_per_client,
-            device_bytes,
-            telemetry,
-        )
-    except CrashSignal as exc:
-        # An injected crash escaping the driver means the remount/resume
-        # path re-entered an armed wrapper — a harness bug, not a pass.
-        result.outcome = "unhandled"
-        result.detail = f"CrashSignal escaped: {exc}"
-    except ReproError as exc:
-        # The rig must degrade politely, never abort: a typed error
-        # escaping scheduler.run()/mount is a contract failure here
-        # (unlike crashtest, where detection is the success criterion).
-        result.outcome = "unhandled"
-        result.detail = f"{type(exc).__name__}: {exc}"
-    except Exception as exc:  # noqa: FAULT002 - campaign-level classifier
-        result.outcome = "unhandled"
-        result.detail = f"{type(exc).__name__}: {exc}"
+    seeded.run(
+        result,
+        lambda: _execute_chaos_trial(result, seeded, service, device_bytes),
+    )
     if result.violations:
         obs.counter("chaos.contract_violations").inc(len(result.violations))
-    result.faults = {
-        "torn_writes": injector.torn_writes,
-        "transient_errors": injector.transient_errors,
-    }
     return result
 
 
 def _execute_chaos_trial(
     result: ChaosTrialResult,
-    injector: FaultInjector,
-    rng: random.Random,
-    seed: int,
-    clients: int,
-    requests_per_client: int,
+    seeded: SeededTrial,
+    service_config: ServiceConfig,
     device_bytes: int,
-    telemetry: Optional[Telemetry],
 ) -> None:
+    telemetry = seeded.telemetry
     obs = telemetry or NULL_TELEMETRY
-    service_config = _chaos_service_config(
-        seed, result.trial, clients, requests_per_client, result.instant
-    )
-    geometry = wren_iv(device_bytes)
-    device = FaultyDevice(
-        geometry.num_sectors, geometry.sector_size, injector=injector
-    )
-    rig = new_rig(
-        "lfs",
-        lfs_config=SERVICE_LFS_CONFIG,
-        geometry=geometry,
-        telemetry=telemetry,
-        device=device,
-        service=service_config,
-    )
-    fs, disk, cpu = rig.fs, rig.disk, rig.cpu
+    fs = seeded.boot(device_bytes, SERVICE_LFS_CONFIG, service_config).fs
     prefill(fs, service_config)
 
     ledger = DurabilityLedger()
     scheduler = RequestScheduler(
         fs, service_config, telemetry=telemetry, ledger=ledger
     )
-    plan = CrashPlan(result.instant, rng, fs, scheduler)
+    plan = CrashPlan(result.instant, seeded.rng, fs)
     crashed = False
-    try:
-        scheduler.run()
-    except CrashSignal:
-        crashed = True
-    finally:
-        plan.disarm()
+    with armed(plan):
+        try:
+            scheduler.run()
+        except CrashSignal:
+            crashed = True
     result.fired = plan.fired
     result.crash_detail = plan.fired_detail
-    result.completed_requests = scheduler.stats.completed
     result.acked_fsyncs = len(ledger.acks)
 
     live = fs
     if crashed:
         obs.counter("chaos.crashes_injected").inc()
-        fs.crash()
-        device.revive()
-        live = LogStructuredFS.mount(
-            disk, cpu, SERVICE_LFS_CONFIG, telemetry=telemetry
-        )
+        live = seeded.crash_and_remount()
         violations = ledger.check(live)
         result.checks = ledger.checks
         obs.counter("chaos.contract_checks").inc(ledger.checks)
@@ -710,10 +587,8 @@ def _execute_chaos_trial(
             ledger=ledger,
         )
         resumed.run()
-        result.completed_requests += resumed.stats.completed
         result.degraded = live.degraded
 
-    result.barriers = ledger.barriers
     result.acked_fsyncs = len(ledger.acks)
     # End-of-trial: with the rig quiesced every file must read back as
     # exactly its latest state (served from cache if not yet flushed).
@@ -725,7 +600,7 @@ def _execute_chaos_trial(
         result.detail = f"{len(final)} end-of-trial state mismatches"
         return
     live.unmount()
-    verify = verify_lfs(device)
+    verify = verify_lfs(seeded.device)
     if verify.errors:
         result.violations = [f"image-verify: {e}" for e in verify.errors]
         result.outcome = "violated"
@@ -751,13 +626,10 @@ def run_chaos_campaign(
 ) -> ChaosReport:
     """Run ``trials`` seeded crash-under-load trials and aggregate.
 
-    Trial *i* of seed *s* is deterministic and self-contained;
-    aggregation (report rows, fault totals, telemetry merge) always
-    happens in trial order, so the report is byte-identical for any
-    ``jobs`` value.
+    Trial *i* of seed *s* is deterministic and self-contained, and the
+    report is byte-identical for any ``jobs`` (see
+    :func:`~repro.faults.campaign.run_in_order`).
     """
-    from repro.harness.parallel import run_trials
-
     # Fail fast (with every violation listed) before forking workers:
     # a bad configuration would otherwise be reported as every trial
     # escaping with the same error.  Each instant has its own config.
@@ -767,33 +639,13 @@ def run_chaos_campaign(
                 seed, 0, clients, requests_per_client, instant
             ),
             SERVICE_LFS_CONFIG,
-            device_bytes=wren_iv(device_bytes).total_bytes,
+            device_bytes=device_bytes,
         )
-    report = ChaosReport(seed=seed, clients=clients)
-    results = run_trials(
-        run_chaos_trial,
-        [
-            dict(
-                trial=trial,
-                seed=seed,
-                clients=clients,
-                requests_per_client=requests_per_client,
-                device_bytes=device_bytes,
-            )
-            for trial in range(trials)
-        ],
-        telemetry=telemetry,
-        jobs=jobs,
+    task = dict(
+        seed=seed,
+        clients=clients,
+        requests_per_client=requests_per_client,
+        device_bytes=device_bytes,
     )
-    for trial, result in enumerate(results):
-        report.trials.append(result)
-        report.torn_writes += result.faults.get("torn_writes", 0)
-        report.transient_errors += result.faults.get("transient_errors", 0)
-        if log is not None:
-            fired = "crash" if result.fired else "no-crash"
-            log(
-                f"trial {trial:3d}: {result.instant:17s} {fired:9s} "
-                f"{result.outcome:10s} "
-                + (result.detail or result.crash_detail or "-")
-            )
-    return report
+    results = run_in_order(run_chaos_trial, trials, task, telemetry, jobs, log)
+    return ChaosReport(seed=seed, clients=clients, trials=results)

@@ -27,13 +27,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
 from repro.errors import MediaError, TransientIOError
 from repro.obs import NULL_TELEMETRY, Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.device import FaultyDevice
+
+FAULT_KINDS = ("torn_writes", "bit_flips", "bad_sectors_grown",
+               "media_errors", "transient_errors", "remaps")
+"""What an injector counts, in the order campaign reports list it."""
 
 
 @dataclass(frozen=True)
@@ -180,6 +184,10 @@ class FaultInjector:
             device.flip_bit(sector, self.rng.randrange(device.sector_size * 8))
             self.bit_flips += 1
             self._m_flips.inc()
+
+    def totals(self) -> Dict[str, int]:
+        """Everything injected so far, by kind (see :data:`FAULT_KINDS`)."""
+        return {kind: getattr(self, kind) for kind in FAULT_KINDS}
 
     def mark_unreadable(self, sector: int) -> None:
         """Force a specific sector bad (unit tests, targeted scenarios)."""

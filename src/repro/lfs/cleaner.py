@@ -71,6 +71,7 @@ from repro.lfs.config import (
 from repro.lfs.segment_usage import SegmentState
 from repro.lfs.summary import SegmentSummary, SummaryEntry
 from repro.obs import NULL_TELEMETRY, Telemetry
+from repro.sim.crashpoints import crashpoint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lfs.filesystem import LogStructuredFS
@@ -141,7 +142,8 @@ class SegmentCleaner:
     """Reads fragmented segments and relocates their live blocks."""
 
     # By name: looked up per call, so a method replaced on the class or
-    # the instance (the e2e tracer, a crash plan) is the one that runs.
+    # the instance (the e2e tracer, the clean-oracle spies) is the one
+    # that runs.
     # DATA and INODE blocks are decided and copied in two steps (see
     # _relocate_partial); these kinds are relocated by one call each.
     _RELOCATORS = {
@@ -380,6 +382,7 @@ class SegmentCleaner:
     # ------------------------------------------------------------------
 
     def _relocate_live_blocks(self, seg: int) -> None:
+        crashpoint("cleaner.relocate", seg)
         fs = self.fs
         if fs.usage.info(seg).state is not SegmentState.DIRTY:
             raise CorruptionError(f"cleaning non-dirty segment {seg}")
@@ -517,8 +520,8 @@ class SegmentCleaner:
         head = first_block + first  # the address of entries[0]
         container = fs.block_map.container
         # Bound by name once per partial segment: a method replaced on
-        # the class or the instance (the e2e tracer, a crash plan) is the
-        # one that runs.
+        # the class or the instance (the e2e tracer, the clean-oracle
+        # spies) is the one that runs.
         relocators = {
             kind: getattr(self, name) for kind, name in self._RELOCATORS.items()
         }

@@ -54,6 +54,7 @@ from repro.lfs.segment_usage import SegmentState, SegmentUsage
 from repro.lfs.summary import SummaryEntry, summary_entry
 from repro.obs import Telemetry
 from repro.sim.cpu import CpuModel
+from repro.sim.crashpoints import crashpoint
 from repro.units import MIB
 from repro.vfs.base import BaseFileSystem, ROOT_INUM
 
@@ -685,6 +686,7 @@ class LogStructuredFS(BaseFileSystem):
         across clients.  Each caller still pays its own syscall cost;
         the flush and the drain are paid once.
         """
+        crashpoint("fsync.begin")
         if not handles:
             return
         for handle in handles:
@@ -696,6 +698,7 @@ class LogStructuredFS(BaseFileSystem):
         self.monitor.note_explicit(WritebackReason.SYNC)
         self.flush_log()
         self.disk.drain()
+        crashpoint("fsync.durable")
 
     def checkpoint(self) -> None:
         """Explicitly flush and checkpoint now."""

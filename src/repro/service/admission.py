@@ -44,6 +44,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.obs.context import NULL_TRACE_CONTEXT
 from repro.service.config import ServiceConfig
+from repro.sim.crashpoints import crashpoint
 from repro.service.stats import ServiceStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -138,6 +139,7 @@ class AdmissionController:
         request), and the whole stall lands in its ``cleaner_throttle``
         latency component.
         """
+        crashpoint("throttle.begin")
         clock = self.fs.clock
         start = clock.now()
         self.stats.throttle_events += 1
@@ -155,6 +157,7 @@ class AdmissionController:
         ctx.charge("cleaner_throttle", stalled)
         self.stats.throttle_seconds += stalled
         self._m_throttle_s.inc(stalled)
+        crashpoint("throttle.paid")
         return stalled
 
     def release(self) -> None:

@@ -172,7 +172,9 @@ class RequestScheduler:
         campaign uses this to continue surviving clients on a recovered
         image.  ``ledger`` is an optional durability-contract recorder
         (see :class:`repro.faults.chaos.DurabilityLedger`) notified of
-        every mutation and every client-visible fsync ack.  ``ready``
+        every mutation, every group commit made durable (the
+        committer's ``on_durable`` hook) and every client-visible fsync
+        ack.  ``ready``
         lets several schedulers on one clock share a single event queue
         (a cluster migration group drives a source and a target shard in
         one loop)."""

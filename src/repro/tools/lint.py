@@ -4,9 +4,10 @@ that bypass the telemetry registry with bare ``print`` (OBS001) or
 emit metric/span names missing from the registered vocabulary
 (OBS002), broad ``except`` clauses in the crash-recovery modules
 (FAULT001) and in the crash-under-load chaos/scheduler modules
-(FAULT002), wall-clock calls in the simulated-time service and cluster layers
-(SVC001), buffer copies on the zero-copy data path (ALLOC001), and
-simulated machines assembled by hand instead of through
+(FAULT002), unregistered crash points (FAULT003), wall-clock calls in
+the simulated-time service and cluster layers (SVC001), buffer copies
+on the zero-copy data path (ALLOC001), and simulated machines
+assembled by hand instead of through
 :func:`repro.rig.new_rig` (RIG001), the offline verifier reaching
 for the structures it is the oracle for (VER001), code outside the
 cache package reaching into the block cache's state (CACHE001), and
@@ -346,6 +347,32 @@ def _check_chaos_broad_except(
             )
 
 
+def _check_crashpoint_names(
+    path: str, tree: ast.Module, noqa: Set[int]
+) -> Iterator[Tuple[str, int, str]]:
+    """FAULT003: crash plans arm crash points by name, so a call whose
+    name is not a literal entry of ``CRASHPOINTS`` is one no plan can
+    reach (the call-site analogue of OBS002)."""
+    from repro.sim.crashpoints import CRASHPOINTS
+
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or node.lineno in noqa:
+            continue
+        func = node.func
+        callee = getattr(func, "id", None) or getattr(func, "attr", None)
+        name = node.args[0] if node.args else None
+        if callee != "crashpoint" or (
+            isinstance(name, ast.Constant) and name.value in CRASHPOINTS
+        ):
+            continue
+        yield (
+            path,
+            node.lineno,
+            "FAULT003 `crashpoint()` must name an entry of "
+            "repro.sim.crashpoints.CRASHPOINTS as a string literal",
+        )
+
+
 _SERVICE_DIRS = ("repro/service/", "repro/cluster/")
 _WALL_CLOCK_ATTRS = ("time", "sleep", "monotonic", "perf_counter")
 """Wall-clock entry points of the ``time`` module.
@@ -624,6 +651,7 @@ def lint_file(path: str) -> List[Tuple[str, int, str]]:
     findings.extend(_check_obs_registered_names(path, tree, noqa))
     findings.extend(_check_recovery_broad_except(path, tree, noqa))
     findings.extend(_check_chaos_broad_except(path, tree, noqa))
+    findings.extend(_check_crashpoint_names(path, tree, noqa))
     findings.extend(_check_service_wall_clock(path, tree, noqa))
     findings.extend(
         _check_hot_path_allocs(path, tree, noqa, _alloc_ok_lines(source))

@@ -70,8 +70,9 @@ class TestCampaign:
             m["name"]: m.get("value")
             for m in telemetry.registry.to_dict()["metrics"]
         }
-        assert by_name["disk.fault.bit_flips"] == report.bit_flips
-        assert by_name["disk.fault.torn_writes"] == report.torn_writes
+        for kind in ("bit_flips", "torn_writes"):
+            total = sum(t.faults[kind] for t in report.trials)
+            assert by_name[f"disk.fault.{kind}"] == total
 
     def test_render_mentions_survival(self):
         report = run_campaign(trials=2, seed=5, **SMALL_TRIAL)

@@ -11,12 +11,11 @@ from repro.faults.chaos import (
     run_chaos_trial,
 )
 from repro.harness.parallel import export_telemetry_totals
-from repro.lfs.config import LfsConfig
 from repro.lfs.filesystem import make_lfs
 from repro.obs import Telemetry
-from repro.service.config import ServiceConfig
 from repro.service.scheduler import RequestScheduler
-from repro.units import KIB, MIB
+from repro.sim import crashpoints
+from repro.units import MIB
 
 # Small-but-real campaign shape used across this module: fast enough
 # for tier-1, large enough that every instant actually fires.
@@ -115,50 +114,49 @@ class TestDurabilityLedger:
 
 
 class TestCrashPlan:
-    def _rig(self):
+    def test_rejects_unknown_instant(self):
         import random
 
-        fs = make_lfs(
-            total_bytes=8 * MIB,
-            config=LfsConfig(
-                segment_size=256 * KIB, cache_bytes=2 * MIB
-            ),
-        )
-        config = ServiceConfig(num_clients=1, requests_per_client=1)
-        scheduler = RequestScheduler(fs, config)
-        return fs, scheduler, random.Random(0)
-
-    def test_rejects_unknown_instant(self):
         import pytest
 
-        fs, scheduler, rng = self._rig()
+        fs = make_lfs(total_bytes=8 * MIB)
         with pytest.raises(ValueError):
-            CrashPlan("mid-everything", rng, fs, scheduler)
-        fs.unmount()
-
-    def test_disarm_restores_the_unwrapped_stack(self):
-        fs, scheduler, rng = self._rig()
-        for instant in INSTANTS:
-            plan = CrashPlan(instant, rng, fs, scheduler)
-            plan.disarm()
-        # Shadowed bound methods live in instance __dict__; disarm must
-        # leave none behind or the resumed run re-enters dead wrappers.
-        for obj in (fs, fs.disk, fs.cleaner, scheduler.admission):
-            for name in ("write", "fsync_many", "_relocate_live_blocks",
-                         "pay_throttle"):
-                assert name not in obj.__dict__
+            CrashPlan("mid-everything", random.Random(0), fs)
         fs.unmount()
 
     def test_fire_raises_crash_signal_and_marks_fired(self):
+        import random
+
         import pytest
 
-        fs, scheduler, rng = self._rig()
-        plan = CrashPlan("mid-commit", rng, fs, scheduler)
+        fs = make_lfs(total_bytes=8 * MIB)
+        plan = CrashPlan("mid-clean", random.Random(0), fs)
         with pytest.raises(CrashSignal):
-            plan._fire("test")
-        assert plan.fired and plan.fired_detail == "test"
-        plan.disarm()
+            for segment in range(plan.target):
+                plan("cleaner.relocate", segment)
+        assert plan.fired
+        assert plan.fired_detail == (
+            f"mid-clean: relocation #{plan.target} "
+            f"(segment {plan.target - 1})"
+        )
+        plan("cleaner.relocate", 99)  # fires once: later passes are inert
         fs.unmount()
+
+    def test_no_hook_is_armed_after_a_trial(self, monkeypatch):
+        # The remount and the resumed run must see an unarmed stack,
+        # whether the crash fired or the body raised while armed.
+        assert run_chaos_trial(0, seed=0, **SMALL).fired
+        assert not crashpoints.is_armed()
+
+        def run_raises(scheduler):
+            assert crashpoints.is_armed()
+            raise RuntimeError("scheduler blew up")
+
+        monkeypatch.setattr(RequestScheduler, "run", run_raises)
+        result = run_chaos_trial(0, seed=0, **SMALL)
+        assert result.outcome == "unhandled"
+        assert "scheduler blew up" in result.detail
+        assert not crashpoints.is_armed()
 
 
 class TestChaosTrial:

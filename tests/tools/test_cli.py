@@ -85,6 +85,24 @@ class TestMkfsAndBasicOps:
         assert exit_info.value.code == 2
         assert "bad size: '16mb'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crashtest", "--trials", "2", "--size", "10000000"],
+            ["chaos", "--size", "10000000"],
+            ["chaos", "--size", "0"],
+            ["serve-sim", "--size", "10000000"],
+            ["mkfs", "x.img", "--size=-16M"],
+        ],
+    )
+    def test_size_the_disk_cannot_have_is_a_usage_error(self, argv, capsys):
+        # A device is whole sectors: anything else is a usage error, not
+        # a trial that fails or a traceback from the disk model.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "bad size: " in capsys.readouterr().err
+
     def test_size_parsing(self, image):
         code, out = run_cli(["mkfs", image, "--size", "32M"])
         assert code == 0

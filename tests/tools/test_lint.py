@@ -159,6 +159,35 @@ class TestChaosBroadExcept:
         assert not any("FAULT002" in m for _, _, m in lint_file(path))
 
 
+class TestCrashpointNames:
+    # FAULT003: every crashpoint() call names a table entry literally,
+    # so no crash plan can be left arming a point the stack never hits.
+    def _findings(self, tmp_path, call):
+        source = (
+            "from repro.sim.crashpoints import crashpoint\n"
+            "from repro.sim import crashpoints\n"
+            f"{call}\n"
+        )
+        path = write_module(tmp_path, "repro/lfs/ext.py", source)
+        return [m for _, _, m in lint_file(path) if "FAULT003" in m]
+
+    def test_registered_literal_is_fine(self, tmp_path):
+        assert not self._findings(tmp_path, 'crashpoint("disk.write", 7)')
+
+    def test_flags_unregistered_name(self, tmp_path):
+        assert self._findings(tmp_path, 'crashpoint("disk.wrte")')
+
+    def test_flags_computed_name(self, tmp_path):
+        assert self._findings(tmp_path, 'crashpoint("disk." + "write")')
+
+    def test_flags_missing_name_through_the_module(self, tmp_path):
+        assert self._findings(tmp_path, "crashpoints.crashpoint()")
+
+    def test_noqa_suppresses_the_finding(self, tmp_path):
+        call = 'crashpoint("bogus")  # noqa: FAULT003'
+        assert not self._findings(tmp_path, call)
+
+
 class TestRepoIsClean:
     def test_src_tests_benchmarks_lint_clean(self, capsys):
         repo_root = os.path.dirname(
