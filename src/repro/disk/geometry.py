@@ -21,6 +21,7 @@ Transfer time is bytes divided by the sustained bandwidth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, List, Tuple
 
 from repro.units import KIB, MIB, MILLISECOND, SECTOR_SIZE
 
@@ -74,6 +75,30 @@ class DiskGeometry:
         if nbytes < 0:
             raise ValueError(f"negative transfer size: {nbytes}")
         return nbytes / self.bandwidth
+
+    def read_extents(
+        self, blocks: Iterable[int], block_size: int
+    ) -> List[Tuple[int, int]]:
+        """Merge the ascending block numbers ``blocks`` into the
+        ``[start, end)`` extents that read them fastest.
+
+        A gap between two wanted blocks is read through when
+        transferring it is no slower than the near access (a track seek
+        and half a revolution) that skipping it would cost; a longer gap
+        ends the extent.  ``blocks`` must not be empty.
+        """
+        reposition = self.track_seek + self.rotation / 2.0
+        extents = []
+        blocks = iter(blocks)
+        start = next(blocks)
+        end = start + 1
+        for block in blocks:
+            if self.transfer_time((block - end) * block_size) > reposition:
+                extents.append((start, end))
+                start = block
+            end = block + 1
+        extents.append((start, end))
+        return extents
 
 
 def wren_iv(total_bytes: int = 300 * MIB) -> DiskGeometry:

@@ -409,11 +409,11 @@ class SegmentCleaner:
         their summaries and the blocks relocation copies.
 
         Reads go through ``stage``: the blocks asked for are merged into
-        extents, a gap being read through when it transfers no slower
-        than repositioning the head over it would take (a near access),
-        and each extent lands in ``staging`` at its offset in the
-        segment.  The first summary block is read alone; each partial
-        segment then reads the next one with its own blocks.
+        extents by :meth:`~repro.disk.geometry.DiskGeometry.read_extents`
+        (a gap is read through when it transfers no slower than a near
+        access), and each extent lands in ``staging`` at its offset in
+        the segment.  The first summary block is read alone; each
+        partial segment then reads the next one with its own blocks.
         """
         fs = self.fs
         bs = fs.config.block_size
@@ -421,23 +421,14 @@ class SegmentCleaner:
         spb = fs.config.sectors_per_block
         first_block = fs.layout.segment_first_block(seg)
         disk = fs.disk
-        transfer = disk.geometry.transfer_time
-        reposition = disk.geometry.track_seek + disk.geometry.rotation / 2.0
+        read_extents = disk.geometry.read_extents
         label = f"cleaner segment {seg}"
         reads = nread = 0
 
         def stage(blocks) -> None:
             """Read the blocks at ascending offsets ``blocks``."""
             nonlocal reads, nread
-            extents = []
-            start = end = blocks[0]
-            for block in blocks:
-                if transfer((block - end) * bs) > reposition:
-                    extents.append((start, end))
-                    start = block
-                end = block + 1
-            extents.append((start, end))
-            for start, end in extents:
+            for start, end in read_extents(blocks, bs):
                 image = disk.read(
                     (first_block + start) * spb,
                     (end - start) * spb,

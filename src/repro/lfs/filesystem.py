@@ -244,29 +244,20 @@ class LogStructuredFS(BaseFileSystem):
         return self._read_block_from_disk(addr, label="mount metadata")
 
     def _read_meta_blocks(self, addrs: List[int]) -> Dict[int, bytes]:
-        """Read many metadata blocks, coalescing disk-contiguous runs."""
+        """Read many metadata blocks, in the extents the disk geometry
+        merges them into."""
         bs = self.block_size
         spb = self.sectors_per_block
         wanted = sorted({addr for addr in addrs if addr != NIL})
         result: Dict[int, bytes] = {}
-        index = 0
-        while index < len(wanted):
-            run_start = wanted[index]
-            run_len = 1
-            while (
-                index + run_len < len(wanted)
-                and wanted[index + run_len] == run_start + run_len
-                and run_len < 64
-            ):
-                run_len += 1
+        if not wanted:
+            return result
+        for start, end in self.disk.geometry.read_extents(wanted, bs):
             raw = self.disk.read(
-                run_start * spb, run_len * spb, label="mount metadata"
+                start * spb, (end - start) * spb, label="mount metadata"
             )
-            for offset in range(run_len):
-                result[run_start + offset] = raw[
-                    offset * bs : (offset + 1) * bs
-                ]
-            index += run_len
+            for addr in range(start, end):
+                result[addr] = raw[(addr - start) * bs : (addr - start + 1) * bs]
         return result
 
     # ------------------------------------------------------------------

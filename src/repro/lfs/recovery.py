@@ -11,9 +11,17 @@ exactly-continuing sequence number) and replaying the inode-map and
 segment-usage blocks it contains.  Because every flush appends the inode
 map blocks covering every inode it moved, replaying the logged imap
 blocks in order reconstructs the complete inode-location and allocation
-state as of the last flush that reached the disk; file data and indirect
-blocks need no replay at all — the recovered inodes already point at
-them.
+state as of the last flush that reached the disk; file data, inode and
+indirect blocks need no replay at all — the recovered inode map already
+points at them.
+
+So roll-forward reads the summaries and the IMAP and SEGUSAGE blocks
+they list, nothing else.  A flush logs those last (data, pointers,
+inodes, imap, usage), so a partial's replayed blocks are normally one
+extent at its end; they are read in the extents
+:meth:`~repro.disk.geometry.DiskGeometry.read_extents` merges them into,
+the rule the cleaner reads by, which reads a gap through only when that
+is no slower than a near access.
 
 Navigation mirrors the writer: the next partial segment normally starts
 where the previous one ended; when the writer skipped to a fresh segment
@@ -26,11 +34,14 @@ writes and crash-coincident corruption land (see :mod:`repro.faults`).
 Every failure it can observe is therefore typed and non-fatal: a
 summary that fails its magic/CRC/sequence guards (``ChecksumMismatch``,
 ``TornWriteError``) ends the scan at the last good partial; an
-unreadable sector (``MediaError``) stops the scan and is counted; a
-replayed metadata block whose payload does not decode is skipped and
-counted.  Recovery never raises past the mount — the worst case is
-losing un-checkpointed tail writes, which is the paper's baseline
-guarantee anyway.
+unreadable sector (``MediaError``) under a summary or an extent it reads
+stops the scan and is counted; a replayed metadata block whose payload
+does not decode is skipped and counted.  An unreadable data, inode or
+pointer block outside those extents is not seen here: it surfaces as a
+``MediaError`` when it is read (``verify_lfs`` reads and reports the
+inode, pointer and directory blocks).  Recovery never raises past the
+mount — the worst case is losing un-checkpointed tail writes, which is
+the paper's baseline guarantee anyway.
 """
 
 from __future__ import annotations
@@ -48,6 +59,9 @@ from repro.lfs.summary import SegmentSummary
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lfs.filesystem import LogStructuredFS
 
+_IMAP = BlockKind.IMAP
+_SEGUSAGE = BlockKind.SEGUSAGE
+
 
 @dataclass
 class RollForwardReport:
@@ -55,6 +69,9 @@ class RollForwardReport:
 
     partials_applied: int = 0
     blocks_recovered: int = 0
+    """Entries the applied partials cover, less the corrupt ones
+    skipped: the blocks the recovered state takes back, of which only
+    the IMAP and SEGUSAGE blocks were read."""
     imap_blocks_applied: int = 0
     usage_blocks_applied: int = 0
     segments_visited: List[int] = field(default_factory=list)
@@ -79,11 +96,17 @@ def roll_forward(
     Mutates the file system's inode map, usage array and log position;
     the caller is responsible for writing a fresh checkpoint afterwards.
     """
+    stats = fs.disk.stats
     with fs.telemetry.span("recovery.roll_forward") as span:
+        reads, nread = stats.reads, stats.bytes_read
         report = _roll_forward(fs, checkpoint)
         span.set_attr("partials_applied", report.partials_applied)
         span.set_attr("blocks_recovered", report.blocks_recovered)
         span.set_attr("stop_reason", report.stop_reason)
+        # Roll-forward issues no other I/O: the disk's own counts are
+        # what it read (summaries and replayed metadata).
+        span.set_attr("reads", stats.reads - reads)
+        span.set_attr("bytes_read", stats.bytes_read - nread)
     obs = fs.telemetry
     obs.counter("recovery.partials_applied").inc(report.partials_applied)
     obs.counter("recovery.blocks_recovered").inc(report.blocks_recovered)
@@ -289,40 +312,61 @@ def _apply_partial(
     summary: SegmentSummary,
     report: RollForwardReport,
 ) -> None:
+    """Replay the IMAP and SEGUSAGE blocks of the partial at (seg, offset).
+
+    Only those blocks are read, in the extents the disk geometry merges
+    them into (normally one: a flush logs them last).  Every extent is
+    read before anything is applied, so an unreadable one leaves the
+    partial unapplied.
+    """
     bs = fs.config.block_size
     spb = fs.config.sectors_per_block
     first_content = fs.layout.segment_first_block(seg) + offset + nsummary
-    if summary.nblocks:
-        raw = fs.disk.read(
-            first_content * spb,
-            summary.nblocks * spb,
-            label=f"roll-forward seq {summary.seq}",
-        )
-    else:
-        raw = b""
-    for position, entry in enumerate(summary.entries):
+    entries = summary.entries
+    wanted = [
+        position
+        for position, entry in enumerate(entries)
+        if entry.kind is _IMAP or entry.kind is _SEGUSAGE
+    ]
+    payloads = {}
+    if wanted:
+        disk = fs.disk
+        label = f"roll-forward seq {summary.seq}"
+        for start, end in disk.geometry.read_extents(wanted, bs):
+            image = disk.read(
+                (first_content + start) * spb,
+                (end - start) * spb,
+                label=label,
+                vectored=end - start > 1,
+            )
+            for position in range(start, end):
+                payloads[position] = image[
+                    (position - start) * bs : (position - start + 1) * bs
+                ]
+    skipped = 0
+    for position in wanted:
+        entry = entries[position]
         addr = first_content + position
-        payload = raw[position * bs : (position + 1) * bs]
+        payload = payloads[position]
         try:
-            if entry.kind is BlockKind.IMAP:
+            if entry.kind is _IMAP:
                 if entry.index < fs.imap.num_blocks:
                     fs.imap.load_block(entry.index, payload)
                     fs.imap.block_addrs[entry.index] = addr
                     fs.imap.mark_block_dirty(entry.index)
                     report.imap_blocks_applied += 1
-            elif entry.kind is BlockKind.SEGUSAGE:
-                if entry.index < fs.usage.num_blocks:
-                    fs.usage.load_block(entry.index, payload)
-                    fs.usage.block_addrs[entry.index] = addr
-                    report.usage_blocks_applied += 1
+            elif entry.index < fs.usage.num_blocks:
+                fs.usage.load_block(entry.index, payload)
+                fs.usage.block_addrs[entry.index] = addr
+                report.usage_blocks_applied += 1
         except CorruptionError:
             # Silent corruption inside the payload (the summary CRC does
             # not cover content blocks).  The checkpointed copy of this
             # metadata block stays in effect; keep replaying the rest.
             report.corrupt_entries_skipped += 1
-            continue
-        # DATA / INDIRECT / DINDIRECT / INODE blocks need no replay: the
-        # imap blocks logged in the same flush point at them already.
-        report.blocks_recovered += 1
+            skipped += 1
+    # DATA / INDIRECT / DINDIRECT / INODE blocks need no replay: the
+    # imap blocks logged in the same flush point at them already.
+    report.blocks_recovered += len(entries) - skipped
     # Re-estimate liveness for the recovered region (hint only, §4.3.4).
     fs.usage.note_write_hint(seg, summary.nblocks * bs, fs.clock.now())

@@ -5,7 +5,7 @@ import pytest
 
 from repro.disk.geometry import wren_iv
 from repro.disk.sim_disk import SimDisk
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, MediaError
 from repro.faults import FaultConfig, FaultInjector, FaultyDevice
 from repro.lfs.checkpoint import CheckpointData, CheckpointManager
 from repro.lfs.config import LfsConfig, LfsLayout
@@ -136,6 +136,61 @@ class TestRollForwardUnderDamage:
         assert again.last_recovery.media_errors == 1
         assert again.last_recovery.degraded
         assert again.read_file("/base") == b"base"
+
+    def test_unreadable_data_block_does_not_end_the_scan(self):
+        """Roll-forward reads a partial's IMAP and SEGUSAGE blocks only,
+        so a bad sector under a data block is left for the file's reader:
+        the partials after it still apply."""
+        fs, device, injector = faulty_rig()
+        fs.write_file("/base", b"base")
+        fs.checkpoint()
+        fs.write_file("/first", b"1" * 5000)
+        fs.sync()
+        # Ten data blocks: the first lies far enough ahead of the imap
+        # block that the replay's read does not reach it.
+        fs.write_file("/damaged", b"d" * 40_000)
+        fs.sync()
+        fs.write_file("/later", b"L" * 5000)
+        fs.sync()
+        inode = fs._get_inode(fs.stat("/damaged").inum)
+        TestCleanerQuarantine.poison_block(
+            fs, injector, fs.block_map.get(inode, 0)
+        )
+        fs.crash()
+        device.revive()
+        again = LogStructuredFS.mount(fs.disk, fs.cpu, small_lfs_config())
+        report = again.last_recovery
+        assert report.partials_applied == 3
+        assert report.stop_reason == "log-end"
+        assert report.media_errors == 0
+        assert not report.degraded
+        assert again.read_file("/base") == b"base"
+        assert again.read_file("/first") == b"1" * 5000
+        assert again.read_file("/later") == b"L" * 5000
+        with pytest.raises(MediaError):
+            again.read_file("/damaged")
+
+    def test_unreadable_imap_block_stops_scan_with_media_reason(self):
+        fs, device, injector = faulty_rig()
+        fs.write_file("/base", b"base")
+        fs.checkpoint()
+        fs.write_file("/first", b"1" * 5000)
+        fs.sync()
+        fs.write_file("/tail", b"t" * 5000)
+        fs.sync()
+        # The imap block the last flush logged.
+        TestCleanerQuarantine.poison_block(
+            fs, injector, fs.imap.block_addrs[0]
+        )
+        fs.crash()
+        device.revive()
+        again = LogStructuredFS.mount(fs.disk, fs.cpu, small_lfs_config())
+        report = again.last_recovery
+        assert report.partials_applied == 1
+        assert report.stop_reason == "media-error"
+        assert report.media_errors == 1
+        assert again.read_file("/first") == b"1" * 5000
+        assert not again.exists("/tail")
 
     def test_valid_tail_still_recovers_on_faulty_device(self):
         fs, device, _injector = faulty_rig()

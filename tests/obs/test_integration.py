@@ -13,6 +13,7 @@ import pytest
 
 from repro.disk.geometry import wren_iv
 from repro.disk.sim_disk import SimDisk
+from repro.disk.trace import TraceRecorder
 from repro.lfs.filesystem import LogStructuredFS
 from repro.obs import Telemetry, export_jsonl, read_jsonl
 from repro.sim.clock import SimClock
@@ -202,6 +203,39 @@ class TestCleaningJsonlCrossCheck:
             assert all(0.0 <= u < 1.0 for u in span.attrs["u"])
             assert all(age >= 0.0 for age in span.attrs["age"])
             assert span.attrs["clean_after"] > span.attrs["clean_before"]
+
+
+class TestRecoverySpan:
+    def test_roll_forward_span_counts_what_it_read(self):
+        clock = SimClock()
+        cpu = CpuModel(clock)
+        disk = SimDisk(wren_iv(64 * MIB), clock, trace=TraceRecorder())
+        fs = LogStructuredFS.mkfs(disk, cpu, small_lfs_config())
+        fs.checkpoint()
+        tail = fs.segments.log_bytes_written
+        for i in range(4):
+            fs.write_file(f"/f{i}", bytes([i]) * 20_000)
+            fs.sync()
+        tail = fs.segments.log_bytes_written - tail
+        fs.crash()
+        disk.revive()
+        disk.trace.clear()
+        telemetry = Telemetry()
+        again = LogStructuredFS.mount(
+            disk, cpu, small_lfs_config(), telemetry=telemetry
+        )
+        (span,) = telemetry.tracer.by_kind("recovery.roll_forward")
+        assert span.attrs["partials_applied"] == 4
+        reads = [
+            event
+            for event in disk.trace.reads()
+            if event.label.startswith("roll-forward")
+        ]
+        assert span.attrs["reads"] == len(reads)
+        assert span.attrs["bytes_read"] == sum(event.nbytes for event in reads)
+        # Summaries and replayed metadata only: well under the tail.
+        assert 0 < span.attrs["bytes_read"] < tail / 2
+        assert again.read_file("/f3") == bytes([3]) * 20_000
 
 
 class TestTelemetryChangesNothing:
