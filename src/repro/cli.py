@@ -118,7 +118,7 @@ def _export_telemetry(telemetry, path: Optional[str]) -> None:
         print(f"telemetry: {lines} records -> {path}")
 
 
-def _open_image(path: str, telemetry=None, readahead: int = 0):
+def _open_image(path: str, telemetry=None):
     """Load an image and mount whatever file system it holds.
 
     Images load onto a :class:`FaultyDevice` with a no-fault injector:
@@ -132,8 +132,6 @@ def _open_image(path: str, telemetry=None, readahead: int = 0):
     invocation writes is the newest on the image.
     """
     from repro.faults import FaultInjector, FaultyDevice
-    from repro.ffs.config import FfsConfig
-    from repro.lfs.config import LfsConfig
 
     device = FaultyDevice.load(path)
     device.injector = FaultInjector(telemetry=telemetry)
@@ -143,8 +141,6 @@ def _open_image(path: str, telemetry=None, readahead: int = 0):
     rig = new_rig(
         kind,
         total_bytes=device.total_bytes,
-        lfs_config=LfsConfig(readahead_blocks=readahead),
-        ffs_config=FfsConfig(readahead_blocks=readahead),
         telemetry=telemetry,
         device=device,
         mount=True,
@@ -332,8 +328,8 @@ def _exercise_reads(fs, pattern: str, chunk_blocks: int = 4) -> int:
 
     ``seq-read`` reads each file front to back in small chunks — the
     access pattern the readahead pipeline detects; ``random-read``
-    touches the same chunks in a seeded-random order, which must never
-    trigger readahead (``cache.readahead_hits`` stays 0).
+    touches the same chunks in a seeded-random order, which reads
+    ahead only where two shuffled chunks happen to follow each other.
     """
     import random as _random
 
@@ -379,13 +375,7 @@ def cmd_stats(args) -> int:
         )
     image = args.inputs[0]
     telemetry = Telemetry()
-    # Readahead is armed for either exercise pattern: the point of the
-    # random-read leg is that the policy itself declines to prefetch
-    # (cache.readahead_hits stays 0), not that it was switched off.
-    readahead = args.readahead if args.exercise else 0
-    fs, _device = _open_image(
-        image, telemetry=telemetry, readahead=readahead
-    )
+    fs, _device = _open_image(image, telemetry=telemetry)
     if args.exercise:
         nbytes = _exercise_reads(fs, args.exercise)
         print(f"exercised {args.exercise}: {nbytes} bytes read")
@@ -659,15 +649,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--exercise",
         choices=("seq-read", "random-read"),
-        help="read every file in this pattern (readahead armed) before "
-        "reporting, so cache.readahead_* series show real traffic",
-    )
-    p.add_argument(
-        "--readahead",
-        type=int,
-        default=16,
-        metavar="BLOCKS",
-        help="readahead window used with --exercise (default 16)",
+        help="read every file in this pattern before reporting, so "
+        "cache.readahead_* series show real traffic",
     )
     _add_telemetry_flag(p)
     p.set_defaults(func=cmd_stats)

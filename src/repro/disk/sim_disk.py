@@ -107,6 +107,9 @@ class SimDisk:
         # order-independently across --jobs workers.  Monotone, so
         # interval deltas decompose latencies.
         self.sync_stall_seconds = 0.0
+        # When the latest read's whole transfer is done: later than the
+        # caller's wake-up when it read ahead.
+        self.last_read_done = 0.0
         # Per-request spans are much finer-grained than the component
         # spans, so they ride the opt-in trace_io flag.
         self._trace_io = getattr(self.telemetry, "trace_io", False)
@@ -157,6 +160,7 @@ class SimDisk:
         *,
         vectored: bool = False,
         copy: bool = False,
+        demand: Optional[int] = None,
     ) -> "bytes | memoryview":
         """Synchronously read ``count`` sectors (reads always block).
 
@@ -166,7 +170,11 @@ class SimDisk:
         further writes.  ``copy=True`` requests a stable ``bytes``
         snapshot instead.  ``vectored=True`` tags the request as a
         multi-block transfer coalesced by the readahead pipeline (it
-        only affects accounting, not timing).
+        only affects accounting, not timing).  ``demand`` is how many
+        leading sectors the caller waits for (all by default): the rest
+        of the transfer is read ahead, and arrives while the caller
+        runs.  It is still one request, and the disk stays busy until
+        the whole transfer is done.
 
         Transient device errors are retried up to ``RETRY_MAX_ATTEMPTS``
         times, each retry costing an exponentially growing backoff on
@@ -203,6 +211,7 @@ class SimDisk:
                 self.retry_stall_seconds += backoff
                 done += backoff
                 self._busy_until = done
+        self.last_read_done = done
         self.stats.record(False, len(data), True, tier.value, done - start)
         if self._obs_enabled:
             self._m_reads.inc()
@@ -224,6 +233,11 @@ class SimDisk:
                     tier=tier,
                     label=label,
                 )
+            )
+        if demand is not None and demand < count:
+            # The caller resumes once its own sectors are in.
+            done -= self.geometry.transfer_time(
+                (count - demand) * self.geometry.sector_size
             )
         self.sync_stall_seconds += done - self.clock.now()
         self.clock.advance_to(done)
@@ -293,6 +307,15 @@ class SimDisk:
             io_span.attrs["tier"] = tier.value
             self.telemetry.tracer.finish(io_span)
         return done
+
+    def wait_until(self, when: float) -> None:
+        """Block the caller until ``when`` on this disk's timeline (the
+        arrival of a block read ahead); no-op if that has passed."""
+        stall = when - self.clock.now()
+        if stall > 0.0:
+            self.sync_stall_seconds += stall
+            self.clock.advance_to(when)
+            self.device.mark_durable(self.clock.now())
 
     def drain(self) -> None:
         """Block (advance the clock) until all queued requests complete."""

@@ -49,19 +49,7 @@ class FfsConfig:
     how much is the log's sequential layout.  The price is FFS's crash
     guarantee — fsck may find far more damage."""
 
-    readahead_blocks: int = 0
-    """Sequential-readahead window in blocks (0 disables readahead).
-
-    Same caveat as :attr:`repro.lfs.config.LfsConfig.readahead_blocks`:
-    prefetch reads advance the simulated clock, so image-pinning
-    experiments keep this at 0.
-    """
-
     def __post_init__(self) -> None:
-        if self.readahead_blocks < 0:
-            raise InvalidArgumentError(
-                f"readahead_blocks must be >= 0: {self.readahead_blocks}"
-            )
         if self.block_size % SECTOR_SIZE:
             raise InvalidArgumentError(
                 f"block size {self.block_size} not a multiple of "

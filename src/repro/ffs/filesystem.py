@@ -76,12 +76,7 @@ class FastFileSystem(BaseFileSystem):
     def __init__(self, disk: SimDisk, cpu: CpuModel, config: FfsConfig) -> None:
         self._config = config
         self.layout = FfsLayout.for_device(config, disk.device.total_bytes)
-        super().__init__(
-            disk,
-            cpu,
-            config.cache_bytes,
-            readahead_blocks=config.readahead_blocks,
-        )
+        super().__init__(disk, cpu, config.cache_bytes)
         self.allocator = Allocator(config, self.layout)
         self.sync_metadata_writes = 0
 

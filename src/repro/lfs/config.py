@@ -88,14 +88,6 @@ class LfsConfig:
     is lost.
     """
 
-    readahead_blocks: int = 0
-    """Sequential-readahead window in blocks (0 disables readahead).
-
-    Prefetch reads are real simulated I/O and advance the simulated
-    clock, so experiments that pin device images byte-for-byte must
-    leave this at 0; benchmarks opt in explicitly.
-    """
-
     def __post_init__(self) -> None:
         if self.block_size % SECTOR_SIZE:
             raise InvalidArgumentError(
@@ -114,10 +106,6 @@ class LfsConfig:
         if self.cleaner_policy not in [p.value for p in CleanerPolicy]:
             raise InvalidArgumentError(
                 f"unknown cleaner policy: {self.cleaner_policy!r}"
-            )
-        if self.readahead_blocks < 0:
-            raise InvalidArgumentError(
-                f"readahead_blocks must be >= 0: {self.readahead_blocks}"
             )
 
     # Geometry is read on every block-to-segment conversion; derive it

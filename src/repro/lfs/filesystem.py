@@ -125,7 +125,6 @@ class LogStructuredFS(BaseFileSystem):
             cpu,
             config.cache_bytes,
             telemetry=telemetry,
-            readahead_blocks=config.readahead_blocks,
         )
         self.imap = InodeMap(config.max_inodes, config.block_size)
         self.usage = SegmentUsage(

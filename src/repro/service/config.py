@@ -85,10 +85,9 @@ def validate_rig(
 
     Each dataclass validates its own fields in isolation; this checks
     the *relationships* a live rig depends on — segment size vs. cache
-    size, watermarks vs. segment count, payloads vs. segments, the
-    readahead window vs. the cache — and raises one typed
-    :class:`~repro.errors.ConfigError` carrying **every** violated
-    constraint, so a misconfigured rig is fixed in a single round trip
+    size, watermarks vs. segment count, payloads vs. segments — and
+    raises one typed :class:`~repro.errors.ConfigError` carrying
+    **every** violated constraint, so a misconfigured rig is fixed in a single round trip
     instead of one rejection at a time.  ``device_bytes`` enables the
     capacity checks (skipped when the device size is not yet known);
     ``service=None`` validates a bare file-system rig (crashtest) and
@@ -101,14 +100,6 @@ def validate_rig(
             f"({2 * lfs.segment_size}): the write-back path needs room "
             f"to assemble a full segment while absorbing new dirty data"
         )
-    if lfs.readahead_blocks > 0:
-        window_bytes = lfs.readahead_blocks * lfs.block_size
-        if window_bytes > lfs.cache_bytes // 4:
-            violations.append(
-                f"readahead window ({window_bytes} bytes) exceeds a "
-                f"quarter of the cache ({lfs.cache_bytes} bytes): "
-                f"prefetch would evict its own payload"
-            )
     if service is not None and WRITE_MAX_BYTES > lfs.segment_size:
         violations.append(
             f"WRITE_MAX_BYTES ({WRITE_MAX_BYTES}) exceeds the "

@@ -95,7 +95,6 @@ class BaseFileSystem(StorageManager):
         cpu: CpuModel,
         cache_bytes: int,
         telemetry: Optional[Telemetry] = None,
-        readahead_blocks: int = 0,
     ) -> None:
         self.disk = disk
         self.clock = cpu.clock
@@ -113,8 +112,13 @@ class BaseFileSystem(StorageManager):
         self.cache = BlockCache(
             cache_bytes, self.block_size, telemetry=self.telemetry
         )
+        # The read-ahead window is one largest read, but no more than a
+        # quarter of the cache: prefetch must not evict its own payload.
         self.readahead = ReadaheadPolicy(
-            readahead_blocks, telemetry=self.telemetry
+            min(MAX_READ_CLUSTER, cache_bytes // 4) // self.block_size,
+            self.block_size,
+            disk.geometry.transfer_time,
+            telemetry=self.telemetry,
         )
         self.monitor = WritebackMonitor(
             self.cache, self.clock, telemetry=self.telemetry
@@ -274,36 +278,27 @@ class BaseFileSystem(StorageManager):
     # ------------------------------------------------------------------
 
     def _fetch_data_blocks(
-        self,
-        inode: Inode,
-        first: int,
-        last: int,
-        prefetch_after: Optional[int] = None,
+        self, inum: int, missing: List[Tuple[int, int]], last: int
     ) -> None:
-        """Ensure data blocks [first, last] are cached (clustered reads).
+        """Cache the blocks ``missing`` (``(lbn, addr)``, ascending).
 
-        Blocks past ``prefetch_after`` are being read ahead of a
-        sequential stream rather than on demand: they are reported to
-        the readahead policy (so its hit accounting works) and their
-        disk-contiguous runs may grow to the full readahead window
-        rather than the ordinary demand-read cluster limit.
+        Disk-contiguous runs are coalesced into single requests, as the
+        real systems' read clustering does; this is why LFS's 4 KB
+        blocks do not halve its sequential read bandwidth relative to
+        FFS's 8 KB.  Blocks past ``last`` are read ahead: they ride on
+        the tail of the last demand request, which returns once its
+        demanded blocks are in.
         """
-        missing = self.block_map.get_missing(
-            inode, first, last, self.cache.contains
-        )
-        # Coalesce disk-contiguous runs into single requests, as the real
-        # systems' read clustering does; this is why LFS's 4 KB blocks do
-        # not halve its sequential read bandwidth relative to FFS's 8 KB.
         bs = self.block_size
         spb = self.sectors_per_block
         max_blocks = self._cluster_blocks
-        if prefetch_after is not None:
-            max_blocks = max(max_blocks, self.readahead.window_blocks)
+        disk = self.disk
         insert = self.cache.insert
-        inum = inode.inum
         index, nmissing = 0, len(missing)
         while index < nmissing:
             start_lbn, start_addr = missing[index]
+            if start_lbn > last:
+                break  # read-ahead never takes a request of its own
             run = 1
             while (
                 index + run < nmissing
@@ -312,12 +307,21 @@ class BaseFileSystem(StorageManager):
                 and missing[index + run][0] == start_lbn + run
             ):
                 run += 1
-            raw = self.disk.read(
+            demand = min(run, last - start_lbn + 1)
+            raw = disk.read(
                 start_addr * spb,
                 spb * run,
                 label=f"data:{inum}",
                 vectored=run > 1,
+                demand=spb * demand,
             )
+            if demand < run:
+                self.readahead.issued(
+                    inum,
+                    start_lbn + demand,
+                    start_lbn + run - 1,
+                    disk.last_read_done,
+                )
             now = self.clock.now()
             for lbn, offset in zip(
                 range(start_lbn, start_lbn + run), range(0, run * bs, bs)
@@ -328,8 +332,6 @@ class BaseFileSystem(StorageManager):
                     False,
                     now,
                 )
-                if prefetch_after is not None and lbn > prefetch_after:
-                    self.readahead.note_prefetched(inum, lbn)
             index += run
 
     def _read_range(self, inode: Inode, offset: int, length: int) -> bytes:
@@ -342,19 +344,21 @@ class BaseFileSystem(StorageManager):
             return b""
         bs = self.block_size
         first, last = offset // bs, (end - 1) // bs
+        inum = inode.inum
         readahead = self.readahead
-        if readahead.window_blocks and (
-            window := readahead.advise(inode.inum, first, last)
-        ):
-            fetch_last = min(last + window, (inode.size - 1) // bs)
-            self._fetch_data_blocks(
-                inode, first, fetch_last, prefetch_after=last
-            )
-        else:
-            self._fetch_data_blocks(inode, first, last)
+        missing = self.block_map.get_missing(
+            inode,
+            first,
+            last,
+            self.cache.contains,
+            readahead.advise(inum, first, last, (inode.size - 1) // bs),
+        )
+        ready = readahead.settle(inum, first, last, missing)
+        if missing:
+            self._fetch_data_blocks(inum, missing, last)
+        self.disk.wait_until(ready)
         # Data payloads are whole blocks; each is copied once, by join.
         get = self.cache.get
-        inum = inode.inum
         parts: List[Union[bytes, bytearray]] = []
         for lbn in range(first, last + 1):
             block = get(block_key((inum, _DATA, lbn)))
@@ -481,6 +485,9 @@ class BaseFileSystem(StorageManager):
             inode.mtime = self.clock.now()
             self._mark_inode_dirty(inode)
             return
+        # Blocks still being read ahead are waited for, not torn away
+        # from under the transfer; the stream starts over.
+        self.disk.wait_until(self.readahead.forget(inode.inum))
         block_map = self.block_map
         nblocks = inode.nblocks(bs)
         old_keys = (
@@ -539,7 +546,6 @@ class BaseFileSystem(StorageManager):
         """Release every block of a deleted file."""
         self._truncate(inode, 0)
         self.cache.discard_file(inode.inum)
-        self.readahead.forget(inode.inum)
 
     def _release_inode(self, inode: Inode) -> None:
         """Free a file's blocks and its inode number."""
@@ -978,6 +984,7 @@ class BaseFileSystem(StorageManager):
             if inum in self._dirty_inodes or inum == ROOT_INUM
         }
         self._dirs.clear()
+        self.readahead.clear()
 
     def unmount(self) -> None:
         if self._unmounted:
@@ -992,6 +999,7 @@ class BaseFileSystem(StorageManager):
         # A dead file system is one big reference cycle; give its cache
         # back now so that peak memory is not a matter of collector timing.
         self.cache.clear()
+        self.readahead.clear()
 
     # ------------------------------------------------------------------
     # Introspection

@@ -136,7 +136,6 @@ class TestDurability:
             maxbpg=64,
             cache_bytes=3 * MIB,
             synchronous_metadata=False,
-            readahead_blocks=2,
         )
         default, on_disk = FfsConfig(), small_ffs_config()
         # A field added to FfsConfig must be given a non-default value above.

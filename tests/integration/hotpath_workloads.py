@@ -43,15 +43,14 @@ Fingerprint = Dict[str, Any]
 
 
 def _fresh_fs(
-    telemetry: Optional[Telemetry], readahead: bool = False
+    telemetry: Optional[Telemetry], small_cache: bool = False
 ) -> LogStructuredFS:
-    """``readahead``: prefetch on, and a cache a quarter of the large
-    file so sequential rereads actually reach the disk."""
+    """``small_cache``: a cache a quarter of the large file, so that
+    sequential rereads reach the disk and read ahead."""
     config = LfsConfig(
         segment_size=SEGMENT_BYTES,
-        cache_bytes=256 * KIB if readahead else 2 * MIB,
+        cache_bytes=256 * KIB if small_cache else 2 * MIB,
         max_inodes=16384,
-        readahead_blocks=16 if readahead else 0,
     )
     return make_lfs(total_bytes=DISK_BYTES, config=config, telemetry=telemetry)
 
@@ -117,13 +116,13 @@ def _read_fingerprint(fs: LogStructuredFS, handle, passes: int) -> Fingerprint:
 
 
 def seq_read(telemetry: Optional[Telemetry] = None) -> Fingerprint:
-    fs = _fresh_fs(telemetry, readahead=True)
+    fs = _fresh_fs(telemetry, small_cache=True)
     handle = _write_stream_file(fs)
     return _read_fingerprint(fs, handle, passes=2)  # the cache cannot hold it
 
 
 def seq_reread_random_write(telemetry: Optional[Telemetry] = None) -> Fingerprint:
-    fs = _fresh_fs(telemetry, readahead=True)
+    fs = _fresh_fs(telemetry, small_cache=True)
     handle = _write_stream_file(fs)
     payload = b"\xa5" * REQUEST_BYTES
     rng = random.Random(0x5EC_0DE)

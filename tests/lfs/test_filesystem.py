@@ -196,7 +196,6 @@ class TestDurability:
             max_inodes=64,
             cleaner_policy="greedy",
             roll_forward=False,
-            readahead_blocks=2,
         )
         default, on_disk = LfsConfig(), small_lfs_config()
         # A field added to LfsConfig must be given a non-default value above.

@@ -54,13 +54,22 @@ def per_block(fs):
                 )
         return plan
 
-    def missing_one_at_a_time(inode, first, last, cached):
+    def missing_one_at_a_time(inode, first, last, cached, ahead=0):
         found = []
         for lbn in range(first, last + 1):
             if not cached(BlockKey(inode.inum, BlockKind.DATA, lbn)):
                 addr = block_map.get(inode, lbn)
                 if addr != NIL:
                     found.append((lbn, addr))
+        if ahead and found and found[-1][0] == last:
+            end = min(last + ahead, block_map.container(last)[2])
+            for lbn in range(last + 1, end + 1):
+                if cached(BlockKey(inode.inum, BlockKind.DATA, lbn)):
+                    break
+                addr = block_map.get(inode, lbn)
+                if addr != found[-1][1] + 1:
+                    break
+                found.append((lbn, addr))
         return found
 
     fs._build_plan = single_block_runs
@@ -153,10 +162,25 @@ REWRITES = [
     ("read", "/a", N_DIRECT + PPB, 40, 100),
 ]
 
+# A sequential stream, so that requests are extended past the demand:
+# within the direct blocks, then within the first leaf.
+READ_AHEAD = [
+    ("write", "/a", 0, 60, 0),
+    ("sync",),
+    ("flush_caches",),
+    ("read", "/a", 0, 2, 0),
+    ("read", "/a", 2, 2, 0),
+    ("read", "/a", 4, 8, 0),
+    ("read", "/a", N_DIRECT, 2, 0),
+    ("read", "/a", N_DIRECT + 2, 2, 0),
+]
+
 
 @settings(max_examples=40, deadline=None)
 @example(8, REWRITES)
 @example(512, REWRITES)
+@example(24, READ_AHEAD)
+@example(512, READ_AHEAD)
 @given(
     st.sampled_from([8, 24, 512]),  # blocks; 8 is smaller than most runs
     st.lists(steps, min_size=4, max_size=20),

@@ -12,7 +12,7 @@ device image.  Two things must hold for that to be safe:
 The first test drives a raw device through arbitrary schedules of
 writes, reads, durability horizons and crashes, mirrored against a
 second device consumed via ``copy=True`` snapshots.  The second builds
-a real LFS (readahead on, so the clustered/prefetch read path runs),
+a real LFS (its clustered/prefetch read path always on),
 crashes it mid-life, remounts, and compares the surviving image and
 file contents against an identical run with copy-semantics reads
 patched back in.
@@ -119,9 +119,7 @@ def copy_semantics_reads():
 
 def _crash_remount_run(files, copy_semantics):
     def run():
-        config = small_lfs_config(
-            segment_size=64 * KIB, cache_bytes=1 * MIB, readahead_blocks=8
-        )
+        config = small_lfs_config(segment_size=64 * KIB, cache_bytes=1 * MIB)
         fs = make_lfs(total_bytes=8 * MIB, config=config)
         for index, payload in enumerate(files):
             fs.write_file(f"/f{index}", payload)

@@ -43,13 +43,6 @@ class TestValidateRig:
         assert "WRITE_MAX_BYTES" in str(excinfo.value)
         validate_rig(None, lfs)  # a bare fs rig writes no payloads
 
-    def test_readahead_window_eating_the_cache(self):
-        with pytest.raises(ConfigError) as excinfo:
-            validate_rig(
-                ServiceConfig(), _lfs(readahead_blocks=256)
-            )
-        assert "readahead" in str(excinfo.value)
-
     def test_unreachable_clean_high_water(self):
         # 4 MiB holds 15 segments of 256 KiB: fewer than CLEAN_HIGH_WATER.
         with pytest.raises(ConfigError) as excinfo:
@@ -86,21 +79,12 @@ class TestValidateRig:
         with pytest.raises(ConfigError) as excinfo:
             validate_rig(
                 config,
-                _lfs(
-                    segment_size=segment,
-                    cache_bytes=segment,
-                    readahead_blocks=4,
-                ),
+                _lfs(segment_size=segment, cache_bytes=segment),
                 device_bytes=8 * MIB,
             )
         message = str(excinfo.value)
-        # One round trip fixes the whole rig: all four named at once.
-        for marker in (
-            "cache_bytes",
-            "WRITE_MAX_BYTES",
-            "readahead",
-            "serviceable",
-        ):
+        # One round trip fixes the whole rig: all three named at once.
+        for marker in ("cache_bytes", "WRITE_MAX_BYTES", "serviceable"):
             assert marker in message
 
     def test_capacity_checks_skipped_without_device_size(self):

@@ -123,7 +123,6 @@ class TestConfigSurfaces:
                 "max_inodes",
                 "cleaner_policy",
                 "roll_forward",
-                "readahead_blocks",
             ),
             "FfsConfig": (
                 "block_size",
@@ -132,7 +131,6 @@ class TestConfigSurfaces:
                 "maxbpg",
                 "cache_bytes",
                 "synchronous_metadata",
-                "readahead_blocks",
             ),
             "ServiceConfig": (
                 "num_clients",
