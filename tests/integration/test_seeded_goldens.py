@@ -155,7 +155,8 @@ HOTPATH_FINGERPRINTS = {
 # image hashes, `benchmarks/e2e/workloads.py W 0 untraced --smoke`: the
 # sim metrics and images of smallfile and largefile were generated at
 # commit 7ced895, the rest at commit dce89e6; crash_recover's were
-# regenerated when roll-forward stopped reading data blocks.  A
+# regenerated when roll-forward stopped reading data blocks, and
+# largefile's when sequential readahead became always on.  A
 # simulator-speed PR must leave these alone: "every simulated byte
 # unchanged" is asserted here, not diffed by hand.  ``counters`` holds
 # cache hits and misses, so a change in how often a layer looks a block
@@ -208,16 +209,16 @@ E2E_SMOKE = {
     },
     "largefile": {
         "sim": {
-            "sim_ops_per_s": 66.98295193077742,
-            "sim_lat_p50_ms": 12.147975384607435,
+            "sim_ops_per_s": 74.37691596934091,
+            "sim_lat_p50_ms": 5.921615384608003,
             "sim_lat_p99_ms": 33.96633538460492,
             "write_amp": 0.921435546875,
-            "read_amp": 0.9364844616133389,
+            "read_amp": 0.9365538719647778,
         },
         "counters": {
-            "cache.hits": 120512,
+            "cache.hits": 129190,
             "cache.misses": 16811,
-            "cache.insertions": 43687,
+            "cache.insertions": 43689,
             "cache.evictions": 7751,
             "vfs.creates": 0,
             "vfs.removes": 0,
@@ -234,21 +235,21 @@ E2E_SMOKE = {
             "lfs.cleaner_bytes_read": 0,
             "lfs.cleaner_busy_sim_s": 0.0,
             "lfs.emergency_passes": 0,
-            "disk.requests": 13685,
-            "disk.bytes_read": 110526464,
+            "disk.requests": 7613,
+            "disk.bytes_read": 110534656,
             "disk.bytes_written": 77295616,
             "disk.seeks": 6951,
-            "disk.sync_requests": 13594,
-            "disk.busy_sim_s": 338.2462567308266,
-            "sim.elapsed_sim_s": 382.18679920908767,
-            "disk.util": 0.8850286232564982,
-            "cache.hit_rate": 0.877580594656394,
+            "disk.sync_requests": 7522,
+            "disk.busy_sim_s": 312.9016663461655,
+            "sim.elapsed_sim_s": 344.19281394448564,
+            "disk.util": 0.9090883181443554,
+            "cache.hit_rate": 0.8848569530345682,
             "lfs.cleaned_utilization": 0.0,
             "lfs.write_cost": 0.919091796875,
             "lfs.space_amp": 1.0969836965618827,
         },
         "images": [
-            "1fe30e3edc9ea8aa7cfa6b55055ba6e2966ed3705fef90404d6d9c4bb36f4f2e",
+            "d0f4973256005012690f2415372501b0de6358114e63b1734667488ee4c56a7a",
         ],
     },
     "service_clean": {
@@ -411,7 +412,8 @@ E2E_SMOKE = {
 # largefile's cache.hits (and the hit rate derived from it): one lookup
 # fewer once a read of a hole stopped loading a leaf that was never
 # allocated, which FFS used to do before allocating the leaf's first
-# block.
+# block.  Largefile's were regenerated when sequential readahead became
+# always on.
 E2E_FFS_SMOKE = {
     "smallfile": {
         "sim": {
@@ -452,16 +454,16 @@ E2E_FFS_SMOKE = {
     },
     "largefile": {
         "sim": {
-            "sim_ops_per_s": 61.94683688868119,
-            "sim_lat_p50_ms": 11.89237538463317,
+            "sim_ops_per_s": 71.10495191935426,
+            "sim_lat_p50_ms": 5.908335384610552,
             "sim_lat_p99_ms": 33.70641538458585,
             "write_amp": 0.90810546875,
-            "read_amp": 0.9361374098561445,
+            "read_amp": 0.9362068202075834,
         },
         "counters": {
-            "cache.hits": 77722,
+            "cache.hits": 79764,
             "cache.misses": 8399,
-            "cache.insertions": 21837,
+            "cache.insertions": 21838,
             "cache.evictions": 3875,
             "vfs.creates": 0,
             "vfs.removes": 0,
@@ -470,21 +472,21 @@ E2E_FFS_SMOKE = {
             "vfs.user_bytes_read": 118022742,
             "vfs.user_bytes_written": 83886080,
             "vfs.writebacks": 22,
-            "disk.requests": 22786,
-            "disk.bytes_read": 110485504,
+            "disk.requests": 13846,
+            "disk.bytes_read": 110493696,
             "disk.bytes_written": 76177408,
             "disk.seeks": 7466,
-            "disk.sync_requests": 13487,
-            "disk.busy_sim_s": 375.3611961539236,
-            "sim.elapsed_sim_s": 413.25758159376795,
-            "disk.util": 0.9082983903315378,
-            "cache.hit_rate": 0.9024744255175857,
+            "disk.sync_requests": 4547,
+            "disk.busy_sim_s": 338.04270576926956,
+            "sim.elapsed_sim_s": 360.0311836091947,
+            "disk.util": 0.9389261851723568,
+            "cache.hit_rate": 0.9047332781325499,
             "lfs.cleaned_utilization": 0.0,
             "lfs.write_cost": 0.0,
             "lfs.space_amp": 0.0,
         },
         "images": [
-            "7e3b47ab75354cbf9386c6437f82487c357677c76601c698bec6760aac10af75",
+            "69d8661b391d382584448ac92a8da9ba3b8b4e41858b9064bbe30a27ba079530",
         ],
     },
 }
