@@ -8,7 +8,7 @@ The policy's own bookkeeping is unit-tested in
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.inode import N_DIRECT, BlockKey, BlockKind
@@ -224,7 +224,19 @@ class _ArrivalLog:
         cache.insert = logged_insert
 
 
+# A stream whose reads catch up with blocks still in flight, once after
+# a truncate that keeps them (the leaf it edits is cached by then).
+STREAM = [
+    ("read", "/a", N_DIRECT, 2),
+    ("next", "/a", 2),
+    ("truncate", "/a", (N_DIRECT + 8) * _BS),
+    ("next", "/a", 2),
+    ("next", "/a", 2),
+]
+
+
 @settings(max_examples=60, deadline=None)
+@example(ops=STREAM)
 @given(ops=_ops)
 def test_reads_match_a_model_and_wait_for_arrivals(ops):
     trace = TraceRecorder()
@@ -237,6 +249,7 @@ def test_reads_match_a_model_and_wait_for_arrivals(ops):
         segment_size=64 * KIB,
         cache_bytes=128 * KIB,
     ).fs
+    assert fs.readahead.window_blocks == 8  # a quarter of the cache
     log = _ArrivalLog(fs, trace)
     model = {}
     cursor = {}
