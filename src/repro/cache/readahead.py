@@ -1,72 +1,67 @@
-"""Sequential readahead for the block cache.
+"""Readahead in log order: a read stream is a run of disk addresses.
 
 The paper's Figure 4 point is that LFS reads match FFS "when files are
-read the way they were written" — sequentially.  Real systems get that
-bandwidth by *clustering*: detect a sequential stream and fetch ahead
-of it in large requests, so the reader stops paying a positioning delay
-per block.  :class:`ReadaheadPolicy` is the detector and the ledger of
-what is in flight; the file system's read path is the mechanism:
+read the way they were written", and Figure 3's is that small files
+read fast because they "are packed densely in the log".  Both are the
+same access pattern seen from the disk: the reader asks for block
+after block in the order they lie on it, whatever files they belong
+to.  Real systems get that bandwidth by *clustering*: they fetch ahead
+of such a stream in large requests, so the reader stops paying a
+positioning delay per block.  :class:`ReadaheadPolicy` is the file
+system's one stream and the ledger of what it has in flight; the read
+path (:meth:`repro.vfs.base.BaseFileSystem._fetch_blocks`) is the
+mechanism:
 
-* A stream turns sequential when a read of an inode starts exactly
-  where the previous one ended.  From then on, a read that has to go
-  to the disk extends the request for its last missing run through the
-  blocks that follow it both logically and physically, up to the
-  window.  The extension adds no seek, and a fragmented file prefetches
-  nothing it would have to seek for.
+* A demand is one read's uncached blocks, by disk address.  It
+  continues the stream when its first block lies just past the
+  previous demand's last — on the disk, or in its file — or when the
+  window served part of it.  A demand that continues the stream extends its
+  last request through the next ``window_blocks`` addresses: no seek
+  is added, only transfer.
 * The caller waits only for the blocks it asked for; the rest of the
   request arrives while it runs (:meth:`repro.disk.sim_disk.SimDisk.read`
-  with ``demand``).  The policy keeps, per stream, the in-flight window
-  — first and last prefetched block and the request's completion time —
-  and a later read that touches one of those blocks waits until it has
-  arrived: the completion time minus the transfer of the blocks after
-  it.
+  with ``demand``).  The policy keeps the in-flight window: its bytes
+  (a view of the device), its first and last address, and the
+  request's completion time.
+* A later demand whose block resolves to an address in the window
+  *claims* it: it waits until the block has arrived — the completion
+  time less the transfer of the blocks after it — and copies it into
+  the cache under its own key, without a request.  Blocks read ahead
+  enter the cache only when claimed, so a window costs the cache
+  nothing.
+* The window is dropped when the disk takes a write that overlaps it
+  (its bytes would no longer be what the request read), when caches
+  are flushed, and at a crash.  A newer extended request replaces it.
 
-``cache.readahead_hits`` counts prefetched blocks that a demand read
-found cached; ``cache.readahead_prefetched`` the blocks fetched ahead.
+``cache.readahead_hits`` counts blocks a demand read took from the
+window; ``cache.readahead_prefetched`` the blocks read ahead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
+from repro.common.inode import BlockKey, block_key
 from repro.obs import NULL_TELEMETRY, Telemetry
+from repro.units import SECTOR_SIZE
 
 
 @dataclass
 class ReadaheadStats:
-    sequential_runs: int = 0
-    """Streams that crossed the sequential threshold at least once."""
     blocks_prefetched: int = 0
     hits: int = 0
-    """Prefetched blocks that a demand read found cached."""
-
-
-class _Stream:
-    __slots__ = (
-        "next_lbn", "sequential", "ahead_first", "ahead_last", "done",
-        "counted",
-    )
-
-    def __init__(self, next_lbn: int) -> None:
-        self.next_lbn = next_lbn
-        self.sequential = False
-        # The in-flight window: blocks [ahead_first, ahead_last] were
-        # read ahead by a request that completes at ``done``.
-        self.ahead_first = 0
-        self.ahead_last = -1
-        self.done = 0.0
-        # The highest prefetched block already counted as a hit.
-        self.counted = -1
+    """Blocks read ahead that a demand read took from the window."""
 
 
 class ReadaheadPolicy:
-    """Per-inode sequential-stream detection and in-flight windows."""
+    """One read stream by disk address, and its in-flight window."""
 
     def __init__(
         self,
         window_blocks: int,
         block_size: int,
+        total_blocks: int,
         transfer_time: Callable[[int], float],
         telemetry: Optional[Telemetry] = None,
     ) -> None:
@@ -76,88 +71,93 @@ class ReadaheadPolicy:
             )
         self.window_blocks = window_blocks
         self._block_size = block_size
+        self._sectors_per_block = block_size // SECTOR_SIZE
+        self._total_blocks = total_blocks
         self._transfer_time = transfer_time
         self.stats = ReadaheadStats()
-        self._streams: Dict[int, _Stream] = {}
         obs = telemetry or NULL_TELEMETRY
         self._obs_enabled = obs.enabled
         self._m_hits = obs.counter("cache.readahead_hits")
         self._m_prefetched = obs.counter("cache.readahead_prefetched")
+        # The stream: the address after the previous demand's last
+        # block, and the key of the block after it in its file.
+        self._next = -1
+        self._next_key: Optional[BlockKey] = None
+        self._clear_window()
 
-    def advise(self, inum: int, first: int, last: int, final: int) -> int:
-        """Record a demand read of blocks ``[first, last]`` of a file
-        whose last block is ``final``.
+    def _clear_window(self) -> None:
+        # Blocks [_first, _last] were read ahead, as ``_data``, by a
+        # request that completes at ``_done``; those up to ``_counted``
+        # were counted as hits.
+        self._first = 0
+        self._last = -1
+        self._counted = -1
+        self._done = 0.0
+        self._data: Optional[memoryview] = None
 
-        Returns how many blocks past ``last`` may be read ahead: the
-        window, up to ``final``, once the stream is sequential, else
-        zero.  One access, however large, is not yet a stream, and one
-        that reads to the end of the file leaves none behind.
-        """
-        stream = self._streams.get(inum)
-        if stream is None:
-            if last < final:
-                self._streams[inum] = _Stream(last + 1)
-            return 0
-        if first == stream.next_lbn:
-            if not stream.sequential:
-                stream.sequential = True
-                self.stats.sequential_runs += 1
-        else:
-            # The stream broke: restart detection here.  Blocks still
-            # in flight keep their window, so a read of one still waits.
-            stream.sequential = False
-        stream.next_lbn = last + 1
-        if not stream.sequential:
-            return 0
-        return min(self.window_blocks, final - last)
+    def continues(self, key: BlockKey, addr: int) -> bool:
+        """Whether a demand whose first block is ``key``, at ``addr``,
+        starts where the previous one ended: next on the disk, or next
+        in its file."""
+        return addr == self._next or key == self._next_key
 
-    def settle(
-        self,
-        inum: int,
-        first: int,
-        last: int,
-        missing: Sequence[Tuple[int, int]],
-    ) -> float:
-        """Count the hits of a demand read of ``[first, last]`` whose
-        uncached blocks are ``missing`` (``(lbn, addr)``, ascending);
-        return when the prefetched blocks it touches have arrived (0.0
-        when it touches none)."""
-        stream = self._streams.get(inum)
-        if stream is None:
-            return 0.0
-        lo = max(first, stream.ahead_first)
-        hi = min(last, stream.ahead_last)
-        if lo > hi:
-            return 0.0
-        fresh = max(lo, stream.counted + 1)
-        if fresh <= hi:
-            hits = hi - fresh + 1 - sum(
-                1 for lbn, _addr in missing if fresh <= lbn <= hi
-            )
-            stream.counted = hi
-            self.stats.hits += hits
+    def claim(self, addr: int) -> Optional[Tuple[memoryview, float]]:
+        """The bytes of block ``addr`` and when they arrive, if the
+        window holds it; else None."""
+        if not self._first <= addr <= self._last:
+            return None
+        if addr > self._counted:
+            # A block taken again, after the cache evicted it, is no
+            # second hit.
+            self._counted = addr
+            self.stats.hits += 1
             if self._obs_enabled:
-                self._m_hits.inc(hits)
-        return stream.done - self._transfer_time(
-            (stream.ahead_last - hi) * self._block_size
+                self._m_hits.inc()
+        bs = self._block_size
+        offset = (addr - self._first) * bs
+        return (
+            self._data[offset : offset + bs],
+            self._done - self._transfer_time((self._last - addr) * bs),
         )
 
-    def issued(self, inum: int, first: int, last: int, done: float) -> None:
-        """Blocks ``[first, last]`` were read ahead by a request that
-        completes at ``done``."""
-        stream = self._streams[inum]
-        stream.ahead_first, stream.ahead_last = first, last
-        stream.done = done
-        self.stats.blocks_prefetched += last - first + 1
-        if self._obs_enabled:
-            self._m_prefetched.inc(last - first + 1)
+    def finishes(self, addr: int) -> bool:
+        """Whether block ``addr`` is the window's last."""
+        return addr == self._last
 
-    def forget(self, inum: int) -> float:
-        """Drop an inode's stream (file truncated or deleted); returns
-        the completion time of its in-flight window (0.0 for none)."""
-        stream = self._streams.pop(inum, None)
-        return 0.0 if stream is None else stream.done
+    def ended(self, key: BlockKey, addr: int) -> None:
+        """A demand ended with block ``key``, at ``addr``."""
+        self._next = addr + 1
+        self._next_key = block_key((key.inum, key.kind, key.index + 1))
+
+    def ahead(self, last: int) -> int:
+        """How many blocks a request ending at block ``last`` may read
+        ahead: the window, up to the end of the device."""
+        return min(self.window_blocks, self._total_blocks - 1 - last)
+
+    def issued(self, first: int, data: memoryview, done: float) -> None:
+        """``data`` holds the blocks from ``first`` on, read ahead by a
+        request that completes at ``done``: the new window."""
+        count = len(data) // self._block_size
+        self._first, self._last = first, first + count - 1
+        self._counted = first - 1
+        self._data, self._done = data, done
+        self.stats.blocks_prefetched += count
+        if self._obs_enabled:
+            self._m_prefetched.inc(count)
+
+    def written(self, sector: int, count: int) -> None:
+        """The disk took a write of ``count`` sectors at ``sector``:
+        drop the window if the write overlaps it."""
+        spb = self._sectors_per_block
+        if (
+            sector < (self._last + 1) * spb
+            and sector + count > self._first * spb
+        ):
+            self._clear_window()
 
     def clear(self) -> None:
-        """Drop every stream (caches flushed, or the system crashed)."""
-        self._streams.clear()
+        """Drop the stream and its window (caches flushed, or the
+        system crashed)."""
+        self._next = -1
+        self._next_key = None
+        self._clear_window()

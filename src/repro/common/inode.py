@@ -417,7 +417,6 @@ class BlockMap:
         first: int,
         last: int,
         cached: Callable[[BlockKey], bool],
-        ahead: int = 0,
     ) -> List[Tuple[int, int]]:
         """``(lbn, addr)`` of every data block in ``[first, last]`` that
         ``cached`` does not hold and that is not a hole.
@@ -427,11 +426,6 @@ class BlockMap:
         ``cached`` is still asked block by block after the walk for the
         blocks before it: a walk may read a leaf from disk, and caching
         it may evict a later block of the range.
-
-        When the result ends with ``last``, it goes on through up to
-        ``ahead`` successors in ``last``'s container, each uncached and
-        stored right after the one before; the first that is not ends
-        it.  Reading them extends the last request without a seek.
         """
         self._check_range(first, last)
         inum = inode.inum
@@ -450,16 +444,6 @@ class BlockMap:
                     pointers, keys = self._read_leaf(inode, ordinal)
                 if pointers is not None and pointers[lbn - base] != NIL:
                     found.append((lbn, pointers[lbn - base]))
-            if ahead and found and found[-1][0] == last:
-                addr = found[-1][1]
-                for lbn in range(last + 1, min(last + ahead, end) + 1):
-                    addr += 1
-                    if cached(block_key((inum, _DATA, lbn))):
-                        break
-                    rounds += 1
-                    if pointers[lbn - base] != addr:
-                        break
-                    found.append((lbn, addr))
             if rounds > 0 and keys:
                 self._rehit(keys, rounds)
             lbn = end + 1

@@ -18,7 +18,7 @@ tells the device which queued writes had not yet completed.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.disk.device import SectorDevice
 from repro.disk.geometry import DiskGeometry
@@ -110,6 +110,10 @@ class SimDisk:
         # When the latest read's whole transfer is done: later than the
         # caller's wake-up when it read ahead.
         self.last_read_done = 0.0
+        # Told (first sector, sector count) of every write: the mounted
+        # file system drops its read-ahead window when the disk
+        # overwrites it.
+        self.write_observer: Optional[Callable[[int, int], None]] = None
         # Per-request spans are much finer-grained than the component
         # spans, so they ride the opt-in trace_io flag.
         self._trace_io = getattr(self.telemetry, "trace_io", False)
@@ -173,8 +177,9 @@ class SimDisk:
         only affects accounting, not timing).  ``demand`` is how many
         leading sectors the caller waits for (all by default): the rest
         of the transfer is read ahead, and arrives while the caller
-        runs.  It is still one request, and the disk stays busy until
-        the whole transfer is done.
+        runs; with ``demand=0`` the caller does not wait at all.  It is
+        still one request, and the disk stays busy until the whole
+        transfer is done.
 
         Transient device errors are retried up to ``RETRY_MAX_ATTEMPTS``
         times, each retry costing an exponentially growing backoff on
@@ -234,7 +239,9 @@ class SimDisk:
                     label=label,
                 )
             )
-        if demand is not None and demand < count:
+        if demand == 0:
+            done = issue  # read ahead only: the caller goes on at once
+        elif demand is not None and demand < count:
             # The caller resumes once its own sectors are in.
             done -= self.geometry.transfer_time(
                 (count - demand) * self.geometry.sector_size
@@ -275,6 +282,9 @@ class SimDisk:
         # method returns, so its undo record could never survive to a
         # crash — tell the device not to allocate one.
         self.device.write(sector, data, completion_time=done, durable=sync)
+        nsectors = len(data) // self.geometry.sector_size
+        if self.write_observer is not None:
+            self.write_observer(sector, nsectors)
         self.stats.record(True, len(data), sync, tier.value, done - start)
         if self._obs_enabled:
             self._m_writes.inc()
@@ -291,7 +301,7 @@ class SimDisk:
                     complete_time=done,
                     is_write=True,
                     sector=sector,
-                    nsectors=len(data) // self.geometry.sector_size,
+                    nsectors=nsectors,
                     nbytes=len(data),
                     sync=sync,
                     tier=tier,

@@ -285,15 +285,14 @@ class LogStructuredFS(BaseFileSystem):
         files of one directory would re-read the same block once per
         inode.  The key is the address, which is unique until the
         segment writer reuses it — the writer discards the stale entry
-        when that happens.
+        when that happens.  A miss is a demand like a data read's: it
+        claims the block from the read-ahead window when it can.
         """
         key = block_key((0, _INODE, addr))
         block = self.cache.get(key)
         if block is None:
-            raw = bytearray(
-                self._read_block_from_disk(addr, label=f"inode block {addr}")
-            )
-            block = self.cache.insert(key, raw, dirty=False, now=self.clock.now())
+            self._fetch_blocks(((key, addr),), f"inode block {addr}")
+            block = self.cache.peek(key)
         return block.payload
 
     def _load_inode_from_disk(self, inum: int) -> Inode:

@@ -49,6 +49,7 @@ from repro.errors import (
     FileNotFoundError_,
     InvalidArgumentError,
     IsADirectoryError_,
+    MediaError,
     NotADirectoryError_,
     StaleHandleError,
 )
@@ -117,9 +118,11 @@ class BaseFileSystem(StorageManager):
         self.readahead = ReadaheadPolicy(
             min(MAX_READ_CLUSTER, cache_bytes // 4) // self.block_size,
             self.block_size,
+            disk.device.total_bytes // self.block_size,
             disk.geometry.transfer_time,
             telemetry=self.telemetry,
         )
+        disk.write_observer = self.readahead.written
         self.monitor = WritebackMonitor(
             self.cache, self.clock, telemetry=self.telemetry
         )
@@ -277,62 +280,124 @@ class BaseFileSystem(StorageManager):
     # File data I/O
     # ------------------------------------------------------------------
 
-    def _fetch_data_blocks(
-        self, inum: int, missing: List[Tuple[int, int]], last: int
+    def _fetch_blocks(
+        self,
+        missing: Sequence[Tuple[BlockKey, int]],
+        label: str,
+        inode: Optional[Inode] = None,
     ) -> None:
-        """Cache the blocks ``missing`` (``(lbn, addr)``, ascending).
+        """Cache the blocks ``missing`` (``(key, addr)``, in read order)
+        for a reader that waits for them: one demand.
 
-        Disk-contiguous runs are coalesced into single requests, as the
-        real systems' read clustering does; this is why LFS's 4 KB
+        A block the read-ahead window holds is claimed from it.  The
+        others are read in disk-contiguous runs, each one request, as
+        the real systems' read clustering does; this is why LFS's 4 KB
         blocks do not halve its sequential read bandwidth relative to
-        FFS's 8 KB.  Blocks past ``last`` are read ahead: they ride on
-        the tail of the last demand request, which returns once its
-        demanded blocks are in.
+        FFS's 8 KB.  When the demand continues the read stream, its
+        last request goes on through the next window of addresses,
+        which arrive while the reader runs; a demand the window served
+        to its last block reads the next window ahead without waiting
+        for it.  ``inode`` is the file whose data ``missing`` is, if it
+        is data (see :meth:`_read_ahead_size`).
         """
-        bs = self.block_size
-        spb = self.sectors_per_block
-        max_blocks = self._cluster_blocks
+        readahead = self.readahead
         disk = self.disk
         insert = self.cache.insert
-        index, nmissing = 0, len(missing)
-        while index < nmissing:
-            start_lbn, start_addr = missing[index]
-            if start_lbn > last:
-                break  # read-ahead never takes a request of its own
-            run = 1
-            while (
-                index + run < nmissing
-                and run < max_blocks
-                and missing[index + run][1] == start_addr + run
-                and missing[index + run][0] == start_lbn + run
+        bs = self.block_size
+        max_blocks = self._cluster_blocks
+        sequential = readahead.continues(*missing[0])
+        runs: List[List[int]] = []  # [index into missing, blocks]
+        for index, (key, addr) in enumerate(missing):
+            claimed = readahead.claim(addr)
+            if claimed is not None:
+                view, arrival = claimed
+                disk.wait_until(arrival)
+                insert(key, bytearray(view), False, self.clock.now())
+                sequential = True
+            elif (
+                runs
+                and runs[-1][0] + runs[-1][1] == index
+                and runs[-1][1] < max_blocks
+                and missing[index - 1][1] + 1 == addr
             ):
-                run += 1
-            demand = min(run, last - start_lbn + 1)
-            raw = disk.read(
-                start_addr * spb,
-                spb * run,
-                label=f"data:{inum}",
-                vectored=run > 1,
-                demand=spb * demand,
+                runs[-1][1] += 1
+            else:
+                runs.append([index, 1])
+        key, addr = missing[-1]
+        if not runs and readahead.finishes(addr):
+            self._read_run(
+                addr + 1, 0, self._read_ahead_size(key, addr, inode), label
             )
-            if demand < run:
-                self.readahead.issued(
-                    inum,
-                    start_lbn + demand,
-                    start_lbn + run - 1,
-                    disk.last_read_done,
+        for index, run in runs:
+            addr = missing[index][1]
+            ahead = 0
+            if sequential and index == runs[-1][0]:
+                ahead = self._read_ahead_size(
+                    missing[index + run - 1][0], addr + run - 1, inode
                 )
+            raw = self._read_run(addr, run, ahead, label)
             now = self.clock.now()
-            for lbn, offset in zip(
-                range(start_lbn, start_lbn + run), range(0, run * bs, bs)
+            for (key, _addr), offset in zip(
+                missing[index : index + run], range(0, run * bs, bs)
             ):
-                insert(
-                    block_key((inum, _DATA, lbn)),
-                    bytearray(raw[offset : offset + bs]),
-                    False,
-                    now,
+                insert(key, bytearray(raw[offset : offset + bs]), False, now)
+        readahead.ended(*missing[-1])
+
+    def _read_ahead_size(
+        self, key: BlockKey, addr: int, inode: Optional[Inode]
+    ) -> int:
+        """How many blocks past ``addr``, where block ``key`` lies, a
+        request may read ahead.
+
+        The window, up to the end of the disk.  A file's data block
+        also stops it where the file jumps: its next blocks count while
+        each lies right after the one before, within ``key``'s pointer
+        container, and the whole window once the file ends.  The blocks
+        a file skips are other files' or, in a log, dead copies, and
+        its reader is about to seek away.
+        """
+        ahead = self.readahead.ahead(addr)
+        if inode is None or not ahead:
+            return ahead
+        lbn = key.index
+        final = inode.nblocks(self.block_size) - 1
+        pointers, base, _keys = self.block_map.get_container(inode, lbn)
+        stop = min(lbn + ahead, final, base + len(pointers) - 1)
+        for count, pointer in enumerate(
+            pointers[lbn + 1 - base : stop + 1 - base], 1
+        ):
+            if pointer != addr + count:
+                return count - 1
+        return ahead if stop == final else stop - lbn
+
+    def _read_run(
+        self, addr: int, run: int, ahead: int, label: str
+    ) -> "bytes | memoryview":
+        """Read blocks ``[addr, addr + run)``, waiting for them, and,
+        best effort, the ``ahead`` blocks after them, without waiting:
+        a read-ahead that fails is dropped, and only the demanded
+        blocks are read again."""
+        disk = self.disk
+        spb = self.sectors_per_block
+        if ahead > 0:
+            try:
+                raw = disk.read(
+                    addr * spb,
+                    (run + ahead) * spb,
+                    label=label,
+                    vectored=True,
+                    demand=run * spb,
                 )
-            index += run
+            except MediaError:
+                pass
+            else:
+                self.readahead.issued(
+                    addr + run, raw[run * self.block_size :], disk.last_read_done
+                )
+                return raw
+        if not run:
+            return b""
+        return disk.read(addr * spb, run * spb, label=label, vectored=run > 1)
 
     def _read_range(self, inode: Inode, offset: int, length: int) -> bytes:
         if offset < 0 or length < 0:
@@ -345,18 +410,15 @@ class BaseFileSystem(StorageManager):
         bs = self.block_size
         first, last = offset // bs, (end - 1) // bs
         inum = inode.inum
-        readahead = self.readahead
         missing = self.block_map.get_missing(
-            inode,
-            first,
-            last,
-            self.cache.contains,
-            readahead.advise(inum, first, last, (inode.size - 1) // bs),
+            inode, first, last, self.cache.contains
         )
-        ready = readahead.settle(inum, first, last, missing)
         if missing:
-            self._fetch_data_blocks(inum, missing, last)
-        self.disk.wait_until(ready)
+            self._fetch_blocks(
+                [(block_key((inum, _DATA, lbn)), addr) for lbn, addr in missing],
+                f"data:{inum}",
+                inode,
+            )
         # Data payloads are whole blocks; each is copied once, by join.
         get = self.cache.get
         parts: List[Union[bytes, bytearray]] = []
@@ -485,9 +547,6 @@ class BaseFileSystem(StorageManager):
             inode.mtime = self.clock.now()
             self._mark_inode_dirty(inode)
             return
-        # Blocks still being read ahead are waited for, not torn away
-        # from under the transfer; the stream starts over.
-        self.disk.wait_until(self.readahead.forget(inode.inum))
         block_map = self.block_map
         nblocks = inode.nblocks(bs)
         old_keys = (

@@ -54,22 +54,13 @@ def per_block(fs):
                 )
         return plan
 
-    def missing_one_at_a_time(inode, first, last, cached, ahead=0):
+    def missing_one_at_a_time(inode, first, last, cached):
         found = []
         for lbn in range(first, last + 1):
             if not cached(BlockKey(inode.inum, BlockKind.DATA, lbn)):
                 addr = block_map.get(inode, lbn)
                 if addr != NIL:
                     found.append((lbn, addr))
-        if ahead and found and found[-1][0] == last:
-            end = min(last + ahead, block_map.container(last)[2])
-            for lbn in range(last + 1, end + 1):
-                if cached(BlockKey(inode.inum, BlockKind.DATA, lbn)):
-                    break
-                addr = block_map.get(inode, lbn)
-                if addr != found[-1][1] + 1:
-                    break
-                found.append((lbn, addr))
         return found
 
     fs._build_plan = single_block_runs
@@ -162,8 +153,9 @@ REWRITES = [
     ("read", "/a", N_DIRECT + PPB, 40, 100),
 ]
 
-# A sequential stream, so that requests are extended past the demand:
-# within the direct blocks, then within the first leaf.
+# A sequential stream, so that requests are extended past the demand
+# and blocks are claimed from the window: within the direct blocks,
+# then within the first leaf.
 READ_AHEAD = [
     ("write", "/a", 0, 60, 0),
     ("sync",),

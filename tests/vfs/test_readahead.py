@@ -1,7 +1,7 @@
-"""Sequential readahead through the read path: what it saves, what a
-reader waits for, and when a stream is dropped.
+"""Readahead through the read path: what it saves, what a reader waits
+for, and when the window is dropped.
 
-The policy's own bookkeeping is unit-tested in
+The stream's own bookkeeping is unit-tested in
 ``tests/cache/test_readahead.py``; these tests drive whole file systems.
 """
 
@@ -13,28 +13,43 @@ from hypothesis import strategies as st
 
 from repro.common.inode import N_DIRECT, BlockKey, BlockKind
 from repro.disk.trace import TraceRecorder
+from repro.errors import MediaError
+from repro.faults import FaultyDevice
 from repro.rig import new_rig
 from repro.units import KIB, MIB
 from tests.conftest import small_ffs_config, small_lfs_config
 
 FILE_BLOCKS = {"lfs": 128, "ffs": 64}
+VOLUME = 32 * MIB
 
 
-def _rig(kind: str, trace=None, speed_factor=1.0, **lfs_overrides):
+def _rig(
+    kind: str,
+    trace=None,
+    speed_factor=1.0,
+    device=None,
+    cache_bytes=2 * MIB,
+    **lfs_overrides,
+):
     lfs_overrides.setdefault("segment_size", 1 * MIB)
     return new_rig(
         kind,
-        total_bytes=32 * MIB,
+        total_bytes=VOLUME,
         speed_factor=speed_factor,
-        lfs_config=small_lfs_config(**lfs_overrides),
-        ffs_config=small_ffs_config(),
+        lfs_config=small_lfs_config(cache_bytes=cache_bytes, **lfs_overrides),
+        ffs_config=small_ffs_config(cache_bytes=cache_bytes),
         trace=trace,
+        device=device,
     )
+
+
+def _pattern(nbytes: int) -> bytes:
+    return bytes(range(256)) * (nbytes // 256)
 
 
 def _contiguous_file(fs, nblocks: int):
     """A file of ``nblocks`` stored back to back, read back cold."""
-    fs.write_file("/f", bytes(range(256)) * (nblocks * fs.block_size // 256))
+    fs.write_file("/f", _pattern(nblocks * fs.block_size))
     fs.sync()
     inode = fs._get_inode(fs.stat("/f").inum)
     addrs = [fs.block_map.get(inode, lbn) for lbn in range(nblocks)]
@@ -43,12 +58,15 @@ def _contiguous_file(fs, nblocks: int):
     return inode
 
 
-def _count_data_reads(fs, inode):
+def _count_data_reads(fs, inode=None):
+    """Count the disk requests for data blocks: ``inode``'s, or any
+    file's."""
     counts = {"data": 0}
     read = fs.disk.read
+    wanted = "data:" if inode is None else f"data:{inode.inum}"
 
     def counting_read(sector, count, label="", **kwargs):
-        if label == f"data:{inode.inum}":
+        if label == wanted or (inode is None and label.startswith(wanted)):
             counts["data"] += 1
         return read(sector, count, label, **kwargs)
 
@@ -75,6 +93,74 @@ def test_sequential_scan_issues_one_request_per_window(kind):
 
 
 @pytest.mark.parametrize("kind", ["lfs", "ffs"])
+def test_small_files_read_in_log_order_issue_one_request_per_window(kind):
+    """Files written together lie together: reading them back in the
+    order they were written is one stream, whatever files it crosses."""
+    fs = _rig(kind).fs
+    nfiles = 64
+    for index in range(nfiles):
+        fs.write_file(f"/f{index}", bytes([index]) * fs.block_size)
+    fs.sync()
+    fs.flush_caches()
+    counts = _count_data_reads(fs)
+    for index in range(nfiles):
+        assert fs.read_file(f"/f{index}") == bytes([index]) * fs.block_size
+    window = fs.readahead.window_blocks
+    assert counts["data"] <= -(-nfiles // window) + 2
+    assert fs.readahead.stats.hits >= nfiles - counts["data"]
+
+
+@pytest.mark.parametrize("kind", ["lfs", "ffs"])
+def test_a_full_cluster_scan_is_no_slower_than_small_reads(kind):
+    """Reads as large as the largest request still read ahead: the
+    window is counted past the demand, not inside it.
+
+    A scan is timed to when its last read has all its blocks, before
+    that read's copy to the caller, which no read-ahead can overlap
+    and which is eight times longer for a 64 KiB read."""
+    ready = {}
+    for request in (8 * KIB, 64 * KIB):
+        fs = _rig(kind).fs
+        size = 4 * MIB
+        fs.write_file("/f", _pattern(size))
+        fs.sync()
+        fs.flush_caches()
+        read_range = fs._read_range
+
+        def timed_read_range(*args, request=request):
+            data = read_range(*args)
+            ready[request] = fs.clock.now() - start
+            return data
+
+        fs._read_range = timed_read_range
+        start = fs.clock.now()
+        with fs.open("/f") as handle:
+            for offset in range(0, size, request):
+                handle.pread(offset, request)
+    assert ready[64 * KIB] <= ready[8 * KIB]
+
+
+@pytest.mark.parametrize("kind", ["lfs", "ffs"])
+def test_an_unreadable_block_read_ahead_fails_no_healthy_read(kind):
+    """Read-ahead is best effort: a request that fails on a block read
+    ahead is retried for the demanded blocks alone."""
+    device = FaultyDevice(VOLUME // 512)
+    fs = _rig(kind, device=device).fs
+    nblocks = 64
+    inode = _contiguous_file(fs, nblocks)
+    bs, spb = fs.block_size, fs.sectors_per_block
+    device.injector.mark_unreadable(fs.block_map.get(inode, 8) * spb)
+    fs.flush_caches()
+    data = _pattern(nblocks * bs)
+    with fs.open("/f") as handle:
+        for lbn in range(8):
+            assert handle.pread(lbn * bs, bs) == data[lbn * bs : (lbn + 1) * bs]
+        with pytest.raises(MediaError):
+            handle.pread(8 * bs, bs)
+        assert handle.pread(9 * bs, bs) == data[9 * bs : 10 * bs]
+
+
+@pytest.mark.parametrize("kind", ["lfs", "ffs"])
 def test_a_read_waits_only_for_its_own_blocks(kind):
     fs = _rig(kind).fs
     nblocks = FILE_BLOCKS[kind]
@@ -89,15 +175,14 @@ def test_a_read_waits_only_for_its_own_blocks(kind):
                 lbn for lbn in lbns
                 if not fs.cache.contains(_data_key(inode, lbn))
             ]
-            if missing:
-                addr = fs.block_map.get(inode, missing[0])
-                positioning_and_transfer, _tier = disk.service_time(
-                    addr * spb, len(missing) * bs
-                )
-                bound = disk.queue_delay() + positioning_and_transfer
-            else:
-                # Blocks read ahead: at most their own transfer is left.
-                bound = disk.geometry.transfer_time(len(lbns) * bs)
+            # A block read ahead is waited for at most until the disk
+            # is idle; one read from the disk costs positioning and
+            # transfer on top.
+            addr = fs.block_map.get(inode, missing[0])
+            positioning_and_transfer, _tier = disk.service_time(
+                addr * spb, len(missing) * bs
+            )
+            bound = disk.queue_delay() + positioning_and_transfer
             stall = disk.sync_stall_seconds
             handle.pread(offset, request)
             assert disk.sync_stall_seconds - stall <= bound + 1e-12
@@ -105,8 +190,8 @@ def test_a_read_waits_only_for_its_own_blocks(kind):
 
 
 class TestStreamsAreDropped:
-    """A hit is a prefetched block that a demand read found cached; a
-    stream does not outlive the cache or the blocks it read ahead."""
+    """A hit is a block read ahead that a demand read took from the
+    window; a window does not outlive the cache or the bytes it read."""
 
     def _stream(self, fs):
         inode = _contiguous_file(fs, N_DIRECT)  # no pointer block to read
@@ -120,141 +205,237 @@ class TestStreamsAreDropped:
         fs = _rig("lfs").fs
         _inode, handle = self._stream(fs)
         fs.flush_caches()
-        misses = fs.cache.stats.misses
+        reads = fs.disk.stats.reads
         handle.pread(4 * fs.block_size, 2 * fs.block_size)
-        assert fs.cache.stats.misses > misses
+        assert fs.disk.stats.reads > reads
         assert fs.readahead.stats.hits == 0
 
     def test_evicted_blocks_are_no_hits(self):
         fs = _rig("lfs").fs
         inode, handle = self._stream(fs)
+        handle.pread(4 * fs.block_size, 2 * fs.block_size)
+        assert fs.readahead.stats.hits == 2
+        # Evicted and taken from the window again: no second hit.
         fs.cache.discard(_data_key(inode, 4))
         fs.cache.discard(_data_key(inode, 5))
+        reads = fs.disk.stats.reads
         handle.pread(4 * fs.block_size, 2 * fs.block_size)
-        assert fs.readahead.stats.hits == 0
-        handle.pread(6 * fs.block_size, 2 * fs.block_size)
+        assert fs.disk.stats.reads == reads
         assert fs.readahead.stats.hits == 2
+        handle.pread(6 * fs.block_size, 2 * fs.block_size)
+        assert fs.readahead.stats.hits == 4
 
     def test_shrinking_truncate(self):
         fs = _rig("lfs").fs
         _inode, handle = self._stream(fs)
-        handle.truncate(8 * fs.block_size)
-        # Blocks 4..7 stay cached: the truncate waited for them to arrive.
-        assert fs.clock.now() >= fs.disk.busy_until
+        bs = fs.block_size
+        handle.truncate(8 * bs)
+        # The blocks the file keeps are still taken from the window.
+        assert handle.pread(4 * bs, 2 * bs) == _pattern(N_DIRECT * bs)[
+            4 * bs : 6 * bs
+        ]
+        assert fs.readahead.stats.hits == 2
         handle.truncate(0)
-        handle.pwrite(0, b"n" * (16 * fs.block_size))
-        assert handle.pread(4 * fs.block_size, 2 * fs.block_size) == (
-            b"n" * (2 * fs.block_size)
-        )
-        assert fs.readahead.stats.hits == 0
+        handle.pwrite(0, b"n" * (16 * bs))
+        assert handle.pread(4 * bs, 2 * bs) == b"n" * (2 * bs)
+        assert fs.readahead.stats.hits == 2
 
     def test_crash(self):
         fs = _rig("lfs").fs
         inode, _handle = self._stream(fs)
+        addr = fs.block_map.get(inode, 4)
         fs.crash()
-        # The next read of the file would be a first touch again.
-        assert fs.readahead.advise(inode.inum, 4, 5, N_DIRECT - 1) == 0
-        assert fs.readahead.settle(inode.inum, 4, 5, []) == 0.0
+        assert fs.readahead.claim(addr) is None
+        assert not fs.readahead.continues(_data_key(inode, 4), addr)
 
 
 # ----------------------------------------------------------------------
 # Reads equal a model, and never return a block before it has arrived
 # ----------------------------------------------------------------------
 
-_FILES = ("/a", "/b")
+_FILES = ("/a", "/b", "/c", "/d")
 _BS = 4 * KIB
+_SIZES = {"/a": 12 * _BS, "/b": 3 * _BS, "/c": 20 * _BS, "/d": 1 * _BS}
 
 _ops = st.lists(
     st.one_of(
         st.tuples(
             st.just("read"), st.sampled_from(_FILES),
-            st.integers(0, 40), st.integers(1, 4),
+            st.integers(0, 24), st.integers(1, 4),
         ),
         st.tuples(
             st.just("next"), st.sampled_from(_FILES), st.integers(1, 4)
         ),
+        st.tuples(st.just("scan")),
         st.tuples(
             st.just("write"), st.sampled_from(_FILES),
-            st.integers(0, 160 * KIB), st.integers(1, 24 * KIB),
+            st.integers(0, 100 * KIB), st.integers(1, 24 * KIB),
             st.integers(0, 255),
         ),
         st.tuples(
+            st.just("overwrite"), st.sampled_from(_FILES),
+            st.integers(0, 19), st.integers(0, 255),
+        ),
+        st.tuples(
             st.just("truncate"), st.sampled_from(_FILES),
-            st.integers(0, 200 * KIB),
+            st.integers(0, 100 * KIB),
         ),
         st.tuples(st.just("unlink"), st.sampled_from(_FILES)),
         st.tuples(st.just("flush")),
+        st.tuples(st.just("clean")),
     ),
     max_size=40,
 )
 
 
 class _ArrivalLog:
-    """When each cached data block read from the disk arrived: the
-    request's completion less the transfer of the sectors after it."""
+    """Checks every block the read path puts in the cache from the disk:
+    it was read after the last write to its address, and had arrived
+    (its request's completion less the transfer of the blocks after it)
+    when it entered the cache.
+
+    Blocks a request read ahead are remembered by address; a block
+    claimed from the window is checked against the request that read
+    it ahead, a block read on demand against its own request.
+    """
 
     def __init__(self, fs, trace: TraceRecorder) -> None:
-        self.arrival = {}
-        self._pending = []
-        disk, cache = fs.disk, fs.cache
-        read, insert = disk.read, cache.insert
-        sector_bytes = disk.geometry.sector_size
+        self.checked = 0
+        self.claims = 0
+        requests = iter(range(1, 1 << 62))
+        written = {}  # addr -> request number of the last write
+        ahead = {}  # addr -> (request number, arrival) of a read-ahead
+        pending = []  # (addr, request number, arrival), in insert order
+        claimed = []
+        disk, cache, readahead = fs.disk, fs.cache, fs.readahead
+        read, write, insert, claim = (
+            disk.read, disk.write, cache.insert, readahead.claim
+        )
         spb = fs.sectors_per_block
+        bs = fs.block_size
 
         def logged_read(sector, count, label="", **kwargs):
             data = read(sector, count, label, **kwargs)
+            number = next(requests)
             done = trace.events[-1].complete_time
-            self._pending = []
-            if label.startswith("data:"):
-                for end in range(spb, count + 1, spb):
-                    after = (count - end) * sector_bytes
-                    self._pending.append(
-                        done - disk.geometry.transfer_time(after)
+            pending.clear()
+            if label.startswith(("data:", "inode")) and not sector % spb:
+                demand = kwargs.get("demand")
+                if demand is None:
+                    demand = count
+                for index in range(count // spb):
+                    after = (count - (index + 1) * spb) * 512
+                    entry = (
+                        number, done - disk.geometry.transfer_time(after)
                     )
+                    if (index + 1) * spb <= demand:
+                        pending.append((sector // spb + index, *entry))
+                    else:
+                        ahead[sector // spb + index] = entry
             return data
 
+        def logged_write(sector, data, *args, **kwargs):
+            number = next(requests)
+            pending.clear()
+            last = (sector + len(data) // 512 - 1) // spb
+            for addr in range(sector // spb, last + 1):
+                written[addr] = number
+            return write(sector, data, *args, **kwargs)
+
+        def logged_claim(addr):
+            result = claim(addr)
+            if result is not None:
+                claimed.append(addr)
+            return result
+
         def logged_insert(key, payload, dirty, now):
-            if key.kind is BlockKind.DATA and not dirty and self._pending:
-                self.arrival[key] = self._pending.pop(0)
-            else:
-                self.arrival.pop(key, None)
+            source = None
+            if claimed:
+                addr = claimed.pop()
+                source = ahead[addr]
+                self.claims += 1
+            elif pending and key.kind in (BlockKind.DATA, BlockKind.INODE):
+                addr, *source = pending.pop(0)
+                if dirty:
+                    source = None
+            if source is not None and len(payload) == bs:
+                number, arrival = source
+                assert number > written.get(addr, 0), (key, addr)
+                assert fs.clock.now() >= arrival, (key, addr)
+                self.checked += 1
             return insert(key, payload, dirty, now)
 
         disk.read = logged_read
+        disk.write = logged_write
+        readahead.claim = logged_claim
         cache.insert = logged_insert
 
 
 # A stream whose reads catch up with blocks still in flight, once after
 # a truncate that keeps them (the leaf it edits is cached by then).
 STREAM = [
-    ("read", "/a", N_DIRECT, 2),
-    ("next", "/a", 2),
-    ("truncate", "/a", (N_DIRECT + 8) * _BS),
-    ("next", "/a", 2),
-    ("next", "/a", 2),
+    ("read", "/c", N_DIRECT, 2),
+    ("next", "/c", 2),
+    ("truncate", "/c", (N_DIRECT + 5) * _BS),
+    ("next", "/c", 2),
+    ("next", "/c", 2),
 ]
+# Files read back in the order they were written: one stream.
+SCAN = [("scan",), ("scan",)]
+# A window over blocks the disk then rewrites, kept until the cache
+# has dropped them and a read asks for them again: LFS writes the log's
+# free tail the window ran into, FFS overwrites a block in place.
+_EVICT = [("write", "/b", offset * KIB, 24 * KIB, 5) for offset in range(0, 240, 24)]
+OVERWRITE = {
+    "lfs": [
+        ("write", "/b", 0, 4 * KIB, 3),
+        ("overwrite", "/d", 0, 9),
+        ("flush",),
+        ("read", "/b", 0, 1),
+        ("read", "/d", 0, 1),
+        ("overwrite", "/d", 0, 11),
+        *_EVICT,
+        ("read", "/d", 0, 1),
+    ],
+    "ffs": [
+        ("read", "/a", 0, 1),
+        ("read", "/a", 2, 1),
+        ("overwrite", "/a", 8, 7),
+        *_EVICT,
+        ("read", "/a", 8, 1),
+    ],
+}
 
 
 @settings(max_examples=60, deadline=None)
-@example(ops=STREAM)
-@given(ops=_ops)
-def test_reads_match_a_model_and_wait_for_arrivals(ops):
+@example(kind="lfs", ops=STREAM)
+@example(kind="lfs", ops=SCAN)
+@example(kind="ffs", ops=SCAN)
+@example(kind="lfs", ops=OVERWRITE["lfs"])
+@example(kind="ffs", ops=OVERWRITE["ffs"])
+@given(kind=st.sampled_from(["lfs", "ffs"]), ops=_ops)
+def test_reads_match_a_model_and_wait_for_arrivals(kind, ops):
     trace = TraceRecorder()
     # A CPU fast enough to outrun the disk, so that reads do catch up
     # with blocks still in flight.
     fs = _rig(
-        "lfs",
+        kind,
         trace=trace,
         speed_factor=100.0,
         segment_size=64 * KIB,
         cache_bytes=128 * KIB,
     ).fs
-    assert fs.readahead.window_blocks == 8  # a quarter of the cache
+    # A quarter of the cache.
+    assert fs.readahead.window_blocks == 32 * KIB // fs.block_size
     log = _ArrivalLog(fs, trace)
     model = {}
     cursor = {}
+    # Written together, so that they lie together.
     for path in _FILES:
-        model[path] = bytearray(bytes(range(256)) * (160 * KIB // 256))
+        model[path] = bytearray(
+            bytes([len(model) + 1]) * (_SIZES[path] // 2)
+            + _pattern(_SIZES[path] // 2)
+        )
         fs.write_file(path, bytes(model[path]))
     fs.sync()
     fs.flush_caches()
@@ -265,44 +446,58 @@ def test_reads_match_a_model_and_wait_for_arrivals(ops):
             fs.create(path).close()
         return fs.open(path)
 
+    def check_read(path, first, count):
+        with handle(path) as h:
+            data = h.pread(first * _BS, count * _BS)
+        assert data == bytes(model[path][first * _BS : (first + count) * _BS])
+
     for op in ops:
-        kind, args = op[0], op[1:]
-        if kind in ("read", "next"):
+        kind_, args = op[0], op[1:]
+        if kind_ in ("read", "next"):
             path = args[0]
-            if kind == "read":
+            if kind_ == "read":
                 first, count = args[1], args[2]
             else:
                 first, count = cursor.get(path, 0), args[1]
             cursor[path] = first + count
-            with handle(path) as h:
-                data = h.pread(first * _BS, count * _BS)
-                inum = h.inum
-            expected = bytes(model[path][first * _BS : (first + count) * _BS])
-            assert data == expected
-            now = fs.clock.now()
-            for lbn in range(first, first + count):
-                key = BlockKey(inum, BlockKind.DATA, lbn)
-                assert log.arrival.get(key, 0.0) <= now
-        elif kind == "write":
-            path, offset, length, value = args
+            check_read(path, first, count)
+        elif kind_ == "scan":
+            for path in _FILES:
+                if path in model:
+                    assert fs.read_file(path) == bytes(model[path])
+        elif kind_ in ("write", "overwrite"):
+            if kind_ == "write":
+                path, offset, length, value = args
+            else:
+                path, lbn, value = args
+                offset, length = lbn * _BS, _BS
             with handle(path) as h:
                 h.pwrite(offset, bytes([value]) * length)
             data = model[path]
             if len(data) < offset:
                 data.extend(bytes(offset - len(data)))
             data[offset : offset + length] = bytes([value]) * length
-        elif kind == "truncate":
+            if kind_ == "overwrite":
+                fs.sync()  # to the disk: in place on FFS
+        elif kind_ == "truncate":
             path, size = args
             with handle(path) as h:
                 h.truncate(size)
             data = model[path]
             del data[size:]
             data.extend(bytes(size - len(data)))
-        elif kind == "unlink":
+        elif kind_ == "unlink":
             if args[0] in model:
                 fs.unlink(args[0])
                 del model[args[0]]
+        elif kind_ == "clean":
+            if kind == "lfs":
+                fs.clean_now()  # reuses a segment
+            else:
+                fs.sync()
         else:
             fs.flush_caches()
     for path, data in model.items():
         assert fs.read_file(path) == bytes(data)
+    if ops in (SCAN, STREAM):
+        assert log.claims > 0
