@@ -211,9 +211,9 @@ class TestOneTimingModel:
              p.seq_write_kb_per_second)
             for p in ablation_disk_array((1, 2, 4))
         ] == [
-            ("lfs", 1, 146.3505104434907, 1146.0176995221625),
-            ("lfs", 2, 190.55332443772866, 2027.0915139025765),
-            ("lfs", 4, 224.07111534586173, 3137.54045052877),
+            ("lfs", 1, 146.3505104434907, 1146.0176995221593),
+            ("lfs", 2, 190.55332443772866, 2027.0915139025708),
+            ("lfs", 4, 224.07111534586173, 3137.540450528764),
             ("ffs", 1, 20.300533545992835, 714.1703084594651),
             ("ffs", 2, 22.716441656961155, 1323.9823466466155),
             ("ffs", 4, 24.275203911498085, 2281.277990283659),

@@ -91,7 +91,7 @@ survival: OK"""
 HOTPATH_FINGERPRINTS = {
     "small_file": {
         "create_seconds": 0.6082591230769241,
-        "read_seconds": 0.8630206615384534,
+        "read_seconds": 0.428916979999998,
         "delete_seconds": 0.19166923076923004,
         "log_bytes_written": 425984,
     },
@@ -155,8 +155,10 @@ HOTPATH_FINGERPRINTS = {
 # image hashes, `benchmarks/e2e/workloads.py W 0 untraced --smoke`: the
 # sim metrics and images of smallfile and largefile were generated at
 # commit 7ced895, the rest at commit dce89e6; crash_recover's were
-# regenerated when roll-forward stopped reading data blocks, and
-# largefile's when sequential readahead became always on.  A
+# regenerated when roll-forward stopped reading data blocks,
+# largefile's when sequential readahead became always on, and
+# smallfile's and largefile's when readahead began to follow disk
+# addresses across files.  A
 # simulator-speed PR must leave these alone: "every simulated byte
 # unchanged" is asserted here, not diffed by hand.  ``counters`` holds
 # cache hits and misses, so a change in how often a layer looks a block
@@ -164,11 +166,11 @@ HOTPATH_FINGERPRINTS = {
 E2E_SMOKE = {
     "smallfile": {
         "sim": {
-            "sim_ops_per_s": 127.90393345427898,
-            "sim_lat_p50_ms": 3.627599999999842,
-            "sim_lat_p99_ms": 30.508735384615626,
+            "sim_ops_per_s": 168.52699470381847,
+            "sim_lat_p50_ms": 3.021927692307358,
+            "sim_lat_p99_ms": 30.04695692307635,
             "write_amp": 1.9166986314865004,
-            "read_amp": 1.8716250914403452,
+            "read_amp": 1.9338695038850355,
         },
         "counters": {
             "cache.hits": 2476,
@@ -190,35 +192,35 @@ E2E_SMOKE = {
             "lfs.cleaner_bytes_read": 0,
             "lfs.cleaner_busy_sim_s": 0.0,
             "lfs.emergency_passes": 0,
-            "disk.requests": 586,
-            "disk.bytes_read": 3571712,
+            "disk.requests": 87,
+            "disk.bytes_read": 3690496,
             "disk.bytes_written": 3657728,
-            "disk.seeks": 56,
-            "disk.sync_requests": 579,
-            "disk.busy_sim_s": 8.180835576923043,
-            "sim.elapsed_sim_s": 12.900306936923212,
-            "disk.util": 0.6341582116552502,
+            "disk.seeks": 51,
+            "disk.sync_requests": 80,
+            "disk.busy_sim_s": 6.148774999999995,
+            "sim.elapsed_sim_s": 9.7907163353849,
+            "disk.util": 0.6280209526424064,
             "cache.hit_rate": 0.7404306220095693,
             "lfs.cleaned_utilization": 0.0,
             "lfs.write_cost": 1.9166986314865004,
             "lfs.space_amp": 2.8074023303632627,
         },
         "images": [
-            "6964510747c4d1d4e0037fee62e8fcfc48a3c347d29c4f9ba3c6387758f0ac70",
+            "7bda301c176cb1a3ef9ad4e11055b738f0125673d1b84682554a0a62b8f96827",
         ],
     },
     "largefile": {
         "sim": {
-            "sim_ops_per_s": 74.37691596934091,
-            "sim_lat_p50_ms": 5.921615384608003,
+            "sim_ops_per_s": 74.54440122134791,
+            "sim_lat_p50_ms": 5.920975384611893,
             "sim_lat_p99_ms": 33.96633538460492,
             "write_amp": 0.921435546875,
-            "read_amp": 0.9365538719647778,
+            "read_amp": 0.9382891307507497,
         },
         "counters": {
-            "cache.hits": 129190,
+            "cache.hits": 130570,
             "cache.misses": 16811,
-            "cache.insertions": 43689,
+            "cache.insertions": 43687,
             "cache.evictions": 7751,
             "vfs.creates": 0,
             "vfs.removes": 0,
@@ -235,21 +237,21 @@ E2E_SMOKE = {
             "lfs.cleaner_bytes_read": 0,
             "lfs.cleaner_busy_sim_s": 0.0,
             "lfs.emergency_passes": 0,
-            "disk.requests": 7613,
-            "disk.bytes_read": 110534656,
+            "disk.requests": 7609,
+            "disk.bytes_read": 110739456,
             "disk.bytes_written": 77295616,
             "disk.seeks": 6951,
-            "disk.sync_requests": 7522,
-            "disk.busy_sim_s": 312.9016663461655,
-            "sim.elapsed_sim_s": 344.19281394448564,
-            "disk.util": 0.9090883181443554,
-            "cache.hit_rate": 0.8848569530345682,
+            "disk.sync_requests": 7518,
+            "disk.busy_sim_s": 313.03520673078026,
+            "sim.elapsed_sim_s": 343.4194866491021,
+            "disk.util": 0.9115242987088622,
+            "cache.hit_rate": 0.885935093397385,
             "lfs.cleaned_utilization": 0.0,
             "lfs.write_cost": 0.919091796875,
             "lfs.space_amp": 1.0969836965618827,
         },
         "images": [
-            "d0f4973256005012690f2415372501b0de6358114e63b1734667488ee4c56a7a",
+            "555659d407d2f3a1453860f6e69a1c2dbcf3ba9689434815dac779447621a168",
         ],
     },
     "service_clean": {
@@ -413,15 +415,16 @@ E2E_SMOKE = {
 # fewer once a read of a hole stopped loading a leaf that was never
 # allocated, which FFS used to do before allocating the leaf's first
 # block.  Largefile's were regenerated when sequential readahead became
-# always on.
+# always on, and both when readahead began to follow disk addresses
+# across files.
 E2E_FFS_SMOKE = {
     "smallfile": {
         "sim": {
-            "sim_ops_per_s": 28.918874833981675,
+            "sim_ops_per_s": 30.59135158897142,
             "sim_lat_p50_ms": 36.81923076922544,
-            "sim_lat_p99_ms": 44.0166861538529,
+            "sim_lat_p99_ms": 50.19870153846284,
             "write_amp": 12.440297052738808,
-            "read_amp": 3.0134881059429413,
+            "read_amp": 3.0263662602418426,
         },
         "counters": {
             "cache.hits": 4523,
@@ -435,35 +438,35 @@ E2E_FFS_SMOKE = {
             "vfs.user_bytes_read": 1908348,
             "vfs.user_bytes_written": 1908348,
             "vfs.writebacks": 6,
-            "disk.requests": 3470,
-            "disk.bytes_read": 5750784,
+            "disk.requests": 3004,
+            "disk.bytes_read": 5775360,
             "disk.bytes_written": 23740416,
             "disk.seeks": 2239,
-            "disk.sync_requests": 2772,
-            "disk.busy_sim_s": 52.41869038461519,
-            "sim.elapsed_sim_s": 57.056161744617256,
-            "disk.util": 0.9187209370872276,
+            "disk.sync_requests": 2306,
+            "disk.busy_sim_s": 50.49116923076896,
+            "sim.elapsed_sim_s": 53.936812670769555,
+            "disk.util": 0.9361170364101266,
             "cache.hit_rate": 0.8663091361808083,
             "lfs.cleaned_utilization": 0.0,
             "lfs.write_cost": 0.0,
             "lfs.space_amp": 0.0,
         },
         "images": [
-            "4aa597914f9d00e9277ce21db6b6c65a622ecfee67b1c6b9b701e79747168bb1",
+            "a680b2558a3a4d0399599e44bffdb31f290988c0d5f6d9fefcb063fd885bc7be",
         ],
     },
     "largefile": {
         "sim": {
-            "sim_ops_per_s": 71.10495191935426,
-            "sim_lat_p50_ms": 5.908335384610552,
-            "sim_lat_p99_ms": 33.70641538458585,
+            "sim_ops_per_s": 71.51054532592585,
+            "sim_lat_p50_ms": 5.908335384617658,
+            "sim_lat_p99_ms": 33.70657538459909,
             "write_amp": 0.90810546875,
-            "read_amp": 0.9362068202075834,
+            "read_amp": 0.9386361825079441,
         },
         "counters": {
-            "cache.hits": 79764,
+            "cache.hits": 79830,
             "cache.misses": 8399,
-            "cache.insertions": 21838,
+            "cache.insertions": 21837,
             "cache.evictions": 3875,
             "vfs.creates": 0,
             "vfs.removes": 0,
@@ -473,20 +476,20 @@ E2E_FFS_SMOKE = {
             "vfs.user_bytes_written": 83886080,
             "vfs.writebacks": 22,
             "disk.requests": 13846,
-            "disk.bytes_read": 110493696,
+            "disk.bytes_read": 110780416,
             "disk.bytes_written": 76177408,
             "disk.seeks": 7466,
             "disk.sync_requests": 4547,
-            "disk.busy_sim_s": 338.04270576926956,
-            "sim.elapsed_sim_s": 360.0311836091947,
-            "disk.util": 0.9389261851723568,
-            "cache.hit_rate": 0.9047332781325499,
+            "disk.busy_sim_s": 338.25304230772974,
+            "sim.elapsed_sim_s": 357.98915926765875,
+            "disk.util": 0.9448695122491884,
+            "cache.hit_rate": 0.9048045427240476,
             "lfs.cleaned_utilization": 0.0,
             "lfs.write_cost": 0.0,
             "lfs.space_amp": 0.0,
         },
         "images": [
-            "69d8661b391d382584448ac92a8da9ba3b8b4e41858b9064bbe30a27ba079530",
+            "08b354553f661eac3d841a760d6320cfddc2c2a17d5487accd03553d0e6de287",
         ],
     },
 }

@@ -26,21 +26,21 @@ POINTS = [
         write_cost=1.0404345334229677,
         segments_cleaned=192,
         live_blocks_copied=0,
-        ops_per_second=47.60116461824764,
+        ops_per_second=47.61875907612381,
     ),
     PolicyPoint(
         policy="cost-benefit",
         write_cost=1.0404345334229677,
         segments_cleaned=192,
         live_blocks_copied=0,
-        ops_per_second=47.60116461824764,
+        ops_per_second=47.61875907612381,
     ),
     PolicyPoint(
         policy="random",
         write_cost=1.0913793124230284,
         segments_cleaned=212,
         live_blocks_copied=867,
-        ops_per_second=43.85192944187635,
+        ops_per_second=43.866861012854244,
     ),
 ]
 
