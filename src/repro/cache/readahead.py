@@ -15,9 +15,12 @@ mechanism:
 * A demand is one read's uncached blocks, by disk address.  It
   continues the stream when its first block lies just past the
   previous demand's last — on the disk, or in its file — or when the
-  window served part of it.  A demand that continues the stream extends its
-  last request through the next ``window_blocks`` addresses: no seek
-  is added, only transfer.
+  window served part of it.  A demand that continues the stream
+  extends its last request through the next ``window_blocks``
+  addresses: no seek is added, only transfer.  A data block's file
+  ends the extension early where the file goes on elsewhere: what lies
+  between is other files' blocks or, in a log, dead copies, and the
+  reader is about to seek away.
 * The caller waits only for the blocks it asked for; the rest of the
   request arrives while it runs (:meth:`repro.disk.sim_disk.SimDisk.read`
   with ``demand``).  The policy keeps the in-flight window: its bytes
@@ -28,10 +31,13 @@ mechanism:
   time less the transfer of the blocks after it — and copies it into
   the cache under its own key, without a request.  Blocks read ahead
   enter the cache only when claimed, so a window costs the cache
-  nothing.
+  nothing.  A demand that the window served to its last block reads
+  the next window ahead, and does not wait for it.
 * The window is dropped when the disk takes a write that overlaps it
   (its bytes would no longer be what the request read), when caches
   are flushed, and at a crash.  A newer extended request replaces it.
+  A read-ahead that fails is dropped; only a demanded block's failure
+  reaches the reader.
 
 ``cache.readahead_hits`` counts blocks a demand read took from the
 window; ``cache.readahead_prefetched`` the blocks read ahead.
@@ -86,11 +92,12 @@ class ReadaheadPolicy:
         self._clear_window()
 
     def _clear_window(self) -> None:
-        # Blocks [_first, _last] were read ahead, as ``_data``, by a
-        # request that completes at ``_done``; those up to ``_counted``
-        # were counted as hits.
-        self._first = 0
-        self._last = -1
+        # Blocks [first, last] were read ahead, as ``_data``, by a
+        # request that completes at ``_done`` (none when last < first);
+        # those up to ``_counted`` were counted as hits.  The read path
+        # reads the bounds to skip blocks outside at no call's cost.
+        self.first = 0
+        self.last = -1
         self._counted = -1
         self._done = 0.0
         self._data: Optional[memoryview] = None
@@ -104,7 +111,7 @@ class ReadaheadPolicy:
     def claim(self, addr: int) -> Optional[Tuple[memoryview, float]]:
         """The bytes of block ``addr`` and when they arrive, if the
         window holds it; else None."""
-        if not self._first <= addr <= self._last:
+        if not self.first <= addr <= self.last:
             return None
         if addr > self._counted:
             # A block taken again, after the cache evicted it, is no
@@ -114,15 +121,11 @@ class ReadaheadPolicy:
             if self._obs_enabled:
                 self._m_hits.inc()
         bs = self._block_size
-        offset = (addr - self._first) * bs
+        offset = (addr - self.first) * bs
         return (
             self._data[offset : offset + bs],
-            self._done - self._transfer_time((self._last - addr) * bs),
+            self._done - self._transfer_time((self.last - addr) * bs),
         )
-
-    def finishes(self, addr: int) -> bool:
-        """Whether block ``addr`` is the window's last."""
-        return addr == self._last
 
     def ended(self, key: BlockKey, addr: int) -> None:
         """A demand ended with block ``key``, at ``addr``."""
@@ -138,7 +141,7 @@ class ReadaheadPolicy:
         """``data`` holds the blocks from ``first`` on, read ahead by a
         request that completes at ``done``: the new window."""
         count = len(data) // self._block_size
-        self._first, self._last = first, first + count - 1
+        self.first, self.last = first, first + count - 1
         self._counted = first - 1
         self._data, self._done = data, done
         self.stats.blocks_prefetched += count
@@ -150,8 +153,8 @@ class ReadaheadPolicy:
         drop the window if the write overlaps it."""
         spb = self._sectors_per_block
         if (
-            sector < (self._last + 1) * spb
-            and sector + count > self._first * spb
+            sector < (self.last + 1) * spb
+            and sector + count > self.first * spb
         ):
             self._clear_window()
 

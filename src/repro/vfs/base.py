@@ -308,9 +308,8 @@ class BaseFileSystem(StorageManager):
         sequential = readahead.continues(*missing[0])
         runs: List[List[int]] = []  # [index into missing, blocks]
         for index, (key, addr) in enumerate(missing):
-            claimed = readahead.claim(addr)
-            if claimed is not None:
-                view, arrival = claimed
+            if readahead.first <= addr <= readahead.last:
+                view, arrival = readahead.claim(addr)
                 disk.wait_until(arrival)
                 insert(key, bytearray(view), False, self.clock.now())
                 sequential = True
@@ -324,7 +323,7 @@ class BaseFileSystem(StorageManager):
             else:
                 runs.append([index, 1])
         key, addr = missing[-1]
-        if not runs and readahead.finishes(addr):
+        if not runs and addr == readahead.last:
             self._read_run(
                 addr + 1, 0, self._read_ahead_size(key, addr, inode), label
             )
