@@ -85,20 +85,16 @@ class ReadaheadPolicy:
         self._obs_enabled = obs.enabled
         self._m_hits = obs.counter("cache.readahead_hits")
         self._m_prefetched = obs.counter("cache.readahead_prefetched")
-        # The stream: the address after the previous demand's last
-        # block, and the key of the block after it in its file.
-        self._next = -1
-        self._next_key: Optional[BlockKey] = None
-        self._clear_window()
+        self.clear()
 
     def _clear_window(self) -> None:
         # Blocks [first, last] were read ahead, as ``_data``, by a
         # request that completes at ``_done`` (none when last < first);
-        # those up to ``_counted`` were counted as hits.  The read path
-        # reads the bounds to skip blocks outside at no call's cost.
-        self.first = 0
-        self.last = -1
-        self._counted = -1
+        # bit i of ``_claimed`` is set once block first + i was counted
+        # as a hit.
+        self._first = 0
+        self._last = -1
+        self._claimed = 0
         self._done = 0.0
         self._data: Optional[memoryview] = None
 
@@ -108,23 +104,26 @@ class ReadaheadPolicy:
         in its file."""
         return addr == self._next or key == self._next_key
 
-    def claim(self, addr: int) -> Optional[Tuple[memoryview, float]]:
-        """The bytes of block ``addr`` and when they arrive, if the
-        window holds it; else None."""
-        if not self.first <= addr <= self.last:
+    def claim(self, addr: int) -> Optional[Tuple[memoryview, float, bool]]:
+        """The bytes of block ``addr``, when they arrive, and whether it
+        is the window's last block, if the window holds it; else None."""
+        first, last = self._first, self._last
+        if not first <= addr <= last:
             return None
-        if addr > self._counted:
+        bit = 1 << (addr - first)
+        if not self._claimed & bit:
             # A block taken again, after the cache evicted it, is no
             # second hit.
-            self._counted = addr
+            self._claimed |= bit
             self.stats.hits += 1
             if self._obs_enabled:
                 self._m_hits.inc()
         bs = self._block_size
-        offset = (addr - self.first) * bs
+        offset = (addr - first) * bs
         return (
             self._data[offset : offset + bs],
-            self._done - self._transfer_time((self.last - addr) * bs),
+            self._done - self._transfer_time((last - addr) * bs),
+            addr == last,
         )
 
     def ended(self, key: BlockKey, addr: int) -> None:
@@ -141,8 +140,8 @@ class ReadaheadPolicy:
         """``data`` holds the blocks from ``first`` on, read ahead by a
         request that completes at ``done``: the new window."""
         count = len(data) // self._block_size
-        self.first, self.last = first, first + count - 1
-        self._counted = first - 1
+        self._first, self._last = first, first + count - 1
+        self._claimed = 0
         self._data, self._done = data, done
         self.stats.blocks_prefetched += count
         if self._obs_enabled:
@@ -153,14 +152,16 @@ class ReadaheadPolicy:
         drop the window if the write overlaps it."""
         spb = self._sectors_per_block
         if (
-            sector < (self.last + 1) * spb
-            and sector + count > self.first * spb
+            sector < (self._last + 1) * spb
+            and sector + count > self._first * spb
         ):
             self._clear_window()
 
     def clear(self) -> None:
         """Drop the stream and its window (caches flushed, or the
         system crashed)."""
+        # The stream: the address after the previous demand's last
+        # block, and the key of the block after it in its file.
         self._next = -1
-        self._next_key = None
+        self._next_key: Optional[BlockKey] = None
         self._clear_window()

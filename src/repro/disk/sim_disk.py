@@ -166,7 +166,7 @@ class SimDisk:
         copy: bool = False,
         demand: Optional[int] = None,
     ) -> "bytes | memoryview":
-        """Synchronously read ``count`` sectors (reads always block).
+        """Read ``count`` sectors; the caller waits for them.
 
         Returns a read-only view over the device image (zero-copy).  The
         view aliases live storage: it reflects any later write to the
@@ -177,9 +177,9 @@ class SimDisk:
         only affects accounting, not timing).  ``demand`` is how many
         leading sectors the caller waits for (all by default): the rest
         of the transfer is read ahead, and arrives while the caller
-        runs; with ``demand=0`` the caller does not wait at all.  It is
-        still one request, and the disk stays busy until the whole
-        transfer is done.
+        runs; with ``demand=0`` the caller does not wait at all, and the
+        request counts as asynchronous.  It is still one request, and
+        the disk stays busy until the whole transfer is done.
 
         Transient device errors are retried up to ``RETRY_MAX_ATTEMPTS``
         times, each retry costing an exponentially growing backoff on
@@ -217,11 +217,13 @@ class SimDisk:
                 done += backoff
                 self._busy_until = done
         self.last_read_done = done
-        self.stats.record(False, len(data), True, tier.value, done - start)
+        sync = demand != 0  # a read ahead alone keeps no caller waiting
+        self.stats.record(False, len(data), sync, tier.value, done - start)
         if self._obs_enabled:
             self._m_reads.inc()
             self._m_bytes_read.inc(len(data))
-            self._m_sync.inc()
+            if sync:
+                self._m_sync.inc()
             self._m_busy.add(done - start)
             self._m_request_bytes.observe(len(data))
             self._m_tier[tier.value].inc()
@@ -234,7 +236,7 @@ class SimDisk:
                     sector=sector,
                     nsectors=count,
                     nbytes=len(data),
-                    sync=True,
+                    sync=sync,
                     tier=tier,
                     label=label,
                 )

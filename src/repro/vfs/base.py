@@ -301,15 +301,18 @@ class BaseFileSystem(StorageManager):
         is data (see :meth:`_read_ahead_size`).
         """
         readahead = self.readahead
+        claim = readahead.claim
         disk = self.disk
         insert = self.cache.insert
         bs = self.block_size
         max_blocks = self._cluster_blocks
         sequential = readahead.continues(*missing[0])
+        ends_window = False
         runs: List[List[int]] = []  # [index into missing, blocks]
         for index, (key, addr) in enumerate(missing):
-            if readahead.first <= addr <= readahead.last:
-                view, arrival = readahead.claim(addr)
+            claimed = claim(addr)
+            if claimed is not None:
+                view, arrival, ends_window = claimed
                 disk.wait_until(arrival)
                 insert(key, bytearray(view), False, self.clock.now())
                 sequential = True
@@ -322,8 +325,8 @@ class BaseFileSystem(StorageManager):
                 runs[-1][1] += 1
             else:
                 runs.append([index, 1])
-        key, addr = missing[-1]
-        if not runs and addr == readahead.last:
+        if not runs and ends_window:
+            key, addr = missing[-1]
             self._read_run(
                 addr + 1, 0, self._read_ahead_size(key, addr, inode), label
             )

@@ -74,10 +74,13 @@ class TestSequentialDetection:
 class TestInFlightWindow:
     def test_arrival_is_done_minus_the_blocks_after(self, policy):
         data = _window(policy, 10, 6, done=10.0)
-        view, arrival = policy.claim(11)
+        view, arrival, last = policy.claim(11)
         assert bytes(view) == data[BLOCK : 2 * BLOCK]
         assert arrival == 10.0 - _transfer(4 * BLOCK)
-        assert policy.claim(15)[1] == 10.0
+        assert not last
+        _view, arrival, last = policy.claim(15)
+        assert arrival == 10.0
+        assert last
 
     def test_read_outside_the_window_waits_for_nothing(self, policy):
         _window(policy, 10, 6, done=10.0)
@@ -99,6 +102,14 @@ class TestHitAccounting:
         assert policy.stats.hits == 8
         policy.claim(12)  # taken again after an eviction: no new hit
         assert policy.stats.hits == 8
+
+    def test_blocks_claimed_out_of_order_each_count(self, policy):
+        # Files read in another order than their blocks lie.
+        _window(policy, 10, 8, done=1.0)
+        policy.claim(15)
+        policy.claim(12)
+        policy.claim(15)
+        assert policy.stats.hits == 2
 
     def test_only_blocks_found_cached_are_hits(self, policy):
         # Only blocks the window holds are hits, and only when taken.

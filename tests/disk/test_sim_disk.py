@@ -64,6 +64,18 @@ class TestSyncVsAsync:
         disk.read(0, 8)
         assert clock.now() > 0.0
 
+    def test_read_ahead_alone_is_async(self, disk, clock):
+        trace = TraceRecorder()
+        disk.trace = trace
+        disk.read(0, 16, demand=0)
+        assert clock.now() == 0.0
+        assert disk.busy_until > 0.0
+        assert disk.stats.reads == 1
+        assert disk.stats.sync_requests == 0
+        assert not trace.events[-1].sync
+        disk.read(16, 16, demand=8)  # the caller waits for part of it
+        assert disk.stats.sync_requests == 1
+
     def test_read_waits_for_queued_writes(self, disk, clock):
         disk.write(0, b"x" * 1 * MIB, sync=False)
         write_done = disk.busy_until

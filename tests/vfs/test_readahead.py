@@ -162,31 +162,51 @@ def test_an_unreadable_block_read_ahead_fails_no_healthy_read(kind):
 
 @pytest.mark.parametrize("kind", ["lfs", "ffs"])
 def test_a_read_waits_only_for_its_own_blocks(kind):
-    fs = _rig(kind).fs
+    trace = TraceRecorder()
+    fs = _rig(kind, trace=trace).fs
     nblocks = FILE_BLOCKS[kind]
     inode = _contiguous_file(fs, nblocks)
     fs.block_map.get(inode, N_DIRECT)  # the leaf: reads below are data only
     disk, bs, spb = fs.disk, fs.block_size, fs.sectors_per_block
+    transfer = disk.geometry.transfer_time
     request = 8 * KIB
+    claimed = 0
     with fs.open("/f") as handle:
         for offset in range(0, nblocks * bs, request):
             lbns = range(offset // bs, (offset + request) // bs)
-            missing = [
-                lbn for lbn in lbns
+            addrs = [
+                fs.block_map.get(inode, lbn) for lbn in lbns
                 if not fs.cache.contains(_data_key(inode, lbn))
             ]
-            # A block read ahead is waited for at most until the disk
-            # is idle; one read from the disk costs positioning and
-            # transfer on top.
-            addr = fs.block_map.get(inode, missing[0])
-            positioning_and_transfer, _tier = disk.service_time(
-                addr * spb, len(missing) * bs
-            )
-            bound = disk.queue_delay() + positioning_and_transfer
+            latest = trace.events[-1] if trace.events else None
+            if not addrs:
+                bound = 0.0
+            elif (
+                latest is not None
+                and not latest.is_write
+                and latest.sector <= addrs[0] * spb
+                and (addrs[-1] + 1) * spb <= latest.sector + latest.nsectors
+            ):
+                # Read ahead by the latest request: waited for until its
+                # last block has arrived, and no longer.
+                claimed += 1
+                after = latest.sector + latest.nsectors - (addrs[-1] + 1) * spb
+                bound = max(
+                    0.0,
+                    latest.complete_time - transfer(after * 512) - fs.clock.now(),
+                )
+            else:
+                # Read from the disk: positioning and transfer of its
+                # own blocks, once the disk is idle.
+                positioning_and_transfer, _tier = disk.service_time(
+                    addrs[0] * spb, len(addrs) * bs
+                )
+                bound = disk.queue_delay() + positioning_and_transfer
             stall = disk.sync_stall_seconds
             handle.pread(offset, request)
             assert disk.sync_stall_seconds - stall <= bound + 1e-12
     assert fs.readahead.stats.blocks_prefetched > 0
+    assert claimed >= nblocks * bs // request - 4
 
 
 class TestStreamsAreDropped:
