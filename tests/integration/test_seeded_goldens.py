@@ -196,7 +196,7 @@ E2E_SMOKE = {
             "disk.bytes_read": 3690496,
             "disk.bytes_written": 3657728,
             "disk.seeks": 51,
-            "disk.sync_requests": 80,
+            "disk.sync_requests": 45,
             "disk.busy_sim_s": 6.148774999999995,
             "sim.elapsed_sim_s": 9.7907163353849,
             "disk.util": 0.6280209526424064,
@@ -241,7 +241,7 @@ E2E_SMOKE = {
             "disk.bytes_read": 110739456,
             "disk.bytes_written": 77295616,
             "disk.seeks": 6951,
-            "disk.sync_requests": 7518,
+            "disk.sync_requests": 6921,
             "disk.busy_sim_s": 313.03520673078026,
             "sim.elapsed_sim_s": 343.4194866491021,
             "disk.util": 0.9115242987088622,
@@ -442,7 +442,7 @@ E2E_FFS_SMOKE = {
             "disk.bytes_read": 5775360,
             "disk.bytes_written": 23740416,
             "disk.seeks": 2239,
-            "disk.sync_requests": 2306,
+            "disk.sync_requests": 2232,
             "disk.busy_sim_s": 50.49116923076896,
             "sim.elapsed_sim_s": 53.936812670769555,
             "disk.util": 0.9361170364101266,
@@ -479,7 +479,7 @@ E2E_FFS_SMOKE = {
             "disk.bytes_read": 110780416,
             "disk.bytes_written": 76177408,
             "disk.seeks": 7466,
-            "disk.sync_requests": 4547,
+            "disk.sync_requests": 3287,
             "disk.busy_sim_s": 338.25304230772974,
             "sim.elapsed_sim_s": 357.98915926765875,
             "disk.util": 0.9448695122491884,
