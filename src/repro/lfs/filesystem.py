@@ -291,8 +291,7 @@ class LogStructuredFS(BaseFileSystem):
         key = block_key((0, _INODE, addr))
         block = self.cache.get(key)
         if block is None:
-            self._fetch_blocks(((key, addr),), f"inode block {addr}")
-            block = self.cache.peek(key)
+            block = self._fetch_blocks(((key, addr),), f"inode block {addr}")
         return block.payload
 
     def _load_inode_from_disk(self, inum: int) -> Inode:

@@ -22,7 +22,7 @@ from itertools import compress, count
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.cache.block_cache import BlockCache
+from repro.cache.block_cache import BlockCache, CacheBlock
 from repro.cache.readahead import ReadaheadPolicy
 from repro.cache.writeback import WritebackMonitor, WritebackReason
 from repro.common.directory import (
@@ -285,9 +285,11 @@ class BaseFileSystem(StorageManager):
         missing: Sequence[Tuple[BlockKey, int]],
         label: str,
         inode: Optional[Inode] = None,
-    ) -> None:
+    ) -> CacheBlock:
         """Cache the blocks ``missing`` (``(key, addr)``, in read order)
-        for a reader that waits for them: one demand.
+        for a reader that waits for them: one demand.  Returns the block
+        inserted last: a one-block demand's block, even when a cache
+        full of dirty blocks evicted it at once.
 
         A block the read-ahead window holds is claimed from it.  The
         others are read in disk-contiguous runs, each one request, as
@@ -314,7 +316,7 @@ class BaseFileSystem(StorageManager):
             if claimed is not None:
                 view, arrival, ends_window = claimed
                 disk.wait_until(arrival)
-                insert(key, bytearray(view), False, self.clock.now())
+                block = insert(key, bytearray(view), False, self.clock.now())
                 sequential = True
             elif (
                 runs
@@ -342,8 +344,9 @@ class BaseFileSystem(StorageManager):
             for (key, _addr), offset in zip(
                 missing[index : index + run], range(0, run * bs, bs)
             ):
-                insert(key, bytearray(raw[offset : offset + bs]), False, now)
+                block = insert(key, bytearray(raw[offset : offset + bs]), False, now)
         readahead.ended(*missing[-1])
+        return block
 
     def _read_ahead_size(
         self, key: BlockKey, addr: int, inode: Optional[Inode]

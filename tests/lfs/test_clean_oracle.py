@@ -539,10 +539,21 @@ CACHED = [
     ("sync",),
 ]
 
+# Cleaned after a flush, into a cache of 8 blocks the relocated blocks
+# fill: an inode block the cleaner reads is evicted as soon as it is
+# inserted, and its bytes are still what the read returns.
+EVICTED_INODE_BLOCK = [
+    ("write", "/a", 0, 1, 0),
+    ("write", "/a", 0, 13, 0),
+    ("write", "/b", 0, 4, 0),
+    ("flush_caches",),
+]
+
 
 @settings(max_examples=25, deadline=None)
 @example(8, RUNS)
 @example(24, CACHED)
+@example(8, EVICTED_INODE_BLOCK)
 @given(
     st.sampled_from([8, 24]),
     st.lists(steps, min_size=4, max_size=16),
