@@ -23,10 +23,11 @@ e2e-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --smoke --output /tmp/e2e_smoke.json
 	$(PYTHON) -m pytest benchmarks/e2e -q
 
-# One md5 of what a full-scale untraced pass simulated (its `sim`,
-# `counters`, `images` and `failed` keys) per workload and seed.  A
-# change meant only to make the simulator faster leaves every line as
-# it was on the parent commit.
+# One md5 of what a full-scale pass simulated (its `sim`, `counters`,
+# `images` and `failed` keys) per workload and seed: every workload
+# untraced on LFS, then the two file workloads on FFS, which shares the
+# block map and the read path.  A change meant only to make the
+# simulator faster leaves every line as it was on the parent commit.
 E2E_WORKLOADS := smallfile largefile service_clean cluster_migrate crash_recover
 E2E_DIGEST := import hashlib, json, sys; r = json.loads(sys.stdin.readlines()[-1]); \
 	print(hashlib.md5(json.dumps([r[k] for k in ("sim", "counters", "images", "failed")], \
@@ -35,6 +36,11 @@ e2e-digest:
 	@for w in $(E2E_WORKLOADS); do for s in 0 7; do \
 		printf '%-16s %s ' $$w $$s; \
 		$(PYTHON) benchmarks/e2e/workloads.py $$w $$s untraced \
+			| $(PYTHON) -c '$(E2E_DIGEST)' || exit 1; \
+	done; done
+	@for w in smallfile largefile; do for s in 0 7; do \
+		printf '%-16s %s ' $$w-ffs $$s; \
+		$(PYTHON) benchmarks/e2e/workloads.py $$w $$s ffs \
 			| $(PYTHON) -c '$(E2E_DIGEST)' || exit 1; \
 	done; done
 

@@ -271,6 +271,10 @@ class Inode:
         )
 
 
+# A walked container, as BlockMap.get_container gives it.
+Container = Tuple[Optional[List[int]], int, Tuple[BlockKey, ...]]
+
+
 class BlockMap:
     """Walks and edits the direct/indirect pointer tree of one inode.
 
@@ -392,9 +396,7 @@ class BlockMap:
         pointers, first, _keys = self.get_container(inode, lbn)
         return NIL if pointers is None else pointers[lbn - first]
 
-    def get_container(
-        self, inode: Inode, lbn: int
-    ) -> Tuple[Optional[List[int]], int, Tuple[BlockKey, ...]]:
+    def get_container(self, inode: Inode, lbn: int) -> Container:
         """The container that maps ``lbn``, walked as :meth:`get` walks
         it: its pointers (the inode's direct slots, a leaf, or None for a
         hole), the first logical block they map, and the keys the walk
@@ -417,9 +419,11 @@ class BlockMap:
         first: int,
         last: int,
         cached: Callable[[BlockKey], bool],
-    ) -> List[Tuple[int, int]]:
+    ) -> Tuple[List[Tuple[int, int]], Optional[Container]]:
         """``(lbn, addr)`` of every data block in ``[first, last]`` that
-        ``cached`` does not hold and that is not a hole.
+        ``cached`` does not hold and that is not a hole, and the
+        container of the last of them as :meth:`get_container` gives it
+        (None when there is none).
 
         The same lookups, in the same order, as asking ``cached`` and then
         :meth:`get` block by block, but with one walk per container.
@@ -430,6 +434,7 @@ class BlockMap:
         self._check_range(first, last)
         inum = inode.inum
         found: List[Tuple[int, int]] = []
+        walked: Optional[Container] = None
         lbn = first
         while lbn <= last:
             ordinal, base, end = self.container(lbn)
@@ -444,10 +449,12 @@ class BlockMap:
                     pointers, keys = self._read_leaf(inode, ordinal)
                 if pointers is not None and pointers[lbn - base] != NIL:
                     found.append((lbn, pointers[lbn - base]))
+            if found and found[-1][0] >= base:
+                walked = pointers, base, keys
             if rounds > 0 and keys:
                 self._rehit(keys, rounds)
             lbn = end + 1
-        return found
+        return found, walked
 
     def set(self, inode: Inode, lbn: int, addr: int) -> int:
         """Point ``lbn`` at ``addr``; returns the previous address.

@@ -141,18 +141,6 @@ class CleanerStats:
 class SegmentCleaner:
     """Reads fragmented segments and relocates their live blocks."""
 
-    # By name: looked up per call, so a method replaced on the class or
-    # the instance (the e2e tracer, the clean-oracle spies) is the one
-    # that runs.
-    # DATA and INODE blocks are decided and copied in two steps (see
-    # _relocate_partial); these kinds are relocated by one call each.
-    _RELOCATORS = {
-        BlockKind.INDIRECT: "_relocate_pointer",
-        BlockKind.DINDIRECT: "_relocate_pointer",
-        BlockKind.IMAP: "_relocate_imap",
-        BlockKind.SEGUSAGE: "_relocate_usage",
-    }
-
     def __init__(
         self,
         fs: "LogStructuredFS",
@@ -510,12 +498,6 @@ class SegmentCleaner:
         fs.cpu.cleaner_blocks(nentries)
         head = first_block + first  # the address of entries[0]
         container = fs.block_map.container
-        # Bound by name once per partial segment: a method replaced on
-        # the class or the instance (the e2e tracer, the clean-oracle
-        # spies) is the one that runs.
-        relocators = {
-            kind: getattr(self, name) for kind, name in self._RELOCATORS.items()
-        }
         live_data, copy_data = self._live_data, self._copy_data
         live_slots, copy_inodes = self._live_slots, self._copy_inodes
         uncached, inodes = self._uncached, fs._inodes
@@ -568,8 +550,14 @@ class SegmentCleaner:
                 if found:
                     copy_inodes(found, addr, image)
                     live += 1
+            elif kind in (BlockKind.INDIRECT, BlockKind.DINDIRECT):
+                live += self._relocate_pointer(entries[position], addr)
+            elif kind is BlockKind.IMAP:
+                live += self._relocate_imap(entries[position], addr)
+            elif kind is BlockKind.SEGUSAGE:
+                live += self._relocate_usage(entries[position], addr)
             else:
-                live += relocators[kind](entries[position], addr)
+                raise ValueError(f"no relocation for {kind!r} block at {addr}")
         return live
 
     def _file_is_current(self, entry: SummaryEntry) -> bool:

@@ -34,6 +34,7 @@ from repro.common.inode import (
     BlockKey,
     BlockKind,
     BlockMap,
+    Container,
     FileType,
     Inode,
     NIL,
@@ -285,6 +286,7 @@ class BaseFileSystem(StorageManager):
         missing: Sequence[Tuple[BlockKey, int]],
         label: str,
         inode: Optional[Inode] = None,
+        container: Optional[Container] = None,
     ) -> CacheBlock:
         """Cache the blocks ``missing`` (``(key, addr)``, in read order)
         for a reader that waits for them: one demand.  Returns the block
@@ -300,7 +302,10 @@ class BaseFileSystem(StorageManager):
         which arrive while the reader runs; a demand the window served
         to its last block reads the next window ahead without waiting
         for it.  ``inode`` is the file whose data ``missing`` is, if it
-        is data (see :meth:`_read_ahead_size`).
+        is data, and ``container`` the pointers that map its last block
+        (:meth:`BlockMap.get_missing`): the request then also stops
+        where the file jumps within ``container``, unless the file ends
+        first.
         """
         readahead = self.readahead
         claim = readahead.claim
@@ -327,19 +332,29 @@ class BaseFileSystem(StorageManager):
                 runs[-1][1] += 1
             else:
                 runs.append([index, 1])
-        if not runs and ends_window:
-            key, addr = missing[-1]
-            self._read_run(
-                addr + 1, 0, self._read_ahead_size(key, addr, inode), label
-            )
+        if ends_window and not runs:
+            runs.append([len(missing), 0])  # only the next window
         for index, run in runs:
-            addr = missing[index][1]
+            key, last = missing[index + run - 1]
             ahead = 0
             if sequential and index == runs[-1][0]:
-                ahead = self._read_ahead_size(
-                    missing[index + run - 1][0], addr + run - 1, inode
-                )
-            raw = self._read_run(addr, run, ahead, label)
+                ahead = readahead.ahead(last)
+                if ahead and inode is not None:
+                    pointers, base, keys = container
+                    lbn, after = key.index, key.index + 1
+                    final = inode.nblocks(bs) - 1
+                    # A run before the container in hand is not extended:
+                    # the window served the demand's blocks after it.
+                    if base <= lbn:
+                        self.cache.rehit(keys, 1)  # sizing counts as a walk
+                        stop = min(lbn + ahead, final, base + len(pointers) - 1)
+                        while after <= stop and (
+                            pointers[after - base] == last + after - lbn
+                        ):
+                            after += 1
+                    if after <= final:
+                        ahead = after - lbn - 1
+            raw = self._read_run(last + 1 - run, run, ahead, label)
             now = self.clock.now()
             for (key, _addr), offset in zip(
                 missing[index : index + run], range(0, run * bs, bs)
@@ -347,33 +362,6 @@ class BaseFileSystem(StorageManager):
                 block = insert(key, bytearray(raw[offset : offset + bs]), False, now)
         readahead.ended(*missing[-1])
         return block
-
-    def _read_ahead_size(
-        self, key: BlockKey, addr: int, inode: Optional[Inode]
-    ) -> int:
-        """How many blocks past ``addr``, where block ``key`` lies, a
-        request may read ahead.
-
-        The window, up to the end of the disk.  A file's data block
-        also stops it where the file jumps: its next blocks count while
-        each lies right after the one before, within ``key``'s pointer
-        container, and the whole window once the file ends.  The blocks
-        a file skips are other files' or, in a log, dead copies, and
-        its reader is about to seek away.
-        """
-        ahead = self.readahead.ahead(addr)
-        if inode is None or not ahead:
-            return ahead
-        lbn = key.index
-        final = inode.nblocks(self.block_size) - 1
-        pointers, base, _keys = self.block_map.get_container(inode, lbn)
-        stop = min(lbn + ahead, final, base + len(pointers) - 1)
-        for count, pointer in enumerate(
-            pointers[lbn + 1 - base : stop + 1 - base], 1
-        ):
-            if pointer != addr + count:
-                return count - 1
-        return ahead if stop == final else stop - lbn
 
     def _read_run(
         self, addr: int, run: int, ahead: int, label: str
@@ -415,7 +403,7 @@ class BaseFileSystem(StorageManager):
         bs = self.block_size
         first, last = offset // bs, (end - 1) // bs
         inum = inode.inum
-        missing = self.block_map.get_missing(
+        missing, container = self.block_map.get_missing(
             inode, first, last, self.cache.contains
         )
         if missing:
@@ -423,6 +411,7 @@ class BaseFileSystem(StorageManager):
                 [(block_key((inum, _DATA, lbn)), addr) for lbn, addr in missing],
                 f"data:{inum}",
                 inode,
+                container,
             )
         # Data payloads are whole blocks; each is copied once, by join.
         get = self.cache.get

@@ -492,7 +492,7 @@ def spy_on_reads(fs):
 
         return spy
 
-    for name in set(cleaner._RELOCATORS.values()):
+    for name in ("_relocate_pointer", "_relocate_imap", "_relocate_usage"):
         setattr(cleaner, name, spy_relocator(getattr(cleaner, name)))
     cleaner._clean_pass = spy_clean_pass
     cleaner._relocate_live_blocks = spy_relocate_segment

@@ -233,16 +233,42 @@ def test_pread_of_uncached_blocks_walks_once():
     fs = make_lfs(total_bytes=64 * MIB)
     with fs.create("/run") as handle:
         handle.pwrite(N_DIRECT * BS, b"p" * (40 * BS))
+    with fs.create("/deep") as handle:
+        handle.pwrite((N_DIRECT + PPB) * BS, b"d" * (40 * BS))
     fs.flush_caches()
     fs.stat("/run")  # directory and inode back in memory
     loads = _count_walk_loads(fs)
     lookups = fs.cache.stats.lookups
     with fs.open("/run") as handle:
         assert handle.pread((N_DIRECT + 8) * BS, 16 * BS) == b"p" * (16 * BS)
-    assert loads == [BlockKey(fs.stat("/run").inum, BlockKind.INDIRECT, 0)]
+    leaf = BlockKey(fs.stat("/run").inum, BlockKind.INDIRECT, 0)
+    assert loads == [leaf]
     # Per block: the leaf lookup its own walk would have made (the first
     # a miss that reads the leaf), and the lookup that assembles it.
     assert fs.cache.stats.lookups - lookups == 16 + 16
+
+    # The next demand continues the stream, so it is read ahead, and the
+    # window is sized from the container that demand's walk reached.
+    inum = fs.stat("/deep").inum
+    deep = [
+        BlockKey(inum, BlockKind.DINDIRECT, 0),
+        BlockKey(inum, BlockKind.INDIRECT, 1),
+    ]
+    for path, first, fill, walk in (
+        ("/run", N_DIRECT + 8, b"p", [leaf]),
+        ("/deep", N_DIRECT + PPB, b"d", deep),
+    ):
+        with fs.open(path) as handle:
+            handle.pread(first * BS, 16 * BS)  # the pointer blocks cached
+            del loads[:]
+            lookups = fs.cache.stats.lookups
+            prefetched = fs.readahead.stats.blocks_prefetched
+            assert handle.pread((first + 16) * BS, 16 * BS) == fill * (16 * BS)
+        assert fs.readahead.stats.blocks_prefetched > prefetched
+        assert loads == walk  # each level loaded once
+        # Per block a lookup per level and one to assemble it; sizing the
+        # window looks each level up once more.
+        assert fs.cache.stats.lookups - lookups == len(walk) * (16 + 1) + 16
 
 
 # ----------------------------------------------------------------------

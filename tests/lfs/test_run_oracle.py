@@ -55,13 +55,17 @@ def per_block(fs):
         return plan
 
     def missing_one_at_a_time(inode, first, last, cached):
-        found = []
+        # get_container makes the lookups of get, and returns the
+        # container that get_missing hands back with its last block.
+        found, walked = [], None
         for lbn in range(first, last + 1):
             if not cached(BlockKey(inode.inum, BlockKind.DATA, lbn)):
-                addr = block_map.get(inode, lbn)
-                if addr != NIL:
-                    found.append((lbn, addr))
-        return found
+                container = block_map.get_container(inode, lbn)
+                pointers, base, _keys = container
+                if pointers is not None and pointers[lbn - base] != NIL:
+                    found.append((lbn, pointers[lbn - base]))
+                    walked = container
+        return found, walked
 
     fs._build_plan = single_block_runs
     block_map.get_missing = missing_one_at_a_time

@@ -160,6 +160,37 @@ def test_an_unreadable_block_read_ahead_fails_no_healthy_read(kind):
         assert handle.pread(9 * bs, bs) == data[9 * bs : 10 * bs]
 
 
+def test_a_run_before_blocks_the_window_served_is_not_extended():
+    """A demand whose last block, under the next pointer container, is
+    claimed from the window, while the block before it is read from the
+    disk: that request reads nothing ahead, and sizing it looks nothing
+    up."""
+    fs = _rig("lfs").fs
+    bs = fs.block_size
+    fs.write_file("/x", b"")  # the lower inode number: logged first
+    fs.write_file("/y", b"y" * (N_DIRECT * bs))
+    fs.sync()
+    fs.write_file("/x", b"x" * (4 * bs))
+    with fs.open("/y") as handle:
+        handle.pwrite(N_DIRECT * bs, b"z" * bs)  # logged right after /x
+    fs.sync()
+    fs.flush_caches()
+    with fs.open("/x") as handle:
+        handle.pread(0, 2 * bs)
+        handle.pread(2 * bs, 2 * bs)  # continues: reads ahead into /y
+    stats = fs.readahead.stats
+    assert stats.blocks_prefetched > 0
+    prefetched, claimed = stats.blocks_prefetched, stats.hits
+    with fs.open("/y") as handle:
+        hits = fs.cache.stats.hits
+        assert handle.pread((N_DIRECT - 1) * bs, 2 * bs) == b"y" * bs + b"z" * bs
+        # The two lookups that assemble the read; the walk to block
+        # N_DIRECT read its leaf from the disk, a miss.
+        assert fs.cache.stats.hits - hits == 2
+    assert stats.hits == claimed + 1
+    assert stats.blocks_prefetched == prefetched
+
+
 @pytest.mark.parametrize("kind", ["lfs", "ffs"])
 def test_a_read_waits_only_for_its_own_blocks(kind):
     trace = TraceRecorder()
