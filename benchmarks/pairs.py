@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -80,6 +81,10 @@ def summary(values: List[float]) -> str:
     )
 
 
+def _exit(signum: int, _frame: Any) -> None:
+    raise SystemExit(128 + signum)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", help="the revision to compare against")
@@ -89,18 +94,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
+    # A SIGTERM unwinds like an exit, so that the finally below removes
+    # the worktree and the scratch directory (and run_side's subprocess
+    # call kills the child it waits for).
+    signal.signal(signal.SIGTERM, _exit)
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     checkout = scratch / "parent"
-    subprocess.run(
-        ["git", "worktree", "add", "--quiet", "--detach", str(checkout),
-         args.parent],
-        cwd=ROOT, check=True,
-    )
     values: Dict[str, List[float]] = {"parent": [], "change": []}
     host = {side: {name: [] for name in HOST_METRICS} for side in values}
     wins = 0
     bad: List[str] = []
     try:
+        subprocess.run(
+            ["git", "worktree", "add", "--quiet", "--detach", str(checkout),
+             args.parent],
+            cwd=ROOT, check=True,
+        )
         for pair in range(args.pairs):
             sides = [("change", ROOT), ("parent", checkout)]
             if pair % 2:
@@ -130,8 +139,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 flush=True,
             )
     finally:
+        # Forced twice: a `worktree add` cut short leaves its worktree
+        # locked, and one --force keeps a locked worktree.
         subprocess.run(
-            ["git", "worktree", "remove", "--force", str(checkout)],
+            ["git", "worktree", "remove", "--force", "--force", str(checkout)],
             cwd=ROOT, check=False,
         )
         subprocess.run(["git", "worktree", "prune"], cwd=ROOT, check=False)

@@ -20,21 +20,21 @@ from repro.faults.campaign import (
 from repro.faults.chaos import (
     ChaosReport,
     ChaosTrialResult,
-    DurabilityLedger,
     run_chaos_campaign,
     run_chaos_trial,
 )
 from repro.faults.device import FaultyDevice
 from repro.faults.injector import FaultConfig, FaultInjector
+from repro.faults.model import ModelFS
 
 __all__ = [
     "CampaignReport",
     "ChaosReport",
     "ChaosTrialResult",
-    "DurabilityLedger",
     "FaultConfig",
     "FaultInjector",
     "FaultyDevice",
+    "ModelFS",
     "TrialResult",
     "run_campaign",
     "run_chaos_campaign",

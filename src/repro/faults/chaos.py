@@ -7,24 +7,12 @@ RequestScheduler` + :class:`~repro.service.admission.AdmissionController`
 at adversarial instants, then remounts, rolls forward, and resumes the
 surviving streams against the recovered image.
 
-The teeth are the **durability contract**, checked by
-:class:`DurabilityLedger` after every crash+remount:
-
-* every byte a client was *acked* for (an fsync completion) is readable
-  and intact — acked state can never move backwards past the last
-  group-commit barrier;
-* every un-acked in-flight mutation is either fully present or fully
-  absent — the recovered content of each file must be *exactly* one of
-  the whole-mutation states the clients produced, never a torn hybrid.
-
-The ledger is a shadow model: it never reads the file system while the
-rig runs (that would perturb the simulation), it just mirrors every
-mutation the scheduler performs and advances a per-file durable floor at
-each successful ``fsync_many`` (flush + drain = everything durable).
-This is sound because the VFS write path inserts a whole mutation into
-the cache *before* any write-back can run, and roll-forward replays only
-complete flushes — so a recovered file is always some whole-mutation
-state at least as new as its floor.
+The teeth are the **durability contract**, checked against a
+:class:`~repro.faults.model.ModelFS` after every crash+remount: every
+byte a client was acked for survives, and every un-acked in-flight
+mutation is fully present or fully absent.  The scheduler mirrors each
+mutation into the model and the group committer raises its durable
+floors at each successful ``fsync_many``.
 
 The crash itself is a :class:`CrashPlan` armed on the named crash
 points of :mod:`repro.sim.crashpoints`; the trial runs on the runner it
@@ -33,18 +21,17 @@ shares with crashtest (:mod:`repro.faults.campaign`).
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.errors import FileNotFoundError_
 from repro.faults.campaign import (
     SeededTrial,
     fault_lines,
     run_in_order,
 )
 from repro.faults.injector import FaultConfig
+from repro.faults.model import ModelFS
 from repro.lfs.filesystem import LogStructuredFS
 from repro.lfs.verify import verify_lfs
 from repro.obs import NULL_TELEMETRY, Telemetry
@@ -71,10 +58,6 @@ serviceable capacity."""
 _TORN_PROBS = (0.0, 0.5, 1.0)
 _TRANSIENT_PROBS = (0.0, 0.0, 0.01)
 
-_ABSENT = "absent"
-"""Ledger state marker for "this path does not resolve"."""
-
-
 class CrashSignal(Exception):
     """Raised by an armed :class:`CrashPlan` at the chosen instant.
 
@@ -84,188 +67,6 @@ class CrashSignal(Exception):
     device.  (In-memory state left mid-operation does not matter — the
     crash discards all of it; only the device image survives.)
     """
-
-
-# ----------------------------------------------------------------------
-# The durability-contract ledger
-# ----------------------------------------------------------------------
-
-
-def _digest(data: bytes) -> str:
-    return hashlib.sha1(data).hexdigest()
-
-
-@dataclass
-class AckRecord:
-    """One client-acked fsync: what the ack promised, and when."""
-
-    path: str
-    inum: int
-    state_index: int
-    ack_time: float
-    trace_root: Optional[int]
-
-
-@dataclass
-class _FileRecord:
-    """Shadow state of one client file: every whole-mutation state."""
-
-    path: str
-    inum: int = -1
-    shadow: bytearray = field(default_factory=bytearray)
-    states: List[str] = field(default_factory=lambda: [_ABSENT])
-    sizes: List[int] = field(default_factory=lambda: [0])
-    floor: int = 0
-
-    @property
-    def last_index(self) -> int:
-        return len(self.states) - 1
-
-    def push(self, state: str, size: int) -> None:
-        self.states.append(state)
-        self.sizes.append(size)
-
-
-class DurabilityLedger:
-    """Records client-visible mutations and proves they survive crashes.
-
-    The scheduler notes every create / write / unlink *as the cache
-    mutation lands*; the committer's ``on_durable`` hook advances every
-    file's durable floor at each successful group commit; acked fsyncs
-    are recorded with their trace roots so a violation can name the
-    request that was lied to.
-    """
-
-    def __init__(self) -> None:
-        self.records: Dict[str, _FileRecord] = {}
-        self.acks: List[AckRecord] = []
-        self.barriers = 0
-        self.checks = 0
-
-    # -- mutation hooks (called by the scheduler) ----------------------
-
-    def _record(self, path: str) -> _FileRecord:
-        record = self.records.get(path)
-        if record is None:
-            record = _FileRecord(path=path)
-            self.records[path] = record
-        return record
-
-    def note_create(self, path: str, inum: int) -> None:
-        record = self._record(path)
-        record.inum = inum
-        record.shadow = bytearray()
-        record.push(_digest(b""), 0)
-
-    def note_write(self, path: str, offset: int, data: bytes) -> None:
-        record = self._record(path)
-        shadow = record.shadow
-        end = offset + len(data)
-        if end > len(shadow):
-            shadow.extend(b"\x00" * (end - len(shadow)))
-        shadow[offset:end] = data
-        record.push(_digest(bytes(shadow)), len(shadow))
-
-    def note_unlink(self, path: str) -> None:
-        record = self._record(path)
-        record.shadow = bytearray()
-        record.push(_ABSENT, 0)
-
-    # -- durability hooks ----------------------------------------------
-
-    def note_barrier(self) -> None:
-        """A group commit's flush + drain completed: everything written
-        so far is durable, so no file may ever be observed older than
-        its current state again."""
-        self.barriers += 1
-        for record in self.records.values():
-            record.floor = record.last_index
-
-    def note_ack(
-        self, path: str, inum: int, now: float, ctx=None
-    ) -> None:
-        record = self._record(path)
-        self.acks.append(
-            AckRecord(
-                path=path,
-                inum=inum,
-                state_index=record.last_index,
-                ack_time=now,
-                trace_root=getattr(ctx, "root_id", None),
-            )
-        )
-
-    # -- the contract check --------------------------------------------
-
-    def _observe(self, fs: LogStructuredFS, path: str):
-        """Return (state, size) of ``path`` on the (recovered) fs."""
-        try:
-            data = fs.read_file(path)
-        except FileNotFoundError_:
-            return _ABSENT, 0
-        return _digest(bytes(data)), len(data)
-
-    def check(
-        self, fs: LogStructuredFS, require_latest: bool = False
-    ) -> List[str]:
-        """Prove every tracked file honors the durability contract.
-
-        Post-crash (``require_latest=False``): the observed content must
-        be exactly one recorded whole-mutation state with index >= the
-        durable floor.  End-of-trial (``require_latest=True``): it must
-        be exactly the *latest* state.  Returns one violation string per
-        broken file — empty means the contract held.
-        """
-        violations: List[str] = []
-        for path in sorted(self.records):
-            record = self.records[path]
-            self.checks += 1
-            observed, size = self._observe(fs, path)
-            if require_latest:
-                admissible = range(record.last_index, record.last_index + 1)
-            else:
-                admissible = range(record.floor, record.last_index + 1)
-            if any(record.states[i] == observed for i in admissible):
-                continue
-            acks = [a for a in self.acks if a.path == path]
-            last_ack = acks[-1] if acks else None
-            wanted = (
-                f"state {record.last_index}"
-                if require_latest
-                else f"states [{record.floor}..{record.last_index}]"
-            )
-            violations.append(
-                f"{path}: observed {observed[:12]}/{size}B matches none of "
-                f"{wanted} "
-                f"({len(record.states)} recorded, floor {record.floor}, "
-                f"{len(acks)} acks"
-                + (
-                    f", last ack state {last_ack.state_index} at "
-                    f"t={last_ack.ack_time:.6f} "
-                    f"trace_root={last_ack.trace_root}"
-                    if last_ack
-                    else ""
-                )
-                + ")"
-            )
-        return violations
-
-    def reconcile(self, fs: LogStructuredFS) -> None:
-        """Collapse each record to the recovered truth after a remount.
-
-        The recovered state was just proven admissible by :meth:`check`
-        and the mount made it durable, so the history restarts there
-        with the floor at zero.
-        """
-        for record in self.records.values():
-            observed, size = self._observe(fs, record.path)
-            if observed == _ABSENT:
-                record.shadow = bytearray()
-            else:
-                record.shadow = bytearray(fs.read_file(record.path))
-            record.states = [observed]
-            record.sizes = [size]
-            record.floor = 0
 
 
 # ----------------------------------------------------------------------
@@ -546,9 +347,9 @@ def _execute_chaos_trial(
     fs = seeded.boot(device_bytes, SERVICE_LFS_CONFIG, service_config).fs
     prefill(fs, service_config)
 
-    ledger = DurabilityLedger()
+    model = ModelFS()
     scheduler = RequestScheduler(
-        fs, service_config, telemetry=telemetry, ledger=ledger
+        fs, service_config, telemetry=telemetry, model=model
     )
     plan = CrashPlan(result.instant, seeded.rng, fs)
     crashed = False
@@ -559,15 +360,15 @@ def _execute_chaos_trial(
             crashed = True
     result.fired = plan.fired
     result.crash_detail = plan.fired_detail
-    result.acked_fsyncs = len(ledger.acks)
+    result.acked_fsyncs = len(model.acks)
 
     live = fs
     if crashed:
         obs.counter("chaos.crashes_injected").inc()
         live = seeded.crash_and_remount()
-        violations = ledger.check(live)
-        result.checks = ledger.checks
-        obs.counter("chaos.contract_checks").inc(ledger.checks)
+        violations = model.check(live)
+        result.checks = model.checks
+        obs.counter("chaos.contract_checks").inc(model.checks)
         if violations:
             result.violations = violations
             result.outcome = "violated"
@@ -576,7 +377,7 @@ def _execute_chaos_trial(
                 f"{result.crash_detail}"
             )
             return
-        ledger.reconcile(live)
+        model.reconcile(live)
         result.resumed_clients = _reconcile_clients(live, scheduler.clients)
         obs.counter("chaos.resumed_clients").inc(result.resumed_clients)
         resumed = RequestScheduler(
@@ -584,16 +385,16 @@ def _execute_chaos_trial(
             service_config,
             telemetry=telemetry,
             clients=scheduler.clients,
-            ledger=ledger,
+            model=model,
         )
         resumed.run()
         result.degraded = live.degraded
 
-    result.acked_fsyncs = len(ledger.acks)
+    result.acked_fsyncs = len(model.acks)
     # End-of-trial: with the rig quiesced every file must read back as
     # exactly its latest state (served from cache if not yet flushed).
-    final = ledger.check(live, require_latest=True)
-    result.checks = ledger.checks
+    final = model.check(live, require_latest=True)
+    result.checks = model.checks
     if final:
         result.violations = final
         result.outcome = "violated"

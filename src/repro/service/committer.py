@@ -54,8 +54,8 @@ class GroupCommitter:
         self.commits = 0
         # Durability-barrier hook: called after every *successful*
         # fsync_many (flush + drain), i.e. at the instant everything
-        # written so far became durable.  The chaos campaign's ledger
-        # advances its durable floors here.
+        # written so far became durable.  The chaos campaign's ModelFS
+        # raises its durable floors here.
         self.on_durable: Optional[Callable[[], None]] = None
         self.telemetry = telemetry or NULL_TELEMETRY
         self._probe = StallProbe(fs)

@@ -164,17 +164,17 @@ class RequestScheduler:
         config: ServiceConfig,
         telemetry: Optional[Telemetry] = None,
         clients: Optional[List[ClientStream]] = None,
-        ledger=None,
+        model=None,
         ready: Optional[Deque[Callable[[], None]]] = None,
     ) -> None:
         """``clients`` resumes existing streams (rng, issued/completed
         counts and working sets intact) against ``fs`` — the chaos
         campaign uses this to continue surviving clients on a recovered
-        image.  ``ledger`` is an optional durability-contract recorder
-        (see :class:`repro.faults.chaos.DurabilityLedger`) notified of
-        every mutation, every group commit made durable (the
-        committer's ``on_durable`` hook) and every client-visible fsync
-        ack.  ``ready``
+        image.  ``model`` is an optional
+        :class:`repro.faults.model.ModelFS` told of every mutation,
+        every group commit made durable (the committer's
+        ``on_durable`` hook) and every client-visible fsync ack.
+        ``ready``
         lets several schedulers on one clock share a single event queue
         (a cluster migration group drives a source and a target shard in
         one loop)."""
@@ -184,15 +184,15 @@ class RequestScheduler:
         self.stats = ServiceStats()
         self.telemetry = telemetry or NULL_TELEMETRY
         self.tracing = RequestTracer(self.telemetry, fs)
-        self.ledger = ledger
+        self.model = model
         self.admission = AdmissionController(
             fs, config, self.stats, telemetry=self.telemetry
         )
         self.committer = GroupCommitter(
             fs, self.stats, self._enqueue, telemetry=self.telemetry
         )
-        if ledger is not None:
-            self.committer.on_durable = ledger.note_barrier
+        if model is not None:
+            self.committer.on_durable = model.barrier
         self.clients = (
             clients
             if clients is not None
@@ -395,10 +395,10 @@ class RequestScheduler:
                 try:
                     self.fs.unlink(path)
                 finally:
-                    # Same finally-note rationale as _do_write: an
+                    # The same rationale as in _do_write: an
                     # escaping NoSpaceError/crash fires post-mutation.
-                    if self.ledger is not None:
-                        self.ledger.note_unlink(path)
+                    if self.model is not None:
+                        self.model.unlink(path)
                 client.files.remove(path)
                 if client.last_written == path:
                     client.last_written = None
@@ -424,11 +424,11 @@ class RequestScheduler:
         self._complete(request)
 
     def _do_write(self, client: ClientStream) -> None:
-        # Ledger notes are taken in ``finally`` blocks on purpose: the
+        # The model is told in ``finally`` blocks on purpose: the
         # whole mutation enters the cache before any write-back runs, so
         # every exception that can escape these calls (NoSpaceError from
         # the flush, an injected crash) fires *after* the client-visible
-        # state changed — the mutation must be on the books either way.
+        # state changed — the model must have the mutation either way.
         data = client.write_payload()
         create = len(client.files) < MIN_FILES_PER_CLIENT or (
             len(client.files) < MAX_FILES_PER_CLIENT
@@ -437,14 +437,14 @@ class RequestScheduler:
         if create:
             path = client.new_path()
             handle = self.fs.create(path)
-            if self.ledger is not None:
-                self.ledger.note_create(path, handle.inum)
+            if self.model is not None:
+                self.model.create(path)
             with handle:
                 try:
                     handle.write(data)
                 finally:
-                    if self.ledger is not None:
-                        self.ledger.note_write(path, 0, data)
+                    if self.model is not None:
+                        self.model.write(path, 0, data)
             client.files.append(path)
         else:
             path = client.pick_file()
@@ -455,16 +455,14 @@ class RequestScheduler:
                 try:
                     handle.pwrite(offset, data)
                 finally:
-                    if self.ledger is not None:
-                        self.ledger.note_write(path, offset, data)
+                    if self.model is not None:
+                        self.model.write(path, offset, data)
         client.last_written = path
 
     def _finish_fsync(self, request: Request, handle) -> None:
         request.ctx.activate()
-        if self.ledger is not None:
-            self.ledger.note_ack(
-                handle.path, handle.inum, self.clock.now(), request.ctx
-            )
+        if self.model is not None:
+            self.model.ack(handle.path, self.clock.now(), request.ctx)
         handle.close()
         self._complete(request)
 

@@ -313,6 +313,7 @@ def _check_recovery_broad_except(
 
 _CHAOS_TYPED_FILES = (
     "repro/faults/chaos.py",
+    "repro/faults/model.py",
     "repro/service/scheduler.py",
 )
 """Crash-under-load modules where every caught exception must be typed.
@@ -322,7 +323,8 @@ the scheduler loop via anything but a typed error or the deliberate
 :class:`~repro.faults.chaos.CrashSignal`.  A blanket ``except
 Exception`` in the scheduler would absorb the injected crash (or a real
 defect) and report a clean trial; in the chaos driver it would mask a
-checker bug as a passing campaign.  The one legitimate campaign-level
+checker bug as a passing campaign, and in the model's reads of the
+recovered file system it would hide a violation.  The one legitimate campaign-level
 outcome classifier carries an explicit ``# noqa: FAULT002``."""
 
 

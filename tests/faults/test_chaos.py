@@ -1,4 +1,4 @@
-"""Crash-under-load chaos campaign and durability-contract checker."""
+"""Crash-under-load chaos campaign."""
 
 from repro.faults.chaos import (
     INSTANTS,
@@ -6,7 +6,6 @@ from repro.faults.chaos import (
     ChaosTrialResult,
     CrashPlan,
     CrashSignal,
-    DurabilityLedger,
     run_chaos_campaign,
     run_chaos_trial,
 )
@@ -20,97 +19,6 @@ from repro.units import MIB
 # Small-but-real campaign shape used across this module: fast enough
 # for tier-1, large enough that every instant actually fires.
 SMALL = dict(clients=4, requests_per_client=40)
-
-
-class TestDurabilityLedger:
-    def test_create_write_unlink_history(self):
-        ledger = DurabilityLedger()
-        ledger.note_create("/f", 7)
-        ledger.note_write("/f", 0, b"hello")
-        ledger.note_write("/f", 5, b" world")
-        ledger.note_unlink("/f")
-        record = ledger.records["/f"]
-        # absent -> empty -> "hello" -> "hello world" -> absent
-        assert len(record.states) == 5
-        assert record.sizes == [0, 0, 5, 11, 0]
-        assert record.states[-1] == "absent"
-
-    def test_sparse_write_zero_fills_the_gap(self):
-        ledger = DurabilityLedger()
-        ledger.note_create("/f", 1)
-        ledger.note_write("/f", 4, b"xy")
-        record = ledger.records["/f"]
-        assert bytes(record.shadow) == b"\x00\x00\x00\x00xy"
-
-    def test_barrier_advances_every_floor(self):
-        ledger = DurabilityLedger()
-        ledger.note_create("/a", 1)
-        ledger.note_write("/a", 0, b"one")
-        ledger.note_create("/b", 2)
-        ledger.note_barrier()
-        assert ledger.barriers == 1
-        for record in ledger.records.values():
-            assert record.floor == record.last_index
-        ledger.note_write("/a", 0, b"two")
-        assert ledger.records["/a"].floor == ledger.records["/a"].last_index - 1
-
-    def test_ack_records_state_index_and_trace_root(self):
-        ctx = type("Ctx", (), {"root_id": 42})()
-        ledger = DurabilityLedger()
-        ledger.note_create("/f", 3)
-        ledger.note_write("/f", 0, b"data")
-        ledger.note_ack("/f", 3, 1.5, ctx)
-        (ack,) = ledger.acks
-        assert ack.state_index == ledger.records["/f"].last_index
-        assert ack.trace_root == 42
-        assert ack.ack_time == 1.5
-
-    def test_check_accepts_any_state_at_or_above_floor(self):
-        fs = make_lfs(total_bytes=8 * MIB)
-        ledger = DurabilityLedger()
-        handle = fs.create("/f")
-        ledger.note_create("/f", handle.inum)
-        with handle:
-            handle.write(b"v1")
-        ledger.note_write("/f", 0, b"v1")
-        # Ledger moves ahead of the fs: the recorded v2 never lands.
-        ledger.note_write("/f", 0, b"v2")
-        assert ledger.check(fs) == []  # v1 is >= floor 0: admissible
-        violations = ledger.check(fs, require_latest=True)
-        assert len(violations) == 1
-        assert "/f" in violations[0]
-        fs.unmount()
-
-    def test_check_rejects_state_below_the_floor(self):
-        fs = make_lfs(total_bytes=8 * MIB)
-        ledger = DurabilityLedger()
-        handle = fs.create("/f")
-        ledger.note_create("/f", handle.inum)
-        with handle:
-            handle.write(b"old")
-        ledger.note_write("/f", 0, b"old")
-        ledger.note_write("/f", 0, b"new")
-        ledger.note_barrier()  # "new" is now promised durable
-        violations = ledger.check(fs)  # fs still holds "old"
-        assert len(violations) == 1
-        assert "floor" in violations[0]
-        fs.unmount()
-
-    def test_reconcile_restarts_history_at_observed_state(self):
-        fs = make_lfs(total_bytes=8 * MIB)
-        ledger = DurabilityLedger()
-        handle = fs.create("/f")
-        ledger.note_create("/f", handle.inum)
-        with handle:
-            handle.write(b"kept")
-        ledger.note_write("/f", 0, b"kept")
-        ledger.note_write("/f", 0, b"lost")
-        ledger.note_create("/gone", 99)  # never reached the fs
-        ledger.reconcile(fs)
-        assert ledger.check(fs, require_latest=True) == []
-        assert ledger.records["/gone"].states == ["absent"]
-        assert ledger.records["/f"].floor == 0
-        fs.unmount()
 
 
 class TestCrashPlan:

@@ -1,29 +1,19 @@
 """Both storage managers must expose identical file semantics.
 
 A deterministic pseudo-random operation stream is applied to LFS, FFS
-and an in-memory model; afterwards (and after remount) all three must
-agree on the namespace and every file's contents.
+and a :class:`~repro.faults.model.ModelFS`; afterwards (and after
+remount) all three must agree on the namespace and every file's
+contents.
 """
 
 import random
 
 import pytest
 
+from repro.faults.model import ModelFS
 from repro.ffs.filesystem import FastFileSystem
 from repro.lfs.filesystem import LogStructuredFS
 from tests.conftest import small_ffs_config, small_lfs_config
-
-
-class ModelFs:
-    """Dictionary model of a file system namespace."""
-
-    def __init__(self):
-        self.files = {}  # path -> bytes
-        self.dirs = {"/"}
-
-    def parent_ok(self, path):
-        parent = path.rsplit("/", 1)[0] or "/"
-        return parent in self.dirs
 
 
 def apply_ops(fs, model, seed, n_ops=300):
@@ -32,80 +22,75 @@ def apply_ops(fs, model, seed, n_ops=300):
         op = rng.choice(
             ["create", "write", "append", "delete", "mkdir", "overwrite", "truncate"]
         )
+        files, dirs = model.files(), model.dirs()
         if op == "mkdir":
             name = f"/dir{rng.randrange(8)}"
-            if name in model.dirs or name in model.files:
+            if name in dirs or name in files:
                 continue
             fs.mkdir(name)
-            model.dirs.add(name)
+            model.mkdir(name)
         elif op == "create":
-            parent = rng.choice(sorted(model.dirs))
+            parent = rng.choice(dirs)
             name = f"{parent.rstrip('/')}/f{rng.randrange(40)}"
-            if name in model.files or name in model.dirs:
+            if name in files or name in dirs:
                 continue
             size = rng.randrange(0, 20000)
             payload = bytes([rng.randrange(256)]) * size
             fs.write_file(name, payload)
-            model.files[name] = payload
-        elif op in ("write", "overwrite") and model.files:
-            name = rng.choice(sorted(model.files))
+            model.create(name)
+            model.write(name, 0, payload)
+        elif op in ("write", "overwrite") and files:
+            name = rng.choice(files)
             size = rng.randrange(0, 30000)
             payload = bytes([rng.randrange(256)]) * size
             fs.write_file(name, payload)
-            model.files[name] = payload
-        elif op == "append" and model.files:
-            name = rng.choice(sorted(model.files))
+            model.truncate(name, 0)
+            model.write(name, 0, payload)
+        elif op == "append" and files:
+            name = rng.choice(files)
             extra = bytes([rng.randrange(256)]) * rng.randrange(1, 5000)
+            size = len(model.read_file(name))
             with fs.open(name) as handle:
-                handle.pwrite(len(model.files[name]), extra)
-            model.files[name] += extra
-        elif op == "truncate" and model.files:
-            name = rng.choice(sorted(model.files))
-            new_size = rng.randrange(0, len(model.files[name]) + 1)
+                handle.pwrite(size, extra)
+            model.write(name, size, extra)
+        elif op == "truncate" and files:
+            name = rng.choice(files)
+            new_size = rng.randrange(0, len(model.read_file(name)) + 1)
             with fs.open(name) as handle:
                 handle.truncate(new_size)
-            model.files[name] = model.files[name][:new_size]
-        elif op == "delete" and model.files:
-            name = rng.choice(sorted(model.files))
+            model.truncate(name, new_size)
+        elif op == "delete" and files:
+            name = rng.choice(files)
             fs.unlink(name)
-            del model.files[name]
+            model.unlink(name)
 
 
-def verify(fs, model):
-    for name, payload in model.files.items():
-        assert fs.read_file(name) == payload, name
-    for dirname in model.dirs:
-        expected = sorted(
-            {
-                path[len(dirname) :].lstrip("/").split("/")[0]
-                for path in (set(model.files) | model.dirs - {"/"})
-                if path != dirname
-                and path.startswith(dirname.rstrip("/") + "/")
-            }
-        )
-        assert fs.listdir(dirname) == expected, dirname
+def assert_holds(fs, model):
+    assert model.check(fs, require_latest=True) == []
+    for name in model.dirs():
+        assert fs.listdir(name) == model.listdir(name), name
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_lfs_matches_model(disk, cpu, seed):
     fs = LogStructuredFS.mkfs(disk, cpu, small_lfs_config())
-    model = ModelFs()
+    model = ModelFS()
     apply_ops(fs, model, seed)
-    verify(fs, model)
+    assert_holds(fs, model)
     fs.unmount()
     again = LogStructuredFS.mount(disk, cpu, small_lfs_config())
-    verify(again, model)
+    assert_holds(again, model)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_ffs_matches_model(disk, cpu, seed):
     fs = FastFileSystem.mkfs(disk, cpu, small_ffs_config())
-    model = ModelFs()
+    model = ModelFS()
     apply_ops(fs, model, seed)
-    verify(fs, model)
+    assert_holds(fs, model)
     fs.unmount()
     again = FastFileSystem.mount(disk, cpu, small_ffs_config())
-    verify(again, model)
+    assert_holds(again, model)
 
 
 def test_both_systems_agree(clock, cpu):
@@ -120,10 +105,10 @@ def test_both_systems_agree(clock, cpu):
     ffs = FastFileSystem.mkfs(
         SimDisk(wren_iv(64 * MIB), clock), cpu, small_ffs_config()
     )
-    model_a, model_b = ModelFs(), ModelFs()
+    model_a, model_b = ModelFS(), ModelFS()
     apply_ops(lfs, model_a, seed=99)
     apply_ops(ffs, model_b, seed=99)
-    assert model_a.files.keys() == model_b.files.keys()
-    for name in model_a.files:
+    assert model_a.files() == model_b.files()
+    for name in model_a.files():
         assert lfs.read_file(name) == ffs.read_file(name)
     assert lfs.listdir("/") == ffs.listdir("/")

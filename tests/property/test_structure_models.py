@@ -1,6 +1,6 @@
 """Property tests of data structures against simple reference models."""
 
-from hypothesis import given, settings
+from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -116,30 +116,3 @@ TestBlockMapModel = BlockMapMachine.TestCase
 TestBlockMapModel.settings = settings(
     max_examples=30, stateful_step_count=30, deadline=None
 )
-
-
-class TestTracePropertyRoundtrip:
-    @settings(max_examples=40)
-    @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from(["create", "write", "read"]),
-                st.integers(0, 5),
-                st.integers(0, 8 * 1024),
-            ),
-            max_size=12,
-        )
-    )
-    def test_parse_never_crashes_on_generated_traces(self, steps):
-        from repro.workloads.trace_replay import parse_trace
-
-        lines = []
-        for op, idx, size in steps:
-            if op == "create":
-                lines.append(f"create /g{idx} {size}")
-            elif op == "write":
-                lines.append(f"write /g{idx} 0 {max(1, size)}")
-            else:
-                lines.append(f"read /g{idx}")
-        ops = parse_trace(lines)
-        assert len(ops) == len(lines)

@@ -144,6 +144,21 @@ class TestChaosBroadExcept:
         path = write_module(tmp_path, "repro/faults/chaos.py", source)
         assert not any("FAULT002" in m for _, _, m in lint_file(path))
 
+    def test_flags_except_exception_in_the_model(self, tmp_path):
+        path = write_module(tmp_path, "repro/faults/model.py", BROAD_EXCEPT)
+        assert any("FAULT002" in m for _, _, m in lint_file(path))
+
+    def test_typed_except_in_the_model_is_fine(self, tmp_path):
+        source = (
+            "from repro.errors import FileNotFoundError_\n"
+            "try:\n"
+            "    x = 1\n"
+            "except FileNotFoundError_:\n"
+            "    pass\n"
+        )
+        path = write_module(tmp_path, "repro/faults/model.py", source)
+        assert not any("FAULT002" in m for _, _, m in lint_file(path))
+
     def test_other_modules_unaffected(self, tmp_path):
         path = write_module(tmp_path, "repro/faults/campaign.py", BROAD_EXCEPT)
         assert not any("FAULT002" in m for _, _, m in lint_file(path))

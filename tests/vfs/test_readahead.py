@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.common.inode import N_DIRECT, BlockKey, BlockKind
 from repro.disk.trace import TraceRecorder
 from repro.errors import MediaError
-from repro.faults import FaultyDevice
+from repro.faults import FaultyDevice, ModelFS
 from repro.rig import new_rig
 from repro.units import KIB, MIB
 from tests.conftest import small_ffs_config, small_lfs_config
@@ -479,28 +479,29 @@ def test_reads_match_a_model_and_wait_for_arrivals(kind, ops):
     # A quarter of the cache.
     assert fs.readahead.window_blocks == 32 * KIB // fs.block_size
     log = _ArrivalLog(fs, trace)
-    model = {}
+    model = ModelFS()
     cursor = {}
     # Written together, so that they lie together.
-    for path in _FILES:
-        model[path] = bytearray(
-            bytes([len(model) + 1]) * (_SIZES[path] // 2)
-            + _pattern(_SIZES[path] // 2)
+    for index, path in enumerate(_FILES):
+        data = bytes([index + 1]) * (_SIZES[path] // 2) + _pattern(
+            _SIZES[path] // 2
         )
-        fs.write_file(path, bytes(model[path]))
+        fs.write_file(path, data)
+        model.create(path)
+        model.write(path, 0, data)
     fs.sync()
     fs.flush_caches()
 
     def handle(path):
-        if path not in model:
-            model[path] = bytearray()
+        if path not in model.files():
+            model.create(path)
             fs.create(path).close()
         return fs.open(path)
 
     def check_read(path, first, count):
         with handle(path) as h:
             data = h.pread(first * _BS, count * _BS)
-        assert data == bytes(model[path][first * _BS : (first + count) * _BS])
+        assert data == model.read_file(path)[first * _BS : (first + count) * _BS]
 
     for op in ops:
         kind_, args = op[0], op[1:]
@@ -513,9 +514,8 @@ def test_reads_match_a_model_and_wait_for_arrivals(kind, ops):
             cursor[path] = first + count
             check_read(path, first, count)
         elif kind_ == "scan":
-            for path in _FILES:
-                if path in model:
-                    assert fs.read_file(path) == bytes(model[path])
+            for path in model.files():
+                assert fs.read_file(path) == model.read_file(path)
         elif kind_ in ("write", "overwrite"):
             if kind_ == "write":
                 path, offset, length, value = args
@@ -524,23 +524,18 @@ def test_reads_match_a_model_and_wait_for_arrivals(kind, ops):
                 offset, length = lbn * _BS, _BS
             with handle(path) as h:
                 h.pwrite(offset, bytes([value]) * length)
-            data = model[path]
-            if len(data) < offset:
-                data.extend(bytes(offset - len(data)))
-            data[offset : offset + length] = bytes([value]) * length
+            model.write(path, offset, bytes([value]) * length)
             if kind_ == "overwrite":
                 fs.sync()  # to the disk: in place on FFS
         elif kind_ == "truncate":
             path, size = args
             with handle(path) as h:
                 h.truncate(size)
-            data = model[path]
-            del data[size:]
-            data.extend(bytes(size - len(data)))
+            model.truncate(path, size)
         elif kind_ == "unlink":
-            if args[0] in model:
+            if args[0] in model.files():
                 fs.unlink(args[0])
-                del model[args[0]]
+                model.unlink(args[0])
         elif kind_ == "clean":
             if kind == "lfs":
                 fs.clean_now()  # reuses a segment
@@ -548,7 +543,6 @@ def test_reads_match_a_model_and_wait_for_arrivals(kind, ops):
                 fs.sync()
         else:
             fs.flush_caches()
-    for path, data in model.items():
-        assert fs.read_file(path) == bytes(data)
+    assert model.check(fs, require_latest=True) == []
     if ops in (SCAN, STREAM):
         assert log.claims > 0
