@@ -2,7 +2,7 @@
 
 One chaos trial is a full service rig crashed at an adversarial
 instant, remounted, rolled forward, and audited against the
-DurabilityLedger.  The contract is universal — no choice of seed,
+ModelFS.  The contract is universal — no choice of seed,
 crash instant, or client count may produce a trial where an acked
 byte is lost or a torn client-visible state survives remount — so it
 is stated as a property over those inputs rather than as a handful of
