@@ -36,8 +36,8 @@ def main() -> None:
     fs.checkpoint()
     print(f"\nafter checkpoint at t={fmt_time(fs.clock.now())}:")
     print(" ", fs.disk.stats.summary())
-    print(f"  log: {fs.segments.partial_segments_written} partial segments, "
-          f"{fmt_bytes(fs.segments.log_bytes_written)} written, "
+    print(f"  log: {fs.segments.stats.partial_segments_written} partial segments, "
+          f"{fmt_bytes(fs.segments.stats.log_bytes_written)} written, "
           f"write cost {fs.write_cost():.2f}")
 
     # Simulate a crash and remount: recovery reads the checkpoint and

@@ -95,14 +95,14 @@ def run_aging_study(
             state=state,
         )
         operations_total += result.operations
-        log_bytes = max(1, fs.segments.log_bytes_written)
+        log_bytes = max(1, fs.segments.stats.log_bytes_written)
         study.samples.append(
             AgingSample(
                 epoch=epoch,
                 operations_total=operations_total,
                 write_cost=fs.write_cost(),
                 cleaner_write_fraction=(
-                    fs.segments.cleaner_bytes_written / log_bytes
+                    fs.segments.stats.cleaner_bytes_written / log_bytes
                 ),
                 clean_segments=fs.usage.clean_count(),
                 segments_cleaned_total=fs.cleaner.stats.segments_cleaned,

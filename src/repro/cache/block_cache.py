@@ -132,13 +132,13 @@ class BlockCache:
         # or (block hit since) pushed back once, so heap_entries_examined
         # <= clean inserts + mark_cleans + hits: O(1) amortized.
         self.heap_entries_examined = 0
-        self.stats = CacheStats()
+        self.stats = stats = CacheStats()
         obs = telemetry or NULL_TELEMETRY
         self._obs_enabled = obs.enabled
-        self._m_hits = obs.counter("cache.hits")
-        self._m_misses = obs.counter("cache.misses")
-        self._m_insertions = obs.counter("cache.insertions")
-        self._m_evictions = obs.counter("cache.evictions")
+        obs.counter("cache.hits", lambda: stats.hits)
+        obs.counter("cache.misses", lambda: stats.misses)
+        obs.counter("cache.insertions", lambda: stats.insertions)
+        obs.counter("cache.evictions", lambda: stats.evictions)
         self._m_dirty_bytes = obs.gauge("cache.dirty_bytes")
 
     # ------------------------------------------------------------------
@@ -149,12 +149,8 @@ class BlockCache:
         block = self._blocks.get(key)
         if block is None:
             self.stats.misses += 1
-            if self._obs_enabled:
-                self._m_misses.inc()
             return None
         self.stats.hits += 1
-        if self._obs_enabled:
-            self._m_hits.inc()
         block.stamp = self._next_stamp()
         return block
 
@@ -179,8 +175,6 @@ class BlockCache:
             return
         lookups = rounds * len(keys)
         self.stats.hits += lookups
-        if self._obs_enabled:
-            self._m_hits.inc(lookups)
         if rounds > 1:
             deque(islice(self._stamps, lookups - len(keys)), maxlen=0)
         blocks = self._blocks
@@ -197,7 +191,6 @@ class BlockCache:
         """
         blocks = self._blocks
         bs = self.block_size
-        obs = self._obs_enabled
         if self._dirty.pop(key, None) is not None:
             self._dirty_bytes -= bs
         block = CacheBlock(key, payload, dirty, 0.0, self._next_stamp(), False)
@@ -209,8 +202,6 @@ class BlockCache:
         else:
             keys.add(key)
         self.stats.insertions += 1
-        if obs:
-            self._m_insertions.inc()
         heap = self._heap
         nblocks = len(blocks)
         if dirty:
@@ -223,7 +214,7 @@ class BlockCache:
                 self._compact()
             block.queued = True
             heappush(heap, (block.stamp, block))
-        if obs:
+        if self._obs_enabled:
             self._m_dirty_bytes.set(self._dirty_bytes)
         # A full cache exceeds capacity by one block per insert, so this
         # runs on nearly every insert.  Victims are the clean data/inode
@@ -245,8 +236,6 @@ class BlockCache:
                     del self._by_inum[victim.key.inum]
                 over -= bs
                 self.stats.evictions += 1
-                if obs:
-                    self._m_evictions.inc()
         return block
 
     def mark_dirty(self, key: BlockKey, now: float) -> None:

@@ -80,11 +80,12 @@ class ReadaheadPolicy:
         self._sectors_per_block = block_size // SECTOR_SIZE
         self._total_blocks = total_blocks
         self._transfer_time = transfer_time
-        self.stats = ReadaheadStats()
+        self.stats = stats = ReadaheadStats()
         obs = telemetry or NULL_TELEMETRY
-        self._obs_enabled = obs.enabled
-        self._m_hits = obs.counter("cache.readahead_hits")
-        self._m_prefetched = obs.counter("cache.readahead_prefetched")
+        obs.counter("cache.readahead_hits", lambda: stats.hits)
+        obs.counter(
+            "cache.readahead_prefetched", lambda: stats.blocks_prefetched
+        )
         self.clear()
 
     def _clear_window(self) -> None:
@@ -116,8 +117,6 @@ class ReadaheadPolicy:
             # second hit.
             self._claimed |= bit
             self.stats.hits += 1
-            if self._obs_enabled:
-                self._m_hits.inc()
         bs = self._block_size
         offset = (addr - first) * bs
         return (
@@ -144,8 +143,6 @@ class ReadaheadPolicy:
         self._claimed = 0
         self._data, self._done = data, done
         self.stats.blocks_prefetched += count
-        if self._obs_enabled:
-            self._m_prefetched.inc(count)
 
     def written(self, sector: int, count: int) -> None:
         """The disk took a write of ``count`` sectors at ``sector``:

@@ -15,6 +15,7 @@ the behaviour the paper attributes to the BSD file system.
 from __future__ import annotations
 
 import enum
+from functools import partial
 from typing import Optional
 
 from repro.cache.block_cache import BlockCache
@@ -50,12 +51,12 @@ class WritebackMonitor:
         self._dirty_limit = int(cache.capacity_bytes * DIRTY_HIGH_FRACTION)
         self.triggers: dict = {}
         obs = telemetry or NULL_TELEMETRY
-        self._m_triggers = {
-            reason: obs.counter(
-                "cache.writeback_triggers", reason=reason.value
+        for reason in WritebackReason:
+            obs.counter(
+                "cache.writeback_triggers",
+                partial(self.triggers.get, reason, 0),
+                reason=reason.value,
             )
-            for reason in WritebackReason
-        }
 
     def check(self) -> Optional[WritebackReason]:
         """Reason a write-back should start now, or None.
@@ -92,7 +93,6 @@ class WritebackMonitor:
 
     def _fire(self, reason: WritebackReason) -> WritebackReason:
         self.triggers[reason] = self.triggers.get(reason, 0) + 1
-        self._m_triggers[reason].inc()
         return reason
 
     def note_explicit(self, reason: WritebackReason) -> None:

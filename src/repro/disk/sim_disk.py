@@ -18,6 +18,7 @@ tells the device which queued writes had not yet completed.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional, Tuple
 
 from repro.disk.device import SectorDevice
@@ -67,39 +68,40 @@ class SimDisk:
         self.stats = DiskStats()
         self._head_pos = 0
         self._busy_until = 0.0
-        # Each transient-read retry occupies the disk for its backoff
-        # interval.  Hard MediaErrors are never retried — they propagate
-        # to the caller immediately.
-        self.read_retries = 0
-        # Busy-timeline seconds spent inside retry backoff.  Same plain-
-        # float contract as sync_stall_seconds below: the attribution
-        # probe diffs it on one process, so it must never become a
-        # merged counter.
+        # Each transient-read retry (DiskStats.read_retries) occupies
+        # the disk for its backoff interval; hard MediaErrors are never
+        # retried — they propagate to the caller immediately.  The
+        # seconds spent inside retry backoff keep the same plain-float
+        # contract as sync_stall_seconds below: the attribution probe
+        # diffs them on one process, so they must never become a merged
+        # counter.
         self.retry_stall_seconds = 0.0
-        # DiskStats stays the cheap always-on API; the registry mirrors it
-        # so exported telemetry covers the disk layer too.  Instruments are
-        # resolved once here; the hot paths below pay one boolean when
+        # DiskStats stays the cheap always-on API; the registry's disk
+        # counters read it back, so exported telemetry covers the disk
+        # layer without a second count.  The float busy time and the
+        # request-size histogram are instruments of their own, resolved
+        # once here; the hot paths pay one boolean for them when
         # telemetry is disabled.
         self.telemetry = telemetry or NULL_TELEMETRY
         self.telemetry.bind_clock(clock)
         self._obs_enabled = self.telemetry.enabled
         obs = self.telemetry
-        self._m_reads = obs.counter("disk.reads")
-        self._m_writes = obs.counter("disk.writes")
-        self._m_bytes_read = obs.counter("disk.bytes_read")
-        self._m_bytes_written = obs.counter("disk.bytes_written")
-        self._m_sync = obs.counter("disk.sync_requests")
+        stats = self.stats
+        obs.counter("disk.reads", lambda: stats.reads)
+        obs.counter("disk.writes", lambda: stats.writes)
+        obs.counter("disk.bytes_read", lambda: stats.bytes_read)
+        obs.counter("disk.bytes_written", lambda: stats.bytes_written)
+        obs.counter("disk.sync_requests", lambda: stats.sync_requests)
+        obs.counter("disk.read_retries", lambda: stats.read_retries)
+        obs.counter("disk.vectored_reads", lambda: stats.vectored_reads)
+        for tier in AccessTier:
+            obs.counter(
+                "disk.requests",
+                partial(stats.tier_counts.get, tier.value, 0),
+                tier=tier.value,
+            )
         self._m_busy = obs.gauge("disk.busy_seconds")
         self._m_request_bytes = obs.histogram("disk.request_bytes")
-        self._m_tier = {
-            tier.value: obs.counter("disk.requests", tier=tier.value)
-            for tier in AccessTier
-        }
-        self._m_retries = obs.counter("disk.read_retries")
-        # Vectored reads: multi-block requests issued as one transfer by
-        # the readahead pipeline (and any other run-coalescing caller).
-        self.vectored_reads = 0
-        self._m_vectored = obs.counter("disk.vectored_reads")
         # Caller-blocking time: simulated seconds this disk advanced the
         # caller's clock (sync reads/writes and drain).  A plain float
         # attribute, not a counter: the attribution probe diffs it on
@@ -195,9 +197,7 @@ class SimDisk:
             )
         start, done, tier = self._schedule(sector, count * self.geometry.sector_size)
         if vectored:
-            self.vectored_reads += 1
-            if self._obs_enabled:
-                self._m_vectored.inc()
+            self.stats.vectored_reads += 1
         attempt = 0
         while True:
             try:
@@ -205,9 +205,7 @@ class SimDisk:
                 break
             except TransientIOError:
                 attempt += 1
-                self.read_retries += 1
-                if self._obs_enabled:
-                    self._m_retries.inc()
+                self.stats.read_retries += 1
                 if attempt > RETRY_MAX_ATTEMPTS:
                     raise
                 backoff = min(
@@ -220,13 +218,8 @@ class SimDisk:
         sync = demand != 0  # a read ahead alone keeps no caller waiting
         self.stats.record(False, len(data), sync, tier.value, done - start)
         if self._obs_enabled:
-            self._m_reads.inc()
-            self._m_bytes_read.inc(len(data))
-            if sync:
-                self._m_sync.inc()
             self._m_busy.add(done - start)
             self._m_request_bytes.observe(len(data))
-            self._m_tier[tier.value].inc()
         if self.trace is not None:
             self.trace.record(
                 TraceEvent(
@@ -289,13 +282,8 @@ class SimDisk:
             self.write_observer(sector, nsectors)
         self.stats.record(True, len(data), sync, tier.value, done - start)
         if self._obs_enabled:
-            self._m_writes.inc()
-            self._m_bytes_written.inc(len(data))
-            if sync:
-                self._m_sync.inc()
             self._m_busy.add(done - start)
             self._m_request_bytes.observe(len(data))
-            self._m_tier[tier.value].inc()
         if self.trace is not None:
             self.trace.record(
                 TraceEvent(

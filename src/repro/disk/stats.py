@@ -7,7 +7,7 @@ were synchronous (blocked the caller), and total disk busy time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict
 
 from repro.obs.export import format_fields
@@ -25,6 +25,10 @@ class DiskStats:
     sync_requests: int = 0
     busy_seconds: float = 0.0
     tier_counts: Dict[str, int] = field(default_factory=dict)
+    read_retries: int = 0
+    """Transient read errors absorbed by the retry loop."""
+    vectored_reads: int = 0
+    """Multi-block reads issued as one transfer (readahead)."""
 
     @property
     def requests(self) -> int:
@@ -56,34 +60,24 @@ class DiskStats:
 
     def delta_since(self, earlier: "DiskStats") -> "DiskStats":
         """Stats accumulated since a :meth:`copy` taken earlier."""
-        delta = DiskStats(
-            reads=self.reads - earlier.reads,
-            writes=self.writes - earlier.writes,
-            bytes_read=self.bytes_read - earlier.bytes_read,
-            bytes_written=self.bytes_written - earlier.bytes_written,
-            sync_requests=self.sync_requests - earlier.sync_requests,
-            busy_seconds=self.busy_seconds - earlier.busy_seconds,
-        )
         # Sorted union so delta dicts iterate in a stable order no matter
         # which tiers each side saw first (set iteration order is
         # hash-seed dependent, which made exported deltas flap).
         tiers = sorted(set(self.tier_counts) | set(earlier.tier_counts))
-        delta.tier_counts = {
-            tier: self.tier_counts.get(tier, 0) - earlier.tier_counts.get(tier, 0)
-            for tier in tiers
-        }
-        return delta
+        return DiskStats(
+            **{
+                f.name: getattr(self, f.name) - getattr(earlier, f.name)
+                for f in fields(self)
+                if f.name != "tier_counts"
+            },
+            tier_counts={
+                tier: self.tier_counts.get(tier, 0) - earlier.tier_counts.get(tier, 0)
+                for tier in tiers
+            },
+        )
 
     def copy(self) -> "DiskStats":
-        return DiskStats(
-            reads=self.reads,
-            writes=self.writes,
-            bytes_read=self.bytes_read,
-            bytes_written=self.bytes_written,
-            sync_requests=self.sync_requests,
-            busy_seconds=self.busy_seconds,
-            tier_counts=dict(self.tier_counts),
-        )
+        return replace(self, tier_counts=dict(self.tier_counts))
 
     def to_dict(self) -> Dict[str, Any]:
         """Export form: plain scalars plus tier counts in sorted order."""

@@ -19,14 +19,15 @@ must survive beyond a clean power cut:
 
 Every decision comes from one ``random.Random`` seeded at construction,
 so a trial is exactly reproducible from its seed.  Everything injected
-is counted through the ``disk.fault.*`` telemetry series and mirrored
-in plain attributes for callers without a registry.
+is counted once, in the injector's ``counts`` dict, which the
+``disk.fault.*`` telemetry series read back.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
 from repro.errors import MediaError, TransientIOError
@@ -94,21 +95,14 @@ class FaultInjector:
         self.bad_sectors: Set[int] = set()
         self._pending_transient: Set[Tuple[int, int]] = set()
         self._torn_seen = 0
-        # Plain mirrors of the telemetry counters.
-        self.torn_writes = 0
-        self.bit_flips = 0
-        self.bad_sectors_grown = 0
-        self.media_errors = 0
-        self.transient_errors = 0
-        self.remaps = 0
+        # What was injected, by kind: the one count, which the
+        # disk.fault.* series read back.
+        self.counts: Dict[str, int] = dict.fromkeys(FAULT_KINDS, 0)
         self.telemetry = telemetry or NULL_TELEMETRY
-        obs = self.telemetry
-        self._m_torn = obs.counter("disk.fault.torn_writes")
-        self._m_flips = obs.counter("disk.fault.bit_flips")
-        self._m_grown = obs.counter("disk.fault.bad_sectors_grown")
-        self._m_media = obs.counter("disk.fault.media_errors")
-        self._m_transient = obs.counter("disk.fault.transient_errors")
-        self._m_remaps = obs.counter("disk.fault.remaps")
+        for kind in FAULT_KINDS:
+            self.telemetry.counter(
+                f"disk.fault.{kind}", partial(self.counts.__getitem__, kind)
+            )
 
     # ------------------------------------------------------------------
     # Read-side hooks
@@ -129,16 +123,14 @@ class FaultInjector:
             and self.rng.random() < self.config.transient_read_prob
         ):
             self._pending_transient.add(key)
-            self.transient_errors += 1
-            self._m_transient.inc()
+            self.counts["transient_errors"] += 1
             raise TransientIOError(
                 f"transient read error at sectors [{sector}, {sector + count})"
             )
         if self.bad_sectors:
             for bad in range(sector, sector + count):
                 if bad in self.bad_sectors:
-                    self.media_errors += 1
-                    self._m_media.inc()
+                    self.counts["media_errors"] += 1
                     raise MediaError(
                         f"unreadable sector {bad} "
                         f"(read of [{sector}, {sector + count}))",
@@ -156,8 +148,7 @@ class FaultInjector:
         for healed in range(sector, sector + count):
             if healed in self.bad_sectors:
                 self.bad_sectors.discard(healed)
-                self.remaps += 1
-                self._m_remaps.inc()
+                self.counts["remaps"] += 1
 
     # ------------------------------------------------------------------
     # Crash-side hook
@@ -167,9 +158,7 @@ class FaultInjector:
         """Apply crash-coincident damage to the surviving image."""
         new_tears = device.torn_writes - self._torn_seen
         self._torn_seen = device.torn_writes
-        if new_tears:
-            self.torn_writes += new_tears
-            self._m_torn.inc(new_tears)
+        self.counts["torn_writes"] += new_tears
         pool = sorted(device.written_sectors)
         if not pool:
             return
@@ -177,28 +166,26 @@ class FaultInjector:
             sector = pool[self.rng.randrange(len(pool))]
             if sector not in self.bad_sectors:
                 self.bad_sectors.add(sector)
-                self.bad_sectors_grown += 1
-                self._m_grown.inc()
+                self.counts["bad_sectors_grown"] += 1
         for _ in range(self.config.bit_flip_sectors):
             sector = pool[self.rng.randrange(len(pool))]
             device.flip_bit(sector, self.rng.randrange(device.sector_size * 8))
-            self.bit_flips += 1
-            self._m_flips.inc()
+            self.counts["bit_flips"] += 1
 
     def totals(self) -> Dict[str, int]:
         """Everything injected so far, by kind (see :data:`FAULT_KINDS`)."""
-        return {kind: getattr(self, kind) for kind in FAULT_KINDS}
+        return dict(self.counts)
 
     def mark_unreadable(self, sector: int) -> None:
         """Force a specific sector bad (unit tests, targeted scenarios)."""
         if sector not in self.bad_sectors:
             self.bad_sectors.add(sector)
-            self.bad_sectors_grown += 1
-            self._m_grown.inc()
+            self.counts["bad_sectors_grown"] += 1
 
     def __repr__(self) -> str:
         return (
             f"FaultInjector(bad={len(self.bad_sectors)}, "
-            f"torn={self.torn_writes}, flips={self.bit_flips}, "
-            f"transient={self.transient_errors})"
+            f"torn={self.counts['torn_writes']}, "
+            f"flips={self.counts['bit_flips']}, "
+            f"transient={self.counts['transient_errors']})"
         )

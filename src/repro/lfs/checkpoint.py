@@ -109,6 +109,13 @@ class CheckpointData:
         )
 
 
+@dataclass
+class CheckpointStats:
+    """Checkpoint regions a :class:`CheckpointManager` wrote."""
+
+    writes: int = 0
+
+
 class CheckpointManager:
     """Alternating writes to the two fixed checkpoint regions."""
 
@@ -123,10 +130,10 @@ class CheckpointManager:
         self.disk = disk
         self.clock = clock
         self._next_region = 0
-        self.checkpoints_written = 0
+        self.stats = stats = CheckpointStats()
         self.last_checkpoint_time: Optional[float] = None
         self.telemetry = telemetry or NULL_TELEMETRY
-        self._m_written = self.telemetry.counter("checkpoint.writes")
+        self.telemetry.counter("checkpoint.writes", lambda: stats.writes)
         self._m_rejects = self.telemetry.counter("checkpoint.region_rejects")
         self.last_load_rejects = 0
         """Regions rejected by the most recent load_latest() call.
@@ -155,8 +162,7 @@ class CheckpointManager:
                 label=f"checkpoint region {self._next_region}",
             )
         self._next_region = 1 - self._next_region
-        self.checkpoints_written += 1
-        self._m_written.inc()
+        self.stats.writes += 1
         self.last_checkpoint_time = data.timestamp
 
     def load_latest(self) -> Tuple[CheckpointData, int]:

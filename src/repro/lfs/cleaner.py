@@ -150,20 +150,26 @@ class SegmentCleaner:
         self.fs = fs
         self.policy = policy
         self.victims_per_pass = 4
-        self.stats = CleanerStats()
+        self.stats = stats = CleanerStats()
         self._rng = random.Random(0x5EC5)
         # The DATA blocks this pass reads into the cache; dropped once
         # the pass's flush has written them (see _clean_pass).
         self._inserted: List[BlockKey] = []
         self.telemetry = telemetry or NULL_TELEMETRY
         obs = self.telemetry
-        self._m_passes = obs.counter("cleaner.passes")
-        self._m_segments = obs.counter("cleaner.segments_cleaned")
-        self._m_bytes_read = obs.counter("cleaner.bytes_read")
-        self._m_live_copied = obs.counter("cleaner.live_bytes_copied")
-        self._m_live_blocks = obs.counter("cleaner.live_blocks_copied")
-        self._m_dead_blocks = obs.counter("cleaner.dead_blocks_dropped")
-        self._m_quarantined = obs.counter("cleaner.segments_quarantined")
+        obs.counter("cleaner.passes", lambda: stats.passes)
+        obs.counter("cleaner.segments_cleaned", lambda: stats.segments_cleaned)
+        obs.counter("cleaner.bytes_read", lambda: stats.bytes_read)
+        obs.counter("cleaner.live_bytes_copied", lambda: stats.live_bytes_copied)
+        obs.counter(
+            "cleaner.live_blocks_copied", lambda: stats.live_blocks_copied
+        )
+        obs.counter(
+            "cleaner.dead_blocks_dropped", lambda: stats.dead_blocks_dropped
+        )
+        obs.counter(
+            "cleaner.segments_quarantined", lambda: stats.segments_quarantined
+        )
         self._g_reserve = obs.gauge("cleaner.clean_reserve")
         self._m_victims = {
             p: obs.counter("cleaner.victims", policy=p.value)
@@ -232,7 +238,6 @@ class SegmentCleaner:
                 span.add_link(pays_for, "pays_for")
             cleaned = self._run_clean(target_clean)
             span.set_attr("cleaned", cleaned)
-        self._m_segments.inc(cleaned)
         return cleaned
 
     def _run_clean(self, target: int) -> int:
@@ -263,7 +268,6 @@ class SegmentCleaner:
             if not victims:
                 break
             self.stats.passes += 1
-            self._m_passes.inc()
             self._m_victims[self.policy].inc(len(victims))
             cleaned += self._clean_pass(victims, clean_before)
             if self.fs.degraded:
@@ -330,7 +334,6 @@ class SegmentCleaner:
                     # detection, not silent loss.
                     usage.quarantine(seg)
                     self.stats.segments_quarantined += 1
-                    self._m_quarantined.inc()
                     self.fs.note_media_damage(reason="cleaner")
                     continue
                 occupied.append(seg)
@@ -455,13 +458,9 @@ class SegmentCleaner:
                 offset += len(entries)
         finally:
             self.stats.bytes_read += nread
-            self._m_bytes_read.inc(nread)
             self.stats.live_blocks_copied += live
             self.stats.live_bytes_copied += live * bs
             self.stats.dead_blocks_dropped += dead
-            self._m_live_blocks.inc(live)
-            self._m_live_copied.inc(live * bs)
-            self._m_dead_blocks.inc(dead)
             span.set_attr("live_blocks", live)
             span.set_attr("dead_blocks", dead)
             span.set_attr("reads", reads)

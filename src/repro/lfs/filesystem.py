@@ -708,6 +708,12 @@ class LogStructuredFS(BaseFileSystem):
             self.disk.drain()
         self._unmounted = True
 
+    def crash(self) -> None:
+        super().crash()
+        # Like the cache: the pooled segment buffers go back now, not
+        # whenever the collector reaches the dead file system.
+        self.segments.pool.clear()
+
     # ------------------------------------------------------------------
     # Degraded read-only mode
     # ------------------------------------------------------------------
@@ -781,7 +787,7 @@ class LogStructuredFS(BaseFileSystem):
     def write_cost(self) -> float:
         """Total log bytes written per byte of user data written."""
         user = max(1, self._stats.bytes_written)
-        return self.segments.log_bytes_written / user
+        return self.segments.stats.log_bytes_written / user
 
     def wamp_report(self) -> Dict[str, Any]:
         """The write-amplification ledger (the ``wamp.*`` family).
@@ -792,8 +798,8 @@ class LogStructuredFS(BaseFileSystem):
         (log bytes per user byte — the paper's write cost, §5.1).
         """
         user = self._stats.bytes_written
-        log = self.segments.log_bytes_written
-        cleaner = self.segments.cleaner_bytes_written
+        log = self.segments.stats.log_bytes_written
+        cleaner = self.segments.stats.cleaner_bytes_written
         return {
             "user_bytes": user,
             "log_bytes": log,

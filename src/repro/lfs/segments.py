@@ -33,6 +33,14 @@ from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.sim.clock import SimClock
 
 
+@dataclass
+class BufferPoolStats:
+    """Buffers a :class:`SegmentBufferPool` allocated and handed back out."""
+
+    allocations: int = 0
+    reuses: int = 0
+
+
 class SegmentBufferPool:
     """Reusable segment-sized ``bytearray`` buffers.
 
@@ -53,20 +61,16 @@ class SegmentBufferPool:
         self.buffer_bytes = buffer_bytes
         self.max_buffers = max_buffers
         self._free: List[bytearray] = []
-        self.allocations = 0
-        self.reuses = 0
+        self.stats = stats = BufferPoolStats()
         obs = telemetry or NULL_TELEMETRY
-        self._obs_enabled = obs.enabled
-        self._m_reuse = obs.counter("alloc.segment_pool_reuse")
+        obs.counter("alloc.segment_pool_reuse", lambda: stats.reuses)
 
     def acquire(self) -> bytearray:
         """A segment-sized buffer with arbitrary (stale) contents."""
         if self._free:
-            self.reuses += 1
-            if self._obs_enabled:
-                self._m_reuse.inc()
+            self.stats.reuses += 1
             return self._free.pop()
-        self.allocations += 1
+        self.stats.allocations += 1
         return bytearray(self.buffer_bytes)
 
     def release(self, buffer: bytearray) -> None:
@@ -76,6 +80,10 @@ class SegmentBufferPool:
             and len(self._free) < self.max_buffers
         ):
             self._free.append(buffer)
+
+    def clear(self) -> None:
+        """Drop every free buffer (the owning file system crashed)."""
+        self._free.clear()
 
 
 @dataclass
@@ -115,6 +123,17 @@ class LogPosition:
     sequence: int  # sequence number of the next partial segment
 
 
+@dataclass
+class SegmentStats:
+    """What a :class:`SegmentManager` wrote to the log."""
+
+    segments_written: int = 0
+    partial_segments_written: int = 0
+    log_bytes_written: int = 0
+    cleaner_bytes_written: int = 0
+    """The share of ``log_bytes_written`` the cleaner's copies took."""
+
+
 class SegmentManager:
     """Owns the log tail: segment selection and partial-segment writes."""
 
@@ -133,18 +152,15 @@ class SegmentManager:
         self.reserve_segments = layout.reserve_segments
         self.cleaner_mode = False
         self._pos: Optional[LogPosition] = None
-        self.segments_written = 0
-        self.partial_segments_written = 0
-        self.log_bytes_written = 0
-        self.cleaner_bytes_written = 0
+        self.stats = stats = SegmentStats()
         self.pool = SegmentBufferPool(
             layout.config.segment_size, telemetry=telemetry
         )
         # Write-amplification ledger: every byte shipped to the log,
         # with the cleaner's copy-out traffic broken out separately.
         obs = telemetry or NULL_TELEMETRY
-        self._m_wamp_log = obs.counter("wamp.log_bytes")
-        self._m_wamp_cleaner = obs.counter("wamp.cleaner_bytes")
+        obs.counter("wamp.log_bytes", lambda: stats.log_bytes_written)
+        obs.counter("wamp.cleaner_bytes", lambda: stats.cleaner_bytes_written)
 
     # ------------------------------------------------------------------
     # Log-tail state
@@ -194,7 +210,7 @@ class SegmentManager:
         pos.active_segment = pos.next_segment
         pos.active_offset = 0
         pos.next_segment = successor
-        self.segments_written += 1
+        self.stats.segments_written += 1
 
     def remaining_blocks(self) -> int:
         return self.layout.config.blocks_per_segment - self.position.active_offset
@@ -323,12 +339,11 @@ class SegmentManager:
             self.pool.release(buffer)
         pos.active_offset += nsummary + len(entries)
         pos.sequence += 1
-        self.partial_segments_written += 1
-        self.log_bytes_written += total
-        self._m_wamp_log.inc(total)
+        stats = self.stats
+        stats.partial_segments_written += 1
+        stats.log_bytes_written += total
         if self.cleaner_mode:
-            self.cleaner_bytes_written += total
-            self._m_wamp_cleaner.inc(total)
+            stats.cleaner_bytes_written += total
         if self.remaining_blocks() < 2:
             self._advance_segment()
         return total

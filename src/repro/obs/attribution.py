@@ -138,7 +138,7 @@ def build_trace_report(
         # surfacing it separately shows how much of the disk share was
         # fault recovery rather than transfer time.
         report["disk"] = {
-            "read_retries": getattr(disk, "read_retries", 0),
+            "read_retries": disk.stats.read_retries,
             "retry_stall_seconds": round(
                 disk.retry_stall_seconds, _ROUND
             ),

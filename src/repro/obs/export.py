@@ -83,9 +83,8 @@ def merge_jsonl_files(paths: Sequence[str]) -> Telemetry:
     merge_metric_samples` — the same fold the parallel runner uses, so
     the rendered report matches what a single-process run of the same
     rigs would have recorded.  Span *event records* are per-rig detail
-    and are not merged; their per-kind count/seconds totals are (from
-    the trailing summary record, falling back to summing the span
-    records for streams written before the summary carried seconds).
+    and are not merged; their per-kind count/seconds totals are, from
+    the trailing summary record.
     """
     from repro.harness.parallel import merge_metric_samples
 
@@ -100,22 +99,12 @@ def merge_jsonl_files(paths: Sequence[str]) -> Telemetry:
         summary = next(
             (r for r in records if r.get("type") == "summary"), {}
         )
-        kind_seconds = summary.get("span_kind_seconds")
-        if kind_seconds is None:
-            kind_seconds = {}
-            for record in records:
-                if record.get("type") != "span":
-                    continue
-                end = record.get("end")
-                duration = (end or record["start"]) - record["start"]
-                kind = record["kind"]
-                kind_seconds[kind] = kind_seconds.get(kind, 0.0) + duration
         merge_metric_samples(
             merged,
             {
                 "metrics": metrics,
                 "kind_counts": summary.get("span_kind_counts", {}),
-                "kind_seconds": kind_seconds,
+                "kind_seconds": summary.get("span_kind_seconds", {}),
                 "dropped_spans": summary.get("dropped_spans", 0),
                 "dropped_label_sets": summary.get("dropped_label_sets", 0),
             },

@@ -1,19 +1,26 @@
 """The metrics registry: named counters, gauges and histograms.
 
-Every subsystem (file systems, cleaner, cache, disk) publishes its
-counters here instead of growing another ad-hoc stats dataclass.  The
-registry is deliberately tiny and dependency-free:
+Every subsystem (file systems, cleaner, cache, disk) exports its
+metrics here, and the registry is the single source of exported
+telemetry.  It is deliberately tiny and dependency-free:
 
 * **Counters** only go up (monotonic); **gauges** hold the latest value;
   **histograms** bucket observations into fixed upper bounds, so export
   size is bounded no matter how many observations arrive.
+* A counter may **read back** an integer count a layer keeps anyway (a
+  stats-dataclass field or a dict entry) through ``read`` callables: its
+  value is their sum over every object registered under its name and
+  labels, plus whatever ``inc`` added (merged worker totals).  A reader
+  closes over the stats object or dict, never the file system or cache
+  that owns it, so a dropped rig is collected.  Floats are not read
+  back: per-object sums would reassociate where rigs share a registry.
 * Instruments are keyed by ``(name, labels)``.  Callers resolve an
   instrument once (usually in a constructor) and then call ``inc`` /
   ``set`` / ``observe`` on the hot path — lookup cost is paid at
   construction, not per event.
 * A **disabled** registry hands out one shared null instrument whose
-  methods do nothing, so instrumented code pays a single no-op method
-  call when telemetry is off.
+  methods do nothing (and ignores readers), so instrumented code pays a
+  single no-op method call when telemetry is off.
 * A per-name **label-cardinality guard** caps how many distinct label
   sets one metric may grow; excess series collapse into a single
   overflow series instead of consuming unbounded memory (the classic
@@ -23,7 +30,7 @@ registry is deliberately tiny and dependency-free:
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidArgumentError
 
@@ -57,22 +64,28 @@ DEFAULT_TIME_BUCKETS: Tuple[float, ...] = (
 
 
 class Counter:
-    """A monotonically increasing value."""
+    """A monotonically increasing value: what ``inc`` added plus the
+    current sum of its readers."""
 
-    __slots__ = ("name", "labels", "value")
+    __slots__ = ("name", "labels", "count", "readers")
     kind = "counter"
 
     def __init__(self, name: str, labels: LabelItems) -> None:
         self.name = name
         self.labels = labels
-        self.value: float = 0
+        self.count: float = 0
+        self.readers: List[Callable[[], int]] = []
 
     def inc(self, amount: float = 1) -> None:
         if amount < 0:
             raise InvalidArgumentError(
                 f"counter {self.name} cannot decrease (inc by {amount})"
             )
-        self.value += amount
+        self.count += amount
+
+    @property
+    def value(self) -> float:
+        return self.count + sum(read() for read in self.readers)
 
     def sample(self) -> Dict[str, Any]:
         return {"value": self.value}
@@ -224,8 +237,15 @@ class MetricsRegistry:
         self._series_per_name[name] = self._series_per_name.get(name, 0) + 1
         return instrument
 
-    def counter(self, name: str, **labels: Any) -> Counter:
-        return self._resolve("counter", name, labels, Counter)
+    def counter(
+        self, name: str, read: Optional[Callable[[], int]] = None, **labels: Any
+    ) -> Counter:
+        """The counter series ``(name, labels)``; ``read``, if given,
+        adds a count the caller keeps to it (a read-back series)."""
+        instrument = self._resolve("counter", name, labels, Counter)
+        if read is not None and self.enabled:
+            instrument.readers.append(read)
+        return instrument
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
         return self._resolve("gauge", name, labels, Gauge)

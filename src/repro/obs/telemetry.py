@@ -14,7 +14,7 @@ would silently split its history.  Build a new rig to change modes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.obs.registry import DEFAULT_BYTE_BUCKETS, MetricsRegistry
 from repro.obs.tracer import DEFAULT_MAX_SPANS, SpanTracer
@@ -48,8 +48,10 @@ class Telemetry:
 
     # -- instrument resolution (delegates) -----------------------------
 
-    def counter(self, name: str, **labels: Any):
-        return self.registry.counter(name, **labels)
+    def counter(
+        self, name: str, read: Optional[Callable[[], int]] = None, **labels: Any
+    ):
+        return self.registry.counter(name, read, **labels)
 
     def gauge(self, name: str, **labels: Any):
         return self.registry.gauge(name, **labels)

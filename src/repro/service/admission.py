@@ -88,11 +88,17 @@ class AdmissionController:
         self._obs = obs
         self._g_queue = obs.gauge("service.queue_depth")
         self._m_admitted = obs.counter("service.admitted")
-        self._m_rejected = obs.counter("service.rejected")
-        self._m_throttles = obs.counter("service.throttle_events")
+        # Float seconds stay an instrument: a migration pair shares one
+        # registry, and per-object float sums would reassociate.
         self._m_throttle_s = obs.counter("service.throttle_seconds")
-        self._m_forced = obs.counter("service.forced_admissions")
-        self._m_rejected_degraded = obs.counter("service.rejected_degraded")
+        obs.counter("service.rejected", lambda: stats.rejections)
+        obs.counter("service.throttle_events", lambda: stats.throttle_events)
+        obs.counter(
+            "service.forced_admissions", lambda: stats.forced_admissions
+        )
+        obs.counter(
+            "service.rejected_degraded", lambda: stats.rejected_degraded
+        )
 
     # ------------------------------------------------------------------
     # The two gates
@@ -108,17 +114,14 @@ class AdmissionController:
             # accept this write: shed it outright (no backoff, no
             # throttle — cleaning cannot fix missing media).
             self.stats.rejected_degraded += 1
-            self._m_rejected_degraded.inc()
             return Decision.REJECT_DEGRADED
         if self.in_flight >= self.capacity:
             self.stats.rejections += 1
-            self._m_rejected.inc()
             return Decision.REJECT
         if kind in WRITE_CLASS and self.reserve_low():
             if throttle_count < MAX_THROTTLE_RETRIES:
                 return Decision.THROTTLE
             self.stats.forced_admissions += 1
-            self._m_forced.inc()
         self.in_flight += 1
         self._g_queue.set(self.in_flight)
         self._m_admitted.inc()
@@ -143,7 +146,6 @@ class AdmissionController:
         clock = self.fs.clock
         start = clock.now()
         self.stats.throttle_events += 1
-        self._m_throttles.inc()
         # Clean until one more segment is clean than now.  One pass of
         # ``victims_per_pass`` victims gets there unless it frees no
         # more than it writes; the cleaner's safety valve then allows

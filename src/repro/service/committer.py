@@ -16,6 +16,7 @@ happened to close the window).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 from repro.errors import ReadOnlyFSError
@@ -51,7 +52,6 @@ class GroupCommitter:
             Tuple[FileHandle, Callable[[], None], Callable[[], None], Any]
         ] = []
         self._window_open = False
-        self.commits = 0
         # Durability-barrier hook: called after every *successful*
         # fsync_many (flush + drain), i.e. at the instant everything
         # written so far became durable.  The chaos campaign's ModelFS
@@ -60,8 +60,9 @@ class GroupCommitter:
         self.telemetry = telemetry or NULL_TELEMETRY
         self._probe = StallProbe(fs)
         obs = self.telemetry
-        self._m_commits = obs.counter("service.commits")
-        self._m_fsyncs = obs.counter("service.fsyncs_committed")
+        batches = stats.commit_batches
+        obs.counter("service.commits", batches.__len__)
+        obs.counter("service.fsyncs_committed", partial(sum, batches))
         self._h_batch = obs.histogram(
             "service.commit_batch_size", buckets=BATCH_BUCKETS
         )
@@ -147,10 +148,7 @@ class GroupCommitter:
             return
         if self.on_durable is not None:
             self.on_durable()
-        self.commits += 1
         self.stats.note_batch(len(batch))
-        self._m_commits.inc()
-        self._m_fsyncs.inc(len(batch))
         self._h_batch.observe(len(batch))
         for _handle, done, _fail, _ctx in batch:
             self._enqueue(done)

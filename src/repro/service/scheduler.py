@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import MediaError, NoSpaceError, ReadOnlyFSError
@@ -224,13 +225,18 @@ class RequestScheduler:
         self._run_span_cm = None
         self._run_span = None
         obs = self.telemetry
-        self._m_requests = {
-            kind: obs.counter("service.requests", kind=kind)
-            for kind in REQUEST_KINDS
-        }
-        self._m_completed = obs.counter("service.completed")
+        stats = self.stats
+        for kind in REQUEST_KINDS:
+            obs.counter(
+                "service.requests",
+                partial(stats.submitted.get, kind, 0),
+                kind=kind,
+            )
+        obs.counter("service.completed", lambda: stats.completed)
+        obs.counter(
+            "service.degraded_failures", lambda: stats.degraded_failures
+        )
         self._m_no_space = obs.counter("service.no_space_failures")
-        self._m_degraded_failures = obs.counter("service.degraded_failures")
         self._h_latency = {
             kind: obs.histogram(
                 "service.latency_seconds",
@@ -318,7 +324,6 @@ class RequestScheduler:
         client.inflight += 1
         request.ctx = self.tracing.context(client.client_id, kind)
         self.stats.note_submitted(kind)
-        self._m_requests[kind].inc()
         self._submit(request)
 
     def _submit(self, request: Request) -> None:
@@ -415,7 +420,6 @@ class RequestScheduler:
             # request's flush).  Admission sheds subsequent writes; this
             # in-flight one fails politely.
             self.stats.degraded_failures += 1
-            self._m_degraded_failures.inc()
         except MediaError:
             # Unrecoverable media under a read: the data is gone, which
             # is detection, not a scheduler failure.  The request is
@@ -476,7 +480,6 @@ class RequestScheduler:
         request.ctx.activate()
         handle.close()
         self.stats.degraded_failures += 1
-        self._m_degraded_failures.inc()
         self._complete(request)
 
     def _complete(self, request: Request) -> None:
@@ -488,7 +491,6 @@ class RequestScheduler:
         request.ctx.deactivate()
         request.ctx.finish(latency)
         self.stats.note_completed(request.kind, latency)
-        self._m_completed.inc()
         self._h_latency[request.kind].observe(latency)
         if client.issued < self.config.requests_per_client:
             self._post_at(
@@ -602,7 +604,6 @@ class RequestScheduler:
             request.ctx = self.tracing.context(client.client_id, request.kind)
             request.ctx.charge("migration_redirect", now - parked_at)
             self.stats.note_submitted(request.kind)
-            self._m_requests[request.kind].inc()
             client.inflight += 1
             self._enqueue(lambda request=request: self._submit(request))
 

@@ -106,11 +106,12 @@ class BaseFileSystem(StorageManager):
         self.telemetry = telemetry or disk.telemetry
         self.telemetry.bind_clock(self.clock)
         self._obs_enabled = self.telemetry.enabled
-        self._m_fs_bytes_written = self.telemetry.counter("fs.bytes_written")
-        self._m_fs_bytes_read = self.telemetry.counter("fs.bytes_read")
+        self._stats = stats = FsStats()
+        self.telemetry.counter("fs.bytes_written", lambda: stats.bytes_written)
+        self.telemetry.counter("fs.bytes_read", lambda: stats.bytes_read)
         # The write-amplification ledger's numerator lives in the
         # segment writer (wamp.log_bytes); this is its denominator.
-        self._m_wamp_user = self.telemetry.counter("wamp.user_bytes")
+        self.telemetry.counter("wamp.user_bytes", lambda: stats.bytes_written)
         self.cache = BlockCache(
             cache_bytes, self.block_size, telemetry=self.telemetry
         )
@@ -127,7 +128,6 @@ class BaseFileSystem(StorageManager):
         self.monitor = WritebackMonitor(
             self.cache, self.clock, telemetry=self.telemetry
         )
-        self._stats = FsStats()
         self._inodes: Dict[int, Inode] = {}
         self._dirty_inodes: Set[int] = set()
         # Times each inode number was freed: a handle opened before the
@@ -956,17 +956,12 @@ class BaseFileSystem(StorageManager):
         stats = self._stats
         stats.read_calls += 1
         stats.bytes_read += nbytes
-        if self._obs_enabled:
-            self._m_fs_bytes_read.inc(nbytes)
         return data
 
     def pwrite(self, handle: FileHandle, offset: int, data: bytes) -> int:
         if self._obs_enabled:
             with self.telemetry.span("fs.write", bytes=len(data)):
-                written = self._pwrite(handle, offset, data)
-            self._m_fs_bytes_written.inc(written)
-            self._m_wamp_user.inc(written)
-            return written
+                return self._pwrite(handle, offset, data)
         return self._pwrite(handle, offset, data)
 
     def _pwrite(self, handle: FileHandle, offset: int, data: bytes) -> int:

@@ -100,7 +100,7 @@ def run_cleaning_rate_test(
 
     cleaned_before = fs.cleaner.stats.segments_cleaned
     copied_before = fs.cleaner.stats.live_blocks_copied
-    written_before = fs.segments.cleaner_bytes_written
+    written_before = fs.segments.stats.cleaner_bytes_written
     start = fs.clock.now()
     fs.clean_now(fs.layout.num_segments)  # clean everything cleanable
     fs.disk.drain()
@@ -112,5 +112,5 @@ def run_cleaning_rate_test(
         segments_cleaned=fs.cleaner.stats.segments_cleaned - cleaned_before,
         clean_seconds=elapsed,
         live_blocks_copied=fs.cleaner.stats.live_blocks_copied - copied_before,
-        cleaner_bytes_written=fs.segments.cleaner_bytes_written - written_before,
+        cleaner_bytes_written=fs.segments.stats.cleaner_bytes_written - written_before,
     )

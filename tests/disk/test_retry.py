@@ -44,7 +44,7 @@ class TestRetryPolicy:
     def test_defaults_reproduce_the_historical_schedule(self):
         disk = _flaky_disk(3)
         disk.read(0, 1)
-        assert disk.read_retries == 3
+        assert disk.stats.read_retries == 3
         assert disk.retry_stall_seconds == pytest.approx(0.002 + 0.004 + 0.008)
 
     def test_cap_bounds_every_delay(self, monkeypatch):
@@ -64,7 +64,7 @@ class TestDiskRetryTiming:
         disk, _clock = _faulty_disk(transient_prob=1.0)
         data = disk.read(0, 1)
         assert len(data) > 0  # the retry succeeded
-        assert disk.read_retries == 1
+        assert disk.stats.read_retries == 1
         assert disk.retry_stall_seconds == pytest.approx(
             sim_disk.RETRY_BASE_DELAY
         )
@@ -74,13 +74,13 @@ class TestDiskRetryTiming:
         disk, _clock = _faulty_disk(transient_prob=1.0)
         with pytest.raises(TransientIOError):
             disk.read(0, 1)
-        assert disk.read_retries == 1  # the one probe that failed
+        assert disk.stats.read_retries == 1  # the one probe that failed
         assert disk.retry_stall_seconds == 0.0
 
     def test_clean_reads_never_touch_the_retry_path(self):
         disk, _clock = _faulty_disk(transient_prob=0.0)
         disk.read(0, 1)
-        assert disk.read_retries == 0
+        assert disk.stats.read_retries == 0
         assert disk.retry_stall_seconds == 0.0
 
     def test_backoff_advances_the_simulated_clock(self):

@@ -131,10 +131,10 @@ class TestStats:
     def test_vectored_reads_counted(self, disk):
         disk.write(0, b"x" * 4096, sync=True)
         disk.read(0, 8)
-        assert disk.vectored_reads == 0
+        assert disk.stats.vectored_reads == 0
         disk.read(0, 8, vectored=True)
         disk.read(8, 8, vectored=True)
-        assert disk.vectored_reads == 2
+        assert disk.stats.vectored_reads == 2
 
 
 class TestCrash:

@@ -42,7 +42,7 @@ class TestTransientErrors:
         # ...and the next fresh request fails again (prob = 1.0).
         with pytest.raises(TransientIOError):
             device.read(0, 1)
-        assert device.injector.transient_errors == 2
+        assert device.injector.counts["transient_errors"] == 2
 
     def test_different_request_is_not_the_armed_retry(self):
         device = make_device(FaultConfig(transient_read_prob=1.0))
@@ -63,14 +63,14 @@ class TestBadSectors:
         with pytest.raises(MediaError) as excinfo:
             device.read(4, 4)
         assert excinfo.value.sector == 5
-        assert device.injector.media_errors == 1
+        assert device.injector.counts["media_errors"] == 1
 
     def test_write_remaps_bad_sector(self):
         device = make_device()
         device.injector.mark_unreadable(7)
         device.write(7, b"z" * SECTOR_SIZE, durable=True)
         assert device.read(7, 1) == b"z" * SECTOR_SIZE
-        assert device.injector.remaps == 1
+        assert device.injector.counts["remaps"] == 1
         assert not device.injector.bad_sectors
 
 
@@ -87,7 +87,7 @@ class TestCrashDamage:
     def test_torn_write_keeps_prefix_only(self):
         device = self._crash_with(FaultConfig(torn_write_prob=1.0))
         data = bytes(device.read(0, 8))
-        assert device.injector.torn_writes == 1
+        assert device.injector.counts["torn_writes"] == 1
         keep = data.count(b"B"[0]) // SECTOR_SIZE
         assert 1 <= keep < 8
         # Strictly a prefix: B-sectors then A-sectors, nothing else.
@@ -97,7 +97,7 @@ class TestCrashDamage:
     def test_no_tear_without_probability(self):
         device = self._crash_with(FaultConfig.none())
         assert device.read(0, 8) == b"A" * SECTOR_SIZE * 8
-        assert device.injector.torn_writes == 0
+        assert device.injector.counts["torn_writes"] == 0
 
     def test_sync_writes_never_tear(self):
         device = make_device(FaultConfig(torn_write_prob=1.0))
@@ -111,8 +111,8 @@ class TestCrashDamage:
             FaultConfig(bit_flip_sectors=2, grow_bad_sectors=2), seed=3
         )
         injector = device.injector
-        assert injector.bit_flips == 2
-        assert injector.bad_sectors_grown == len(injector.bad_sectors) >= 1
+        assert injector.counts["bit_flips"] == 2
+        assert injector.counts["bad_sectors_grown"] == len(injector.bad_sectors) >= 1
         assert all(s in device.written_sectors for s in injector.bad_sectors)
 
     def test_deterministic_across_runs(self):
@@ -137,7 +137,7 @@ class TestTimingLayerRetries:
         disk.write(0, b"q" * SECTOR_SIZE, sync=True)
         before = disk.busy_until
         assert disk.read(0, 1) == b"q" * SECTOR_SIZE
-        assert disk.read_retries == 1
+        assert disk.stats.read_retries == 1
         assert disk.busy_until > before  # backoff landed on the timeline
 
     def test_media_error_propagates_through_sim_disk(self):

@@ -266,5 +266,5 @@ class TestCleanerQuarantine:
             if victim in fs.usage.dirty_segments():
                 break
         assert victim in fs.usage.dirty_segments()
-        assert injector.remaps >= 1
+        assert injector.counts["remaps"] >= 1
         assert not injector.bad_sectors

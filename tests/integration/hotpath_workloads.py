@@ -62,7 +62,7 @@ def small_file(telemetry: Optional[Telemetry] = None) -> Fingerprint:
         "create_seconds": result.create_seconds,
         "read_seconds": result.read_seconds,
         "delete_seconds": result.delete_seconds,
-        "log_bytes_written": fs.segments.log_bytes_written,
+        "log_bytes_written": fs.segments.stats.log_bytes_written,
     }
 
 
@@ -83,7 +83,7 @@ def large_file_random_write(telemetry: Optional[Telemetry] = None) -> Fingerprin
     handle.close()
     return {
         "simulated_seconds": simulated,
-        "log_bytes_written": fs.segments.log_bytes_written,
+        "log_bytes_written": fs.segments.stats.log_bytes_written,
     }
 
 
@@ -111,7 +111,7 @@ def _read_fingerprint(fs: LogStructuredFS, handle, passes: int) -> Fingerprint:
     return {
         "bytes_read": bytes_read,
         "data_crc32": crc,
-        "log_bytes_written": fs.segments.log_bytes_written,
+        "log_bytes_written": fs.segments.stats.log_bytes_written,
     }
 
 
@@ -158,7 +158,7 @@ def cleaning(telemetry: Optional[Telemetry] = None) -> Fingerprint:
         "segments_cleaned": cleaned,
         "live_blocks_copied": fs.cleaner.stats.live_blocks_copied,
         "simulated_seconds": fs.clock.now() - start,
-        "log_bytes_written": fs.segments.log_bytes_written,
+        "log_bytes_written": fs.segments.stats.log_bytes_written,
     }
 
 

@@ -107,5 +107,5 @@ class TestAlternation:
 
     def test_counters(self, manager):
         manager.write(make_data(timestamp=4.0))
-        assert manager.checkpoints_written == 1
+        assert manager.stats.writes == 1
         assert manager.last_checkpoint_time == 4.0

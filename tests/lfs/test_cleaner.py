@@ -127,9 +127,9 @@ class TestCleaning:
 
     def test_cleaning_ends_with_checkpoint(self, lfs):
         fill_and_fragment(lfs)
-        checkpoints_before = lfs.checkpoints.checkpoints_written
+        checkpoints_before = lfs.checkpoints.stats.writes
         if lfs.clean_now(lfs.layout.num_segments):
-            assert lfs.checkpoints.checkpoints_written > checkpoints_before
+            assert lfs.checkpoints.stats.writes > checkpoints_before
 
     def test_cleaning_survives_remount(self, lfs):
         kept = fill_and_fragment(lfs)
@@ -206,10 +206,10 @@ class TestFsyncMany:
             handle = lfs.create(f"/batch{i}")
             handle.write(b"b" * 4096)
             handles.append(handle)
-        flushes_before = lfs.segments.log_bytes_written
+        flushes_before = lfs.segments.stats.log_bytes_written
         lfs.fsync_many(handles)
         assert lfs.cache.dirty_bytes == 0
-        assert lfs.segments.log_bytes_written > flushes_before
+        assert lfs.segments.stats.log_bytes_written > flushes_before
         # One explicit SYNC trigger for the whole batch, not eight.
         from repro.cache.writeback import WritebackReason
 
@@ -218,9 +218,9 @@ class TestFsyncMany:
             handle.close()
 
     def test_empty_batch_is_a_noop(self, lfs):
-        written = lfs.segments.log_bytes_written
+        written = lfs.segments.stats.log_bytes_written
         lfs.fsync_many([])
-        assert lfs.segments.log_bytes_written == written
+        assert lfs.segments.stats.log_bytes_written == written
 
     def test_single_fsync_delegates_to_batch_path(self, lfs):
         with lfs.create("/solo") as handle:

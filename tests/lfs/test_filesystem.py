@@ -51,7 +51,7 @@ class TestNoSynchronousWrites:
         lfs.checkpoint()
         # All log writes are async; only checkpoint regions are sync.
         sync_events = lfs.disk.stats.sync_requests
-        assert sync_events == lfs.checkpoints.checkpoints_written + 1
+        assert sync_events == lfs.checkpoints.stats.writes + 1
         # (+1: the superblock write at mkfs.)
 
 
@@ -135,15 +135,15 @@ class TestDataPath:
         fs = LogStructuredFS.mkfs(disk, cpu, config)
         near = bytes(range(256)) * (bs // 256) * 29  # past N_DIRECT
         far_lbn = N_DIRECT + pointers_per_block(bs) + 5  # second leaf
-        partials = fs.segments.partial_segments_written
+        partials = fs.segments.stats.partial_segments_written
         with fs.create("/near") as handle:
             handle.write(near)
         with fs.create("/far") as handle:
             handle.pwrite(far_lbn * bs, b"far" * 100)
-        assert fs.segments.partial_segments_written == partials
+        assert fs.segments.stats.partial_segments_written == partials
         evictions = fs.cache.stats.evictions
         fs.sync()
-        assert fs.segments.partial_segments_written == partials + 1
+        assert fs.segments.stats.partial_segments_written == partials + 1
         assert fs.cache.stats.evictions > evictions  # the window was open
         fs.unmount()
         again = LogStructuredFS.mount(disk, cpu, config)
@@ -240,9 +240,9 @@ class TestSpace:
 
 class TestLfsSpecificApi:
     def test_checkpoint_resets_interval(self, lfs):
-        before = lfs.checkpoints.checkpoints_written
+        before = lfs.checkpoints.stats.writes
         lfs.checkpoint()
-        assert lfs.checkpoints.checkpoints_written == before + 1
+        assert lfs.checkpoints.stats.writes == before + 1
 
     def test_clean_now_on_clean_fs(self, lfs):
         assert lfs.clean_now() == 0

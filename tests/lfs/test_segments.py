@@ -174,7 +174,7 @@ class TestWritePlan:
         assert manager.position == before
         assert disk.stats.writes == 1
         manager.write_plan(planned(1, []))
-        assert manager.pool.allocations == 1  # the buffer went back
+        assert manager.pool.stats.allocations == 1  # the buffer went back
 
 
 class TestSpaceManagement:
@@ -251,11 +251,11 @@ class TestSpaceManagement:
     def test_stats_accumulate(self, rig):
         manager, usage, layout, disk = rig
         manager.write_plan(planned(4, []))
-        assert manager.partial_segments_written == 1
-        assert manager.log_bytes_written == 5 * BS
+        assert manager.stats.partial_segments_written == 1
+        assert manager.stats.log_bytes_written == 5 * BS
         manager.cleaner_mode = True
         manager.write_plan(planned(1, []))
-        assert manager.cleaner_bytes_written == 2 * BS
+        assert manager.stats.cleaner_bytes_written == 2 * BS
 
 
 class TestSegmentBufferPool:
@@ -265,7 +265,7 @@ class TestSegmentBufferPool:
         pool = SegmentBufferPool(SEG)
         buf = pool.acquire()
         assert isinstance(buf, bytearray) and len(buf) == SEG
-        assert pool.allocations == 1 and pool.reuses == 0
+        assert pool.stats.allocations == 1 and pool.stats.reuses == 0
 
     def test_release_then_acquire_reuses_same_buffer(self):
         from repro.lfs.segments import SegmentBufferPool
@@ -275,19 +275,26 @@ class TestSegmentBufferPool:
         pool.release(buf)
         again = pool.acquire()
         assert again is buf
-        assert pool.allocations == 1 and pool.reuses == 1
+        assert pool.stats.allocations == 1 and pool.stats.reuses == 1
 
     def test_wrong_size_and_excess_buffers_dropped(self):
         from repro.lfs.segments import SegmentBufferPool
 
         pool = SegmentBufferPool(SEG, max_buffers=1)
         pool.release(bytearray(SEG - 1))  # wrong size: never pooled
-        assert pool.acquire() is not None and pool.reuses == 0
+        assert pool.acquire() is not None and pool.stats.reuses == 0
         a, b = bytearray(SEG), bytearray(SEG)
         pool.release(a)
         pool.release(b)  # over max_buffers: dropped
         assert pool.acquire() is a
-        assert pool.allocations == 1 and pool.reuses == 1
+        assert pool.stats.allocations == 1 and pool.stats.reuses == 1
+
+    def test_crash_drops_the_free_buffers(self, lfs):
+        pool = lfs.segments.pool
+        buffer = pool.acquire()
+        pool.release(buffer)
+        lfs.crash()
+        assert pool.acquire() is not buffer
 
     def test_telemetry_counts_reuse(self):
         from repro.obs import Telemetry
@@ -307,5 +314,5 @@ class TestSegmentBufferPool:
             manager.write_plan(planned(4, []))
         # Partial segments cycle through the pool: after the first
         # assembly the writer never allocates another staging buffer.
-        assert manager.pool.allocations == 1
-        assert manager.pool.reuses >= 5
+        assert manager.pool.stats.allocations == 1
+        assert manager.pool.stats.reuses >= 5

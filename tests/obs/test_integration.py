@@ -1,7 +1,8 @@
 """Cross-layer telemetry integration tests on real LFS workloads.
 
 These pin the relationships the observability layer promises: registry
-series mirror the pre-existing stats objects exactly, spans cover every
+series read the layers' stats objects back exactly (also after a call
+raised, and without keeping a dropped file system alive), spans cover every
 instrumented layer, the JSONL export is internally consistent with
 :class:`~repro.disk.stats.DiskStats` deltas, and telemetry changes no
 simulated outcome.
@@ -9,16 +10,21 @@ simulated outcome.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.disk.geometry import wren_iv
 from repro.disk.sim_disk import SimDisk
 from repro.disk.trace import TraceRecorder
+from repro.errors import NoSpaceError
 from repro.lfs.filesystem import LogStructuredFS
 from repro.obs import Telemetry, export_jsonl, read_jsonl
 from repro.sim.clock import SimClock
 from repro.sim.cpu import CpuModel
-from repro.units import MIB
+from repro.rig import new_rig
+from repro.units import KIB, MIB
 from repro.workloads.smallfile import run_small_file_test
 
 from tests.conftest import small_lfs_config
@@ -212,11 +218,11 @@ class TestRecoverySpan:
         disk = SimDisk(wren_iv(64 * MIB), clock, trace=TraceRecorder())
         fs = LogStructuredFS.mkfs(disk, cpu, small_lfs_config())
         fs.checkpoint()
-        tail = fs.segments.log_bytes_written
+        tail = fs.segments.stats.log_bytes_written
         for i in range(4):
             fs.write_file(f"/f{i}", bytes([i]) * 20_000)
             fs.sync()
-        tail = fs.segments.log_bytes_written - tail
+        tail = fs.segments.stats.log_bytes_written - tail
         fs.crash()
         disk.revive()
         disk.trace.clear()
@@ -250,4 +256,49 @@ class TestTelemetryChangesNothing:
         fs_off = run(None)
         assert fs_on.clock.now() == fs_off.clock.now()
         assert fs_on.disk.stats.to_dict() == fs_off.disk.stats.to_dict()
-        assert fs_on.segments.log_bytes_written == fs_off.segments.log_bytes_written
+        assert (
+            fs_on.segments.stats.log_bytes_written
+            == fs_off.segments.stats.log_bytes_written
+        )
+
+
+class TestReadBackSeries:
+    def test_series_equal_the_layer_counts_after_no_space(self):
+        # A write that fills the volume raises from its write-back after
+        # the file system counted its bytes, and from inside a cleaning
+        # pass after the cleaner counted segments.
+        telemetry = Telemetry()
+        fs = new_rig(
+            "lfs",
+            total_bytes=8 * MIB,
+            lfs_config=small_lfs_config(cache_bytes=1 * MIB),
+            telemetry=telemetry,
+        ).fs
+        with pytest.raises(NoSpaceError):
+            for index in range(1000):
+                with fs.create(f"/f{index}") as handle:
+                    handle.write(bytes([index % 251]) * (64 * KIB))
+        value = telemetry.registry.value
+        assert fs.cleaner.stats.segments_cleaned > 0
+        assert value("fs.bytes_written") == fs.stats.bytes_written
+        assert value("wamp.user_bytes") == fs.stats.bytes_written
+        assert (
+            value("cleaner.segments_cleaned")
+            == fs.cleaner.stats.segments_cleaned
+        )
+
+    def test_crashed_file_system_and_cache_are_collected(self):
+        telemetry = Telemetry()
+        fs = make_rig(telemetry)
+        fs.create("/a").write(b"a" * 10_000)
+        fs.sync()
+        disk, cpu = fs.disk, fs.cpu
+        dropped = [weakref.ref(fs), weakref.ref(fs.cache)]
+        fs.crash()
+        disk.revive()
+        fs = LogStructuredFS.mount(disk, cpu, telemetry=telemetry)
+        fs.create("/b").write(b"b" * 5_000)
+        gc.collect()
+        assert [ref() for ref in dropped] == [None, None]
+        # The dropped file system's counts still add to the series.
+        assert telemetry.registry.value("fs.bytes_written") == 15_000

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.errors import InvalidArgumentError
-from repro.obs import MetricsRegistry, NULL_INSTRUMENT
+from repro.harness.parallel import export_telemetry_totals, merge_metric_samples
+from repro.obs import MetricsRegistry, NULL_INSTRUMENT, Telemetry
 from repro.obs.registry import OVERFLOW_LABELS
+
+
+@dataclass
+class Counts:
+    reads: int = 0
 
 
 @pytest.fixture
@@ -36,6 +44,62 @@ class TestCounter:
         first.inc(3)
         assert registry.value("disk.requests", tier="data") == 3
         assert registry.value("disk.requests", tier="meta") == 0
+
+
+class TestReadBackCounter:
+    def test_value_and_sample_read_the_count(self, registry):
+        counts = Counts()
+        counter = registry.counter("disk.reads", lambda: counts.reads)
+        assert counter.kind == "counter" and counter.value == 0
+        counts.reads = 7
+        assert registry.value("disk.reads") == 7
+        assert list(registry.samples()) == [
+            {"name": "disk.reads", "kind": "counter", "labels": {}, "value": 7}
+        ]
+
+    def test_inc_adds_on_top(self, registry):
+        counts = Counts(reads=4)
+        registry.counter("disk.reads", lambda: counts.reads).inc(3)
+        assert registry.value("disk.reads") == 7
+
+    def test_objects_under_one_series_sum(self, registry):
+        first, second, other = Counts(2), Counts(5), Counts(11)
+        series = registry.counter("disk.reads", lambda: first.reads)
+        again = registry.counter("disk.reads", lambda: second.reads)
+        registry.counter("disk.reads", lambda: other.reads, tier="far")
+        assert series is again
+        assert registry.value("disk.reads") == 7
+        assert registry.value("disk.reads", tier="far") == 11
+
+    def test_dict_entry_reader(self, registry):
+        tiers = {}
+        registry.counter("disk.requests", lambda: tiers.get("far", 0), tier="far")
+        tiers["far"] = 3
+        assert registry.value("disk.requests", tier="far") == 3
+
+    def test_disabled_registry_ignores_the_reader(self):
+        def read():
+            raise AssertionError("a disabled registry must not read")
+
+        registry = MetricsRegistry(enabled=False)
+        assert registry.counter("disk.reads", read) is NULL_INSTRUMENT
+        assert registry.value("disk.reads") == 0
+        assert list(registry.samples()) == []
+
+    def test_totals_round_trip_through_merge(self):
+        worker = Telemetry()
+        counts = Counts(reads=9)
+        worker.counter("disk.reads", lambda: counts.reads).inc(1)
+        totals = export_telemetry_totals(worker)
+        merged = Telemetry()
+        local = Counts(reads=5)
+        merged.counter("disk.reads", lambda: local.reads)
+        merge_metric_samples(merged, totals)
+        merge_metric_samples(merged, totals)
+        assert merged.registry.value("disk.reads") == 5 + 2 * 10
+        assert export_telemetry_totals(merged)["metrics"] == [
+            {"name": "disk.reads", "kind": "counter", "labels": {}, "value": 25}
+        ]
 
 
 class TestGauge:

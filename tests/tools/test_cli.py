@@ -270,6 +270,34 @@ class TestTelemetry:
         assert records[-1]["type"] == "summary"
         assert "disk.reads" in records[-1]["metric_names"]
 
+    def test_stats_merges_jsonl_streams(self, tmp_path):
+        """``repro stats a.jsonl b.jsonl`` renders what merging the two
+        rigs' totals in process renders."""
+        from repro.harness.parallel import (
+            export_telemetry_totals,
+            merge_metric_samples,
+        )
+        from repro.obs import Telemetry, export_jsonl, render_report
+        from repro.rig import new_rig
+
+        merged = Telemetry()
+        paths = []
+        for index, nbytes in enumerate((3000, 70_000)):
+            telemetry = Telemetry()
+            fs = new_rig("lfs", total_bytes=16 * MIB, telemetry=telemetry).fs
+            with fs.create("/f") as handle:
+                handle.write(b"m" * nbytes)
+            fs.sync()
+            fs.read_file("/f")
+            paths.append(str(tmp_path / f"rig{index}.jsonl"))
+            export_jsonl(telemetry, paths[-1])
+            merge_metric_samples(merged, export_telemetry_totals(telemetry))
+        code, stdout = run_cli(["stats", *paths])
+        assert code == 0
+        title = f"merged {paths[0]}, {paths[1]}"
+        assert stdout == render_report(merged, title=title) + "\n"
+        assert "fs.bytes_written" in stdout and "cache.flush" in stdout
+
     def test_fig_without_flag_writes_no_telemetry(self):
         code, stdout = run_cli(["fig", "1"])
         assert code == 0
