@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint e2e-smoke e2e-digest bench-pairs trace reports crashtest chaos ci
+.PHONY: test lint e2e-smoke e2e-digest bench-pairs trace reports cluster-smoke crashtest chaos ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -81,6 +81,15 @@ reports: trace
 	$(PYTHON) -m repro sweep --jobs 2
 	git diff --exit-code BENCH_service.json
 
+# Two shards, one live migration: first at 0.05 s into serving, then at
+# the instant serving starts.  Each run exits nonzero when a shard image
+# fails verify_lfs.
+cluster-smoke:
+	$(PYTHON) -m repro cluster-sim --shards 2 --clients 8 \
+		--requests-per-client 10 --migrate 1:0@0.05
+	$(PYTHON) -m repro cluster-sim --shards 2 --clients 8 \
+		--requests-per-client 10 --migrate 1:0@0
+
 # Fixed seed, small trial count: CI asserts zero unhandled exceptions
 # (the command exits nonzero if any trial escapes with an untyped
 # error), not any particular corruption mix.  The jobs=2 rerun must
@@ -113,4 +122,4 @@ chaos:
 	diff /tmp/chaos_j1.jsonl /tmp/chaos.jsonl
 	@cat /tmp/chaos_j1.txt
 
-ci: lint test e2e-smoke reports crashtest chaos
+ci: lint test e2e-smoke reports cluster-smoke crashtest chaos

@@ -96,13 +96,10 @@ class ShardMigrator:
 
         ``at`` is relative to serving start, not absolute: volume
         formatting has already consumed simulated time on the shared
-        clock by the time the run loop starts, and a timer scheduled in
-        the past would never fire (``advance_to`` only moves forward).
+        clock by the time the run loop starts.  ``at`` may be 0: the
+        freeze then runs after the events already queued for now.
         """
-        self.clock.call_at(
-            self.clock.now() + self.spec.at,
-            lambda: self.source._enqueue(self._freeze),
-        )
+        self.clock.call_at(self.clock.now() + self.spec.at, self._freeze)
 
     def _freeze(self) -> None:
         self.state = "FREEZING"
@@ -127,15 +124,11 @@ class ShardMigrator:
         )
         if inflight > 0:
             self.clock.call_at(
-                self.clock.now() + QUIESCE_POLL,
-                lambda: self.source._enqueue(self._check_quiesce),
+                self.clock.now() + QUIESCE_POLL, self._check_quiesce
             )
             return
         self.state = "DRAINING"
-        self.clock.call_at(
-            self.clock.now() + DRAIN_WINDOW,
-            lambda: self.source._enqueue(self._copy),
-        )
+        self.clock.call_at(self.clock.now() + DRAIN_WINDOW, self._copy)
 
     def _copy(self) -> None:
         self.state = "COPYING"
@@ -156,7 +149,7 @@ class ShardMigrator:
         # handover — a post-cutover target crash may not lose files the
         # source already reclaimed.
         dst_fs.checkpoint()
-        self.target._enqueue(self._cutover)
+        self.clock.call_at(self.clock.now(), self._cutover)
 
     def _cutover(self) -> None:
         self.state = "CUTOVER"
@@ -179,7 +172,7 @@ class ShardMigrator:
         self._m_files.inc(self.summary["files"])
         self._m_bytes.inc(self.summary["bytes"])
         self._m_redirected.inc(redirected)
-        self.source._enqueue(self._reclaim)
+        self.clock.call_at(self.clock.now(), self._reclaim)
 
     def _reclaim(self) -> None:
         self.state = "RECLAIMING"

@@ -5,10 +5,11 @@ the implementation):
 
 1. Shards are partitioned into **groups**: the source and target of a
    migration share one group (and therefore one :class:`~repro.sim.
-   clock.SimClock`, one :class:`~repro.obs.Telemetry` and one shared
-   ready queue, so the cutover barrier is a plain event ordering); every
-   other shard is a singleton group with its own private clock.  Groups
-   never share state, which is what makes them embarrassingly parallel.
+   clock.SimClock`, whose one queue holds every event of the group, and
+   one :class:`~repro.obs.Telemetry`, so the cutover barrier is a plain
+   event ordering); every other shard is a singleton group with its own
+   private clock.  Groups never share state, which is what makes them
+   embarrassingly parallel.
 2. Client ``i``'s request stream is derived from ``(seed, i)`` alone —
    never from its shard — so placement and migration cannot change
    *what* a client asks for, only *where* it is served.
@@ -20,7 +21,7 @@ the implementation):
    the same per-group results either way.
 
 Each shard is a full LFS rig (own simulated disk, cache, cleaner).
-After its group's event loop drains, the shard is checkpointed,
+After its group's clock has run every event, the shard is checkpointed,
 unmounted, hashed (SHA-256 of the device image) and verified with
 :func:`repro.lfs.verify.verify_lfs`, so every cluster run ends with a
 per-shard consistency proof.
@@ -39,11 +40,7 @@ from repro.cluster.router import ShardRouter
 from repro.obs import Telemetry
 from repro.rig import new_rig
 from repro.service.config import SERVICE_LFS_CONFIG
-from repro.service.scheduler import (
-    ClientStream,
-    RequestScheduler,
-    run_events,
-)
+from repro.service.scheduler import ClientStream, RequestScheduler
 from repro.service.stats import percentile
 from repro.units import MIB
 
@@ -82,8 +79,6 @@ def run_group(
     hash and verify findings, the group's merged telemetry totals, and
     summaries of any migrations that ran.
     """
-    from collections import deque
-
     from repro.harness.parallel import export_telemetry_totals
     from repro.lfs.verify import verify_lfs
     from repro.sim.clock import SimClock
@@ -94,7 +89,6 @@ def run_group(
     gc.collect()
     clock = SimClock()
     telemetry = Telemetry(clock=clock)
-    ready: deque = deque()
     assigned = dict(assignment)
     schedulers: Dict[int, RequestScheduler] = {}
     for shard_id in shard_ids:
@@ -116,7 +110,6 @@ def run_group(
             service_config,
             telemetry=telemetry,
             clients=clients,
-            ready=ready,
         )
     migrators = [
         ShardMigrator(
@@ -133,7 +126,7 @@ def run_group(
     solo = len(shard_ids) == 1
     for shard_id in shard_ids:
         schedulers[shard_id].start(open_run_span=solo)
-    run_events(clock, ready)
+    clock.run()
     shards: List[Dict[str, Any]] = []
     for shard_id in shard_ids:
         scheduler = schedulers[shard_id]

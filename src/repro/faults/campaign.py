@@ -101,8 +101,10 @@ class SeededTrial:
     def crash_and_remount(self) -> LogStructuredFS:
         """Power-fail the rig (with the injector's crash damage), bring
         the device back and mount what survived; a failed mount raises
-        its typed error."""
+        its typed error.  The crashed run's pending events die with it:
+        none may run against the remounted volume."""
         self.rig.fs.crash()
+        self.rig.clock.cancel_all_timers()
         self.device.revive()
         return LogStructuredFS.mount(
             self.rig.disk,

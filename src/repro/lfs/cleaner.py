@@ -241,10 +241,22 @@ class SegmentCleaner:
         return cleaned
 
     def _run_clean(self, target: int) -> int:
-        cleaned = 0
-        usage = self.fs.usage
         start = self.fs.clock.now()
         stall_before = self.fs.disk.sync_stall_seconds
+        try:
+            return self._clean_passes(target, start)
+        finally:
+            # A pass that raises (NoSpaceError, an injected crash) has
+            # still spent its time and moved the reserve.
+            self.stats.busy_seconds += self.fs.clock.now() - start
+            self.stats.disk_stall_seconds += (
+                self.fs.disk.sync_stall_seconds - stall_before
+            )
+            self.clean_reserve()  # refresh the cleaner.clean_reserve gauge
+
+    def _clean_passes(self, target: int, start: float) -> int:
+        cleaned = 0
+        usage = self.fs.usage
         stagnant_passes = 0
         while usage.clean_count() < target:
             clean_before = usage.clean_count()
@@ -281,11 +293,6 @@ class SegmentCleaner:
                     break
             else:
                 stagnant_passes = 0
-        self.stats.busy_seconds += self.fs.clock.now() - start
-        self.stats.disk_stall_seconds += (
-            self.fs.disk.sync_stall_seconds - stall_before
-        )
-        self.clean_reserve()  # refresh the cleaner.clean_reserve gauge
         return cleaned
 
     def _clean_pass(self, victims: List[int], clean_before: int) -> int:
@@ -488,8 +495,7 @@ class SegmentCleaner:
         imap and usage blocks reload through the cache or need no
         payload, so their bytes are never read.  No file changes
         between the two steps: the reads only advance the clock, and
-        timers never enter the file system (the service layer's queue
-        events for its run loop).
+        advancing the clock runs no event.
         """
         fs = self.fs
         bs = fs.config.block_size

@@ -5,7 +5,7 @@ to completion.  It owns the request's **root span** (kind
 ``service.request``) and an accumulator of disjoint latency components:
 
 ================== ====================================================
-``queueing``        residual — time in the ready queue / event gaps
+``queueing``        residual — time waiting to run / event gaps
 ``admission_retry`` REJECT→resubmit backoff waits
 ``cleaner_throttle`` cleaning the request stalled on (throttle passes
                     *and* cleaning that fired inside its execution)

@@ -8,10 +8,10 @@ simulated seconds; every fsync that arrives meanwhile joins the batch,
 and the window closes with a single :meth:`~repro.lfs.filesystem.
 LogStructuredFS.fsync_many` — one flush, one drain, N completions.
 
-The committer never calls back into the scheduler directly: completions
-are handed to an ``enqueue`` hook so they run as ordinary events on the
-scheduler's ready queue (commit work must not preempt the request that
-happened to close the window).
+The window's close and every ``done``/``fail`` completion are events on
+the clock's queue (``call_at``): commit work never preempts the request
+that happened to be running when the window came due, and completions
+run after the events already queued for the flush's instant.
 """
 
 from __future__ import annotations
@@ -42,12 +42,10 @@ class GroupCommitter:
         self,
         fs: "LogStructuredFS",
         stats: ServiceStats,
-        enqueue: Callable[[Callable[[], None]], None],
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.fs = fs
         self.stats = stats
-        self._enqueue = enqueue
         self._waiters: List[
             Tuple[FileHandle, Callable[[], None], Callable[[], None], Any]
         ] = []
@@ -84,7 +82,7 @@ class GroupCommitter:
     ) -> None:
         """Join the current commit window (opening one if needed).
 
-        ``done`` runs — via the scheduler's ready queue — once the
+        ``done`` runs — as an event on the clock — once the
         flush that covers ``handle`` is durable.  ``fail`` runs instead
         when the flush is refused because the file system degraded to
         read-only: nothing became durable, so the waiter is not acked.
@@ -95,10 +93,8 @@ class GroupCommitter:
         self._waiters.append((handle, done, fail, ctx))
         if not self._window_open:
             self._window_open = True
-            deadline = self.fs.clock.now() + COMMIT_WINDOW
-            self.fs.clock.call_at(
-                deadline, lambda: self._enqueue(self._commit)
-            )
+            clock = self.fs.clock
+            clock.call_at(clock.now() + COMMIT_WINDOW, self._commit)
 
     def _commit(self) -> None:
         batch = self._waiters
@@ -142,16 +138,17 @@ class GroupCommitter:
             )
             for ctx in traced:
                 ctx.charge_split(elapsed, delta)
+        clock = self.fs.clock
         if refused:
             for _handle, _done, fail, _ctx in batch:
-                self._enqueue(fail)
+                clock.call_at(clock.now(), fail)
             return
         if self.on_durable is not None:
             self.on_durable()
         self.stats.note_batch(len(batch))
         self._h_batch.observe(len(batch))
         for _handle, done, _fail, _ctx in batch:
-            self._enqueue(done)
+            clock.call_at(clock.now(), done)
 
     def flush_now(self) -> None:
         """Close the window immediately (drain at end of run)."""

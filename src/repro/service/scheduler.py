@@ -4,17 +4,16 @@ A :class:`RequestScheduler` interleaves N deterministic client request
 streams over one :class:`~repro.lfs.filesystem.LogStructuredFS`, all in
 simulated time:
 
-* Arrivals, commit windows and the background flusher are timers on the
-  shared :class:`~repro.sim.clock.SimClock` (``call_at``); the FIFO
-  guarantee for equal timestamps is what makes a run reproducible.
-* Timer callbacks never touch the file system directly — they append
-  events to a ready queue that the run loop drains one event at a
-  time.  An event may advance the clock (CPU work, synchronous I/O);
-  any timers that expire meanwhile simply enqueue more events, so file
-  system operations are never re-entered.  This models a single-server
-  system: requests that become ready while another is being serviced
-  run late, and that queueing delay is charged to their latency
-  (``arrival`` is the scheduled instant, not the execution instant).
+* Arrivals, retries, commit windows and the background flusher are
+  events on the shared :class:`~repro.sim.clock.SimClock`'s one queue
+  (``call_at``), run one at a time by ``SimClock.run``; equal due times
+  run in posting order, which is what makes a run reproducible.
+* An event may advance the clock (CPU work, synchronous I/O), but
+  advancing runs nothing, so file system operations are never
+  re-entered.  This models a single-server system: requests that come
+  due while another is being serviced run late, and that queueing delay
+  is charged to their latency (``arrival`` is the scheduled instant, not
+  the execution instant).
 * ``fsync`` requests are handed to the :class:`~repro.service.
   committer.GroupCommitter`; everything else completes synchronously.
 * Every request passes the :class:`~repro.service.admission.
@@ -30,9 +29,8 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from functools import partial
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import MediaError, NoSpaceError, ReadOnlyFSError
 from repro.lfs.filesystem import LogStructuredFS
@@ -49,7 +47,6 @@ from repro.service.config import (
     ServiceConfig,
 )
 from repro.service.stats import REQUEST_KINDS, ServiceStats
-from repro.sim.clock import SimClock
 from repro.units import MIB
 
 MAX_FILE_BYTES = 1 * MIB
@@ -140,22 +137,6 @@ class ClientStream:
         return bytes([fill]) * size
 
 
-def run_events(clock: SimClock, ready: Deque[Callable[[], None]]) -> None:
-    """The event loop: run ready events one at a time, and when none is
-    ready move ``clock`` to its next timer, until neither is left.
-
-    One scheduler's :meth:`RequestScheduler.run` drives it over its own
-    queue; a cluster group drives it once over the queue its schedulers
-    share."""
-    while ready or clock.pending_timers():
-        if ready:
-            ready.popleft()()
-            continue
-        next_at = clock.next_timer_at()
-        assert next_at is not None
-        clock.advance_to(next_at)
-
-
 class RequestScheduler:
     """Runs N client streams to completion over one file system."""
 
@@ -166,7 +147,6 @@ class RequestScheduler:
         telemetry: Optional[Telemetry] = None,
         clients: Optional[List[ClientStream]] = None,
         model=None,
-        ready: Optional[Deque[Callable[[], None]]] = None,
     ) -> None:
         """``clients`` resumes existing streams (rng, issued/completed
         counts and working sets intact) against ``fs`` — the chaos
@@ -175,10 +155,9 @@ class RequestScheduler:
         :class:`repro.faults.model.ModelFS` told of every mutation,
         every group commit made durable (the committer's
         ``on_durable`` hook) and every client-visible fsync ack.
-        ``ready``
-        lets several schedulers on one clock share a single event queue
-        (a cluster migration group drives a source and a target shard in
-        one loop)."""
+        Schedulers that share a clock share its event queue (a cluster
+        migration group drives a source and a target shard in one
+        loop)."""
         self.fs = fs
         self.clock = fs.clock
         self.config = config
@@ -190,7 +169,7 @@ class RequestScheduler:
             fs, config, self.stats, telemetry=self.telemetry
         )
         self.committer = GroupCommitter(
-            fs, self.stats, self._enqueue, telemetry=self.telemetry
+            fs, self.stats, telemetry=self.telemetry
         )
         if model is not None:
             self.committer.on_durable = model.barrier
@@ -207,9 +186,6 @@ class RequestScheduler:
             # a degraded volume could not create it anyway).
             if not fs.degraded and not fs.exists(client.directory):
                 fs.mkdir(client.directory)
-        self._ready: Deque[Callable[[], None]] = (
-            ready if ready is not None else deque()
-        )
         self._active_clients = sum(
             1
             for client in self.clients
@@ -247,28 +223,17 @@ class RequestScheduler:
         }
 
     # ------------------------------------------------------------------
-    # Event plumbing
-    # ------------------------------------------------------------------
-
-    def _enqueue(self, event: Callable[[], None]) -> None:
-        self._ready.append(event)
-
-    def _post_at(self, t: float, event: Callable[[], None]) -> None:
-        """Schedule ``event`` to join the ready queue at time ``t``."""
-        self.clock.call_at(t, lambda: self._ready.append(event))
-
-    # ------------------------------------------------------------------
     # The run loop
     # ------------------------------------------------------------------
 
     def start(self, open_run_span: bool = True) -> None:
         """Post the initial client ticks and the background flusher.
 
-        ``run`` calls this and then drains the queue itself; a cluster
-        group driver calls it for every member scheduler and runs one
-        combined loop over the shared ready queue (passing
-        ``open_run_span=False`` — member spans would nest arbitrarily
-        on the shared tracer stack)."""
+        ``run`` calls this and then runs the clock's queue; a cluster
+        group driver calls it for every member scheduler and then runs
+        their shared clock once (passing ``open_run_span=False`` —
+        member spans would nest arbitrarily on the shared tracer
+        stack)."""
         self.stats.started = self.clock.now()
         if open_run_span:
             self._run_span_cm = self.telemetry.span(
@@ -278,7 +243,7 @@ class RequestScheduler:
         for client in self.clients:
             if client.issued >= self.config.requests_per_client:
                 continue  # resumed stream that already finished
-            self._post_at(
+            self.clock.call_at(
                 self.clock.now() + client.think(),
                 lambda client=client: self._tick(client),
             )
@@ -296,7 +261,7 @@ class RequestScheduler:
 
     def run(self) -> ServiceStats:
         self.start()
-        run_events(self.clock, self._ready)
+        self.clock.run()
         return self.finish()
 
     # ------------------------------------------------------------------
@@ -308,8 +273,7 @@ class RequestScheduler:
         if owner is not None:
             # A tick scheduled before the cutover fired after it: the
             # client now lives on another shard; hand the tick over
-            # (same clock, same shared ready queue — only the serving
-            # file system changes).
+            # (same clock — only the serving file system changes).
             owner._tick(client)
             return
         kind = client.next_kind()
@@ -336,7 +300,7 @@ class RequestScheduler:
             request.ctx.begin_wait(
                 "service.admission_retry", "admission_retry"
             )
-            self._post_at(
+            self.clock.call_at(
                 self.clock.now() + RETRY_BACKOFF,
                 lambda: self._submit(request),
             )
@@ -347,7 +311,9 @@ class RequestScheduler:
         if decision is Decision.THROTTLE:
             request.throttles += 1
             self.admission.pay_throttle(request.ctx)  # advances sim time
-            self._enqueue(lambda: self._submit(request))
+            self.clock.call_at(
+                self.clock.now(), lambda: self._submit(request)
+            )
             return
         self._execute(request)
 
@@ -363,7 +329,7 @@ class RequestScheduler:
         client.inflight -= 1
         request.ctx.finish(self.clock.now() - request.arrival)
         if client.issued < self.config.requests_per_client:
-            self._post_at(
+            self.clock.call_at(
                 self.clock.now() + client.think(),
                 lambda: self._tick(client),
             )
@@ -493,7 +459,7 @@ class RequestScheduler:
         self.stats.note_completed(request.kind, latency)
         self._h_latency[request.kind].observe(latency)
         if client.issued < self.config.requests_per_client:
-            self._post_at(
+            self.clock.call_at(
                 self.clock.now() + client.think(),
                 lambda: self._tick(client),
             )
@@ -523,7 +489,7 @@ class RequestScheduler:
             self.fs.flush_log()
             self.stats.background_flushes += 1
         if self._active_clients > 0:
-            self._post_at(
+            self.clock.call_at(
                 self.clock.now() + FLUSHER_PERIOD,
                 self._background_flush,
             )
@@ -532,7 +498,7 @@ class RequestScheduler:
 
     def _arm_flusher(self) -> None:
         self._flusher_live = True
-        self._post_at(
+        self.clock.call_at(
             self.clock.now() + FLUSHER_PERIOD,
             self._background_flush,
         )
@@ -605,7 +571,9 @@ class RequestScheduler:
             request.ctx.charge("migration_redirect", now - parked_at)
             self.stats.note_submitted(request.kind)
             client.inflight += 1
-            self._enqueue(lambda request=request: self._submit(request))
+            self.clock.call_at(
+                now, lambda request=request: self._submit(request)
+            )
 
 
 # ----------------------------------------------------------------------

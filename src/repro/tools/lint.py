@@ -607,11 +607,10 @@ def _check_cache_encapsulation(
 _CLOCK_HOME = "repro/sim/"
 """Where :class:`~repro.sim.clock.SimClock`'s private state may be used.
 
-Time moves only through ``advance``/``advance_to``, which fire the
-timers that come due on the way, and ``advance`` keeps its no-timer
-fast path to itself.  Code that read ``clock._now`` to skip a call, or
-wrote it, would see or make a time no timer was checked against.
-CLOCK001 flags any single-underscore attribute of a receiver named like
+Time moves only through ``advance``/``advance_to``, and events run
+only from ``run``, which moves the clock to each one's due time.  Code
+that wrote ``clock._now`` could move time backwards, and code that
+touched ``clock._events`` could reorder or lose events.  CLOCK001 flags any single-underscore attribute of a receiver named like
 a clock (``clock``, ``self.clock``, ``fs.clock``) in the package outside
 ``repro/sim``; tests may poke the clock."""
 
@@ -634,8 +633,8 @@ def _check_clock_encapsulation(
                 path,
                 node.lineno,
                 f"CLOCK001 `.{node.attr}` is the simulated clock's private "
-                "state; use now(), advance() or advance_to(), which fire "
-                "the timers that come due",
+                "state; use now(), advance(), advance_to(), call_at() "
+                "or run()",
             )
 
 

@@ -92,6 +92,35 @@ def test_live_migration_loses_nothing_and_verifies_both_sides():
     )
 
 
+def test_migration_at_time_zero_completes(monkeypatch):
+    # Regression: a freeze due at the instant serving starts used to
+    # spin the run loop forever (its timer never came due "later").
+    from repro.cluster import sim as cluster_sim
+
+    migrators = []
+
+    class Recorded(cluster_sim.ShardMigrator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            migrators.append(self)
+
+    monkeypatch.setattr(cluster_sim, "ShardMigrator", Recorded)
+    config = ClusterConfig(
+        shards=2,
+        clients=8,
+        seed=0,
+        requests_per_client=10,
+        migrations=(MigrationSpec(1, 0, 0.0),),
+    )
+    result = run_cluster(config)
+    assert result.completed == 8 * 10
+    for row in result.shards:
+        assert row["stats"].dropped == 0
+        assert row["verify_errors"] == []
+    assert [migrator.state for migrator in migrators] == ["DONE"]
+    assert result.migrations[0]["clients"] > 0
+
+
 def test_jobs_output_is_byte_identical():
     config = ClusterConfig(
         shards=3,

@@ -5,12 +5,17 @@ a trial either remounts cleanly or reports the damage through typed
 channels; it never ends in an unhandled exception.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import run_campaign, run_trial
+from repro.faults.campaign import SeededTrial
+from repro.faults.injector import FaultConfig
 from repro.harness.parallel import export_telemetry_totals
 from repro.obs import Telemetry
+from repro.service.config import SERVICE_LFS_CONFIG, ServiceConfig
+from repro.service.scheduler import RequestScheduler
 from repro.units import MIB
 
 SMALL_TRIAL = dict(device_bytes=16 * MIB)
@@ -110,3 +115,28 @@ class TestCampaign:
         assert export_telemetry_totals(telemetry_par) == (
             export_telemetry_totals(telemetry_seq)
         )
+
+
+class TestSeededTrial:
+    def test_crash_and_remount_drops_pending_events(self):
+        # A power failure mid-run: the crashed scheduler's queued events
+        # must not run against the remounted volume.
+        class PowerFail(Exception):
+            pass
+
+        def power_fail():
+            raise PowerFail
+
+        config = ServiceConfig(num_clients=4, requests_per_client=40)
+        seeded = SeededTrial(
+            "chaos", 0, 0, lambda rng: FaultConfig(), telemetry=None
+        )
+        fs = seeded.boot(32 * MIB, SERVICE_LFS_CONFIG, config).fs
+        scheduler = RequestScheduler(fs, config)
+        fs.clock.call_at(fs.clock.now() + 0.05, power_fail)
+        with pytest.raises(PowerFail):
+            scheduler.run()
+        assert fs.clock.pending_timers() > 0
+        live = seeded.crash_and_remount()
+        assert live.clock is fs.clock
+        assert live.clock.pending_timers() == 0

@@ -248,10 +248,9 @@ def batch_checksum(telemetry: Optional[Telemetry] = None) -> Fingerprint:
 
 
 def scheduler_dispatch(telemetry: Optional[Telemetry] = None) -> Fingerprint:
-    """Timer dispatch the way the service scheduler loads it — 64
-    events on each instant, drained through ``advance_to(
-    next_timer_at())``, then a same-instant rescheduling chain — and a
-    small multi-client service run."""
+    """Event dispatch the way the service scheduler loads it — 64
+    events on each instant, run by ``SimClock.run``, then a same-instant
+    rescheduling chain — and a small multi-client service run."""
     timestamps = FILL_SEGMENTS * 8
     per_timestamp = 64
     fired = [0]
@@ -271,8 +270,7 @@ def scheduler_dispatch(telemetry: Optional[Telemetry] = None) -> Fingerprint:
         for _ in range(per_timestamp):
             clock.call_at(float(t), tick)
     clock.call_at(float(timestamps + 1), reschedule)
-    while clock.pending_timers():
-        clock.advance_to(clock.next_timer_at())
+    clock.run()
     config = ServiceConfig(num_clients=4, seed=0, requests_per_client=10)
     stats, fs = simulate_service(config, total_bytes=32 * MIB, telemetry=telemetry)
     fs.unmount()

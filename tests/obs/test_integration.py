@@ -262,22 +262,28 @@ class TestTelemetryChangesNothing:
         )
 
 
+def fill_until_no_space(telemetry):
+    """Write 64 KiB files to an 8 MiB LFS until a write raises."""
+    fs = new_rig(
+        "lfs",
+        total_bytes=8 * MIB,
+        lfs_config=small_lfs_config(cache_bytes=1 * MIB),
+        telemetry=telemetry,
+    ).fs
+    with pytest.raises(NoSpaceError):
+        for index in range(1000):
+            with fs.create(f"/f{index}") as handle:
+                handle.write(bytes([index % 251]) * (64 * KIB))
+    return fs
+
+
 class TestReadBackSeries:
     def test_series_equal_the_layer_counts_after_no_space(self):
         # A write that fills the volume raises from its write-back after
         # the file system counted its bytes, and from inside a cleaning
         # pass after the cleaner counted segments.
         telemetry = Telemetry()
-        fs = new_rig(
-            "lfs",
-            total_bytes=8 * MIB,
-            lfs_config=small_lfs_config(cache_bytes=1 * MIB),
-            telemetry=telemetry,
-        ).fs
-        with pytest.raises(NoSpaceError):
-            for index in range(1000):
-                with fs.create(f"/f{index}") as handle:
-                    handle.write(bytes([index % 251]) * (64 * KIB))
+        fs = fill_until_no_space(telemetry)
         value = telemetry.registry.value
         assert fs.cleaner.stats.segments_cleaned > 0
         assert value("fs.bytes_written") == fs.stats.bytes_written
@@ -285,6 +291,20 @@ class TestReadBackSeries:
         assert (
             value("cleaner.segments_cleaned")
             == fs.cleaner.stats.segments_cleaned
+        )
+
+    def test_cleaner_accounts_a_pass_that_raises(self):
+        # The cleaning pass that meets NoSpaceError still spent its time
+        # and moved the clean reserve.
+        telemetry = Telemetry()
+        fs = fill_until_no_space(telemetry)
+        cleaner = fs.cleaner
+        assert cleaner.stats.busy_seconds > 0
+        assert cleaner.stats.busy_seconds == pytest.approx(
+            telemetry.tracer.kind_seconds["cleaner.clean"], rel=1e-12
+        )
+        assert telemetry.registry.value("cleaner.clean_reserve") == (
+            fs.usage.clean_count() - fs.segments.reserve_segments
         )
 
     def test_crashed_file_system_and_cache_are_collected(self):

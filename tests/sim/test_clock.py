@@ -50,10 +50,12 @@ class TestAdvance:
 
 class TestTimers:
     def test_timer_fires_during_advance(self):
+        # Under the one-queue clock an event runs from run(), with the
+        # clock moved to its due time, never from inside advance.
         clock = SimClock()
         fired = []
         clock.call_at(5.0, lambda: fired.append(clock.now()))
-        clock.advance_to(10.0)
+        clock.run()
         assert fired == [5.0]
 
     def test_timer_not_fired_early(self):
@@ -69,7 +71,7 @@ class TestTimers:
         clock.call_at(3.0, lambda: fired.append("b"))
         clock.call_at(1.0, lambda: fired.append("a"))
         clock.call_at(5.0, lambda: fired.append("c"))
-        clock.advance_to(10.0)
+        clock.run()
         assert fired == ["a", "b", "c"]
 
     def test_same_expiry_keeps_insertion_order(self):
@@ -77,25 +79,29 @@ class TestTimers:
         fired = []
         clock.call_at(2.0, lambda: fired.append("first"))
         clock.call_at(2.0, lambda: fired.append("second"))
-        clock.advance_to(2.0)
+        clock.run()
         assert fired == ["first", "second"]
 
     def test_past_timer_fires_on_next_advance(self):
+        # A past-due event runs next, and the clock does not go back.
         clock = SimClock()
         clock.advance(10.0)
         fired = []
-        clock.call_at(5.0, lambda: fired.append(True))
-        clock.advance(0.001)
-        assert fired == [True]
+        clock.call_at(6.0, lambda: fired.append("later"))
+        clock.call_at(5.0, lambda: fired.append(clock.now()))
+        clock.run()
+        assert fired == [10.0, "later"]
+        assert clock.now() == 10.0
 
     def test_cancel_all(self):
         clock = SimClock()
         fired = []
         clock.call_at(1.0, lambda: fired.append(True))
         clock.cancel_all_timers()
-        clock.advance_to(5.0)
+        clock.run()
         assert fired == []
         assert clock.pending_timers() == 0
+        assert clock.now() == 0.0
 
     def test_pending_count(self):
         clock = SimClock()
@@ -106,18 +112,47 @@ class TestTimers:
     def test_clock_sits_at_expiry_while_firing(self):
         clock = SimClock()
         seen = []
-        clock.call_at(3.0, lambda: seen.append(clock.now()))
+
+        def busy():
+            seen.append(clock.now())
+            clock.advance(1.0)  # work the event charges
+
+        clock.call_at(3.0, busy)
+        clock.call_at(3.5, lambda: seen.append(clock.now()))
         clock.call_at(6.0, lambda: seen.append(clock.now()))
-        clock.advance_to(8.0)
-        assert seen == [3.0, 6.0]
+        clock.run()
+        # The 3.5 event came due while the first one ran: it runs late,
+        # at the time the clock had reached.
+        assert seen == [3.0, 4.0, 6.0]
+
+    def test_advance_and_advance_to_never_run_an_event(self):
+        clock = SimClock()
+        fired = []
+        clock.call_at(1.0, lambda: fired.append("a"))
+        clock.call_at(0.0, lambda: fired.append("now"))
+        clock.advance(2.0)
+        clock.advance_to(5.0)
+        assert fired == []
+        assert clock.pending_timers() == 2
+        assert clock.now() == 5.0
+
+    def test_event_posted_at_now_runs_under_run(self):
+        # Regression: an event due at the current instant (a migration
+        # armed at t=0) used to spin the old two-queue run loop forever.
+        clock = SimClock(start=2.0)
+        fired = []
+        clock.call_at(clock.now(), lambda: fired.append(clock.now()))
+        clock.run()
+        assert fired == [2.0]
+        assert clock.pending_timers() == 0
 
 
 class TestTimerFifoOrdering:
-    """Regression: equal-timestamp timers must fire strictly FIFO.
+    """Regression: equal-timestamp events must run strictly FIFO.
 
-    The service layer's request scheduler routinely lands many events on
-    the same instant; runs are only reproducible if ties break by
-    scheduling order, independent of how the timer store rebalances.
+    The service layer's request scheduler routinely lands several events
+    on the same instant; runs are only reproducible if ties break by
+    posting order, independent of how the heap rebalances.
     """
 
     def test_many_equal_timestamps_fire_in_scheduling_order(self):
@@ -125,20 +160,20 @@ class TestTimerFifoOrdering:
         fired = []
         for i in range(100):
             clock.call_at(1.0, lambda i=i: fired.append(i))
-        clock.advance_to(1.0)
+        clock.run()
         assert fired == list(range(100))
 
     def test_interleaved_equal_and_distinct_expiries(self):
         clock = SimClock()
         fired = []
-        # Schedule in a deliberately scrambled order; ties at t=2.0 must
-        # still come out in scheduling order (b before d before e).
+        # Posted in a deliberately scrambled order; ties at t=2.0 must
+        # still come out in posting order (b before d before e).
         clock.call_at(3.0, lambda: fired.append("late"))
         clock.call_at(2.0, lambda: fired.append("b"))
         clock.call_at(1.0, lambda: fired.append("a"))
         clock.call_at(2.0, lambda: fired.append("d"))
         clock.call_at(2.0, lambda: fired.append("e"))
-        clock.advance_to(5.0)
+        clock.run()
         assert fired == ["a", "b", "d", "e", "late"]
 
     def test_callback_scheduling_same_instant_fires_after_existing(self):
@@ -147,79 +182,38 @@ class TestTimerFifoOrdering:
 
         def first():
             fired.append("first")
-            # Scheduled mid-firing for the very same instant: runs in
-            # this advance, after everything already queued for t=1.
-            clock.call_at(1.0, lambda: fired.append("nested"))
+            # Posted for the instant being run: it runs after everything
+            # already queued for t=1, and before anything later.
+            clock.call_at(clock.now(), lambda: fired.append("nested"))
 
         clock.call_at(1.0, first)
         clock.call_at(1.0, lambda: fired.append("second"))
-        clock.advance_to(1.0)
-        assert fired == ["first", "second", "nested"]
+        clock.call_at(2.0, lambda: fired.append("later"))
+        clock.run()
+        assert fired == ["first", "second", "nested", "later"]
 
     def test_fifo_survives_partial_draining(self):
         clock = SimClock()
         fired = []
         for i in range(10):
             clock.call_at(float(i % 3), lambda i=i: fired.append(i))
-        clock.advance_to(0.5)  # drains only the t=0 group
-        assert fired == [0, 3, 6, 9]
-        clock.advance_to(3.0)
+        clock.run()
         assert fired == [0, 3, 6, 9, 1, 4, 7, 2, 5, 8]
 
 
-class TestNextTimerAt:
-    def test_none_when_idle(self):
-        assert SimClock().next_timer_at() is None
-
-    def test_reports_earliest_expiry(self):
-        clock = SimClock()
-        clock.call_at(7.0, lambda: None)
-        clock.call_at(2.0, lambda: None)
-        assert clock.next_timer_at() == 2.0
-
-    def test_advancing_to_next_timer_fires_exactly_that_batch(self):
-        clock = SimClock()
-        fired = []
-        clock.call_at(2.0, lambda: fired.append("a"))
-        clock.call_at(2.0, lambda: fired.append("b"))
-        clock.call_at(4.0, lambda: fired.append("c"))
-        clock.advance_to(clock.next_timer_at())
-        assert fired == ["a", "b"]
-        assert clock.now() == 2.0
-        assert clock.next_timer_at() == 4.0
-
-
 class TestBatchedDispatch:
-    """Same-timestamp timers drain as one batch (one heap pop each)."""
-
-    def test_batch_counters(self):
-        clock = SimClock()
-        for _ in range(10):
-            clock.call_at(1.0, lambda: None)
-        for _ in range(5):
-            clock.call_at(2.0, lambda: None)
-        clock.advance_to(3.0)
-        assert clock.timers_fired == 15
-        assert clock.timer_batches == 2
-
-    def test_distinct_expiries_are_distinct_batches(self):
-        clock = SimClock()
-        for t in range(4):
-            clock.call_at(float(t + 1), lambda: None)
-        clock.advance_to(10.0)
-        assert clock.timer_batches == 4
-        assert clock.timers_fired == 4
+    """An event may cancel or post events while the queue is running."""
 
     def test_pending_timers_tracks_buckets(self):
+        # Every event counts, however many share an instant.
         clock = SimClock()
+        seen = []
         for _ in range(3):
-            clock.call_at(1.0, lambda: None)
-        clock.call_at(2.0, lambda: None)
+            clock.call_at(1.0, lambda: seen.append(clock.pending_timers()))
+        clock.call_at(2.0, lambda: seen.append(clock.pending_timers()))
         assert clock.pending_timers() == 4
-        clock.advance_to(1.0)
-        assert clock.pending_timers() == 1
-        clock.advance_to(2.0)
-        assert clock.pending_timers() == 0
+        clock.run()
+        assert seen == [3, 2, 1, 0]
 
     def test_cancel_all_inside_callback_stops_batch(self):
         clock = SimClock()
@@ -232,10 +226,10 @@ class TestBatchedDispatch:
         clock.call_at(1.0, cancel)
         clock.call_at(1.0, lambda: fired.append("late"))
         clock.call_at(2.0, lambda: fired.append("other"))
-        clock.advance_to(5.0)
+        clock.run()
         assert fired == ["cancel"]
         assert clock.pending_timers() == 0
-        assert clock.now() == 5.0
+        assert clock.now() == 1.0
 
     def test_cancel_then_reschedule_same_expiry_inside_callback(self):
         clock = SimClock()
@@ -244,13 +238,12 @@ class TestBatchedDispatch:
         def cancel_and_reschedule():
             fired.append("first")
             clock.cancel_all_timers()
-            # A *new* bucket at the instant being drained: it replaces
-            # the cancelled one and still fires within this advance.
+            # Posted after the cancel: it still runs in this run().
             clock.call_at(1.0, lambda: fired.append("fresh"))
 
         clock.call_at(1.0, cancel_and_reschedule)
         clock.call_at(1.0, lambda: fired.append("stale"))
-        clock.advance_to(1.0)
+        clock.run()
         assert fired == ["first", "fresh"]
 
     def test_earlier_expiry_scheduled_mid_batch_preempts(self):
@@ -259,20 +252,10 @@ class TestBatchedDispatch:
 
         def schedule_earlier():
             fired.append("a")
-            # Already-past expiry: must fire before the rest of the
-            # t=2 batch continues.
+            # Already-past due time: runs next, before the rest of t=2.
             clock.call_at(1.0, lambda: fired.append("early"))
 
         clock.call_at(2.0, schedule_earlier)
         clock.call_at(2.0, lambda: fired.append("b"))
-        clock.advance_to(2.0)
+        clock.run()
         assert fired == ["a", "early", "b"]
-
-    def test_next_timer_at_skips_cancelled_entries(self):
-        clock = SimClock()
-        clock.call_at(1.0, lambda: None)
-        clock.call_at(2.0, lambda: None)
-        clock.cancel_all_timers()
-        assert clock.next_timer_at() is None
-        clock.call_at(3.0, lambda: None)
-        assert clock.next_timer_at() == 3.0
