@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint e2e-smoke e2e-digest bench-pairs trace reports cluster-smoke crashtest chaos ci
+.PHONY: test lint e2e-smoke experiments e2e-digest bench-pairs trace reports cluster-smoke crashtest chaos ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -22,6 +22,11 @@ lint:
 e2e-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --smoke --output /tmp/e2e_smoke.json
 	$(PYTHON) -m pytest benchmarks/e2e -q
+
+# The paper experiments (FIG1-FIG5, T31, MODEL, the ablations, AGING,
+# REC, service scaling), each gating the direction of its claim.
+experiments:
+	$(PYTHON) -m pytest -q benchmarks/test_*.py
 
 # One md5 of what a full-scale pass simulated (its `sim`, `counters`,
 # `images` and `failed` keys) per workload and seed: every workload
@@ -122,4 +127,4 @@ chaos:
 	diff /tmp/chaos_j1.jsonl /tmp/chaos.jsonl
 	@cat /tmp/chaos_j1.txt
 
-ci: lint test e2e-smoke reports cluster-smoke crashtest chaos
+ci: lint test e2e-smoke experiments reports cluster-smoke crashtest chaos

@@ -33,7 +33,6 @@ Quickstart::
 
 from repro.disk.geometry import DiskGeometry, FAST_1990S_DISK, NULL_TIMING, WREN_IV
 from repro.disk.sim_disk import SimDisk
-from repro.disk.trace import TraceRecorder
 from repro.errors import (
     ChecksumMismatch,
     CorruptionError,
@@ -77,7 +76,6 @@ __all__ = [
     "WREN_IV",
     "FAST_1990S_DISK",
     "NULL_TIMING",
-    "TraceRecorder",
     "ReproError",
     "FileSystemError",
     "NoSpaceError",

@@ -263,8 +263,9 @@ def cmd_fig(args) -> int:
     from repro.obs import Telemetry
     from repro.workloads.largefile import PHASES
 
-    telemetry = Telemetry() if args.telemetry else None
     which = args.which
+    # Figures 1 and 2 are drawn from the per-request disk spans.
+    telemetry = Telemetry(trace_io=which == "1") if args.telemetry else None
     if which == "1":
         for kind, trace in fig1_fig2_creation_traces(
             telemetry=telemetry

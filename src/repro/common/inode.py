@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import (
     Callable,
-    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -531,13 +530,6 @@ class BlockMap:
 
     def set_cache_probe(self, probe: Callable[[BlockKey], bool]) -> None:
         self._probe = probe
-
-    def iter_allocated(self, inode: Inode) -> Iterator[Tuple[int, int]]:
-        """Yield ``(lbn, addr)`` for every non-NIL data pointer in range."""
-        for lbn in range(inode.nblocks(self.block_size)):
-            addr = self.get(inode, lbn)
-            if addr != NIL:
-                yield lbn, addr
 
     def indirect_block_keys(self, inode: Inode) -> List[BlockKey]:
         """Keys of every pointer block the inode's current size can use."""

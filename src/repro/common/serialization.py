@@ -281,14 +281,6 @@ class BatchPacker:
         self._buffer[offset : offset + 8 * len(values)] = pack_u64_array(values)
         return self
 
-    def u32_array(self, values: Sequence[int]) -> "BatchPacker":
-        """Pack a whole u32 array (summary inum lists) in one operation."""
-        if not values:
-            return self
-        offset = self._reserve(4 * len(values))
-        struct.pack_into(f"<{len(values)}I", self._buffer, offset, *values)
-        return self
-
     def skip(self, size: int) -> int:
         """Reserve ``size`` bytes; returns their offset for backfill."""
         return self._reserve(size)

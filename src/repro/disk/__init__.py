@@ -5,9 +5,10 @@ transfer bandwidth, 17.5 ms average seek).  This package provides a
 sector-addressed device with explicit data durability semantics
 (:mod:`repro.disk.device`), a disk service-time model parameterized by a
 :class:`~repro.disk.geometry.DiskGeometry` (:mod:`repro.disk.sim_disk`),
-cumulative statistics (:mod:`repro.disk.stats`) and per-request trace
-capture used to regenerate the paper's Figures 1 and 2
-(:mod:`repro.disk.trace`).
+and cumulative statistics (:mod:`repro.disk.stats`).  Under
+``Telemetry(trace_io=True)`` every request also leaves a
+``disk.read``/``disk.write`` span, the record the paper's Figures 1
+and 2 are drawn from.
 """
 
 from repro.disk.device import SectorDevice
@@ -17,9 +18,8 @@ from repro.disk.geometry import (
     NULL_TIMING,
     WREN_IV,
 )
-from repro.disk.sim_disk import SimDisk
+from repro.disk.sim_disk import AccessTier, SimDisk
 from repro.disk.stats import DiskStats
-from repro.disk.trace import AccessTier, TraceEvent, TraceRecorder
 
 __all__ = [
     "SectorDevice",
@@ -30,6 +30,4 @@ __all__ = [
     "SimDisk",
     "DiskStats",
     "AccessTier",
-    "TraceEvent",
-    "TraceRecorder",
 ]

@@ -22,8 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.disk.device import SectorDevice
 from repro.disk.geometry import DiskGeometry
-from repro.disk.sim_disk import SimDisk
-from repro.disk.trace import AccessTier, TraceRecorder
+from repro.disk.sim_disk import AccessTier, SimDisk
 from repro.errors import InvalidArgumentError, OutOfRangeError
 from repro.obs import Telemetry
 from repro.sim.clock import SimClock
@@ -41,7 +40,6 @@ class StripedDisk(SimDisk):
         clock: SimClock,
         num_disks: int,
         stripe_bytes: int = 64 * KIB,
-        trace: Optional[TraceRecorder] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         if num_disks < 1:
@@ -57,7 +55,6 @@ class StripedDisk(SimDisk):
             device=SectorDevice(
                 geometry.num_sectors * num_disks, geometry.sector_size
             ),
-            trace=trace,
             telemetry=telemetry,
         )
         self.num_disks = num_disks
@@ -104,7 +101,7 @@ class StripedDisk(SimDisk):
 
         It starts when the first member turns to it and is done when the
         last one finishes; the reported tier is the worst any member saw
-        (it decides the request's character for the trace/stats).
+        (it decides the request's character for the span and the stats).
         """
         sector_size = self.geometry.sector_size
         now = self.clock.now()

@@ -18,13 +18,13 @@ tells the device which queued writes had not yet completed.
 
 from __future__ import annotations
 
+import enum
 from functools import partial
 from typing import Callable, Optional, Tuple
 
 from repro.disk.device import SectorDevice
 from repro.disk.geometry import DiskGeometry
 from repro.disk.stats import DiskStats
-from repro.disk.trace import AccessTier, TraceEvent, TraceRecorder
 from repro.errors import OutOfRangeError, TransientIOError
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.sim.clock import SimClock
@@ -38,6 +38,14 @@ RETRY_CAP = 0.05
 RETRY_MAX_ATTEMPTS = 3
 
 
+class AccessTier(str, enum.Enum):
+    """Head-positioning class of a request (see :meth:`SimDisk.service_time`)."""
+
+    SEQUENTIAL = "sequential"
+    NEAR = "near"
+    FAR = "far"
+
+
 class SimDisk:
     """A timed disk: FIFO service, three-tier positioning model."""
 
@@ -46,7 +54,6 @@ class SimDisk:
         geometry: DiskGeometry,
         clock: SimClock,
         device: Optional[SectorDevice] = None,
-        trace: Optional[TraceRecorder] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.geometry = geometry
@@ -64,7 +71,6 @@ class SimDisk:
                 f"device has {self.device.num_sectors} sectors, geometry "
                 f"needs {geometry.num_sectors}"
             )
-        self.trace = trace
         self.stats = DiskStats()
         self._head_pos = 0
         self._busy_until = 0.0
@@ -117,7 +123,9 @@ class SimDisk:
         # overwrites it.
         self.write_observer: Optional[Callable[[int, int], None]] = None
         # Per-request spans are much finer-grained than the component
-        # spans, so they ride the opt-in trace_io flag.
+        # spans, so they ride the opt-in trace_io flag.  They are the
+        # one per-request record: direction (the kind), sector, size,
+        # sync flag, positioning tier and the caller's label.
         self._trace_io = getattr(self.telemetry, "trace_io", False)
 
     # ------------------------------------------------------------------
@@ -189,11 +197,16 @@ class SimDisk:
         ``MediaError`` failures propagate immediately.
         """
         issue = self.clock.now()
+        sync = demand != 0  # a read ahead alone keeps no caller waiting
         io_span = None
         if self._trace_io:
             tracer = self.telemetry.tracer
             io_span = tracer.begin(
-                "disk.read", parent=tracer.current_span(), sector=sector
+                "disk.read",
+                parent=tracer.current_span(),
+                sector=sector,
+                sync=sync,
+                label=label,
             )
         start, done, tier = self._schedule(sector, count * self.geometry.sector_size)
         if vectored:
@@ -215,25 +228,10 @@ class SimDisk:
                 done += backoff
                 self._busy_until = done
         self.last_read_done = done
-        sync = demand != 0  # a read ahead alone keeps no caller waiting
         self.stats.record(False, len(data), sync, tier.value, done - start)
         if self._obs_enabled:
             self._m_busy.add(done - start)
             self._m_request_bytes.observe(len(data))
-        if self.trace is not None:
-            self.trace.record(
-                TraceEvent(
-                    issue_time=issue,
-                    complete_time=done,
-                    is_write=False,
-                    sector=sector,
-                    nsectors=count,
-                    nbytes=len(data),
-                    sync=sync,
-                    tier=tier,
-                    label=label,
-                )
-            )
         if demand == 0:
             done = issue  # read ahead only: the caller goes on at once
         elif demand is not None and demand < count:
@@ -262,7 +260,6 @@ class SimDisk:
         crashpoint("disk.write", sector)
         if not data:
             raise OutOfRangeError("cannot write zero bytes")
-        issue = self.clock.now()
         io_span = None
         if self._trace_io:
             tracer = self.telemetry.tracer
@@ -271,33 +268,19 @@ class SimDisk:
                 parent=tracer.current_span(),
                 sector=sector,
                 sync=sync,
+                label=label,
             )
         start, done, tier = self._schedule(sector, len(data))
         # A synchronous request advances the clock to ``done`` before this
         # method returns, so its undo record could never survive to a
         # crash — tell the device not to allocate one.
         self.device.write(sector, data, completion_time=done, durable=sync)
-        nsectors = len(data) // self.geometry.sector_size
         if self.write_observer is not None:
-            self.write_observer(sector, nsectors)
+            self.write_observer(sector, len(data) // self.geometry.sector_size)
         self.stats.record(True, len(data), sync, tier.value, done - start)
         if self._obs_enabled:
             self._m_busy.add(done - start)
             self._m_request_bytes.observe(len(data))
-        if self.trace is not None:
-            self.trace.record(
-                TraceEvent(
-                    issue_time=issue,
-                    complete_time=done,
-                    is_write=True,
-                    sector=sector,
-                    nsectors=nsectors,
-                    nbytes=len(data),
-                    sync=sync,
-                    tier=tier,
-                    label=label,
-                )
-            )
         if sync:
             self.sync_stall_seconds += done - self.clock.now()
             self.clock.advance_to(done)

@@ -176,11 +176,6 @@ class ModelFS:
         """
         for path, history in self._paths.items():
             observed, data = self._observe(fs, path)
-            if data is not None:
-                # A second read: it moves the simulated clock and the
-                # cache, and chaos's resumed run (so its report)
-                # depends on both.
-                data = bytearray(fs.read_file(path))
             history.states = [observed]
             history.floor = 0
-            history.data = data
+            history.data = None if data is None else bytearray(data)

@@ -427,7 +427,6 @@ def make_ffs(
     config: Optional[FfsConfig] = None,
     speed_factor: float = 1.0,
     geometry=None,
-    trace=None,
 ) -> FastFileSystem:
     """Convenience constructor: simulated WREN IV disk + fresh FFS."""
     from repro.rig import new_rig
@@ -437,6 +436,5 @@ def make_ffs(
         total_bytes,
         speed_factor,
         ffs_config=config,
-        trace=trace,
         geometry=geometry,
     ).fs

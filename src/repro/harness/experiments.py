@@ -10,19 +10,19 @@ benchmarks and examples format.  All reported times and rates are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.write_cost import analytic_cleaning_rate, analytic_write_cost
-from repro.disk.trace import TraceRecorder
 from repro.ffs.filesystem import FastFileSystem
 from repro.ffs.fsck import fsck
 from repro.lfs.config import CleanerPolicy, LfsConfig
 from repro.lfs.filesystem import LogStructuredFS
 from repro.obs import Telemetry
+from repro.obs.tracer import Span
 from repro.rig import new_rig
 from repro.sim.clock import SimClock
 from repro.sim.cpu import CpuModel
-from repro.units import KIB, MIB
+from repro.units import KIB, MIB, fmt_bytes, fmt_time
 from repro.workloads.cleaning import CleaningPoint, run_cleaning_rate_test
 from repro.workloads.largefile import LargeFileResult, run_large_file_test
 from repro.workloads.office import OfficeResult, run_office_workload
@@ -47,6 +47,53 @@ class CreationTrace:
     disk_image: str
 
 
+def render_table(spans: Iterable[Span]) -> str:
+    """Figure 1/2-style listing of the ``disk.write`` spans in ``spans``."""
+    header = (
+        f"{'time':>9}  {'op':5} {'mode':5} {'position':10} "
+        f"{'sector':>15} {'size':>9}  label"
+    )
+    lines = [header, "-" * len(header)]
+    for span in spans:
+        if span.kind != "disk.write":
+            continue
+        attrs = span.attrs
+        mode = "sync" if attrs["sync"] else "async"
+        lines.append(
+            f"{fmt_time(span.start):>9}  write {mode:5} {attrs['tier']:10} "
+            f"sector {attrs['sector']:>8} {fmt_bytes(attrs['bytes']):>9}  "
+            f"{attrs['label']}"
+        )
+    return "\n".join(lines)
+
+
+def render_disk_image(
+    spans: Iterable[Span], num_sectors: int, sector_size: int, width: int = 72
+) -> str:
+    """ASCII picture of where on disk the ``disk.write`` spans landed.
+
+    Each column covers ``num_sectors / width`` sectors.  ``S`` marks a
+    synchronous write, ``w`` an asynchronous one, and ``.`` an untouched
+    region: the disk images of the paper's Figures 1 and 2, as text.
+    """
+    if num_sectors <= 0 or width <= 0:
+        raise ValueError("num_sectors and width must be positive")
+    cells = ["."] * width
+    for span in spans:
+        if span.kind != "disk.write":
+            continue
+        sector, sync = span.attrs["sector"], span.attrs["sync"]
+        last = sector + span.attrs["bytes"] // sector_size - 1
+        first_cell = min(sector * width // num_sectors, width - 1)
+        last_cell = min(last * width // num_sectors, width - 1)
+        for cell in range(first_cell, last_cell + 1):
+            if sync:
+                cells[cell] = "S"
+            elif cells[cell] != "S":
+                cells[cell] = "w"
+    return "".join(cells)
+
+
 def fig1_fig2_creation_traces(
     total_bytes: int = 64 * MIB,
     telemetry: Optional[Telemetry] = None,
@@ -61,40 +108,45 @@ def fig1_fig2_creation_traces(
     followed by the delayed write-back.  FFS should show many small
     random writes, half synchronous; LFS one large sequential
     asynchronous transfer.
+
+    The requests are read from the ``disk.write`` spans of
+    ``telemetry``, which must trace I/O (a ``Telemetry(trace_io=True)``
+    of its own when none is given).
     """
+    if telemetry is None:
+        telemetry = Telemetry(trace_io=True)
+    elif not telemetry.trace_io:
+        raise ValueError("creation traces need Telemetry(trace_io=True)")
+    tracer = telemetry.tracer
     results: Dict[str, CreationTrace] = {}
     for kind in ("ffs", "lfs"):
-        rig = new_rig(
-            kind,
-            total_bytes=total_bytes,
-            trace=TraceRecorder(enabled=False),
-            telemetry=telemetry,
-        )
+        rig = new_rig(kind, total_bytes=total_bytes, telemetry=telemetry)
         fs = rig.fs
         fs.mkdir("/dir1")
         fs.mkdir("/dir2")
         fs.sync()
-        assert rig.trace is not None
-        rig.trace.clear()
-        rig.trace.enabled = True
+        first = len(tracer.spans)
         block = b"B" * fs.block_size
         with fs.create("/dir1/file1") as handle:
             handle.write(block)
         with fs.create("/dir2/file2") as handle:
             handle.write(block)
         fs.sync()  # the delayed write-back
-        rig.trace.enabled = False
-        writes = rig.trace.writes()
+        window = tracer.spans[first:]
+        writes = [span for span in window if span.kind == "disk.write"]
+        geometry = rig.disk.geometry
         results[kind] = CreationTrace(
             kind=kind,
             write_requests=len(writes),
-            sync_writes=len(rig.trace.sync_writes()),
-            random_writes=len(
-                [e for e in writes if e.tier.value != "sequential"]
+            sync_writes=sum(1 for span in writes if span.attrs["sync"]),
+            random_writes=sum(
+                1 for span in writes if span.attrs["tier"] != "sequential"
             ),
-            bytes_written=sum(e.nbytes for e in writes),
-            table=rig.trace.table(only_writes=True),
-            disk_image=rig.trace.disk_image(rig.disk.geometry.num_sectors),
+            bytes_written=sum(span.attrs["bytes"] for span in writes),
+            table=render_table(window),
+            disk_image=render_disk_image(
+                window, geometry.num_sectors, geometry.sector_size
+            ),
         )
     return results
 

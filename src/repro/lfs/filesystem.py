@@ -576,7 +576,8 @@ class LogStructuredFS(BaseFileSystem):
                 ) -> None:
                     moved(table.block_addrs[index], addr)
                     table.block_addrs[index] = addr
-                    table.mark_block_clean(index)
+                    if kind is BlockKind.IMAP:
+                        table.mark_block_clean(index)
 
                 def pack(
                     out: memoryview, _start: int, _count: int, index=index
@@ -594,7 +595,7 @@ class LogStructuredFS(BaseFileSystem):
         plan_table_blocks(BlockKind.IMAP, self.imap, sorted(imap_indexes))
         if checkpoint:
             plan_table_blocks(
-                BlockKind.SEGUSAGE, usage, usage.all_block_indexes()
+                BlockKind.SEGUSAGE, usage, range(usage.num_blocks)
             )
         return plan
 
@@ -825,7 +826,6 @@ def make_lfs(
     config: Optional[LfsConfig] = None,
     speed_factor: float = 1.0,
     geometry=None,
-    trace=None,
     telemetry: Optional[Telemetry] = None,
 ) -> LogStructuredFS:
     """Convenience constructor: simulated WREN IV disk + fresh LFS.
@@ -840,7 +840,6 @@ def make_lfs(
         total_bytes,
         speed_factor,
         lfs_config=config,
-        trace=trace,
         geometry=geometry,
         telemetry=telemetry,
     ).fs

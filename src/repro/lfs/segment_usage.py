@@ -78,7 +78,7 @@ class SegmentInfo:
 
 
 class SegmentUsage:
-    """In-memory usage array with per-block dirty tracking."""
+    """In-memory usage array; every block is logged at each checkpoint."""
 
     def __init__(
         self, num_segments: int, segment_size: int, block_size: int
@@ -93,7 +93,6 @@ class SegmentUsage:
         self._info: List[SegmentInfo] = [
             SegmentInfo() for _ in range(num_segments)
         ]
-        self._dirty_blocks: Set[int] = set()
         self.block_addrs: List[int] = [NIL] * self.num_blocks
         self.underflow_clamps = 0
         """Times a dead-byte note would have driven live bytes negative.
@@ -116,9 +115,6 @@ class SegmentUsage:
         if not 0 <= seg < self.num_segments:
             raise CorruptionError(f"segment {seg} out of range")
         return self._info[seg]
-
-    def _touch(self, seg: int) -> None:
-        self._dirty_blocks.add(seg // self.entries_per_block)
 
     # ------------------------------------------------------------------
     # Index maintenance
@@ -152,7 +148,6 @@ class SegmentUsage:
                 f"capacity is {self.segment_size}"
             )
         info.last_write = now
-        self._touch(seg)
 
     def note_write_hint(self, seg: int, nbytes: int, now: float) -> None:
         """Clamped variant of :meth:`note_write` for crash recovery.
@@ -164,7 +159,6 @@ class SegmentUsage:
         info = self.info(seg)
         self._set_live(info, min(self.segment_size, info.live_bytes + nbytes))
         info.last_write = now
-        self._touch(seg)
 
     def clamp_live(self, seg: int, max_bytes: int) -> None:
         """Clamp a segment's live account to ``max_bytes`` (recovery).
@@ -180,13 +174,11 @@ class SegmentUsage:
         info = self.info(seg)
         if info.live_bytes > max_bytes:
             self._set_live(info, max_bytes)
-            self._touch(seg)
 
     def force_state(self, seg: int, state: SegmentState) -> None:
         """Set a segment's state without transition checks (recovery)."""
         info = self.info(seg)
         self._set_state(seg, info, state)
-        self._touch(seg)
 
     def note_dead(self, seg: int, nbytes: int, count: int = 1) -> None:
         """``count`` items of ``nbytes`` previously live bytes in ``seg``
@@ -203,7 +195,6 @@ class SegmentUsage:
             self._set_live(info, 0)
         else:
             self._set_live(info, live - nbytes * count)
-        self._touch(seg)
 
     def utilization(self, seg: int) -> float:
         return self.info(seg).live_bytes / self.segment_size
@@ -219,19 +210,16 @@ class SegmentUsage:
                 f"segment {seg} made active while {info.state.name}"
             )
         self._set_state(seg, info, SegmentState.ACTIVE)
-        self._touch(seg)
 
     def mark_dirty(self, seg: int) -> None:
         info = self.info(seg)
         self._set_state(seg, info, SegmentState.DIRTY)
-        self._touch(seg)
 
     def mark_clean(self, seg: int, now: float) -> None:
         info = self.info(seg)
         self._set_state(seg, info, SegmentState.CLEAN)
         self._set_live(info, 0)
         info.last_write = now
-        self._touch(seg)
 
     # ------------------------------------------------------------------
     # Queries
@@ -317,15 +305,6 @@ class SegmentUsage:
     # Block (de)serialization
     # ------------------------------------------------------------------
 
-    def dirty_block_indexes(self) -> List[int]:
-        return sorted(self._dirty_blocks)
-
-    def all_block_indexes(self) -> List[int]:
-        return list(range(self.num_blocks))
-
-    def mark_block_clean(self, index: int) -> None:
-        self._dirty_blocks.discard(index)
-
     def pack_block(self, index: int) -> bytes:
         out = bytearray(self.block_size)
         self.pack_block_into(index, out)
@@ -380,7 +359,6 @@ class SegmentUsage:
             self._set_live(info, live)
             self._set_state(seg, info, state)
             info.last_write = last_write
-        self._dirty_blocks.discard(index)
 
     def load_all(
         self, addrs: List[int], read_block: Callable[[int], bytes]
@@ -394,4 +372,3 @@ class SegmentUsage:
         for index, addr in enumerate(addrs):
             if addr != NIL:
                 self.load_block(index, read_block(addr))
-        self._dirty_blocks.clear()

@@ -243,9 +243,6 @@ class SpanTracer:
     def by_kind(self, kind: str) -> List[Span]:
         return [span for span in self.spans if span.kind == kind]
 
-    def children_of(self, span_id: int) -> List[Span]:
-        return [span for span in self.spans if span.parent_id == span_id]
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "spans": [span.to_dict() for span in self.spans],

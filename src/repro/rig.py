@@ -20,7 +20,6 @@ from typing import Optional
 from repro.disk.device import SectorDevice
 from repro.disk.geometry import DiskGeometry, wren_iv
 from repro.disk.sim_disk import SimDisk
-from repro.disk.trace import TraceRecorder
 from repro.ffs.config import FfsConfig
 from repro.ffs.filesystem import FastFileSystem
 from repro.lfs.config import LfsConfig
@@ -40,7 +39,6 @@ class Rig:
     clock: SimClock
     cpu: CpuModel
     disk: SimDisk
-    trace: Optional[TraceRecorder] = None
 
 
 def new_rig(
@@ -49,7 +47,6 @@ def new_rig(
     speed_factor: float = 1.0,
     lfs_config: Optional[LfsConfig] = None,
     ffs_config: Optional[FfsConfig] = None,
-    trace: Optional[TraceRecorder] = None,
     geometry: Optional[DiskGeometry] = None,
     telemetry: Optional[Telemetry] = None,
     clock: Optional[SimClock] = None,
@@ -92,9 +89,7 @@ def new_rig(
     if clock is None:
         clock = SimClock()
     cpu = CpuModel(clock, speed_factor=speed_factor)
-    disk = SimDisk(
-        geometry, clock, device=device, trace=trace, telemetry=telemetry
-    )
+    disk = SimDisk(geometry, clock, device=device, telemetry=telemetry)
     fs = None
     if kind == "lfs":
         build = LogStructuredFS.mount if mount else LogStructuredFS.mkfs
@@ -102,4 +97,4 @@ def new_rig(
     elif kind == "ffs":
         build = FastFileSystem.mount if mount else FastFileSystem.mkfs
         fs = build(disk, cpu, ffs_config)
-    return Rig(name=kind, fs=fs, clock=clock, cpu=cpu, disk=disk, trace=trace)
+    return Rig(name=kind, fs=fs, clock=clock, cpu=cpu, disk=disk)

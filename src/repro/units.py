@@ -37,11 +37,6 @@ def fmt_bytes(nbytes: float) -> str:
     raise AssertionError("unreachable")
 
 
-def fmt_rate(bytes_per_second: float) -> str:
-    """Human-readable transfer rate, e.g. ``'1.2 MB/s'``."""
-    return f"{fmt_bytes(bytes_per_second)}/s"
-
-
 def fmt_time(seconds: float) -> str:
     """Human-readable duration, e.g. ``'12.3 ms'`` or ``'4.56 s'``."""
     if seconds < 0:

@@ -13,7 +13,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.common.inode import FileType
-from repro.errors import InvalidArgumentError, StaleHandleError
+from repro.errors import (
+    FileNotFoundError_,
+    InvalidArgumentError,
+    NotADirectoryError_,
+    StaleHandleError,
+)
 
 
 @dataclass(frozen=True)
@@ -184,11 +189,16 @@ class StorageManager(abc.ABC):
         """Attributes of a path."""
 
     def exists(self, path: str) -> bool:
-        """Whether a path resolves."""
+        """Whether a path resolves.
+
+        Only a path that does not resolve reads as absent: an unmounted
+        file system, an unreadable or corrupt block raise as ``stat``
+        does.
+        """
         try:
             self.stat(path)
             return True
-        except Exception:
+        except (FileNotFoundError_, NotADirectoryError_):
             return False
 
     # -- file I/O ---------------------------------------------------

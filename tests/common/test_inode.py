@@ -176,13 +176,6 @@ class TestBlockMapIndirect:
 
 
 class TestIterAndKeys:
-    def test_iter_allocated(self):
-        h = _MapHarness()
-        inode = Inode(inum=1, ftype=FileType.REGULAR, size=5 * BS)
-        h.map.set(inode, 0, 10)
-        h.map.set(inode, 4, 14)
-        assert list(h.map.iter_allocated(inode)) == [(0, 10), (4, 14)]
-
     def test_indirect_block_keys_small_file(self):
         h = _MapHarness()
         inode = Inode(inum=1, size=3 * BS)

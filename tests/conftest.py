@@ -6,7 +6,6 @@ import pytest
 
 from repro.disk.geometry import wren_iv
 from repro.disk.sim_disk import SimDisk
-from repro.disk.trace import TraceRecorder
 from repro.ffs.config import FfsConfig
 from repro.ffs.filesystem import FastFileSystem
 from repro.lfs.config import LfsConfig
@@ -32,11 +31,6 @@ def cpu(clock: SimClock) -> CpuModel:
 @pytest.fixture
 def disk(clock: SimClock) -> SimDisk:
     return SimDisk(wren_iv(SMALL_DEVICE), clock)
-
-
-@pytest.fixture
-def traced_disk(clock: SimClock) -> SimDisk:
-    return SimDisk(wren_iv(SMALL_DEVICE), clock, trace=TraceRecorder())
 
 
 def small_lfs_config(**overrides) -> LfsConfig:

@@ -137,16 +137,20 @@ class TestOneTimingModel:
         import random
 
         from repro.disk.sim_disk import SimDisk
-        from repro.disk.trace import TraceRecorder
+        from repro.obs import Telemetry
 
         geometry = wren_iv(32 * MIB)
         rigs = []
         for build in (
-            lambda clock, trace: SimDisk(geometry, clock, trace=trace),
-            lambda clock, trace: StripedDisk(geometry, clock, 1, trace=trace),
+            lambda clock, telemetry: SimDisk(
+                geometry, clock, telemetry=telemetry
+            ),
+            lambda clock, telemetry: StripedDisk(
+                geometry, clock, 1, telemetry=telemetry
+            ),
         ):
-            clock, trace = SimClock(), TraceRecorder()
-            rigs.append((build(clock, trace), clock, trace, []))
+            clock, telemetry = SimClock(), Telemetry(trace_io=True)
+            rigs.append((build(clock, telemetry), clock, telemetry, []))
         rng = random.Random(24)
         cursor = 0  # where the previous request stopped
         for _ in range(600):
@@ -159,21 +163,25 @@ class TestOneTimingModel:
             at = cursor if sector is None else sector
             at = min(at, geometry.num_sectors - count)
             cursor = at + count
-            for disk, clock, _trace, completions in rigs:
+            for disk, clock, _telemetry, completions in rigs:
                 if is_write:
                     done = disk.write(at, b"w" * (count * 512), sync=sync)
                 else:
                     disk.read(at, count)
-                    done = clock.now()
+                    done = (clock.now(), disk.last_read_done)
                 completions.append(done)
                 clock.advance(think)
-        (single, clock_one, trace_one, done_one), (
-            array, clock_many, trace_many, done_many
+        (single, clock_one, telemetry_one, done_one), (
+            array, clock_many, telemetry_many, done_many
         ) = rigs
         assert done_one == done_many
         assert single.stats == array.stats
         assert set(single.stats.tier_counts) == {"sequential", "near", "far"}
-        assert trace_one.events == trace_many.events
+        spans_one = [span.to_dict() for span in telemetry_one.tracer.spans]
+        assert len(spans_one) == 600
+        assert spans_one == [
+            span.to_dict() for span in telemetry_many.tracer.spans
+        ]
         assert clock_one.now() == clock_many.now()
         assert single.sync_stall_seconds == array.sync_stall_seconds
         assert single.busy_until == array.busy_until

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.disk.geometry import wren_iv
-from repro.disk.sim_disk import SimDisk
-from repro.disk.trace import AccessTier, TraceRecorder
+from repro.disk.sim_disk import AccessTier, SimDisk
+from repro.obs import Telemetry
 from repro.sim.clock import SimClock
 from repro.units import KIB, MIB
 
@@ -64,15 +64,15 @@ class TestSyncVsAsync:
         disk.read(0, 8)
         assert clock.now() > 0.0
 
-    def test_read_ahead_alone_is_async(self, disk, clock):
-        trace = TraceRecorder()
-        disk.trace = trace
+    def test_read_ahead_alone_is_async(self, clock):
+        telemetry = Telemetry(trace_io=True)
+        disk = SimDisk(wren_iv(64 * MIB), clock, telemetry=telemetry)
         disk.read(0, 16, demand=0)
         assert clock.now() == 0.0
         assert disk.busy_until > 0.0
         assert disk.stats.reads == 1
         assert disk.stats.sync_requests == 0
-        assert not trace.events[-1].sync
+        assert not telemetry.tracer.spans[-1].attrs["sync"]
         disk.read(16, 16, demand=8)  # the caller waits for part of it
         assert disk.stats.sync_requests == 1
 
@@ -153,14 +153,15 @@ class TestCrash:
 
 class TestTrace:
     def test_events_recorded(self, clock):
-        trace = TraceRecorder()
-        disk = SimDisk(wren_iv(64 * MIB), clock, trace=trace)
+        telemetry = Telemetry(trace_io=True)
+        disk = SimDisk(wren_iv(64 * MIB), clock, telemetry=telemetry)
         disk.write(0, b"x" * 4096, sync=True, label="meta")
         disk.read(0, 8, label="back")
-        assert len(trace.events) == 2
-        write, read = trace.events
-        assert write.is_write and write.sync and write.label == "meta"
-        assert not read.is_write and read.label == "back"
+        assert len(telemetry.tracer.spans) == 2
+        write, read = telemetry.tracer.spans
+        assert write.kind == "disk.write" and write.attrs["sync"]
+        assert write.attrs["label"] == "meta"
+        assert read.kind == "disk.read" and read.attrs["label"] == "back"
 
     def test_geometry_validation(self, clock):
         geometry = wren_iv(64 * MIB)

@@ -18,6 +18,25 @@ from repro.harness import (
 )
 from repro.units import KIB, MIB
 
+# Figures 1 and 2 at 48 MiB, byte for byte.
+FFS_TABLE = """\
+     time  op    mode  position            sector      size  label
+------------------------------------------------------------------
+ 334.7 ms  write sync  sequential sector    32800    8.0 KB  new inode 1026
+ 344.9 ms  write sync  near       sector    33136    8.0 KB  directory 1024 data
+ 367.0 ms  write sync  near       sector    32800    8.0 KB  new inode 1027
+ 384.4 ms  write sync  near       sector    33152    8.0 KB  directory 1025 data
+ 403.9 ms  write async sequential sector    33168    8.0 KB  writeback data 1026
+ 403.9 ms  write async sequential sector    33184    8.0 KB  writeback data 1027
+ 403.9 ms  write async near       sector    32800    8.0 KB  writeback inode 0
+ 403.9 ms  write async near       sector    32784    8.0 KB  cg header 1"""
+LFS_TABLE = """\
+     time  op    mode  position            sector      size  label
+------------------------------------------------------------------
+ 113.9 ms  write async sequential sector     2136   28.0 KB  segment:0+11 seq=3"""
+FFS_IMAGE = "........................S..............................................."
+LFS_IMAGE = ".w......................................................................"
+
 
 class TestRig:
     def test_builds_both_kinds(self):
@@ -45,8 +64,22 @@ class TestCreationTraces:
 
     def test_trace_tables_render(self):
         results = fig1_fig2_creation_traces(total_bytes=48 * MIB)
-        assert "sector" in results["ffs"].table
-        assert len(results["lfs"].disk_image) == 72
+        ffs, lfs = results["ffs"], results["lfs"]
+        assert ffs.table == FFS_TABLE
+        assert ffs.disk_image == FFS_IMAGE
+        assert lfs.table == LFS_TABLE
+        assert lfs.disk_image == LFS_IMAGE
+        counts = [
+            (r.write_requests, r.sync_writes, r.random_writes, r.bytes_written)
+            for r in (ffs, lfs)
+        ]
+        assert counts == [(8, 4, 5, 65536), (1, 0, 0, 28672)]
+
+    def test_telemetry_without_trace_io_is_refused(self):
+        from repro.obs import Telemetry
+
+        with pytest.raises(ValueError):
+            fig1_fig2_creation_traces(total_bytes=48 * MIB, telemetry=Telemetry())
 
 
 class TestSmallFileDirection:

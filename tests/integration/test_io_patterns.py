@@ -6,31 +6,36 @@ of these regresses, a benchmark shape will silently degrade.
 
 import pytest
 
-from repro.disk.sim_disk import SimDisk
-from repro.disk.trace import AccessTier, TraceRecorder
+from repro.disk.sim_disk import AccessTier, SimDisk
 from repro.disk.geometry import wren_iv
 from repro.ffs.filesystem import FastFileSystem
 from repro.lfs.filesystem import LogStructuredFS
+from repro.obs import Telemetry
 from repro.units import MIB
 from tests.conftest import small_ffs_config, small_lfs_config
 
 
+def _traced(mkfs, config, clock, cpu):
+    """A fresh file system and the tracer that holds its disk spans."""
+    telemetry = Telemetry(trace_io=True)
+    disk = SimDisk(wren_iv(64 * MIB), clock, telemetry=telemetry)
+    fs = mkfs(disk, cpu, config)
+    telemetry.tracer.clear()
+    return fs, telemetry.tracer
+
+
+def _writes(tracer):
+    return tracer.by_kind("disk.write")
+
+
 @pytest.fixture
 def traced_lfs(clock, cpu):
-    trace = TraceRecorder()
-    disk = SimDisk(wren_iv(64 * MIB), clock, trace=trace)
-    fs = LogStructuredFS.mkfs(disk, cpu, small_lfs_config())
-    trace.clear()
-    return fs, trace
+    return _traced(LogStructuredFS.mkfs, small_lfs_config(), clock, cpu)
 
 
 @pytest.fixture
 def traced_ffs(clock, cpu):
-    trace = TraceRecorder()
-    disk = SimDisk(wren_iv(64 * MIB), clock, trace=trace)
-    fs = FastFileSystem.mkfs(disk, cpu, small_ffs_config())
-    trace.clear()
-    return fs, trace
+    return _traced(FastFileSystem.mkfs, small_ffs_config(), clock, cpu)
 
 
 class TestLfsWritePattern:
@@ -39,29 +44,29 @@ class TestLfsWritePattern:
         for i in range(20):
             fs.write_file(f"/f{i}", b"x" * 3000)
         fs.flush_log()
-        writes = trace.writes()
+        writes = _writes(trace)
         assert len(writes) == 1
-        assert writes[0].nbytes > 20 * 3000
+        assert writes[0].attrs["bytes"] > 20 * 3000
 
     def test_consecutive_flushes_sequential(self, traced_lfs):
         fs, trace = traced_lfs
         for round_ in range(3):
             fs.write_file(f"/r{round_}", b"y" * 5000)
             fs.flush_log()
-        writes = trace.writes()
+        writes = _writes(trace)
         assert len(writes) == 3
         # All but the first land exactly where the previous ended.
         assert all(
-            w.tier is AccessTier.SEQUENTIAL for w in writes[1:]
+            w.attrs["tier"] == AccessTier.SEQUENTIAL for w in writes[1:]
         )
 
     def test_checkpoint_is_the_only_sync_write(self, traced_lfs):
         fs, trace = traced_lfs
         fs.write_file("/f", b"z" * 10000)
         fs.checkpoint()
-        sync_writes = trace.sync_writes()
+        sync_writes = [w for w in _writes(trace) if w.attrs["sync"]]
         assert len(sync_writes) == 1
-        assert "checkpoint" in sync_writes[0].label
+        assert "checkpoint" in sync_writes[0].attrs["label"]
 
 
 class TestFfsWritePattern:
@@ -72,12 +77,12 @@ class TestFfsWritePattern:
         trace.clear()
         fs.sync()
         data_writes = [
-            event for event in trace.writes() if "writeback" in event.label
+            span for span in _writes(trace) if "writeback" in span.attrs["label"]
         ]
         # Six data blocks -> at least six separate requests (SunOS-era
         # FFS does not cluster writes).
         assert len(data_writes) >= 6
-        assert all(e.nbytes == fs.block_size for e in data_writes)
+        assert all(e.attrs["bytes"] == fs.block_size for e in data_writes)
 
     def test_random_writes_flush_in_dirty_order(self, traced_ffs):
         fs, trace = traced_ffs
@@ -92,9 +97,9 @@ class TestFfsWritePattern:
         trace.clear()
         fs.sync()
         data_writes = [
-            event for event in trace.writes() if "data" in event.label
+            span for span in _writes(trace) if "data" in span.attrs["label"]
         ]
-        sectors = [event.sector for event in data_writes]
+        sectors = [span.attrs["sector"] for span in data_writes]
         # The flush follows dirty order, not an elevator sweep: the
         # sector sequence is NOT sorted (this is the §5.2 random-write
         # penalty mechanism).

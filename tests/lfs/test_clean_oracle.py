@@ -151,7 +151,6 @@ def state(fs):
             for seg in range(usage.num_segments)
         ],
         "clamps": usage.underflow_clamps,
-        "dirty usage blocks": usage.dirty_block_indexes(),
         "cleaner": dataclasses.astuple(fs.cleaner.stats),
         "log": fs.segments.position,
         "image": device.read(0, device.num_sectors),

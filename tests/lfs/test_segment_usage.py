@@ -117,12 +117,6 @@ class TestStates:
 
 
 class TestBlocks:
-    def test_dirty_block_tracking(self, usage):
-        usage.note_write(0, BS, now=0.0)
-        assert usage.dirty_block_indexes() == [0]
-        usage.mark_block_clean(0)
-        assert usage.dirty_block_indexes() == []
-
     def test_pack_load_roundtrip(self, usage):
         usage.note_write(1, 3 * BS, now=4.0)
         usage.mark_dirty(1)
@@ -145,6 +139,3 @@ class TestBlocks:
     def test_load_all_wrong_count(self, usage):
         with pytest.raises(CorruptionError):
             usage.load_all([NIL, NIL], lambda addr: b"")
-
-    def test_all_block_indexes(self, usage):
-        assert usage.all_block_indexes() == list(range(usage.num_blocks))

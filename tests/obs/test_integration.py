@@ -17,7 +17,6 @@ import pytest
 
 from repro.disk.geometry import wren_iv
 from repro.disk.sim_disk import SimDisk
-from repro.disk.trace import TraceRecorder
 from repro.errors import NoSpaceError
 from repro.lfs.filesystem import LogStructuredFS
 from repro.obs import Telemetry, export_jsonl, read_jsonl
@@ -215,7 +214,8 @@ class TestRecoverySpan:
     def test_roll_forward_span_counts_what_it_read(self):
         clock = SimClock()
         cpu = CpuModel(clock)
-        disk = SimDisk(wren_iv(64 * MIB), clock, trace=TraceRecorder())
+        telemetry = Telemetry(trace_io=True)
+        disk = SimDisk(wren_iv(64 * MIB), clock, telemetry=telemetry)
         fs = LogStructuredFS.mkfs(disk, cpu, small_lfs_config())
         fs.checkpoint()
         tail = fs.segments.stats.log_bytes_written
@@ -225,20 +225,21 @@ class TestRecoverySpan:
         tail = fs.segments.stats.log_bytes_written - tail
         fs.crash()
         disk.revive()
-        disk.trace.clear()
-        telemetry = Telemetry()
+        telemetry.tracer.clear()
         again = LogStructuredFS.mount(
             disk, cpu, small_lfs_config(), telemetry=telemetry
         )
         (span,) = telemetry.tracer.by_kind("recovery.roll_forward")
         assert span.attrs["partials_applied"] == 4
         reads = [
-            event
-            for event in disk.trace.reads()
-            if event.label.startswith("roll-forward")
+            read
+            for read in telemetry.tracer.by_kind("disk.read")
+            if read.attrs["label"].startswith("roll-forward")
         ]
         assert span.attrs["reads"] == len(reads)
-        assert span.attrs["bytes_read"] == sum(event.nbytes for event in reads)
+        assert span.attrs["bytes_read"] == sum(
+            read.attrs["bytes"] for read in reads
+        )
         # Summaries and replayed metadata only: well under the tail.
         assert 0 < span.attrs["bytes_read"] < tail / 2
         assert again.read_file("/f3") == bytes([3]) * 20_000

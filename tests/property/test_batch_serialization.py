@@ -87,7 +87,9 @@ class TestBatchPackerIdentity:
             scalar.u32(value)
         expected = scalar.bytes()
         out = bytearray(len(expected))
-        BatchPacker(out).u64_array(quads).u32_array(words)
+        packer = BatchPacker(out).u64_array(quads)
+        for value in words:
+            packer.u32(value)
         assert bytes(out) == expected
 
     @given(st.lists(FIELD, max_size=16), st.integers(1, 64))

@@ -70,11 +70,13 @@ class TestConvenienceConstructors:
         assert fs.config.segment_size == 512 * 1024
 
     def test_trace_attachment(self):
-        trace = repro.TraceRecorder()
-        fs = repro.make_lfs(total_bytes=32 * 1024 * 1024, trace=trace)
+        from repro.obs import Telemetry
+
+        telemetry = Telemetry(trace_io=True)
+        fs = repro.make_lfs(total_bytes=32 * 1024 * 1024, telemetry=telemetry)
         fs.write_file("/x", b"t" * 5000)
         fs.sync()
-        assert trace.writes()
+        assert telemetry.tracer.by_kind("disk.write")
 
 
 class TestStorageManagerContract:

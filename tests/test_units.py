@@ -7,7 +7,6 @@ from repro.units import (
     MIB,
     SECTOR_SIZE,
     fmt_bytes,
-    fmt_rate,
     fmt_time,
     sectors_for,
 )
@@ -37,9 +36,6 @@ class TestFormatting:
         assert fmt_bytes(512) == "512 B"
         assert fmt_bytes(1536) == "1.5 KB"
         assert fmt_bytes(3 * MIB) == "3.0 MB"
-
-    def test_fmt_rate(self):
-        assert fmt_rate(1.3 * MIB).endswith("/s")
 
     def test_fmt_time_ranges(self):
         assert "us" in fmt_time(5e-6)

@@ -8,18 +8,24 @@ import pytest
 
 from repro.common.directory import MAX_NAME_LEN
 from repro.common.inode import FileType
+from repro.disk.geometry import wren_iv
 from repro.errors import (
     DirectoryNotEmptyError,
     FileExistsError_,
     FileNotFoundError_,
     InvalidArgumentError,
     IsADirectoryError_,
+    MediaError,
     NotADirectoryError_,
     StaleHandleError,
 )
+from repro.faults import FaultConfig, FaultInjector, FaultyDevice
 from repro.ffs.fsck import fsck
 from repro.lfs.filesystem import LogStructuredFS
 from repro.lfs.verify import verify_lfs
+from repro.rig import new_rig
+from repro.units import MIB
+from tests.conftest import small_ffs_config, small_lfs_config
 
 
 def assert_image_clean(fs):
@@ -30,6 +36,46 @@ def assert_image_clean(fs):
     else:
         report = fsck(fs.disk)
         assert report.clean and report.repairs() == 0
+
+
+class TestExists:
+    """Only a path that does not resolve reads as absent."""
+
+    def test_missing_and_below_a_file(self, anyfs):
+        anyfs.write_file("/f", b"x")
+        assert anyfs.exists("/f")
+        assert not anyfs.exists("/missing")
+        assert not anyfs.exists("/f/below")
+
+    def test_unmounted_raises(self, anyfs):
+        anyfs.write_file("/f", b"x")
+        anyfs.unmount()
+        with pytest.raises(StaleHandleError):
+            anyfs.exists("/f")
+
+    @pytest.mark.parametrize("kind", ["lfs", "ffs"])
+    def test_unreadable_directory_block_raises(self, kind):
+        geometry = wren_iv(32 * MIB)
+        injector = FaultInjector(FaultConfig.none())
+        device = FaultyDevice(
+            geometry.num_sectors, geometry.sector_size, injector=injector
+        )
+        fs = new_rig(
+            kind,
+            geometry=geometry,
+            device=device,
+            lfs_config=small_lfs_config(),
+            ffs_config=small_ffs_config(),
+        ).fs
+        fs.mkdir("/d")
+        fs.write_file("/d/x", b"x")
+        fs.flush_caches()  # LFS moves the blocks it writes back
+        directory = fs._get_inode(fs.stat("/d").inum)
+        sector = fs.block_map.get(directory, 0) * fs.sectors_per_block
+        fs.flush_caches()
+        injector.mark_unreadable(sector)
+        with pytest.raises(MediaError):
+            fs.exists("/d/x")
 
 
 class TestCreateOpenUnlink:

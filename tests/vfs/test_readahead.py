@@ -12,9 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.inode import N_DIRECT, BlockKey, BlockKind
-from repro.disk.trace import TraceRecorder
 from repro.errors import MediaError
 from repro.faults import FaultyDevice, ModelFS
+from repro.obs import Telemetry
 from repro.rig import new_rig
 from repro.units import KIB, MIB
 from tests.conftest import small_ffs_config, small_lfs_config
@@ -25,7 +25,7 @@ VOLUME = 32 * MIB
 
 def _rig(
     kind: str,
-    trace=None,
+    telemetry=None,
     speed_factor=1.0,
     device=None,
     cache_bytes=2 * MIB,
@@ -38,7 +38,7 @@ def _rig(
         speed_factor=speed_factor,
         lfs_config=small_lfs_config(cache_bytes=cache_bytes, **lfs_overrides),
         ffs_config=small_ffs_config(cache_bytes=cache_bytes),
-        trace=trace,
+        telemetry=telemetry,
         device=device,
     )
 
@@ -193,8 +193,8 @@ def test_a_run_before_blocks_the_window_served_is_not_extended():
 
 @pytest.mark.parametrize("kind", ["lfs", "ffs"])
 def test_a_read_waits_only_for_its_own_blocks(kind):
-    trace = TraceRecorder()
-    fs = _rig(kind, trace=trace).fs
+    telemetry = Telemetry(trace_io=True)
+    fs = _rig(kind, telemetry=telemetry).fs
     nblocks = FILE_BLOCKS[kind]
     inode = _contiguous_file(fs, nblocks)
     fs.block_map.get(inode, N_DIRECT)  # the leaf: reads below are data only
@@ -209,22 +209,31 @@ def test_a_read_waits_only_for_its_own_blocks(kind):
                 fs.block_map.get(inode, lbn) for lbn in lbns
                 if not fs.cache.contains(_data_key(inode, lbn))
             ]
-            latest = trace.events[-1] if trace.events else None
+            latest = next(
+                (
+                    span for span in reversed(telemetry.tracer.spans)
+                    if span.kind in ("disk.read", "disk.write")
+                ),
+                None,
+            )
+            if latest is not None:
+                first = latest.attrs["sector"]
+                end = first + latest.attrs["bytes"] // 512
             if not addrs:
                 bound = 0.0
             elif (
                 latest is not None
-                and not latest.is_write
-                and latest.sector <= addrs[0] * spb
-                and (addrs[-1] + 1) * spb <= latest.sector + latest.nsectors
+                and latest.kind == "disk.read"
+                and first <= addrs[0] * spb
+                and (addrs[-1] + 1) * spb <= end
             ):
                 # Read ahead by the latest request: waited for until its
                 # last block has arrived, and no longer.
                 claimed += 1
-                after = latest.sector + latest.nsectors - (addrs[-1] + 1) * spb
+                after = end - (addrs[-1] + 1) * spb
                 bound = max(
                     0.0,
-                    latest.complete_time - transfer(after * 512) - fs.clock.now(),
+                    disk.last_read_done - transfer(after * 512) - fs.clock.now(),
                 )
             else:
                 # Read from the disk: positioning and transfer of its
@@ -350,7 +359,7 @@ class _ArrivalLog:
     it ahead, a block read on demand against its own request.
     """
 
-    def __init__(self, fs, trace: TraceRecorder) -> None:
+    def __init__(self, fs) -> None:
         self.checked = 0
         self.claims = 0
         requests = iter(range(1, 1 << 62))
@@ -368,7 +377,7 @@ class _ArrivalLog:
         def logged_read(sector, count, label="", **kwargs):
             data = read(sector, count, label, **kwargs)
             number = next(requests)
-            done = trace.events[-1].complete_time
+            done = disk.last_read_done
             pending.clear()
             if label.startswith(("data:", "inode")) and not sector % spb:
                 demand = kwargs.get("demand")
@@ -466,19 +475,17 @@ OVERWRITE = {
 @example(kind="ffs", ops=OVERWRITE["ffs"])
 @given(kind=st.sampled_from(["lfs", "ffs"]), ops=_ops)
 def test_reads_match_a_model_and_wait_for_arrivals(kind, ops):
-    trace = TraceRecorder()
     # A CPU fast enough to outrun the disk, so that reads do catch up
     # with blocks still in flight.
     fs = _rig(
         kind,
-        trace=trace,
         speed_factor=100.0,
         segment_size=64 * KIB,
         cache_bytes=128 * KIB,
     ).fs
     # A quarter of the cache.
     assert fs.readahead.window_blocks == 32 * KIB // fs.block_size
-    log = _ArrivalLog(fs, trace)
+    log = _ArrivalLog(fs)
     model = ModelFS()
     cursor = {}
     # Written together, so that they lie together.
