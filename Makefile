@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint e2e-smoke experiments e2e-digest bench-pairs trace reports cluster-smoke crashtest chaos ci
+.PHONY: test lint e2e-smoke experiments examples e2e-digest bench-pairs trace reports cluster-smoke crashtest chaos ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -27,6 +27,14 @@ e2e-smoke:
 # REC, service scaling), each gating the direction of its claim.
 experiments:
 	$(PYTHON) -m pytest -q benchmarks/test_*.py
+
+# Every script in examples/ (README's quickstart among them) runs to the
+# end; the first non-zero exit fails the target.
+examples:
+	@for script in examples/*.py; do \
+		echo "$$script"; \
+		$(PYTHON) $$script > /dev/null || exit 1; \
+	done
 
 # One md5 of what a full-scale pass simulated (its `sim`, `counters`,
 # `images` and `failed` keys) per workload and seed: every workload
@@ -127,4 +135,4 @@ chaos:
 	diff /tmp/chaos_j1.jsonl /tmp/chaos.jsonl
 	@cat /tmp/chaos_j1.txt
 
-ci: lint test e2e-smoke experiments reports cluster-smoke crashtest chaos
+ci: lint test e2e-smoke experiments examples reports cluster-smoke crashtest chaos

@@ -349,17 +349,12 @@ class BlockCache:
         """
         return self.used_bytes > self.capacity_bytes
 
-    def drop_clean(self, metadata_too: bool = True) -> int:
+    def drop_clean(self) -> int:
         """Drop every clean block (benchmarks' "flush the file cache").
 
         Dirty blocks always survive — dropping them would lose data.
         """
-        victims = [
-            key
-            for key, block in self._blocks.items()
-            if not block.dirty
-            and (metadata_too or block.key.kind is BlockKind.DATA)
-        ]
+        victims = [key for key, block in self._blocks.items() if not block.dirty]
         for key in victims:
             # Heap entries are dropped when they surface, as in discard.
             del self._blocks[key]

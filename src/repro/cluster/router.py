@@ -32,9 +32,6 @@ class ShardRouter:
             for cid in range(config.clients)
         }
 
-    def shard_of(self, client_id: int) -> int:
-        return self._route[client_id]
-
     def assignments(self) -> Dict[int, List[int]]:
         """Shard → sorted client ids map (every shard present,
         including empty ones)."""

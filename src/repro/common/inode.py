@@ -286,7 +286,10 @@ class BlockMap:
     list, otherwise it reads ``addr`` from disk, or creates a fresh
     zeroed block when ``addr`` is NIL (how LFS materializes pointer
     blocks that have never been written).  ``dirty(key)`` marks a pointer
-    block modified.
+    block modified.  ``cached(key)`` tells whether the cache holds a
+    block: a read past a NIL pointer still finds a pointer block that
+    lives only in the cache (dirty, no disk address yet — the normal LFS
+    state), and :meth:`get_missing` skips the data blocks it holds.
 
     A *container* is what one walk reaches: the inode's direct slots or
     one single-indirect leaf.  The run methods (:meth:`get_missing`,
@@ -301,14 +304,15 @@ class BlockMap:
         block_size: int,
         load_pointers: Callable[[BlockKey, int], List[int]],
         dirty: Callable[[BlockKey], None],
+        cached: Callable[[BlockKey], bool],
         rehit: Optional[Callable[[Sequence[BlockKey], int], None]] = None,
     ) -> None:
         self.block_size = block_size
         self.ppb = pointers_per_block(block_size)
         self._load = load_pointers
         self._dirty = dirty
+        self._cached = cached
         self._rehit = rehit or self._load_again
-        self._probe: Callable[[BlockKey], bool] = lambda _key: False
         self.max_lbn = N_DIRECT + self.ppb + self.ppb * self.ppb - 1
 
     def _load_again(self, keys: Sequence[BlockKey], rounds: int) -> None:
@@ -375,16 +379,16 @@ class BlockMap:
         nothing is created, at either level."""
         if ordinal == 0:
             key = block_key((inode.inum, _INDIRECT, 0))
-            if inode.indirect == NIL and not self._probe(key):
+            if inode.indirect == NIL and not self._cached(key):
                 return None, ()
             return self._load(key, inode.indirect), (key,)
         root_key = block_key((inode.inum, _DINDIRECT, 0))
-        if inode.dindirect == NIL and not self._probe(root_key):
+        if inode.dindirect == NIL and not self._cached(root_key):
             return None, ()
         root = self._load(root_key, inode.dindirect)
         leaf_key = block_key((inode.inum, _INDIRECT, ordinal))
         leaf_addr = root[ordinal - 1]
-        if leaf_addr == NIL and not self._probe(leaf_key):
+        if leaf_addr == NIL and not self._cached(leaf_key):
             return None, (root_key,)
         return self._load(leaf_key, leaf_addr), (root_key, leaf_key)
 
@@ -413,11 +417,7 @@ class BlockMap:
         return pointers, first, keys
 
     def get_missing(
-        self,
-        inode: Inode,
-        first: int,
-        last: int,
-        cached: Callable[[BlockKey], bool],
+        self, inode: Inode, first: int, last: int
     ) -> Tuple[List[Tuple[int, int]], Optional[Container]]:
         """``(lbn, addr)`` of every data block in ``[first, last]`` that
         ``cached`` does not hold and that is not a hole, and the
@@ -431,6 +431,7 @@ class BlockMap:
         it may evict a later block of the range.
         """
         self._check_range(first, last)
+        cached = self._cached
         inum = inode.inum
         found: List[Tuple[int, int]] = []
         walked: Optional[Container] = None
@@ -523,13 +524,6 @@ class BlockMap:
             if rounds:
                 self._rehit(keys, rounds)
         return freed
-
-    # The hole-read fast path above must not hide pointer blocks that live
-    # only in cache (dirty, no disk address yet — the normal LFS state).
-    # File systems install a cache probe via ``set_cache_probe``.
-
-    def set_cache_probe(self, probe: Callable[[BlockKey], bool]) -> None:
-        self._probe = probe
 
     def indirect_block_keys(self, inode: Inode) -> List[BlockKey]:
         """Keys of every pointer block the inode's current size can use."""

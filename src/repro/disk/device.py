@@ -114,23 +114,20 @@ class SectorDevice:
                 f"{self.num_sectors} sectors"
             )
 
-    def read(self, sector: int, count: int, *, copy: bool = False) -> "bytes | memoryview":
+    def read(self, sector: int, count: int) -> memoryview:
         """Read ``count`` sectors starting at ``sector``.
 
         Returns a read-only :class:`memoryview` aliasing the device's
         backing buffer — zero copies, zero allocations beyond the view
         object itself.  The view stays coherent with later writes (it
         aliases live storage), so callers that need a stable snapshot
-        must pass ``copy=True`` (or copy the view themselves) — that is
-        the explicit-copy escape hatch; everything on the hot path works
+        copy the view themselves; everything on the hot path works
         directly on the view.
         """
         self._check_range(sector, count)
         self.total_sectors_read += count
         start = sector * self.sector_size
         end = start + count * self.sector_size
-        if copy:
-            return bytes(self._data[start:end])  # alloc-ok: explicit snapshot
         return memoryview(self._data)[start:end].toreadonly()
 
     def write(

@@ -65,11 +65,6 @@ class DiskGeometry:
         """Positioning cost of a back-to-back sequential request."""
         return self.rotation / 4.0
 
-    @property
-    def random_access_time(self) -> float:
-        """Positioning cost of a far access (seek + half rotation)."""
-        return self.avg_seek + self.rotation / 2.0
-
     def transfer_time(self, nbytes: int) -> float:
         """Seconds to transfer ``nbytes`` at sustained bandwidth."""
         if nbytes < 0:

@@ -173,16 +173,14 @@ class SimDisk:
         label: str = "",
         *,
         vectored: bool = False,
-        copy: bool = False,
         demand: Optional[int] = None,
-    ) -> "bytes | memoryview":
+    ) -> memoryview:
         """Read ``count`` sectors; the caller waits for them.
 
         Returns a read-only view over the device image (zero-copy).  The
         view aliases live storage: it reflects any later write to the
         same sectors, so callers must consume or copy it before issuing
-        further writes.  ``copy=True`` requests a stable ``bytes``
-        snapshot instead.  ``vectored=True`` tags the request as a
+        further writes.  ``vectored=True`` tags the request as a
         multi-block transfer coalesced by the readahead pipeline (it
         only affects accounting, not timing).  ``demand`` is how many
         leading sectors the caller waits for (all by default): the rest
@@ -214,7 +212,7 @@ class SimDisk:
         attempt = 0
         while True:
             try:
-                data = self.device.read(sector, count, copy=copy)
+                data = self.device.read(sector, count)
                 break
             except TransientIOError:
                 attempt += 1
@@ -312,14 +310,6 @@ class SimDisk:
     def busy_until(self) -> float:
         """Time at which the disk becomes idle."""
         return self._busy_until
-
-    @property
-    def idle(self) -> bool:
-        return self._busy_until <= self.clock.now()
-
-    def queue_delay(self) -> float:
-        """How far the busy timeline extends past the current clock."""
-        return max(0.0, self._busy_until - self.clock.now())
 
     # ------------------------------------------------------------------
     # Crash handling

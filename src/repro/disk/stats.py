@@ -7,8 +7,8 @@ were synchronous (blocked the caller), and total disk busy time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict
+from dataclasses import dataclass, field
+from typing import Dict
 
 from repro.obs.export import format_fields
 from repro.units import fmt_bytes, fmt_time
@@ -57,44 +57,6 @@ class DiskStats:
             self.sync_requests += 1
         self.busy_seconds += duration
         self.tier_counts[tier] = self.tier_counts.get(tier, 0) + 1
-
-    def delta_since(self, earlier: "DiskStats") -> "DiskStats":
-        """Stats accumulated since a :meth:`copy` taken earlier."""
-        # Sorted union so delta dicts iterate in a stable order no matter
-        # which tiers each side saw first (set iteration order is
-        # hash-seed dependent, which made exported deltas flap).
-        tiers = sorted(set(self.tier_counts) | set(earlier.tier_counts))
-        return DiskStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(earlier, f.name)
-                for f in fields(self)
-                if f.name != "tier_counts"
-            },
-            tier_counts={
-                tier: self.tier_counts.get(tier, 0) - earlier.tier_counts.get(tier, 0)
-                for tier in tiers
-            },
-        )
-
-    def copy(self) -> "DiskStats":
-        return replace(self, tier_counts=dict(self.tier_counts))
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Export form: plain scalars plus tier counts in sorted order."""
-        return {
-            "reads": self.reads,
-            "writes": self.writes,
-            "requests": self.requests,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-            "sync_requests": self.sync_requests,
-            "seeks": self.seeks,
-            "busy_seconds": self.busy_seconds,
-            "tier_counts": {
-                tier: self.tier_counts[tier]
-                for tier in sorted(self.tier_counts)
-            },
-        }
 
     def summary(self) -> str:
         return format_fields(

@@ -208,14 +208,6 @@ class ChaosReport:
     def planned_count(self, instant: str) -> int:
         return sum(1 for t in self.trials if t.instant == instant)
 
-    @property
-    def instants_covered(self) -> bool:
-        return all(
-            self.fired_count(instant) > 0
-            for instant in INSTANTS
-            if self.planned_count(instant) > 0
-        )
-
     def render(self) -> str:
         checks = sum(t.checks for t in self.trials)
         violations = sum(len(t.violations) for t in self.trials)

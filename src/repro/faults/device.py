@@ -36,14 +36,12 @@ class FaultyDevice(SectorDevice):
         self.injector = injector or FaultInjector()
         self.written_sectors: Set[int] = set()
 
-    def read(
-        self, sector: int, count: int, *, copy: bool = False
-    ) -> "bytes | memoryview":
+    def read(self, sector: int, count: int) -> memoryview:
         # Range- and crash-check first so faults only fire on requests
         # that would otherwise succeed.
         self._check_range(sector, count)
         self.injector.before_read(sector, count)
-        return super().read(sector, count, copy=copy)
+        return super().read(sector, count)
 
     def write(
         self,

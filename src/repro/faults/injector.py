@@ -66,20 +66,6 @@ class FaultConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
-    @classmethod
-    def none(cls) -> "FaultConfig":
-        """A config that injects nothing (counters still registered)."""
-        return cls()
-
-    @property
-    def any_faults(self) -> bool:
-        return (
-            self.torn_write_prob > 0
-            or self.bit_flip_sectors > 0
-            or self.grow_bad_sectors > 0
-            or self.transient_read_prob > 0
-        )
-
 
 class FaultInjector:
     """Seeded fault policy consulted by :class:`FaultyDevice`."""
@@ -90,7 +76,7 @@ class FaultInjector:
         seed: int = 0,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
-        self.config = config or FaultConfig.none()
+        self.config = config or FaultConfig()
         self.rng = random.Random(seed)
         self.bad_sectors: Set[int] = set()
         self._pending_transient: Set[Tuple[int, int]] = set()

@@ -114,10 +114,6 @@ class Allocator:
         self.groups[cg].inodes.clear(inum % self.config.inodes_per_cg)
         self.dirty_groups.add(cg)
 
-    def inode_is_allocated(self, inum: int) -> bool:
-        cg = self.layout.cg_of_inum(inum)
-        return self.groups[cg].inodes.is_set(inum % self.config.inodes_per_cg)
-
     # ------------------------------------------------------------------
     # Data blocks
     # ------------------------------------------------------------------
@@ -160,10 +156,6 @@ class Allocator:
         cg, index = self.layout.data_index(addr)
         self.groups[cg].blocks.clear(index)
         self.dirty_groups.add(cg)
-
-    def block_is_allocated(self, addr: int) -> bool:
-        cg, index = self.layout.data_index(addr)
-        return self.groups[cg].blocks.is_set(index)
 
     # ------------------------------------------------------------------
     # Stats

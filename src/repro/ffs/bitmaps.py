@@ -68,11 +68,6 @@ class Bitmap:
         yield from range(start, self.nbits)
         yield from range(0, start)
 
-    def iter_set(self) -> Iterator[int]:
-        for index in range(self.nbits):
-            if self.is_set(index):
-                yield index
-
     def to_bytes(self) -> bytes:
         return bytes(self._bits)
 

@@ -42,7 +42,6 @@ class FsckReport:
     bytes_read: int = 0
     inodes_scanned: int = 0
     allocated_inodes: int = 0
-    blocks_referenced: int = 0
     dangling_entries_removed: int = 0
     orphans_reattached: int = 0
     orphans_cleared: int = 0
@@ -143,7 +142,6 @@ class _Fsck:
             return False
         self.block_owner[addr] = inum
         self.block_bitmaps[cg].set(index)
-        self.report.blocks_referenced += 1
         return True
 
     def check_blocks(self) -> None:

@@ -276,13 +276,6 @@ class InodeMap:
     def allocated_count(self) -> int:
         return sum(1 for entry in self._all_entries() if entry.allocated)
 
-    def allocated_inums(self) -> List[int]:
-        return [
-            inum
-            for inum, entry in enumerate(self._all_entries())
-            if entry.allocated
-        ]
-
     # ------------------------------------------------------------------
     # Block (de)serialization for the segment writer / mount path
     # ------------------------------------------------------------------
@@ -297,9 +290,6 @@ class InodeMap:
 
     def mark_block_clean(self, index: int) -> None:
         self._dirty_blocks.discard(index)
-
-    def has_dirty_blocks(self) -> bool:
-        return bool(self._dirty_blocks)
 
     def pack_block(self, index: int) -> bytes:
         out = bytearray(self.block_size)
@@ -366,11 +356,3 @@ class InodeMap:
         self._blocks = [None] * self.num_blocks
         self._dirty_blocks.clear()
         self._alloc_hint = ROOT_INUM
-
-    def load_all(
-        self, addrs: List[int], read_block: Callable[[int], bytes]
-    ) -> None:
-        """Rebuild the whole map eagerly (tests and tools)."""
-        self.attach(addrs, read_block)
-        for index in range(self.num_blocks):
-            self._ensure_loaded(index)

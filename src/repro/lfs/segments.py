@@ -32,6 +32,9 @@ from repro.lfs.summary import (
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.sim.clock import SimClock
 
+MAX_POOLED_BUFFERS = 4
+"""Free buffers a :class:`SegmentBufferPool` keeps; it drops the rest."""
+
 
 @dataclass
 class BufferPoolStats:
@@ -53,13 +56,9 @@ class SegmentBufferPool:
     """
 
     def __init__(
-        self,
-        buffer_bytes: int,
-        max_buffers: int = 4,
-        telemetry: Optional[Telemetry] = None,
+        self, buffer_bytes: int, telemetry: Optional[Telemetry] = None
     ) -> None:
         self.buffer_bytes = buffer_bytes
-        self.max_buffers = max_buffers
         self._free: List[bytearray] = []
         self.stats = stats = BufferPoolStats()
         obs = telemetry or NULL_TELEMETRY
@@ -77,7 +76,7 @@ class SegmentBufferPool:
         """Return a buffer to the pool (excess buffers are dropped)."""
         if (
             len(buffer) == self.buffer_bytes
-            and len(self._free) < self.max_buffers
+            and len(self._free) < MAX_POOLED_BUFFERS
         ):
             self._free.append(buffer)
 
@@ -127,7 +126,6 @@ class LogPosition:
 class SegmentStats:
     """What a :class:`SegmentManager` wrote to the log."""
 
-    segments_written: int = 0
     partial_segments_written: int = 0
     log_bytes_written: int = 0
     cleaner_bytes_written: int = 0
@@ -210,7 +208,6 @@ class SegmentManager:
         pos.active_segment = pos.next_segment
         pos.active_offset = 0
         pos.next_segment = successor
-        self.stats.segments_written += 1
 
     def remaining_blocks(self) -> int:
         return self.layout.config.blocks_per_segment - self.position.active_offset

@@ -6,8 +6,8 @@ Three consumers, three formats:
   then ``span`` records, then one trailing ``summary``), the stream the
   ``repro fig --telemetry out.jsonl`` flag writes so any experiment can
   be post-processed outside the simulator;
-* :func:`to_dict` / :func:`iter_records` — the same data as plain
-  Python structures for in-process analysis and tests;
+* :func:`iter_records` — the same records as plain Python structures
+  for in-process analysis and tests;
 * :func:`render_report` — the human-readable report ``repro stats``
   prints: a metrics table and a per-kind span summary.
 
@@ -43,11 +43,6 @@ def iter_records(telemetry: Telemetry) -> Iterator[Dict[str, Any]]:
         "dropped_spans": tracer.dropped_spans,
         "dropped_label_sets": registry.dropped_label_sets,
     }
-
-
-def to_dict(telemetry: Telemetry) -> Dict[str, Any]:
-    """The full telemetry state as one plain dict."""
-    return telemetry.to_dict()
 
 
 def export_jsonl(telemetry: Telemetry, out: Union[str, IO[str]]) -> int:

@@ -14,7 +14,7 @@ would silently split its history.  Build a new rig to change modes.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.obs.registry import DEFAULT_BYTE_BUCKETS, MetricsRegistry
 from repro.obs.tracer import DEFAULT_MAX_SPANS, SpanTracer
@@ -78,15 +78,6 @@ class Telemetry:
 
     def suspend(self, span) -> None:
         self.tracer.suspend(span)
-
-    # -- export --------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "enabled": self.enabled,
-            **self.registry.to_dict(),
-            **self.tracer.to_dict(),
-        }
 
     def __repr__(self) -> str:
         state = "enabled" if self.enabled else "disabled"

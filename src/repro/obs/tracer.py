@@ -243,14 +243,6 @@ class SpanTracer:
     def by_kind(self, kind: str) -> List[Span]:
         return [span for span in self.spans if span.kind == kind]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "spans": [span.to_dict() for span in self.spans],
-            "dropped_spans": self.dropped_spans,
-            "kind_counts": dict(self.kind_counts),
-            "kind_seconds": dict(self.kind_seconds),
-        }
-
     def clear(self) -> None:
         self.spans.clear()
         self.dropped_spans = 0

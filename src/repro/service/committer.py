@@ -65,14 +65,6 @@ class GroupCommitter:
             "service.commit_batch_size", buckets=BATCH_BUCKETS
         )
 
-    @property
-    def window_open(self) -> bool:
-        return self._window_open
-
-    @property
-    def waiting(self) -> int:
-        return len(self._waiters)
-
     def request_commit(
         self,
         handle: FileHandle,
@@ -149,7 +141,3 @@ class GroupCommitter:
         self._h_batch.observe(len(batch))
         for _handle, done, _fail, _ctx in batch:
             clock.call_at(clock.now(), done)
-
-    def flush_now(self) -> None:
-        """Close the window immediately (drain at end of run)."""
-        self._commit()

@@ -58,7 +58,8 @@ class ServiceConfig:
     serving (0 disables).  High values exercise cleaner backpressure."""
 
     fragment_every: int = 8
-    """During pre-fill, delete every Nth file to fragment segments."""
+    """During pre-fill, delete every Nth file to fragment segments (0:
+    delete none).  1 would delete every file, so the fill never grows."""
 
     def __post_init__(self) -> None:
         if self.num_clients < 1:
@@ -73,6 +74,10 @@ class ServiceConfig:
         if not 0.0 <= self.fill_fraction < 1.0:
             raise InvalidArgumentError(
                 f"fill_fraction must be in [0, 1): {self.fill_fraction}"
+            )
+        if self.fragment_every != 0 and self.fragment_every < 2:
+            raise InvalidArgumentError(
+                f"fragment_every must be 0 or at least 2: {self.fragment_every}"
             )
 
 

@@ -79,9 +79,6 @@ class ServiceStats:
             merged.extend(self.latencies.get(kind, []))
         return merged
 
-    def p50(self) -> float:
-        return percentile(self.all_latencies(), 0.50)
-
     def p99(self) -> float:
         return percentile(self.all_latencies(), 0.99)
 

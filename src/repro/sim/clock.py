@@ -80,9 +80,5 @@ class SimClock:
         """Drop every pending event (used when simulating a crash)."""
         self._events.clear()
 
-    def pending_timers(self) -> int:
-        """Number of events waiting to run."""
-        return len(self._events)
-
     def __repr__(self) -> str:
         return f"SimClock(now={self._now:.6f}, timers={len(self._events)})"

@@ -32,10 +32,6 @@ def crashpoint(name: str, at: object = None) -> None:
         _hook(name, at)
 
 
-def is_armed() -> bool:
-    return _hook is not None
-
-
 @contextmanager
 def armed(hook: Hook) -> Iterator[None]:
     """Arm ``hook`` for the body; it is cleared however the body ends."""

@@ -18,13 +18,6 @@ SECTOR_SIZE = 512
 """Sector size of every simulated device, in bytes (matches classic SCSI)."""
 
 
-def sectors_for(nbytes: int, sector_size: int = SECTOR_SIZE) -> int:
-    """Number of sectors needed to hold ``nbytes`` (rounded up)."""
-    if nbytes < 0:
-        raise ValueError(f"negative byte count: {nbytes}")
-    return (nbytes + sector_size - 1) // sector_size
-
-
 def fmt_bytes(nbytes: float) -> str:
     """Human-readable byte count, e.g. ``fmt_bytes(1536) == '1.5 KB'``."""
     value = float(nbytes)

@@ -143,9 +143,9 @@ class BaseFileSystem(StorageManager):
             self.block_size,
             self._load_pointers,
             self._dirty_pointer_block,
+            self.cache.contains,
             self.cache.rehit,
         )
-        self.block_map.set_cache_probe(self.cache.contains)
 
     # ------------------------------------------------------------------
     # Abstract placement / policy hooks
@@ -224,10 +224,9 @@ class BaseFileSystem(StorageManager):
             self._inodes[inum] = inode
         return inode
 
-    def _install_inode(self, inode: Inode, dirty: bool = True) -> None:
+    def _install_inode(self, inode: Inode) -> None:
         self._inodes[inode.inum] = inode
-        if dirty:
-            self._mark_inode_dirty(inode)
+        self._mark_inode_dirty(inode)
 
     def _mark_inode_dirty(self, inode: Inode) -> None:
         self._dirty_inodes.add(inode.inum)
@@ -403,9 +402,7 @@ class BaseFileSystem(StorageManager):
         bs = self.block_size
         first, last = offset // bs, (end - 1) // bs
         inum = inode.inum
-        missing, container = self.block_map.get_missing(
-            inode, first, last, self.cache.contains
-        )
+        missing, container = self.block_map.get_missing(inode, first, last)
         if missing:
             self._fetch_blocks(
                 [(block_key((inum, _DATA, lbn)), addr) for lbn, addr in missing],
@@ -1025,7 +1022,7 @@ class BaseFileSystem(StorageManager):
 
     def flush_caches(self) -> None:
         self.sync()
-        self.cache.drop_clean(metadata_too=True)
+        self.cache.drop_clean()
         self._inodes = {
             inum: inode
             for inum, inode in self._inodes.items()

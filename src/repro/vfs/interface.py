@@ -47,10 +47,6 @@ class VfsInfo:
     total_files: int
     used_files: int
 
-    @property
-    def used_fraction(self) -> float:
-        return self.used_bytes / self.total_bytes if self.total_bytes else 0.0
-
 
 @dataclass
 class FsStats:

@@ -10,7 +10,7 @@ deterministic randomness so benchmark runs are reproducible.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.errors import InvalidArgumentError
 from repro.units import KIB
@@ -58,9 +58,6 @@ class FileSizeSampler:
                 )
         _weight, lo, hi = self.bands[-1]
         return hi
-
-    def sample_many(self, count: int) -> List[int]:
-        return [self.sample() for _ in range(count)]
 
 
 class ZipfPicker:

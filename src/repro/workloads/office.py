@@ -51,7 +51,6 @@ def run_office_workload(
     overwrite_fraction: float = 0.2,
     seed: int = 0,
     directory: str = "/office",
-    clock=None,
     state: Optional[OfficeState] = None,
 ) -> OfficeResult:
     """Churn files the way an office/engineering workstation does.
@@ -62,7 +61,7 @@ def run_office_workload(
     relies on), or delete the oldest files when the population exceeds
     its target (short lifetimes).
     """
-    clock = clock or fs.clock  # type: ignore[attr-defined]
+    clock = fs.clock  # type: ignore[attr-defined]
     sizes = FileSizeSampler(seed=seed)
     picker = ZipfPicker(seed=seed + 1)
     if not fs.exists(directory):

@@ -51,14 +51,9 @@ def run_small_file_test(
     file_size: int = 1024,
     directory: str = "/small",
     verify: bool = True,
-    clock=None,
 ) -> SmallFileResult:
-    """Run the Figure 3 benchmark against ``fs``.
-
-    ``clock`` defaults to ``fs.clock`` (every file system in this
-    library carries its simulation clock).
-    """
-    clock = clock or fs.clock  # type: ignore[attr-defined]
+    """Run the Figure 3 benchmark against ``fs``, timed by ``fs.clock``."""
+    clock = fs.clock  # type: ignore[attr-defined]
     fs.mkdir(directory)
 
     start = clock.now()

@@ -159,16 +159,6 @@ class TestDropClean:
         assert dropped == 1
         assert cache.contains(key(index=0))
 
-    def test_drop_clean_data_only(self, cache):
-        cache.insert(
-            key(kind=BlockKind.INDIRECT), pointer_block(None, BS), dirty=False,
-            now=0.0,
-        )
-        cache.insert(key(index=1), bytearray(BS), dirty=False, now=0.0)
-        dropped = cache.drop_clean(metadata_too=False)
-        assert dropped == 1
-        assert cache.contains(key(kind=BlockKind.INDIRECT))
-
 
 class TestPayloads:
     def test_as_bytes_pads_short_data(self, cache):

@@ -48,11 +48,8 @@ class WalkOracle:
     def discard_file(self, inum):
         return self._drop([k for k in self.blocks if k.inum == inum])
 
-    def drop_clean(self, metadata_too):
-        return self._drop(
-            [k for k, d in self.blocks.items()
-             if not d and (metadata_too or k.kind is BlockKind.DATA)]
-        )
+    def drop_clean(self):
+        return self._drop([k for k, d in self.blocks.items() if not d])
 
     def _drop(self, keys):
         for k in keys:
@@ -106,7 +103,7 @@ class TestSameOrderAsTheWalk:
             elif op == "discard_file":
                 assert cache.discard_file(key.inum) == oracle.discard_file(key.inum)
             else:
-                assert cache.drop_clean(metadata_too=flag) == oracle.drop_clean(flag)
+                assert cache.drop_clean() == oracle.drop_clean()
             # Same residents after every step = same victims, step by
             # step (victims of one insert leave together, in no order).
             assert set(cache._blocks) == set(oracle.blocks)

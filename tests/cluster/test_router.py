@@ -14,18 +14,17 @@ def test_assignments_partition_all_clients():
     everyone = [cid for cids in table.values() for cid in cids]
     assert sorted(everyone) == list(range(64))
     for cid in range(64):
-        assert cid in table[router.shard_of(cid)]
+        assert cid in table[router.policy.shard_for(client_key(cid))]
 
 
 def test_hash_routing_matches_policy_and_is_stable():
     config = ClusterConfig(shards=4, clients=32)
     again = ShardRouter(ClusterConfig(shards=4, clients=32))
     router = ShardRouter(config)
-    for cid in range(32):
-        assert router.shard_of(cid) == again.shard_of(cid)
-        assert router.shard_of(cid) == router.policy.shard_for(
-            client_key(cid)
-        )
+    assert router.assignments() == again.assignments()
+    for shard, cids in router.assignments().items():
+        for cid in cids:
+            assert router.policy.shard_for(client_key(cid)) == shard
 
 
 def test_config_validation():

@@ -73,8 +73,9 @@ class _MapHarness:
     def __init__(self):
         self.blocks = {}
         self.dirtied = []
-        self.map = BlockMap(BS, self.load, self.dirty)
-        self.map.set_cache_probe(lambda key: key in self.blocks)
+        self.map = BlockMap(
+            BS, self.load, self.dirty, lambda key: key in self.blocks
+        )
 
     def load(self, key, addr):
         if key not in self.blocks:

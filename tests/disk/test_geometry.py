@@ -9,6 +9,8 @@ from repro.disk.geometry import (
     WREN_IV,
     wren_iv,
 )
+from repro.disk.sim_disk import AccessTier, SimDisk
+from repro.sim.clock import SimClock
 from repro.units import MIB
 
 
@@ -52,12 +54,15 @@ class TestDerived:
         assert WREN_IV.request_gap == pytest.approx(WREN_IV.rotation / 4)
 
     def test_random_access_time(self):
-        assert WREN_IV.random_access_time == pytest.approx(
-            WREN_IV.avg_seek + WREN_IV.rotation / 2
-        )
+        # A far access costs an average seek and half a rotation.
+        geometry = wren_iv(8 * MIB)
+        disk = SimDisk(geometry, SimClock())
+        far, tier = disk.service_time(geometry.num_sectors - 1, 0)
+        assert tier is AccessTier.FAR
+        assert far == pytest.approx(geometry.avg_seek + geometry.rotation / 2)
 
     def test_null_timing_is_free(self):
-        assert NULL_TIMING.random_access_time == 0.0
+        assert NULL_TIMING.avg_seek + NULL_TIMING.rotation / 2 == 0.0
         assert NULL_TIMING.transfer_time(10 * MIB) < 1e-6
 
     def test_fast_disk_faster_than_wren(self):

@@ -46,7 +46,7 @@ class TestServiceTime:
     def test_large_sequential_dominated_by_bandwidth(self, disk):
         # The paper's segment-sizing rule: the seek must be amortized.
         duration, _ = disk.service_time(10**5, 1 * MIB)
-        positioning = disk.geometry.random_access_time
+        positioning = disk.geometry.avg_seek + disk.geometry.rotation / 2
         assert positioning / duration < 0.05
 
 
@@ -89,16 +89,16 @@ class TestSyncVsAsync:
         assert clock.now() == pytest.approx(target)
 
     def test_queue_delay(self, disk, clock):
-        assert disk.queue_delay() == 0.0
+        assert disk.busy_until == clock.now()
         disk.write(0, b"x" * 1 * MIB, sync=False)
-        assert disk.queue_delay() > 0.0
+        assert disk.busy_until > clock.now()
 
-    def test_idle_flag(self, disk):
-        assert disk.idle
+    def test_idle_flag(self, disk, clock):
+        assert disk.busy_until <= clock.now()
         disk.write(0, b"x" * 4096, sync=False)
-        assert not disk.idle
+        assert disk.busy_until > clock.now()
         disk.drain()
-        assert disk.idle
+        assert disk.busy_until <= clock.now()
 
 
 class TestStats:
@@ -118,14 +118,6 @@ class TestStats:
         tiers = disk.stats.tier_counts
         assert tiers.get("sequential") == 2
         assert tiers.get("far") == 1
-
-    def test_delta_since(self, disk):
-        disk.write(0, b"x" * 4096)
-        before = disk.stats.copy()
-        disk.write(8, b"x" * 4096)
-        delta = disk.stats.delta_since(before)
-        assert delta.writes == 1
-        assert delta.bytes_written == 4096
 
 
     def test_vectored_reads_counted(self, disk):

@@ -54,17 +54,17 @@ class TestCrashPlan:
         # The remount and the resumed run must see an unarmed stack,
         # whether the crash fired or the body raised while armed.
         assert run_chaos_trial(0, seed=0, **SMALL).fired
-        assert not crashpoints.is_armed()
+        assert crashpoints._hook is None
 
         def run_raises(scheduler):
-            assert crashpoints.is_armed()
+            assert crashpoints._hook is not None
             raise RuntimeError("scheduler blew up")
 
         monkeypatch.setattr(RequestScheduler, "run", run_raises)
         result = run_chaos_trial(0, seed=0, **SMALL)
         assert result.outcome == "unhandled"
         assert "scheduler blew up" in result.detail
-        assert not crashpoints.is_armed()
+        assert crashpoints._hook is None
 
 
 class TestChaosTrial:
@@ -106,7 +106,7 @@ class TestChaosCampaign:
     def test_small_campaign_passes_and_covers_instants(self):
         report = run_chaos_campaign(trials=4, seed=0, **SMALL)
         assert report.passed_all, report.render()
-        assert report.instants_covered
+        assert all(report.fired_count(instant) > 0 for instant in INSTANTS)
         assert all(t.fired for t in report.trials)
         assert sum(t.checks for t in report.trials) > 0
         assert sum(t.acked_fsyncs for t in report.trials) > 0

@@ -13,7 +13,7 @@ NUM_SECTORS = 256
 
 
 def make_device(config=None, seed=0):
-    injector = FaultInjector(config or FaultConfig.none(), seed=seed)
+    injector = FaultInjector(config or FaultConfig(), seed=seed)
     return FaultyDevice(NUM_SECTORS, SECTOR_SIZE, injector=injector)
 
 
@@ -27,8 +27,16 @@ class TestFaultConfig:
             FaultConfig(bit_flip_sectors=-1)
 
     def test_none_injects_nothing(self):
-        assert not FaultConfig.none().any_faults
-        assert FaultConfig(bit_flip_sectors=1).any_faults
+        for config, injected in (
+            (FaultConfig(), 0),
+            (FaultConfig(bit_flip_sectors=1), 1),
+        ):
+            device = make_device(config)
+            device.write(0, b"A" * SECTOR_SIZE * 8, durable=True)
+            device.crash(now=0.0)
+            device.revive()
+            device.read(0, 8)
+            assert sum(device.injector.counts.values()) == injected
 
 
 class TestTransientErrors:
@@ -95,7 +103,7 @@ class TestCrashDamage:
         assert data == expected
 
     def test_no_tear_without_probability(self):
-        device = self._crash_with(FaultConfig.none())
+        device = self._crash_with(FaultConfig())
         assert device.read(0, 8) == b"A" * SECTOR_SIZE * 8
         assert device.injector.counts["torn_writes"] == 0
 

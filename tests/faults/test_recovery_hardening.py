@@ -22,7 +22,7 @@ def faulty_rig(total_bytes=32 * MIB, config=None):
     geometry = wren_iv(total_bytes)
     clock = SimClock()
     cpu = CpuModel(clock)
-    injector = FaultInjector(config or FaultConfig.none())
+    injector = FaultInjector(config or FaultConfig())
     device = FaultyDevice(
         geometry.num_sectors, geometry.sector_size, injector=injector
     )

@@ -18,7 +18,7 @@ def setup():
 class TestInodeAllocation:
     def test_inode_zero_reserved(self, setup):
         _config, _layout, alloc = setup
-        assert alloc.inode_is_allocated(0)
+        assert alloc.groups[0].inodes.is_set(0)
 
     def test_directories_spread_across_groups(self, setup):
         config, _layout, alloc = setup
@@ -43,10 +43,12 @@ class TestInodeAllocation:
         assert inum // config.inodes_per_cg != 2
 
     def test_free_and_reuse(self, setup):
-        _config, _layout, alloc = setup
+        config, _layout, alloc = setup
         inum = alloc.alloc_inode(is_dir=False, parent_cg=0)
+        cg, index = divmod(inum, config.inodes_per_cg)
+        assert alloc.groups[cg].inodes.is_set(index)
         alloc.free_inode(inum)
-        assert not alloc.inode_is_allocated(inum)
+        assert not alloc.groups[cg].inodes.is_set(index)
         assert alloc.alloc_inode(is_dir=False, parent_cg=0) == inum
 
     def test_exhaustion_raises(self, setup):
@@ -85,11 +87,12 @@ class TestBlockAllocation:
         assert layout.cg_of_block(addr) != 1
 
     def test_free_block(self, setup):
-        _config, _layout, alloc = setup
+        _config, layout, alloc = setup
         addr = alloc.alloc_data_block(0, None)
-        assert alloc.block_is_allocated(addr)
+        cg, index = layout.data_index(addr)
+        assert alloc.groups[cg].blocks.is_set(index)
         alloc.free_data_block(addr)
-        assert not alloc.block_is_allocated(addr)
+        assert not alloc.groups[cg].blocks.is_set(index)
 
     def test_exhaustion_raises(self, setup):
         _config, layout, alloc = setup

@@ -276,7 +276,7 @@ def whole_segment(fs, seg):
     spb = fs.config.sectors_per_block
     bps = fs.config.blocks_per_segment
     first_block = fs.layout.segment_first_block(seg)
-    raw = device.read(first_block * spb, bps * spb, copy=True)
+    raw = bytes(device.read(first_block * spb, bps * spb))
 
     def load(key, addr):
         cached = fs.cache.peek(key)
@@ -284,13 +284,13 @@ def whole_segment(fs, seg):
             return cached.payload
         if addr == NIL:
             return None
-        return pointer_block(device.read(addr * spb, spb, copy=True), BS)
+        return pointer_block(bytes(device.read(addr * spb, spb)), BS)
 
     def inode_of(inum):
         if inum in fs._inodes:
             return fs._inodes[inum]
         entry = fs.imap.get(inum)
-        block = device.read(entry.inode_addr * spb, spb, copy=True)
+        block = bytes(device.read(entry.inode_addr * spb, spb))
         return Inode.unpack(block, entry.slot * INODE_SIZE)
 
     def pointer_block_addr(inode, entry):

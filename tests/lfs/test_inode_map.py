@@ -75,7 +75,8 @@ class TestAllocation:
         b = imap.allocate(0.0)
         imap.free(a)
         assert imap.allocated_count() == 1
-        assert imap.allocated_inums() == [b]
+        entries = imap._all_entries()
+        assert [inum for inum, e in enumerate(entries) if e.allocated] == [b]
 
 
 class TestVersions:
@@ -124,11 +125,11 @@ class TestLocations:
 
 class TestBlocks:
     def test_dirty_tracking(self, imap):
-        assert not imap.has_dirty_blocks()
+        assert not imap.dirty_block_indexes()
         inum = imap.allocate(0.0)
         assert imap.dirty_block_indexes() == [imap.block_of(inum)]
         imap.mark_block_clean(imap.block_of(inum))
-        assert not imap.has_dirty_blocks()
+        assert not imap.dirty_block_indexes()
 
     def test_block_roundtrip(self, imap):
         inum = imap.allocate(5.0)
@@ -151,7 +152,7 @@ class TestBlocks:
         addrs[index] = 1000
 
         other = InodeMap(max_inodes=1024, block_size=BS)
-        other.load_all(addrs, lambda addr: packed[index])
+        other.attach(addrs, lambda addr: packed[index])
         assert other.get(inum).inode_addr == 42
         assert other.block_addrs[index] == 1000
 
@@ -179,7 +180,8 @@ class TestBlocks:
         assert other.get(inum).allocated
         assert other.get(inum + 1).atime == 0.0
         assert (fetched, other.demand_loads) == ([1000], 1)
-        assert other.allocated_inums() == [inum]
+        entries = other._all_entries()
+        assert [i for i, e in enumerate(entries) if e.allocated] == [inum]
         assert len(other._blocks[-1].entries) == 1024 - (
             other.num_blocks - 1
         ) * other.entries_per_block
@@ -191,7 +193,7 @@ class TestBlocks:
     def test_load_all_wrong_count(self, imap):
         other = InodeMap(max_inodes=1024, block_size=BS)
         with pytest.raises(CorruptionError):
-            other.load_all([NIL], lambda addr: b"")
+            other.attach([NIL], lambda addr: b"")
 
     def test_entries_per_block(self, imap):
         assert imap.entries_per_block == BS // IMAP_ENTRY_SIZE

@@ -54,12 +54,12 @@ def per_block(fs):
                 )
         return plan
 
-    def missing_one_at_a_time(inode, first, last, cached):
+    def missing_one_at_a_time(inode, first, last):
         # get_container makes the lookups of get, and returns the
         # container that get_missing hands back with its last block.
         found, walked = [], None
         for lbn in range(first, last + 1):
-            if not cached(BlockKey(inode.inum, BlockKind.DATA, lbn)):
+            if not cache.contains(BlockKey(inode.inum, BlockKind.DATA, lbn)):
                 container = block_map.get_container(inode, lbn)
                 pointers, base, _keys = container
                 if pointers is not None and pointers[lbn - base] != NIL:

@@ -278,16 +278,19 @@ class TestSegmentBufferPool:
         assert pool.stats.allocations == 1 and pool.stats.reuses == 1
 
     def test_wrong_size_and_excess_buffers_dropped(self):
-        from repro.lfs.segments import SegmentBufferPool
+        from repro.lfs.segments import MAX_POOLED_BUFFERS, SegmentBufferPool
 
-        pool = SegmentBufferPool(SEG, max_buffers=1)
+        pool = SegmentBufferPool(SEG)
         pool.release(bytearray(SEG - 1))  # wrong size: never pooled
         assert pool.acquire() is not None and pool.stats.reuses == 0
-        a, b = bytearray(SEG), bytearray(SEG)
-        pool.release(a)
-        pool.release(b)  # over max_buffers: dropped
-        assert pool.acquire() is a
-        assert pool.stats.allocations == 1 and pool.stats.reuses == 1
+        buffers = [bytearray(SEG) for _ in range(MAX_POOLED_BUFFERS + 1)]
+        for buffer in buffers:
+            pool.release(buffer)  # the last is over the limit: dropped
+        acquired = [pool.acquire() for _ in buffers]
+        assert all(a is b for a, b in zip(acquired, buffers[-2::-1]))
+        assert acquired[-1] is not buffers[-1]
+        assert pool.stats.allocations == 2
+        assert pool.stats.reuses == MAX_POOLED_BUFFERS
 
     def test_crash_drops_the_free_buffers(self, lfs):
         pool = lfs.segments.pool

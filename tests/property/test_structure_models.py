@@ -59,7 +59,7 @@ class BitmapMachine(RuleBasedStateMachine):
     @invariant()
     def counts_match(self):
         assert self.bitmap.used_count == len(self.model)
-        assert set(self.bitmap.iter_set()) == self.model
+        assert {i for i in range(64) if self.bitmap.is_set(i)} == self.model
 
 
 TestBitmapModel = BitmapMachine.TestCase
@@ -74,8 +74,9 @@ class BlockMapMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.blocks = {}
-        self.map = BlockMap(BS, self._load, lambda key: None)
-        self.map.set_cache_probe(lambda key: key in self.blocks)
+        self.map = BlockMap(
+            BS, self._load, lambda key: None, lambda key: key in self.blocks
+        )
         self.inode = Inode(inum=1, ftype=FileType.REGULAR)
         self.model = {}
         # Cover direct, single-indirect and double-indirect ranges.

@@ -11,8 +11,8 @@ device image.  Two things must hold for that to be safe:
 
 The first test drives a raw device through arbitrary schedules of
 writes, reads, durability horizons and crashes, mirrored against a
-second device consumed via ``copy=True`` snapshots.  The second builds
-a real LFS (its clustered/prefetch read path always on),
+second device whose reads are copied into ``bytes`` at once.  The
+second builds a real LFS (its clustered/prefetch read path always on),
 crashes it mid-life, remounts, and compares the surviving image and
 file contents against an identical run with copy-semantics reads
 patched back in.
@@ -77,7 +77,7 @@ class TestDeviceViewSemantics:
             elif op[0] == "read":
                 _, sector, count = op
                 view = zero.read(sector, count)
-                copied = snap.read(sector, count, copy=True)
+                copied = bytes(snap.read(sector, count))
                 assert isinstance(view, memoryview) and view.readonly
                 with pytest.raises(TypeError):
                     view[0] = 0
@@ -95,7 +95,7 @@ class TestDeviceViewSemantics:
         assert image == snap.snapshot()
         # Held views alias live storage: they always show the *current*
         # image, including the effects of crash rollback — the reason
-        # snapshot consumers must opt into copy=True.
+        # snapshot consumers must copy what they read.
         for sector, count, view in held:
             start = sector * SECTOR_SIZE
             assert bytes(view) == image[start : start + count * SECTOR_SIZE]
@@ -106,9 +106,8 @@ def copy_semantics_reads():
     """Patch ``SectorDevice.read`` back to returning bytes copies."""
     original = SectorDevice.read
 
-    def read_with_copies(self, sector, count, *, copy=False):
-        result = original(self, sector, count, copy=copy)
-        return result if isinstance(result, bytes) else bytes(result)
+    def read_with_copies(self, sector, count):
+        return bytes(original(self, sector, count))
 
     SectorDevice.read = read_with_copies
     try:

@@ -21,9 +21,9 @@ class TestWindowLifecycle:
             handle.write(b"x" * 4096)
         h = lfs.open("/a")
         committer.request_commit(h, lambda: None, lambda: None)
-        assert committer.window_open
-        assert committer.waiting == 1
-        assert lfs.clock.pending_timers() >= 1
+        assert committer._window_open
+        assert len(committer._waiters) == 1
+        assert len(lfs.clock._events) >= 1
 
     def test_window_closes_after_commit_window_seconds(self, lfs):
         committer, stats = make_committer(lfs)
@@ -36,9 +36,9 @@ class TestWindowLifecycle:
             h, lambda: done.append(lfs.clock.now()), lambda: None
         )
         lfs.clock.advance(COMMIT_WINDOW / 2)
-        assert committer.window_open  # the window is still open
+        assert committer._window_open  # the window is still open
         lfs.clock.run()  # the commit event, then the callback
-        assert not committer.window_open
+        assert not committer._window_open
         assert len(stats.commit_batches) == 1
         assert done and done[0] >= start + COMMIT_WINDOW
 
@@ -58,7 +58,7 @@ class TestWindowLifecycle:
             committer.request_commit(
                 handle, lambda i=i: done.append(i), lambda: None
             )
-        assert committer.waiting == 6
+        assert len(committer._waiters) == 6
         lfs.clock.run()
         sync_flushes = (
             lfs.monitor.triggers.get(WritebackReason.SYNC, 0)
@@ -70,7 +70,7 @@ class TestWindowLifecycle:
 
     def test_empty_window_commit_is_a_noop(self, lfs):
         committer, stats = make_committer(lfs)
-        committer.flush_now()
+        committer._commit()
         assert stats.commit_batches == []
 
     def test_second_window_opens_after_first_closes(self, lfs):
@@ -83,7 +83,7 @@ class TestWindowLifecycle:
         lfs.clock.run()
         h2 = lfs.open("/b")
         committer.request_commit(h2, lambda: None, lambda: None)
-        assert committer.window_open
+        assert committer._window_open
         lfs.clock.run()
         assert stats.commit_batches == [1, 1]
 

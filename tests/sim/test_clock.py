@@ -100,14 +100,14 @@ class TestTimers:
         clock.cancel_all_timers()
         clock.run()
         assert fired == []
-        assert clock.pending_timers() == 0
+        assert len(clock._events) == 0
         assert clock.now() == 0.0
 
     def test_pending_count(self):
         clock = SimClock()
         clock.call_at(1.0, lambda: None)
         clock.call_at(2.0, lambda: None)
-        assert clock.pending_timers() == 2
+        assert len(clock._events) == 2
 
     def test_clock_sits_at_expiry_while_firing(self):
         clock = SimClock()
@@ -133,7 +133,7 @@ class TestTimers:
         clock.advance(2.0)
         clock.advance_to(5.0)
         assert fired == []
-        assert clock.pending_timers() == 2
+        assert len(clock._events) == 2
         assert clock.now() == 5.0
 
     def test_event_posted_at_now_runs_under_run(self):
@@ -144,7 +144,7 @@ class TestTimers:
         clock.call_at(clock.now(), lambda: fired.append(clock.now()))
         clock.run()
         assert fired == [2.0]
-        assert clock.pending_timers() == 0
+        assert len(clock._events) == 0
 
 
 class TestTimerFifoOrdering:
@@ -209,9 +209,9 @@ class TestBatchedDispatch:
         clock = SimClock()
         seen = []
         for _ in range(3):
-            clock.call_at(1.0, lambda: seen.append(clock.pending_timers()))
-        clock.call_at(2.0, lambda: seen.append(clock.pending_timers()))
-        assert clock.pending_timers() == 4
+            clock.call_at(1.0, lambda: seen.append(len(clock._events)))
+        clock.call_at(2.0, lambda: seen.append(len(clock._events)))
+        assert len(clock._events) == 4
         clock.run()
         assert seen == [3, 2, 1, 0]
 
@@ -228,7 +228,7 @@ class TestBatchedDispatch:
         clock.call_at(2.0, lambda: fired.append("other"))
         clock.run()
         assert fired == ["cancel"]
-        assert clock.pending_timers() == 0
+        assert len(clock._events) == 0
         assert clock.now() == 1.0
 
     def test_cancel_then_reschedule_same_expiry_inside_callback(self):

@@ -1,34 +1,12 @@
 """Tests for unit helpers."""
 
-import pytest
-
 from repro.units import (
     KIB,
     MIB,
     SECTOR_SIZE,
     fmt_bytes,
     fmt_time,
-    sectors_for,
 )
-
-
-class TestSectorsFor:
-    def test_exact(self):
-        assert sectors_for(1024) == 2
-
-    def test_rounds_up(self):
-        assert sectors_for(1) == 1
-        assert sectors_for(513) == 2
-
-    def test_zero(self):
-        assert sectors_for(0) == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            sectors_for(-1)
-
-    def test_custom_sector_size(self):
-        assert sectors_for(4096, sector_size=4096) == 1
 
 
 class TestFormatting:

@@ -485,7 +485,7 @@ class TestClockEncapsulation:
             "    cpu.clock.advance(seconds)\n"
             "    fs._clocked = fs.cache._now_ish = now\n"
             "    fs.clock._now = now  # noqa: CLOCK001\n"
-            "    return fs.clock.pending_timers(), fs._clock_hand\n"
+            "    return fs.clock.run(), fs._clock_hand\n"
         )
         assert not self.clock001(tmp_path, "src/repro/vfs/ext.py", source)
 

@@ -56,7 +56,7 @@ class TestExists:
     @pytest.mark.parametrize("kind", ["lfs", "ffs"])
     def test_unreadable_directory_block_raises(self, kind):
         geometry = wren_iv(32 * MIB)
-        injector = FaultInjector(FaultConfig.none())
+        injector = FaultInjector(FaultConfig())
         device = FaultyDevice(
             geometry.num_sectors, geometry.sector_size, injector=injector
         )

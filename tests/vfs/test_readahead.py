@@ -241,7 +241,10 @@ def test_a_read_waits_only_for_its_own_blocks(kind):
                 positioning_and_transfer, _tier = disk.service_time(
                     addrs[0] * spb, len(addrs) * bs
                 )
-                bound = disk.queue_delay() + positioning_and_transfer
+                bound = (
+                    max(0.0, disk.busy_until - fs.clock.now())
+                    + positioning_and_transfer
+                )
             stall = disk.sync_stall_seconds
             handle.pread(offset, request)
             assert disk.sync_stall_seconds - stall <= bound + 1e-12

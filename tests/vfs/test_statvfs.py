@@ -7,7 +7,7 @@ class TestStatvfs:
         info = anyfs.statvfs()
         assert info.total_bytes > 0
         assert info.free_bytes + info.used_bytes == info.total_bytes
-        assert info.used_fraction < 0.05
+        assert info.used_bytes < 0.05 * info.total_bytes
         # Only the root directory exists.
         assert info.used_files == 1
 
