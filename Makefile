@@ -60,8 +60,9 @@ e2e-digest:
 # A speed claim, measured: PARENT is checked out into a temporary git
 # worktree and `run.py --workload W --seed SEED` alternates between it
 # and the working tree N times, each side first in half the pairs.
-# Prints each side's median, quartiles and wins of ops_per_wall_s, and
-# fails if any simulated number or image hash differs between them.
+# Prints each side's median, quartiles and wins of every host-clock
+# metric, and fails if any simulated number or image hash differs
+# between them.
 PARENT ?= HEAD
 W ?= service_clean
 SEED ?= 0

@@ -6,12 +6,13 @@
 It checks PARENT out into a temporary ``git worktree`` and runs
 ``benchmarks/e2e/run.py --workload W --seed N`` once in that checkout
 and once in the working tree per pair, the working tree first in every
-other pair, so that drift on the machine falls on both sides alike.  It
-prints each side's median, quartiles and wins of ``ops_per_wall_s``.
-The two sides run the same child seeds, so their simulated metrics and
-image hashes must agree repetition by repetition; the exit code is
-non-zero if they do not.  The other host-clock metrics are printed as
-medians over the pairs.
+other pair, so that drift on the machine falls on both sides alike.  For
+every host-clock metric of the catalog it prints each side's median and
+quartiles and how many pairs the change won, by the metric's own
+direction (higher ``ops_per_wall_s``, lower ``setup_s`` and
+``peak_rss_mb``).  The two sides run the same child seeds, so their
+simulated metrics and image hashes must agree repetition by repetition;
+the exit code is non-zero if they do not.
 """
 
 from __future__ import annotations
@@ -29,15 +30,15 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 ROOT = Path(__file__).resolve().parents[1]
-METRIC = "ops_per_wall_s"
 
 sys.path.insert(0, str(ROOT / "benchmarks" / "e2e"))
 from catalog import END_TO_END  # noqa: E402
 
 SIM_METRICS = [name for name, _unit, clock, _, _ in END_TO_END if clock == "sim"]
-HOST_METRICS = [
-    name for name, _unit, clock, _, _ in END_TO_END if clock == "host"
-]
+HOST_METRICS = {
+    name: better for name, _unit, clock, better, _ in END_TO_END if clock == "host"
+}
+"""Each host-clock metric and its better direction, "higher" or "lower"."""
 
 
 def run_side(tree: Path, workload: str, seed: int) -> Dict[str, Any]:
@@ -76,9 +77,16 @@ def disagreements(parent: Dict[str, Any], change: Dict[str, Any]) -> List[str]:
 def summary(values: List[float]) -> str:
     low, _, high = statistics.quantiles(values, n=4)
     return (
-        f"median {statistics.median(values):10.1f}"
-        f"   quartiles {low:10.1f} - {high:10.1f}"
+        f"median {statistics.median(values):10.3f}"
+        f"   quartiles {low:10.3f} - {high:10.3f}"
     )
+
+
+def wins(name: str, parent: List[float], change: List[float]) -> int:
+    """Pairs in which the change did better on ``name``."""
+    if HOST_METRICS[name] == "higher":
+        return sum(c > p for p, c in zip(parent, change))
+    return sum(c < p for p, c in zip(parent, change))
 
 
 def _exit(signum: int, _frame: Any) -> None:
@@ -100,9 +108,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     signal.signal(signal.SIGTERM, _exit)
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     checkout = scratch / "parent"
-    values: Dict[str, List[float]] = {"parent": [], "change": []}
-    host = {side: {name: [] for name in HOST_METRICS} for side in values}
-    wins = 0
+    host: Dict[str, Dict[str, List[float]]] = {
+        side: {name: [] for name in HOST_METRICS} for side in ("parent", "change")
+    }
     bad: List[str] = []
     try:
         subprocess.run(
@@ -118,24 +126,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                 side: run_side(tree, args.workload, args.seed)
                 for side, tree in sides
             }
-            parent, change = (
-                results[side]["metrics"][METRIC]["value"]
-                for side in ("parent", "change")
-            )
-            values["parent"].append(parent)
-            values["change"].append(change)
-            for side in values:
-                for name in HOST_METRICS:
-                    host[side][name].append(
-                        results[side]["metrics"][name]["value"]
-                    )
-            wins += change > parent
+            line = f"pair {pair + 1:2d} ({sides[0][0]} first):"
+            for name in HOST_METRICS:
+                parent, change = (
+                    results[side]["metrics"][name]["value"]
+                    for side in ("parent", "change")
+                )
+                host["parent"][name].append(parent)
+                host["change"][name].append(change)
+                line += f"   {name} {parent:.3f} -> {change:.3f}"
             differ = disagreements(results["parent"], results["change"])
             bad += differ
             print(
-                f"pair {pair + 1:2d} ({sides[0][0]} first): parent {parent:10.1f}"
-                f"   change {change:10.1f}   x{change / parent:.3f}"
-                + (f"   DIFFER: {', '.join(differ)}" if differ else ""),
+                line + (f"   DIFFER: {', '.join(differ)}" if differ else ""),
                 flush=True,
             )
     finally:
@@ -147,25 +150,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         subprocess.run(["git", "worktree", "prune"], cwd=ROOT, check=False)
         shutil.rmtree(scratch, ignore_errors=True)
-    print(f"{args.workload} seed {args.seed}, {METRIC}, {args.pairs} pairs:")
-    for side in ("parent", "change"):
-        print(f"  {side:6s} {summary(values[side])}")
-    parent_median = statistics.median(values["parent"])
-    change_median = statistics.median(values["change"])
-    low, _, high = statistics.quantiles(values["parent"], n=4)
-    print(
-        f"  change wins {wins} of {args.pairs};"
-        f" medians x{change_median / parent_median:.3f},"
-        f" gap {change_median - parent_median:+.1f} against the parent's"
-        f" interquartile range {high - low:.1f}"
-    )
-    for name in HOST_METRICS:
-        if name != METRIC:
-            print(
-                f"  {name} medians: parent"
-                f" {statistics.median(host['parent'][name]):.3f},"
-                f" change {statistics.median(host['change'][name]):.3f}"
-            )
+    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs:")
+    for name, better in HOST_METRICS.items():
+        parent, change = host["parent"][name], host["change"][name]
+        print(f"  {name} ({better} is better)")
+        for side in ("parent", "change"):
+            print(f"    {side:6s} {summary(host[side][name])}")
+        parent_median = statistics.median(parent)
+        change_median = statistics.median(change)
+        low, _, high = statistics.quantiles(parent, n=4)
+        print(
+            f"    change wins {wins(name, parent, change)} of {args.pairs};"
+            f" medians x{change_median / parent_median:.3f},"
+            f" gap {change_median - parent_median:+.3f} against the parent's"
+            f" interquartile range {high - low:.3f}"
+        )
     if bad:
         print(f"  simulated output differs: {', '.join(sorted(set(bad)))}")
         return 1

@@ -753,7 +753,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ReproError as error:
+    except (ReproError, OSError) as error:  # OSError: an unreadable image
         print(f"error: {error}", file=sys.stderr)
         return 1
 

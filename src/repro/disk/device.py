@@ -17,13 +17,16 @@ FIFO busy-timeline order (completion times never decrease) and advances
 durability with a monotone clock, so undo records live in a
 completion-time-ordered deque whose durable prefix :meth:`mark_durable`
 drains from the left — O(1) amortized per record, instead of rebuilding
-the whole pending list on every I/O.  Synchronous writes (the caller
-blocks until the completion time has passed, so no crash can ever
-observe them half-done) declare ``durable=True`` and skip the undo
-record entirely.  Callers that bypass the timing layer keep the exact
-historical semantics: writes whose completion times go backwards flip
-the deque into a slow path that filters like the original
-implementation.
+the whole pending list on every I/O.  A record copies the bytes its
+write replaced only when some of them are non-zero: over sectors that
+read zero (never written, the common case while a log first fills) it
+keeps just the write's length, and a rollback writes zeros back.
+Synchronous writes (the caller blocks until the completion time has
+passed, so no crash can ever observe them half-done) declare
+``durable=True`` and skip the undo record entirely.  Callers that bypass
+the timing layer keep the exact historical semantics: writes whose
+completion times go backwards flip the deque into a slow path that
+filters like the original implementation.
 """
 
 from __future__ import annotations
@@ -45,7 +48,9 @@ class _PendingWrite:
 
     completion_time: float
     sector: int
-    old_data: bytes
+    nbytes: int
+    old_data: Optional[bytes]
+    """The bytes the write replaced; None when they were all zero."""
 
 
 class SectorDevice:
@@ -82,6 +87,18 @@ class SectorDevice:
                 num_sectors * sector_size,
                 flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS,
             )
+        # A read-only zero mapping as long as the device: the needle
+        # write() matches against the sectors it overwrites and the
+        # source crash() restores zeros from.  Its pages are never
+        # written, so it costs address space, not memory.
+        self._zeros = memoryview(
+            mmap.mmap(
+                -1,
+                num_sectors * sector_size,
+                flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS,
+                prot=mmap.PROT_READ,
+            )
+        )
         self._pending: Deque[_PendingWrite] = deque()
         self._pending_monotone = True
         self._crashed = False
@@ -156,10 +173,12 @@ class SectorDevice:
                 f"write of {len(data)} bytes is not sector-aligned "
                 f"(sector size {self.sector_size})"
             )
-        count = len(data) // self.sector_size
+        nbytes = len(data)
+        count = nbytes // self.sector_size
         self._check_range(sector, count)
         self.total_sectors_written += count
         start = sector * self.sector_size
+        end = start + nbytes
         if durable:
             # The undo record would be dropped by the caller's own
             # mark_durable before any crash could observe it, so never
@@ -169,21 +188,24 @@ class SectorDevice:
             pending = self._pending
             if pending and completion_time < pending[-1].completion_time:
                 self._pending_monotone = False
-            pending.append(
-                _PendingWrite(
-                    completion_time=completion_time,
-                    sector=sector,
-                    # The undo record must snapshot the bytes being
-                    # overwritten — crash() needs them long after the
-                    # live image has moved on.  This is the one genuine
-                    # copy on the write path.
-                    old_data=bytes(  # alloc-ok: crash-rollback snapshot
-                        self._data[start : start + len(data)]
-                    ),
+            # The undo record must keep the bytes being overwritten —
+            # crash() needs them long after the live image has moved on
+            # — but over zeros their length says it all.  find() checks
+            # for zeros in place, without copying the range; it reads
+            # the bytes rather than tracking written sectors because a
+            # loaded image or a flipped bit puts data where no write
+            # went.  Otherwise the record copies the range: the one
+            # genuine copy on the write path.
+            old_data = None
+            if self._data.find(self._zeros[:nbytes], start, end) != start:
+                old_data = bytes(  # alloc-ok: crash-rollback snapshot
+                    self._data[start:end]
                 )
+            pending.append(
+                _PendingWrite(completion_time, sector, nbytes, old_data)
             )
             self.undo_records_created += 1
-        self._data[start : start + len(data)] = data
+        self._data[start:end] = data
 
     def mark_durable(self, now: float) -> None:
         """Forget undo records for writes completed at or before ``now``."""
@@ -230,7 +252,7 @@ class SectorDevice:
         pending = self._pending
         while pending:
             record = pending.pop()  # reverse write order
-            nsectors = len(record.old_data) // self.sector_size
+            nsectors = record.nbytes // self.sector_size
             keep = 0
             if (
                 rng is not None
@@ -240,9 +262,10 @@ class SectorDevice:
                 keep = rng.randrange(1, nsectors)
                 self.torn_writes += 1
             skip = keep * self.sector_size
-            start = record.sector * self.sector_size + skip
-            self._data[start : record.sector * self.sector_size + len(record.old_data)] = (
-                record.old_data[skip:]
+            start = record.sector * self.sector_size
+            old = record.old_data
+            self._data[start + skip : start + record.nbytes] = (
+                self._zeros[: record.nbytes - skip] if old is None else old[skip:]
             )
         self._pending_monotone = True
         self._crashed = True

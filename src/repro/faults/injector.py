@@ -145,6 +145,8 @@ class FaultInjector:
         new_tears = device.torn_writes - self._torn_seen
         self._torn_seen = device.torn_writes
         self.counts["torn_writes"] += new_tears
+        if not (self.config.grow_bad_sectors or self.config.bit_flip_sectors):
+            return  # nothing to aim, so no pool to build
         pool = sorted(device.written_sectors)
         if not pool:
             return

@@ -1,8 +1,10 @@
 """Unit tests for the crash-aware sector device."""
 
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -112,6 +114,46 @@ class TestCrashSemantics:
         image = device.snapshot()
         assert image[:512] == b"s" * 512
         assert len(image) == device.total_bytes
+
+
+class TestZeroUndoRecords:
+    """An undo record over sectors that read zero keeps only its length."""
+
+    def test_async_write_over_fresh_sectors_copies_nothing(self):
+        device = SectorDevice(num_sectors=(4 << 20) // 512)
+        payload = b"x" * (1 << 20)
+        tracemalloc.start()
+        try:
+            device.write(0, payload, completion_time=5.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert device.pending_writes() == 1
+        device.crash(now=1.0)
+        device.revive()
+        assert not any(device.read(0, 2048))
+
+    def test_torn_rollback_of_fresh_sectors_restores_zeros(self, device):
+        device.write(0, b"t" * 4096, completion_time=5.0)
+        device.crash(now=1.0, rng=random.Random(3), tear_probability=1.0)
+        device.revive()
+        assert device.torn_writes == 1
+        image = bytes(device.read(0, 8))
+        kept = image.index(0)
+        assert kept % 512 == 0 and 0 < kept < 4096
+        assert image == b"t" * kept + bytes(4096 - kept)
+
+    def test_bytes_no_write_put_there_are_copied(self, tmp_path):
+        # A loaded image holds data no write of this device went to.
+        path = str(tmp_path / "disk.img")
+        with open(path, "wb") as handle:
+            handle.write(bytes(1024) + b"L" * 512 + bytes(512))
+        device = SectorDevice.load(path)
+        device.write(1, b"n" * 1536, completion_time=5.0)
+        device.crash(now=1.0)
+        device.revive()
+        assert device.read(0, 4) == bytes(1024) + b"L" * 512 + bytes(512)
 
 
 class TestConstruction:

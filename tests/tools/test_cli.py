@@ -317,6 +317,20 @@ class TestErrors:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["fsck"], ["verify"], ["write", "/a"], ["inspect"], ["ls", "/"],
+         ["cat", "/a"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_missing_image_is_a_one_line_error(self, tmp_path, capsys, argv):
+        missing = str(tmp_path / "no" / "such.img")
+        code, _out = run_cli([argv[0], missing, *argv[1:]], stdin=b"x")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert missing in err
+
     def test_persistence_across_invocations(self, image):
         run_cli(["mkfs", image, "--size", "48M"])
         run_cli(["write", image, "/persist"], stdin=b"durable")
