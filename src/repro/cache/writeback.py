@@ -33,8 +33,6 @@ class WritebackReason(enum.Enum):
     CACHE_FULL = "cache-full"
     AGE = "age"
     SYNC = "sync"
-    CHECKPOINT = "checkpoint"
-    CLEANER = "cleaner"
 
 
 class WritebackMonitor:

@@ -390,24 +390,32 @@ def cmd_stats(args) -> int:
 def cmd_campaign(args) -> int:
     """``crashtest`` and ``chaos``: run the seeded campaign, print its
     report, exit 1 if any trial failed."""
-    from repro.faults import run_campaign, run_chaos_campaign
+    from repro.faults import (
+        run_campaign,
+        run_chaos_trial,
+        run_trial,
+        validate_chaos_rig,
+        validate_trial,
+    )
     from repro.obs import Telemetry
 
-    run, load = run_campaign, {}
+    trial, validate, task = run_trial, validate_trial, dict(seed=args.seed)
     if args.command == "chaos":
-        run = run_chaos_campaign
-        load = dict(
+        trial, validate = run_chaos_trial, validate_chaos_rig
+        task.update(
             clients=args.clients, requests_per_client=args.requests_per_client
         )
+    task["device_bytes"] = args.size
     telemetry = Telemetry() if args.telemetry else None
-    report = run(
+    report = run_campaign(
+        args.command,
+        trial,
+        validate,
+        task,
         trials=args.trials,
-        seed=args.seed,
         telemetry=telemetry,
-        device_bytes=args.size,
-        log=print if args.verbose else None,
         jobs=args.jobs,
-        **load,
+        log=print if args.verbose else None,
     )
     print(report.render())
     _export_telemetry(telemetry, args.telemetry)

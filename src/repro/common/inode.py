@@ -255,20 +255,6 @@ class Inode:
             fields[8 + N_DIRECT],
         )
 
-    def copy(self) -> "Inode":
-        return Inode(
-            inum=self.inum,
-            ftype=self.ftype,
-            nlink=self.nlink,
-            size=self.size,
-            mtime=self.mtime,
-            ctime=self.ctime,
-            atime=self.atime,
-            direct=list(self.direct),
-            indirect=self.indirect,
-            dindirect=self.dindirect,
-        )
-
 
 # A walked container, as BlockMap.get_container gives it.
 Container = Tuple[Optional[List[int]], int, Tuple[BlockKey, ...]]

@@ -1,15 +1,12 @@
 """Binary packing helpers for on-disk structures.
 
-Everything a file system in this library persists goes through these
-helpers, so that a mounted file system can be reconstructed from device
-bytes alone (the crash-recovery tests depend on this).
-
 The field primitives are precompiled :class:`struct.Struct` instances
 (module-level ``U8`` … ``F64``): hot paths with fixed record layouts —
 segment-usage entries, inode-map entries, summary headers — compose
-these (or their own precompiled record Structs) instead of re-parsing a
-format string per field.  :class:`Packer`/:class:`Unpacker` stay the
-convenient field-at-a-time interface for everything else.
+these (or their own precompiled record Structs, as inodes and
+directory entries do) instead of re-parsing a format string per field.
+:class:`Packer`/:class:`Unpacker` stay the convenient field-at-a-time
+interface for the rest (the FFS allocator's blocks, ``repro inspect``).
 
 Batch engine
 ------------
@@ -19,7 +16,7 @@ The vectorized hot paths sit next to the scalar primitives:
 * :class:`BatchPacker` serializes a whole record stream into one
   **preallocated** buffer with ``pack_into`` — no per-field ``bytes``
   objects, no final ``b"".join`` — and can backfill a CRC slot after
-  the body is known (the summary/checkpoint layout);
+  the body is known; it packs the checkpoint region;
 * :func:`checksum_chain` / :func:`segment_checksum` compute CRCs with
   chained ``zlib.crc32`` calls over whole-segment memoryviews instead
   of per-block slices (one C call per span, zero copies);
@@ -210,12 +207,12 @@ class BatchPacker:
     Where :class:`Packer` builds a list of tiny ``bytes`` objects and
     joins them, this writes every field in place with ``pack_into`` —
     the serialization path allocates nothing beyond the one buffer the
-    caller (typically the segment writer's pooled segment buffer, or a
-    checkpoint-region-sized bytearray) already owns.
+    caller (the checkpoint writer's region-sized bytearray) already
+    owns.
 
-    ``skip`` reserves a slot to be backfilled later — the CRC field of
-    summary and checkpoint layouts is written *after* the body it
-    covers via :meth:`patch_u32`.
+    ``skip`` reserves a slot to be backfilled later — the checkpoint's
+    CRC field is written *after* the body it covers via
+    :meth:`patch_u32`.
     """
 
     __slots__ = ("_buffer", "_base", "_offset", "_limit")

@@ -1,15 +1,17 @@
-"""Seeded crash campaigns: the trial runner ``repro crashtest`` and
-``repro chaos`` share, and crashtest's crash+corruption trial.
+"""Seeded crash campaigns: the one trial result, report and runner
+``repro crashtest`` and ``repro chaos`` share, and crashtest's
+crash+corruption trial.
 
 Every trial of either campaign is a :class:`SeededTrial`: one
 ``random.Random`` per (campaign, seed, trial) draws its fault config and
 injector seed, its rig is an LFS on a :class:`FaultyDevice`, and one
-classifier records how its body ended.  :func:`run_in_order` runs the
-trials and logs them in trial order, byte-identically for any ``jobs``.
+classifier records how its body ended in a :class:`TrialResult`.
+:func:`run_campaign` validates the rig, runs the trials and gathers
+them in a :class:`CampaignReport`, byte-identically for any ``jobs``.
 
-A crashtest trial runs a seeded random workload, power-fails it
-mid-activity (tearing in-flight writes, flipping bits, growing bad
-sectors), remounts, exercises the cleaner and verifies the image with
+A crashtest trial runs a seeded random workload, power-fails it at its
+end (tearing in-flight writes, flipping bits, growing bad sectors),
+remounts, exercises the cleaner and verifies the image with
 :func:`repro.lfs.verify.verify_lfs`.  **Every trial must end in a typed,
 reported state**: a clean remount, or detected damage (a checkpoint
 fallback, a roll-forward stopped by damage, quarantined segments,
@@ -23,7 +25,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional
 
 from repro.disk.geometry import wren_iv
 from repro.errors import ReproError
@@ -54,13 +57,129 @@ _TRIAL_CONFIG = LfsConfig(
 # What every campaign trial shares
 # ----------------------------------------------------------------------
 
+OUTCOMES = ("clean", "detected", "violated", "unhandled")
+"""How a trial ends: no damage seen, damage reported through a typed
+channel (a signal), a durability-contract violation, or an escaped
+untyped error.  The last two fail the campaign."""
+
+
+@dataclass
+class TrialResult:
+    """What one campaign trial observed."""
+
+    trial: int
+    instant: str  # the crash instant the trial planned
+    config: FaultConfig
+    fired: bool = False  # whether the crash happened
+    crash_detail: str = ""
+    outcome: str = "clean"  # one of OUTCOMES
+    signals: List[str] = field(default_factory=list)  # damage, as reported
+    detail: str = ""
+    checks: int = 0  # file checks against the model
+    violations: List[str] = field(default_factory=list)
+    acked_fsyncs: int = 0
+    resumed_clients: int = 0
+    faults: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def failed(self) -> bool:
+        return self.outcome in ("violated", "unhandled")
+
+    def summary(self) -> str:
+        fired = "crash" if self.fired else "no-crash"
+        said = "; ".join(self.signals) or self.detail or self.crash_detail
+        return f"{self.instant:17s} {fired:9s} {self.outcome:10s} {said or '-'}"
+
+
+# A signal names detected damage by its prefix; the report counts the
+# trials that carry each.
+_SIGNALS = (
+    ("checkpoint fallback", "checkpoint-fallback"),
+    ("roll-forward damage", "roll-forward"),
+    ("quarantined segments", "quarantined"),
+    ("verify findings", "verify-errors"),
+    ("degraded operation", "post-mount"),
+    ("mount failures", "mount-failed"),
+)
+
+# What the campaign.* counters read, per trial.
+_COUNTERS = {
+    "campaign.trials": lambda t: 1,
+    "campaign.crashes_injected": lambda t: int(t.fired),
+    "campaign.contract_checks": lambda t: t.checks,
+    "campaign.contract_violations": lambda t: len(t.violations),
+    "campaign.resumed_clients": lambda t: t.resumed_clients,
+}
+
+
+@dataclass
+class CampaignReport:
+    """Every trial of one campaign, and the one report they print."""
+
+    name: str
+    task: Dict[str, object]  # what every trial was given
+    trials: List[TrialResult] = field(default_factory=list)
+
+    def total(self, count: Callable[[TrialResult], int]) -> int:
+        return sum(count(t) for t in self.trials)
+
+    @property
+    def failures(self) -> List[TrialResult]:
+        return [t for t in self.trials if t.failed]
+
+    def render(self) -> str:
+        trials = self.trials
+        lines = [
+            f"{self.name}: {len(trials)} trials, "
+            + ", ".join(
+                f"{key.replace('_', ' ')} {value}"
+                for key, value in self.task.items()
+            ),
+            f"  crashes injected: {self.total(lambda t: t.fired)}",
+        ]
+        for instant in dict.fromkeys(t.instant for t in trials):
+            planned = [t for t in trials if t.instant == instant]
+            fired = sum(t.fired for t in planned)
+            lines.append(f"    {instant + ':':18s}{fired}/{len(planned)} fired")
+        lines.append("  outcomes: " + ", ".join(
+            f"{outcome} {self.total(lambda t: t.outcome == outcome)}"
+            for outcome in OUTCOMES
+        ))
+        lines.append("  signals:")
+        for label, prefix in _SIGNALS:
+            carried = self.total(
+                lambda t: any(s.startswith(prefix) for s in t.signals)
+            )
+            lines.append(f"    {label + ':':22s}{carried}")
+        lines += [
+            f"  durability contract: {self.total(lambda t: t.checks)} file "
+            f"checks, {self.total(lambda t: len(t.violations))} violations",
+            f"  acked fsyncs: {self.total(lambda t: t.acked_fsyncs)}",
+            f"  resumed clients: {self.total(lambda t: t.resumed_clients)}",
+            f"  failed trials: {len(self.failures)}",
+        ]
+        for t in self.failures:
+            lines.append(f"    trial {t.trial} [{t.instant}]: {t.detail}")
+            for violation in t.violations:
+                lines.append(f"      {violation}")
+        lines.append("fault injection totals:")
+        for row in (FAULT_KINDS[:3], FAULT_KINDS[3:]):
+            lines.append("  " + ", ".join(
+                f"{kind.replace('_', ' ')} "
+                f"{self.total(lambda t: t.faults.get(kind, 0))}"
+                for kind in row
+            ))
+        lines.append("verdict: " + ("FAILED" if self.failures else "OK"))
+        return "\n".join(lines)
+
 
 class SeededTrial:
     """One trial's seeded prologue, its faulty rig, and its ending.
 
     Trial ``trial`` of campaign ``name`` with seed ``seed`` draws its
     fault config, then its injector's seed, from one ``random.Random``;
-    the rest of :attr:`rng` belongs to the trial body.
+    the rest of :attr:`rng` belongs to the trial body, which fills
+    :attr:`result`.
     """
 
     def __init__(
@@ -68,6 +187,7 @@ class SeededTrial:
         name: str,
         trial: int,
         seed: int,
+        instant: str,
         draw_faults: Callable[[random.Random], FaultConfig],
         telemetry: Optional[Telemetry],
     ) -> None:
@@ -78,6 +198,7 @@ class SeededTrial:
             telemetry=telemetry,
         )
         self.telemetry = telemetry
+        self.result = TrialResult(trial, instant, self.injector.config)
 
     def boot(
         self, device_bytes: int, lfs_config: LfsConfig, service=None
@@ -103,6 +224,7 @@ class SeededTrial:
         the device back and mount what survived; a failed mount raises
         its typed error.  The crashed run's pending events die with it:
         none may run against the remounted volume."""
+        self.result.fired = True
         self.rig.fs.crash()
         self.rig.clock.cancel_all_timers()
         self.device.revive()
@@ -113,131 +235,59 @@ class SeededTrial:
             telemetry=self.telemetry,
         )
 
-    def run(self, result, body: Callable[[], None], detected: bool = False):
-        """Run ``body``, classify how it ended on ``result``, attach the
-        injector's totals and return ``result``.  An escaping exception
-        is *unhandled*, except that a typed :class:`ReproError` is
-        *detected* damage when ``detected`` (crashtest; a chaos rig
-        must degrade politely, never abort)."""
+    def run(self, body: Callable[[TrialResult], None]) -> TrialResult:
+        """Run ``body`` on :attr:`result`, attach the injector's totals
+        and return it.  Any exception that escapes the body is
+        *unhandled*: a body catches what it counts as detected."""
+        result = self.result
         try:
-            body()
-        except Exception as exc:  # the campaigns' one outcome classifier
+            body(result)
+        except Exception as exc:  # noqa: FAULT002 -- the one outcome classifier
+            result.outcome = "unhandled"
             result.detail = f"{type(exc).__name__}: {exc}"
-            if detected and isinstance(exc, ReproError):
-                result.outcome = "detected"
-                result.signals.append(f"typed-error {type(exc).__name__}")
-            else:
-                result.outcome = "unhandled"
         result.faults = self.injector.totals()
         return result
 
 
-def run_in_order(
-    trial: Callable[..., object],
-    trials: int,
+def run_campaign(
+    name: str,
+    trial: Callable[..., TrialResult],
+    validate: Callable[..., None],
     task: Dict[str, object],
-    telemetry: Optional[Telemetry],
-    jobs: int,
-    log: Optional[Callable[[str], None]],
-) -> list:
+    trials: int,
+    telemetry: Optional[Telemetry] = None,
+    jobs: int = 1,
+    log: Optional[Callable[[str], None]] = None,
+) -> CampaignReport:
     """Run ``trial(trial=i, **task)`` for each of ``trials`` trials,
-    ``jobs`` at a time, and log each result's ``summary()``.  Results,
-    log and merged telemetry come in trial order (:func:`~repro.harness.
-    parallel.run_trials`), byte-identical for any ``jobs``."""
+    ``jobs`` at a time, log each result's ``summary()`` and report.
+
+    ``validate(**task)`` runs first and raises, listing every
+    violation, for a rig no trial could run on: checked before any
+    worker forks, it is one error instead of every trial escaping with
+    the same one.  Trial *i* of a seed always injects the same faults,
+    and results, log and merged telemetry come in trial order
+    (:func:`~repro.harness.parallel.run_trials`), byte-identical for
+    any ``jobs``.
+    """
     from repro.harness.parallel import run_trials
 
+    validate(**task)
     tasks = [dict(trial=i, **task) for i in range(trials)]
     results = run_trials(trial, tasks, telemetry=telemetry, jobs=jobs)
     if log is not None:
         for result in results:
             log(f"trial {result.trial:3d}: {result.summary()}")
-    return results
-
-
-def fault_lines(trials: Iterable, *rows: Iterable[str]) -> List[str]:
-    """A report's fault totals over ``trials``: one line per row of
-    kinds, e.g. ``  torn writes 3, bit flips 2``."""
-    totals = dict.fromkeys(FAULT_KINDS, 0)
-    for trial in trials:
-        for kind, count in trial.faults.items():
-            totals[kind] += count
-    return ["fault injection totals:"] + [
-        "  " + ", ".join(f"{kind.replace('_', ' ')} {totals[kind]}" for kind in row)
-        for row in rows
-    ]
+    report = CampaignReport(name, task, results)
+    if telemetry is not None:
+        for counter, count in _COUNTERS.items():
+            telemetry.counter(counter, partial(report.total, count))
+    return report
 
 
 # ----------------------------------------------------------------------
 # The crash+corruption trial (``repro crashtest``)
 # ----------------------------------------------------------------------
-
-
-@dataclass
-class TrialResult:
-    """What one crash+corruption trial observed."""
-
-    trial: int
-    outcome: str  # "clean" | "detected" | "mount-failed" | "unhandled"
-    config: FaultConfig
-    signals: List[str] = field(default_factory=list)
-    detail: str = ""
-    faults: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def survived(self) -> bool:
-        return self.outcome != "unhandled"
-
-    def summary(self) -> str:
-        return f"{self.outcome:12s} " + ("; ".join(self.signals) or "-")
-
-
-@dataclass
-class CampaignReport:
-    """Aggregated survival report for a whole campaign."""
-
-    seed: int
-    trials: List[TrialResult] = field(default_factory=list)
-
-    def count(self, outcome: str) -> int:
-        return sum(1 for t in self.trials if t.outcome == outcome)
-
-    @property
-    def failures(self) -> List[TrialResult]:
-        return [t for t in self.trials if not t.survived]
-
-    @property
-    def survived_all(self) -> bool:
-        return not self.failures
-
-    def signal_count(self, prefix: str) -> int:
-        return sum(
-            1
-            for t in self.trials
-            if any(s.startswith(prefix) for s in t.signals)
-        )
-
-    def render(self) -> str:
-        lines = [
-            f"crashtest: {len(self.trials)} trials, seed {self.seed}",
-            f"  clean remounts:       {self.count('clean')}",
-            f"  detected & survived:  "
-            f"{self.count('detected') + self.count('mount-failed')}",
-            f"    checkpoint fallback:  {self.signal_count('checkpoint-fallback')}",
-            f"    roll-forward damage:  {self.signal_count('roll-forward')}",
-            f"    quarantined segments: {self.signal_count('quarantined')}",
-            f"    verify findings:      {self.signal_count('verify-errors')}",
-            f"    degraded operation:   {self.signal_count('post-mount')}",
-            f"    mount failures:       {self.count('mount-failed')}",
-            f"  unhandled exceptions: {len(self.failures)}",
-        ]
-        for t in self.failures:
-            lines.append(f"    trial {t.trial}: {t.detail}")
-        lines += fault_lines(self.trials, FAULT_KINDS[:3], FAULT_KINDS[3:])
-        lines += [
-            "survival: "
-            + ("OK" if self.survived_all else "FAILED (unhandled exceptions)"),
-        ]
-        return "\n".join(lines)
 
 
 def _random_fault_config(rng: random.Random) -> FaultConfig:
@@ -279,35 +329,55 @@ def _run_workload(fs: LogStructuredFS, rng: random.Random) -> None:
     fs.flush_log()
 
 
+def validate_trial(
+    seed: int, device_bytes: int = DEFAULT_DEVICE_BYTES
+) -> None:
+    """Reject a device no crashtest trial can run on (every violation
+    listed)."""
+    from repro.service.config import validate_rig
+
+    validate_rig(None, _TRIAL_CONFIG, device_bytes=device_bytes)
+
+
 def run_trial(
     trial: int,
     seed: int,
     telemetry: Optional[Telemetry] = None,
     device_bytes: int = DEFAULT_DEVICE_BYTES,
 ) -> TrialResult:
-    """One deterministic write → fault → crash → remount → verify cycle."""
+    """One deterministic write → fault → crash → remount → verify cycle,
+    crashing once, at the end of the workload."""
     seeded = SeededTrial(
-        "crashtest", trial, seed, _random_fault_config, telemetry
+        "crashtest",
+        trial,
+        seed,
+        "end-of-workload",
+        _random_fault_config,
+        telemetry,
     )
-    result = TrialResult(
-        trial=trial, outcome="clean", config=seeded.injector.config
-    )
-    return seeded.run(
-        result,
-        lambda: _execute_trial(result, seeded, device_bytes),
-        detected=True,
-    )
+    return seeded.run(partial(_execute_trial, seeded, device_bytes))
 
 
 def _execute_trial(
-    result: TrialResult, seeded: SeededTrial, device_bytes: int
+    seeded: SeededTrial, device_bytes: int, result: TrialResult
+) -> None:
+    # A typed error is detected damage wherever it surfaces.
+    try:
+        _crash_and_check(seeded, device_bytes, result)
+    except ReproError as exc:
+        result.signals.append(f"typed-error {type(exc).__name__}")
+        result.detail = f"{type(exc).__name__}: {exc}"
+    result.outcome = "detected" if result.signals else "clean"
+
+
+def _crash_and_check(
+    seeded: SeededTrial, device_bytes: int, result: TrialResult
 ) -> None:
     rig = seeded.boot(device_bytes, _TRIAL_CONFIG)
     _run_workload(rig.fs, seeded.rng)
     try:
         again = seeded.crash_and_remount()
     except ReproError as exc:
-        result.outcome = "mount-failed"
         result.detail = f"{type(exc).__name__}: {exc}"
         result.signals.append("mount-failed")
         return
@@ -344,29 +414,3 @@ def _execute_trial(
     verify = verify_lfs(seeded.device)
     if verify.errors:
         result.signals.append(f"verify-errors={len(verify.errors)}")
-    result.outcome = "detected" if result.signals else "clean"
-
-
-def run_campaign(
-    trials: int = 50,
-    seed: int = 0,
-    telemetry: Optional[Telemetry] = None,
-    device_bytes: int = DEFAULT_DEVICE_BYTES,
-    log=None,
-    jobs: int = 1,
-) -> CampaignReport:
-    """Run ``trials`` independent seeded trials and aggregate the report.
-
-    Trial *i* of seed *s* always injects the same faults, and the
-    report, its log lines and the exported telemetry are byte-identical
-    for any ``jobs`` (see :func:`run_in_order`).
-    """
-    from repro.service.config import validate_rig
-
-    # Fail fast (with every violation listed) before forking workers:
-    # a bad trial configuration would otherwise surface as N identical
-    # mid-campaign crashes.
-    validate_rig(None, _TRIAL_CONFIG, device_bytes=device_bytes)
-    task = dict(seed=seed, device_bytes=device_bytes)
-    results = run_in_order(run_trial, trials, task, telemetry, jobs, log)
-    return CampaignReport(seed=seed, trials=results)

@@ -22,19 +22,15 @@ shares with crashtest (:mod:`repro.faults.campaign`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import partial
+from typing import List, Optional
 
-from repro.faults.campaign import (
-    SeededTrial,
-    fault_lines,
-    run_in_order,
-)
+from repro.faults.campaign import SeededTrial, TrialResult
 from repro.faults.injector import FaultConfig
 from repro.faults.model import ModelFS
 from repro.lfs.filesystem import LogStructuredFS
 from repro.lfs.verify import verify_lfs
-from repro.obs import NULL_TELEMETRY, Telemetry
+from repro.obs import Telemetry
 from repro.service.config import SERVICE_LFS_CONFIG, ServiceConfig, validate_rig
 from repro.service.scheduler import (
     ClientStream,
@@ -160,91 +156,6 @@ class CrashPlan:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class ChaosTrialResult:
-    """What one crash-under-load trial observed."""
-
-    trial: int
-    instant: str
-    outcome: str = "passed"  # "passed" | "violated" | "unhandled"
-    fired: bool = False
-    crash_detail: str = ""
-    detail: str = ""
-    violations: List[str] = field(default_factory=list)
-    acked_fsyncs: int = 0
-    checks: int = 0
-    resumed_clients: int = 0
-    degraded: bool = False
-    faults: Dict[str, int] = field(default_factory=dict)
-
-    def summary(self) -> str:
-        fired = "crash" if self.fired else "no-crash"
-        return f"{self.instant:17s} {fired:9s} {self.outcome:10s} " + (
-            self.detail or self.crash_detail or "-"
-        )
-
-
-@dataclass
-class ChaosReport:
-    """Aggregated durability report for a whole chaos campaign."""
-
-    seed: int
-    clients: int
-    trials: List[ChaosTrialResult] = field(default_factory=list)
-
-    @property
-    def failures(self) -> List[ChaosTrialResult]:
-        return [t for t in self.trials if t.outcome != "passed"]
-
-    @property
-    def passed_all(self) -> bool:
-        return not self.failures
-
-    def fired_count(self, instant: str) -> int:
-        return sum(
-            1 for t in self.trials if t.instant == instant and t.fired
-        )
-
-    def planned_count(self, instant: str) -> int:
-        return sum(1 for t in self.trials if t.instant == instant)
-
-    def render(self) -> str:
-        checks = sum(t.checks for t in self.trials)
-        violations = sum(len(t.violations) for t in self.trials)
-        acked = sum(t.acked_fsyncs for t in self.trials)
-        crashes = sum(1 for t in self.trials if t.fired)
-        resumed = sum(t.resumed_clients for t in self.trials)
-        degraded = sum(1 for t in self.trials if t.degraded)
-        lines = [
-            f"chaos: {len(self.trials)} trials, seed {self.seed}, "
-            f"{self.clients} clients",
-            f"  crashes injected: {crashes}",
-        ]
-        for instant in INSTANTS:
-            planned = self.planned_count(instant)
-            if not planned:
-                continue
-            lines.append(
-                f"    {instant + ':':18s}{self.fired_count(instant)}"
-                f"/{planned} fired"
-            )
-        lines += [
-            f"  durability contract: {checks} file checks, "
-            f"{violations} violations",
-            f"  acked fsyncs: {acked}",
-            f"  resumed clients: {resumed}",
-            f"  degraded trials: {degraded}",
-            f"  failed trials: {len(self.failures)}",
-        ]
-        for t in self.failures:
-            lines.append(f"    trial {t.trial} [{t.instant}]: {t.detail}")
-            for violation in t.violations:
-                lines.append(f"      {violation}")
-        lines += fault_lines(self.trials, ("torn_writes", "transient_errors"))
-        lines.append("durability: " + ("OK" if self.passed_all else "VIOLATED"))
-        return "\n".join(lines)
-
-
 def _chaos_service_config(
     seed: int, trial: int, clients: int, requests: int, instant: str
 ) -> ServiceConfig:
@@ -302,6 +213,24 @@ def _reconcile_clients(
     return resumable
 
 
+def validate_chaos_rig(
+    seed: int,
+    clients: int = 8,
+    requests_per_client: int = 80,
+    device_bytes: int = DEFAULT_CHAOS_DEVICE_BYTES,
+) -> None:
+    """Reject a rig no chaos trial can run on (every violation listed);
+    each instant has its own service config."""
+    for instant in INSTANTS:
+        validate_rig(
+            _chaos_service_config(
+                seed, 0, clients, requests_per_client, instant
+            ),
+            SERVICE_LFS_CONFIG,
+            device_bytes=device_bytes,
+        )
+
+
 def run_chaos_trial(
     trial: int,
     seed: int,
@@ -309,33 +238,27 @@ def run_chaos_trial(
     requests_per_client: int = 80,
     telemetry: Optional[Telemetry] = None,
     device_bytes: int = DEFAULT_CHAOS_DEVICE_BYTES,
-) -> ChaosTrialResult:
+) -> TrialResult:
     """One crash-under-load → remount → contract-check → resume cycle."""
-    seeded = SeededTrial("chaos", trial, seed, _chaos_fault_config, telemetry)
     instant = INSTANTS[trial % len(INSTANTS)]
-    result = ChaosTrialResult(trial=trial, instant=instant)
+    seeded = SeededTrial(
+        "chaos", trial, seed, instant, _chaos_fault_config, telemetry
+    )
     service = _chaos_service_config(
         seed, trial, clients, requests_per_client, instant
     )
-    obs = telemetry or NULL_TELEMETRY
-    obs.counter("chaos.trials").inc()
-    seeded.run(
-        result,
-        lambda: _execute_chaos_trial(result, seeded, service, device_bytes),
+    return seeded.run(
+        partial(_execute_chaos_trial, seeded, service, device_bytes)
     )
-    if result.violations:
-        obs.counter("chaos.contract_violations").inc(len(result.violations))
-    return result
 
 
 def _execute_chaos_trial(
-    result: ChaosTrialResult,
     seeded: SeededTrial,
     service_config: ServiceConfig,
     device_bytes: int,
+    result: TrialResult,
 ) -> None:
     telemetry = seeded.telemetry
-    obs = telemetry or NULL_TELEMETRY
     fs = seeded.boot(device_bytes, SERVICE_LFS_CONFIG, service_config).fs
     prefill(fs, service_config)
 
@@ -350,17 +273,14 @@ def _execute_chaos_trial(
             scheduler.run()
         except CrashSignal:
             crashed = True
-    result.fired = plan.fired
     result.crash_detail = plan.fired_detail
     result.acked_fsyncs = len(model.acks)
 
     live = fs
     if crashed:
-        obs.counter("chaos.crashes_injected").inc()
         live = seeded.crash_and_remount()
         violations = model.check(live)
         result.checks = model.checks
-        obs.counter("chaos.contract_checks").inc(model.checks)
         if violations:
             result.violations = violations
             result.outcome = "violated"
@@ -371,7 +291,6 @@ def _execute_chaos_trial(
             return
         model.reconcile(live)
         result.resumed_clients = _reconcile_clients(live, scheduler.clients)
-        obs.counter("chaos.resumed_clients").inc(result.resumed_clients)
         resumed = RequestScheduler(
             live,
             service_config,
@@ -380,7 +299,8 @@ def _execute_chaos_trial(
             model=model,
         )
         resumed.run()
-        result.degraded = live.degraded
+        if live.degraded:
+            result.signals.append("post-mount degraded: read-only")
 
     result.acked_fsyncs = len(model.acks)
     # End-of-trial: with the rig quiesced every file must read back as
@@ -400,45 +320,3 @@ def _execute_chaos_trial(
         result.detail = (
             f"{len(verify.errors)} image verify errors after clean unmount"
         )
-
-
-# ----------------------------------------------------------------------
-# The campaign
-# ----------------------------------------------------------------------
-
-
-def run_chaos_campaign(
-    trials: int = 12,
-    seed: int = 0,
-    clients: int = 8,
-    requests_per_client: int = 80,
-    telemetry: Optional[Telemetry] = None,
-    device_bytes: int = DEFAULT_CHAOS_DEVICE_BYTES,
-    log=None,
-    jobs: int = 1,
-) -> ChaosReport:
-    """Run ``trials`` seeded crash-under-load trials and aggregate.
-
-    Trial *i* of seed *s* is deterministic and self-contained, and the
-    report is byte-identical for any ``jobs`` (see
-    :func:`~repro.faults.campaign.run_in_order`).
-    """
-    # Fail fast (with every violation listed) before forking workers:
-    # a bad configuration would otherwise be reported as every trial
-    # escaping with the same error.  Each instant has its own config.
-    for instant in INSTANTS:
-        validate_rig(
-            _chaos_service_config(
-                seed, 0, clients, requests_per_client, instant
-            ),
-            SERVICE_LFS_CONFIG,
-            device_bytes=device_bytes,
-        )
-    task = dict(
-        seed=seed,
-        clients=clients,
-        requests_per_client=requests_per_client,
-        device_bytes=device_bytes,
-    )
-    results = run_in_order(run_chaos_trial, trials, task, telemetry, jobs, log)
-    return ChaosReport(seed=seed, clients=clients, trials=results)

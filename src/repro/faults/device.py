@@ -6,15 +6,11 @@ same crash semantics.  Every read first asks the injector whether it
 fails (transient error, grown bad sector); every crash composes the
 torn-write hook of :meth:`SectorDevice.crash` with crash-coincident
 damage (bit flips, newly grown bad sectors).
-
-The device also tracks which sectors have ever been written so the
-injector aims corruption at data that matters — flipping bits in
-never-written space would exercise nothing.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Optional
 
 from repro.disk.device import SectorDevice
 from repro.faults.injector import FaultInjector
@@ -34,7 +30,6 @@ class FaultyDevice(SectorDevice):
     ) -> None:
         super().__init__(num_sectors, sector_size, initial_data=initial_data)
         self.injector = injector or FaultInjector()
-        self.written_sectors: Set[int] = set()
 
     def read(self, sector: int, count: int) -> memoryview:
         # Range- and crash-check first so faults only fire on requests
@@ -53,9 +48,7 @@ class FaultyDevice(SectorDevice):
         super().write(
             sector, data, completion_time=completion_time, durable=durable
         )
-        count = len(data) // self.sector_size
-        self.written_sectors.update(range(sector, sector + count))
-        self.injector.note_write(sector, count)
+        self.injector.note_write(sector, len(data) // self.sector_size)
 
     def crash(self, now: float, **kwargs) -> None:
         injector = self.injector

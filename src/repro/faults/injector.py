@@ -79,6 +79,14 @@ class FaultInjector:
         self.config = config or FaultConfig()
         self.rng = random.Random(seed)
         self.bad_sectors: Set[int] = set()
+        # Every sector written so far, the pool crash damage aims at
+        # (flipping bits in never-written space would exercise
+        # nothing); kept only when the config aims.
+        self.written: Optional[Set[int]] = (
+            set()
+            if self.config.grow_bad_sectors or self.config.bit_flip_sectors
+            else None
+        )
         self._pending_transient: Set[Tuple[int, int]] = set()
         self._torn_seen = 0
         # What was injected, by kind: the one count, which the
@@ -128,7 +136,10 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     def note_write(self, sector: int, count: int) -> None:
-        """A successful write remaps (heals) any bad sector it covers."""
+        """A successful write joins the aim pool and remaps (heals) any
+        bad sector it covers."""
+        if self.written is not None:
+            self.written.update(range(sector, sector + count))
         if not self.bad_sectors:
             return
         for healed in range(sector, sector + count):
@@ -145,11 +156,9 @@ class FaultInjector:
         new_tears = device.torn_writes - self._torn_seen
         self._torn_seen = device.torn_writes
         self.counts["torn_writes"] += new_tears
-        if not (self.config.grow_bad_sectors or self.config.bit_flip_sectors):
-            return  # nothing to aim, so no pool to build
-        pool = sorted(device.written_sectors)
-        if not pool:
-            return
+        if not self.written:
+            return  # nothing to aim, or nothing written to aim at
+        pool = sorted(self.written)
         for _ in range(self.config.grow_bad_sectors):
             sector = pool[self.rng.randrange(len(pool))]
             if sector not in self.bad_sectors:

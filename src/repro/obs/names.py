@@ -74,12 +74,12 @@ METRIC_NAMES = frozenset(
         "cluster.redirected_requests",
         "cluster.routing_flips",
         "cluster.shards",
-        # -- chaos campaign --------------------------------------------------
-        "chaos.contract_checks",
-        "chaos.contract_violations",
-        "chaos.crashes_injected",
-        "chaos.resumed_clients",
-        "chaos.trials",
+        # -- crash campaigns (crashtest, chaos) ------------------------------
+        "campaign.contract_checks",
+        "campaign.contract_violations",
+        "campaign.crashes_injected",
+        "campaign.resumed_clients",
+        "campaign.trials",
         # -- crash recovery -------------------------------------------------
         "recovery.blocks_recovered",
         "recovery.corrupt_entries_skipped",

@@ -3,7 +3,7 @@ about: unused imports, write-only local variables, instrumented modules
 that bypass the telemetry registry with bare ``print`` (OBS001) or
 emit metric/span names missing from the registered vocabulary
 (OBS002), broad ``except`` clauses in the crash-recovery modules
-(FAULT001) and in the crash-under-load chaos/scheduler modules
+(FAULT001) and in the crash-campaign/chaos/scheduler modules
 (FAULT002), unregistered crash points (FAULT003), wall-clock calls in
 the simulated-time service and cluster layers (SVC001), buffer copies
 on the zero-copy data path (ALLOC001), and simulated machines
@@ -312,6 +312,7 @@ def _check_recovery_broad_except(
 
 
 _CHAOS_TYPED_FILES = (
+    "repro/faults/campaign.py",
     "repro/faults/chaos.py",
     "repro/faults/model.py",
     "repro/service/scheduler.py",
@@ -322,10 +323,11 @@ The chaos campaign's contract is that a crash mid-request never leaves
 the scheduler loop via anything but a typed error or the deliberate
 :class:`~repro.faults.chaos.CrashSignal`.  A blanket ``except
 Exception`` in the scheduler would absorb the injected crash (or a real
-defect) and report a clean trial; in the chaos driver it would mask a
+defect) and report a clean trial; in a campaign driver it would mask a
 checker bug as a passing campaign, and in the model's reads of the
-recovered file system it would hide a violation.  The one legitimate campaign-level
-outcome classifier carries an explicit ``# noqa: FAULT002``."""
+recovered file system it would hide a violation.  The one legitimate
+outcome classifier (``SeededTrial.run``) carries an explicit ``# noqa:
+FAULT002``."""
 
 
 def _check_chaos_broad_except(

@@ -7,7 +7,7 @@ managers differ only in block placement, write timing and recovery.
 """
 
 from repro.vfs.interface import FileHandle, FsStats, StatResult, StorageManager
-from repro.vfs.path import join, normalize, split_path
+from repro.vfs.path import split_path
 
 __all__ = [
     "FileHandle",
@@ -15,6 +15,4 @@ __all__ = [
     "StatResult",
     "StorageManager",
     "split_path",
-    "normalize",
-    "join",
 ]

@@ -15,7 +15,6 @@ from typing import Dict, List, Optional
 from repro.common.inode import FileType
 from repro.errors import (
     FileNotFoundError_,
-    InvalidArgumentError,
     NotADirectoryError_,
     StaleHandleError,
 )
@@ -116,12 +115,6 @@ class FileHandle:
         """Block until this file's data and metadata are durable."""
         self._check()
         self._fs.fsync(self)
-
-    def seek(self, offset: int) -> None:
-        if offset < 0:
-            raise InvalidArgumentError(f"negative seek offset: {offset}")
-        self._check()
-        self.pos = offset
 
     def truncate(self, size: int = 0) -> None:
         self._check()

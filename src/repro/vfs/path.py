@@ -35,16 +35,3 @@ def split_path(path: str) -> List[str]:
             continue
         components.append(part)
     return components
-
-
-def normalize(path: str) -> str:
-    """Canonical form of an absolute path."""
-    return "/" + "/".join(split_path(path))
-
-
-def join(base: str, *parts: str) -> str:
-    """Join path fragments onto an absolute base and normalize."""
-    pieces = [base.rstrip("/")]
-    for part in parts:
-        pieces.append(part.strip("/"))
-    return normalize("/".join(pieces) or "/")

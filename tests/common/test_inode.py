@@ -51,12 +51,6 @@ class TestInodeSerialization:
         with pytest.raises(InvalidArgumentError):
             Inode(inum=1, direct=[0] * 3)
 
-    def test_copy_is_deep_enough(self):
-        inode = Inode(inum=5, ftype=FileType.REGULAR)
-        clone = inode.copy()
-        clone.direct[0] = 77
-        assert inode.direct[0] == NIL
-
     def test_nblocks(self):
         inode = Inode(inum=1, size=BS * 2 + 1)
         assert inode.nblocks(BS) == 3

@@ -9,8 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import run_campaign, run_trial
-from repro.faults.campaign import SeededTrial
+from repro.faults import run_campaign, run_trial, validate_trial
+from repro.faults.campaign import (
+    OUTCOMES,
+    CampaignReport,
+    SeededTrial,
+    TrialResult,
+)
 from repro.faults.injector import FaultConfig
 from repro.harness.parallel import export_telemetry_totals
 from repro.obs import Telemetry
@@ -21,13 +26,22 @@ from repro.units import MIB
 SMALL_TRIAL = dict(device_bytes=16 * MIB)
 
 
+def crashtest(trials, seed, **options):
+    task = dict(seed=seed, **SMALL_TRIAL)
+    return run_campaign(
+        "crashtest", run_trial, validate_trial, task, trials, **options
+    )
+
+
 class TestTrialContract:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_any_seed_survives(self, seed):
         result = run_trial(0, seed, **SMALL_TRIAL)
-        assert result.survived, result.detail
-        if result.outcome in ("detected", "mount-failed"):
+        assert not result.failed, result.detail
+        assert result.fired
+        assert result.outcome in ("clean", "detected")
+        if result.outcome == "detected":
             assert result.signals
 
     def test_trials_are_deterministic(self):
@@ -59,16 +73,10 @@ class TestTrialContract:
 class TestCampaign:
     def test_small_campaign_survives_and_aggregates(self):
         telemetry = Telemetry()
-        report = run_campaign(
-            trials=8, seed=0, telemetry=telemetry, **SMALL_TRIAL
-        )
-        assert report.survived_all
+        report = crashtest(8, seed=0, telemetry=telemetry)
+        assert not report.failures
         assert len(report.trials) == 8
-        counted = sum(
-            report.count(o)
-            for o in ("clean", "detected", "mount-failed", "unhandled")
-        )
-        assert counted == 8
+        assert all(t.outcome in OUTCOMES for t in report.trials)
         # Aggregated totals match the telemetry the injectors shared.
         by_name = {
             m["name"]: m.get("value")
@@ -77,31 +85,62 @@ class TestCampaign:
         for kind in ("bit_flips", "torn_writes"):
             total = sum(t.faults[kind] for t in report.trials)
             assert by_name[f"disk.fault.{kind}"] == total
-
+        assert by_name["campaign.trials"] == 8
+        assert by_name["campaign.crashes_injected"] == 8
+        assert by_name["campaign.contract_checks"] == 0
     def test_render_mentions_survival(self):
-        report = run_campaign(trials=2, seed=5, **SMALL_TRIAL)
+        report = crashtest(2, seed=5)
         text = report.render()
-        assert "survival: OK" in text
-        assert "2 trials" in text
+        assert text.endswith("verdict: OK")
+        assert text.startswith("crashtest: 2 trials, seed 5")
+
+    def test_render_lists_every_failed_trial_whatever_its_campaign(self):
+        # One report, one set of lines: an unhandled crashtest trial and
+        # a violated chaos trial fail it the same way.
+        unhandled = TrialResult(
+            3,
+            "end-of-workload",
+            FaultConfig(),
+            fired=True,
+            outcome="unhandled",
+            detail="KeyError: 7",
+        )
+        violated = TrialResult(
+            4,
+            "mid-commit",
+            FaultConfig(),
+            fired=True,
+            outcome="violated",
+            detail="2 durability violations after mid-commit",
+            violations=["/a: acked state lost", "/b: torn"],
+            checks=5,
+        )
+        clean = TrialResult(5, "mid-clean", FaultConfig(), fired=True)
+        report = CampaignReport(
+            "mixed", dict(seed=0), [unhandled, clean, violated]
+        )
+        assert report.failures == [unhandled, violated]
+        lines = report.render().splitlines()
+        assert "  outcomes: clean 1, detected 0, violated 1, unhandled 1" in lines
+        assert "  durability contract: 5 file checks, 2 violations" in lines
+        assert "  failed trials: 2" in lines
+        failed = lines.index("  failed trials: 2")
+        assert lines[failed + 1 : failed + 5] == [
+            "    trial 3 [end-of-workload]: KeyError: 7",
+            "    trial 4 [mid-commit]: 2 durability violations after mid-commit",
+            "      /a: acked state lost",
+            "      /b: torn",
+        ]
+        assert lines[-1] == "verdict: FAILED"
 
     def test_parallel_campaign_is_byte_identical(self):
         lines_seq, lines_par = [], []
         telemetry_seq, telemetry_par = Telemetry(), Telemetry()
-        sequential = run_campaign(
-            trials=4,
-            seed=11,
-            telemetry=telemetry_seq,
-            log=lines_seq.append,
-            jobs=1,
-            **SMALL_TRIAL,
+        sequential = crashtest(
+            4, seed=11, telemetry=telemetry_seq, log=lines_seq.append, jobs=1
         )
-        parallel = run_campaign(
-            trials=4,
-            seed=11,
-            telemetry=telemetry_par,
-            log=lines_par.append,
-            jobs=2,
-            **SMALL_TRIAL,
+        parallel = crashtest(
+            4, seed=11, telemetry=telemetry_par, log=lines_par.append, jobs=2
         )
         assert parallel.render() == sequential.render()
         assert lines_par == lines_seq
@@ -128,7 +167,7 @@ class TestSeededTrial:
 
         config = ServiceConfig(num_clients=4, requests_per_client=40)
         seeded = SeededTrial(
-            "chaos", 0, 0, lambda rng: FaultConfig(), telemetry=None
+            "chaos", 0, 0, "mid-clean", lambda rng: FaultConfig(), None
         )
         fs = seeded.boot(32 * MIB, SERVICE_LFS_CONFIG, config).fs
         scheduler = RequestScheduler(fs, config)

@@ -1,14 +1,18 @@
 """Crash-under-load chaos campaign."""
 
+from repro.faults import (
+    CampaignReport,
+    TrialResult,
+    run_campaign,
+    validate_chaos_rig,
+)
 from repro.faults.chaos import (
     INSTANTS,
-    ChaosReport,
-    ChaosTrialResult,
     CrashPlan,
     CrashSignal,
-    run_chaos_campaign,
     run_chaos_trial,
 )
+from repro.faults.injector import FaultConfig
 from repro.harness.parallel import export_telemetry_totals
 from repro.lfs.filesystem import make_lfs
 from repro.obs import Telemetry
@@ -19,6 +23,13 @@ from repro.units import MIB
 # Small-but-real campaign shape used across this module: fast enough
 # for tier-1, large enough that every instant actually fires.
 SMALL = dict(clients=4, requests_per_client=40)
+
+
+def chaos(trials, seed, **options):
+    task = dict(seed=seed, **SMALL)
+    return run_campaign(
+        "chaos", run_chaos_trial, validate_chaos_rig, task, trials, **options
+    )
 
 
 class TestCrashPlan:
@@ -85,53 +96,53 @@ class TestChaosTrial:
         # segment's live account; the resumed writer then tripped the
         # live <= capacity invariant.  Fixed by clamp_live.
         result = run_chaos_trial(2, seed=0, clients=8, requests_per_client=80)
-        assert result.outcome == "passed", result.detail
+        assert result.outcome == "clean", result.detail
 
     def test_trial_17_segment_its_own_successor(self):
         # Recovery restored next_segment == active_segment (stale chain
         # link and checkpointed pre-selection both pointed at the tail),
         # so the writer wrapped onto its own fresh data.
         result = run_chaos_trial(17, seed=0, clients=8, requests_per_client=80)
-        assert result.outcome == "passed", result.detail
+        assert result.outcome == "clean", result.detail
 
     def test_trial_14_stale_checkpoint_next_destroys_live_data(self):
         # The degenerate next-segment fallback trusted the checkpoint's
         # pre-selection, which the applied chain itself had consumed —
         # the resumed writer overwrote live, referenced blocks.
         result = run_chaos_trial(14, seed=0, clients=8, requests_per_client=80)
-        assert result.outcome == "passed", result.detail
+        assert result.outcome == "clean", result.detail
 
 
 class TestChaosCampaign:
     def test_small_campaign_passes_and_covers_instants(self):
-        report = run_chaos_campaign(trials=4, seed=0, **SMALL)
-        assert report.passed_all, report.render()
-        assert all(report.fired_count(instant) > 0 for instant in INSTANTS)
+        report = chaos(4, seed=0)
+        assert not report.failures, report.render()
+        assert [t.instant for t in report.trials] == list(INSTANTS)
         assert all(t.fired for t in report.trials)
         assert sum(t.checks for t in report.trials) > 0
         assert sum(t.acked_fsyncs for t in report.trials) > 0
 
     def test_jobs_merge_is_byte_identical(self):
         t1, t2 = Telemetry(), Telemetry()
-        r1 = run_chaos_campaign(trials=4, seed=0, telemetry=t1, jobs=1, **SMALL)
-        r2 = run_chaos_campaign(trials=4, seed=0, telemetry=t2, jobs=2, **SMALL)
+        r1 = chaos(4, seed=0, telemetry=t1, jobs=1)
+        r2 = chaos(4, seed=0, telemetry=t2, jobs=2)
         assert r1.render() == r2.render()
         assert export_telemetry_totals(t1) == export_telemetry_totals(t2)
 
     def test_report_counts_failures(self):
-        report = ChaosReport(seed=0, clients=1)
-        report.trials.append(ChaosTrialResult(trial=0, instant="mid-clean"))
+        report = CampaignReport("chaos", dict(seed=0, clients=1))
+        report.trials.append(TrialResult(0, "mid-clean", FaultConfig()))
         report.trials.append(
-            ChaosTrialResult(
-                trial=1,
-                instant="mid-commit",
+            TrialResult(
+                1,
+                "mid-commit",
+                FaultConfig(),
                 outcome="violated",
                 violations=["/f: gone"],
                 detail="1 durability violations",
             )
         )
-        assert not report.passed_all
         assert len(report.failures) == 1
         rendered = report.render()
-        assert "durability: VIOLATED" in rendered
+        assert rendered.endswith("verdict: FAILED")
         assert "/f: gone" in rendered

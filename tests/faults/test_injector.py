@@ -121,7 +121,18 @@ class TestCrashDamage:
         injector = device.injector
         assert injector.counts["bit_flips"] == 2
         assert injector.counts["bad_sectors_grown"] == len(injector.bad_sectors) >= 1
-        assert all(s in device.written_sectors for s in injector.bad_sectors)
+        assert injector.written == set(range(8))
+        assert injector.bad_sectors <= injector.written
+
+    def test_a_config_that_aims_nothing_keeps_no_pool(self):
+        # The chaos campaign's classes: torn writes and transient reads.
+        device = make_device(
+            FaultConfig(torn_write_prob=1.0, transient_read_prob=0.5)
+        )
+        for sector in range(0, 64, 8):
+            device.write(sector, b"W" * SECTOR_SIZE * 8, durable=True)
+        device.crash(now=0.0)
+        assert device.injector.written is None
 
     def test_deterministic_across_runs(self):
         config = FaultConfig(

@@ -26,8 +26,13 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import ClusterConfig, MigrationSpec, run_cluster
-from repro.faults import run_campaign
-from repro.faults.chaos import run_chaos_campaign
+from repro.faults import (
+    run_campaign,
+    run_chaos_trial,
+    run_trial,
+    validate_chaos_rig,
+    validate_trial,
+)
 from repro.obs import Telemetry
 from repro.service import ServiceConfig, simulate_service
 from repro.units import MIB
@@ -522,14 +527,14 @@ def test_cluster_run_with_migration():
 
 
 def test_chaos_campaign():
-    report = run_chaos_campaign(
-        trials=2, seed=0, clients=4, requests_per_client=40
-    )
+    task = dict(seed=0, clients=4, requests_per_client=40)
+    report = run_campaign("chaos", run_chaos_trial, validate_chaos_rig, task, 2)
     assert report.render() == CHAOS_RENDER
 
 
 def test_crashtest_campaign():
-    assert run_campaign(trials=3, seed=0).render() == CRASHTEST_RENDER
+    report = run_campaign("crashtest", run_trial, validate_trial, dict(seed=0), 3)
+    assert report.render() == CRASHTEST_RENDER
 
 
 def test_hotpath_goldens_cover_every_workload():

@@ -35,7 +35,7 @@ class TestDurabilityContractProperty:
             clients=clients,
             requests_per_client=30,
         )
-        assert result.outcome == "passed", (
+        assert result.outcome == "clean", (
             f"seed={seed} trial={trial} instant={result.instant} "
             f"clients={clients}: {result.detail} {result.violations}"
         )

@@ -403,6 +403,47 @@ class TestUnserviceableRigIsRejected:
         assert captured.out == ""
 
 
+class TestCampaignExitCode:
+    """Both campaigns exit 1, with the failed verdict, when a trial
+    escapes with an untyped error, and 0 otherwise."""
+
+    @pytest.mark.parametrize(
+        "argv, body",
+        [
+            (["crashtest", "--size", "16M"], "_crash_and_check"),
+            (
+                ["chaos", "--clients", "2", "--requests-per-client", "10"],
+                "_execute_chaos_trial",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_an_untyped_error_fails_the_campaign(
+        self, argv, body, raises, monkeypatch
+    ):
+        from repro.faults import campaign, chaos
+
+        module = campaign if argv[0] == "crashtest" else chaos
+        original = getattr(module, body)
+
+        def body_raising_in_trial_1(*args):
+            if raises and args[-1].trial == 1:
+                raise KeyError("lost block")
+            original(*args)
+
+        monkeypatch.setattr(module, body, body_raising_in_trial_1)
+        code, out = run_cli([*argv, "--trials", "2"])
+        if raises:
+            assert code == 1
+            assert "  failed trials: 1" in out
+            assert "    trial 1 [" in out
+            assert "]: KeyError: 'lost block'" in out
+            assert out.rstrip().endswith("verdict: FAILED")
+        else:
+            assert code == 0
+            assert out.rstrip().endswith("verdict: OK")
+
+
 class TestServeSim:
     def test_serve_sim_reports_and_saves_image(self, image, tmp_path):
         code, out = run_cli(

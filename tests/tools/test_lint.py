@@ -159,8 +159,12 @@ class TestChaosBroadExcept:
         path = write_module(tmp_path, "repro/faults/model.py", source)
         assert not any("FAULT002" in m for _, _, m in lint_file(path))
 
-    def test_other_modules_unaffected(self, tmp_path):
+    def test_flags_except_exception_in_the_campaign_runner(self, tmp_path):
         path = write_module(tmp_path, "repro/faults/campaign.py", BROAD_EXCEPT)
+        assert any("FAULT002" in m for _, _, m in lint_file(path))
+
+    def test_other_modules_unaffected(self, tmp_path):
+        path = write_module(tmp_path, "repro/faults/injector.py", BROAD_EXCEPT)
         assert not any("FAULT002" in m for _, _, m in lint_file(path))
 
     def test_noqa_suppresses_the_finding(self, tmp_path):

@@ -387,14 +387,6 @@ class TestReadWriteSemantics:
             assert handle.read(3) == b"one"
             assert handle.read() == b"two"
 
-    def test_seek(self, anyfs):
-        anyfs.write_file("/f", b"0123456789")
-        with anyfs.open("/f") as handle:
-            handle.seek(5)
-            assert handle.read(2) == b"56"
-            with pytest.raises(InvalidArgumentError):
-                handle.seek(-1)
-
     def test_stat_fields(self, anyfs):
         anyfs.clock.advance(1.0)
         anyfs.write_file("/f", b"abc")
