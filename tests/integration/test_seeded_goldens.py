@@ -62,34 +62,47 @@ CLUSTER_RENDER = """\
   image shard1: 68801b2ca6c08234a28a6059020724902bcb6da0c71a06ba204fda3c4a89cb0d"""
 
 CHAOS_RENDER = """\
-chaos: 2 trials, seed 0, 4 clients
+chaos: 2 trials, seed 0, clients 4, requests per client 40
   crashes injected: 2
     mid-clean:        1/1 fired
     mid-commit:       1/1 fired
+  outcomes: clean 2, detected 0, violated 0, unhandled 0
+  signals:
+    checkpoint fallback:  0
+    roll-forward damage:  0
+    quarantined segments: 0
+    verify findings:      0
+    degraded operation:   0
+    mount failures:       0
   durability contract: 78 file checks, 0 violations
   acked fsyncs: 81
   resumed clients: 8
-  degraded trials: 0
   failed trials: 0
 fault injection totals:
-  torn writes 0, transient errors 0
-durability: OK"""
+  torn writes 0, bit flips 0, bad sectors grown 0
+  media errors 0, transient errors 0, remaps 0
+verdict: OK"""
 
 CRASHTEST_RENDER = """\
 crashtest: 3 trials, seed 0
-  clean remounts:       0
-  detected & survived:  3
+  crashes injected: 3
+    end-of-workload:  3/3 fired
+  outcomes: clean 0, detected 3, violated 0, unhandled 0
+  signals:
     checkpoint fallback:  1
     roll-forward damage:  0
     quarantined segments: 1
     verify findings:      1
     degraded operation:   0
     mount failures:       1
-  unhandled exceptions: 0
+  durability contract: 0 file checks, 0 violations
+  acked fsyncs: 0
+  resumed clients: 0
+  failed trials: 0
 fault injection totals:
   torn writes 3, bit flips 3, bad sectors grown 12
   media errors 4, transient errors 0, remaps 1
-survival: OK"""
+verdict: OK"""
 
 # What each workload in hotpath_workloads.py must return, whatever the
 # telemetry mode.
